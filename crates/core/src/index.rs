@@ -4,12 +4,11 @@ use ii_corpus::DocId;
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_obs::Registry;
 use ii_pipeline::{
-    BuildCheckpoint, DocMap, IndexOutput, PipelineReport, CHECKPOINT_ARTIFACT,
-    DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
+    stage_runs_and_docmap, BuildCheckpoint, DocMap, IndexOutput, PipelineReport, SealedRuns,
+    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
 use ii_postings::{
-    parse_run_artifact_name, run_artifact_name, CodecError, Posting, PostingsList, RunFile,
-    RunSet, SetCursor,
+    parse_run_artifact_name, CodecError, Posting, PostingsList, RunFile, RunSet, SetCursor,
 };
 use ii_store::{
     ArtifactStatus, ManifestKind, RealVfs, SalvageReport, Store, StoreError, Txn, Vfs,
@@ -167,20 +166,10 @@ impl Index {
     /// [`CrashVfs`](ii_store::CrashVfs) here.
     pub fn save_with(&self, dir: &Path, vfs: &dyn Vfs) -> Result<(), StoreError> {
         let mut txn = Txn::begin(dir, vfs)?.with_registry(Arc::clone(&self.obs));
-        let mut indexers: Vec<u32> = self.run_sets.keys().copied().collect();
-        indexers.sort_unstable();
-        for indexer in indexers {
-            for run in self.run_sets[&indexer].runs() {
-                txn.put_with_meta(
-                    &run_artifact_name(indexer, run.run_id),
-                    &run.to_bytes(),
-                    Some(ii_pipeline::run_postings_meta(run)),
-                )?;
-            }
-        }
-        let mut dm = Vec::new();
-        self.doc_map.write_to(&mut dm).expect("vec write is infallible");
-        txn.put(DOCMAP_ARTIFACT, &dm)?;
+        // The build's own staging routine, so a saved index and a durably
+        // built one cannot drift apart. A one-shot save has staged nothing
+        // before: every run goes by value.
+        stage_runs_and_docmap(&mut txn, &self.run_sets, &self.doc_map, &mut SealedRuns::new())?;
         // The dictionary is staged LAST: a power-loss crash that leaves
         // neither a manifest nor `.tmp` residue then lacks `dictionary.bin`
         // too, so the pre-manifest fallback in [`Self::open`] reports a

@@ -46,10 +46,14 @@ impl std::fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so eight table reads fold eight input bytes
+/// into the state at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -58,17 +62,49 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[t - 1][n];
+            tables[t][n] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            n += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC32 (IEEE 802.3 polynomial) of `data`.
+/// CRC-32 (ISO-HDLC: the IEEE 802.3 / zlib polynomial, reflected, initial
+/// value and final xor `0xFFFF_FFFF`) of `data`.
+///
+/// The one checksum of the code base: container footers here and, through
+/// the `ii_store::crc32` re-export, every manifest record of an index
+/// directory. Slice-by-8 — eight input bytes per step through
+/// [`CRC_TABLES`] — so a checksum pass costs about what a memory-bound
+/// pass should; the values are those of the bit-serial definition, which
+/// `tests/tests/crc32_diff.rs` keeps as the oracle.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

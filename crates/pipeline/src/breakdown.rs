@@ -100,6 +100,19 @@ impl StageBreakdown {
                 self.counter("gpu.d2h_bytes"),
             ));
         }
+        // Durable builds only: what the commits cost in bytes. A sealed run
+        // is hashed and written once, so checksummed stays at or below
+        // written however many checkpoints re-stage it by reference.
+        if self.counter("store.commits") > 0 {
+            out.push_str(&format!(
+                "store: {} commits, {} B written, {} B checksummed, {} artifacts reused, {} fsyncs\n",
+                self.counter("store.commits"),
+                self.counter("store.bytes_written"),
+                self.counter("store.bytes_checksummed"),
+                self.counter("store.artifacts_reused"),
+                self.counter("store.fsyncs"),
+            ));
+        }
         // Only builds that ran with a budget (or hit any rung of the
         // degradation ladder) get a governor row; unlimited, untouched
         // builds keep the table unchanged.
@@ -160,6 +173,22 @@ mod tests {
         assert!(t.contains("stage"));
         assert!(b.cache_hit_rate().is_none());
         assert!(!t.contains("governor:"), "no governor row without a budget");
+        assert!(!t.contains("store:"), "no store row without a commit");
+    }
+
+    #[test]
+    fn store_row_appears_only_for_durable_builds() {
+        let r = Registry::new();
+        r.counter("store.commits").add(3);
+        r.counter("store.bytes_written").add(5000);
+        r.counter("store.bytes_checksummed").add(4000);
+        r.counter("store.artifacts_reused").add(6);
+        r.counter("store.fsyncs").add(17);
+        let t = StageBreakdown::from_registry(&r).render_table();
+        assert!(
+            t.contains("store: 3 commits, 5000 B written, 4000 B checksummed, 6 artifacts reused, 17 fsyncs"),
+            "{t}"
+        );
     }
 
     #[test]

@@ -38,7 +38,9 @@ use ii_obs::{FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceK
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
 use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunFormat, RunSet};
-use ii_store::{ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs};
+use ii_store::{
+    ArtifactMeta, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
+};
 use ii_text::{parse_documents_into, ParseScratch};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -434,6 +436,7 @@ pub fn build_index_durable(
 struct ResumeState {
     parts: Vec<PartialDictionary>,
     run_sets: HashMap<u32, RunSet>,
+    sealed: SealedRuns,
     doc_map: DocMap,
     files_done: usize,
     next_doc: u32,
@@ -494,11 +497,17 @@ fn load_resume_state(
     // order.
     run_names.sort();
     let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
-    for (indexer, _, name) in &run_names {
-        let rf = RunFile::from_bytes(&store.read(name)?).map_err(|e| {
+    let mut sealed = SealedRuns::new();
+    for (indexer, _, name) in run_names {
+        let rf = RunFile::from_bytes(&store.read(&name)?).map_err(|e| {
             StoreError::Corrupt { name: name.clone(), detail: e.to_string() }
         })?;
-        run_sets.entry(*indexer).or_default().push(rf);
+        // `read` just verified these bytes against the manifest record, so
+        // the record seals the run for every later generation.
+        let record = store.manifest().artifact(&name).expect("name came from the manifest");
+        let postings = Some(run_postings_meta(&rf));
+        sealed.insert(name, ArtifactMeta { postings, ..record.clone() });
+        run_sets.entry(indexer).or_default().push(rf);
     }
     let mut parts = Vec::with_capacity(ckpt.indexers.len());
     for &id in &ckpt.indexers {
@@ -516,6 +525,7 @@ fn load_resume_state(
     Ok(Some(ResumeState {
         parts,
         run_sets,
+        sealed,
         doc_map,
         files_done: ckpt.files_done as usize,
         next_doc: ckpt.next_doc,
@@ -543,22 +553,34 @@ pub fn run_postings_meta(run: &RunFile) -> PostingsMeta {
     }
 }
 
-/// Stage every sealed run into `txn` (unchanged runs are reused, not
-/// rewritten) plus the doc map.
-fn stage_runs_and_docmap(
+/// The manifest record of every run already staged into the index
+/// directory, by artifact name. A flushed run never changes, so its record
+/// stands for its bytes in every later generation.
+pub type SealedRuns = HashMap<String, ArtifactMeta>;
+
+/// Stage every run into `txn`, then the doc map. A run is serialised and
+/// hashed the first time it is staged; from then on its `sealed` record
+/// stages it by reference ([`Txn::put_sealed`]), falling back to the bytes
+/// only when the previous generation turns out not to hold it.
+pub fn stage_runs_and_docmap(
     txn: &mut Txn<'_>,
     run_sets: &HashMap<u32, RunSet>,
     doc_map: &DocMap,
+    sealed: &mut SealedRuns,
 ) -> Result<(), StoreError> {
     let mut indexers: Vec<u32> = run_sets.keys().copied().collect();
     indexers.sort_unstable();
     for indexer in indexers {
         for run in run_sets[&indexer].runs() {
-            txn.put_with_meta(
-                &run_artifact_name(indexer, run.run_id),
-                &run.to_bytes(),
-                Some(run_postings_meta(run)),
-            )?;
+            let name = run_artifact_name(indexer, run.run_id);
+            if let Some(record) = sealed.get(&name) {
+                if txn.put_sealed(record)? {
+                    continue;
+                }
+            }
+            let record =
+                txn.put_with_meta(&name, &run.to_bytes(), Some(run_postings_meta(run)))?.clone();
+            sealed.insert(name, record);
         }
     }
     let mut dm = Vec::new();
@@ -577,13 +599,14 @@ fn commit_checkpoint(
     cfg: &PipelineConfig,
     pool: &mut IndexerPool,
     run_sets: &HashMap<u32, RunSet>,
+    sealed: &mut SealedRuns,
     doc_map: &DocMap,
     files_done: usize,
     report: &PipelineReport,
 ) -> Result<(), StoreError> {
     let parts = pool.snapshot_shards();
     let mut txn = Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(registry));
-    stage_runs_and_docmap(&mut txn, run_sets, doc_map)?;
+    stage_runs_and_docmap(&mut txn, run_sets, doc_map, sealed)?;
     let mut indexers = Vec::with_capacity(parts.len());
     for p in &parts {
         let mut bytes = Vec::new();
@@ -694,7 +717,7 @@ fn build_inner(
     report.faults.retries = sampled.retries;
     report.faults.recovered_files = sampled.recovered_files;
 
-    let (mut pool, mut run_sets, mut doc_map, start_file) = match resume_state {
+    let (mut pool, mut run_sets, mut sealed, mut doc_map, start_file) = match resume_state {
         Some(rs) => {
             report.faults.retries += rs.retries;
             report.faults.recovered_files += rs.recovered_files;
@@ -720,11 +743,12 @@ fn build_inner(
                 rs.docs_indexed,
                 rs.runs_flushed,
             );
-            (pool, rs.run_sets, rs.doc_map, rs.files_done)
+            (pool, rs.run_sets, rs.sealed, rs.doc_map, rs.files_done)
         }
         None => (
             IndexerPool::new(sampled.plan, cfg.gpu_config, cfg.codec),
             HashMap::new(),
+            SealedRuns::new(),
             DocMap::new(),
             0,
         ),
@@ -1111,13 +1135,17 @@ fn build_inner(
             batches_in_run = 0;
             runs_since_checkpoint += 1;
             if let Some(opts) = durable {
+                // No checkpoint once the last container file is in: the
+                // final commit would supersede it before anyone could
+                // resume from it.
                 if opts.checkpoint_every_runs > 0
                     && runs_since_checkpoint >= opts.checkpoint_every_runs
+                    && files_done < collection.num_files()
                 {
                     let _ckpt_span = driver_sink.span(TraceKind::Checkpoint);
                     commit_checkpoint(
-                        opts, &registry, collection, cfg, &mut pool, &run_sets, &doc_map,
-                        files_done, &report,
+                        opts, &registry, collection, cfg, &mut pool, &run_sets, &mut sealed,
+                        &doc_map, files_done, &report,
                     )?;
                     runs_since_checkpoint = 0;
                 }
@@ -1289,7 +1317,7 @@ fn build_inner(
             let committed = (|| -> Result<(), StoreError> {
                 let mut txn =
                     Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(&registry));
-                stage_runs_and_docmap(&mut txn, &run_sets, &doc_map)?;
+                stage_runs_and_docmap(&mut txn, &run_sets, &doc_map, &mut sealed)?;
                 txn.put(DICTIONARY_ARTIFACT, &dict_bytes)?;
                 txn.commit(ManifestKind::Index)?;
                 Ok(())

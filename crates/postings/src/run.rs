@@ -378,8 +378,11 @@ impl RunFile {
             });
         }
         for e in &entries {
-            if (e.offset + e.len as u64) as usize > payload_len {
-                return Err(RunFileError::Malformed);
+            // `checked_add`: an offset near `u64::MAX` must not wrap past
+            // the bound and panic later in `payload_of`.
+            match e.offset.checked_add(u64::from(e.len)) {
+                Some(end) if end <= payload_len as u64 => {}
+                _ => return Err(RunFileError::Malformed),
             }
         }
         let payload = buf[payload_start..payload_start + payload_len].to_vec();
@@ -586,6 +589,27 @@ mod tests {
             RunFile::from_bytes(&bytes[..bytes.len() - 1]),
             Err(RunFileError::Truncated)
         );
+    }
+
+    #[test]
+    fn wrapping_entry_offset_rejected() {
+        // Entry 0's offset field sits 4 bytes into the mapping table. With
+        // `offset = u64::MAX - len + 1` the unchecked sum wraps to 0 and
+        // used to pass the bound, leaving `payload_of` to panic at query
+        // time.
+        let run = sample_run(0);
+        let mut bytes = run.to_bytes();
+        let hostile = u64::MAX - u64::from(run.entries[0].len) + 1;
+        bytes[HEADER_BYTES + 4..HEADER_BYTES + 12].copy_from_slice(&hostile.to_le_bytes());
+        assert_eq!(RunFile::from_bytes(&bytes), Err(RunFileError::Malformed));
+        // One byte past the payload is rejected too; the exact end is fine.
+        let mut bytes = run.to_bytes();
+        let last = run.entries.len() - 1;
+        let at = HEADER_BYTES + last * ENTRY_BYTES_V2 + 4;
+        let past = run.entries[last].offset + 1;
+        bytes[at..at + 8].copy_from_slice(&past.to_le_bytes());
+        assert_eq!(RunFile::from_bytes(&bytes), Err(RunFileError::Malformed));
+        assert!(RunFile::from_bytes(&run.to_bytes()).is_ok());
     }
 
     #[test]

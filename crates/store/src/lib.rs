@@ -43,29 +43,7 @@ pub use store::{
 };
 pub use vfs::{CrashMode, CrashVfs, RealVfs, Vfs};
 
-/// CRC-32 (ISO-HDLC, the zlib polynomial) — same algorithm and parameters
-/// as the container footer checksum in `ii_corpus`, reimplemented here so
-/// the storage layer stays dependency-free.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC-32/ISO-HDLC check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-}
+/// CRC-32 (ISO-HDLC) of every manifest record: the container footer
+/// checksum of `ii_corpus`, re-exported so the code base has one definition
+/// (slice-by-8; see [`ii_corpus::container::crc32`]).
+pub use ii_corpus::container::crc32;

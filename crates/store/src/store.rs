@@ -133,7 +133,10 @@ impl<'v> Txn<'v> {
 
     /// Record fsync/commit/bytes counters and the `commit` stage span into
     /// `registry` (the pipeline driver passes its per-build registry).
+    /// `store.artifacts_reused` is interned here so that a build which
+    /// reused nothing reports it as 0 rather than not at all.
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
+        registry.counter("store.artifacts_reused");
         self.obs = Some(registry);
         self
     }
@@ -145,11 +148,10 @@ impl<'v> Txn<'v> {
 
     /// Stage one artifact. If the previous commit already holds identical
     /// content (same length + CRC32) the existing file is reused without a
-    /// write — sealed run files are not rewritten on every checkpoint.
-    /// Changed content goes to a generation-suffixed file so the previous
-    /// committed state survives a crash mid-transaction.
+    /// write. Changed content goes to a generation-suffixed file so the
+    /// previous committed state survives a crash mid-transaction.
     pub fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.put_with_meta(name, bytes, None)
+        self.put_with_meta(name, bytes, None).map(|_| ())
     }
 
     /// [`Self::put`] with postings metadata attached to the manifest
@@ -158,43 +160,65 @@ impl<'v> Txn<'v> {
     /// it. The metadata is re-stamped even on the content-reuse path — an
     /// unchanged run file inherited from a version-1 manifest gains its
     /// metadata on the first version-2 commit.
+    ///
+    /// Returns the staged record. A caller whose artifact is immutable from
+    /// here on (a sealed run) keeps it and stages later generations with
+    /// [`Self::put_sealed`], so the bytes are serialised and hashed once.
     pub fn put_with_meta(
         &mut self,
         name: &str,
         bytes: &[u8],
         postings: Option<PostingsMeta>,
-    ) -> Result<(), StoreError> {
-        if self.staged.iter().any(|a| a.name == name) {
+    ) -> Result<&ArtifactMeta, StoreError> {
+        if let Some(r) = &self.obs {
+            r.counter("store.bytes_checksummed").add(bytes.len() as u64);
+        }
+        let mut meta = ArtifactMeta {
+            name: name.to_string(),
+            file: name.to_string(),
+            len: bytes.len() as u64,
+            crc32: crc32(bytes),
+            postings,
+        };
+        if !self.put_sealed(&meta)? {
+            if self.prev.as_ref().and_then(|m| m.artifact(name)).is_some() {
+                meta.file = format!("{name}.g{}", self.generation);
+            }
+            self.write_durable(&meta.file, bytes)?;
+            self.staged.push(meta);
+        }
+        Ok(self.staged.last().expect("just staged"))
+    }
+
+    /// Stage an artifact by reference: `sealed` is the record an earlier
+    /// [`Self::put_with_meta`] returned (or the manifest a resumed build
+    /// loaded) for content the caller has not changed since. When the
+    /// previous commit holds that name with the same length and CRC32 its
+    /// file is reused — an O(1) compare, no bytes serialised, hashed or
+    /// written — and `Ok(true)` is returned. `Ok(false)` means the previous
+    /// generation does not hold it (first staging, a retried transaction,
+    /// a directory someone else rewrote): stage the bytes instead.
+    pub fn put_sealed(&mut self, sealed: &ArtifactMeta) -> Result<bool, StoreError> {
+        if self.staged.iter().any(|a| a.name == sealed.name) {
             return Err(StoreError::Corrupt {
-                name: name.to_string(),
+                name: sealed.name.clone(),
                 detail: "artifact staged twice in one transaction".into(),
             });
         }
-        let len = bytes.len() as u64;
-        let crc = crc32(bytes);
-        if let Some(prev) = self.prev.as_ref().and_then(|m| m.artifact(name)) {
-            if prev.len == len && prev.crc32 == crc && self.dir.join(&prev.file).exists() {
-                if let Some(r) = &self.obs {
-                    r.counter("store.artifacts_reused").inc();
-                }
-                self.staged.push(ArtifactMeta {
-                    name: name.to_string(),
-                    file: prev.file.clone(),
-                    len,
-                    crc32: crc,
-                    postings,
-                });
-                return Ok(());
-            }
-        }
-        let file = if self.prev.as_ref().and_then(|m| m.artifact(name)).is_some() {
-            format!("{name}.g{}", self.generation)
-        } else {
-            name.to_string()
+        let Some(prev) = self.prev.as_ref().and_then(|m| m.artifact(&sealed.name)) else {
+            return Ok(false);
         };
-        self.write_durable(&file, bytes)?;
-        self.staged.push(ArtifactMeta { name: name.to_string(), file, len, crc32: crc, postings });
-        Ok(())
+        if prev.len != sealed.len
+            || prev.crc32 != sealed.crc32
+            || !self.dir.join(&prev.file).exists()
+        {
+            return Ok(false);
+        }
+        if let Some(r) = &self.obs {
+            r.counter("store.artifacts_reused").inc();
+        }
+        self.staged.push(ArtifactMeta { file: prev.file.clone(), ..sealed.clone() });
+        Ok(true)
     }
 
     /// write-temp → fsync → atomic rename for one file (see the
@@ -458,6 +482,49 @@ mod tests {
         assert_eq!(store.read("b.bin").unwrap(), b"BETA2");
         // The stale b.bin was garbage-collected.
         assert!(!d.join("b.bin").exists());
+        fs::remove_dir_all(d).unwrap();
+    }
+
+    #[test]
+    fn sealed_records_restage_by_reference() {
+        let d = tmp("sealed");
+        let registry = Arc::new(Registry::new());
+        let mut txn = Txn::begin(&d, &RealVfs).unwrap().with_registry(Arc::clone(&registry));
+        let a = txn.put_with_meta("a.bin", b"alpha", None).unwrap().clone();
+        let b = txn.put_with_meta("b.bin", b"beta", None).unwrap().clone();
+        assert_eq!((a.len, a.crc32), (5, crc32(b"alpha")));
+        txn.commit(ManifestKind::Index).unwrap();
+        assert_eq!(registry.counter("store.bytes_checksummed").get(), 9);
+        let written = registry.counter("store.bytes_written").get();
+
+        let mut txn = Txn::begin(&d, &RealVfs).unwrap().with_registry(Arc::clone(&registry));
+        assert!(txn.put_sealed(&a).unwrap(), "previous generation holds it");
+        assert!(matches!(txn.put_sealed(&a), Err(StoreError::Corrupt { .. })), "staged twice");
+        // A record the previous generation does not hold: wrong checksum,
+        // wrong length, unknown name. The caller must bring the bytes.
+        for stale in [
+            ArtifactMeta { crc32: b.crc32 ^ 1, ..b.clone() },
+            ArtifactMeta { len: b.len + 1, ..b.clone() },
+            ArtifactMeta { name: "c.bin".into(), ..b.clone() },
+        ] {
+            assert!(!txn.put_sealed(&stale).unwrap());
+        }
+        txn.put("b.bin", b"beta").unwrap();
+        let m = txn.commit(ManifestKind::Index).unwrap();
+        assert_eq!(m.artifact("a.bin").unwrap(), &a, "same file, same record");
+        assert_eq!(m.artifact("b.bin").unwrap(), &b);
+        // `a` cost nothing; `b`, staged by value, was hashed again; only
+        // the manifest was written.
+        assert_eq!(registry.counter("store.bytes_checksummed").get(), 9 + 4);
+        assert_eq!(registry.counter("store.artifacts_reused").get(), 2);
+        assert_eq!(
+            registry.counter("store.bytes_written").get() - written,
+            m.to_bytes().len() as u64
+        );
+        // The file a sealed record points at has gone missing: not reused.
+        fs::remove_file(d.join("a.bin")).unwrap();
+        let mut txn = Txn::begin(&d, &RealVfs).unwrap();
+        assert!(!txn.put_sealed(&a).unwrap());
         fs::remove_dir_all(d).unwrap();
     }
 
