@@ -108,7 +108,8 @@ fn usage() {
          (whole-list varbyte runs, v1 manifest) for format-interop testing\n  \
          query <index-dir> <terms...>                         conjunctive search\n  \
          postings <index-dir> <term> [--range LO HI]          dump a postings list\n  \
-         stats <dir>                                          collection or index stats\n  \
+         stats <dir>                                          collection stats, or an index's\n        \
+         shape: terms, runs, lists, postings, table/payload/index bytes, run wire formats\n  \
          simulate [--parsers N] [--cpu N] [--gpus N] [--collection C]  platsim projection"
     );
 }
@@ -465,7 +466,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-encode a blocked (v2) index in the legacy v1 wire format: whole-list
+/// Re-encode a blocked index in the legacy v1 wire format: whole-list
 /// varbyte runs, version-1 manifest with no postings metadata. Exercises
 /// the backward-compat read path end to end — CI builds a fresh index,
 /// downgrades it, and requires `verify` to pass on both.
@@ -626,19 +627,75 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("  terms:    {}", index.num_terms());
         println!("  indexers: {}", index.run_sets.len());
         println!("  runs:     {runs}");
-        let heaviest = index
+        // Document frequencies from the mapping tables: every run row
+        // carries its posting count, so no list is decoded.
+        let mut df: std::collections::HashMap<(u32, u32), u64> = std::collections::HashMap::new();
+        let (mut lists, mut postings, mut payload) = (0u64, 0u64, 0u64);
+        for (&indexer, set) in &index.run_sets {
+            for run in set.runs() {
+                lists += run.entries.len() as u64;
+                payload += run.payload.len() as u64;
+                for e in &run.entries {
+                    postings += u64::from(e.n_postings);
+                    *df.entry((indexer, e.handle)).or_default() += u64::from(e.n_postings);
+                }
+            }
+        }
+        let busiest = index
             .dictionary
             .entries()
             .iter()
-            .max_by_key(|e| index.run_sets[&e.indexer].fetch(e.postings).len());
-        if let Some(e) = heaviest {
-            let l = index.run_sets[&e.indexer].fetch(e.postings);
-            println!("  busiest term: '{}' in {} docs", e.full_term(), l.len());
+            .map(|e| (df.get(&(e.indexer, e.postings)).copied().unwrap_or(0), e))
+            .max_by_key(|(docs, _)| *docs);
+        if let Some((docs, e)) = busiest {
+            println!("  busiest term: '{}' in {docs} docs", e.full_term());
+        }
+        println!("  lists:    {lists}");
+        println!("  postings: {postings}");
+        println!("  payload bytes: {payload}");
+        match on_disk_shape(path) {
+            Ok((run_bytes, index_bytes, formats)) => {
+                println!("  table bytes:   {}", run_bytes.saturating_sub(payload));
+                if postings > 0 {
+                    println!("  run bytes per posting: {:.2}", run_bytes as f64 / postings as f64);
+                }
+                println!("  index bytes:   {index_bytes}");
+                let formats: Vec<String> = formats.iter().map(u32::to_string).collect();
+                println!("  wire formats: {}", formats.join(", "));
+            }
+            // A pre-manifest directory opens, but nothing records its sizes.
+            Err(e) => println!("  on-disk shape unavailable: {e}"),
         }
     } else {
         return Err(format!("{dir} is neither a collection nor an index"));
     }
     Ok(())
+}
+
+/// What the manifest of an index directory says of its files: bytes in run
+/// artifacts, bytes in all artifacts, and the run-file wire formats present
+/// (`PostingsMeta::format`: 1 `IIRF`, 2 `IIR2`, 3 `IIR3`). An opened
+/// `RunFile` does not remember its magic, so the manifest is where this is
+/// read; a version-1 manifest records no format, and there the artifact's
+/// own magic answers.
+fn on_disk_shape(dir: &Path) -> Result<(u64, u64, std::collections::BTreeSet<u32>), String> {
+    use ii_core::postings::{parse_run_artifact_name, wire_format};
+    let store = ii_core::store::Store::open(dir).map_err(|e| e.to_string())?;
+    let (mut run_bytes, mut index_bytes) = (0u64, 0u64);
+    let mut formats = std::collections::BTreeSet::new();
+    for a in &store.manifest().artifacts {
+        index_bytes += a.len;
+        if parse_run_artifact_name(&a.name).is_none() {
+            continue;
+        }
+        run_bytes += a.len;
+        let format = match a.postings {
+            Some(p) => Some(p.format),
+            None => wire_format(&store.read(&a.name).map_err(|e| e.to_string())?),
+        };
+        formats.extend(format);
+    }
+    Ok((run_bytes, index_bytes, formats))
 }
 
 /// Crash-safe file write — ii-store's write-temp → fsync → atomic-rename,

@@ -344,9 +344,7 @@ fn validate_artifact(name: &str, bytes: &[u8]) -> Result<Option<ii_store::Postin
     } else if name.ends_with(".iipd") {
         PartialDictionary::read_from(&mut &bytes[..]).map(|_| None).map_err(|e| e.to_string())
     } else if parse_run_artifact_name(name).is_some() {
-        RunFile::from_bytes(bytes)
-            .map(|r| Some(ii_pipeline::run_postings_meta(&r)))
-            .map_err(|e| e.to_string())
+        ii_pipeline::parse_stored_run(bytes).map(|(_, meta)| Some(meta)).map_err(|e| e.to_string())
     } else {
         Err("unrecognized artifact name".into())
     }
@@ -532,7 +530,7 @@ mod tests {
                     .find(|r| r.run_id == run_id)
                     .unwrap();
                 assert_eq!(p, ii_pipeline::run_postings_meta(run));
-                assert_eq!(p.format, 2, "blocked wire format");
+                assert_eq!(p.format, 3, "blocked wire format");
                 assert_eq!(p.lists, run.entries.len() as u64);
                 if !run.entries.is_empty() {
                     assert!(p.blocks >= p.lists, "at least one block per list");

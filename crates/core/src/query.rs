@@ -151,8 +151,12 @@ mod tests {
     use std::sync::Arc;
 
     fn index_of(bodies: &[&str]) -> Index {
-        let dir = std::env::temp_dir()
-            .join(format!("ii-query-test-{}-{}", bodies.len(), std::process::id()));
+        // Tests run in parallel in one process: a per-call sequence number
+        // keeps two tests with equally many bodies out of one directory.
+        static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("ii-query-test-{seq}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let docs: Vec<RawDocument> = bodies

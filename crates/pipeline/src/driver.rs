@@ -37,7 +37,10 @@ use ii_corpus::StoredCollection;
 use ii_obs::{FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceKind, Tracer};
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
-use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunFormat, RunSet};
+use ii_postings::run::RunFileError;
+use ii_postings::{
+    parse_run_artifact_name, run_artifact_name, wire_format, Codec, RunFile, RunFormat, RunSet,
+};
 use ii_store::{
     ArtifactMeta, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
 };
@@ -499,14 +502,13 @@ fn load_resume_state(
     let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
     let mut sealed = SealedRuns::new();
     for (indexer, _, name) in run_names {
-        let rf = RunFile::from_bytes(&store.read(&name)?).map_err(|e| {
+        let (rf, meta) = parse_stored_run(&store.read(&name)?).map_err(|e| {
             StoreError::Corrupt { name: name.clone(), detail: e.to_string() }
         })?;
         // `read` just verified these bytes against the manifest record, so
         // the record seals the run for every later generation.
         let record = store.manifest().artifact(&name).expect("name came from the manifest");
-        let postings = Some(run_postings_meta(&rf));
-        sealed.insert(name, ArtifactMeta { postings, ..record.clone() });
+        sealed.insert(name, ArtifactMeta { postings: Some(meta), ..record.clone() });
         run_sets.entry(indexer).or_default().push(rf);
     }
     let mut parts = Vec::with_capacity(ckpt.indexers.len());
@@ -537,20 +539,32 @@ fn load_resume_state(
     }))
 }
 
-/// Manifest-level postings metadata of a run file: wire format, list and
-/// skip-table block counts, and the block-max bound. Committed alongside
-/// every run artifact so an index's shape is readable from the manifest
-/// alone.
+/// Manifest-level postings metadata of a run file: the wire format
+/// `to_bytes` writes it in, list and block counts, and the block-max bound.
+/// Committed alongside every run artifact so an index's shape is readable
+/// from the manifest alone.
 pub fn run_postings_meta(run: &RunFile) -> PostingsMeta {
     PostingsMeta {
         format: match run.format {
             RunFormat::Legacy => 1,
-            RunFormat::Blocked => 2,
+            RunFormat::Blocked => 3,
         },
         lists: run.entries.len() as u64,
         blocks: run.block_count(),
         max_tf: run.max_tf(),
     }
+}
+
+/// Parse run bytes that stay on disk as they are (a checkpoint's sealed
+/// run, an artifact `ii repair` salvages), with the metadata a manifest
+/// must record for *those bytes*: [`run_postings_meta`], except that
+/// `format` is the one the bytes are in — an `IIR2` file parses into the
+/// same `RunFile` an `IIR3` one does, and is still format 2 on disk.
+pub fn parse_stored_run(bytes: &[u8]) -> Result<(RunFile, PostingsMeta), RunFileError> {
+    let run = RunFile::from_bytes(bytes)?;
+    let mut meta = run_postings_meta(&run);
+    meta.format = wire_format(bytes).expect("from_bytes accepted the magic");
+    Ok((run, meta))
 }
 
 /// The manifest record of every run already staged into the index

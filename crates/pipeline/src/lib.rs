@@ -47,9 +47,9 @@ pub use checkpoint::{
 };
 pub use docmap::{DocMap, DocMapEntry};
 pub use driver::{
-    build_index, build_index_durable, run_postings_meta, sample_plan, stage_runs_and_docmap,
-    DurableOptions, FileTiming, IndexOutput, PipelineConfig, PipelineReport, SamplePlan,
-    SealedRuns,
+    build_index, build_index_durable, parse_stored_run, run_postings_meta, sample_plan,
+    stage_runs_and_docmap, DurableOptions, FileTiming, IndexOutput, PipelineConfig,
+    PipelineReport, SamplePlan, SealedRuns,
 };
 pub use fault::{
     BudgetSqueeze, FaultAction, FaultClass, FaultPolicy, FaultReport, FaultStage, FileFault,

@@ -144,21 +144,24 @@ fn read_truncated_binary(b: u64, rd: &mut BitReader<'_>) -> Option<u64> {
         return Some(0);
     }
     let k = tb_bits(b);
-    let cutoff = (1u64 << k) - b;
+    // `b` comes off the wire: past 2^63 the long form is 64 bits wide and
+    // `1 << k` no longer fits a u64.
+    let cutoff = ((1u128 << k) - u128::from(b)) as u64;
     let short = rd.read_bits(k - 1)?;
     if short < cutoff {
         Some(short)
     } else {
         let bit = rd.read_bit()? as u64;
-        Some(((short << 1) | bit) - cutoff)
+        ((short << 1) | bit).checked_sub(cutoff)
     }
 }
 
-/// Decode one Golomb value with parameter `b`.
+/// Decode one Golomb value with parameter `b`. `None` on truncated input
+/// or a value past `u64` (a hostile parameter or quotient).
 pub fn golomb_decode(b: u64, rd: &mut BitReader<'_>) -> Option<u64> {
     let q = rd.read_unary()?;
     let r = read_truncated_binary(b, rd)?;
-    Some(q * b + r + 1)
+    q.checked_mul(b)?.checked_add(r)?.checked_add(1)
 }
 
 /// Number of bits needed to represent `v` (0 for `v == 0`).
@@ -293,6 +296,22 @@ pub fn golomb_parameter(total_docs: u64, doc_freq: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn golomb_decode_survives_hostile_parameters() {
+        // The parameter of a Golomb row comes off the wire. Past 2^63 the
+        // truncated-binary long form is 64 bits wide, and a large quotient
+        // times a large parameter leaves u64: both must end in `None` or a
+        // value, never an arithmetic panic.
+        let ones = [0xFFu8; 32];
+        let zeros_then_one = [0u8, 0, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+        for b in [u64::MAX, (1 << 63) + 1, 1 << 63, (1 << 63) - 1, 1 << 40] {
+            for buf in [&ones[..], &zeros_then_one[..], &[][..]] {
+                let _ = golomb_decode(b, &mut BitReader::new(buf));
+            }
+        }
+        assert_eq!(golomb_decode(u64::MAX, &mut BitReader::new(&zeros_then_one)), None);
+    }
 
     #[test]
     fn bit_roundtrip() {

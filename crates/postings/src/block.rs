@@ -14,6 +14,12 @@
 //! it), and every block except the last holds exactly [`BLOCK_LEN`]
 //! postings.
 //!
+//! That is the self-contained layout [`encode_list`] writes and
+//! [`decode_list`] / [`crate::cursor::ListCursor::new`] read. A run file
+//! stores a list that fits one block as its block body alone — the mapping
+//! table row implies the one skip entry ([`BlockedList::single_block`],
+//! used only by `RunFile::blocks_of`).
+//!
 //! Blocks are *block-independent*: gaps are relative to the block's own
 //! first document (which lives only in the skip entry, so the first gap is
 //! implicit), and all stored values are biased down by one (`gap - 1`,
@@ -546,29 +552,24 @@ pub fn encode_list(ps: &[Posting], codec: Codec) -> EncodedList {
 /// Decode a block-layout list of `n` postings.
 pub fn decode_list(buf: &[u8], n: usize, codec: Codec) -> Result<Vec<Posting>, CodecError> {
     check_alloc(buf, n)?;
-    let blocks = BlockedList::parse(buf, n)?;
-    let codec = codec.resolve(n);
-    let mut out = Vec::with_capacity(n);
-    let mut scratch = BlockScratch::default();
-    let mut prev_last: Option<u32> = None;
-    for b in 0..blocks.n_blocks() {
-        let e = blocks.entry(b);
-        if let Some(d) = prev_last {
-            if e.first_doc <= d {
-                return Err(CodecError::NonMonotone);
-            }
-        }
-        decode_block(codec, blocks.body(b)?, e.first_doc, blocks.len_of(b), &mut scratch, &mut out)?;
-        prev_last = Some(out.last().unwrap().doc.0);
-    }
-    Ok(out)
+    BlockedList::parse(buf, n)?.decode(codec)
 }
 
-/// A parsed (but not decoded) block-layout list: skip table plus block
+/// Where a [`BlockedList`]'s skip entries come from.
+#[derive(Clone, Copy, Debug)]
+enum Skips<'a> {
+    /// A serialized skip table, one [`SKIP_ENTRY_BYTES`] entry per block.
+    Table(&'a [u8]),
+    /// The list is one block and the caller already held its entry (a run
+    /// file's mapping-table row implies it, see `RunFile::blocks_of`).
+    Implied(SkipEntry),
+}
+
+/// A parsed (but not decoded) block-layout list: skip entries plus block
 /// data, with offset-checked access to individual block bodies.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockedList<'a> {
-    skip: &'a [u8],
+    skips: Skips<'a>,
     data: &'a [u8],
     n: usize,
 }
@@ -578,7 +579,7 @@ impl<'a> BlockedList<'a> {
     pub fn parse(buf: &'a [u8], n: usize) -> Result<Self, CodecError> {
         if n == 0 {
             return if buf.is_empty() {
-                Ok(BlockedList { skip: &[], data: &[], n: 0 })
+                Ok(BlockedList { skips: Skips::Table(&[]), data: &[], n: 0 })
             } else {
                 Err(CodecError::Malformed("bytes present for empty list"))
             };
@@ -588,7 +589,20 @@ impl<'a> BlockedList<'a> {
             return Err(CodecError::Truncated);
         }
         let (skip, data) = buf.split_at(skip_len);
-        Ok(BlockedList { skip, data, n })
+        Ok(BlockedList { skips: Skips::Table(skip), data, n })
+    }
+
+    /// A list of `1..=BLOCK_LEN` postings given as its block body alone,
+    /// with the skip entry supplied by the caller instead of read from a
+    /// table in front of the body.
+    pub fn single_block(body: &'a [u8], n: usize, entry: SkipEntry) -> Self {
+        assert!((1..=BLOCK_LEN).contains(&n), "single_block takes one block's postings");
+        BlockedList { skips: Skips::Implied(entry), data: body, n }
+    }
+
+    /// Number of postings.
+    pub fn n_postings(&self) -> usize {
+        self.n
     }
 
     /// Number of blocks.
@@ -603,7 +617,13 @@ impl<'a> BlockedList<'a> {
 
     /// Skip entry of block `b`.
     pub fn entry(&self, b: usize) -> SkipEntry {
-        read_skip(self.skip, b)
+        match self.skips {
+            Skips::Table(skip) => read_skip(skip, b),
+            Skips::Implied(entry) => {
+                debug_assert_eq!(b, 0);
+                entry
+            }
+        }
     }
 
     /// The encoded body of block `b`, bounds-checked against the skip
@@ -619,6 +639,26 @@ impl<'a> BlockedList<'a> {
             return Err(CodecError::Malformed("skip offsets out of order"));
         }
         Ok(&self.data[start..end])
+    }
+
+    /// Decode every block. `codec` may be [`Codec::Auto`] (resolved by
+    /// list length).
+    pub fn decode(&self, codec: Codec) -> Result<Vec<Posting>, CodecError> {
+        let codec = codec.resolve(self.n);
+        let mut out = Vec::with_capacity(self.n);
+        let mut scratch = BlockScratch::default();
+        let mut prev_last: Option<u32> = None;
+        for b in 0..self.n_blocks() {
+            let e = self.entry(b);
+            if let Some(d) = prev_last {
+                if e.first_doc <= d {
+                    return Err(CodecError::NonMonotone);
+                }
+            }
+            decode_block(codec, self.body(b)?, e.first_doc, self.len_of(b), &mut scratch, &mut out)?;
+            prev_last = Some(out.last().unwrap().doc.0);
+        }
+        Ok(out)
     }
 }
 

@@ -30,20 +30,25 @@ pub struct ListCursor<'a> {
 }
 
 impl<'a> ListCursor<'a> {
-    /// Open a cursor over an encoded `n`-posting list.
+    /// Open a cursor over an encoded `n`-posting list (skip table in front
+    /// of the block data, as [`crate::block::encode_list`] writes it).
     pub fn new(bytes: &'a [u8], n: usize, codec: Codec) -> Result<Self, CodecError> {
         crate::codec::check_alloc(bytes, n)?;
-        let blocks = BlockedList::parse(bytes, n)?;
-        Ok(ListCursor {
+        Ok(Self::over(BlockedList::parse(bytes, n)?, codec))
+    }
+
+    /// Open a cursor over an already parsed list.
+    pub fn over(blocks: BlockedList<'a>, codec: Codec) -> Self {
+        ListCursor {
             blocks,
-            codec: codec.resolve(n),
+            codec: codec.resolve(blocks.n_postings()),
             buf: Vec::new(),
             pos: 0,
             cur: 0,
             loaded: false,
             blocks_decoded: 0,
             scratch: Box::default(),
-        })
+        }
     }
 
     /// Number of blocks actually decoded so far (the skip win is
@@ -147,7 +152,7 @@ impl<'a> ListCursor<'a> {
 /// legacy whole-list entries fall back to an eager decode.
 #[derive(Debug)]
 pub enum RunCursor<'a> {
-    /// Lazy block cursor (v2 blocked run files).
+    /// Lazy block cursor (blocked run files).
     Blocked(ListCursor<'a>),
     /// Eagerly decoded legacy list.
     Legacy {

@@ -28,5 +28,5 @@ pub use merge::merge_runs;
 pub use positional::{phrase_matches, phrase_matches_with_offsets, PositionalList, PositionalPosting};
 pub use posting::{Posting, PostingsList};
 pub use run::{
-    parse_run_artifact_name, run_artifact_name, RunEntry, RunFile, RunFormat, RunSet,
+    parse_run_artifact_name, run_artifact_name, wire_format, RunEntry, RunFile, RunFormat, RunSet,
 };

@@ -15,7 +15,7 @@
 //! copied bytes are exactly what re-encoding would produce, so the merged
 //! file is byte-identical to building the full list from scratch.
 
-use crate::block::{decode_block, BlockScratch, BlockedList, ListEncoder, BLOCK_LEN};
+use crate::block::{decode_block, BlockScratch, ListEncoder, BLOCK_LEN};
 use crate::codec::Codec;
 use crate::run::{RunEntry, RunFile, RunFormat, RunSet};
 use std::collections::BTreeMap;
@@ -47,8 +47,7 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
         }
     }
 
-    let mut entries = Vec::with_capacity(by_handle.len());
-    let mut payload = Vec::new();
+    let mut merged = RunFile::empty_blocked(next_run, indexer_id, codec, by_handle.len());
     let mut scratch = BlockScratch::default();
     let mut tmp = Vec::with_capacity(BLOCK_LEN);
     for (handle, parts) in by_handle {
@@ -59,8 +58,7 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
             if r.format == RunFormat::Blocked && e.codec == target {
                 // Codec-aligned source: stream blocks, copying full ones
                 // verbatim when the output is on a block boundary.
-                let blocks = BlockedList::parse(r.payload_of(e), e.n_postings as usize)
-                    .expect("committed run entry parses");
+                let blocks = r.blocks_of(e).expect("committed run entry parses");
                 for b in 0..blocks.n_blocks() {
                     let body = blocks.body(b).expect("committed run entry parses");
                     if blocks.len_of(b) == BLOCK_LEN && enc.at_block_boundary() {
@@ -92,20 +90,13 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
                 }
             }
         }
-        let enc = enc.finish();
-        entries.push(RunEntry {
-            handle,
-            offset: payload.len() as u64,
-            len: enc.bytes.len() as u32,
-            n_postings: total as u32,
-            doc_min: parts.first().map(|(_, e)| e.doc_min).unwrap_or(0),
-            doc_max: parts.last().map(|(_, e)| e.doc_max).unwrap_or(0),
-            codec: target,
-            max_tf: enc.max_tf,
-        });
-        payload.extend_from_slice(&enc.bytes);
+        let doc_range = (
+            parts.first().map(|(_, e)| e.doc_min).unwrap_or(0),
+            parts.last().map(|(_, e)| e.doc_max).unwrap_or(0),
+        );
+        merged.append_list(handle, target, doc_range, &enc.finish());
     }
-    RunFile { run_id: next_run, indexer_id, entries, payload, codec, format: RunFormat::Blocked }
+    merged
 }
 
 #[cfg(test)]

@@ -7,34 +7,47 @@
 //! the concatenation of its partial lists across runs, which is already
 //! doc-ordered because runs are.
 //!
-//! Two on-disk formats coexist:
+//! [`RunFile::to_bytes`] writes two wire layouts, one per [`RunFormat`]:
 //!
-//! * **v1 (`IIRF`)** — the legacy layout: every list is one whole-list
-//!   stream in the run's single codec. Still readable (and writable via
-//!   [`RunFile::build_legacy`]) so pre-block-layout indexes keep opening.
-//! * **v2 (`IIR2`)** — the block layout of [`crate::block`]: each list is
-//!   a skip table plus fixed 128-document blocks, each mapping-table row
-//!   carries its own (length-class-resolved) codec and the list's maximum
-//!   term frequency. This is what [`RunFile::build`] writes.
+//! * **`IIR3`** — [`RunFormat::Blocked`], what [`RunFile::build`] and the
+//!   merge produce. The mapping table is delta-varint coded (rows sorted by
+//!   handle, offsets implied by the running sum of lengths) and a list's
+//!   payload slice is the block layout of [`crate::block`] — except that a
+//!   list of at most [`BLOCK_LEN`] postings is its block body alone: the
+//!   one skip entry it would carry is implied by its row
+//!   ([`RunFile::blocks_of`]).
+//! * **`IIRF`** — [`RunFormat::Legacy`], the v1 layout: fixed 28-byte rows
+//!   and one whole-list stream per list in the run's single codec. Still
+//!   readable, and writable via [`RunFile::build_legacy`], so
+//!   pre-block-layout indexes keep opening.
+//!
+//! [`RunFile::from_bytes`] also reads `IIR2`, the blocked layout written
+//! before `IIR3` (fixed 41-byte rows, a skip table in front of every list),
+//! converting it on load into the same in-memory form; nothing writes it.
 
-use crate::block;
-use crate::codec::{decode, encode, Codec, CodecError};
-use crate::cursor::{RunCursor, SetCursor};
+use crate::block::{self, BlockedList, EncodedList, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES};
+use crate::codec::{check_alloc, decode, encode, Codec, CodecError};
+use crate::cursor::{ListCursor, RunCursor, SetCursor};
 use crate::posting::{Posting, PostingsList};
+use crate::varbyte;
 use ii_corpus::DocId;
 
 /// Magic bytes of a legacy (whole-list) run file.
 pub const RUN_MAGIC: &[u8; 4] = b"IIRF";
 
-/// Magic bytes of a block-layout run file.
+/// Magic bytes of the fixed-row block-layout run file earlier builds wrote.
+/// Read-only: [`RunFile::from_bytes`] converts it, nothing writes it.
 pub const RUN_MAGIC_V2: &[u8; 4] = b"IIR2";
 
-/// Which on-disk layout a run file uses.
+/// Magic bytes of a block-layout run file.
+pub const RUN_MAGIC_V3: &[u8; 4] = b"IIR3";
+
+/// Which layout a run file's lists use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunFormat {
-    /// v1: whole-list streams, one codec per run.
+    /// Whole-list streams, one codec per run (`IIRF` on disk).
     Legacy,
-    /// v2: 128-doc blocks + skip tables, one codec per list.
+    /// 128-doc blocks, one codec per list (`IIR3` on disk).
     Blocked,
 }
 
@@ -53,8 +66,9 @@ pub struct RunEntry {
     pub doc_min: u32,
     /// Largest document ID in the partial list.
     pub doc_max: u32,
-    /// Codec of this list. In v1 files every entry inherits the run codec;
-    /// in v2 it is the length-class-resolved codec of the list.
+    /// Codec of this list. In legacy files every entry inherits the run
+    /// codec; in blocked files it is the length-class-resolved codec of the
+    /// list.
     pub codec: Codec,
     /// Largest term frequency in the list (block-max metadata; 0 in
     /// legacy files, which never stored it).
@@ -63,7 +77,16 @@ pub struct RunEntry {
 
 const ENTRY_BYTES_V1: usize = 28;
 const ENTRY_BYTES_V2: usize = 41;
+/// Header of `IIRF` and `IIR2` files: magic, run id, indexer id, codec tag,
+/// Golomb parameter, row count, payload length.
 const HEADER_BYTES: usize = 33;
+/// `IIR3` header: the same with the table's byte length before the payload
+/// length, so the payload is addressable without walking the table.
+const HEADER_BYTES_V3: usize = HEADER_BYTES + 8;
+/// Fewest bytes an `IIR3` row can take (six one-byte varints and the codec
+/// tag): bounds the row count a table of a given length can hold.
+const MIN_ROW_BYTES_V3: usize = 7;
+const GOLOMB_TAG: u8 = 2;
 
 /// A run file: header + mapping table + payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,11 +148,22 @@ pub fn parse_run_artifact_name(name: &str) -> Option<(u32, u32)> {
     Some((indexer.parse().ok()?, run.parse().ok()?))
 }
 
+/// The wire-format number a manifest records for serialized run bytes
+/// (`PostingsMeta::format`): 1 for `IIRF`, 2 for `IIR2`, 3 for `IIR3`.
+/// `None` when the bytes start with no run-file magic. Only the bytes
+/// know this; a parsed [`RunFile`] does not remember its magic.
+pub fn wire_format(bytes: &[u8]) -> Option<u32> {
+    [RUN_MAGIC, RUN_MAGIC_V2, RUN_MAGIC_V3]
+        .iter()
+        .position(|magic| bytes.starts_with(*magic))
+        .map(|i| i as u32 + 1)
+}
+
 fn codec_tag(c: Codec) -> (u8, u64) {
     match c {
         Codec::VarByte => (0, 0),
         Codec::Gamma => (1, 0),
-        Codec::Golomb(b) => (2, b),
+        Codec::Golomb(b) => (GOLOMB_TAG, b),
         Codec::Bp128 => (3, 0),
         Codec::PFor => (4, 0),
         Codec::EliasFano => (5, 0),
@@ -141,7 +175,7 @@ fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
     match tag {
         0 => Some(Codec::VarByte),
         1 => Some(Codec::Gamma),
-        2 => Some(Codec::Golomb(b.max(1))),
+        GOLOMB_TAG => Some(Codec::Golomb(b.max(1))),
         3 => Some(Codec::Bp128),
         4 => Some(Codec::PFor),
         5 => Some(Codec::EliasFano),
@@ -151,7 +185,7 @@ fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
 }
 
 impl RunFile {
-    /// Build a block-layout (v2) run file from `(handle, list)` pairs (the
+    /// Build a block-layout run file from `(handle, list)` pairs (the
     /// end-of-run flush). Empty lists are skipped; entries are stored
     /// sorted by handle; each list's codec is `codec` resolved by its
     /// length ([`Codec::Auto`] applies the measured length-class policy).
@@ -164,25 +198,61 @@ impl RunFile {
         let mut pairs: Vec<(u32, &PostingsList)> =
             lists.filter(|(_, l)| !l.is_empty()).collect();
         pairs.sort_unstable_by_key(|(h, _)| *h);
-        let mut entries = Vec::with_capacity(pairs.len());
-        let mut payload = Vec::new();
+        let mut run = RunFile::empty_blocked(run_id, indexer_id, codec, pairs.len());
         for (handle, list) in pairs {
             let resolved = codec.resolve(list.len());
             let enc = block::encode_list(list.postings(), resolved);
             let (lo, hi) = list.doc_range().expect("non-empty");
-            entries.push(RunEntry {
-                handle,
-                offset: payload.len() as u64,
-                len: enc.bytes.len() as u32,
-                n_postings: list.len() as u32,
-                doc_min: lo.0,
-                doc_max: hi.0,
-                codec: resolved,
-                max_tf: enc.max_tf,
-            });
-            payload.extend_from_slice(&enc.bytes);
+            run.append_list(handle, resolved, (lo.0, hi.0), &enc);
         }
-        RunFile { run_id, indexer_id, entries, payload, codec, format: RunFormat::Blocked }
+        run
+    }
+
+    /// A blocked run file with room for `lists` rows and none appended yet.
+    pub(crate) fn empty_blocked(
+        run_id: u32,
+        indexer_id: u32,
+        codec: Codec,
+        lists: usize,
+    ) -> RunFile {
+        RunFile {
+            run_id,
+            indexer_id,
+            entries: Vec::with_capacity(lists),
+            payload: Vec::new(),
+            codec,
+            format: RunFormat::Blocked,
+        }
+    }
+
+    /// Append one encoded list (handles ascending) to a blocked run: the
+    /// writing half of [`Self::blocks_of`]. `enc` is what
+    /// [`block::ListEncoder`] produced, skip table in front; a list of at
+    /// most [`BLOCK_LEN`] postings leaves that table out of the payload,
+    /// because its one entry is `(doc_min, 0, max_tf)` and the row says so.
+    pub(crate) fn append_list(
+        &mut self,
+        handle: u32,
+        codec: Codec,
+        (doc_min, doc_max): (u32, u32),
+        enc: &EncodedList,
+    ) {
+        let bytes = if (1..=BLOCK_LEN).contains(&enc.n_postings) {
+            &enc.bytes[SKIP_ENTRY_BYTES..]
+        } else {
+            &enc.bytes[..]
+        };
+        self.entries.push(RunEntry {
+            handle,
+            offset: self.payload.len() as u64,
+            len: bytes.len() as u32,
+            n_postings: enc.n_postings as u32,
+            doc_min,
+            doc_max,
+            codec,
+            max_tf: enc.max_tf,
+        });
+        self.payload.extend_from_slice(bytes);
     }
 
     /// Build a legacy (v1, whole-list) run file. Kept for fixtures and the
@@ -253,25 +323,40 @@ impl RunFile {
         &self.payload[e.offset as usize..(e.offset + e.len as u64) as usize]
     }
 
+    /// The block structure of one row of a blocked run — the only place
+    /// that knows whether a list's skip table is in its payload slice or
+    /// implied by the row. A list of at most [`BLOCK_LEN`] postings is its
+    /// block body alone and its skip entry is
+    /// `(first_doc: doc_min, offset: 0, max_tf)`; a longer list carries the
+    /// table [`block::encode_list`] wrote.
+    pub fn blocks_of(&self, e: &RunEntry) -> Result<BlockedList<'_>, CodecError> {
+        debug_assert_eq!(self.format, RunFormat::Blocked);
+        let buf = self.payload_of(e);
+        let n = e.n_postings as usize;
+        check_alloc(buf, n)?;
+        if (1..=BLOCK_LEN).contains(&n) {
+            Ok(BlockedList::single_block(buf, n, implied_skip(e)))
+        } else {
+            BlockedList::parse(buf, n)
+        }
+    }
+
     /// Decode the partial postings list behind one mapping-table row.
     pub fn decode_entry(&self, e: &RunEntry) -> Result<Vec<Posting>, CodecError> {
-        let buf = self.payload_of(e);
         match self.format {
-            RunFormat::Blocked => block::decode_list(buf, e.n_postings as usize, e.codec),
-            RunFormat::Legacy => decode(buf, e.n_postings as usize, e.codec),
+            RunFormat::Blocked => self.blocks_of(e)?.decode(e.codec),
+            RunFormat::Legacy => decode(self.payload_of(e), e.n_postings as usize, e.codec),
         }
     }
 
     /// A skip-capable cursor over one mapping-table row. Blocked entries
-    /// decode lazily (block at a time via the skip table); legacy entries
+    /// decode lazily (block at a time via the skip entries); legacy entries
     /// fall back to an eager whole-list decode.
     pub fn cursor_of(&self, e: &RunEntry) -> Result<RunCursor<'_>, CodecError> {
         match self.format {
-            RunFormat::Blocked => Ok(RunCursor::Blocked(crate::cursor::ListCursor::new(
-                self.payload_of(e),
-                e.n_postings as usize,
-                e.codec,
-            )?)),
+            RunFormat::Blocked => {
+                Ok(RunCursor::Blocked(ListCursor::over(self.blocks_of(e)?, e.codec)))
+            }
             RunFormat::Legacy => {
                 Ok(RunCursor::Legacy { postings: self.decode_entry(e)?, pos: 0 })
             }
@@ -285,16 +370,18 @@ impl RunFile {
         self.decode_entry(e).ok()
     }
 
-    /// Serialize to bytes (what goes to disk). The format is preserved: a
-    /// v1-loaded file re-serializes as v1, so round-trips never silently
-    /// migrate an artifact.
+    /// Serialize to bytes (what goes to disk): `IIR3` for a blocked run,
+    /// `IIRF` for a legacy one — a v1-loaded file re-serializes as v1, so
+    /// round-trips never silently migrate a legacy artifact.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (magic, entry_bytes) = match self.format {
-            RunFormat::Legacy => (RUN_MAGIC, ENTRY_BYTES_V1),
-            RunFormat::Blocked => (RUN_MAGIC_V2, ENTRY_BYTES_V2),
+        let (magic, header_bytes, row_bytes) = match self.format {
+            RunFormat::Legacy => (RUN_MAGIC, HEADER_BYTES, ENTRY_BYTES_V1),
+            // Rows measure 8 bytes on tail-heavy text; 10 avoids a regrow.
+            RunFormat::Blocked => (RUN_MAGIC_V3, HEADER_BYTES_V3, 10),
         };
-        let mut out =
-            Vec::with_capacity(HEADER_BYTES + self.entries.len() * entry_bytes + self.payload.len());
+        let mut out = Vec::with_capacity(
+            header_bytes + self.entries.len() * row_bytes + self.payload.len(),
+        );
         out.extend_from_slice(magic);
         out.extend_from_slice(&self.run_id.to_le_bytes());
         out.extend_from_slice(&self.indexer_id.to_le_bytes());
@@ -302,47 +389,152 @@ impl RunFile {
         out.push(tag);
         out.extend_from_slice(&b.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.handle.to_le_bytes());
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.extend_from_slice(&e.n_postings.to_le_bytes());
-            out.extend_from_slice(&e.doc_min.to_le_bytes());
-            out.extend_from_slice(&e.doc_max.to_le_bytes());
-            if self.format == RunFormat::Blocked {
-                out.extend_from_slice(&e.max_tf.to_le_bytes());
-                let (tag, b) = codec_tag(e.codec);
-                out.push(tag);
-                out.extend_from_slice(&b.to_le_bytes());
+        match self.format {
+            RunFormat::Legacy => {
+                out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+                for e in &self.entries {
+                    out.extend_from_slice(&e.handle.to_le_bytes());
+                    out.extend_from_slice(&e.offset.to_le_bytes());
+                    out.extend_from_slice(&e.len.to_le_bytes());
+                    out.extend_from_slice(&e.n_postings.to_le_bytes());
+                    out.extend_from_slice(&e.doc_min.to_le_bytes());
+                    out.extend_from_slice(&e.doc_max.to_le_bytes());
+                }
+            }
+            RunFormat::Blocked => {
+                let table_len_at = out.len();
+                out.extend_from_slice(&[0; 8]); // table length, patched below
+                out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+                let mut next_handle = 0u32;
+                let mut offset = 0u64;
+                for e in &self.entries {
+                    // Offsets are not stored: lists sit back to back in row
+                    // order, so each is the running sum of the lengths.
+                    debug_assert_eq!(e.offset, offset, "blocked lists must be contiguous");
+                    offset += u64::from(e.len);
+                    varbyte::encode_u32(e.handle - next_handle, &mut out);
+                    next_handle = e.handle.wrapping_add(1);
+                    varbyte::encode_u32(e.n_postings, &mut out);
+                    varbyte::encode_u32(e.len, &mut out);
+                    varbyte::encode_u32(e.doc_min, &mut out);
+                    varbyte::encode_u32(e.doc_max - e.doc_min, &mut out);
+                    varbyte::encode_u32(e.max_tf, &mut out);
+                    let (tag, b) = codec_tag(e.codec);
+                    out.push(tag);
+                    if tag == GOLOMB_TAG {
+                        out.extend_from_slice(&b.to_le_bytes());
+                    }
+                }
+                let table_len = (out.len() - HEADER_BYTES_V3) as u64;
+                out[table_len_at..table_len_at + 8].copy_from_slice(&table_len.to_le_bytes());
             }
         }
         out.extend_from_slice(&self.payload);
         out
     }
 
-    /// Deserialize a run file (either format, dispatched on the magic).
+    /// Deserialize a run file (any readable layout, dispatched on the
+    /// magic). `IIR2` and `IIR3` bytes of the same run give equal values.
     pub fn from_bytes(buf: &[u8]) -> Result<RunFile, RunFileError> {
         if buf.len() < HEADER_BYTES {
             return Err(RunFileError::Truncated);
         }
-        let format = if &buf[..4] == RUN_MAGIC {
-            RunFormat::Legacy
-        } else if &buf[..4] == RUN_MAGIC_V2 {
-            RunFormat::Blocked
+        let magic: &[u8; 4] = buf[..4].try_into().unwrap();
+        let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
+        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
+        let mut run = RunFile {
+            run_id: rd32(4),
+            indexer_id: rd32(8),
+            entries: Vec::new(),
+            payload: Vec::new(),
+            codec: codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?,
+            format: if magic == RUN_MAGIC { RunFormat::Legacy } else { RunFormat::Blocked },
+        };
+        let n = rd32(21) as usize;
+        if magic == RUN_MAGIC_V3 {
+            run.read_compact(buf, n)?;
+        } else if magic == RUN_MAGIC || magic == RUN_MAGIC_V2 {
+            run.read_fixed_rows(buf, n)?;
+            if magic == RUN_MAGIC_V2 {
+                run.drop_single_block_skips()?;
+            }
         } else {
             return Err(RunFileError::Malformed);
-        };
-        let entry_bytes = match format {
+        }
+        Ok(run)
+    }
+
+    /// Table and payload of an `IIR3` file.
+    fn read_compact(&mut self, buf: &[u8], n: usize) -> Result<(), RunFileError> {
+        if buf.len() < HEADER_BYTES_V3 {
+            return Err(RunFileError::Truncated);
+        }
+        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
+        let (table_len, payload_len) = (rd64(25), rd64(33));
+        let body = (buf.len() - HEADER_BYTES_V3) as u64;
+        match table_len.checked_add(payload_len) {
+            Some(need) if need == body => {}
+            Some(need) if need > body => return Err(RunFileError::Truncated),
+            _ => return Err(RunFileError::Malformed),
+        }
+        let (table, payload) = buf[HEADER_BYTES_V3..].split_at(table_len as usize);
+        // A hostile row count must not size the allocation: `n` rows take
+        // at least `MIN_ROW_BYTES_V3 * n` table bytes.
+        if n.checked_mul(MIN_ROW_BYTES_V3).is_none_or(|min| min > table.len()) {
+            return Err(RunFileError::Malformed);
+        }
+        self.entries.reserve_exact(n);
+        let mut pos = 0usize;
+        let mut next_handle = 0u64;
+        let mut offset = 0u64;
+        for _ in 0..n {
+            let mut field = || varbyte::decode_u32(table, &mut pos).ok_or(RunFileError::Truncated);
+            let handle = next_handle + u64::from(field()?);
+            let handle = u32::try_from(handle).map_err(|_| RunFileError::Malformed)?;
+            next_handle = u64::from(handle) + 1;
+            let (n_postings, len, doc_min, doc_span, max_tf) =
+                (field()?, field()?, field()?, field()?, field()?);
+            let tag = *table.get(pos).ok_or(RunFileError::Truncated)?;
+            pos += 1;
+            let b = if tag == GOLOMB_TAG {
+                let raw = table.get(pos..pos + 8).ok_or(RunFileError::Truncated)?;
+                pos += 8;
+                u64::from_le_bytes(raw.try_into().unwrap())
+            } else {
+                0
+            };
+            let codec = codec_from_tag(tag, b).ok_or(RunFileError::Malformed)?;
+            if codec == Codec::Auto || n_postings == 0 {
+                // Rows carry resolved codecs and at least one posting.
+                return Err(RunFileError::Malformed);
+            }
+            self.entries.push(RunEntry {
+                handle,
+                offset,
+                len,
+                n_postings,
+                doc_min,
+                doc_max: doc_min.checked_add(doc_span).ok_or(RunFileError::Malformed)?,
+                codec,
+                max_tf,
+            });
+            offset = offset.checked_add(u64::from(len)).ok_or(RunFileError::Malformed)?;
+        }
+        if pos != table.len() || offset != payload_len {
+            return Err(RunFileError::Malformed);
+        }
+        self.payload = payload.to_vec();
+        Ok(())
+    }
+
+    /// Table and payload of an `IIRF` or `IIR2` file (fixed-width rows).
+    fn read_fixed_rows(&mut self, buf: &[u8], n: usize) -> Result<(), RunFileError> {
+        let entry_bytes = match self.format {
             RunFormat::Legacy => ENTRY_BYTES_V1,
             RunFormat::Blocked => ENTRY_BYTES_V2,
         };
         let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
         let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let run_id = rd32(4);
-        let indexer_id = rd32(8);
-        let codec = codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?;
-        let n = rd32(21) as usize;
         let payload_len = rd64(25) as usize;
         let table_start = HEADER_BYTES;
         let payload_start = table_start
@@ -351,11 +543,11 @@ impl RunFile {
         if buf.len() < payload_start.checked_add(payload_len).ok_or(RunFileError::Malformed)? {
             return Err(RunFileError::Truncated);
         }
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
+        self.entries.reserve_exact(n);
         for i in 0..n {
             let o = table_start + i * entry_bytes;
-            let (entry_codec, max_tf) = match format {
-                RunFormat::Legacy => (codec, 0),
+            let (entry_codec, max_tf) = match self.format {
+                RunFormat::Legacy => (self.codec, 0),
                 RunFormat::Blocked => {
                     let c = codec_from_tag(buf[o + 32], rd64(o + 33))
                         .ok_or(RunFileError::Malformed)?;
@@ -366,7 +558,7 @@ impl RunFile {
                     (c, rd32(o + 28))
                 }
             };
-            entries.push(RunEntry {
+            let e = RunEntry {
                 handle: rd32(o),
                 offset: rd64(o + 4),
                 len: rd32(o + 12),
@@ -375,19 +567,61 @@ impl RunFile {
                 doc_max: rd32(o + 24),
                 codec: entry_codec,
                 max_tf,
-            });
-        }
-        for e in &entries {
+            };
+            // `entry` binary-searches the table: rows out of handle order
+            // would open fine and then lose lists at query time.
+            if self.entries.last().is_some_and(|prev| prev.handle >= e.handle) {
+                return Err(RunFileError::Malformed);
+            }
             // `checked_add`: an offset near `u64::MAX` must not wrap past
             // the bound and panic later in `payload_of`.
             match e.offset.checked_add(u64::from(e.len)) {
                 Some(end) if end <= payload_len as u64 => {}
                 _ => return Err(RunFileError::Malformed),
             }
+            self.entries.push(e);
         }
-        let payload = buf[payload_start..payload_start + payload_len].to_vec();
-        Ok(RunFile { run_id, indexer_id, entries, payload, codec, format })
+        self.payload = buf[payload_start..payload_start + payload_len].to_vec();
+        Ok(())
     }
+
+    /// `IIR2` → in-memory form: every list of at most [`BLOCK_LEN`]
+    /// postings loses the skip table `IIR2` put in front of it, after a
+    /// check that the table says what the row implies. Lists must sit back
+    /// to back in row order, as every `IIR2` writer laid them out (and as
+    /// `IIR3` can only express).
+    fn drop_single_block_skips(&mut self) -> Result<(), RunFileError> {
+        let old = std::mem::take(&mut self.payload);
+        self.payload.reserve_exact(old.len());
+        let mut expected = 0u64;
+        for e in &mut self.entries {
+            if e.offset != expected || e.n_postings == 0 {
+                return Err(RunFileError::Malformed);
+            }
+            expected += u64::from(e.len);
+            let n = e.n_postings as usize;
+            let mut bytes = &old[e.offset as usize..expected as usize];
+            if n <= BLOCK_LEN {
+                let list = BlockedList::parse(bytes, n).map_err(|_| RunFileError::Malformed)?;
+                if list.entry(0) != implied_skip(e) {
+                    return Err(RunFileError::Malformed);
+                }
+                bytes = &bytes[SKIP_ENTRY_BYTES..];
+            }
+            e.offset = self.payload.len() as u64;
+            e.len = bytes.len() as u32;
+            self.payload.extend_from_slice(bytes);
+        }
+        if expected != old.len() as u64 {
+            return Err(RunFileError::Malformed);
+        }
+        Ok(())
+    }
+}
+
+/// The skip entry of a list that fits one block, as its row implies it.
+fn implied_skip(e: &RunEntry) -> SkipEntry {
+    SkipEntry { first_doc: e.doc_min, offset: 0, max_tf: e.max_tf }
 }
 
 /// All the run files one indexer produced, in run order; answers full-list
@@ -557,10 +791,19 @@ mod tests {
             let mut it = pairs.iter().map(|(h, l)| (*h, l));
             let run = RunFile::build(5, 2, &mut it, codec);
             let bytes = run.to_bytes();
-            assert_eq!(&bytes[..4], RUN_MAGIC_V2);
+            assert_eq!(&bytes[..4], RUN_MAGIC_V3);
             let back = RunFile::from_bytes(&bytes).unwrap();
             assert_eq!(back, run);
         }
+        // A Golomb row carries its parameter; lists past one block keep
+        // their skip table.
+        let long: PostingsList =
+            (0..300u32).map(|i| Posting { doc: DocId(i * 7), tf: 1 + i % 3 }).collect();
+        let pairs = [(4u32, list(&[(3, 1)])), (u32::MAX, long)];
+        let mut it = pairs.iter().map(|(h, l)| (*h, l));
+        let run = RunFile::build(1, 0, &mut it, Codec::Golomb(5));
+        assert_eq!(RunFile::from_bytes(&run.to_bytes()).unwrap(), run);
+        assert_eq!(run.get(u32::MAX).unwrap(), pairs[1].1.postings());
     }
 
     #[test]
@@ -591,25 +834,84 @@ mod tests {
         );
     }
 
+    /// An `IIR3` file from a hand-written table: header fields of
+    /// `sample_run(0)`, `rows` as the table, `payload_len` zero bytes.
+    fn v3_with_table(n: u32, rows: &[u8], payload_len: usize) -> Vec<u8> {
+        let mut out = sample_run(0).to_bytes()[..21].to_vec();
+        out.extend_from_slice(&n.to_le_bytes());
+        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+        out.extend_from_slice(rows);
+        out.resize(out.len() + payload_len, 0x80);
+        out
+    }
+
+    /// One `IIR3` row with a one-byte payload per posting-less field.
+    fn v3_row(fields: [u32; 6], tag: u8) -> Vec<u8> {
+        let mut row = varbyte::encode_all(&fields);
+        row.push(tag);
+        row
+    }
+
     #[test]
-    fn wrapping_entry_offset_rejected() {
-        // Entry 0's offset field sits 4 bytes into the mapping table. With
-        // `offset = u64::MAX - len + 1` the unchecked sum wraps to 0 and
-        // used to pass the bound, leaving `payload_of` to panic at query
-        // time.
-        let run = sample_run(0);
-        let mut bytes = run.to_bytes();
-        let hostile = u64::MAX - u64::from(run.entries[0].len) + 1;
-        bytes[HEADER_BYTES + 4..HEADER_BYTES + 12].copy_from_slice(&hostile.to_le_bytes());
-        assert_eq!(RunFile::from_bytes(&bytes), Err(RunFileError::Malformed));
-        // One byte past the payload is rejected too; the exact end is fine.
-        let mut bytes = run.to_bytes();
-        let last = run.entries.len() - 1;
-        let at = HEADER_BYTES + last * ENTRY_BYTES_V2 + 4;
-        let past = run.entries[last].offset + 1;
-        bytes[at..at + 8].copy_from_slice(&past.to_le_bytes());
-        assert_eq!(RunFile::from_bytes(&bytes), Err(RunFileError::Malformed));
-        assert!(RunFile::from_bytes(&run.to_bytes()).is_ok());
+    fn compact_table_rejects_every_malformed_row() {
+        // [handle delta, n_postings, len, doc_min, doc_max - doc_min, max_tf]
+        let ok = v3_row([5, 1, 1, 9, 0, 1], 0);
+        let run = RunFile::from_bytes(&v3_with_table(1, &ok, 1)).unwrap();
+        assert_eq!(run.entries[0].handle, 5);
+        assert_eq!(run.get(5).unwrap(), vec![Posting { doc: DocId(9), tf: 1 }]);
+        let malformed = |n: u32, rows: &[u8], payload_len: usize| {
+            assert_eq!(
+                RunFile::from_bytes(&v3_with_table(n, rows, payload_len)),
+                Err(RunFileError::Malformed),
+                "{rows:?}"
+            );
+        };
+        // The running handle overflows u32 (u32::MAX, then anything).
+        let two = [v3_row([u32::MAX, 1, 1, 0, 0, 1], 0), v3_row([0, 1, 1, 1, 0, 1], 0)].concat();
+        malformed(2, &two, 2);
+        malformed(1, &v3_row([5, 0, 1, 9, 0, 1], 0), 1); // no postings
+        malformed(1, &v3_row([5, 1, 1, u32::MAX, 1, 1], 0), 1); // doc_max overflows
+        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 7), 1); // unknown codec tag
+        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 6), 1); // Codec::Auto in a row
+        malformed(1, &v3_row([5, 1, 2, 9, 0, 1], 0), 1); // lengths sum past the payload
+        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 0), 2); // ... and short of it
+        malformed(1, &[ok.clone(), vec![0x80]].concat(), 1); // table bytes left over
+        malformed(1 << 30, &ok, 1); // more rows than the table could hold
+        // Bytes after the payload.
+        let mut trailing = v3_with_table(1, &ok, 1);
+        trailing.push(0);
+        assert_eq!(RunFile::from_bytes(&trailing), Err(RunFileError::Malformed));
+        // A table that ends inside a row, or inside a Golomb parameter.
+        let cut_varint = &v3_row([300, 1, 1, 9, 0, 1], 0)[..7];
+        for rows in [cut_varint, &v3_row([5, 1, 1, 9, 0, 1], GOLOMB_TAG)] {
+            assert_eq!(
+                RunFile::from_bytes(&v3_with_table(1, rows, 1)),
+                Err(RunFileError::Truncated)
+            );
+        }
+        // Two rows of the largest lengths: the running offset stays a u64.
+        let big = [v3_row([0, 1, u32::MAX, 0, 0, 1], 0), v3_row([0, 1, u32::MAX, 1, 0, 1], 0)]
+            .concat();
+        malformed(2, &big, 2);
+    }
+
+    #[test]
+    fn one_posting_lists_cost_ten_table_bytes_and_no_skip_bytes() {
+        // The layout's reason to exist, pinned where `cargo test` sees it:
+        // 10 000 one-posting lists (79 % of the rows a tail-heavy
+        // collection writes) take at most 10 table bytes each and their
+        // payload is block bodies only.
+        let lists: Vec<(u32, PostingsList)> =
+            (0..10_000u32).map(|i| (i * 3, list(&[(i * 17, 1 + i % 4)]))).collect();
+        let mut it = lists.iter().map(|(h, l)| (*h, l));
+        let run = RunFile::build(0, 0, &mut it, Codec::Auto);
+        let bytes = run.to_bytes();
+        let table = bytes.len() - HEADER_BYTES_V3 - run.payload.len();
+        assert!(table <= 10 * lists.len(), "{table} table bytes for {} rows", lists.len());
+        // One varbyte tf per list, no 12-byte skip entry in front of it.
+        assert_eq!(run.payload.len(), lists.len());
+        assert_eq!(RunFile::from_bytes(&bytes).unwrap(), run);
     }
 
     #[test]

@@ -60,8 +60,11 @@ impl Deserialize for ManifestKind {
 /// frequency included — without reading the artifact itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PostingsMeta {
-    /// Run-file wire format: 1 = legacy whole-list (`IIRF`), 2 = blocked
-    /// with per-list skip tables (`IIR2`).
+    /// Wire format of the run file's bytes on disk: 1 = legacy whole-list
+    /// (`IIRF`), 3 = blocked with a delta-varint mapping table (`IIR3`,
+    /// what every blocked run is written as). 2 = blocked with fixed rows
+    /// and a skip table on every list (`IIR2`), found only in manifests
+    /// committed before `IIR3`; such runs still open.
     pub format: u32,
     /// Postings lists (run entries) in the artifact.
     pub lists: u64,
@@ -205,7 +208,7 @@ mod tests {
                     file: "run_000_00000.iirf".into(),
                     len: 88,
                     crc32: 7,
-                    postings: Some(PostingsMeta { format: 2, lists: 3, blocks: 17, max_tf: 9 }),
+                    postings: Some(PostingsMeta { format: 3, lists: 3, blocks: 17, max_tf: 9 }),
                 },
             ],
         }
@@ -264,7 +267,7 @@ mod tests {
         let m = sample();
         let back = Manifest::from_bytes(&m.to_bytes()).unwrap();
         let p = back.artifact("run_000_00000.iirf").unwrap().postings.unwrap();
-        assert_eq!(p, PostingsMeta { format: 2, lists: 3, blocks: 17, max_tf: 9 });
+        assert_eq!(p, PostingsMeta { format: 3, lists: 3, blocks: 17, max_tf: 9 });
         assert!(back.artifact("dictionary.bin").unwrap().postings.is_none());
         // Non-postings records keep the version-1 shape: no `postings` key.
         let json = String::from_utf8(m.to_bytes()).unwrap();
