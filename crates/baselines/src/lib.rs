@@ -6,6 +6,7 @@
 //! (Heinz-Zobel single-pass in-memory) [4], sort-based inversion
 //! (Moffat-Bell) [3], and the serial no-regrouping ablation of §III.C.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ivory;

@@ -14,7 +14,7 @@
 //!   mem_governor --check PATH [--scale F] [--reps N]   regression gate:
 //!       re-measures, normalizes for host speed via the unconstrained
 //!       build's throughput, and fails (exit 1) if any budget point's
-//!       throughput dropped more than 40% beyond that, if a point's
+//!       throughput dropped more than 25% beyond that, if a point's
 //!       refusal outcome flipped, or if a tight budget no longer reduces
 //!       the measured high-water mark below the unconstrained one.
 //!
@@ -230,10 +230,14 @@ fn print_report(report: &BenchReport) {
 }
 
 /// Tolerated fraction of (host-normalized) baseline throughput per curve
-/// point. Budget-constrained builds jitter more than unconstrained ones
-/// (backpressure interacts with scheduling), so the floor is looser than
-/// the hot-path gates.
-const CHECK_TOLERANCE: f64 = 0.6;
+/// point. Of eight measurements on one host none put a point below 0.87
+/// of the committed curve once divided by the unconstrained build's
+/// throughput (budgeted builds jitter with scheduling: backpressure moves
+/// the parsers' run-ahead), so the gate takes the 25 % of the hot-path
+/// gates. It was 40 % while the unconstrained build was nine tenths SIMT
+/// interpreter and the point after the GPU shed 3.4x faster than it; that
+/// ratio is 1.5x now.
+const CHECK_TOLERANCE: f64 = 0.75;
 
 fn run_check(baseline_path: &str, scale_override: Option<f64>, reps: usize) -> i32 {
     let text = match std::fs::read_to_string(baseline_path) {

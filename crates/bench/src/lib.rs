@@ -5,6 +5,7 @@
 //! kernels. This library holds the shared scaffolding: scaled synthetic
 //! collections, run directories, and table formatting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};

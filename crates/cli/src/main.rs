@@ -20,6 +20,8 @@
 //! ii simulate [--parsers N] [--cpu N] [--gpus N] [--collection clueweb|wikipedia|congress]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ii_core::corpus::{CollectionSpec, DocId, StoredCollection};
 use ii_core::pipeline::{FaultAction, WorkerClass, WorkerFaultPlan};
 use ii_core::postings::Codec;

@@ -137,62 +137,103 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompress a buffer produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    if input.len() < 4 {
-        return Err(DecompressError::Truncated);
-    }
-    let expect = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
-    // A valid stream expands at most MAX_MATCH bytes per token pair, so a
-    // header claiming more than input.len() * MAX_MATCH is corrupt. Reject
-    // it before the allocation below: a bit-flipped length header must
-    // surface as a typed error, not a multi-gigabyte allocation.
-    if expect > input.len().saturating_mul(MAX_MATCH) {
-        return Err(DecompressError::LengthMismatch);
-    }
-    let mut out = Vec::with_capacity(expect);
-    let mut i = 4usize;
-    let mut flags = 0u8;
-    let mut bits_left = 0u8;
-    while out.len() < expect {
-        if bits_left == 0 {
-            if i >= input.len() {
-                return Err(DecompressError::Truncated);
-            }
-            flags = input[i];
-            i += 1;
-            bits_left = 8;
+    let mut d = Decompressor::new(input)?;
+    d.out.reserve_exact(d.expect);
+    d.fill_to(usize::MAX)?;
+    Ok(d.out)
+}
+
+/// A [`decompress`] that can stop early: [`Self::fill_to`] decodes only as
+/// far as the caller needs, for readers of a file's first records.
+pub struct Decompressor<'a> {
+    input: &'a [u8],
+    /// Next input byte.
+    i: usize,
+    flags: u8,
+    bits_left: u8,
+    /// Uncompressed length the header declares.
+    expect: usize,
+    out: Vec<u8>,
+}
+
+impl<'a> Decompressor<'a> {
+    /// Read the header of a buffer produced by [`compress`].
+    pub fn new(input: &'a [u8]) -> Result<Self, DecompressError> {
+        if input.len() < 4 {
+            return Err(DecompressError::Truncated);
         }
-        let is_match = flags & 1 == 1;
-        flags >>= 1;
-        bits_left -= 1;
-        if is_match {
-            if i + 2 > input.len() {
-                return Err(DecompressError::Truncated);
-            }
-            let token = u16::from_le_bytes([input[i], input[i + 1]]);
-            i += 2;
-            let dist = (token >> 4) as usize + 1;
-            let len = (token & 0xF) as usize + MIN_MATCH;
-            if dist > out.len() {
-                return Err(DecompressError::BadDistance);
-            }
-            let start = out.len() - dist;
-            // Byte-by-byte to support overlapping matches (RLE-style).
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        } else {
-            if i >= input.len() {
-                return Err(DecompressError::Truncated);
-            }
-            out.push(input[i]);
-            i += 1;
+        let expect = u32::from_le_bytes([input[0], input[1], input[2], input[3]]) as usize;
+        // A valid stream expands at most MAX_MATCH bytes per token pair, so a
+        // header claiming more than input.len() * MAX_MATCH is corrupt. Reject
+        // it before any allocation sized by it: a bit-flipped length header
+        // must surface as a typed error, not a multi-gigabyte allocation.
+        if expect > input.len().saturating_mul(MAX_MATCH) {
+            return Err(DecompressError::LengthMismatch);
         }
+        Ok(Decompressor { input, i: 4, flags: 0, bits_left: 0, expect, out: Vec::new() })
     }
-    if out.len() != expect {
-        return Err(DecompressError::LengthMismatch);
+
+    /// True once the whole stream is decoded.
+    pub fn is_complete(&self) -> bool {
+        self.out.len() == self.expect
     }
-    Ok(out)
+
+    /// Everything decoded so far.
+    pub fn decoded(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// Decode until at least `n` output bytes exist, or the whole stream if
+    /// it is shorter.
+    pub fn fill_to(&mut self, n: usize) -> Result<(), DecompressError> {
+        let input = self.input;
+        let target = n.min(self.expect);
+        let out = &mut self.out;
+        let (mut i, mut flags, mut bits_left) = (self.i, self.flags, self.bits_left);
+        while out.len() < target {
+            if bits_left == 0 {
+                if i >= input.len() {
+                    return Err(DecompressError::Truncated);
+                }
+                flags = input[i];
+                i += 1;
+                bits_left = 8;
+            }
+            let is_match = flags & 1 == 1;
+            flags >>= 1;
+            bits_left -= 1;
+            if is_match {
+                if i + 2 > input.len() {
+                    return Err(DecompressError::Truncated);
+                }
+                let token = u16::from_le_bytes([input[i], input[i + 1]]);
+                i += 2;
+                let dist = (token >> 4) as usize + 1;
+                let len = (token & 0xF) as usize + MIN_MATCH;
+                if dist > out.len() {
+                    return Err(DecompressError::BadDistance);
+                }
+                let start = out.len() - dist;
+                // Byte-by-byte to support overlapping matches (RLE-style).
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            } else {
+                if i >= input.len() {
+                    return Err(DecompressError::Truncated);
+                }
+                out.push(input[i]);
+                i += 1;
+            }
+        }
+        (self.i, self.flags, self.bits_left) = (i, flags, bits_left);
+        // The last match of a stream may run past the declared length.
+        if out.len() > self.expect {
+            return Err(DecompressError::LengthMismatch);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +301,28 @@ mod tests {
         // a typed error instead of attempting the allocation.
         let buf = [0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00];
         assert_eq!(decompress(&buf), Err(DecompressError::LengthMismatch));
+    }
+
+    #[test]
+    fn bounded_decode_stops_early_and_resumes() {
+        let data = b"the quick brown fox jumps over the lazy dog ".repeat(200);
+        let c = compress(&data);
+        let mut d = Decompressor::new(&c).unwrap();
+        for n in [0, 1, 100, 101, 4096, data.len() - 1, usize::MAX] {
+            d.fill_to(n).unwrap();
+            let got = d.decoded();
+            // At least what was asked for, and within one match of it.
+            let asked = n.min(data.len());
+            assert!((asked..asked + MAX_MATCH).contains(&got.len()), "{n}: {}", got.len());
+            assert_eq!(got, &data[..got.len()]);
+            assert_eq!(d.is_complete(), got.len() == data.len());
+        }
+        assert!(d.is_complete());
+        // A stream cut short decodes up to the cut, then says so.
+        let mut d = Decompressor::new(&c[..c.len() / 2]).unwrap();
+        d.fill_to(64).unwrap();
+        assert_eq!(d.decoded(), &data[..d.decoded().len()]);
+        assert_eq!(d.fill_to(usize::MAX), Err(DecompressError::Truncated));
     }
 
     #[test]

@@ -149,22 +149,51 @@ pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
     } else {
         buf // legacy checksum-less container
     };
-    if buf.len() < 8 || &buf[..4] != MAGIC {
+    match parse_container_prefix(buf, usize::MAX)? {
+        Prefix::Docs(docs) => Ok(docs),
+        Prefix::NeedBytes(_) if buf.len() < 8 => Err(ContainerError::BadMagic),
+        Prefix::NeedBytes(_) => Err(ContainerError::Truncated),
+    }
+}
+
+/// What [`parse_container_prefix`] made of the bytes it was given.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Prefix {
+    /// The requested records (fewer if the container holds fewer).
+    Docs(Vec<RawDocument>),
+    /// The records run past the buffer: at least this many bytes of the
+    /// container are needed to get further.
+    NeedBytes(usize),
+}
+
+/// Parse the first `limit` records from the first bytes of an uncompressed
+/// container (magic, count, records) — a reader that wants a file's leading
+/// documents need not produce the rest — or say how many bytes the walk
+/// needs to continue. Sees only what it walks: the header and those
+/// records. The checksum footer covers the whole container and is not
+/// checked here; [`parse_container`] on the whole buffer checks it.
+pub fn parse_container_prefix(buf: &[u8], limit: usize) -> Result<Prefix, ContainerError> {
+    if buf.len() < 8 {
+        return Ok(Prefix::NeedBytes(8));
+    }
+    if &buf[..4] != MAGIC {
         return Err(ContainerError::BadMagic);
     }
     let n = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    let mut docs = Vec::with_capacity(n);
+    // The count comes from the file: it sizes nothing beyond what the
+    // buffer could hold (a record takes at least its 8-byte header).
+    let mut docs = Vec::with_capacity(n.min(limit).min(buf.len() / 8));
     let mut i = 8usize;
-    for _ in 0..n {
+    for _ in 0..n.min(limit) {
         if i + 8 > buf.len() {
-            return Err(ContainerError::Truncated);
+            return Ok(Prefix::NeedBytes(i + 8));
         }
         let ulen = u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]) as usize;
         let blen =
             u32::from_le_bytes([buf[i + 4], buf[i + 5], buf[i + 6], buf[i + 7]]) as usize;
         i += 8;
         if i + ulen + blen > buf.len() {
-            return Err(ContainerError::Truncated);
+            return Ok(Prefix::NeedBytes(i + ulen + blen));
         }
         let url = std::str::from_utf8(&buf[i..i + ulen])
             .map_err(|_| ContainerError::BadUtf8)?
@@ -176,7 +205,7 @@ pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
         i += blen;
         docs.push(RawDocument { url, body });
     }
-    Ok(docs)
+    Ok(Prefix::Docs(docs))
 }
 
 #[cfg(test)]
@@ -217,6 +246,36 @@ mod tests {
         for cut in records_end..buf.len() {
             assert!(parse_container(&buf[..cut]).is_ok());
         }
+    }
+
+    #[test]
+    fn prefix_walk_asks_for_bytes_until_it_has_its_records() {
+        let docs = vec![doc("http://a", "body one"), doc("http://b", "second"), doc("c", "x")];
+        let buf = write_container(&docs);
+        for n_docs in 0..=4 {
+            // Feed the walk exactly what it asks for, as the bounded
+            // decompressor does, from nothing at all.
+            let mut have = 0;
+            let got = loop {
+                match parse_container_prefix(&buf[..have], n_docs).unwrap() {
+                    Prefix::Docs(got) => break got,
+                    Prefix::NeedBytes(n) => {
+                        assert!(n > have && n <= buf.len() - 8, "asks for more, inside the records");
+                        have = n;
+                    }
+                }
+            };
+            assert_eq!(got, docs[..n_docs.min(3)]);
+        }
+        // What the walk sees is typed as the whole parse types it.
+        assert_eq!(parse_container_prefix(b"NOPE\0\0\0\0", 1), Err(ContainerError::BadMagic));
+        let mut bad = buf.clone();
+        bad[16] = 0xFF; // first byte of the first url
+        assert_eq!(parse_container_prefix(&bad, 1), Err(ContainerError::BadUtf8));
+        // A hostile record count sizes nothing.
+        let mut hostile = buf[..8].to_vec();
+        hostile[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(parse_container_prefix(&hostile, usize::MAX), Ok(Prefix::NeedBytes(16)));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! See DESIGN.md §2 for why each substitution preserves the behaviour the
 //! indexing algorithm depends on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -139,6 +139,37 @@ impl StoredCollection {
         Ok(container::parse_container(&raw)?)
     }
 
+    /// Read file `idx` and decode only its first `n_docs` documents (all of
+    /// them if it holds fewer): the decompressor stops once its output
+    /// covers those records and the container walk stops after them. Same
+    /// read path and fault hook as [`Self::read_file`], and the same typed
+    /// errors for what the prefix can see — the header and the records
+    /// walked. The container's checksum covers the whole file, so damage
+    /// past the prefix is for a full [`Self::read_file`] to find; a file
+    /// short enough to be decoded whole is checked whole.
+    pub fn read_file_prefix(
+        &self,
+        idx: usize,
+        n_docs: usize,
+    ) -> Result<Vec<RawDocument>, IngestError> {
+        let packed = self.read_file_raw(idx)?;
+        let mut stream = compress::Decompressor::new(&packed)?;
+        let mut need = 8; // magic and record count
+        loop {
+            stream.fill_to(need)?;
+            let head = stream.decoded();
+            if stream.is_complete() {
+                let mut docs = container::parse_container(head)?;
+                docs.truncate(n_docs);
+                return Ok(docs);
+            }
+            match container::parse_container_prefix(head, n_docs)? {
+                container::Prefix::Docs(docs) => return Ok(docs),
+                container::Prefix::NeedBytes(n) => need = n,
+            }
+        }
+    }
+
     /// Read and fully decode file `idx` into documents. Convenience wrapper
     /// over [`Self::read_file`] that flattens the error into `io::Error`.
     pub fn read_file_docs(&self, idx: usize) -> io::Result<Vec<RawDocument>> {
@@ -241,6 +272,40 @@ mod tests {
         // File 1: permanently corrupt.
         let bad = stored.read_file(1);
         assert!(matches!(&bad, Err(e) if !e.is_transient()), "{bad:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prefix_reads_the_leading_documents_and_sees_their_faults() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let dir = tmpdir("prefix");
+        let spec = CollectionSpec::tiny(25);
+        StoredCollection::generate(spec.clone(), &dir).unwrap();
+        let stored = StoredCollection::open(&dir).unwrap();
+        let whole = stored.read_file(0).unwrap();
+        for n in [0, 1, 2, whole.len(), whole.len() + 3] {
+            let head = stored.read_file_prefix(0, n).unwrap();
+            assert_eq!(head, whole[..n.min(whole.len())], "first {n} documents");
+        }
+        // The same fault hook and the same typed errors as the whole read.
+        let faulty = StoredCollection::open(&dir).unwrap().with_faults(
+            FaultPlan::new(5)
+                .with_fault(0, FaultKind::TransientRead { failures: 1 })
+                .with_fault(1, FaultKind::Garbage),
+        );
+        assert!(matches!(faulty.read_file_prefix(0, 2), Err(e) if e.is_transient()));
+        assert_eq!(faulty.read_file_prefix(0, 2).unwrap(), whole[..2]);
+        assert!(matches!(faulty.read_file_prefix(1, 2), Err(e) if !e.is_transient()));
+        // Damage past the prefix is the whole read's to find: cut the file
+        // in half and the leading documents still decode.
+        let path = stored.file_path(0);
+        let packed = fs::read(&path).unwrap();
+        fs::write(&path, &packed[..packed.len() / 2]).unwrap();
+        assert_eq!(stored.read_file_prefix(0, 2).unwrap(), whole[..2]);
+        assert!(matches!(stored.read_file(0), Err(IngestError::Decompress(_))));
+        // ... and a cut inside the prefix is seen by both.
+        fs::write(&path, &packed[..40]).unwrap();
+        assert!(matches!(stored.read_file_prefix(0, 2), Err(IngestError::Decompress(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,6 +15,7 @@
 //!   differential-test reference ([`reference::ReferenceDictionary`]) and
 //!   as the device-memory interop layer for the simulated GPU.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

@@ -37,6 +37,15 @@ impl BlockCtx {
         }
     }
 
+    /// Back to the state [`Self::new`] returns — zeroed shared memory, no
+    /// cycles, no counts — keeping the allocation. A block picking up its
+    /// next work item starts from here.
+    pub fn reset(&mut self) {
+        self.shared.fill(0);
+        self.cycles = 0;
+        self.metrics = Metrics::default();
+    }
+
     /// Shared-memory size available to the block.
     pub fn shared_len(&self) -> usize {
         self.shared.len()
@@ -111,11 +120,17 @@ impl BlockCtx {
     }
 
     /// Single-lane global read of a byte range (e.g. a string remainder
-    /// that missed the cache) — charged as the segments it spans.
-    pub fn global_read_bytes(&mut self, mem: &DeviceMemory, ptr: DevPtr, len: usize) -> Vec<u8> {
+    /// that missed the cache) — charged as the segments it spans. The bytes
+    /// are a view of device memory, not a copy.
+    pub fn global_read_bytes<'m>(
+        &mut self,
+        mem: &'m DeviceMemory,
+        ptr: DevPtr,
+        len: usize,
+    ) -> &'m [u8] {
         self.charge_global(ptr.0, len.max(1));
         let o = ptr.0 as usize;
-        mem.raw()[o..o + len].to_vec()
+        &mem.raw()[o..o + len]
     }
 
     /// Single-lane global write of a byte range.
@@ -130,26 +145,35 @@ impl BlockCtx {
     /// Account a warp's shared-memory access pattern: per half-warp, the
     /// cost is the maximum number of lanes hitting the same bank (a
     /// broadcast of one identical address is free, as on real hardware).
-    fn charge_shared(&mut self, offsets: &[u32]) {
+    ///
+    /// Runs once per warp-wide shared access, so it keeps to the stack: the
+    /// half-warp's `(bank, word)` pairs are sorted in a fixed array, and a
+    /// bank's distinct words are then one run of it.
+    fn charge_shared(&mut self, offsets: &[u32; WARP]) {
         self.metrics.shared_accesses += 1;
         self.instr(1);
         let banks = self.cfg.banks as u32;
         for half in offsets.chunks(self.cfg.banks) {
+            let mut keys = [0u64; WARP];
+            let keys = &mut keys[..half.len()];
+            for (key, &off) in keys.iter_mut().zip(half) {
+                let word = off / 4;
+                *key = u64::from(word % banks) << 32 | u64::from(word);
+            }
+            keys.sort_unstable();
             // A bank serializes one access per *distinct* word address;
             // lanes reading the same word are served by a broadcast.
-            let mut distinct: Vec<Vec<u32>> = vec![Vec::new(); banks as usize];
-            for &off in half {
-                let word = off / 4;
-                let bank = (word % banks) as usize;
-                if !distinct[bank].contains(&word) {
-                    distinct[bank].push(word);
+            let (mut worst, mut distinct) = (1u64, 1u64);
+            for pair in keys.windows(2) {
+                if pair[0] >> 32 != pair[1] >> 32 {
+                    distinct = 1;
+                } else if pair[0] != pair[1] {
+                    distinct += 1;
+                    worst = worst.max(distinct);
                 }
             }
-            let worst = distinct.iter().map(|d| d.len()).max().unwrap_or(1).max(1);
-            if worst > 1 {
-                self.metrics.bank_conflict_cycles += (worst - 1) as u64;
-                self.cycles += (worst - 1) as u64;
-            }
+            self.metrics.bank_conflict_cycles += worst - 1;
+            self.cycles += worst - 1;
         }
     }
 
@@ -170,7 +194,7 @@ impl BlockCtx {
     pub fn shared_write_vec_u32(&mut self, offs: [u32; WARP], vals: [u32; WARP]) {
         debug_assert!(
             {
-                let mut s = offs.to_vec();
+                let mut s = offs;
                 s.sort_unstable();
                 s.windows(2).all(|w| w[0] != w[1])
             },

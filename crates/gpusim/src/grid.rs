@@ -50,8 +50,9 @@ impl LaunchReport {
 }
 
 /// Launch `num_blocks` persistent blocks over `items`, executing `kernel`
-/// once per item. The kernel receives a fresh [`BlockCtx`] (new shared
-/// memory) per item, mirroring a block starting a new collection.
+/// once per item. The kernel sees a fresh [`BlockCtx`] (zeroed shared
+/// memory, no cycles, no counts) for every item, mirroring a block starting
+/// a new collection; the launch allocates one and resets it between items.
 pub fn launch_dynamic<W, F>(
     cfg: &GpuConfig,
     mem: &mut DeviceMemory,
@@ -65,8 +66,9 @@ where
     assert!(num_blocks >= 1, "need at least one thread block");
     let mut per_item_cycles = Vec::with_capacity(items.len());
     let mut metrics = Metrics::default();
+    let mut ctx = BlockCtx::new(cfg);
     for item in items {
-        let mut ctx = BlockCtx::new(cfg);
+        ctx.reset();
         kernel(&mut ctx, mem, item);
         per_item_cycles.push(ctx.cycles + ITEM_OVERHEAD_CYCLES);
         metrics.merge(&ctx.metrics);
@@ -145,6 +147,20 @@ mod tests {
         );
         assert_eq!(r.per_item_cycles.len(), 3);
         assert!(r.metrics.global_transactions >= 6);
+    }
+
+    #[test]
+    fn every_item_starts_from_a_fresh_block_state() {
+        let cfg = GpuConfig::default();
+        let mut mem = DeviceMemory::new(64);
+        let r = launch_dynamic(&cfg, &mut mem, 2, &[7u8, 9, 11], |ctx, _mem, &v| {
+            assert!(ctx.shared().iter().all(|&b| b == 0), "shared memory zeroed");
+            assert_eq!((ctx.cycles, ctx.metrics), (0, Metrics::default()));
+            ctx.shared_mut().fill(v);
+            ctx.shared_write_u32(0, u32::from(v));
+        });
+        assert_eq!(r.per_item_cycles, vec![4 + ITEM_OVERHEAD_CYCLES; 3]);
+        assert_eq!(r.metrics.shared_accesses, 3);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! Cost is counted in *device cycles* from the C1060's published
 //! parameters, so the simulated GPU's speed is independent of the host.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -2,14 +2,16 @@
 //!
 //! A single CPU thread owning a set of popular trie collections: for every
 //! incoming `<term, doc>` tuple it inserts the term into the collection's
-//! B-tree (string caches included) and appends to the term's postings list.
+//! B-tree (string caches included) and records the occurrence in the run's
+//! posting log.
 //! Zipf-head collections are CPU-friendly because the B-tree paths to the
 //! few dominant terms stay hot in cache.
 
+use crate::log::PostingLog;
 use crate::stats::WorkloadStats;
 use ii_dict::PartialDictionary;
 use ii_obs::{TraceKind, TraceSink};
-use ii_postings::{Codec, PostingsList, RunFile};
+use ii_postings::{Codec, RunFile};
 use ii_text::TrieGroup;
 
 /// One CPU indexing thread's state.
@@ -19,8 +21,8 @@ pub struct CpuIndexer {
     pub id: u32,
     /// This indexer's exclusive dictionary shard.
     pub dict: PartialDictionary,
-    /// In-memory postings lists, indexed by postings handle.
-    lists: Vec<PostingsList>,
+    /// Postings accumulated since the last flush, keyed by postings handle.
+    log: PostingLog,
     /// Lifetime workload counters.
     pub stats: WorkloadStats,
 }
@@ -31,36 +33,30 @@ impl CpuIndexer {
         CpuIndexer {
             id,
             dict: PartialDictionary::new(id),
-            lists: Vec::new(),
+            log: PostingLog::new(),
             stats: WorkloadStats::default(),
         }
     }
 
-    /// Rebuild an indexer from a checkpointed dictionary shard. Postings
-    /// lists restart empty — checkpoints are taken at run boundaries, where
-    /// pending lists have just been flushed — sized so every restored
-    /// handle stays addressable and the next new term allocates the same
-    /// handle an uninterrupted build would. Workload counters restart from
-    /// zero (they describe work actually performed by this process).
+    /// Rebuild an indexer from a checkpointed dictionary shard. The posting
+    /// log restarts empty — checkpoints are taken at run boundaries, where
+    /// pending postings have just been flushed — and the next new term
+    /// allocates the same handle an uninterrupted build would. Workload
+    /// counters restart from zero (they describe work actually performed by
+    /// this process).
     pub fn restore(dict: PartialDictionary) -> Self {
-        let mut lists = Vec::new();
-        lists.resize_with(dict.term_count() as usize, PostingsList::new);
-        CpuIndexer { id: dict.indexer_id, dict, lists, stats: WorkloadStats::default() }
+        Self::adopt(dict, PostingLog::new())
     }
 
     /// Take over a dead worker's shard mid-run: adopt its dictionary
-    /// *and* its pending (un-flushed) postings lists, so indexing continues
+    /// *and* its pending (un-flushed) posting log, so indexing continues
     /// exactly where the dead worker stopped. Unlike [`Self::restore`]
-    /// (which assumes a run-boundary checkpoint with empty lists), this is
-    /// the mid-run takeover path — the GPU salvage drain hands over lists
-    /// in the same doc order the CPU path maintains, so the continued
-    /// build's run files stay byte-identical. Lists are padded so every
-    /// dictionary handle is addressable.
-    pub fn adopt(dict: PartialDictionary, mut lists: Vec<PostingsList>) -> Self {
-        if lists.len() < dict.term_count() as usize {
-            lists.resize_with(dict.term_count() as usize, PostingsList::new);
-        }
-        CpuIndexer { id: dict.indexer_id, dict, lists, stats: WorkloadStats::default() }
+    /// (which assumes a run-boundary checkpoint with nothing pending), this
+    /// is the mid-run takeover path — the GPU salvage drain hands over each
+    /// term's records in the same doc order the CPU path maintains, so the
+    /// continued build's run files stay byte-identical.
+    pub fn adopt(dict: PartialDictionary, log: PostingLog) -> Self {
+        CpuIndexer { id: dict.indexer_id, dict, log, stats: WorkloadStats::default() }
     }
 
     /// Index one parsed trie group. `doc_offset` is the global document-ID
@@ -74,11 +70,7 @@ impl CpuIndexer {
             if out.is_new {
                 self.stats.terms += 1;
             }
-            let slot = out.postings as usize;
-            if slot >= self.lists.len() {
-                self.lists.resize_with(slot + 1, PostingsList::new);
-            }
-            self.lists[slot].add_occurrence(doc);
+            self.log.add_occurrence(out.postings, doc);
         }
     }
 
@@ -109,35 +101,25 @@ impl CpuIndexer {
 
     /// Number of in-memory postings accumulated since the last flush.
     pub fn pending_postings(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+        self.log.len()
     }
 
-    /// Resident bytes of the pending (un-flushed) postings lists
-    /// (memory-governor accounting). Deterministic: a function of the
-    /// documents indexed since the last flush, never of allocator state.
+    /// Resident bytes of the pending (un-flushed) postings
+    /// (memory-governor accounting, see [`PostingLog::mem_bytes`]).
     pub fn pending_postings_bytes(&self) -> u64 {
-        self.lists.iter().map(|l| l.mem_bytes()).sum()
+        self.log.mem_bytes()
     }
 
-    /// End-of-run flush: encode all non-empty lists into a run file and
-    /// clear them (handles remain valid; later runs append new partial
-    /// lists under the same handles).
+    /// End-of-run flush: encode every term's pending postings into a run
+    /// file and empty the log (handles remain valid; later runs append new
+    /// partial lists under the same handles).
     pub fn flush_run(&mut self, run_id: u32, codec: Codec) -> RunFile {
-        let mut it = self
-            .lists
-            .iter()
-            .enumerate()
-            .map(|(h, l)| (h as u32, l));
-        let run = RunFile::build(run_id, self.id, &mut it, codec);
-        for l in &mut self.lists {
-            l.take();
-        }
-        run
+        self.log.flush_run(run_id, self.id, codec)
     }
 
-    /// Direct read access to a pending postings list (tests).
-    pub fn pending_list(&self, handle: u32) -> Option<&PostingsList> {
-        self.lists.get(handle as usize)
+    /// The pending posting log.
+    pub fn log(&self) -> &PostingLog {
+        &self.log
     }
 }
 
@@ -166,10 +148,10 @@ mod tests {
         assert_eq!(idx.stats.terms, 2);
         // zebra appears in docs 0 (tf 2) and 1 (tf 1).
         let h = idx.dict.lookup(ii_dict::trie_index("zebra").0, b"ra").unwrap();
-        let l = idx.pending_list(h).unwrap();
+        let l = idx.log().postings_of(h);
         assert_eq!(l.len(), 2);
-        assert_eq!(l.postings()[0].tf, 2);
-        assert_eq!(l.postings()[1].doc, DocId(1));
+        assert_eq!(l[0].tf, 2);
+        assert_eq!(l[1].doc, DocId(1));
     }
 
     #[test]
@@ -180,7 +162,7 @@ mod tests {
             idx.index_group(g, 500);
         }
         let h = idx.dict.lookup(ii_dict::trie_index("quilt").0, b"lt").unwrap();
-        assert_eq!(idx.pending_list(h).unwrap().postings()[0].doc, DocId(500));
+        assert_eq!(idx.log().postings_of(h)[0].doc, DocId(500));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! CPU dictionary (`ii_dict::node`), so at end of program the device arenas
 //! are downloaded and reinterpreted directly as a `PartialDictionary`.
 
+use crate::log::PostingLog;
 use crate::stats::WorkloadStats;
 use ii_corpus::DocId;
 use ii_dict::node::{
@@ -30,7 +31,7 @@ use ii_dict::node::{
 use ii_dict::{arena, BTree, BTreeStore, PartialDictionary, TRIE_ENTRIES};
 use ii_gpusim::{launch_dynamic, BlockCtx, DevPtr, DeviceMemory, GpuConfig, LaunchReport};
 use ii_obs::{GpuSpanArgs, TraceKind, TraceSink};
-use ii_postings::{Codec, Posting, PostingsList, RunFile};
+use ii_postings::{Codec, Posting, RunFile};
 use ii_text::TrieGroup;
 use std::collections::HashMap;
 
@@ -43,6 +44,8 @@ const SH_NODE3: usize = 1536; // right sibling under construction
 const CHUNK: usize = 512;
 /// "Empty" marker in the current-posting table.
 const EMPTY_DOC: u32 = u32::MAX;
+/// Longest term the Fig 6 layout can hold: its length prefix is one byte.
+const MAX_TERM_BYTES: usize = u8::MAX as usize;
 
 /// Sizing and architecture of one simulated GPU indexer.
 #[derive(Clone, Copy, Debug)]
@@ -102,6 +105,8 @@ pub struct GpuBatchReport {
     pub transfer_seconds: f64,
     /// SM load-balance quality of the grid (1.0 = perfect).
     pub utilization: f64,
+    /// Sum of all blocks' simulated cycles for the grid.
+    pub total_cycles: u64,
 }
 
 /// One simulated GPU running the indexing kernel.
@@ -215,12 +220,13 @@ impl GpuIndexer {
         self.input_top = 0;
         let mut items = Vec::with_capacity(groups.len());
         let mut uploaded = 0u64;
+        let mut spans = Vec::new();
         for g in groups {
             // Term bytes.
             let bytes_ptr = self.input_alloc(g.term_bytes.len());
             self.mem.host_write(bytes_ptr, &g.term_bytes);
             // Span records: doc, byte_start, byte_len, n_terms (16 B each).
-            let mut spans = Vec::with_capacity(g.docs.len() * 16);
+            spans.clear();
             for s in &g.docs {
                 spans.extend_from_slice(&s.doc.0.to_le_bytes());
                 spans.extend_from_slice(&s.byte_start.to_le_bytes());
@@ -231,11 +237,10 @@ impl GpuIndexer {
             self.mem.host_write(spans_ptr, &spans);
             uploaded += (g.term_bytes.len() + spans.len()) as u64;
             self.seen.insert(g.trie_index);
-            self.stats.tokens += g.total_terms();
-            self.stats.chars += g
-                .iter_terms()
-                .map(|(_, t)| t.len() as u64)
-                .sum::<u64>();
+            // Fig 6 layout: every term is one length byte plus its chars.
+            let tokens = g.total_terms();
+            self.stats.tokens += tokens;
+            self.stats.chars += g.term_bytes.len() as u64 - tokens;
             items.push(WorkItem {
                 trie_index: g.trie_index,
                 bytes_ptr,
@@ -278,6 +283,7 @@ impl GpuIndexer {
             device_seconds: report.device_seconds,
             transfer_seconds,
             utilization: report.utilization(),
+            total_cycles: report.total_cycles,
         }
     }
 
@@ -345,61 +351,39 @@ impl GpuIndexer {
     /// table into a run file, clearing device postings state (dictionary
     /// B-trees stay resident across runs).
     pub fn flush_run(&mut self, run_id: u32, codec: Codec) -> RunFile {
-        let n_log = self.read_ctr(self.ctr_log) as usize;
-        let log_bytes = self.mem.host_read(self.log_area, n_log * 12);
-        let n_terms = self.term_count() as usize;
-        let table_bytes = self.mem.host_read(self.table, n_terms * 8);
-        let mut lists: Vec<PostingsList> = vec![PostingsList::new(); n_terms];
-        for rec in log_bytes.chunks_exact(12) {
-            let handle = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
-            let doc = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-            let tf = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-            lists[handle].push(Posting { doc: DocId(doc), tf });
-        }
-        for (handle, rec) in table_bytes.chunks_exact(8).enumerate() {
-            let doc = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            if doc != EMPTY_DOC {
-                let tf = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-                lists[handle].push(Posting { doc: DocId(doc), tf });
-            }
-        }
+        let mut log = self.salvage_pending_log();
         // Clear postings state for the next run.
-        let t = self.table.0 as usize;
-        let clear = vec![0xFFu8; n_terms * 8];
-        self.memset(t, &clear);
+        let clear = vec![0xFFu8; self.term_count() as usize * 8];
+        self.memset(self.table.0 as usize, &clear);
         self.memset(self.ctr_log.0 as usize, &[0, 0, 0, 0]);
-        let mut it = lists.iter().enumerate().map(|(h, l)| (h as u32, l));
-        RunFile::build(run_id, self.id, &mut it, codec)
+        log.flush_run(run_id, self.id, codec)
     }
 
-    /// Failure-domain salvage: read the device postings log +
-    /// current-posting table into per-handle host lists *without* clearing
-    /// any device state — the same reconstruction [`Self::flush_run`]
-    /// performs, minus the drain. Used when this GPU is declared dead
-    /// mid-run: together with [`Self::into_partial_dictionary`] it gives a
-    /// CPU successor the exact pending state (lists end up in the same
-    /// doc order the CPU path would have appended), so a takeover at a
-    /// batch boundary continues byte-identically.
-    pub fn salvage_pending_lists(&mut self) -> Vec<PostingsList> {
+    /// Read the device postings log + current-posting table into a host
+    /// [`PostingLog`] *without* clearing any device state: the retired
+    /// records in device-log order, then each term's current posting. What
+    /// [`Self::flush_run`] encodes, and the failure-domain salvage when
+    /// this GPU is declared dead mid-run: together with
+    /// [`Self::into_partial_dictionary`] it gives a CPU successor the exact
+    /// pending state (each term's records in the doc order the CPU path
+    /// would have appended them), so a takeover at a batch boundary
+    /// continues byte-identically.
+    pub fn salvage_pending_log(&mut self) -> PostingLog {
         let n_log = self.read_ctr(self.ctr_log) as usize;
         let log_bytes = self.mem.host_read(self.log_area, n_log * 12);
         let n_terms = self.term_count() as usize;
         let table_bytes = self.mem.host_read(self.table, n_terms * 8);
-        let mut lists: Vec<PostingsList> = vec![PostingsList::new(); n_terms];
+        let word = |rec: &[u8], at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
+        let mut log = PostingLog::with_capacity(n_log + n_terms, n_terms);
         for rec in log_bytes.chunks_exact(12) {
-            let handle = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
-            let doc = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-            let tf = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-            lists[handle].push(Posting { doc: DocId(doc), tf });
+            log.push(word(rec, 0), Posting { doc: DocId(word(rec, 4)), tf: word(rec, 8) });
         }
         for (handle, rec) in table_bytes.chunks_exact(8).enumerate() {
-            let doc = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            if doc != EMPTY_DOC {
-                let tf = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-                lists[handle].push(Posting { doc: DocId(doc), tf });
+            if word(rec, 0) != EMPTY_DOC {
+                log.push(handle as u32, Posting { doc: DocId(word(rec, 0)), tf: word(rec, 4) });
             }
         }
-        lists
+        log
     }
 
     /// End of program: download the device arenas and reinterpret them as
@@ -614,8 +598,8 @@ fn node_probe(
             continue;
         }
         let tp = sh_u32(ctx, base, OFF_TERM_PTR + 4 * lane);
-        let key_rem: Vec<u8> = if tp == NULL {
-            Vec::new()
+        let key_rem: &[u8] = if tp == NULL {
+            b""
         } else {
             let len = ctx.global_read_bytes(mem, DevPtr(k.string_area.0 + tp), 1)[0] as usize;
             ctx.global_read_bytes(mem, DevPtr(k.string_area.0 + tp + 1), len)
@@ -624,7 +608,7 @@ fn node_probe(
             continue; // true match
         }
         ctx.diverge(1 + (key_rem.len().max(probe_rem.len()) / 4) as u64);
-        lane_cmp[lane] = match key_rem.as_slice().cmp(probe_rem) {
+        lane_cmp[lane] = match key_rem.cmp(probe_rem) {
             std::cmp::Ordering::Less => -1,
             std::cmp::Ordering::Equal => 0,
             std::cmp::Ordering::Greater => 1,
@@ -687,13 +671,17 @@ const PARK_SCRATCH: usize = 8192;
 
 /// Ensure warp-write offsets are distinct by parking masked-off lanes on
 /// unique scratch words (real hardware simply masks those lanes; the
-/// simulator asserts distinctness instead).
-fn dedup_park(offs: &mut [u32; 32], base: usize) {
+/// simulator asserts distinctness instead). Public so that
+/// `tests/tests/gpusim_accounting.rs` can hold it to the `HashSet` version
+/// it replaced.
+pub fn dedup_park(offs: &mut [u32; 32], base: usize) {
     let park_base = (base + PARK_SCRATCH + 4 * 64) as u32;
-    let mut seen = std::collections::HashSet::new();
-    for (lane, o) in offs.iter_mut().enumerate() {
-        if !seen.insert(*o) {
-            *o = park_base + 4 * lane as u32;
+    // A lane parks when an earlier lane came in aiming at the same word,
+    // whether or not that lane parked itself.
+    let aimed = *offs;
+    for lane in 1..32 {
+        if aimed[..lane].contains(&aimed[lane]) {
+            offs[lane] = park_base + 4 * lane as u32;
         }
     }
 }
@@ -716,10 +704,10 @@ fn place_key(
         assert!(off as usize + 1 + rem.len() <= k.string_capacity as usize,
             "GPU string arena exhausted");
         ctx.global_write_u32(mem, k.ctr_strings, off + 1 + rem.len() as u32);
-        let mut buf = Vec::with_capacity(rem.len() + 1);
-        buf.push(rem.len() as u8);
-        buf.extend_from_slice(rem);
-        ctx.global_write_bytes(mem, DevPtr(k.string_area.0 + off), &buf);
+        let mut buf = [0u8; 1 + MAX_TERM_BYTES];
+        buf[0] = rem.len() as u8;
+        buf[1..=rem.len()].copy_from_slice(rem);
+        ctx.global_write_bytes(mem, DevPtr(k.string_area.0 + off), &buf[..=rem.len()]);
         off
     } else {
         NULL
@@ -922,11 +910,13 @@ struct ChunkReader {
     bytes_ptr: DevPtr,
     len: u32,
     chunk_base: Option<u32>,
+    /// The term [`Self::next_term`] last read.
+    term: [u8; MAX_TERM_BYTES],
 }
 
 impl ChunkReader {
     fn new(bytes_ptr: DevPtr, len: u32) -> Self {
-        ChunkReader { bytes_ptr, len, chunk_base: None }
+        ChunkReader { bytes_ptr, len, chunk_base: None, term: [0; MAX_TERM_BYTES] }
     }
 
     /// Byte at stream offset `off`, staging its chunk if needed.
@@ -941,17 +931,16 @@ impl ChunkReader {
     }
 
     /// Read the length-prefixed term at `*pos`, advancing it.
-    fn next_term(&mut self, ctx: &mut BlockCtx, mem: &DeviceMemory, pos: &mut u32) -> Vec<u8> {
+    fn next_term(&mut self, ctx: &mut BlockCtx, mem: &DeviceMemory, pos: &mut u32) -> &[u8] {
         let len = self.byte_at(ctx, mem, *pos) as u32;
         *pos += 1;
-        let mut term = Vec::with_capacity(len as usize);
         for i in 0..len {
-            term.push(self.byte_at(ctx, mem, *pos + i));
+            self.term[i as usize] = self.byte_at(ctx, mem, *pos + i);
         }
         *pos += len;
         // Lanes cooperatively copied the term (len/32-ish steps).
         ctx.instr(1 + len as u64 / 32);
-        term
+        &self.term[..len as usize]
     }
 }
 
@@ -969,7 +958,7 @@ fn kernel(ctx: &mut BlockCtx, mem: &mut DeviceMemory, k: &KernelPtrs, item: &Wor
         let end = byte_start + byte_len;
         while pos < end {
             let term = reader.next_term(ctx, mem, &mut pos);
-            let handle = btree_insert(ctx, mem, k, root_cell, &term);
+            let handle = btree_insert(ctx, mem, k, root_cell, term);
             postings_update(ctx, mem, k, handle, doc);
         }
     }
@@ -1099,6 +1088,34 @@ mod tests {
         assert_eq!(r1.entries[0].handle, h, "handle stable across runs");
         assert_eq!(r0.get(h).unwrap()[0].doc, DocId(0));
         assert_eq!(r1.get(h).unwrap()[0].doc, DocId(50));
+    }
+
+    #[test]
+    fn salvaged_log_adopted_by_a_cpu_indexer_flushes_the_uninterrupted_bytes() {
+        // Mid-run: the device holds retired records and current postings
+        // when the shard moves to the CPU path, which bumps and appends in
+        // the adopted log.
+        let b0 = parse(&["zebra quilt zebra xylophone", "quilt zebra", "xylophone banana"]);
+        let b1 = parse(&["zebra zebra banana", "quilt 954 zebra"]);
+        let index = |g: &mut GpuIndexer, batch: &ii_text::ParsedBatch, offset| {
+            let groups: Vec<&TrieGroup> = batch.groups.iter().collect();
+            g.index_batch(&groups, offset);
+        };
+        let mut whole = gpu();
+        index(&mut whole, &b0, 0);
+        index(&mut whole, &b1, 3);
+        let want = whole.flush_run(0, Codec::Auto).to_bytes();
+
+        let mut dying = gpu();
+        index(&mut dying, &b0, 0);
+        let log = dying.salvage_pending_log();
+        assert!(!log.is_empty());
+        let mut successor = CpuIndexer::adopt(dying.into_partial_dictionary(), log);
+        for grp in &b1.groups {
+            successor.index_group(grp, 3);
+        }
+        assert_eq!(successor.flush_run(0, Codec::Auto).to_bytes(), want);
+        assert_eq!(successor.pending_postings_bytes(), 0);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! run-structured indexer pool (Fig 8) that turns parsed batches into
 //! compressed postings run files and dictionary shards.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;
 pub mod cpu;
 pub mod gpu;
+pub mod log;
 pub mod positional;
 pub mod run;
 pub mod stats;
@@ -19,6 +21,7 @@ pub mod stats;
 pub use balance::{make_plan, sample_counts, BalancePlan, Owner};
 pub use cpu::CpuIndexer;
 pub use gpu::{GpuBatchReport, GpuIndexer, GpuIndexerConfig};
+pub use log::PostingLog;
 pub use positional::{PositionalIndex, PositionalIndexer};
 pub use run::{BatchTiming, Host, IndexerPool, Takeover};
 pub use stats::WorkloadStats;

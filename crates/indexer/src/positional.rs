@@ -267,9 +267,9 @@ mod tests {
         let done = posix.finish();
         let z = done.get("zebra").unwrap();
         let h = plain.dict.lookup(ii_dict::trie_index("zebra").0, b"ra").unwrap();
-        let zp = plain.pending_list(h).unwrap();
+        let zp = plain.log().postings_of(h);
         assert_eq!(z.len(), zp.len());
-        for (a, b) in z.postings().iter().zip(zp.postings()) {
+        for (a, b) in z.postings().iter().zip(&zp) {
             assert_eq!(a.to_posting(), *b);
         }
     }

@@ -242,7 +242,7 @@ impl IndexerPool {
         }
         self.gpu_alive[g] = false;
         let dict = self.gpus[g].into_partial_dictionary();
-        let lists = self.gpus[g].salvage_pending_lists();
+        let log = self.gpus[g].salvage_pending_log();
         let host = match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load) {
             Some(e) => {
                 self.adopted_load[e] += self.plan.sampled_load(Owner::Gpu(g));
@@ -250,7 +250,7 @@ impl IndexerPool {
             }
             None => Host::Driver,
         };
-        self.adopted[g] = Some((CpuIndexer::adopt(dict, lists), host));
+        self.adopted[g] = Some((CpuIndexer::adopt(dict, log), host));
         vec![Takeover { shard: (self.plan.n_cpu() + g) as u32, host, gpu_takeover: true }]
     }
 

@@ -26,6 +26,8 @@
 //!   [`Snapshot::write_json`]) shared by `--stats-json` and the bench
 //!   binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod json;
 pub mod openmetrics;

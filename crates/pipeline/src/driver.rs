@@ -269,14 +269,21 @@ pub struct SamplePlan {
     pub recovered_files: u32,
 }
 
-/// Run the sampling pass: parse a slice of every n-th file and build the
-/// balance plan.
+/// Run the sampling pass: parse the first documents of every n-th file and
+/// build the balance plan.
+///
+/// Only those documents are read
+/// ([`StoredCollection::read_file_prefix`]): the pass does not decompress
+/// and parse every sampled file whole to look at two documents of it.
 ///
 /// Faulty files obey the config's [`FaultPolicy`]: transient faults retry
 /// with backoff; unrecoverable files abort under fail-fast or are simply
 /// left out of the sample under skip-file (the streaming pass is the one
 /// that quarantines and reports them, so each bad file appears exactly once
-/// in the final [`FaultReport`]).
+/// in the final [`FaultReport`]). A file whose damage lies past the sampled
+/// prefix — its whole-file checksum is the streaming pass's to check — is
+/// sampled like a sound one and reported by the streaming pass
+/// ([`FaultStage::Parse`]), once, as before.
 pub fn sample_plan(
     collection: &StoredCollection,
     cfg: &PipelineConfig,
@@ -296,7 +303,8 @@ pub fn sample_plan(
         let docs = loop {
             // Containment also covers the sampling read: an injected (or
             // real) panic inside decode must not unwind out of the build.
-            match catch_unwind(AssertUnwindSafe(|| collection.read_file(f))) {
+            let read = || collection.read_file_prefix(f, cfg.sample_docs_per_file);
+            match catch_unwind(AssertUnwindSafe(read)) {
                 Ok(Ok(docs)) => break Some(docs),
                 Ok(Err(e)) if e.is_transient() && attempts < policy.max_retries => {
                     attempts += 1;
@@ -338,11 +346,10 @@ pub fn sample_plan(
                 retries += attempts;
                 recovered_files += 1;
             }
-            let take = cfg.sample_docs_per_file.min(docs.len());
             batches.push(if cfg.reference_parser {
-                ii_text::parse_documents_reference(&docs[..take], html, f)
+                ii_text::parse_documents_reference(&docs, html, f)
             } else {
-                parse_documents_into(&mut scratch, &docs[..take], html, f)
+                parse_documents_into(&mut scratch, &docs, html, f)
             });
         }
         f += stride;

@@ -28,6 +28,7 @@
 //! shedding — before the typed
 //! [`PipelineError::MemoryBudgetExceeded`] abort.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod breakdown;

@@ -9,6 +9,7 @@
 //! Fig 10 scaling curves, Table IV/VI timing breakdowns, Fig 11 per-file
 //! series and the Fig 12 cluster comparison.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

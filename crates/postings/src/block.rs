@@ -29,7 +29,7 @@
 //! * decoders can seek straight to a block picked from the skip table
 //!   without touching its predecessors ([`crate::cursor::ListCursor`]);
 //! * the merge can copy a whole block *verbatim* when source and target
-//!   codecs agree ([`ListEncoder::push_raw_block`]), because re-encoding
+//!   codecs agree ([`ListWriter::push_raw_block`]), because re-encoding
 //!   the same 128 postings would reproduce the same bytes.
 
 use crate::bits;
@@ -75,12 +75,6 @@ pub fn skip_table_bytes(n: usize) -> usize {
     n_blocks(n) * SKIP_ENTRY_BYTES
 }
 
-fn write_skip(e: SkipEntry, out: &mut Vec<u8>) {
-    out.extend_from_slice(&e.first_doc.to_le_bytes());
-    out.extend_from_slice(&e.offset.to_le_bytes());
-    out.extend_from_slice(&e.max_tf.to_le_bytes());
-}
-
 fn read_skip(skip: &[u8], b: usize) -> SkipEntry {
     let s = &skip[b * SKIP_ENTRY_BYTES..(b + 1) * SKIP_ENTRY_BYTES];
     SkipEntry {
@@ -107,22 +101,23 @@ impl Default for BlockScratch {
 }
 
 /// Encode one block body (without its skip entry) into `out`. `ps` holds
-/// `1..=BLOCK_LEN` doc-sorted postings; `codec` must be concrete.
-fn encode_block(codec: Codec, ps: &[Posting], out: &mut Vec<u8>) {
+/// `1..=BLOCK_LEN` doc-sorted postings; `codec` must be concrete. The
+/// biased gaps and tfs go through `scratch`, of which only the first
+/// `ps.len()` slots are written and read.
+fn encode_block(codec: Codec, ps: &[Posting], scratch: &mut BlockScratch, out: &mut Vec<u8>) {
     let m = ps.len();
     debug_assert!((1..=BLOCK_LEN).contains(&m));
-    let mut gaps = [0u32; BLOCK_LEN]; // gaps[i] = doc[i+1] - doc[i] - 1
-    let mut tfs = [0u32; BLOCK_LEN]; // tf - 1
-    for i in 1..m {
-        debug_assert!(ps[i].doc > ps[i - 1].doc, "block postings out of order");
-        gaps[i - 1] = ps[i].doc.0 - ps[i - 1].doc.0 - 1;
+    let gaps = &mut scratch.a[..m - 1]; // gaps[i] = doc[i+1] - doc[i] - 1
+    let tfs = &mut scratch.b[..m]; // tf - 1
+    for (gap, pair) in gaps.iter_mut().zip(ps.windows(2)) {
+        debug_assert!(pair[1].doc > pair[0].doc, "block postings out of order");
+        *gap = pair[1].doc.0 - pair[0].doc.0 - 1;
     }
-    for i in 0..m {
-        debug_assert!(ps[i].tf >= 1, "postings carry at least one occurrence");
-        tfs[i] = ps[i].tf - 1;
+    for (tf, p) in tfs.iter_mut().zip(ps) {
+        debug_assert!(p.tf >= 1, "postings carry at least one occurrence");
+        *tf = p.tf - 1;
     }
-    let gaps = &gaps[..m - 1];
-    let tfs = &tfs[..m];
+    let (gaps, tfs) = (&*gaps, &*tfs);
     match codec {
         Codec::VarByte => {
             for &g in gaps {
@@ -440,63 +435,119 @@ pub struct EncodedList {
     pub max_tf: u32,
 }
 
-/// Streaming encoder for the block layout. Push postings (or whole raw
-/// blocks during a codec-aligned merge); `finish` seals any partial tail
-/// block and concatenates skip table + data. Pushing the same postings
-/// through any interleaving of [`ListEncoder::push`] and
-/// [`ListEncoder::push_raw_block`] yields byte-identical output.
-#[derive(Debug)]
+/// The reusable half of the list encoder: block scratch and the staging
+/// area of a block being filled one posting at a time. One per run (or per
+/// merge); [`Self::begin`] lends it to one list at a time.
+#[derive(Debug, Default)]
 pub struct ListEncoder {
-    codec: Codec,
-    skip: Vec<u8>,
-    data: Vec<u8>,
+    scratch: BlockScratch,
     staging: Vec<Posting>,
-    n: usize,
-    max_tf: u32,
 }
 
 impl ListEncoder {
-    /// New encoder for a concrete (non-[`Codec::Auto`]) codec.
-    pub fn new(codec: Codec) -> Self {
-        assert!(codec != Codec::Auto, "resolve Auto before constructing a ListEncoder");
-        ListEncoder {
-            codec,
-            skip: Vec::new(),
-            data: Vec::new(),
-            staging: Vec::with_capacity(BLOCK_LEN),
-            n: 0,
-            max_tf: 0,
-        }
+    /// New encoder. Allocates nothing until a posting is staged.
+    pub fn new() -> Self {
+        Self::default()
     }
 
+    /// Start a list of `n` postings at the end of `out`, in a concrete
+    /// (non-[`Codec::Auto`]) codec. With `skip_table` the list is laid out
+    /// as the module docs describe: its `ceil(n/128)` skip entries are
+    /// reserved here and patched as each block is sealed. Without, only the
+    /// block bodies are written — for a list of one block whose caller
+    /// keeps the skip entry elsewhere ([`BlockedList::single_block`]).
+    pub fn begin<'a>(
+        &'a mut self,
+        out: &'a mut Vec<u8>,
+        codec: Codec,
+        n: usize,
+        skip_table: bool,
+    ) -> ListWriter<'a> {
+        assert!(codec != Codec::Auto, "resolve Auto before encoding a list");
+        assert!(skip_table || n <= BLOCK_LEN, "only a one-block list can go without its table");
+        self.staging.clear();
+        let skip_at = out.len();
+        if skip_table {
+            out.resize(skip_at + skip_table_bytes(n), 0);
+        }
+        let data_at = out.len();
+        ListWriter { enc: self, out, codec, n, skip_table, skip_at, data_at, pushed: 0, max_tf: 0 }
+    }
+}
+
+/// One list being encoded in place at the end of a byte buffer. Pushing the
+/// same postings through any interleaving of [`Self::push`],
+/// [`Self::extend`] and [`Self::push_raw_block`] yields byte-identical
+/// output.
+#[derive(Debug)]
+pub struct ListWriter<'a> {
+    enc: &'a mut ListEncoder,
+    out: &'a mut Vec<u8>,
+    codec: Codec,
+    n: usize,
+    skip_table: bool,
+    skip_at: usize,
+    data_at: usize,
+    pushed: usize,
+    max_tf: u32,
+}
+
+impl ListWriter<'_> {
     /// Append one posting (strictly increasing doc order).
     pub fn push(&mut self, p: Posting) {
-        self.staging.push(p);
-        self.n += 1;
-        if self.staging.len() == BLOCK_LEN {
-            self.seal();
+        self.enc.staging.push(p);
+        if self.enc.staging.len() == BLOCK_LEN {
+            self.seal_staged();
         }
     }
 
-    fn seal(&mut self) {
-        let block_max = self.staging.iter().map(|p| p.tf).max().unwrap();
-        write_skip(
-            SkipEntry {
-                first_doc: self.staging[0].doc.0,
-                offset: self.data.len() as u32,
-                max_tf: block_max,
-            },
-            &mut self.skip,
-        );
-        encode_block(self.codec, &self.staging, &mut self.data);
-        self.max_tf = self.max_tf.max(block_max);
-        self.staging.clear();
+    /// Append a doc-ordered slice. Whole blocks, and a tail that completes
+    /// the list, are encoded straight from `ps` when nothing is staged.
+    pub fn extend(&mut self, mut ps: &[Posting]) {
+        while !ps.is_empty() {
+            let completes = self.pushed + ps.len() == self.n;
+            if self.at_block_boundary() && (ps.len() >= BLOCK_LEN || completes) {
+                let (block, rest) = ps.split_at(ps.len().min(BLOCK_LEN));
+                self.seal(block);
+                ps = rest;
+            } else {
+                self.push(ps[0]);
+                ps = &ps[1..];
+            }
+        }
     }
 
-    /// True when the encoder sits on a block boundary, i.e. a full raw
+    /// Write the skip entry of the block about to be appended.
+    fn open_block(&mut self, first_doc: u32, max_tf: u32) {
+        assert!(self.pushed < self.n, "more postings than the list was begun with");
+        if self.skip_table {
+            let at = self.skip_at + self.pushed / BLOCK_LEN * SKIP_ENTRY_BYTES;
+            let offset = (self.out.len() - self.data_at) as u32;
+            self.out[at..at + 4].copy_from_slice(&first_doc.to_le_bytes());
+            self.out[at + 4..at + 8].copy_from_slice(&offset.to_le_bytes());
+            self.out[at + 8..at + 12].copy_from_slice(&max_tf.to_le_bytes());
+        }
+        self.max_tf = self.max_tf.max(max_tf);
+    }
+
+    fn seal(&mut self, block: &[Posting]) {
+        let block_max = block.iter().map(|p| p.tf).max().expect("a block holds a posting");
+        self.open_block(block[0].doc.0, block_max);
+        encode_block(self.codec, block, &mut self.enc.scratch, self.out);
+        self.pushed += block.len();
+    }
+
+    fn seal_staged(&mut self) {
+        let staged = std::mem::take(&mut self.enc.staging);
+        self.seal(&staged);
+        self.enc.staging = staged;
+        self.enc.staging.clear();
+    }
+
+    /// True when the writer sits on a block boundary, i.e. a full raw
     /// block may be copied verbatim.
     pub fn at_block_boundary(&self) -> bool {
-        self.staging.is_empty()
+        self.enc.staging.is_empty()
     }
 
     /// Copy a full ([`BLOCK_LEN`]-posting) encoded block verbatim. Only
@@ -505,48 +556,31 @@ impl ListEncoder {
     /// produce.
     pub fn push_raw_block(&mut self, entry: SkipEntry, body: &[u8]) {
         assert!(self.at_block_boundary(), "raw block copy mid-block");
-        write_skip(
-            SkipEntry {
-                first_doc: entry.first_doc,
-                offset: self.data.len() as u32,
-                max_tf: entry.max_tf,
-            },
-            &mut self.skip,
-        );
-        self.data.extend_from_slice(body);
-        self.n += BLOCK_LEN;
-        self.max_tf = self.max_tf.max(entry.max_tf);
+        self.open_block(entry.first_doc, entry.max_tf);
+        self.out.extend_from_slice(body);
+        self.pushed += BLOCK_LEN;
     }
 
-    /// Postings pushed so far.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Seal the tail block and return the serialized list.
-    pub fn finish(mut self) -> EncodedList {
-        if !self.staging.is_empty() {
-            self.seal();
+    /// Seal the tail block; the list's bytes are complete. Returns the
+    /// largest term frequency across the list.
+    pub fn finish(mut self) -> u32 {
+        if !self.enc.staging.is_empty() {
+            self.seal_staged();
         }
-        let mut bytes = self.skip;
-        bytes.extend_from_slice(&self.data);
-        EncodedList { bytes, n_postings: self.n, max_tf: self.max_tf }
+        assert_eq!(self.pushed, self.n, "list ended short of the count it was begun with");
+        self.max_tf
     }
 }
 
-/// Encode a whole list into the block layout. [`Codec::Auto`] resolves by
-/// list length.
+/// Encode a whole list into the self-contained block layout, skip table in
+/// front. [`Codec::Auto`] resolves by list length.
 pub fn encode_list(ps: &[Posting], codec: Codec) -> EncodedList {
-    let mut enc = ListEncoder::new(codec.resolve(ps.len()));
-    for &p in ps {
-        enc.push(p);
-    }
-    enc.finish()
+    let mut bytes = Vec::new();
+    let mut enc = ListEncoder::new();
+    let mut list = enc.begin(&mut bytes, codec.resolve(ps.len()), ps.len(), true);
+    list.extend(ps);
+    let max_tf = list.finish();
+    EncodedList { bytes, n_postings: ps.len(), max_tf }
 }
 
 /// Decode a block-layout list of `n` postings.
@@ -713,20 +747,23 @@ mod tests {
         for codec in BLOCK_CODECS {
             let whole = encode_list(&list, codec);
             let blocks = BlockedList::parse(&whole.bytes, list.len()).unwrap();
-            // Re-assemble: copy full blocks verbatim, re-push the tail.
-            let mut enc = ListEncoder::new(codec);
+            // Re-assemble behind bytes already in the buffer: copy full
+            // blocks verbatim, re-push the tail one posting at a time.
+            let mut rebuilt = b"earlier lists".to_vec();
+            let at = rebuilt.len();
+            let mut enc = ListEncoder::new();
+            let mut w = enc.begin(&mut rebuilt, codec, list.len(), true);
             for b in 0..blocks.n_blocks() {
                 if blocks.len_of(b) == BLOCK_LEN {
-                    enc.push_raw_block(blocks.entry(b), blocks.body(b).unwrap());
+                    w.push_raw_block(blocks.entry(b), blocks.body(b).unwrap());
                 } else {
                     for &p in &list[b * BLOCK_LEN..] {
-                        enc.push(p);
+                        w.push(p);
                     }
                 }
             }
-            let rebuilt = enc.finish();
-            assert_eq!(rebuilt.bytes, whole.bytes, "{codec:?}");
-            assert_eq!(rebuilt.max_tf, whole.max_tf);
+            assert_eq!(w.finish(), whole.max_tf);
+            assert_eq!(&rebuilt[at..], whole.bytes, "{codec:?}");
         }
     }
 

@@ -15,9 +15,9 @@
 //! copied bytes are exactly what re-encoding would produce, so the merged
 //! file is byte-identical to building the full list from scratch.
 
-use crate::block::{decode_block, BlockScratch, ListEncoder, BLOCK_LEN};
+use crate::block::{decode_block, BlockScratch, BLOCK_LEN};
 use crate::codec::Codec;
-use crate::run::{RunEntry, RunFile, RunFormat, RunSet};
+use crate::run::{RunBuilder, RunEntry, RunFile, RunFormat, RunSet};
 use std::collections::BTreeMap;
 
 /// Merge every term's partial lists across `runs` into a single run file
@@ -47,56 +47,52 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
         }
     }
 
-    let mut merged = RunFile::empty_blocked(next_run, indexer_id, codec, by_handle.len());
+    let mut merged = RunBuilder::new(next_run, indexer_id, codec, by_handle.len());
     let mut scratch = BlockScratch::default();
     let mut tmp = Vec::with_capacity(BLOCK_LEN);
     for (handle, parts) in by_handle {
         let total: usize = parts.iter().map(|(_, e)| e.n_postings as usize).sum();
         let target = codec.resolve(total);
-        let mut enc = ListEncoder::new(target);
-        for (r, e) in &parts {
-            if r.format == RunFormat::Blocked && e.codec == target {
-                // Codec-aligned source: stream blocks, copying full ones
-                // verbatim when the output is on a block boundary.
-                let blocks = r.blocks_of(e).expect("committed run entry parses");
-                for b in 0..blocks.n_blocks() {
-                    let body = blocks.body(b).expect("committed run entry parses");
-                    if blocks.len_of(b) == BLOCK_LEN && enc.at_block_boundary() {
-                        enc.push_raw_block(blocks.entry(b), body);
-                        copied_ctr.inc();
-                    } else {
-                        tmp.clear();
-                        decode_block(
-                            target,
-                            body,
-                            blocks.entry(b).first_doc,
-                            blocks.len_of(b),
-                            &mut scratch,
-                            &mut tmp,
-                        )
-                        .expect("committed run entry decodes");
-                        recoded_ctr.add(tmp.len() as u64);
-                        for &p in &tmp {
-                            enc.push(p);
-                        }
-                    }
-                }
-            } else {
-                // Legacy or codec-mismatched source: full decode + re-encode.
-                let part = r.decode_entry(e).expect("committed run entry decodes");
-                recoded_ctr.add(part.len() as u64);
-                for p in part {
-                    enc.push(p);
-                }
-            }
-        }
         let doc_range = (
             parts.first().map(|(_, e)| e.doc_min).unwrap_or(0),
             parts.last().map(|(_, e)| e.doc_max).unwrap_or(0),
         );
-        merged.append_list(handle, target, doc_range, &enc.finish());
+        merged.push_list_with(handle, target, total, doc_range, |enc| {
+            for (r, e) in &parts {
+                if r.format == RunFormat::Blocked && e.codec == target {
+                    // Codec-aligned source: stream blocks, copying full ones
+                    // verbatim when the output is on a block boundary.
+                    let blocks = r.blocks_of(e).expect("committed run entry parses");
+                    for b in 0..blocks.n_blocks() {
+                        let body = blocks.body(b).expect("committed run entry parses");
+                        if blocks.len_of(b) == BLOCK_LEN && enc.at_block_boundary() {
+                            enc.push_raw_block(blocks.entry(b), body);
+                            copied_ctr.inc();
+                        } else {
+                            tmp.clear();
+                            decode_block(
+                                target,
+                                body,
+                                blocks.entry(b).first_doc,
+                                blocks.len_of(b),
+                                &mut scratch,
+                                &mut tmp,
+                            )
+                            .expect("committed run entry decodes");
+                            recoded_ctr.add(tmp.len() as u64);
+                            enc.extend(&tmp);
+                        }
+                    }
+                } else {
+                    // Legacy or codec-mismatched source: full decode + re-encode.
+                    let part = r.decode_entry(e).expect("committed run entry decodes");
+                    recoded_ctr.add(part.len() as u64);
+                    enc.extend(&part);
+                }
+            }
+        });
     }
-    merged
+    merged.finish()
 }
 
 #[cfg(test)]

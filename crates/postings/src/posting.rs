@@ -79,18 +79,6 @@ impl PostingsList {
     pub fn total_tf(&self) -> u64 {
         self.postings.iter().map(|p| p.tf as u64).sum()
     }
-
-    /// Drain the list, leaving it empty but with capacity (end-of-run flush).
-    pub fn take(&mut self) -> Vec<Posting> {
-        std::mem::take(&mut self.postings)
-    }
-
-    /// Resident bytes of the pending postings (memory-governor accounting).
-    /// Counts live postings, not vector capacity, so the figure is a
-    /// deterministic function of the documents indexed.
-    pub fn mem_bytes(&self) -> u64 {
-        (self.postings.len() * std::mem::size_of::<Posting>()) as u64
-    }
 }
 
 impl FromIterator<Posting> for PostingsList {
@@ -127,17 +115,5 @@ mod tests {
         let mut l = PostingsList::new();
         l.add_occurrence(DocId(5));
         l.add_occurrence(DocId(2));
-    }
-
-    #[test]
-    fn take_resets() {
-        let mut l = PostingsList::new();
-        l.add_occurrence(DocId(0));
-        let drained = l.take();
-        assert_eq!(drained.len(), 1);
-        assert!(l.is_empty());
-        // After a flush, a later (larger) doc can be added again.
-        l.add_occurrence(DocId(9));
-        assert_eq!(l.len(), 1);
     }
 }

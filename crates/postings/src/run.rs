@@ -9,8 +9,9 @@
 //!
 //! [`RunFile::to_bytes`] writes two wire layouts, one per [`RunFormat`]:
 //!
-//! * **`IIR3`** — [`RunFormat::Blocked`], what [`RunFile::build`] and the
-//!   merge produce. The mapping table is delta-varint coded (rows sorted by
+//! * **`IIR3`** — [`RunFormat::Blocked`], what [`RunBuilder`] (so
+//!   [`RunFile::build`], the indexers' flush and the merge) produces. The
+//!   mapping table is delta-varint coded (rows sorted by
 //!   handle, offsets implied by the running sum of lengths) and a list's
 //!   payload slice is the block layout of [`crate::block`] — except that a
 //!   list of at most [`BLOCK_LEN`] postings is its block body alone: the
@@ -25,7 +26,9 @@
 //! before `IIR3` (fixed 41-byte rows, a skip table in front of every list),
 //! converting it on load into the same in-memory form; nothing writes it.
 
-use crate::block::{self, BlockedList, EncodedList, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES};
+use crate::block::{
+    self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES,
+};
 use crate::codec::{check_alloc, decode, encode, Codec, CodecError};
 use crate::cursor::{ListCursor, RunCursor, SetCursor};
 use crate::posting::{Posting, PostingsList};
@@ -185,10 +188,10 @@ fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
 }
 
 impl RunFile {
-    /// Build a block-layout run file from `(handle, list)` pairs (the
-    /// end-of-run flush). Empty lists are skipped; entries are stored
-    /// sorted by handle; each list's codec is `codec` resolved by its
-    /// length ([`Codec::Auto`] applies the measured length-class policy).
+    /// Build a block-layout run file from `(handle, list)` pairs. Empty
+    /// lists are skipped; entries are stored sorted by handle; each list's
+    /// codec is `codec` resolved by its length ([`Codec::Auto`] applies the
+    /// measured length-class policy).
     pub fn build(
         run_id: u32,
         indexer_id: u32,
@@ -198,61 +201,11 @@ impl RunFile {
         let mut pairs: Vec<(u32, &PostingsList)> =
             lists.filter(|(_, l)| !l.is_empty()).collect();
         pairs.sort_unstable_by_key(|(h, _)| *h);
-        let mut run = RunFile::empty_blocked(run_id, indexer_id, codec, pairs.len());
+        let mut run = RunBuilder::new(run_id, indexer_id, codec, pairs.len());
         for (handle, list) in pairs {
-            let resolved = codec.resolve(list.len());
-            let enc = block::encode_list(list.postings(), resolved);
-            let (lo, hi) = list.doc_range().expect("non-empty");
-            run.append_list(handle, resolved, (lo.0, hi.0), &enc);
+            run.push_list(handle, list.postings());
         }
-        run
-    }
-
-    /// A blocked run file with room for `lists` rows and none appended yet.
-    pub(crate) fn empty_blocked(
-        run_id: u32,
-        indexer_id: u32,
-        codec: Codec,
-        lists: usize,
-    ) -> RunFile {
-        RunFile {
-            run_id,
-            indexer_id,
-            entries: Vec::with_capacity(lists),
-            payload: Vec::new(),
-            codec,
-            format: RunFormat::Blocked,
-        }
-    }
-
-    /// Append one encoded list (handles ascending) to a blocked run: the
-    /// writing half of [`Self::blocks_of`]. `enc` is what
-    /// [`block::ListEncoder`] produced, skip table in front; a list of at
-    /// most [`BLOCK_LEN`] postings leaves that table out of the payload,
-    /// because its one entry is `(doc_min, 0, max_tf)` and the row says so.
-    pub(crate) fn append_list(
-        &mut self,
-        handle: u32,
-        codec: Codec,
-        (doc_min, doc_max): (u32, u32),
-        enc: &EncodedList,
-    ) {
-        let bytes = if (1..=BLOCK_LEN).contains(&enc.n_postings) {
-            &enc.bytes[SKIP_ENTRY_BYTES..]
-        } else {
-            &enc.bytes[..]
-        };
-        self.entries.push(RunEntry {
-            handle,
-            offset: self.payload.len() as u64,
-            len: bytes.len() as u32,
-            n_postings: enc.n_postings as u32,
-            doc_min,
-            doc_max,
-            codec,
-            max_tf: enc.max_tf,
-        });
-        self.payload.extend_from_slice(bytes);
+        run.finish()
     }
 
     /// Build a legacy (v1, whole-list) run file. Kept for fixtures and the
@@ -327,8 +280,8 @@ impl RunFile {
     /// that knows whether a list's skip table is in its payload slice or
     /// implied by the row. A list of at most [`BLOCK_LEN`] postings is its
     /// block body alone and its skip entry is
-    /// `(first_doc: doc_min, offset: 0, max_tf)`; a longer list carries the
-    /// table [`block::encode_list`] wrote.
+    /// `(first_doc: doc_min, offset: 0, max_tf)`; a longer list carries its
+    /// skip table in front ([`RunBuilder`] writes both).
     pub fn blocks_of(&self, e: &RunEntry) -> Result<BlockedList<'_>, CodecError> {
         debug_assert_eq!(self.format, RunFormat::Blocked);
         let buf = self.payload_of(e);
@@ -616,6 +569,81 @@ impl RunFile {
             return Err(RunFileError::Malformed);
         }
         Ok(())
+    }
+}
+
+/// Writer of a blocked run file: lists arrive in ascending handle order and
+/// each is encoded straight into the payload through one [`ListEncoder`] —
+/// the writing half of [`RunFile::blocks_of`]. A list of at most
+/// [`BLOCK_LEN`] postings is its block body alone, because its one skip
+/// entry is `(doc_min, 0, max_tf)` and the row says so; a longer list has
+/// its skip table in front.
+#[derive(Debug)]
+pub struct RunBuilder {
+    run: RunFile,
+    enc: ListEncoder,
+}
+
+impl RunBuilder {
+    /// An empty blocked run with room for `lists` rows.
+    pub fn new(run_id: u32, indexer_id: u32, codec: Codec, lists: usize) -> RunBuilder {
+        RunBuilder {
+            run: RunFile {
+                run_id,
+                indexer_id,
+                entries: Vec::with_capacity(lists),
+                payload: Vec::new(),
+                codec,
+                format: RunFormat::Blocked,
+            },
+            enc: ListEncoder::new(),
+        }
+    }
+
+    /// Append the non-empty, doc-ordered list of `handle`, in the run's
+    /// codec resolved by the list's length.
+    pub fn push_list(&mut self, handle: u32, postings: &[Posting]) {
+        let first = postings.first().expect("a run holds no empty list");
+        let last = postings.last().expect("a run holds no empty list");
+        let codec = self.run.codec.resolve(postings.len());
+        self.push_list_with(handle, codec, postings.len(), (first.doc.0, last.doc.0), |list| {
+            list.extend(postings)
+        });
+    }
+
+    /// Append a list of `n` postings spanning `doc_min..=doc_max` in the
+    /// concrete `codec`; `fill` pushes exactly those postings.
+    pub(crate) fn push_list_with(
+        &mut self,
+        handle: u32,
+        codec: Codec,
+        n: usize,
+        (doc_min, doc_max): (u32, u32),
+        fill: impl FnOnce(&mut ListWriter<'_>),
+    ) {
+        assert!(
+            self.run.entries.last().is_none_or(|prev| prev.handle < handle),
+            "lists must arrive in ascending handle order"
+        );
+        let offset = self.run.payload.len();
+        let mut list = self.enc.begin(&mut self.run.payload, codec, n, n > BLOCK_LEN);
+        fill(&mut list);
+        let max_tf = list.finish();
+        self.run.entries.push(RunEntry {
+            handle,
+            offset: offset as u64,
+            len: (self.run.payload.len() - offset) as u32,
+            n_postings: n as u32,
+            doc_min,
+            doc_max,
+            codec,
+            max_tf,
+        });
+    }
+
+    /// The run file written so far.
+    pub fn finish(self) -> RunFile {
+        self.run
     }
 }
 

@@ -26,6 +26,7 @@
 //! bit-flipped writes, in the style of `ii_corpus::fault`'s seeded
 //! injection.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

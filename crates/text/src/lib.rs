@@ -5,6 +5,7 @@
 //! trie-collection regrouping step (Fig 3, Steps 2-5) that produces the
 //! length-prefixed term streams both the CPU and GPU indexers consume.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod html;

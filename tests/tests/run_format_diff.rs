@@ -12,8 +12,13 @@
 //! The second half feeds the `IIR3` reader truncated and mutated files: it
 //! may refuse them or parse them, never panic, and whatever it parses must
 //! decode to postings or to a typed `CodecError`.
+//!
+//! The last part holds the in-place run writer — `RunFile::build` and the
+//! indexers' posting-log flush — to the bytes of the builder it replaced,
+//! frozen in `mod frozen`.
 
 use ii_core::corpus::DocId;
+use ii_core::indexer::PostingLog;
 use ii_core::postings::block::{encode_list, BLOCK_LEN, SKIP_ENTRY_BYTES};
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{
@@ -473,4 +478,355 @@ fn mutated_iir3_headers_and_tables_never_panic() {
         }
     }
     assert!(parsed > 1_000, "the harness must reach the decoders, got {parsed} parses");
+}
+
+// ---------------------------------------------------------------------------
+// The frozen run builder.
+// ---------------------------------------------------------------------------
+
+/// `RunFile::build` as commit 8401041 had it, frozen as the oracle of the
+/// in-place run writer: every list through a `ListEncoder` of its own (skip
+/// table, block bodies and staging in three vectors) into an `EncodedList`,
+/// then `append_list` copying it into the payload, minus the skip table of a
+/// list that fits one block. The bit-level helpers (`bits`, `varbyte`) are
+/// the product's, which the change did not touch; everything from the block
+/// body up is the old code.
+mod frozen {
+    use ii_core::postings::run::{RunEntry, RunFormat};
+    use ii_core::postings::{bits, varbyte, Codec, Posting, RunFile};
+
+    const BLOCK_LEN: usize = 128;
+    const SKIP_ENTRY_BYTES: usize = 12;
+    const PFOR_EXCEPTION_SHIFT: usize = 3;
+
+    fn encode_block(codec: Codec, ps: &[Posting], out: &mut Vec<u8>) {
+        let m = ps.len();
+        let mut gaps = [0u32; BLOCK_LEN];
+        let mut tfs = [0u32; BLOCK_LEN];
+        for i in 1..m {
+            gaps[i - 1] = ps[i].doc.0 - ps[i - 1].doc.0 - 1;
+        }
+        for i in 0..m {
+            tfs[i] = ps[i].tf - 1;
+        }
+        let gaps = &gaps[..m - 1];
+        let tfs = &tfs[..m];
+        match codec {
+            Codec::VarByte => {
+                for &g in gaps {
+                    varbyte::encode_u32(g, out);
+                }
+                for &t in tfs {
+                    varbyte::encode_u32(t, out);
+                }
+            }
+            Codec::Bp128 => {
+                let dw = gaps.iter().map(|&g| bits::bits_needed(g)).max().unwrap_or(0);
+                let tw = tfs.iter().map(|&t| bits::bits_needed(t)).max().unwrap_or(0);
+                out.push(dw as u8);
+                out.push(tw as u8);
+                bits::pack_bits(gaps, dw, out);
+                bits::pack_bits(tfs, tw, out);
+            }
+            Codec::PFor => {
+                pfor_encode(gaps, out);
+                pfor_encode(tfs, out);
+            }
+            Codec::EliasFano => {
+                let mut ys = [0u32; BLOCK_LEN];
+                for i in 1..m {
+                    ys[i - 1] = ps[i].doc.0 - ps[0].doc.0 - 1;
+                }
+                ef_encode(&ys[..m - 1], out);
+                let tw = tfs.iter().map(|&t| bits::bits_needed(t)).max().unwrap_or(0);
+                out.push(tw as u8);
+                bits::pack_bits(tfs, tw, out);
+            }
+            Codec::Gamma => {
+                let mut w = bits::BitWriter::new();
+                for &g in gaps {
+                    bits::gamma_encode(g as u64 + 1, &mut w);
+                }
+                for &t in tfs {
+                    bits::gamma_encode(t as u64 + 1, &mut w);
+                }
+                out.extend_from_slice(&w.finish());
+            }
+            Codec::Golomb(b) => {
+                let mut w = bits::BitWriter::new();
+                for &g in gaps {
+                    bits::golomb_encode(g as u64 + 1, b, &mut w);
+                }
+                for &t in tfs {
+                    bits::gamma_encode(t as u64 + 1, &mut w);
+                }
+                out.extend_from_slice(&w.finish());
+            }
+            Codec::Auto => unreachable!("Auto must be resolved before block encode"),
+        }
+    }
+
+    fn pfor_encode(vals: &[u32], out: &mut Vec<u8>) {
+        let m = vals.len();
+        if m == 0 {
+            return;
+        }
+        let mut counts = [0usize; 33];
+        for &v in vals {
+            counts[bits::bits_needed(v) as usize] += 1;
+        }
+        let budget = m >> PFOR_EXCEPTION_SHIFT;
+        let mut width = 32u32;
+        let mut over = 0usize;
+        while width > 0 && over + counts[width as usize] <= budget {
+            over += counts[width as usize];
+            width -= 1;
+        }
+        let mask: u32 = if width == 32 { u32::MAX } else { (1u32 << width) - 1 };
+        out.push(width as u8);
+        out.push(over as u8);
+        let mut lows = [0u32; BLOCK_LEN];
+        for (i, &v) in vals.iter().enumerate() {
+            lows[i] = v & mask;
+        }
+        bits::pack_bits(&lows[..m], width, out);
+        for (i, &v) in vals.iter().enumerate() {
+            if bits::bits_needed(v) > width {
+                out.push(i as u8);
+                varbyte::encode_u32(v >> width, out);
+            }
+        }
+    }
+
+    fn ef_encode(ys: &[u32], out: &mut Vec<u8>) {
+        let k = ys.len();
+        if k == 0 {
+            return;
+        }
+        let u = *ys.last().unwrap() as u64;
+        let per = u / k as u64;
+        let l: u32 = if per >= 2 { 63 - per.leading_zeros() } else { 0 };
+        out.push(l as u8);
+        let n_high_bits = k + (u >> l) as usize;
+        let high_bytes = n_high_bits.div_ceil(8);
+        out.extend_from_slice(&(high_bytes as u16).to_le_bytes());
+        let start = out.len();
+        out.resize(start + high_bytes, 0);
+        for (i, &y) in ys.iter().enumerate() {
+            let p = i + (y >> l) as usize;
+            out[start + p / 8] |= 1 << (p % 8);
+        }
+        let mask: u32 = if l == 0 { 0 } else { (1u32 << l) - 1 };
+        let mut lows = [0u32; BLOCK_LEN];
+        for (i, &y) in ys.iter().enumerate() {
+            lows[i] = y & mask;
+        }
+        bits::pack_bits(&lows[..k], l, out);
+    }
+
+    struct EncodedList {
+        bytes: Vec<u8>,
+        n_postings: usize,
+        max_tf: u32,
+    }
+
+    struct ListEncoder {
+        codec: Codec,
+        skip: Vec<u8>,
+        data: Vec<u8>,
+        staging: Vec<Posting>,
+        n: usize,
+        max_tf: u32,
+    }
+
+    impl ListEncoder {
+        fn push(&mut self, p: Posting) {
+            self.staging.push(p);
+            self.n += 1;
+            if self.staging.len() == BLOCK_LEN {
+                self.seal();
+            }
+        }
+
+        fn seal(&mut self) {
+            let block_max = self.staging.iter().map(|p| p.tf).max().unwrap();
+            self.skip.extend_from_slice(&self.staging[0].doc.0.to_le_bytes());
+            self.skip.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+            self.skip.extend_from_slice(&block_max.to_le_bytes());
+            encode_block(self.codec, &self.staging, &mut self.data);
+            self.max_tf = self.max_tf.max(block_max);
+            self.staging.clear();
+        }
+
+        fn finish(mut self) -> EncodedList {
+            if !self.staging.is_empty() {
+                self.seal();
+            }
+            let mut bytes = self.skip;
+            bytes.extend_from_slice(&self.data);
+            EncodedList { bytes, n_postings: self.n, max_tf: self.max_tf }
+        }
+    }
+
+    fn encode_list(ps: &[Posting], codec: Codec) -> EncodedList {
+        let mut enc = ListEncoder {
+            codec: codec.resolve(ps.len()),
+            skip: Vec::new(),
+            data: Vec::new(),
+            staging: Vec::with_capacity(BLOCK_LEN),
+            n: 0,
+            max_tf: 0,
+        };
+        for &p in ps {
+            enc.push(p);
+        }
+        enc.finish()
+    }
+
+    /// The run of `lists` (non-empty, ascending handles).
+    pub fn build(run_id: u32, indexer_id: u32, codec: Codec, lists: &[super::List]) -> RunFile {
+        let mut run = RunFile {
+            run_id,
+            indexer_id,
+            entries: Vec::with_capacity(lists.len()),
+            payload: Vec::new(),
+            codec,
+            format: RunFormat::Blocked,
+        };
+        for (handle, list) in lists {
+            let resolved = codec.resolve(list.len());
+            let enc = encode_list(list, resolved);
+            let bytes = if (1..=BLOCK_LEN).contains(&enc.n_postings) {
+                &enc.bytes[SKIP_ENTRY_BYTES..]
+            } else {
+                &enc.bytes[..]
+            };
+            run.entries.push(RunEntry {
+                handle: *handle,
+                offset: run.payload.len() as u64,
+                len: bytes.len() as u32,
+                n_postings: enc.n_postings as u32,
+                doc_min: list[0].doc.0,
+                doc_max: list[list.len() - 1].doc.0,
+                codec: resolved,
+                max_tf: enc.max_tf,
+            });
+            run.payload.extend_from_slice(bytes);
+        }
+        run
+    }
+}
+
+/// Feed `log` what an indexing thread sees of `lists` during a run:
+/// occurrences arrive document by document, a term's repeats in a document
+/// back to back (`tf` calls bump one record).
+fn feed_as_cpu(log: &mut PostingLog, lists: &[List]) {
+    let mut arrivals: Vec<(DocId, u32, u32)> = lists
+        .iter()
+        .flat_map(|(h, l)| l.iter().map(move |p| (p.doc, *h, p.tf)))
+        .collect();
+    arrivals.sort_unstable_by_key(|&(doc, handle, _)| (doc, handle));
+    for (doc, handle, tf) in arrivals {
+        for _ in 0..tf {
+            log.add_occurrence(handle, doc);
+        }
+    }
+}
+
+/// The log drained from a device: the postings the kernel retired, in
+/// retirement (document) order, then each term's current posting, by handle.
+fn gpu_shaped_log(lists: &[List]) -> PostingLog {
+    let mut retired: Vec<(DocId, u32, Posting)> = lists
+        .iter()
+        .flat_map(|(h, l)| l[..l.len() - 1].iter().map(move |p| (p.doc, *h, *p)))
+        .collect();
+    retired.sort_unstable_by_key(|&(doc, handle, _)| (doc, handle));
+    let mut log = PostingLog::with_capacity(retired.len() + lists.len(), 0);
+    for (_, handle, posting) in retired {
+        log.push(handle, posting);
+    }
+    for (handle, list) in lists {
+        log.push(*handle, list[list.len() - 1]);
+    }
+    log
+}
+
+/// `lists` with its handles renumbered densely from `first`, gaps capped:
+/// the posting log indexes a dense array by handle, as the dictionary
+/// allots handles, so it is not asked about gaps as wide as the handle space.
+fn densely(lists: &[List], first: u32) -> Vec<List> {
+    let mut next = first;
+    let mut out = Vec::new();
+    let mut prev = None;
+    for (handle, list) in lists {
+        next += prev.map_or(0, |p: u32| (handle - p - 1) % 1_000);
+        // tf-many `add_occurrence` calls per posting: keep that bounded.
+        let list = list.iter().map(|p| Posting { tf: 1 + p.tf % 9, ..*p }).collect();
+        out.push((next, list));
+        next += 1;
+        prev = Some(*handle);
+    }
+    out
+}
+
+fn assert_same_run(got: &RunFile, want: &RunFile, what: &str) {
+    assert_eq!(got.entries, want.entries, "{what}: mapping table");
+    assert!(got.payload == want.payload, "{what}: payload bytes");
+    assert!(got.to_bytes() == want.to_bytes(), "{what}: file bytes");
+}
+
+/// Every length class in every codec, one run each: the builder, and both
+/// shapes of posting log, write the bytes the frozen builder writes.
+#[test]
+fn every_length_and_codec_builds_the_frozen_bytes() {
+    for codec in CODECS {
+        // One list per length class, doc ranges overlapping, tf up to 300.
+        let shapes: Vec<(u32, ListShape)> = LENGTHS
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (i as u32 * 3, (n, 11 * i as u32, 1 + 37 * i as u32, 1 + 60 * i as u32)))
+            .collect();
+        let lists = materialise(&shapes, false);
+        assert_eq!(lists.len(), LENGTHS.len());
+        let want = frozen::build(4, 1, codec, &lists);
+        assert_same_run(&built(4, 1, codec, &lists), &want, &format!("{codec:?} build"));
+        let dense = densely(&lists, 0);
+        let want = frozen::build(4, 1, codec, &dense);
+        let what = format!("{codec:?} log");
+        let mut cpu_log = PostingLog::new();
+        feed_as_cpu(&mut cpu_log, &dense);
+        assert_same_run(&cpu_log.flush_run(4, 1, codec), &want, &what);
+        assert_same_run(&gpu_shaped_log(&dense).flush_run(4, 1, codec), &want, &what);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `RunFile::build` over handle gaps as wide as the handle space and
+    /// docs up to `u32::MAX`; the posting-log flush over the same lists on
+    /// dense handles, a log reused across two runs.
+    #[test]
+    fn builder_and_log_flush_write_the_frozen_bytes(
+        low in shape_strategy(),
+        high in shape_strategy(),
+        codec in codec_strategy(),
+        first_handle in 0u32..50_000,
+    ) {
+        // The CPU log lives across runs, as an indexer's does.
+        let mut cpu_log = PostingLog::new();
+        for (run_id, lists) in [materialise(&low, false), materialise(&high, true)].iter().enumerate() {
+            let run_id = run_id as u32;
+            let want = frozen::build(run_id, 3, codec, lists);
+            assert_same_run(&built(run_id, 3, codec, lists), &want, "build");
+            let dense = densely(lists, first_handle);
+            let want = frozen::build(run_id, 3, codec, &dense);
+            feed_as_cpu(&mut cpu_log, &dense);
+            let postings: u64 = dense.iter().map(|(_, l)| l.len() as u64).sum();
+            prop_assert_eq!(cpu_log.mem_bytes(), 8 * postings);
+            assert_same_run(&cpu_log.flush_run(run_id, 3, codec), &want, "cpu log");
+            prop_assert!(cpu_log.is_empty());
+            assert_same_run(&gpu_shaped_log(&dense).flush_run(run_id, 3, codec), &want, "gpu log");
+        }
+    }
 }
