@@ -14,7 +14,7 @@
 //! ii verify   <index-dir>
 //! ii repair   <index-dir>
 //! ii downgrade <index-dir> <out-dir>
-//! ii query    <index-dir> <terms...>
+//! ii query    <index-dir> <terms...> [--mode bool|and|or] [--explain]
 //! ii postings <index-dir> <term> [--range LO HI]
 //! ii stats    <collection-dir | index-dir>
 //! ii simulate [--parsers N] [--cpu N] [--gpus N] [--collection clueweb|wikipedia|congress]
@@ -26,7 +26,7 @@ use ii_core::corpus::{CollectionSpec, DocId, StoredCollection};
 use ii_core::pipeline::{FaultAction, WorkerClass, WorkerFaultPlan};
 use ii_core::postings::Codec;
 use ii_core::platsim::{simulate, CollectionModel, PlatformModel, Scenario};
-use ii_core::{Index, IndexBuilder};
+use ii_core::{Bm25Params, Index, IndexBuilder, QueryMode};
 use ii_obs::openmetrics::MetricPoint;
 use ii_obs::{Trace, TraceReport};
 use std::io::IsTerminal;
@@ -108,7 +108,9 @@ fn usage() {
          repair <index-dir>                                   salvage intact artifacts, report losses\n  \
          downgrade <index-dir> <out-dir>                      re-encode as a legacy v1 index\n        \
          (whole-list varbyte runs, v1 manifest) for format-interop testing\n  \
-         query <index-dir> <terms...>                         conjunctive search\n  \
+         query <index-dir> <terms...> [--mode bool|and|or]    bool (default): conjunctive,\n        \
+         ranked by summed tf; and / or: BM25-ranked; [--explain] adds per term its stem,\n        \
+         df, run parts opened of those holding it, blocks decoded of those in its lists\n  \
          postings <index-dir> <term> [--range LO HI]          dump a postings list\n  \
          stats <dir>                                          collection stats, or an index's\n        \
          shape: terms, runs, lists, postings, table/payload/index bytes, run wire formats\n  \
@@ -129,7 +131,8 @@ fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, Stri
 }
 
 /// Flags that take no value (everything else consumes the next argument).
-const BOOL_FLAGS: &[&str] = &["--stats", "--stats-json", "--resume", "--check", "--strict"];
+const BOOL_FLAGS: &[&str] =
+    &["--stats", "--stats-json", "--resume", "--check", "--strict", "--explain"];
 
 fn bool_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
@@ -557,18 +560,44 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &["--mode", "--explain"])?;
     let pos = positional(args);
     let (dir, terms) = pos.split_first().ok_or("query: need <index-dir> <terms...>")?;
     if terms.is_empty() {
         return Err("query: need at least one term".into());
     }
+    let mode = match flag(args, "--mode").as_deref().unwrap_or("bool") {
+        "bool" => None,
+        "and" => Some(QueryMode::And),
+        "or" => Some(QueryMode::Or),
+        other => return Err(format!("--mode expects and, or or bool, got '{other}'")),
+    };
     let index = open_index(dir)?;
     let q = terms.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(" ");
-    let hits = index.search(&q);
+    let hits: Vec<(DocId, String)> = match mode {
+        None => index.search(&q).into_iter().map(|(d, tf)| (d, tf.to_string())).collect(),
+        Some(mode) => {
+            let ranked = index.search_ranked(&q, mode, Bm25Params::default());
+            ranked.into_iter().map(|h| (h.doc, format!("{:.4}", h.score))).collect()
+        }
+    };
     println!("{} hits for '{q}'", hits.len());
     for (doc, score) in hits.iter().take(20) {
         println!("  doc {doc:>8}  score {score}");
+    }
+    if bool_flag(args, "--explain") {
+        // Boolean search walks its lists exactly as ranked AND does.
+        let (_, report) = index.explain(&q, mode.unwrap_or(QueryMode::And));
+        println!("{:<20} {:>9} {:>12} {:>14}", "term", "df", "parts opened", "blocks decoded");
+        for t in report {
+            println!(
+                "{:<20} {:>9} {:>12} {:>14}",
+                t.term,
+                t.df,
+                format!("{} of {}", t.parts.0, t.parts.1),
+                format!("{} of {}", t.blocks.0, t.blocks.1)
+            );
+        }
     }
     Ok(())
 }

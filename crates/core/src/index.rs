@@ -1,5 +1,6 @@
 //! The user-facing index: build output plus query and persistence.
 
+use crate::query::query_terms;
 use ii_corpus::DocId;
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_obs::Registry;
@@ -7,9 +8,7 @@ use ii_pipeline::{
     stage_runs_and_docmap, BuildCheckpoint, DocMap, IndexOutput, PipelineReport, SealedRuns,
     CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
-use ii_postings::{
-    parse_run_artifact_name, CodecError, Posting, PostingsList, RunFile, RunSet, SetCursor,
-};
+use ii_postings::{parse_run_artifact_name, Posting, PostingsList, RunFile, RunSet, SetCursor};
 use ii_store::{
     ArtifactStatus, ManifestKind, RealVfs, SalvageReport, Store, StoreError, Txn, Vfs,
 };
@@ -62,12 +61,10 @@ impl Index {
         self.report.docs
     }
 
-    /// Postings of a *surface* term. The term is normalized exactly as the
-    /// parser would: lowercased, stemmed, classified by trie index.
+    /// Postings of a *surface* term: of the first index term it normalizes
+    /// to as a query would (lowercased, stemmed once, stop words dropped).
     pub fn postings(&self, term: &str) -> Option<PostingsList> {
-        let normalized = normalize_term(term)?;
-        let e = self.dictionary.lookup(&normalized)?;
-        Some(self.run_sets.get(&e.indexer)?.fetch(e.postings))
+        self.postings_stemmed(query_terms(term, false).first()?)
     }
 
     /// Postings of an *already-stemmed* term (no re-normalization; Porter
@@ -81,76 +78,16 @@ impl Index {
     /// Postings restricted to `[lo, hi]` global document IDs — exercises
     /// the paper's range-narrowed partial-list retrieval (§III.F).
     pub fn postings_in_range(&self, term: &str, lo: DocId, hi: DocId) -> Vec<Posting> {
-        let Some(normalized) = normalize_term(term) else { return Vec::new() };
-        let Some(e) = self.dictionary.lookup(&normalized) else { return Vec::new() };
+        let entry = query_terms(term, false).first().and_then(|t| self.dictionary.lookup(t));
+        let Some(e) = entry else { return Vec::new() };
         let Some(set) = self.run_sets.get(&e.indexer) else { return Vec::new() };
         set.fetch_range(e.postings, lo, hi).0
     }
 
-    /// Skip cursor over a surface term's postings (normalized like
-    /// [`Self::postings`]). `Ok(None)` when the term is absent.
-    fn term_cursor(&self, term: &str) -> Result<Option<SetCursor<'_>>, CodecError> {
-        let Some(normalized) = normalize_term(term) else { return Ok(None) };
-        let Some(e) = self.dictionary.lookup(&normalized) else { return Ok(None) };
-        let Some(set) = self.run_sets.get(&e.indexer) else { return Ok(None) };
-        set.cursor(e.postings)
-    }
-
-    /// Conjunctive (AND) search: documents containing *all* query terms,
-    /// ranked by summed term frequency. Stop words in the query are
-    /// ignored (as they were never indexed).
-    ///
-    /// The intersection is driven by skip cursors: the rarest term streams
-    /// its postings and every other term `advance_to`s each candidate,
-    /// using the per-list skip tables to jump over 128-document blocks
-    /// that cannot contain it (blocks are only decoded when landed on —
-    /// `query.blocks_decoded` / `query.blocks_skipped` record the win).
-    pub fn search(&self, query: &str) -> Vec<(DocId, u64)> {
-        let stage = self.obs.stage("query");
-        let _span = stage.span();
-        let scanned = self.obs.counter("query.postings_scanned");
-        let mut cursors: Vec<SetCursor<'_>> = Vec::new();
-        let mut it = ii_text::tokenize::tokens(query);
-        while let Some(tok) = it.next_token() {
-            let stemmed = ii_text::stem(tok);
-            if ii_text::is_stop_word(&stemmed) {
-                continue;
-            }
-            match self.term_cursor(&stemmed) {
-                Ok(Some(c)) => cursors.push(c),
-                // A required term absent — or its list unreadable — means
-                // no document can satisfy the conjunction.
-                Ok(None) | Err(_) => return Vec::new(),
-            }
-        }
-        if cursors.is_empty() {
-            return Vec::new();
-        }
-        scanned.add(cursors.iter().map(|c| c.df()).sum());
-        // Rarest term drives; the others leapfrog via their skip tables.
-        cursors.sort_by_key(|c| c.df());
-        let hits = intersect_cursors(&mut cursors);
-        self.record_block_metrics(&cursors);
-        let mut out: Vec<(DocId, u64)> = hits
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(doc, tfs)| (doc, tfs.iter().map(|&tf| u64::from(tf)).sum()))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Record skip-cursor effectiveness on the query counters.
-    pub(crate) fn record_block_metrics(&self, cursors: &[SetCursor<'_>]) {
-        self.obs
-            .counter("query.blocks_decoded")
-            .add(cursors.iter().map(|c| u64::from(c.blocks_decoded())).sum());
-        self.obs.counter("query.blocks_skipped").add(
-            cursors
-                .iter()
-                .map(|c| (c.blocks_total() as u64).saturating_sub(u64::from(c.blocks_decoded())))
-                .sum(),
-        );
+    /// Skip cursor over an already-stemmed term's partial lists across runs.
+    pub(crate) fn stem_cursor(&self, stemmed: &str) -> Option<SetCursor<'_>> {
+        let e = self.dictionary.lookup(stemmed)?;
+        SetCursor::over(self.run_sets.get(&e.indexer)?.runs(), e.postings)
     }
 
     /// Persist the index: `dictionary.bin`, `docmap.bin`, plus one `.iirf`
@@ -347,57 +284,6 @@ fn validate_artifact(name: &str, bytes: &[u8]) -> Result<Option<ii_store::Postin
         ii_pipeline::parse_stored_run(bytes).map(|(_, meta)| Some(meta)).map_err(|e| e.to_string())
     } else {
         Err("unrecognized artifact name".into())
-    }
-}
-
-/// Leapfrog intersection: the first (rarest) cursor proposes candidates;
-/// every other cursor advances to the candidate through its skip table. A
-/// cursor that lands past the candidate keeps that posting as a pushback —
-/// `advance_to` consumes what it returns, and the overshoot is exactly the
-/// posting the next candidate must be checked against. Each hit carries
-/// the per-cursor term frequencies in cursor order (callers sum them or
-/// feed them into BM25). `Err` (a corrupt list discovered mid-stream)
-/// surfaces as no matches.
-pub(crate) fn intersect_cursors(
-    cursors: &mut [SetCursor<'_>],
-) -> Result<Vec<(DocId, Vec<u32>)>, CodecError> {
-    let mut hits = Vec::new();
-    let (first, rest) = cursors.split_at_mut(1);
-    let driver = &mut first[0];
-    let mut pending: Vec<Option<Posting>> = vec![None; rest.len()];
-    'candidates: while let Some(p) = driver.next()? {
-        let target = p.doc.0;
-        let mut tfs = Vec::with_capacity(rest.len() + 1);
-        tfs.push(p.tf);
-        for (c, pend) in rest.iter_mut().zip(pending.iter_mut()) {
-            let q = match pend.take() {
-                Some(q) if q.doc.0 >= target => Some(q),
-                _ => c.advance_to(target)?,
-            };
-            match q {
-                Some(q) if q.doc.0 == target => tfs.push(q.tf),
-                Some(q) => {
-                    *pend = Some(q);
-                    continue 'candidates;
-                }
-                // This term is exhausted: nothing later can match either.
-                None => return Ok(hits),
-            }
-        }
-        hits.push((p.doc, tfs));
-    }
-    Ok(hits)
-}
-
-/// Normalize a query term the way the parser normalizes document terms.
-fn normalize_term(term: &str) -> Option<String> {
-    let mut it = ii_text::tokenize::tokens(term);
-    let tok = it.next_token()?.to_string();
-    let stemmed = ii_text::stem(&tok).into_owned();
-    if ii_text::is_stop_word(&stemmed) {
-        None
-    } else {
-        Some(stemmed)
     }
 }
 

@@ -31,7 +31,7 @@ mod query;
 
 pub use builder::IndexBuilder;
 pub use index::Index;
-pub use query::{Bm25Params, QueryMode, RankedHit};
+pub use query::{Bm25Params, QueryMode, RankedHit, TermExplain};
 
 /// Document-collection substrate (synthetic corpora, compression, storage).
 pub use ii_corpus as corpus;

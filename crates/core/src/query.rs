@@ -1,16 +1,17 @@
-//! Ranked retrieval over the inverted files.
+//! Query evaluation over the inverted files.
 //!
 //! The paper's output — postings lists with term frequencies, doc-sorted —
-//! is exactly what classic ranked retrieval consumes. This module adds a
-//! BM25 scorer and boolean modes on top of [`Index`], demonstrating the
-//! index as a drop-in retrieval substrate. Document lengths are not stored
-//! in the paper's postings (only `<doc, tf>`), so BM25's length
-//! normalization is disabled (b = 0), reducing it to the Robertson/Sparck
-//! Jones tf-idf saturation form.
+//! is exactly what classic retrieval consumes. One document-at-a-time loop
+//! ([`Evaluation`], DESIGN.md §16) serves every entry point: AND/OR is its
+//! match predicate, summed tf/BM25 the fold applied as each document is
+//! matched. Document lengths are not stored in the paper's postings (only
+//! `<doc, tf>`), so BM25's length normalization is disabled (b = 0),
+//! reducing it to the Robertson/Sparck Jones tf-idf saturation form.
 
 use crate::index::Index;
 use ii_corpus::DocId;
-use std::collections::HashMap;
+use ii_postings::{CodecError, Posting, SetCursor};
+use std::ops::Add;
 
 /// Boolean combination mode for multi-term queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,103 +44,210 @@ pub struct RankedHit {
     pub score: f64,
 }
 
+/// What one query term cost an evaluation ([`Index::explain`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TermExplain {
+    /// The stemmed term looked up.
+    pub term: String,
+    /// Document frequency (0: not in the index).
+    pub df: u64,
+    /// Run parts the query opened, of those holding the term.
+    pub parts: (usize, usize),
+    /// Blocks the query decoded, of those in the term's lists.
+    pub blocks: (usize, usize),
+}
+
+/// The index terms a query asks for, in query order — sorted and deduplicated
+/// when `distinct`: tokenised, stemmed once (Porter is not idempotent:
+/// `agreed` → `agre` → `agr`) and stop-filtered, exactly as the parser treats
+/// document text.
+pub(crate) fn query_terms(query: &str, distinct: bool) -> Vec<String> {
+    let mut terms = Vec::new();
+    let mut it = ii_text::tokenize::tokens(query);
+    while let Some(tok) = it.next_token() {
+        let stemmed = ii_text::stem(tok);
+        if !ii_text::is_stop_word(&stemmed) {
+            terms.push(stemmed.into_owned());
+        }
+    }
+    if distinct {
+        terms.sort_unstable();
+        terms.dedup();
+    }
+    terms
+}
+
+/// `(doc, tf)` a cursor last returned, documents widened so that "none read
+/// yet" (-1) sorts below every document and `EXHAUSTED` above.
+type Head = (i64, u32);
+const EXHAUSTED: i64 = i64::MAX;
+
+fn head(p: Option<Posting>) -> Head {
+    p.map_or((EXHAUSTED, 0), |p| (i64::from(p.doc.0), p.tf))
+}
+
+/// One query's cursors and the document-at-a-time loop over them.
+struct Evaluation<'a> {
+    index: &'a Index,
+    mode: QueryMode,
+    /// `(position in the query's terms, cursor)`, in evaluation order: term
+    /// order, and for AND stably re-sorted rarest first. Folds add in this
+    /// order, which is what keeps `f64` scores bit-stable.
+    cursors: Vec<(usize, SetCursor<'a>)>,
+    /// False when no term is indexed, or an AND asks for one that is not.
+    satisfiable: bool,
+}
+
+impl<'a> Evaluation<'a> {
+    fn open(index: &'a Index, terms: &[String], mode: QueryMode) -> Self {
+        let indexed = |(i, term): (usize, &String)| Some((i, index.stem_cursor(term)?));
+        let mut cursors: Vec<_> = terms.iter().enumerate().filter_map(indexed).collect();
+        let satisfiable =
+            !cursors.is_empty() && (mode == QueryMode::Or || cursors.len() == terms.len());
+        if mode == QueryMode::And {
+            // Rarest term drives; the others leapfrog via their skip tables.
+            cursors.sort_by_key(|(_, c)| c.df());
+        }
+        Evaluation { index, mode, cursors, satisfiable }
+    }
+
+    /// Every matching document in document order, as
+    /// `hit(doc, Σ contrib(cursor, tf))` over the cursors holding it. A
+    /// decode error from any cursor, in any mode, means no result at all
+    /// (`query.decode_errors`); every mode records the block counters.
+    fn run<S: Default + Add<Output = S>, H>(
+        &mut self,
+        contrib: impl Fn(usize, u32) -> S,
+        hit: impl Fn(DocId, S) -> H,
+    ) -> Vec<H> {
+        let obs = &self.index.obs;
+        let mut hits = Vec::new();
+        if !self.satisfiable {
+            return hits;
+        }
+        obs.counter("query.postings_scanned").add(self.cursors.iter().map(|(_, c)| c.df()).sum());
+        let walked = self.walk(contrib, |doc, score| hits.push(hit(doc, score)));
+        let decoded: u64 = self.cursors.iter().map(|(_, c)| u64::from(c.blocks_decoded())).sum();
+        let total: u64 = self.cursors.iter().map(|(_, c)| c.blocks_total() as u64).sum();
+        obs.counter("query.blocks_decoded").add(decoded);
+        obs.counter("query.blocks_skipped").add(total.saturating_sub(decoded));
+        if walked.is_err() {
+            obs.counter("query.decode_errors").add(1);
+            hits.clear();
+        }
+        hits
+    }
+
+    /// The loop itself: the match predicate finds the next document and
+    /// leaves it under the head of every cursor that holds it, the fold adds
+    /// those heads' contributions in cursor order.
+    fn walk<S: Default + Add<Output = S>>(
+        &mut self,
+        contrib: impl Fn(usize, u32) -> S,
+        mut emit: impl FnMut(DocId, S),
+    ) -> Result<(), CodecError> {
+        let mut heads: Vec<Head> = vec![(-1, 0); self.cursors.len()];
+        match self.mode {
+            // Leapfrog: the first cursor proposes its next document and
+            // every other cursor advances to it through its skip table. A
+            // cursor that lands past the candidate keeps that posting as
+            // its head — `advance_to` consumes what it returns, and the
+            // overshoot is what the next candidate must be checked against.
+            QueryMode::And => 'candidates: while let Some(p) = self.cursors[0].1.next()? {
+                let candidate = head(Some(p));
+                heads[0] = candidate;
+                for (h, (_, c)) in heads.iter_mut().zip(&mut self.cursors).skip(1) {
+                    if h.0 < candidate.0 {
+                        *h = head(c.advance_to(p.doc.0)?);
+                    }
+                    if h.0 == EXHAUSTED {
+                        return Ok(()); // nothing later can match either
+                    }
+                    if h.0 != candidate.0 {
+                        continue 'candidates;
+                    }
+                }
+                let tfs = heads.iter().enumerate();
+                emit(p.doc, tfs.fold(S::default(), |s, (i, h)| s + contrib(i, h.1)));
+            },
+            // Smallest-head merge: the smallest head is the next match, and
+            // every cursor under it is folded in and moved on.
+            QueryMode::Or => {
+                for (h, (_, c)) in heads.iter_mut().zip(&mut self.cursors) {
+                    *h = head(c.next()?);
+                }
+                loop {
+                    let doc = heads.iter().fold(EXHAUSTED, |doc, h| doc.min(h.0));
+                    if doc == EXHAUSTED {
+                        break;
+                    }
+                    let mut score = S::default();
+                    for (i, (h, (_, c))) in heads.iter_mut().zip(&mut self.cursors).enumerate() {
+                        if h.0 == doc {
+                            score = score + contrib(i, h.1);
+                            *h = head(c.next()?);
+                        }
+                    }
+                    emit(DocId(doc as u32), score);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Index {
+    /// Conjunctive (AND) search: documents containing *all* query terms,
+    /// ranked by summed term frequency (a repeated query word counts
+    /// twice). Stop words in the query are ignored (as they were never
+    /// indexed).
+    pub fn search(&self, query: &str) -> Vec<(DocId, u64)> {
+        let stage = self.obs.stage("query");
+        let _span = stage.span();
+        let mut eval = Evaluation::open(self, &query_terms(query, false), QueryMode::And);
+        let mut out = eval.run(|_, tf| u64::from(tf), |doc, tf| (doc, tf));
+        // Hits arrive in document order: a stable sort on the score alone
+        // leaves ties doc-ascending.
+        out.sort_by_key(|&(_, tf)| std::cmp::Reverse(tf));
+        out
+    }
+
     /// BM25-ranked retrieval. Query terms are normalized like document
-    /// terms; stop words are dropped. Returns hits best-first.
+    /// terms; stop words are dropped and a repeated word counts once, which
+    /// keeps idf honest. Returns hits best-first.
     pub fn search_ranked(&self, query: &str, mode: QueryMode, params: Bm25Params) -> Vec<RankedHit> {
         let stage = self.obs.stage("query");
         let _span = stage.span();
-        let scanned = self.obs.counter("query.postings_scanned");
-        // Collect normalized query terms through the same scratch-based
-        // normalizer as the parse path: stem_into only allocates when a
-        // kept term is pushed. Sort + dedup keeps idf honest for repeated
-        // query words (per-term scores are summed, so order is free).
-        let mut terms: Vec<String> = Vec::new();
-        let mut stem_buf = ii_text::StemBuf::new();
-        let mut it = ii_text::tokenize::tokens(query);
-        while let Some(tok) = it.next_token() {
-            let stemmed = ii_text::stem_into(tok, &mut stem_buf);
-            if !ii_text::is_stop_word(stemmed) {
-                terms.push(stemmed.to_string());
-            }
-        }
-        terms.sort_unstable();
-        terms.dedup();
-        if terms.is_empty() {
-            return Vec::new();
-        }
+        let mut eval = Evaluation::open(self, &query_terms(query, true), mode);
         let n_docs = self.num_docs().max(self.doc_map.total_docs()).max(1) as f64;
+        // BM25 idf with the +1 smoothing that keeps it positive.
         let idf_of = |df: f64| ((n_docs - df + 0.5) / (df + 0.5) + 1.0).ln();
-
-        if mode == QueryMode::And {
-            // Conjunctive retrieval rides the skip cursors: the rarest
-            // term's list drives and the others leapfrog block to block,
-            // decoding only the 128-document blocks they land in.
-            let mut pairs = Vec::with_capacity(terms.len());
-            for term in &terms {
-                let cursor = self
-                    .dictionary
-                    .lookup(term)
-                    .and_then(|e| self.run_sets.get(&e.indexer).zip(Some(e.postings)))
-                    .and_then(|(set, handle)| set.cursor(handle).ok().flatten());
-                // A missing term — or an unreadable list — empties the
-                // conjunction.
-                let Some(c) = cursor else { return Vec::new() };
-                scanned.add(c.df());
-                pairs.push((idf_of(c.df() as f64), c));
-            }
-            pairs.sort_by_key(|(_, c)| c.df());
-            let idfs: Vec<f64> = pairs.iter().map(|(idf, _)| *idf).collect();
-            let mut cursors: Vec<_> = pairs.into_iter().map(|(_, c)| c).collect();
-            let hits = crate::index::intersect_cursors(&mut cursors).unwrap_or_default();
-            self.record_block_metrics(&cursors);
-            let mut out: Vec<RankedHit> = hits
-                .into_iter()
-                .map(|(doc, tfs)| {
-                    let score = idfs
-                        .iter()
-                        .zip(&tfs)
-                        .map(|(idf, &tf)| {
-                            let tf = tf as f64;
-                            idf * (tf * (params.k1 + 1.0)) / (tf + params.k1)
-                        })
-                        .sum();
-                    RankedHit { doc, score }
-                })
-                .collect();
-            out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
-            return out;
-        }
-
-        let mut scores: HashMap<u32, (f64, usize)> = HashMap::new();
-        let mut matched_terms = 0usize;
-        for term in &terms {
-            let Some(list) = self.postings_stemmed(term) else {
-                if mode == QueryMode::And {
-                    return Vec::new();
-                }
-                continue;
-            };
-            matched_terms += 1;
-            scanned.add(list.len() as u64);
-            let df = list.len() as f64;
-            // BM25 idf with the +1 smoothing that keeps it positive.
-            let idf = ((n_docs - df + 0.5) / (df + 0.5) + 1.0).ln();
-            for p in list.postings() {
-                let tf = p.tf as f64;
-                let contrib = idf * (tf * (params.k1 + 1.0)) / (tf + params.k1);
-                let e = scores.entry(p.doc.0).or_insert((0.0, 0));
-                e.0 += contrib;
-                e.1 += 1;
-            }
-        }
-        let mut out: Vec<RankedHit> = scores
-            .into_iter()
-            .filter(|(_, (_, hit_terms))| mode == QueryMode::Or || *hit_terms == matched_terms)
-            .map(|(doc, (score, _))| RankedHit { doc: DocId(doc), score })
-            .collect();
-        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        let idfs: Vec<f64> = eval.cursors.iter().map(|(_, c)| idf_of(c.df() as f64)).collect();
+        let mut out = eval.run(
+            |i, tf| idfs[i] * (f64::from(tf) * (params.k1 + 1.0)) / (f64::from(tf) + params.k1),
+            |doc, score| RankedHit { doc, score },
+        );
+        out.sort_by(|a, b| b.score.total_cmp(&a.score));
         out
+    }
+
+    /// Evaluate `query` as [`Self::search_ranked`] would ([`Self::search`]
+    /// walks its lists exactly as `QueryMode::And` does) and report the
+    /// number of hits and, per term in sorted order, what it cost — read off
+    /// the cursors the evaluation holds when it finishes.
+    pub fn explain(&self, query: &str, mode: QueryMode) -> (usize, Vec<TermExplain>) {
+        let terms = query_terms(query, true);
+        let mut eval = Evaluation::open(self, &terms, mode);
+        let hits = eval.run(|_, tf| u64::from(tf), |_, _| ()).len();
+        let mut report: Vec<TermExplain> =
+            terms.into_iter().map(|term| TermExplain { term, ..Default::default() }).collect();
+        for (i, c) in &eval.cursors {
+            let t = &mut report[*i];
+            t.df = c.df();
+            t.parts = (c.parts_opened(), c.parts());
+            t.blocks = (c.blocks_decoded() as usize, c.blocks_total());
+        }
+        (hits, report)
     }
 }
 
@@ -251,5 +359,77 @@ mod tests {
         assert!(idx
             .search_ranked("the of and", QueryMode::Or, Bm25Params::default())
             .is_empty());
+    }
+
+    fn docs_of(hits: &[RankedHit]) -> Vec<u32> {
+        hits.iter().map(|h| h.doc.0).collect()
+    }
+
+    #[test]
+    fn query_words_are_stemmed_exactly_once() {
+        // Porter is not idempotent — agreed → agre → agr, universities →
+        // univers → univ, analyses → analys → anali — so a path that stems
+        // a stem looks up a term nobody indexed.
+        let idx = index_of(&["universities agreed analyses", "zebra"]);
+        for q in ["universities agreed", "analyses", "agreed analyses universities"] {
+            let found: Vec<u32> = idx.search(q).iter().map(|(d, _)| d.0).collect();
+            assert_eq!(found, [0], "search({q})");
+            let and = idx.search_ranked(q, QueryMode::And, Bm25Params::default());
+            assert_eq!(docs_of(&and), [0], "search_ranked({q})");
+        }
+        for word in ["universities", "agreed", "analyses"] {
+            let list = idx.postings(word).unwrap_or_else(|| panic!("postings({word})"));
+            assert_eq!(list.postings().len(), 1);
+            assert_eq!(idx.postings_in_range(word, DocId(0), DocId(9)), list.postings());
+            assert_eq!(idx.explain(word, QueryMode::Or).1[0].df, 1);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_list_empties_every_mode_and_is_counted() {
+        let mut idx = index_of(&["apple banana", "apple", "cherry"]);
+        // Unterminate the last varbyte value of apple's list, in memory (no
+        // checksum in the way): its block now decodes to `Truncated`.
+        let e = idx.dictionary.lookup(&ii_text::stem("apple")).unwrap();
+        let mut corrupt = ii_postings::RunSet::new();
+        for run in idx.run_sets[&e.indexer].runs() {
+            let mut run = run.clone();
+            if let Some(row) = run.entry(e.postings).copied() {
+                run.payload[(row.offset + u64::from(row.len)) as usize - 1] ^= 0x80;
+            }
+            corrupt.push(run);
+        }
+        idx.run_sets.insert(e.indexer, corrupt);
+        let errors = idx.obs.counter("query.decode_errors");
+        let decoded = idx.obs.counter("query.blocks_decoded");
+        assert!(idx.search("apple").is_empty());
+        assert_eq!(errors.get(), 1);
+        let and = idx.search_ranked("apple banana", QueryMode::And, Bm25Params::default());
+        assert!(and.is_empty());
+        assert_eq!(errors.get(), 2);
+        // OR used to drop the unreadable list and answer from the rest.
+        let or = idx.search_ranked("apple cherry", QueryMode::Or, Bm25Params::default());
+        assert!(or.is_empty());
+        assert_eq!(errors.get(), 3);
+        // The healthy lists still answer, and OR records the block counters.
+        let before = decoded.get();
+        assert_eq!(docs_of(&idx.search_ranked("cherry", QueryMode::Or, Bm25Params::default())), [2]);
+        assert_eq!((errors.get(), decoded.get()), (3, before + 1));
+    }
+
+    #[test]
+    fn explain_reports_what_the_evaluation_touched() {
+        let idx = index_of(&["apple banana", "apple", "cherry"]);
+        let (hits, terms) = idx.explain("banana apple nosuchterm the", QueryMode::Or);
+        assert_eq!(hits, 2);
+        let names: Vec<&str> = terms.iter().map(|t| t.term.as_str()).collect();
+        assert_eq!(names, ["appl", "banana", "nosuchterm"], "stemmed, sorted, stop word gone");
+        assert_eq!(terms.iter().map(|t| t.df).collect::<Vec<_>>(), [2, 1, 0]);
+        assert_eq!(terms[0].parts, (1, 1));
+        assert_eq!(terms[0].blocks, (1, 1));
+        assert_eq!(terms[2], TermExplain { term: "nosuchterm".into(), ..Default::default() });
+        // An AND over an absent term evaluates nothing and opens nothing.
+        let (hits, terms) = idx.explain("apple nosuchterm", QueryMode::And);
+        assert_eq!((hits, terms[0].df, terms[0].parts), (0, 2, (0, 1)));
     }
 }

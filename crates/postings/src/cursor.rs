@@ -3,30 +3,42 @@
 //! A [`ListCursor`] walks one encoded list lazily: blocks are decoded only
 //! when entered, and [`ListCursor::advance_to`] uses the skip table to jump
 //! over blocks whose document range cannot contain the target — the
-//! conjunctive-query fast path the block layout exists for. The
-//! `blocks_decoded` counter makes the skipping observable in tests and
+//! conjunctive-query fast path the block layout exists for. A [`SetCursor`]
+//! chains a term's partial lists across runs and is lazy one level up: a
+//! run part is opened only when iteration or `advance_to` reaches it. The
+//! `blocks_decoded` counters make the skipping observable in tests and
 //! query stats.
 
 use crate::block::{decode_block, BlockScratch, BlockedList};
 use crate::codec::{Codec, CodecError};
 use crate::posting::Posting;
+use crate::run::{RunEntry, RunFile, RunFormat};
+
+/// What a block cursor decodes with and into. Owned by the cursor while it
+/// is open; a [`SetCursor`] hands it from each run part to the next, so a
+/// term costs one of these however many runs hold it.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeBufs {
+    /// Decoded postings of the current block.
+    postings: Vec<Posting>,
+    /// Boxed: the fixed decode arrays are ~1 KiB and cursors move through
+    /// enum variants and collections by value.
+    scratch: Box<BlockScratch>,
+}
 
 /// Lazy decoding cursor over one block-layout list.
 #[derive(Debug)]
 pub struct ListCursor<'a> {
     blocks: BlockedList<'a>,
     codec: Codec,
-    /// Decoded postings of block `cur` (empty before the first load).
-    buf: Vec<Posting>,
-    /// Next index into `buf`.
+    /// `bufs.postings` holds block `cur` once `loaded`.
+    bufs: DecodeBufs,
+    /// Next index into `bufs.postings`.
     pos: usize,
-    /// Block index `buf` holds, or `n_blocks` when exhausted/unloaded.
+    /// Block index the buffer holds, or `n_blocks` when exhausted/unloaded.
     cur: usize,
     loaded: bool,
     blocks_decoded: u32,
-    /// Boxed: the fixed decode arrays are ~1 KiB and cursors move through
-    /// enum variants and collections by value.
-    scratch: Box<BlockScratch>,
 }
 
 impl<'a> ListCursor<'a> {
@@ -39,15 +51,21 @@ impl<'a> ListCursor<'a> {
 
     /// Open a cursor over an already parsed list.
     pub fn over(blocks: BlockedList<'a>, codec: Codec) -> Self {
+        Self::reusing(blocks, codec, DecodeBufs::default())
+    }
+
+    /// [`Self::over`], decoding through buffers an earlier cursor is done
+    /// with.
+    pub(crate) fn reusing(blocks: BlockedList<'a>, codec: Codec, mut bufs: DecodeBufs) -> Self {
+        bufs.postings.clear();
         ListCursor {
             blocks,
             codec: codec.resolve(blocks.n_postings()),
-            buf: Vec::new(),
+            bufs,
             pos: 0,
             cur: 0,
             loaded: false,
             blocks_decoded: 0,
-            scratch: Box::default(),
         }
     }
 
@@ -70,14 +88,14 @@ impl<'a> ListCursor<'a> {
 
     fn load(&mut self, b: usize) -> Result<(), CodecError> {
         let e = self.blocks.entry(b);
-        self.buf.clear();
+        self.bufs.postings.clear();
         decode_block(
             self.codec,
             self.blocks.body(b)?,
             e.first_doc,
             self.blocks.len_of(b),
-            &mut self.scratch,
-            &mut self.buf,
+            &mut self.bufs.scratch,
+            &mut self.bufs.postings,
         )?;
         self.cur = b;
         self.pos = 0;
@@ -86,14 +104,21 @@ impl<'a> ListCursor<'a> {
         Ok(())
     }
 
+    /// The next posting of the decoded block, if it has one left (the
+    /// buffer is empty until a block is loaded).
+    #[inline]
+    fn buffered(&mut self) -> Option<Posting> {
+        let p = *self.bufs.postings.get(self.pos)?;
+        self.pos += 1;
+        Some(p)
+    }
+
     /// Next posting in document order, or `None` at the end. Not an
     /// `Iterator`: decoding is fallible and the error must surface.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Posting>, CodecError> {
         loop {
-            if self.loaded && self.pos < self.buf.len() {
-                let p = self.buf[self.pos];
-                self.pos += 1;
+            if let Some(p) = self.buffered() {
                 return Ok(Some(p));
             }
             let nb = self.blocks.n_blocks();
@@ -132,8 +157,8 @@ impl<'a> ListCursor<'a> {
             self.load(dest)?;
         }
         loop {
-            while self.pos < self.buf.len() {
-                let p = self.buf[self.pos];
+            while self.pos < self.bufs.postings.len() {
+                let p = self.bufs.postings[self.pos];
                 self.pos += 1;
                 if p.doc.0 >= target {
                     return Ok(Some(p));
@@ -198,31 +223,56 @@ impl RunCursor<'_> {
             RunCursor::Legacy { .. } => 0,
         }
     }
-
-    /// Total blocks (0 for legacy cursors).
-    pub fn blocks_total(&self) -> usize {
-        match self {
-            RunCursor::Blocked(c) => c.blocks_total(),
-            RunCursor::Legacy { .. } => 0,
-        }
-    }
 }
 
 /// A term's postings across every run that contains it, in global document
 /// order (runs cover disjoint, increasing document ranges by construction —
 /// the pipeline's round-robin consumption order).
+///
+/// Set-up only finds the mapping-table rows. One part is open at a time: its
+/// cursor is built when iteration or [`Self::advance_to`] reaches it, and a
+/// part that ends below an `advance_to` target is never opened at all.
 #[derive(Debug)]
 pub struct SetCursor<'a> {
-    parts: Vec<(u32, RunCursor<'a>)>, // (doc_max of the entry, cursor)
+    /// The run and row of every partial list, ascending in document range.
+    parts: Vec<(&'a RunFile, &'a RunEntry)>,
+    /// The part `open` reads, else the next one to open.
     idx: usize,
+    open: Option<RunCursor<'a>>,
+    /// Decode buffers on their way from a closed part to the next one.
+    spare: Option<DecodeBufs>,
     df: u64,
+    blocks_total: usize,
+    /// Blocks decoded by the parts already closed.
+    blocks_decoded: u32,
+    parts_opened: usize,
 }
 
 impl<'a> SetCursor<'a> {
-    /// Chain per-run cursors; `parts` must be in ascending doc-range order
-    /// and carry each entry's `doc_max`.
-    pub fn new(parts: Vec<(u32, RunCursor<'a>)>, df: u64) -> Self {
-        SetCursor { parts, idx: 0, df }
+    /// A cursor over the partial lists of `handle` in `runs` (run order, so
+    /// ascending document ranges). `None` when no run holds the handle.
+    pub fn over(runs: &'a [RunFile], handle: u32) -> Option<Self> {
+        let mut parts = Vec::with_capacity(runs.len());
+        let (mut df, mut blocks_total) = (0u64, 0usize);
+        for run in runs {
+            if let Some(e) = run.entry(handle) {
+                df += u64::from(e.n_postings);
+                if run.format == RunFormat::Blocked {
+                    blocks_total += crate::block::n_blocks(e.n_postings as usize);
+                }
+                parts.push((run, e));
+            }
+        }
+        (!parts.is_empty()).then_some(SetCursor {
+            parts,
+            idx: 0,
+            open: None,
+            spare: None,
+            df,
+            blocks_total,
+            blocks_decoded: 0,
+            parts_opened: 0,
+        })
     }
 
     /// Document frequency (total postings behind this cursor).
@@ -230,44 +280,87 @@ impl<'a> SetCursor<'a> {
         self.df
     }
 
+    /// The cursor of part `idx`, opened now if it was not; `None` past the
+    /// last part.
+    fn current(&mut self) -> Result<Option<&mut RunCursor<'a>>, CodecError> {
+        if self.open.is_none() {
+            let Some(&(run, e)) = self.parts.get(self.idx) else { return Ok(None) };
+            self.open = Some(run.open_cursor(e, &mut self.spare)?);
+            self.parts_opened += 1;
+        }
+        Ok(self.open.as_mut())
+    }
+
+    /// Leave part `idx`, opened or not.
+    fn pass(&mut self) {
+        if let Some(c) = self.open.take() {
+            self.blocks_decoded += c.blocks_decoded();
+            if let RunCursor::Blocked(c) = c {
+                self.spare = Some(c.bufs);
+            }
+        }
+        self.idx += 1;
+    }
+
     /// Next posting in global document order (fallible, so not an
     /// `Iterator`).
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> Result<Option<Posting>, CodecError> {
-        while self.idx < self.parts.len() {
-            if let Some(p) = self.parts[self.idx].1.next()? {
+        // Inlined into the caller's loop: one bounds check per posting while
+        // the open part's decoded block lasts.
+        if let Some(RunCursor::Blocked(c)) = &mut self.open {
+            if let Some(p) = c.buffered() {
                 return Ok(Some(p));
             }
-            self.idx += 1;
+        }
+        self.next_decoding()
+    }
+
+    /// [`Self::next`] when a block or a part has to be decoded first.
+    fn next_decoding(&mut self) -> Result<Option<Posting>, CodecError> {
+        while let Some(cur) = self.current()? {
+            if let Some(p) = cur.next()? {
+                return Ok(Some(p));
+            }
+            self.pass();
         }
         Ok(None)
     }
 
     /// Advance to the first posting with `doc >= target` and consume it.
     pub fn advance_to(&mut self, target: u32) -> Result<Option<Posting>, CodecError> {
-        while self.idx < self.parts.len() {
-            let (doc_max, cur) = &mut self.parts[self.idx];
-            if *doc_max < target {
-                // Whole run entry is below the target: skip it entirely.
-                self.idx += 1;
-                continue;
+        loop {
+            // Whole parts below the target are passed by their row alone.
+            while self.parts.get(self.idx).is_some_and(|(_, e)| e.doc_max < target) {
+                self.pass();
             }
+            let Some(cur) = self.current()? else { return Ok(None) };
             if let Some(p) = cur.advance_to(target)? {
                 return Ok(Some(p));
             }
-            self.idx += 1;
+            self.pass();
         }
-        Ok(None)
     }
 
     /// Blocks decoded across all parts.
     pub fn blocks_decoded(&self) -> u32 {
-        self.parts.iter().map(|(_, c)| c.blocks_decoded()).sum()
+        self.blocks_decoded + self.open.as_ref().map_or(0, RunCursor::blocks_decoded)
     }
 
-    /// Total blocks across all parts.
+    /// Total blocks across all parts, opened or not.
     pub fn blocks_total(&self) -> usize {
-        self.parts.iter().map(|(_, c)| c.blocks_total()).sum()
+        self.blocks_total
+    }
+
+    /// Runs holding a partial list of the term.
+    pub fn parts(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Parts opened so far.
+    pub fn parts_opened(&self) -> usize {
+        self.parts_opened
     }
 }
 
@@ -275,6 +368,7 @@ impl<'a> SetCursor<'a> {
 mod tests {
     use super::*;
     use crate::block::{encode_list, BLOCK_LEN};
+    use crate::posting::PostingsList;
     use ii_corpus::DocId;
 
     fn mklist(n: usize) -> Vec<Posting> {
@@ -342,5 +436,121 @@ mod tests {
         let mut c = ListCursor::new(&enc.bytes, 256, Codec::Bp128).unwrap();
         c.advance_to(list[200].doc.0).unwrap();
         assert_eq!(c.current_block_max_tf(), Some(77));
+    }
+
+    /// `n_parts` runs, each holding `per_part` postings of handle 7 (and a
+    /// decoy list under handle 3), part `r` covering docs from `r * 10_000`.
+    fn runs_of(n_parts: u32, per_part: usize) -> (Vec<RunFile>, Vec<Vec<Posting>>) {
+        let parts: Vec<Vec<Posting>> = (0..n_parts)
+            .map(|r| {
+                let mut part = mklist(per_part);
+                part.iter_mut().for_each(|p| p.doc.0 += r * 10_000);
+                part
+            })
+            .collect();
+        let runs = parts
+            .iter()
+            .enumerate()
+            .map(|(r, part)| {
+                let lists: [(u32, PostingsList); 2] =
+                    [(3, mklist(5).into_iter().collect()), (7, part.iter().copied().collect())];
+                RunFile::build(r as u32, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto)
+            })
+            .collect();
+        (runs, parts)
+    }
+
+    fn drain(c: &mut SetCursor<'_>) -> Result<Vec<Posting>, CodecError> {
+        let mut got = Vec::new();
+        while let Some(p) = c.next()? {
+            got.push(p);
+        }
+        Ok(got)
+    }
+
+    #[test]
+    fn set_cursor_streams_what_eager_list_cursors_chain() {
+        for per_part in [1, 100, 300] {
+            let (runs, _) = runs_of(5, per_part);
+            let mut eager = Vec::new();
+            for run in &runs {
+                let e = run.entry(7).unwrap();
+                let mut c = ListCursor::over(run.blocks_of(e).unwrap(), e.codec);
+                while let Some(p) = c.next().unwrap() {
+                    eager.push(p);
+                }
+            }
+            let mut c = SetCursor::over(&runs, 7).unwrap();
+            assert_eq!(drain(&mut c).unwrap(), eager);
+            assert_eq!((c.parts(), c.parts_opened()), (5, 5));
+            assert_eq!(c.blocks_decoded() as usize, c.blocks_total());
+            assert_eq!(c.next().unwrap(), None, "stays exhausted");
+        }
+        assert!(SetCursor::over(&runs_of(3, 10).0, 99).is_none());
+    }
+
+    #[test]
+    fn set_cursor_knows_df_and_blocks_before_reading_anything() {
+        let (runs, _) = runs_of(4, 300);
+        let c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.df(), 1200);
+        assert_eq!(c.blocks_total(), 4 * 3);
+        assert_eq!((c.parts(), c.parts_opened(), c.blocks_decoded()), (4, 0, 0));
+    }
+
+    #[test]
+    fn advance_past_whole_parts_opens_none_of_them() {
+        let (runs, parts) = runs_of(6, 300);
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        // Into part 4, over parts 0..=3 without opening one.
+        let want = parts[4][200];
+        assert_eq!(c.advance_to(want.doc.0).unwrap(), Some(want));
+        assert_eq!(c.parts_opened(), 1);
+        assert_eq!(c.blocks_decoded(), 1, "only the landing block of part 4");
+        assert_eq!(c.blocks_total(), 6 * 3, "skipped parts still count");
+        // Between two parts: part 4 is left behind, part 5 answers.
+        assert_eq!(c.advance_to(parts[4][299].doc.0 + 1).unwrap(), Some(parts[5][0]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 2));
+        assert_eq!(c.next().unwrap(), Some(parts[5][1]));
+        assert_eq!(c.advance_to(u32::MAX).unwrap(), None);
+        assert_eq!(c.next().unwrap(), None);
+        // A part already open but wholly below the target decodes no more.
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.next().unwrap(), Some(parts[0][0]));
+        assert_eq!(c.advance_to(parts[5][0].doc.0).unwrap(), Some(parts[5][0]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 2));
+    }
+
+    #[test]
+    fn legacy_and_blocked_parts_mix() {
+        let (mut runs, parts) = runs_of(3, 150);
+        let middle: PostingsList = parts[1].iter().copied().collect();
+        runs[1] = RunFile::build_legacy(1, 0, &mut [(7u32, &middle)].into_iter(), Codec::VarByte);
+        assert_eq!(runs[1].format, RunFormat::Legacy);
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.df(), 450);
+        assert_eq!(c.blocks_total(), 2 + 2, "a legacy part has no blocks");
+        assert_eq!(drain(&mut c).unwrap(), parts.concat());
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.advance_to(parts[1][77].doc.0).unwrap(), Some(parts[1][77]));
+        assert_eq!(c.advance_to(parts[2][3].doc.0 - 1).unwrap(), Some(parts[2][3]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 1));
+    }
+
+    #[test]
+    fn decode_error_in_a_later_part_surfaces_when_reached() {
+        let (mut runs, parts) = runs_of(3, 40);
+        // Unterminate the last varbyte value of part 1's list.
+        let e = *runs[1].entry(7).unwrap();
+        runs[1].payload[(e.offset + u64::from(e.len)) as usize - 1] ^= 0x80;
+        let mut c = SetCursor::over(&runs, 7).expect("set-up reads rows, not payloads");
+        for want in &parts[0] {
+            assert_eq!(c.next().unwrap(), Some(*want));
+        }
+        assert_eq!(c.next(), Err(CodecError::Truncated));
+        assert_eq!(c.parts_opened(), 2);
+        // Skipping the bad part by its row never touches its bytes.
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.advance_to(parts[2][0].doc.0).unwrap(), Some(parts[2][0]));
     }
 }

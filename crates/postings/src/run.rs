@@ -30,7 +30,7 @@ use crate::block::{
     self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES,
 };
 use crate::codec::{check_alloc, decode, encode, Codec, CodecError};
-use crate::cursor::{ListCursor, RunCursor, SetCursor};
+use crate::cursor::{DecodeBufs, ListCursor, RunCursor, SetCursor};
 use crate::posting::{Posting, PostingsList};
 use crate::varbyte;
 use ii_corpus::DocId;
@@ -306,14 +306,24 @@ impl RunFile {
     /// decode lazily (block at a time via the skip entries); legacy entries
     /// fall back to an eager whole-list decode.
     pub fn cursor_of(&self, e: &RunEntry) -> Result<RunCursor<'_>, CodecError> {
-        match self.format {
-            RunFormat::Blocked => {
-                Ok(RunCursor::Blocked(ListCursor::over(self.blocks_of(e)?, e.codec)))
-            }
-            RunFormat::Legacy => {
-                Ok(RunCursor::Legacy { postings: self.decode_entry(e)?, pos: 0 })
-            }
-        }
+        self.open_cursor(e, &mut None)
+    }
+
+    /// [`Self::cursor_of`], with a blocked cursor taking the decode buffers
+    /// in `spare` when there are any.
+    pub(crate) fn open_cursor(
+        &self,
+        e: &RunEntry,
+        spare: &mut Option<DecodeBufs>,
+    ) -> Result<RunCursor<'_>, CodecError> {
+        Ok(match self.format {
+            RunFormat::Blocked => RunCursor::Blocked(ListCursor::reusing(
+                self.blocks_of(e)?,
+                e.codec,
+                spare.take().unwrap_or_default(),
+            )),
+            RunFormat::Legacy => RunCursor::Legacy { postings: self.decode_entry(e)?, pos: 0 },
+        })
     }
 
     /// Decode the partial postings list of `handle` in this run. `None`
@@ -693,20 +703,11 @@ impl RunSet {
 
     /// A lazy skip-pointer cursor over the full list of `handle`, chaining
     /// its partial lists across runs (already in global doc order). `None`
-    /// when no run contains the handle.
+    /// when no run contains the handle. Always `Ok` now that parts open
+    /// lazily (a corrupt list surfaces from the cursor when reached); the
+    /// `Result` stays for the callers written against the eager cursor.
     pub fn cursor(&self, handle: u32) -> Result<Option<SetCursor<'_>>, CodecError> {
-        let mut parts = Vec::new();
-        let mut df = 0u64;
-        for r in &self.runs {
-            if let Some(e) = r.entry(handle) {
-                df += e.n_postings as u64;
-                parts.push((e.doc_max, r.cursor_of(e)?));
-            }
-        }
-        if parts.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(SetCursor::new(parts, df)))
+        Ok(SetCursor::over(&self.runs, handle))
     }
 
     /// Postings of `handle` restricted to documents in `[lo, hi]`. Only
