@@ -1,9 +1,11 @@
 //! Criterion microbench: postings gap-compression codecs (variable-byte as
-//! in the paper, vs Elias γ and Golomb) plus the LZSS collection codec.
+//! in the paper, vs Elias γ and Golomb) in the block layout, plus the LZSS
+//! collection codec.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ii_core::corpus::compress;
-use ii_core::postings::{decode, encode, Codec, Posting};
+use ii_core::postings::block::{decode_list, encode_list};
+use ii_core::postings::{Codec, Posting};
 use ii_core::corpus::DocId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,11 +27,11 @@ fn bench_postings_codecs(c: &mut Criterion) {
     g.throughput(Throughput::Elements(list.len() as u64));
     for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(28)] {
         g.bench_function(format!("encode_{codec:?}"), |b| {
-            b.iter(|| encode(black_box(&list), codec).len())
+            b.iter(|| encode_list(black_box(&list), codec).bytes.len())
         });
-        let buf = encode(&list, codec);
+        let buf = encode_list(&list, codec).bytes;
         g.bench_function(format!("decode_{codec:?}"), |b| {
-            b.iter(|| decode(black_box(&buf), list.len(), codec).unwrap().len())
+            b.iter(|| decode_list(black_box(&buf), list.len(), codec).unwrap().len())
         });
     }
     g.finish();
@@ -37,7 +39,7 @@ fn bench_postings_codecs(c: &mut Criterion) {
     // Report-style size comparison (printed once under --nocapture-like
     // bench output): sizes matter as much as speed for codecs.
     for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(28)] {
-        let bytes = encode(&list, codec).len();
+        let bytes = encode_list(&list, codec).bytes.len();
         eprintln!(
             "codec {:?}: {:.2} bytes/posting",
             codec,

@@ -2,13 +2,16 @@
 //!
 //! The paper compresses postings with variable-byte encoding and cites
 //! γ and Golomb as the classic alternatives. This harness builds a real
-//! index and re-encodes every postings list with each codec, reporting
-//! bytes per posting and encode/decode wall time — the trade-off that
-//! justifies the paper's variable-byte choice (speed at modest size cost).
+//! index and re-encodes every postings list with each codec in the block
+//! layout the product writes (skip table included), reporting bytes per
+//! posting and encode/decode wall time — the trade-off that justifies the
+//! paper's variable-byte choice (speed at modest size cost).
 
 use ii_core::corpus::CollectionSpec;
 use ii_core::pipeline::{build_index, PipelineConfig};
-use ii_core::postings::{bits::golomb_parameter, decode, encode, Codec, Posting};
+use ii_core::postings::bits::golomb_parameter;
+use ii_core::postings::block::{decode_list, encode_list};
+use ii_core::postings::{Codec, Posting};
 use std::time::Instant;
 
 fn main() {
@@ -23,7 +26,8 @@ fn main() {
         .dictionary
         .entries()
         .iter()
-        .map(|e| out.run_sets[&e.indexer].fetch(e.postings).postings().to_vec())
+        .map(|e| out.run_sets[&e.indexer].fetch(e.postings).expect("built runs decode"))
+        .map(|l| l.postings().to_vec())
         .collect();
     let postings: u64 = lists.iter().map(|l| l.len() as u64).sum();
     println!(
@@ -51,7 +55,7 @@ fn main() {
             .iter()
             .map(|l| {
                 let c = codec_for(l);
-                (encode(l, c), c, l.len())
+                (encode_list(l, c).bytes, c, l.len())
             })
             .collect();
         let enc_s = t0.elapsed().as_secs_f64();
@@ -59,7 +63,7 @@ fn main() {
         let t0 = Instant::now();
         let mut decoded_postings = 0u64;
         for (buf, c, n) in &encoded {
-            decoded_postings += decode(buf, *n, *c).expect("roundtrip").len() as u64;
+            decoded_postings += decode_list(buf, *n, *c).expect("roundtrip").len() as u64;
         }
         let dec_s = t0.elapsed().as_secs_f64();
         assert_eq!(decoded_postings, postings);

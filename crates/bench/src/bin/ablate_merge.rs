@@ -41,7 +41,7 @@ fn main() {
     let merged = merge_runs(set, Codec::VarByte);
     let mut checked = 0;
     for e in merged.entries.iter().take(200) {
-        let direct = set.fetch(e.handle);
+        let direct = set.fetch(e.handle).expect("built runs decode");
         assert_eq!(merged.get(e.handle).unwrap(), direct.postings(), "handle {}", e.handle);
         checked += 1;
     }

@@ -150,8 +150,8 @@ fn measure_class(name: &str, lists: &[Vec<Posting>], reps: usize) -> ClassResult
     let mpps = |s: f64| postings as f64 / 1e6 / s;
     let mut codecs = Vec::new();
     let mut varbyte: Option<(f64, f64)> = None; // (bytes_per_posting, decode_mpps)
-    // Fit Golomb's divisor to the class like the legacy per-list chooser
-    // did (Gallager–van Voorhis: b ~ 0.69 * mean gap); a fixed divisor
+    // Fit Golomb's divisor to the class like the per-list chooser of `ablate_codecs`
+    // does (Gallager–van Voorhis: b ~ 0.69 * mean gap); a fixed divisor
     // would strawman the codec at these gap scales.
     let gap_sum: u64 = lists.iter().filter_map(|l| l.last()).map(|p| p.doc.0 as u64).sum();
     let golomb_b = ((gap_sum as f64 / postings.max(1) as f64) * 0.69).max(1.0) as u64;
@@ -251,7 +251,7 @@ fn codec_of<'a>(report: &'a BenchReport, class: &str, codec: &str) -> Option<&'a
 const CHECK_TOLERANCE: f64 = 0.75;
 
 /// The acceptance bar for the per-length-class policy: on the long class
-/// it must beat whole-list varbyte by this factor on decode while never
+/// it must beat varbyte by this factor on decode while never
 /// spending more bytes.
 const LONG_CLASS_MIN_SPEEDUP: f64 = 1.3;
 

@@ -13,7 +13,6 @@
 //! ii trace    report <trace.json> [--check]
 //! ii verify   <index-dir>
 //! ii repair   <index-dir>
-//! ii downgrade <index-dir> <out-dir>
 //! ii query    <index-dir> <terms...> [--mode bool|and|or] [--explain]
 //! ii postings <index-dir> <term> [--range LO HI]
 //! ii stats    <collection-dir | index-dir>
@@ -51,7 +50,6 @@ fn main() -> ExitCode {
         Some("trace") => cmd_trace(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("repair") => cmd_repair(&args[1..]),
-        Some("downgrade") => cmd_downgrade(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("postings") => cmd_postings(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
@@ -106,14 +104,12 @@ fn usage() {
          additionally enforces the trace invariants and exits non-zero on failure\n  \
          verify <index-dir>                                   checksum + dictionary invariants\n  \
          repair <index-dir>                                   salvage intact artifacts, report losses\n  \
-         downgrade <index-dir> <out-dir>                      re-encode as a legacy v1 index\n        \
-         (whole-list varbyte runs, v1 manifest) for format-interop testing\n  \
          query <index-dir> <terms...> [--mode bool|and|or]    bool (default): conjunctive,\n        \
          ranked by summed tf; and / or: BM25-ranked; [--explain] adds per term its stem,\n        \
          df, run parts opened of those holding it, blocks decoded of those in its lists\n  \
          postings <index-dir> <term> [--range LO HI]          dump a postings list\n  \
          stats <dir>                                          collection stats, or an index's\n        \
-         shape: terms, runs, lists, postings, table/payload/index bytes, run wire formats\n  \
+         shape: terms, runs, lists, postings, table/payload/index bytes\n  \
          simulate [--parsers N] [--cpu N] [--gpus N] [--collection C]  platsim projection"
     );
 }
@@ -471,67 +467,6 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-encode a blocked index in the legacy v1 wire format: whole-list
-/// varbyte runs, version-1 manifest with no postings metadata. Exercises
-/// the backward-compat read path end to end — CI builds a fresh index,
-/// downgrades it, and requires `verify` to pass on both.
-fn cmd_downgrade(args: &[String]) -> Result<(), String> {
-    use ii_core::postings::{Posting, PostingsList, RunFile, RunSet};
-    use ii_core::store::{Manifest, MANIFEST_NAME};
-    check_flags(args, &[])?;
-    let pos = positional(args);
-    let src = pos.first().ok_or("downgrade: missing <index-dir>")?;
-    let dst = pos.get(1).ok_or("downgrade: missing <out-dir>")?;
-    let idx =
-        Index::open(Path::new(src.as_str())).map_err(|e| format!("cannot open {src}: {e}"))?;
-    let mut runs = 0usize;
-    let mut legacy_sets: std::collections::HashMap<u32, RunSet> = std::collections::HashMap::new();
-    for (&indexer, set) in &idx.run_sets {
-        for run in set.runs() {
-            let lists: Vec<(u32, PostingsList)> = run
-                .entries
-                .iter()
-                .map(|e| {
-                    let mut l = PostingsList::new();
-                    for p in run
-                        .decode_entry(e)
-                        .map_err(|err| format!("run {} handle {}: {err}", run.run_id, e.handle))?
-                    {
-                        l.push(Posting { doc: p.doc, tf: p.tf });
-                    }
-                    Ok((e.handle, l))
-                })
-                .collect::<Result<_, String>>()?;
-            let mut it = lists.iter().map(|(h, l)| (*h, l));
-            legacy_sets
-                .entry(indexer)
-                .or_default()
-                .push(RunFile::build_legacy(run.run_id, indexer, &mut it, Codec::VarByte));
-            runs += 1;
-        }
-    }
-    let legacy = Index {
-        dictionary: idx.dictionary,
-        run_sets: legacy_sets,
-        doc_map: idx.doc_map,
-        report: Default::default(),
-        obs: std::sync::Arc::new(ii_core::obs::Registry::new()),
-    };
-    let out = Path::new(dst.as_str());
-    legacy.save(out).map_err(|e| format!("cannot save {dst}: {e}"))?;
-    // Rewrite the manifest as a v1 writer produced it: version 1, no
-    // postings metadata. Artifact bytes are untouched, so CRCs hold.
-    let mut m = Manifest::load(out).map_err(|e| format!("manifest reload: {e}"))?;
-    m.version = 1;
-    for a in &mut m.artifacts {
-        a.postings = None;
-    }
-    std::fs::write(out.join(MANIFEST_NAME), m.to_bytes())
-        .map_err(|e| format!("manifest rewrite: {e}"))?;
-    println!("downgraded {src} -> {dst}: {runs} runs re-encoded in the legacy v1 format");
-    Ok(())
-}
-
 fn cmd_repair(args: &[String]) -> Result<(), String> {
     check_flags(args, &[])?;
     let pos = positional(args);
@@ -684,19 +619,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("  lists:    {lists}");
         println!("  postings: {postings}");
         println!("  payload bytes: {payload}");
-        match on_disk_shape(path) {
-            Ok((run_bytes, index_bytes, formats)) => {
-                println!("  table bytes:   {}", run_bytes.saturating_sub(payload));
-                if postings > 0 {
-                    println!("  run bytes per posting: {:.2}", run_bytes as f64 / postings as f64);
-                }
-                println!("  index bytes:   {index_bytes}");
-                let formats: Vec<String> = formats.iter().map(u32::to_string).collect();
-                println!("  wire formats: {}", formats.join(", "));
-            }
-            // A pre-manifest directory opens, but nothing records its sizes.
-            Err(e) => println!("  on-disk shape unavailable: {e}"),
+        let (run_bytes, index_bytes) = on_disk_shape(path)?;
+        println!("  table bytes:   {}", run_bytes.saturating_sub(payload));
+        if postings > 0 {
+            println!("  run bytes per posting: {:.2}", run_bytes as f64 / postings as f64);
         }
+        println!("  index bytes:   {index_bytes}");
     } else {
         return Err(format!("{dir} is neither a collection nor an index"));
     }
@@ -704,29 +632,17 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// What the manifest of an index directory says of its files: bytes in run
-/// artifacts, bytes in all artifacts, and the run-file wire formats present
-/// (`PostingsMeta::format`: 1 `IIRF`, 2 `IIR2`, 3 `IIR3`). An opened
-/// `RunFile` does not remember its magic, so the manifest is where this is
-/// read; a version-1 manifest records no format, and there the artifact's
-/// own magic answers.
-fn on_disk_shape(dir: &Path) -> Result<(u64, u64, std::collections::BTreeSet<u32>), String> {
-    use ii_core::postings::{parse_run_artifact_name, wire_format};
+/// artifacts and bytes in all artifacts.
+fn on_disk_shape(dir: &Path) -> Result<(u64, u64), String> {
     let store = ii_core::store::Store::open(dir).map_err(|e| e.to_string())?;
     let (mut run_bytes, mut index_bytes) = (0u64, 0u64);
-    let mut formats = std::collections::BTreeSet::new();
     for a in &store.manifest().artifacts {
         index_bytes += a.len;
-        if parse_run_artifact_name(&a.name).is_none() {
-            continue;
+        if ii_core::postings::parse_run_artifact_name(&a.name).is_some() {
+            run_bytes += a.len;
         }
-        run_bytes += a.len;
-        let format = match a.postings {
-            Some(p) => Some(p.format),
-            None => wire_format(&store.read(&a.name).map_err(|e| e.to_string())?),
-        };
-        formats.extend(format);
     }
-    Ok((run_bytes, index_bytes, formats))
+    Ok((run_bytes, index_bytes))
 }
 
 /// Crash-safe file write — ii-store's write-temp → fsync → atomic-rename,

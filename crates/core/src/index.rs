@@ -8,13 +8,13 @@ use ii_pipeline::{
     stage_runs_and_docmap, BuildCheckpoint, DocMap, IndexOutput, PipelineReport, SealedRuns,
     CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
-use ii_postings::{parse_run_artifact_name, Posting, PostingsList, RunFile, RunSet, SetCursor};
+use ii_postings::{
+    parse_run_artifact_name, CodecError, Posting, PostingsList, RunFile, RunSet, SetCursor,
+};
 use ii_store::{
     ArtifactStatus, ManifestKind, RealVfs, SalvageReport, Store, StoreError, Txn, Vfs,
 };
-use std::collections::{HashMap, HashSet};
-use std::fs;
-use std::io;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -63,25 +63,38 @@ impl Index {
 
     /// Postings of a *surface* term: of the first index term it normalizes
     /// to as a query would (lowercased, stemmed once, stop words dropped).
+    /// Decode errors as in [`Self::postings_stemmed`].
     pub fn postings(&self, term: &str) -> Option<PostingsList> {
         self.postings_stemmed(query_terms(term, false).first()?)
     }
 
     /// Postings of an *already-stemmed* term (no re-normalization; Porter
     /// stemming is not idempotent, so looking up stemmer output must skip
-    /// the query-normalization path).
+    /// the query-normalization path). The query rule for corrupt bytes
+    /// applies: a run part that does not decode means no list at all, not
+    /// one missing that run's postings, and `query.decode_errors` counts it.
     pub fn postings_stemmed(&self, stemmed: &str) -> Option<PostingsList> {
         let e = self.dictionary.lookup(stemmed)?;
-        Some(self.run_sets.get(&e.indexer)?.fetch(e.postings))
+        self.decoded(self.run_sets.get(&e.indexer)?.fetch(e.postings))
     }
 
     /// Postings restricted to `[lo, hi]` global document IDs — exercises
-    /// the paper's range-narrowed partial-list retrieval (§III.F).
+    /// the paper's range-narrowed partial-list retrieval (§III.F). Empty
+    /// (and counted) when a part in the range does not decode.
     pub fn postings_in_range(&self, term: &str, lo: DocId, hi: DocId) -> Vec<Posting> {
         let entry = query_terms(term, false).first().and_then(|t| self.dictionary.lookup(t));
         let Some(e) = entry else { return Vec::new() };
         let Some(set) = self.run_sets.get(&e.indexer) else { return Vec::new() };
-        set.fetch_range(e.postings, lo, hi).0
+        self.decoded(set.fetch_range(e.postings, lo, hi)).map_or_else(Vec::new, |(hits, _)| hits)
+    }
+
+    /// The one decode-error rule of the read path, queries included: no
+    /// answer, and a count.
+    pub(crate) fn decoded<T>(&self, fetched: Result<T, CodecError>) -> Option<T> {
+        if fetched.is_err() {
+            self.obs.counter("query.decode_errors").inc();
+        }
+        fetched.ok()
     }
 
     /// Skip cursor over an already-stemmed term's partial lists across runs.
@@ -107,11 +120,6 @@ impl Index {
         // built one cannot drift apart. A one-shot save has staged nothing
         // before: every run goes by value.
         stage_runs_and_docmap(&mut txn, &self.run_sets, &self.doc_map, &mut SealedRuns::new())?;
-        // The dictionary is staged LAST: a power-loss crash that leaves
-        // neither a manifest nor `.tmp` residue then lacks `dictionary.bin`
-        // too, so the pre-manifest fallback in [`Self::open`] reports a
-        // typed missing-artifact error instead of silently loading a
-        // partial run set.
         let mut dict_bytes = Vec::new();
         self.dictionary.write_to(&mut dict_bytes).expect("vec write is infallible");
         txn.put(DICTIONARY_ARTIFACT, &dict_bytes)?;
@@ -122,15 +130,12 @@ impl Index {
     /// Load an index saved by [`Self::save`] (or committed by a durable
     /// pipeline build). Every artifact is verified against the manifest's
     /// length and CRC32; corruption, truncation, and version skew surface
-    /// as typed [`StoreError`]s. Directories from pre-manifest layouts fall
-    /// back to a direct scan — unless an aborted commit left `*.tmp` files
-    /// behind, which is reported as [`StoreError::TornCommit`].
+    /// as typed [`StoreError`]s. Nothing is read that the manifest does not
+    /// vouch for: a directory without one is
+    /// [`StoreError::MissingManifest`], and [`Self::repair`] is the way
+    /// back from it.
     pub fn open(dir: &Path) -> Result<Index, StoreError> {
-        match Store::open(dir) {
-            Ok(store) => Self::open_store(dir, &store),
-            Err(StoreError::MissingManifest { .. }) => Self::open_legacy(dir),
-            Err(e) => Err(e),
-        }
+        Self::open_store(dir, &Store::open(dir)?)
     }
 
     fn open_store(dir: &Path, store: &Store) -> Result<Index, StoreError> {
@@ -182,75 +187,6 @@ impl Index {
         })
     }
 
-    /// Pre-manifest layout: no `MANIFEST.json`, artifacts scanned directly.
-    fn open_legacy(dir: &Path) -> Result<Index, StoreError> {
-        let mut run_names: Vec<String> = Vec::new();
-        for entry in fs::read_dir(dir).map_err(StoreError::Io)? {
-            let name = entry.map_err(StoreError::Io)?.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                // An interrupted manifest commit, not an old layout.
-                return Err(StoreError::TornCommit { dir: dir.to_path_buf() });
-            }
-            if name.starts_with("run_") && name.ends_with(".iirf") {
-                run_names.push(name);
-            }
-        }
-        let mut f = match fs::File::open(dir.join(DICTIONARY_ARTIFACT)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(StoreError::MissingArtifact { name: DICTIONARY_ARTIFACT.into() })
-            }
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let dictionary = GlobalDictionary::read_from(&mut f).map_err(|e| StoreError::Corrupt {
-            name: DICTIONARY_ARTIFACT.into(),
-            detail: e.to_string(),
-        })?;
-        // Only *absence* of the doc map means an older layout; a doc map
-        // that exists but cannot be read is corruption and must surface.
-        let doc_map = match fs::File::open(dir.join(DOCMAP_ARTIFACT)) {
-            Ok(mut dm) => DocMap::read_from(&mut dm).map_err(|e| StoreError::Corrupt {
-                name: DOCMAP_ARTIFACT.into(),
-                detail: e.to_string(),
-            })?,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => DocMap::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let mut files: Vec<(u32, u32, String)> = Vec::new();
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        for name in run_names {
-            let (indexer, run) =
-                parse_run_artifact_name(&name).ok_or_else(|| StoreError::Corrupt {
-                    name: name.clone(),
-                    detail: "unrecognized run file name".into(),
-                })?;
-            // Distinct names can still decode to the same logical run
-            // (`run_0_1.iirf` vs `run_000_00001.iirf`): loading both would
-            // silently double every posting in that run.
-            if !seen.insert((indexer, run)) {
-                return Err(StoreError::Corrupt {
-                    name,
-                    detail: format!("duplicate run file for indexer {indexer} run {run}"),
-                });
-            }
-            files.push((indexer, run, name));
-        }
-        files.sort();
-        let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
-        for (indexer, _, name) in files {
-            let run = RunFile::from_bytes(&fs::read(dir.join(&name)).map_err(StoreError::Io)?)
-                .map_err(|e| StoreError::Corrupt { name, detail: e.to_string() })?;
-            run_sets.entry(indexer).or_default().push(run);
-        }
-        Ok(Index {
-            dictionary,
-            run_sets,
-            doc_map,
-            report: PipelineReport::default(),
-            obs: Arc::new(Registry::new()),
-        })
-    }
-
     /// Checksum-verify every artifact of a committed index directory
     /// against its manifest. Statuses cover all artifacts, failed or not.
     pub fn verify_dir(dir: &Path) -> Result<Vec<ArtifactStatus>, StoreError> {
@@ -281,7 +217,9 @@ fn validate_artifact(name: &str, bytes: &[u8]) -> Result<Option<ii_store::Postin
     } else if name.ends_with(".iipd") {
         PartialDictionary::read_from(&mut &bytes[..]).map(|_| None).map_err(|e| e.to_string())
     } else if parse_run_artifact_name(name).is_some() {
-        ii_pipeline::parse_stored_run(bytes).map(|(_, meta)| Some(meta)).map_err(|e| e.to_string())
+        RunFile::from_bytes(bytes)
+            .map(|run| Some(ii_pipeline::run_postings_meta(&run)))
+            .map_err(|e| e.to_string())
     } else {
         Err("unrecognized artifact name".into())
     }
@@ -444,83 +382,41 @@ mod tests {
         assert!(idx.obs.counter("query.postings_scanned").get() >= 5);
     }
 
-    /// A saved directory with its manifest removed — the pre-manifest
-    /// layout Index::open must keep loading.
-    fn legacy_dir(tag: &str, idx: &Index) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ii-core-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        idx.save(&dir).unwrap();
-        std::fs::remove_file(dir.join(ii_store::MANIFEST_NAME)).unwrap();
-        dir
-    }
-
     #[test]
-    fn legacy_layout_still_opens() {
-        let idx = small_index("legacy", vec![doc("walrus penguin"), doc("walrus")]);
-        let dir = legacy_dir("legacy-open", &idx);
-        let loaded = Index::open(&dir).unwrap();
-        assert_eq!(loaded.postings("walrus"), idx.postings("walrus"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    fn corrupt_run_part_means_no_postings_and_is_counted() {
+        let mut idx = small_index("badpart", vec![doc("kiwi lime"), doc("kiwi")]);
+        let healthy = idx.postings("kiwi").expect("kiwi is indexed");
+        let e = idx.dictionary.lookup("kiwi").unwrap().clone();
+        // A second run holding two more kiwi postings, the continuation bit
+        // of its last payload byte set: the list's final varbyte never ends.
+        let mut runs = RunSet::new();
+        let first_runs = idx.run_sets[&e.indexer].runs();
+        first_runs.iter().for_each(|run| runs.push(run.clone()));
+        let more: PostingsList =
+            [10, 11].into_iter().map(|d| Posting { doc: DocId(d), tf: 1 }).collect();
+        let next_id = first_runs.last().unwrap().run_id + 1;
+        let mut bad = RunFile::build(
+            next_id,
+            e.indexer,
+            &mut [(e.postings, &more)].into_iter(),
+            ii_postings::Codec::VarByte,
+        );
+        *bad.payload.last_mut().unwrap() ^= 0x80;
+        runs.push(bad);
+        idx.run_sets.insert(e.indexer, runs);
 
-    #[test]
-    fn corrupt_docmap_errors_instead_of_loading_empty() {
-        let idx = small_index("dmcorrupt", vec![doc("walrus penguin"), doc("walrus")]);
-        let dir = legacy_dir("dmcorrupt-open", &idx);
-        std::fs::write(dir.join("docmap.bin"), b"not a docmap").unwrap();
-        match Index::open(&dir) {
-            Err(StoreError::Corrupt { name, .. }) => assert_eq!(name, "docmap.bin"),
-            Err(other) => panic!("expected Corrupt, got {other}"),
-            Ok(_) => panic!("corrupt docmap must not fall back to empty"),
-        }
-        // Only *absence* falls back to an empty map.
-        std::fs::remove_file(dir.join("docmap.bin")).unwrap();
-        let loaded = Index::open(&dir).unwrap();
-        assert_eq!(loaded.doc_map.entries().len(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn run_name_garbage_and_duplicates_rejected() {
-        let idx = small_index("runname", vec![doc("walrus penguin"), doc("walrus")]);
-        let dir = legacy_dir("runname-open", &idx);
-        let a_run = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().starts_with("run_"))
-            .expect("index has at least one run file")
-            .path();
-        // Trailing garbage after the run id must not parse as a run.
-        std::fs::copy(&a_run, dir.join("run_000_00001_extra.iirf")).unwrap();
-        match Index::open(&dir) {
-            Err(StoreError::Corrupt { name, .. }) => {
-                assert_eq!(name, "run_000_00001_extra.iirf")
-            }
-            Err(other) => panic!("expected Corrupt, got {other}"),
-            Ok(_) => panic!("trailing garbage in run name must be rejected"),
-        }
-        std::fs::remove_file(dir.join("run_000_00001_extra.iirf")).unwrap();
-        // Two spellings of the same (indexer, run) pair would double every
-        // posting of that run.
-        let alias = a_run.file_name().unwrap().to_string_lossy().replace("_0", "_");
-        std::fs::copy(&a_run, dir.join(&alias)).unwrap();
-        match Index::open(&dir) {
-            Err(StoreError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("duplicate run file"), "{detail}")
-            }
-            Err(other) => panic!("expected Corrupt, got {other}"),
-            Ok(_) => panic!("duplicate (indexer, run) pair must be rejected"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tmp_residue_means_torn_commit_not_legacy() {
-        let idx = small_index("torn", vec![doc("walrus penguin")]);
-        let dir = legacy_dir("torn-open", &idx);
-        std::fs::write(dir.join("MANIFEST.json.tmp"), b"{").unwrap();
-        assert!(matches!(Index::open(&dir), Err(StoreError::TornCommit { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
+        // The parent answered all three from the first run alone.
+        let errors = idx.obs.counter("query.decode_errors");
+        assert_eq!(idx.postings("kiwi"), None);
+        assert_eq!(errors.get(), 1);
+        assert_eq!(idx.postings_stemmed("kiwi"), None);
+        assert_eq!(errors.get(), 2);
+        assert!(idx.postings_in_range("kiwi", DocId(0), DocId(u32::MAX)).is_empty());
+        assert_eq!(errors.get(), 3);
+        // A range that ends before the bad part never touches its bytes.
+        assert_eq!(idx.postings_in_range("kiwi", DocId(0), DocId(9)), healthy.postings());
+        assert_eq!(idx.postings("lime").map(|l| l.len()), Some(1), "other lists still answer");
+        assert_eq!(errors.get(), 3);
     }
 
     #[test]

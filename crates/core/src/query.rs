@@ -131,8 +131,7 @@ impl<'a> Evaluation<'a> {
         let total: u64 = self.cursors.iter().map(|(_, c)| c.blocks_total() as u64).sum();
         obs.counter("query.blocks_decoded").add(decoded);
         obs.counter("query.blocks_skipped").add(total.saturating_sub(decoded));
-        if walked.is_err() {
-            obs.counter("query.decode_errors").add(1);
+        if self.index.decoded(walked).is_none() {
             hits.clear();
         }
         hits

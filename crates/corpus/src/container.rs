@@ -8,9 +8,9 @@
 //!
 //! The footer (`IICC` tag + CRC32 of everything before it) detects silent
 //! corruption — bit flips that survive decompression without tripping a
-//! structural error. Containers written before the footer existed parse
-//! unchanged: a buffer that does not end in the tag is treated as a legacy
-//! checksum-less container.
+//! structural error. It is mandatory: a buffer that does not end in the tag
+//! and the matching CRC32 does not parse, so neither a cut inside the
+//! footer nor a damaged tag can switch the check off.
 
 use crate::doc::RawDocument;
 
@@ -129,29 +129,24 @@ pub fn write_container(docs: &[RawDocument]) -> Vec<u8> {
 
 /// Parse an uncompressed container buffer back into documents.
 ///
-/// If the buffer ends in a checksum footer, the CRC is verified *before*
-/// record parsing so silent corruption surfaces as
-/// [`ContainerError::ChecksumMismatch`]. Buffers without the footer are
-/// accepted as legacy checksum-less containers.
+/// The buffer must end in the checksum footer, and the CRC is verified
+/// *before* record parsing, so silent corruption — of the records, the tag
+/// or the stored CRC alike — surfaces as
+/// [`ContainerError::ChecksumMismatch`]. A buffer too short to hold the
+/// 8-byte header and the 8-byte footer is [`ContainerError::Truncated`]
+/// ([`ContainerError::BadMagic`] if not even the header is a container's).
 pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
-    let buf = if buf.len() >= 16 && &buf[buf.len() - 8..buf.len() - 4] == FOOTER_MAGIC {
-        let body = &buf[..buf.len() - 8];
-        let stored = u32::from_le_bytes([
-            buf[buf.len() - 4],
-            buf[buf.len() - 3],
-            buf[buf.len() - 2],
-            buf[buf.len() - 1],
-        ]);
-        if crc32(body) != stored {
-            return Err(ContainerError::ChecksumMismatch);
-        }
-        body
-    } else {
-        buf // legacy checksum-less container
-    };
-    match parse_container_prefix(buf, usize::MAX)? {
+    if buf.len() < 16 {
+        let header = buf.len() >= 8 && &buf[..4] == MAGIC;
+        return Err(if header { ContainerError::Truncated } else { ContainerError::BadMagic });
+    }
+    let (body, footer) = buf.split_at(buf.len() - 8);
+    let stored = u32::from_le_bytes([footer[4], footer[5], footer[6], footer[7]]);
+    if &footer[..4] != FOOTER_MAGIC || crc32(body) != stored {
+        return Err(ContainerError::ChecksumMismatch);
+    }
+    match parse_container_prefix(body, usize::MAX)? {
         Prefix::Docs(docs) => Ok(docs),
-        Prefix::NeedBytes(_) if buf.len() < 8 => Err(ContainerError::BadMagic),
         Prefix::NeedBytes(_) => Err(ContainerError::Truncated),
     }
 }
@@ -237,14 +232,25 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         let buf = write_container(&[doc("http://a", "hello world")]);
-        let records_end = buf.len() - 8; // checksum footer follows the records
-        for cut in 8..records_end {
-            assert_eq!(parse_container(&buf[..cut]), Err(ContainerError::Truncated));
+        // Every cut is refused — inside the footer too, where the records
+        // are all there and only the checksum that vouches for them is not.
+        for cut in 0..buf.len() {
+            let want = match cut {
+                0..8 => ContainerError::BadMagic,
+                8..16 => ContainerError::Truncated,
+                _ => ContainerError::ChecksumMismatch,
+            };
+            assert_eq!(parse_container(&buf[..cut]), Err(want), "cut at {cut}");
         }
-        // Cutting inside the footer leaves intact records with trailing
-        // garbage, which the legacy-tolerant path accepts.
-        for cut in records_end..buf.len() {
-            assert!(parse_container(&buf[..cut]).is_ok());
+    }
+
+    #[test]
+    fn one_flipped_byte_of_the_footer_tag_is_refused() {
+        let buf = write_container(&[doc("http://a", "hello world")]);
+        for at in buf.len() - 8..buf.len() - 4 {
+            let mut bad = buf.clone();
+            bad[at] ^= 0x01;
+            assert_eq!(parse_container(&bad), Err(ContainerError::ChecksumMismatch), "byte {at}");
         }
     }
 
@@ -280,12 +286,13 @@ mod tests {
 
     #[test]
     fn utf8_enforced() {
-        // Use the legacy (footer-less) form so the corruption reaches the
-        // UTF-8 check instead of tripping the checksum first.
+        // Re-stamp the CRC over the damaged records so the corruption
+        // reaches the UTF-8 check instead of tripping the checksum first.
         let mut buf = write_container(&[doc("u", "abcd")]);
-        buf.truncate(buf.len() - 8);
-        let body_start = buf.len() - 4;
-        buf[body_start] = 0xFF;
+        let records_end = buf.len() - 8;
+        buf[records_end - 4] = 0xFF; // first byte of the body
+        let crc = crc32(&buf[..records_end]);
+        buf[records_end + 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(parse_container(&buf), Err(ContainerError::BadUtf8));
     }
 
@@ -307,14 +314,6 @@ mod tests {
         let n = bad.len();
         bad[n - 1] ^= 0x01;
         assert_eq!(parse_container(&bad), Err(ContainerError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn legacy_footerless_containers_still_parse() {
-        let docs = vec![doc("http://a", "legacy body"), doc("http://b", "x")];
-        let mut buf = write_container(&docs);
-        buf.truncate(buf.len() - 8); // what the pre-checksum writer produced
-        assert_eq!(parse_container(&buf).unwrap(), docs);
     }
 
     #[test]

@@ -92,8 +92,9 @@ pub enum FaultKind {
     Truncate,
     /// One deterministically-chosen bit of the compressed payload is
     /// flipped. Surfaces as a decompress error or (via the container
-    /// checksum) a `ContainerError::ChecksumMismatch`; in rare cases the
-    /// flip is harmless (e.g. it lands in the checksum trailer itself).
+    /// checksum, which covers its own trailer too) a
+    /// `ContainerError::ChecksumMismatch`; in rare cases the flip is
+    /// harmless (the stream still decompresses to the same bytes).
     BitFlip,
     /// The whole payload is replaced by deterministic garbage of the same
     /// length — a permanently corrupt file.

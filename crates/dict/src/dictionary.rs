@@ -167,14 +167,17 @@ impl PartialDictionary {
         let n_nodes = word(12) as usize;
         let n_strings = word(16) as usize;
         let n_trees = word(20) as usize;
-        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut nodes = presized(n_nodes);
         for _ in 0..n_nodes {
             let mut buf = [0u8; crate::node::NODE_BYTES];
             r.read_exact(&mut buf)?;
             nodes.push(crate::node::BTreeNode::from_bytes(&buf));
         }
-        let mut strings = vec![0u8; n_strings];
-        r.read_exact(&mut strings)?;
+        let mut strings = presized(n_strings);
+        r.by_ref().take(n_strings as u64).read_to_end(&mut strings)?;
+        if strings.len() != n_strings {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         let mut roots = vec![NULL; TRIE_ENTRIES];
         for _ in 0..n_trees {
             let mut pair = [0u8; 8];
@@ -202,6 +205,19 @@ impl PartialDictionary {
 }
 
 const PARTIAL_MAGIC: &[u8; 4] = b"IIPD";
+
+/// Most bytes a reader reserves on the word of a record count whose records
+/// it has not read yet. `ii repair` hands these readers files no checksum
+/// has vouched for, so a hostile count must cost a failed read, not the
+/// allocation it names; every dictionary the ledger builds fits, so an
+/// honest one is still sized once.
+const PRESIZE_BYTES: usize = 16 << 20;
+
+/// An empty vector with room for `claimed` records, up to [`PRESIZE_BYTES`];
+/// past that it grows as the records actually arrive.
+fn presized<T>(claimed: usize) -> Vec<T> {
+    Vec::with_capacity(claimed.min(PRESIZE_BYTES / std::mem::size_of::<T>()))
+}
 
 /// One record of the combined dictionary: where to find the postings list
 /// of a term. `indexer` + `postings` locate the list among the per-indexer
@@ -335,7 +351,7 @@ impl GlobalDictionary {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad dictionary magic"));
         }
         let n = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = presized(n);
         let mut prev: Vec<u8> = Vec::new();
         for _ in 0..n {
             let mut fixed = [0u8; 6];
@@ -492,6 +508,30 @@ mod tests {
         g.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 1);
         assert!(GlobalDictionary::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn hostile_entry_count_is_a_failed_read_not_an_allocation() {
+        // Magic and a count of u32::MAX entries (160 GB of `DictEntry`),
+        // then nothing: the reader must run out of bytes, not of memory.
+        let mut buf = DICT_MAGIC.to_vec();
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn hostile_shard_counts_are_a_failed_read_not_an_allocation() {
+        // [magic, indexer, terms, n_nodes, n_strings, n_trees] and nothing
+        // else, with u32::MAX nodes (2 TB) and then u32::MAX string bytes.
+        for (n_nodes, n_strings) in [(u32::MAX, 0), (0, u32::MAX)] {
+            let mut buf = PARTIAL_MAGIC.to_vec();
+            for word in [0, 0, n_nodes, n_strings, 0] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+            let err = PartialDictionary::read_from(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{n_nodes} nodes");
+        }
     }
 
     #[test]

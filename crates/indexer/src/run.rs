@@ -620,7 +620,7 @@ mod tests {
         let dict = GlobalDictionary::combine(&parts);
         // zebra appears in global docs 0, 1, 2 with tf 1, 2, 1.
         let e = dict.lookup("zebra").expect("zebra indexed");
-        let list = sets[&e.indexer].fetch(e.postings);
+        let list = sets[&e.indexer].fetch(e.postings).unwrap();
         let docs_tfs: Vec<(u32, u32)> =
             list.postings().iter().map(|p| (p.doc.0, p.tf)).collect();
         assert_eq!(docs_tfs, vec![(0, 1), (1, 2), (2, 1)]);
@@ -647,7 +647,7 @@ mod tests {
                 .entries()
                 .iter()
                 .map(|e| {
-                    let l = sets[&e.indexer].fetch(e.postings);
+                    let l = sets[&e.indexer].fetch(e.postings).unwrap();
                     (
                         e.full_term(),
                         l.postings().iter().map(|p| (p.doc.0, p.tf)).collect(),
@@ -673,7 +673,7 @@ mod tests {
         set.push(r1.into_iter().next().unwrap());
         let dict = GlobalDictionary::combine(&p.finish());
         let e = dict.lookup("omega").unwrap();
-        let l = set.fetch(e.postings);
+        let l = set.fetch(e.postings).unwrap();
         assert_eq!(l.len(), 2);
         assert_eq!(l.postings()[1].tf, 2);
     }

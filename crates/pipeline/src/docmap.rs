@@ -32,6 +32,11 @@ pub struct DocMap {
 
 const DOCMAP_MAGIC: &[u8; 4] = b"IIDM";
 
+/// Most records [`DocMap::read_from`] reserves room for before reading any
+/// (768 KiB): one record per container file, so far more than any
+/// collection here has.
+const MAX_PRESIZED_ENTRIES: usize = 1 << 16;
+
 impl DocMap {
     /// Empty map.
     pub fn new() -> Self {
@@ -81,9 +86,7 @@ impl DocMap {
     }
 
     /// Serialize. The record block is followed by a `next_first` trailer so
-    /// a quarantine gap after the last file survives the round-trip; old
-    /// readers consumed exactly `n` records and ignore trailing bytes, so
-    /// the extension is compatible in both directions.
+    /// a quarantine gap after the last file survives the round-trip.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(DOCMAP_MAGIC)?;
         w.write_all(&(self.entries.len() as u32).to_le_bytes())?;
@@ -96,17 +99,20 @@ impl DocMap {
         Ok(())
     }
 
-    /// Deserialize. Files without the `next_first` trailer (the legacy
-    /// layout) derive it from the last entry, losing only a quarantine gap
-    /// after the final file — which lookups cannot distinguish anyway.
+    /// Deserialize what [`Self::write_to`] wrote: exactly `n` records and
+    /// the trailer, every record inside the doc-ID space the trailer ends.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<DocMap> {
+        let bad = |m: &'static str| io::Error::new(io::ErrorKind::InvalidData, m);
         let mut head = [0u8; 8];
         r.read_exact(&mut head)?;
         if &head[..4] != DOCMAP_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad docmap magic"));
+            return Err(bad("bad docmap magic"));
         }
         let n = u32::from_le_bytes(head[4..].try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(n);
+        // The count is not yet backed by bytes (`ii repair` reads files no
+        // checksum has vouched for): reserve for a collection of any size
+        // seen so far, and let a larger honest one grow as it arrives.
+        let mut entries = Vec::with_capacity(n.min(MAX_PRESIZED_ENTRIES));
         for _ in 0..n {
             let mut rec = [0u8; 12];
             r.read_exact(&mut rec)?;
@@ -117,13 +123,20 @@ impl DocMap {
             });
         }
         let mut trailer = [0u8; 4];
-        let next_first = match r.read_exact(&mut trailer) {
-            Ok(()) => u32::from_le_bytes(trailer),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                entries.last().map_or(0, |e: &DocMapEntry| e.first_doc + e.n_docs)
-            }
+        r.read_exact(&mut trailer)?;
+        let next_first = u32::from_le_bytes(trailer);
+        match r.read_exact(&mut [0u8; 1]) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
             Err(e) => return Err(e),
+            Ok(()) => return Err(bad("bytes after the docmap trailer")),
+        }
+        // `file_of` and `files_overlapping` add these without a check.
+        let inside = |e: &DocMapEntry| {
+            e.first_doc.checked_add(e.n_docs).is_some_and(|end| end <= next_first)
         };
+        if !entries.iter().all(inside) {
+            return Err(bad("docmap entry outside the doc-ID space"));
+        }
         Ok(DocMap { entries, next_first })
     }
 }
@@ -189,12 +202,34 @@ mod tests {
         let back = DocMap::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.total_docs(), 9, "gap after the last file preserved");
-        // Legacy layout (no trailer): the gap degrades to the last entry's
-        // end, everything else intact.
-        buf.truncate(buf.len() - 4);
-        let legacy = DocMap::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(legacy.entries(), m.entries());
-        assert_eq!(legacy.total_docs(), 5);
+    }
+
+    fn kind_of(buf: &[u8]) -> io::ErrorKind {
+        DocMap::read_from(&mut &buf[..]).unwrap_err().kind()
+    }
+
+    #[test]
+    fn hostile_count_is_a_failed_read_not_an_allocation() {
+        // Magic and a count of u32::MAX records (48 GB), then nothing.
+        let mut buf = DOCMAP_MAGIC.to_vec();
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(kind_of(&buf), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn trailer_is_mandatory_and_final_and_bounds_every_entry() {
+        let mut buf = Vec::new();
+        map(&[3, 2]).write_to(&mut buf).unwrap();
+        assert_eq!(kind_of(&buf[..buf.len() - 4]), io::ErrorKind::UnexpectedEof, "no trailer");
+        assert_eq!(kind_of(&[&buf[..], &[0]].concat()), io::ErrorKind::InvalidData, "trailing");
+        // The last record ([file 1, first_doc 3, n_docs 2]) running past
+        // `next_first` = 5, then overflowing u32.
+        let n_docs_at = buf.len() - 8;
+        for n_docs in [3u32, u32::MAX] {
+            let mut bad = buf.clone();
+            bad[n_docs_at..n_docs_at + 4].copy_from_slice(&n_docs.to_le_bytes());
+            assert_eq!(kind_of(&bad), io::ErrorKind::InvalidData, "n_docs {n_docs}");
+        }
     }
 
     #[test]

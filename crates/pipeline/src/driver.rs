@@ -37,10 +37,7 @@ use ii_corpus::StoredCollection;
 use ii_obs::{FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceKind, Tracer};
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
-use ii_postings::run::RunFileError;
-use ii_postings::{
-    parse_run_artifact_name, run_artifact_name, wire_format, Codec, RunFile, RunFormat, RunSet,
-};
+use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunSet};
 use ii_store::{
     ArtifactMeta, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
 };
@@ -250,9 +247,10 @@ pub struct IndexOutput {
 
 impl IndexOutput {
     /// Postings of a *surface* term (classified and prefix-stripped here).
+    /// `None` when the term is absent or one of its parts does not decode.
     pub fn postings(&self, term: &str) -> Option<ii_postings::PostingsList> {
         let e = self.dictionary.lookup(term)?;
-        Some(self.run_sets.get(&e.indexer)?.fetch(e.postings))
+        self.run_sets.get(&e.indexer)?.fetch(e.postings).ok()
     }
 }
 
@@ -509,9 +507,10 @@ fn load_resume_state(
     let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
     let mut sealed = SealedRuns::new();
     for (indexer, _, name) in run_names {
-        let (rf, meta) = parse_stored_run(&store.read(&name)?).map_err(|e| {
+        let rf = RunFile::from_bytes(&store.read(&name)?).map_err(|e| {
             StoreError::Corrupt { name: name.clone(), detail: e.to_string() }
         })?;
+        let meta = run_postings_meta(&rf);
         // `read` just verified these bytes against the manifest record, so
         // the record seals the run for every later generation.
         let record = store.manifest().artifact(&name).expect("name came from the manifest");
@@ -547,31 +546,16 @@ fn load_resume_state(
 }
 
 /// Manifest-level postings metadata of a run file: the wire format
-/// `to_bytes` writes it in, list and block counts, and the block-max bound.
-/// Committed alongside every run artifact so an index's shape is readable
-/// from the manifest alone.
+/// (`IIR3`, the one there is), list and block counts, and the block-max
+/// bound. Committed alongside every run artifact so an index's shape is
+/// readable from the manifest alone.
 pub fn run_postings_meta(run: &RunFile) -> PostingsMeta {
     PostingsMeta {
-        format: match run.format {
-            RunFormat::Legacy => 1,
-            RunFormat::Blocked => 3,
-        },
+        format: 3,
         lists: run.entries.len() as u64,
         blocks: run.block_count(),
         max_tf: run.max_tf(),
     }
-}
-
-/// Parse run bytes that stay on disk as they are (a checkpoint's sealed
-/// run, an artifact `ii repair` salvages), with the metadata a manifest
-/// must record for *those bytes*: [`run_postings_meta`], except that
-/// `format` is the one the bytes are in — an `IIR2` file parses into the
-/// same `RunFile` an `IIR3` one does, and is still format 2 on disk.
-pub fn parse_stored_run(bytes: &[u8]) -> Result<(RunFile, PostingsMeta), RunFileError> {
-    let run = RunFile::from_bytes(bytes)?;
-    let mut meta = run_postings_meta(&run);
-    meta.format = wire_format(bytes).expect("from_bytes accepted the magic");
-    Ok((run, meta))
 }
 
 /// The manifest record of every run already staged into the index
@@ -1434,10 +1418,10 @@ mod tests {
             .entries()
             .iter()
             .max_by_key(|e| {
-                out.run_sets[&e.indexer].fetch(e.postings).len()
+                out.run_sets[&e.indexer].fetch(e.postings).unwrap().len()
             })
             .unwrap();
-        let l = out.run_sets[&e.indexer].fetch(e.postings);
+        let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
         assert!(l.len() > 10, "head term should hit many docs");
         // Doc ids strictly increasing (global sort invariant).
         let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
@@ -1462,7 +1446,7 @@ mod tests {
                 .entries()
                 .iter()
                 .map(|e| {
-                    let l = out.run_sets[&e.indexer].fetch(e.postings);
+                    let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
                     (
                         e.full_term(),
                         l.postings().iter().map(|p| (p.doc.0, p.tf)).collect(),
@@ -1507,7 +1491,7 @@ mod tests {
         let e = &out.dictionary.entries()[0];
         let term = e.full_term();
         let via_helper = out.postings(&term).unwrap();
-        let direct = out.run_sets[&e.indexer].fetch(e.postings);
+        let direct = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
         assert_eq!(via_helper, direct);
         assert!(out.postings("no-such-term-xyzzy").is_none());
         std::fs::remove_dir_all(dir).unwrap();
@@ -1783,7 +1767,7 @@ mod tests {
             .entries()
             .iter()
             .map(|e| {
-                let l = out.run_sets[&e.indexer].fetch(e.postings);
+                let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
                 (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
             })
             .collect();

@@ -48,7 +48,7 @@ pub use checkpoint::{
 };
 pub use docmap::{DocMap, DocMapEntry};
 pub use driver::{
-    build_index, build_index_durable, parse_stored_run, run_postings_meta, sample_plan,
+    build_index, build_index_durable, run_postings_meta, sample_plan,
     stage_runs_and_docmap, DurableOptions, FileTiming, IndexOutput, PipelineConfig,
     PipelineReport, SamplePlan, SealedRuns,
 };

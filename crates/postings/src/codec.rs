@@ -1,34 +1,24 @@
 //! Gap-coded postings compression.
 //!
 //! Document IDs are stored as gaps from their predecessor (the lists are
-//! doc-sorted), then compressed with one of the supported codecs. Three
-//! generations coexist:
+//! doc-sorted), then compressed with one of the supported codecs. Every
+//! codec — variable-byte (what the paper itself uses in post-processing),
+//! Elias γ, Golomb, BP128-style bitpacking, PForDelta and Elias-Fano — is
+//! a coder of one block body in the fixed 128-document layout of
+//! [`crate::block`], which is where the encode and decode loops live; this
+//! module names the codecs, holds the policy that picks one and the error
+//! a decode returns.
 //!
-//! * **Legacy whole-list codecs** — variable-byte (what the paper itself
-//!   uses in post-processing), Elias γ and Golomb. These encode the entire
-//!   list as one stream with a `first_doc + 1` leading pseudo-gap and are
-//!   kept for opening pre-block-layout indexes and for the codec ablation.
-//! * **Block codecs** — BP128-style bitpacking, PForDelta and Elias-Fano,
-//!   always laid out in fixed 128-document blocks with a per-list skip
-//!   table (see [`crate::block`]). [`Codec::VarByte`] also has a blocked
-//!   form when used inside the block layout.
-//! * **[`Codec::Auto`]** — the per-length-class default policy measured by
-//!   the `codec_frontier` bench: short lists → varbyte, medium → PForDelta,
-//!   long → Elias-Fano.
+//! [`Codec::Auto`] is the per-length-class default policy measured by the
+//! `codec_frontier` bench: short lists → varbyte, medium → PForDelta,
+//! long → BP128.
 
-use crate::bits::{
-    gamma_decode, gamma_encode, golomb_decode, golomb_encode, BitReader, BitWriter,
-};
 use crate::block;
-use crate::posting::Posting;
-use crate::varbyte;
-use ii_corpus::DocId;
 
 /// Which gap compressor to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Codec {
-    /// Variable-byte (paper's choice). Whole-list when legacy, blocked
-    /// inside the block layout.
+    /// Variable-byte (paper's choice).
     VarByte,
     /// Elias γ.
     Gamma,
@@ -79,11 +69,6 @@ impl Codec {
             c => c,
         }
     }
-
-    /// True for codecs that only exist in the 128-document block layout.
-    pub fn is_blocked(self) -> bool {
-        matches!(self, Codec::Bp128 | Codec::PFor | Codec::EliasFano | Codec::Auto)
-    }
 }
 
 /// Why a postings decode failed. Every variant is a property of the input
@@ -102,8 +87,7 @@ pub enum CodecError {
         /// Number of values actually in the block.
         block_len: u8,
     },
-    /// Decoded document IDs were not strictly increasing (e.g. a zero gap:
-    /// all-equal docIDs are invalid postings).
+    /// Decoded document IDs were not strictly increasing.
     NonMonotone,
     /// A decoded document ID or term frequency overflowed `u32`.
     Overflow,
@@ -157,134 +141,12 @@ pub fn check_alloc(buf: &[u8], n: usize) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Encode a postings list with `codec`.
-///
-/// Legacy codecs (varbyte/γ/Golomb) produce the whole-list stream: doc gaps
-/// (first doc + 1 as the first "gap") and term frequencies interleaved per
-/// posting, all encoded values >= 1 as γ and Golomb require. Block codecs
-/// (and [`Codec::Auto`]) produce the 128-document block layout of
-/// [`crate::block::encode_list`], skip table included.
-pub fn encode(list: &[Posting], codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::VarByte => {
-            let mut out = Vec::with_capacity(list.len() * 3);
-            let mut prev: Option<u32> = None;
-            for p in list {
-                let gap = match prev {
-                    None => p.doc.0 + 1,
-                    Some(d) => p.doc.0 - d,
-                };
-                varbyte::encode_u32(gap, &mut out);
-                varbyte::encode_u32(p.tf, &mut out);
-                prev = Some(p.doc.0);
-            }
-            out
-        }
-        Codec::Gamma => {
-            let mut w = BitWriter::new();
-            let mut prev: Option<u32> = None;
-            for p in list {
-                let gap = match prev {
-                    None => p.doc.0 as u64 + 1,
-                    Some(d) => (p.doc.0 - d) as u64,
-                };
-                gamma_encode(gap, &mut w);
-                gamma_encode(p.tf as u64, &mut w);
-                prev = Some(p.doc.0);
-            }
-            w.finish()
-        }
-        Codec::Golomb(b) => {
-            let mut w = BitWriter::new();
-            let mut prev: Option<u32> = None;
-            for p in list {
-                let gap = match prev {
-                    None => p.doc.0 as u64 + 1,
-                    Some(d) => (p.doc.0 - d) as u64,
-                };
-                golomb_encode(gap, b, &mut w);
-                gamma_encode(p.tf as u64, &mut w);
-                prev = Some(p.doc.0);
-            }
-            w.finish()
-        }
-        Codec::Bp128 | Codec::PFor | Codec::EliasFano | Codec::Auto => {
-            block::encode_list(list, codec).bytes
-        }
-    }
-}
-
-/// Decode `n` postings encoded by [`encode`] with the same codec.
-pub fn decode(buf: &[u8], n: usize, codec: Codec) -> Result<Vec<Posting>, CodecError> {
-    check_alloc(buf, n)?;
-    let mut out = Vec::with_capacity(n);
-    match codec {
-        Codec::VarByte => {
-            let mut pos = 0usize;
-            let mut prev: Option<u32> = None;
-            for _ in 0..n {
-                let gap = varbyte::decode_u32(buf, &mut pos).ok_or(CodecError::Truncated)?;
-                let tf = varbyte::decode_u32(buf, &mut pos).ok_or(CodecError::Truncated)?;
-                let doc = match prev {
-                    None => gap.checked_sub(1).ok_or(CodecError::Malformed("zero first gap"))?,
-                    Some(d) => {
-                        if gap == 0 {
-                            return Err(CodecError::NonMonotone);
-                        }
-                        d.checked_add(gap).ok_or(CodecError::Overflow)?
-                    }
-                };
-                out.push(Posting { doc: DocId(doc), tf });
-                prev = Some(doc);
-            }
-        }
-        Codec::Gamma => {
-            let mut r = BitReader::new(buf);
-            let mut prev: Option<u32> = None;
-            for _ in 0..n {
-                let gap = gamma_decode(&mut r).ok_or(CodecError::Truncated)?;
-                let tf = gamma_decode(&mut r).ok_or(CodecError::Truncated)?;
-                let tf = u32::try_from(tf).map_err(|_| CodecError::Overflow)?;
-                let doc = legacy_bit_gap(prev, gap)?;
-                out.push(Posting { doc: DocId(doc), tf });
-                prev = Some(doc);
-            }
-        }
-        Codec::Golomb(b) => {
-            let mut r = BitReader::new(buf);
-            let mut prev: Option<u32> = None;
-            for _ in 0..n {
-                let gap = golomb_decode(b, &mut r).ok_or(CodecError::Truncated)?;
-                let tf = gamma_decode(&mut r).ok_or(CodecError::Truncated)?;
-                let tf = u32::try_from(tf).map_err(|_| CodecError::Overflow)?;
-                let doc = legacy_bit_gap(prev, gap)?;
-                out.push(Posting { doc: DocId(doc), tf });
-                prev = Some(doc);
-            }
-        }
-        Codec::Bp128 | Codec::PFor | Codec::EliasFano | Codec::Auto => {
-            return block::decode_list(buf, n, codec);
-        }
-    }
-    Ok(out)
-}
-
-/// Apply one legacy γ/Golomb gap (first gap is `doc + 1`).
-fn legacy_bit_gap(prev: Option<u32>, gap: u64) -> Result<u32, CodecError> {
-    match prev {
-        None => u32::try_from(gap - 1).map_err(|_| CodecError::Overflow),
-        Some(d) => {
-            let gap = u32::try_from(gap).map_err(|_| CodecError::Overflow)?;
-            // γ/Golomb values are >= 1 by construction, so gaps cannot be
-            // zero here; monotonicity holds when the add doesn't overflow.
-            d.checked_add(gap).ok_or(CodecError::Overflow)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{decode_list, encode_list, SKIP_ENTRY_BYTES};
+    use crate::posting::Posting;
+    use ii_corpus::DocId;
     use proptest::prelude::*;
 
     fn mklist(docs: &[(u32, u32)]) -> Vec<Posting> {
@@ -305,75 +167,61 @@ mod tests {
     fn roundtrip_all_codecs() {
         let list = mklist(&[(0, 3), (1, 1), (7, 2), (100, 9), (10_000, 1)]);
         for codec in ALL {
-            let buf = encode(&list, codec);
-            assert_eq!(decode(&buf, list.len(), codec).as_deref(), Ok(&list[..]), "{codec:?}");
+            let buf = encode_list(&list, codec).bytes;
+            assert_eq!(decode_list(&buf, list.len(), codec).as_deref(), Ok(&list[..]), "{codec:?}");
         }
     }
 
     #[test]
     fn empty_list() {
         for codec in ALL {
-            let buf = encode(&[], codec);
-            assert_eq!(decode(&buf, 0, codec), Ok(vec![]), "{codec:?}");
+            let buf = encode_list(&[], codec).bytes;
+            assert_eq!(decode_list(&buf, 0, codec), Ok(vec![]), "{codec:?}");
         }
     }
 
     #[test]
     fn doc_zero_survives() {
-        // The +1 shift must make doc 0 encodable for γ/Golomb.
+        // Doc 0 lives in the skip entry; the body holds its tf alone.
         let list = mklist(&[(0, 1)]);
         for codec in ALL {
-            assert_eq!(decode(&encode(&list, codec), 1, codec).as_deref(), Ok(&list[..]));
+            let buf = encode_list(&list, codec).bytes;
+            assert_eq!(decode_list(&buf, 1, codec).as_deref(), Ok(&list[..]));
         }
     }
 
     #[test]
     fn dense_lists_compress() {
-        // Every doc contains the term: gaps of 1 → ~2 bytes/posting vbyte,
-        // ~2 bits/posting gamma.
+        // Every doc contains the term: unit gaps and unit tfs are stored as
+        // zeros — one byte each in varbyte, one bit each in gamma, nothing
+        // at all at width 0.
         let list: Vec<Posting> = (0..1000).map(|d| Posting { doc: DocId(d), tf: 1 }).collect();
-        let vb = encode(&list, Codec::VarByte);
-        assert_eq!(vb.len(), 2000);
-        let g = encode(&list, Codec::Gamma);
+        let skips = 8 * SKIP_ENTRY_BYTES;
+        let vb = encode_list(&list, Codec::VarByte).bytes;
+        assert_eq!(vb.len(), skips + (1000 - 8) + 1000);
+        let g = encode_list(&list, Codec::Gamma).bytes;
         assert!(g.len() < 500, "gamma on unit gaps should be tiny, got {}", g.len());
-        // Blocked unit gaps pack at width 0: skip table + headers only.
-        let bp = encode(&list, Codec::Bp128);
+        let bp = encode_list(&list, Codec::Bp128).bytes;
         assert!(bp.len() < 200, "bp128 on unit gaps should be tiny, got {}", bp.len());
-        let ef = encode(&list, Codec::EliasFano);
+        let ef = encode_list(&list, Codec::EliasFano).bytes;
         assert!(ef.len() < 400, "elias-fano on unit gaps should be tiny, got {}", ef.len());
     }
 
     #[test]
     fn truncation_detected() {
         let list = mklist(&[(5, 2), (9, 1)]);
-        for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(3)] {
-            let buf = encode(&list, codec);
-            assert!(decode(&buf[..buf.len() - 1], 5, codec).is_err(), "{codec:?}");
+        for codec in ALL {
+            let buf = encode_list(&list, codec).bytes;
+            assert!(decode_list(&buf[..buf.len() - 1], 2, codec).is_err(), "{codec:?}");
         }
-        for codec in [Codec::Bp128, Codec::PFor, Codec::EliasFano] {
-            let buf = encode(&list, codec);
-            assert!(decode(&buf[..buf.len() - 1], 2, codec).is_err(), "{codec:?}");
-        }
-    }
-
-    #[test]
-    fn zero_gap_rejected() {
-        // A hand-built varbyte stream with a zero gap (all-equal docIDs)
-        // must be rejected, not silently decoded as duplicates.
-        let mut buf = Vec::new();
-        varbyte::encode_u32(6, &mut buf); // first doc = 5
-        varbyte::encode_u32(1, &mut buf);
-        varbyte::encode_u32(0, &mut buf); // zero gap: doc 5 again
-        varbyte::encode_u32(1, &mut buf);
-        assert_eq!(decode(&buf, 2, Codec::VarByte), Err(CodecError::NonMonotone));
     }
 
     #[test]
     fn alloc_guard_rejects_hostile_count() {
         let buf = [0u8; 8];
-        let err = decode(&buf, usize::MAX / 2, Codec::VarByte).unwrap_err();
+        let err = decode_list(&buf, usize::MAX / 2, Codec::VarByte).unwrap_err();
         assert!(matches!(err, CodecError::AllocGuard { .. }), "{err:?}");
-        let err = decode(&buf, 1 << 30, Codec::Auto).unwrap_err();
+        let err = decode_list(&buf, 1 << 30, Codec::Auto).unwrap_err();
         assert!(matches!(err, CodecError::AllocGuard { .. }), "{err:?}");
     }
 
@@ -399,8 +247,8 @@ mod tests {
                 list.push(Posting { doc: DocId(doc), tf });
             }
             for codec in ALL {
-                let buf = encode(&list, codec);
-                let back = decode(&buf, list.len(), codec);
+                let buf = encode_list(&list, codec).bytes;
+                let back = decode_list(&buf, list.len(), codec);
                 prop_assert_eq!(back.as_deref(), Ok(&list[..]));
             }
         }

@@ -12,7 +12,7 @@
 use crate::block::{decode_block, BlockScratch, BlockedList};
 use crate::codec::{Codec, CodecError};
 use crate::posting::Posting;
-use crate::run::{RunEntry, RunFile, RunFormat};
+use crate::run::{RunEntry, RunFile};
 
 /// What a block cursor decodes with and into. Owned by the cursor while it
 /// is open; a [`SetCursor`] hands it from each run part to the next, so a
@@ -22,7 +22,7 @@ pub(crate) struct DecodeBufs {
     /// Decoded postings of the current block.
     postings: Vec<Posting>,
     /// Boxed: the fixed decode arrays are ~1 KiB and cursors move through
-    /// enum variants and collections by value.
+    /// options and collections by value.
     scratch: Box<BlockScratch>,
 }
 
@@ -173,58 +173,6 @@ impl<'a> ListCursor<'a> {
     }
 }
 
-/// Cursor over one run entry: block-layout entries get real skip pointers,
-/// legacy whole-list entries fall back to an eager decode.
-#[derive(Debug)]
-pub enum RunCursor<'a> {
-    /// Lazy block cursor (blocked run files).
-    Blocked(ListCursor<'a>),
-    /// Eagerly decoded legacy list.
-    Legacy {
-        /// The decoded postings.
-        postings: Vec<Posting>,
-        /// Next index into `postings`.
-        pos: usize,
-    },
-}
-
-impl RunCursor<'_> {
-    /// Next posting in document order (fallible, so not an `Iterator`).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Posting>, CodecError> {
-        match self {
-            RunCursor::Blocked(c) => c.next(),
-            RunCursor::Legacy { postings, pos } => {
-                let p = postings.get(*pos).copied();
-                *pos += 1;
-                Ok(p)
-            }
-        }
-    }
-
-    /// Advance to the first posting with `doc >= target` and consume it.
-    pub fn advance_to(&mut self, target: u32) -> Result<Option<Posting>, CodecError> {
-        match self {
-            RunCursor::Blocked(c) => c.advance_to(target),
-            RunCursor::Legacy { postings, pos } => {
-                let tail = postings.get(*pos..).unwrap_or(&[]);
-                *pos += tail.partition_point(|p| p.doc.0 < target);
-                let p = postings.get(*pos).copied();
-                *pos += 1;
-                Ok(p)
-            }
-        }
-    }
-
-    /// Blocks decoded so far (0 for legacy cursors).
-    pub fn blocks_decoded(&self) -> u32 {
-        match self {
-            RunCursor::Blocked(c) => c.blocks_decoded(),
-            RunCursor::Legacy { .. } => 0,
-        }
-    }
-}
-
 /// A term's postings across every run that contains it, in global document
 /// order (runs cover disjoint, increasing document ranges by construction —
 /// the pipeline's round-robin consumption order).
@@ -238,7 +186,7 @@ pub struct SetCursor<'a> {
     parts: Vec<(&'a RunFile, &'a RunEntry)>,
     /// The part `open` reads, else the next one to open.
     idx: usize,
-    open: Option<RunCursor<'a>>,
+    open: Option<ListCursor<'a>>,
     /// Decode buffers on their way from a closed part to the next one.
     spare: Option<DecodeBufs>,
     df: u64,
@@ -252,14 +200,22 @@ impl<'a> SetCursor<'a> {
     /// A cursor over the partial lists of `handle` in `runs` (run order, so
     /// ascending document ranges). `None` when no run holds the handle.
     pub fn over(runs: &'a [RunFile], handle: u32) -> Option<Self> {
+        Self::over_parts(runs, handle, |_| true)
+    }
+
+    /// [`Self::over`] restricted to the parts whose row `keep` accepts;
+    /// the others count towards nothing, as if their runs lacked the handle.
+    pub(crate) fn over_parts(
+        runs: &'a [RunFile],
+        handle: u32,
+        keep: impl Fn(&RunEntry) -> bool,
+    ) -> Option<Self> {
         let mut parts = Vec::with_capacity(runs.len());
         let (mut df, mut blocks_total) = (0u64, 0usize);
         for run in runs {
-            if let Some(e) = run.entry(handle) {
+            if let Some(e) = run.entry(handle).filter(|e| keep(e)) {
                 df += u64::from(e.n_postings);
-                if run.format == RunFormat::Blocked {
-                    blocks_total += crate::block::n_blocks(e.n_postings as usize);
-                }
+                blocks_total += crate::block::n_blocks(e.n_postings as usize);
                 parts.push((run, e));
             }
         }
@@ -282,10 +238,12 @@ impl<'a> SetCursor<'a> {
 
     /// The cursor of part `idx`, opened now if it was not; `None` past the
     /// last part.
-    fn current(&mut self) -> Result<Option<&mut RunCursor<'a>>, CodecError> {
+    fn current(&mut self) -> Result<Option<&mut ListCursor<'a>>, CodecError> {
         if self.open.is_none() {
             let Some(&(run, e)) = self.parts.get(self.idx) else { return Ok(None) };
-            self.open = Some(run.open_cursor(e, &mut self.spare)?);
+            let blocks = run.blocks_of(e)?;
+            let bufs = self.spare.take().unwrap_or_default();
+            self.open = Some(ListCursor::reusing(blocks, e.codec, bufs));
             self.parts_opened += 1;
         }
         Ok(self.open.as_mut())
@@ -295,9 +253,7 @@ impl<'a> SetCursor<'a> {
     fn pass(&mut self) {
         if let Some(c) = self.open.take() {
             self.blocks_decoded += c.blocks_decoded();
-            if let RunCursor::Blocked(c) = c {
-                self.spare = Some(c.bufs);
-            }
+            self.spare = Some(c.bufs);
         }
         self.idx += 1;
     }
@@ -309,10 +265,8 @@ impl<'a> SetCursor<'a> {
     pub fn next(&mut self) -> Result<Option<Posting>, CodecError> {
         // Inlined into the caller's loop: one bounds check per posting while
         // the open part's decoded block lasts.
-        if let Some(RunCursor::Blocked(c)) = &mut self.open {
-            if let Some(p) = c.buffered() {
-                return Ok(Some(p));
-            }
+        if let Some(p) = self.open.as_mut().and_then(ListCursor::buffered) {
+            return Ok(Some(p));
         }
         self.next_decoding()
     }
@@ -345,7 +299,7 @@ impl<'a> SetCursor<'a> {
 
     /// Blocks decoded across all parts.
     pub fn blocks_decoded(&self) -> u32 {
-        self.blocks_decoded + self.open.as_ref().map_or(0, RunCursor::blocks_decoded)
+        self.blocks_decoded + self.open.as_ref().map_or(0, ListCursor::blocks_decoded)
     }
 
     /// Total blocks across all parts, opened or not.
@@ -519,22 +473,6 @@ mod tests {
         assert_eq!(c.next().unwrap(), Some(parts[0][0]));
         assert_eq!(c.advance_to(parts[5][0].doc.0).unwrap(), Some(parts[5][0]));
         assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 2));
-    }
-
-    #[test]
-    fn legacy_and_blocked_parts_mix() {
-        let (mut runs, parts) = runs_of(3, 150);
-        let middle: PostingsList = parts[1].iter().copied().collect();
-        runs[1] = RunFile::build_legacy(1, 0, &mut [(7u32, &middle)].into_iter(), Codec::VarByte);
-        assert_eq!(runs[1].format, RunFormat::Legacy);
-        let mut c = SetCursor::over(&runs, 7).unwrap();
-        assert_eq!(c.df(), 450);
-        assert_eq!(c.blocks_total(), 2 + 2, "a legacy part has no blocks");
-        assert_eq!(drain(&mut c).unwrap(), parts.concat());
-        let mut c = SetCursor::over(&runs, 7).unwrap();
-        assert_eq!(c.advance_to(parts[1][77].doc.0).unwrap(), Some(parts[1][77]));
-        assert_eq!(c.advance_to(parts[2][3].doc.0 - 1).unwrap(), Some(parts[2][3]));
-        assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 1));
     }
 
     #[test]

@@ -25,12 +25,11 @@ pub mod varbyte;
 pub use block::{
     BlockedList, EncodedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES,
 };
-pub use codec::{codec_for, decode, encode, Codec, CodecError, LONG_LIST_MIN, SHORT_LIST_MAX};
-pub use cursor::{ListCursor, RunCursor, SetCursor};
+pub use codec::{codec_for, Codec, CodecError, LONG_LIST_MIN, SHORT_LIST_MAX};
+pub use cursor::{ListCursor, SetCursor};
 pub use merge::merge_runs;
 pub use positional::{phrase_matches, phrase_matches_with_offsets, PositionalList, PositionalPosting};
 pub use posting::{Posting, PostingsList};
 pub use run::{
-    parse_run_artifact_name, run_artifact_name, wire_format, RunBuilder, RunEntry, RunFile,
-    RunFormat, RunSet,
+    parse_run_artifact_name, run_artifact_name, RunBuilder, RunEntry, RunFile, RunSet,
 };

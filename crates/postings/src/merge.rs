@@ -17,7 +17,7 @@
 
 use crate::block::{decode_block, BlockScratch, BLOCK_LEN};
 use crate::codec::Codec;
-use crate::run::{RunBuilder, RunEntry, RunFile, RunFormat, RunSet};
+use crate::run::{RunBuilder, RunEntry, RunFile, RunSet};
 use std::collections::BTreeMap;
 
 /// Merge every term's partial lists across `runs` into a single run file
@@ -59,7 +59,7 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
         );
         merged.push_list_with(handle, target, total, doc_range, |enc| {
             for (r, e) in &parts {
-                if r.format == RunFormat::Blocked && e.codec == target {
+                if e.codec == target {
                     // Codec-aligned source: stream blocks, copying full ones
                     // verbatim when the output is on a block boundary.
                     let blocks = r.blocks_of(e).expect("committed run entry parses");
@@ -84,7 +84,7 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
                         }
                     }
                 } else {
-                    // Legacy or codec-mismatched source: full decode + re-encode.
+                    // Codec-mismatched source: full decode + re-encode.
                     let part = r.decode_entry(e).expect("committed run entry decodes");
                     recoded_ctr.add(part.len() as u64);
                     enc.extend(&part);
@@ -130,7 +130,7 @@ mod tests {
             rs.push(run_with(r, 1, &[r * 10, r * 10 + 3]));
         }
         let merged = merge_runs(&rs, Codec::VarByte);
-        assert_eq!(merged.get(1).unwrap(), rs.fetch(1).postings().to_vec());
+        assert_eq!(merged.get(1).unwrap(), rs.fetch(1).unwrap().postings().to_vec());
     }
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
             }
             let merged = merge_runs(&rs, codec);
             // Byte-identity with a from-scratch build of the full list.
-            let full: PostingsList = rs.fetch(9).postings().iter().copied().collect();
+            let full: PostingsList = rs.fetch(9).unwrap().postings().iter().copied().collect();
             let pairs = [(9u32, full)];
             let mut it = pairs.iter().map(|(h, l)| (*h, l));
             let rebuilt = RunFile::build(merged.run_id, 0, &mut it, codec);
@@ -208,28 +208,12 @@ mod tests {
         rs.push(big_run(1, 9, 1_000_000, 129, Codec::PFor));
         rs.push(big_run(2, 9, 2_000_000, 127, Codec::PFor));
         let merged = merge_runs(&rs, Codec::PFor);
-        let full: PostingsList = rs.fetch(9).postings().iter().copied().collect();
+        let full: PostingsList = rs.fetch(9).unwrap().postings().iter().copied().collect();
         let pairs = [(9u32, full)];
         let mut it = pairs.iter().map(|(h, l)| (*h, l));
         let rebuilt = RunFile::build(merged.run_id, 0, &mut it, Codec::PFor);
         assert_eq!(merged.payload, rebuilt.payload);
         assert_eq!(merged.entries, rebuilt.entries);
-        assert_eq!(merged.get(9).unwrap(), rs.fetch(9).postings());
-    }
-
-    #[test]
-    fn legacy_sources_merge_into_blocked_output() {
-        let list: PostingsList =
-            (0..200u32).map(|i| Posting { doc: DocId(i * 3), tf: 1 }).collect();
-        let pairs = [(5u32, list)];
-        let mut it = pairs.iter().map(|(h, l)| (*h, l));
-        let legacy = RunFile::build_legacy(0, 0, &mut it, Codec::VarByte);
-        let mut rs = RunSet::new();
-        rs.push(legacy);
-        let merged = merge_runs(&rs, Codec::Auto);
-        assert_eq!(merged.format, RunFormat::Blocked);
-        assert_eq!(merged.entries[0].codec, Codec::PFor, "200 postings: medium class");
-        assert_eq!(merged.get(5).unwrap(), rs.fetch(5).postings());
-        assert!(merged.entries[0].max_tf >= 1, "block-max recovered from legacy data");
+        assert_eq!(merged.get(9).unwrap(), rs.fetch(9).unwrap().postings());
     }
 }

@@ -7,52 +7,24 @@
 //! the concatenation of its partial lists across runs, which is already
 //! doc-ordered because runs are.
 //!
-//! [`RunFile::to_bytes`] writes two wire layouts, one per [`RunFormat`]:
-//!
-//! * **`IIR3`** — [`RunFormat::Blocked`], what [`RunBuilder`] (so
-//!   [`RunFile::build`], the indexers' flush and the merge) produces. The
-//!   mapping table is delta-varint coded (rows sorted by
-//!   handle, offsets implied by the running sum of lengths) and a list's
-//!   payload slice is the block layout of [`crate::block`] — except that a
-//!   list of at most [`BLOCK_LEN`] postings is its block body alone: the
-//!   one skip entry it would carry is implied by its row
-//!   ([`RunFile::blocks_of`]).
-//! * **`IIRF`** — [`RunFormat::Legacy`], the v1 layout: fixed 28-byte rows
-//!   and one whole-list stream per list in the run's single codec. Still
-//!   readable, and writable via [`RunFile::build_legacy`], so
-//!   pre-block-layout indexes keep opening.
-//!
-//! [`RunFile::from_bytes`] also reads `IIR2`, the blocked layout written
-//! before `IIR3` (fixed 41-byte rows, a skip table in front of every list),
-//! converting it on load into the same in-memory form; nothing writes it.
+//! There is one wire layout, `IIR3`: what [`RunBuilder`] (so
+//! [`RunFile::build`], the indexers' flush and the merge) produces,
+//! [`RunFile::to_bytes`] writes and [`RunFile::from_bytes`] reads. The
+//! mapping table is delta-varint coded (rows sorted by handle, offsets
+//! implied by the running sum of lengths) and a list's payload slice is the
+//! block layout of [`crate::block`] — except that a list of at most
+//! [`BLOCK_LEN`] postings is its block body alone: the one skip entry it
+//! would carry is implied by its row ([`RunFile::blocks_of`]).
 
-use crate::block::{
-    self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN, SKIP_ENTRY_BYTES,
-};
-use crate::codec::{check_alloc, decode, encode, Codec, CodecError};
-use crate::cursor::{DecodeBufs, ListCursor, RunCursor, SetCursor};
+use crate::block::{self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN};
+use crate::codec::{check_alloc, Codec, CodecError};
+use crate::cursor::{ListCursor, SetCursor};
 use crate::posting::{Posting, PostingsList};
 use crate::varbyte;
 use ii_corpus::DocId;
 
-/// Magic bytes of a legacy (whole-list) run file.
-pub const RUN_MAGIC: &[u8; 4] = b"IIRF";
-
-/// Magic bytes of the fixed-row block-layout run file earlier builds wrote.
-/// Read-only: [`RunFile::from_bytes`] converts it, nothing writes it.
-pub const RUN_MAGIC_V2: &[u8; 4] = b"IIR2";
-
-/// Magic bytes of a block-layout run file.
+/// Magic bytes of a run file.
 pub const RUN_MAGIC_V3: &[u8; 4] = b"IIR3";
-
-/// Which layout a run file's lists use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunFormat {
-    /// Whole-list streams, one codec per run (`IIRF` on disk).
-    Legacy,
-    /// 128-doc blocks, one codec per list (`IIR3` on disk).
-    Blocked,
-}
 
 /// One mapping-table row: where a partial postings list lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,23 +41,16 @@ pub struct RunEntry {
     pub doc_min: u32,
     /// Largest document ID in the partial list.
     pub doc_max: u32,
-    /// Codec of this list. In legacy files every entry inherits the run
-    /// codec; in blocked files it is the length-class-resolved codec of the
-    /// list.
+    /// Codec of this list: the run's codec resolved by the list's length.
     pub codec: Codec,
-    /// Largest term frequency in the list (block-max metadata; 0 in
-    /// legacy files, which never stored it).
+    /// Largest term frequency in the list (block-max metadata).
     pub max_tf: u32,
 }
 
-const ENTRY_BYTES_V1: usize = 28;
-const ENTRY_BYTES_V2: usize = 41;
-/// Header of `IIRF` and `IIR2` files: magic, run id, indexer id, codec tag,
-/// Golomb parameter, row count, payload length.
-const HEADER_BYTES: usize = 33;
-/// `IIR3` header: the same with the table's byte length before the payload
-/// length, so the payload is addressable without walking the table.
-const HEADER_BYTES_V3: usize = HEADER_BYTES + 8;
+/// `IIR3` header: magic, run id, indexer id, codec tag, Golomb parameter,
+/// row count, then the table's byte length before the payload length, so
+/// the payload is addressable without walking the table.
+const HEADER_BYTES_V3: usize = 41;
 /// Fewest bytes an `IIR3` row can take (six one-byte varints and the codec
 /// tag): bounds the row count a table of a given length can hold.
 const MIN_ROW_BYTES_V3: usize = 7;
@@ -105,8 +70,6 @@ pub struct RunFile {
     /// The codec the run was built with (possibly [`Codec::Auto`]; the
     /// per-list resolution lives in each entry).
     pub codec: Codec,
-    /// On-disk layout.
-    pub format: RunFormat,
 }
 
 /// Errors from [`RunFile::from_bytes`].
@@ -149,17 +112,6 @@ pub fn parse_run_artifact_name(name: &str) -> Option<(u32, u32)> {
         return None;
     }
     Some((indexer.parse().ok()?, run.parse().ok()?))
-}
-
-/// The wire-format number a manifest records for serialized run bytes
-/// (`PostingsMeta::format`): 1 for `IIRF`, 2 for `IIR2`, 3 for `IIR3`.
-/// `None` when the bytes start with no run-file magic. Only the bytes
-/// know this; a parsed [`RunFile`] does not remember its magic.
-pub fn wire_format(bytes: &[u8]) -> Option<u32> {
-    [RUN_MAGIC, RUN_MAGIC_V2, RUN_MAGIC_V3]
-        .iter()
-        .position(|magic| bytes.starts_with(*magic))
-        .map(|i| i as u32 + 1)
 }
 
 fn codec_tag(c: Codec) -> (u8, u64) {
@@ -208,38 +160,6 @@ impl RunFile {
         run.finish()
     }
 
-    /// Build a legacy (v1, whole-list) run file. Kept for fixtures and the
-    /// backwards-compatibility tests; `codec` must be a legacy codec.
-    pub fn build_legacy(
-        run_id: u32,
-        indexer_id: u32,
-        lists: &mut dyn Iterator<Item = (u32, &PostingsList)>,
-        codec: Codec,
-    ) -> RunFile {
-        assert!(!codec.is_blocked(), "legacy run files only support whole-list codecs");
-        let mut pairs: Vec<(u32, &PostingsList)> =
-            lists.filter(|(_, l)| !l.is_empty()).collect();
-        pairs.sort_unstable_by_key(|(h, _)| *h);
-        let mut entries = Vec::with_capacity(pairs.len());
-        let mut payload = Vec::new();
-        for (handle, list) in pairs {
-            let bytes = encode(list.postings(), codec);
-            let (lo, hi) = list.doc_range().expect("non-empty");
-            entries.push(RunEntry {
-                handle,
-                offset: payload.len() as u64,
-                len: bytes.len() as u32,
-                n_postings: list.len() as u32,
-                doc_min: lo.0,
-                doc_max: hi.0,
-                codec,
-                max_tf: 0,
-            });
-            payload.extend_from_slice(&bytes);
-        }
-        RunFile { run_id, indexer_id, entries, payload, codec, format: RunFormat::Legacy }
-    }
-
     /// Document range covered by the whole run, if any list is present.
     pub fn doc_range(&self) -> Option<(u32, u32)> {
         let lo = self.entries.iter().map(|e| e.doc_min).min()?;
@@ -247,20 +167,14 @@ impl RunFile {
         Some((lo, hi))
     }
 
-    /// Largest term frequency across every list in the run (0 when empty
-    /// or legacy).
+    /// Largest term frequency across every list in the run (0 when empty).
     pub fn max_tf(&self) -> u32 {
         self.entries.iter().map(|e| e.max_tf).max().unwrap_or(0)
     }
 
-    /// Total 128-doc blocks across every list (0 for legacy files).
+    /// Total 128-doc blocks across every list.
     pub fn block_count(&self) -> u64 {
-        match self.format {
-            RunFormat::Legacy => 0,
-            RunFormat::Blocked => {
-                self.entries.iter().map(|e| block::n_blocks(e.n_postings as usize) as u64).sum()
-            }
-        }
+        self.entries.iter().map(|e| block::n_blocks(e.n_postings as usize) as u64).sum()
     }
 
     /// Look up the mapping-table row of `handle`.
@@ -276,14 +190,13 @@ impl RunFile {
         &self.payload[e.offset as usize..(e.offset + e.len as u64) as usize]
     }
 
-    /// The block structure of one row of a blocked run — the only place
+    /// The block structure of one row — the only place
     /// that knows whether a list's skip table is in its payload slice or
     /// implied by the row. A list of at most [`BLOCK_LEN`] postings is its
     /// block body alone and its skip entry is
     /// `(first_doc: doc_min, offset: 0, max_tf)`; a longer list carries its
     /// skip table in front ([`RunBuilder`] writes both).
     pub fn blocks_of(&self, e: &RunEntry) -> Result<BlockedList<'_>, CodecError> {
-        debug_assert_eq!(self.format, RunFormat::Blocked);
         let buf = self.payload_of(e);
         let n = e.n_postings as usize;
         check_alloc(buf, n)?;
@@ -296,34 +209,13 @@ impl RunFile {
 
     /// Decode the partial postings list behind one mapping-table row.
     pub fn decode_entry(&self, e: &RunEntry) -> Result<Vec<Posting>, CodecError> {
-        match self.format {
-            RunFormat::Blocked => self.blocks_of(e)?.decode(e.codec),
-            RunFormat::Legacy => decode(self.payload_of(e), e.n_postings as usize, e.codec),
-        }
+        self.blocks_of(e)?.decode(e.codec)
     }
 
-    /// A skip-capable cursor over one mapping-table row. Blocked entries
-    /// decode lazily (block at a time via the skip entries); legacy entries
-    /// fall back to an eager whole-list decode.
-    pub fn cursor_of(&self, e: &RunEntry) -> Result<RunCursor<'_>, CodecError> {
-        self.open_cursor(e, &mut None)
-    }
-
-    /// [`Self::cursor_of`], with a blocked cursor taking the decode buffers
-    /// in `spare` when there are any.
-    pub(crate) fn open_cursor(
-        &self,
-        e: &RunEntry,
-        spare: &mut Option<DecodeBufs>,
-    ) -> Result<RunCursor<'_>, CodecError> {
-        Ok(match self.format {
-            RunFormat::Blocked => RunCursor::Blocked(ListCursor::reusing(
-                self.blocks_of(e)?,
-                e.codec,
-                spare.take().unwrap_or_default(),
-            )),
-            RunFormat::Legacy => RunCursor::Legacy { postings: self.decode_entry(e)?, pos: 0 },
-        })
+    /// A skip-capable cursor over one mapping-table row: blocks decode
+    /// lazily, one at a time, via the skip entries.
+    pub fn cursor_of(&self, e: &RunEntry) -> Result<ListCursor<'_>, CodecError> {
+        Ok(ListCursor::over(self.blocks_of(e)?, e.codec))
     }
 
     /// Decode the partial postings list of `handle` in this run. `None`
@@ -333,76 +225,57 @@ impl RunFile {
         self.decode_entry(e).ok()
     }
 
-    /// Serialize to bytes (what goes to disk): `IIR3` for a blocked run,
-    /// `IIRF` for a legacy one — a v1-loaded file re-serializes as v1, so
-    /// round-trips never silently migrate a legacy artifact.
+    /// Serialize to bytes (what goes to disk).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (magic, header_bytes, row_bytes) = match self.format {
-            RunFormat::Legacy => (RUN_MAGIC, HEADER_BYTES, ENTRY_BYTES_V1),
-            // Rows measure 8 bytes on tail-heavy text; 10 avoids a regrow.
-            RunFormat::Blocked => (RUN_MAGIC_V3, HEADER_BYTES_V3, 10),
-        };
+        // Rows measure 8 bytes on tail-heavy text; 10 avoids a regrow.
         let mut out = Vec::with_capacity(
-            header_bytes + self.entries.len() * row_bytes + self.payload.len(),
+            HEADER_BYTES_V3 + self.entries.len() * 10 + self.payload.len(),
         );
-        out.extend_from_slice(magic);
+        out.extend_from_slice(RUN_MAGIC_V3);
         out.extend_from_slice(&self.run_id.to_le_bytes());
         out.extend_from_slice(&self.indexer_id.to_le_bytes());
         let (tag, b) = codec_tag(self.codec);
         out.push(tag);
         out.extend_from_slice(&b.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        match self.format {
-            RunFormat::Legacy => {
-                out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-                for e in &self.entries {
-                    out.extend_from_slice(&e.handle.to_le_bytes());
-                    out.extend_from_slice(&e.offset.to_le_bytes());
-                    out.extend_from_slice(&e.len.to_le_bytes());
-                    out.extend_from_slice(&e.n_postings.to_le_bytes());
-                    out.extend_from_slice(&e.doc_min.to_le_bytes());
-                    out.extend_from_slice(&e.doc_max.to_le_bytes());
-                }
-            }
-            RunFormat::Blocked => {
-                let table_len_at = out.len();
-                out.extend_from_slice(&[0; 8]); // table length, patched below
-                out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-                let mut next_handle = 0u32;
-                let mut offset = 0u64;
-                for e in &self.entries {
-                    // Offsets are not stored: lists sit back to back in row
-                    // order, so each is the running sum of the lengths.
-                    debug_assert_eq!(e.offset, offset, "blocked lists must be contiguous");
-                    offset += u64::from(e.len);
-                    varbyte::encode_u32(e.handle - next_handle, &mut out);
-                    next_handle = e.handle.wrapping_add(1);
-                    varbyte::encode_u32(e.n_postings, &mut out);
-                    varbyte::encode_u32(e.len, &mut out);
-                    varbyte::encode_u32(e.doc_min, &mut out);
-                    varbyte::encode_u32(e.doc_max - e.doc_min, &mut out);
-                    varbyte::encode_u32(e.max_tf, &mut out);
-                    let (tag, b) = codec_tag(e.codec);
-                    out.push(tag);
-                    if tag == GOLOMB_TAG {
-                        out.extend_from_slice(&b.to_le_bytes());
-                    }
-                }
-                let table_len = (out.len() - HEADER_BYTES_V3) as u64;
-                out[table_len_at..table_len_at + 8].copy_from_slice(&table_len.to_le_bytes());
+        let table_len_at = out.len();
+        out.extend_from_slice(&[0; 8]); // table length, patched below
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        let mut next_handle = 0u32;
+        let mut offset = 0u64;
+        for e in &self.entries {
+            // Offsets are not stored: lists sit back to back in row
+            // order, so each is the running sum of the lengths.
+            debug_assert_eq!(e.offset, offset, "lists must be contiguous");
+            offset += u64::from(e.len);
+            varbyte::encode_u32(e.handle - next_handle, &mut out);
+            next_handle = e.handle.wrapping_add(1);
+            varbyte::encode_u32(e.n_postings, &mut out);
+            varbyte::encode_u32(e.len, &mut out);
+            varbyte::encode_u32(e.doc_min, &mut out);
+            varbyte::encode_u32(e.doc_max - e.doc_min, &mut out);
+            varbyte::encode_u32(e.max_tf, &mut out);
+            let (tag, b) = codec_tag(e.codec);
+            out.push(tag);
+            if tag == GOLOMB_TAG {
+                out.extend_from_slice(&b.to_le_bytes());
             }
         }
+        let table_len = (out.len() - HEADER_BYTES_V3) as u64;
+        out[table_len_at..table_len_at + 8].copy_from_slice(&table_len.to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
     }
 
-    /// Deserialize a run file (any readable layout, dispatched on the
-    /// magic). `IIR2` and `IIR3` bytes of the same run give equal values.
+    /// Deserialize a run file. Bytes that do not begin with the `IIR3`
+    /// magic are [`RunFileError::Malformed`].
     pub fn from_bytes(buf: &[u8]) -> Result<RunFile, RunFileError> {
-        if buf.len() < HEADER_BYTES {
+        if buf.len() < HEADER_BYTES_V3 {
             return Err(RunFileError::Truncated);
         }
-        let magic: &[u8; 4] = buf[..4].try_into().unwrap();
+        if &buf[..4] != RUN_MAGIC_V3 {
+            return Err(RunFileError::Malformed);
+        }
         let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
         let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let mut run = RunFile {
@@ -411,27 +284,14 @@ impl RunFile {
             entries: Vec::new(),
             payload: Vec::new(),
             codec: codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?,
-            format: if magic == RUN_MAGIC { RunFormat::Legacy } else { RunFormat::Blocked },
         };
-        let n = rd32(21) as usize;
-        if magic == RUN_MAGIC_V3 {
-            run.read_compact(buf, n)?;
-        } else if magic == RUN_MAGIC || magic == RUN_MAGIC_V2 {
-            run.read_fixed_rows(buf, n)?;
-            if magic == RUN_MAGIC_V2 {
-                run.drop_single_block_skips()?;
-            }
-        } else {
-            return Err(RunFileError::Malformed);
-        }
+        run.read_compact(buf, rd32(21) as usize)?;
         Ok(run)
     }
 
-    /// Table and payload of an `IIR3` file.
+    /// Table and payload: `buf` is the whole file (at least a header), `n`
+    /// the header's row count.
     fn read_compact(&mut self, buf: &[u8], n: usize) -> Result<(), RunFileError> {
-        if buf.len() < HEADER_BYTES_V3 {
-            return Err(RunFileError::Truncated);
-        }
         let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let (table_len, payload_len) = (rd64(25), rd64(33));
         let body = (buf.len() - HEADER_BYTES_V3) as u64;
@@ -489,100 +349,9 @@ impl RunFile {
         self.payload = payload.to_vec();
         Ok(())
     }
-
-    /// Table and payload of an `IIRF` or `IIR2` file (fixed-width rows).
-    fn read_fixed_rows(&mut self, buf: &[u8], n: usize) -> Result<(), RunFileError> {
-        let entry_bytes = match self.format {
-            RunFormat::Legacy => ENTRY_BYTES_V1,
-            RunFormat::Blocked => ENTRY_BYTES_V2,
-        };
-        let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
-        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let payload_len = rd64(25) as usize;
-        let table_start = HEADER_BYTES;
-        let payload_start = table_start
-            .checked_add(n.checked_mul(entry_bytes).ok_or(RunFileError::Malformed)?)
-            .ok_or(RunFileError::Malformed)?;
-        if buf.len() < payload_start.checked_add(payload_len).ok_or(RunFileError::Malformed)? {
-            return Err(RunFileError::Truncated);
-        }
-        self.entries.reserve_exact(n);
-        for i in 0..n {
-            let o = table_start + i * entry_bytes;
-            let (entry_codec, max_tf) = match self.format {
-                RunFormat::Legacy => (self.codec, 0),
-                RunFormat::Blocked => {
-                    let c = codec_from_tag(buf[o + 32], rd64(o + 33))
-                        .ok_or(RunFileError::Malformed)?;
-                    if c == Codec::Auto {
-                        // Entries must carry resolved codecs.
-                        return Err(RunFileError::Malformed);
-                    }
-                    (c, rd32(o + 28))
-                }
-            };
-            let e = RunEntry {
-                handle: rd32(o),
-                offset: rd64(o + 4),
-                len: rd32(o + 12),
-                n_postings: rd32(o + 16),
-                doc_min: rd32(o + 20),
-                doc_max: rd32(o + 24),
-                codec: entry_codec,
-                max_tf,
-            };
-            // `entry` binary-searches the table: rows out of handle order
-            // would open fine and then lose lists at query time.
-            if self.entries.last().is_some_and(|prev| prev.handle >= e.handle) {
-                return Err(RunFileError::Malformed);
-            }
-            // `checked_add`: an offset near `u64::MAX` must not wrap past
-            // the bound and panic later in `payload_of`.
-            match e.offset.checked_add(u64::from(e.len)) {
-                Some(end) if end <= payload_len as u64 => {}
-                _ => return Err(RunFileError::Malformed),
-            }
-            self.entries.push(e);
-        }
-        self.payload = buf[payload_start..payload_start + payload_len].to_vec();
-        Ok(())
-    }
-
-    /// `IIR2` → in-memory form: every list of at most [`BLOCK_LEN`]
-    /// postings loses the skip table `IIR2` put in front of it, after a
-    /// check that the table says what the row implies. Lists must sit back
-    /// to back in row order, as every `IIR2` writer laid them out (and as
-    /// `IIR3` can only express).
-    fn drop_single_block_skips(&mut self) -> Result<(), RunFileError> {
-        let old = std::mem::take(&mut self.payload);
-        self.payload.reserve_exact(old.len());
-        let mut expected = 0u64;
-        for e in &mut self.entries {
-            if e.offset != expected || e.n_postings == 0 {
-                return Err(RunFileError::Malformed);
-            }
-            expected += u64::from(e.len);
-            let n = e.n_postings as usize;
-            let mut bytes = &old[e.offset as usize..expected as usize];
-            if n <= BLOCK_LEN {
-                let list = BlockedList::parse(bytes, n).map_err(|_| RunFileError::Malformed)?;
-                if list.entry(0) != implied_skip(e) {
-                    return Err(RunFileError::Malformed);
-                }
-                bytes = &bytes[SKIP_ENTRY_BYTES..];
-            }
-            e.offset = self.payload.len() as u64;
-            e.len = bytes.len() as u32;
-            self.payload.extend_from_slice(bytes);
-        }
-        if expected != old.len() as u64 {
-            return Err(RunFileError::Malformed);
-        }
-        Ok(())
-    }
 }
 
-/// Writer of a blocked run file: lists arrive in ascending handle order and
+/// Writer of a run file: lists arrive in ascending handle order and
 /// each is encoded straight into the payload through one [`ListEncoder`] —
 /// the writing half of [`RunFile::blocks_of`]. A list of at most
 /// [`BLOCK_LEN`] postings is its block body alone, because its one skip
@@ -595,7 +364,7 @@ pub struct RunBuilder {
 }
 
 impl RunBuilder {
-    /// An empty blocked run with room for `lists` rows.
+    /// An empty run with room for `lists` rows.
     pub fn new(run_id: u32, indexer_id: u32, codec: Codec, lists: usize) -> RunBuilder {
         RunBuilder {
             run: RunFile {
@@ -604,7 +373,6 @@ impl RunBuilder {
                 entries: Vec::with_capacity(lists),
                 payload: Vec::new(),
                 codec,
-                format: RunFormat::Blocked,
             },
             enc: ListEncoder::new(),
         }
@@ -688,17 +456,22 @@ impl RunSet {
         &self.runs
     }
 
-    /// Full postings list of `handle`: concatenation of its partial lists.
-    pub fn fetch(&self, handle: u32) -> PostingsList {
+    /// Full postings list of `handle`: concatenation of its partial lists
+    /// (empty when no run holds the handle). A part that does not decode is
+    /// the error, never a list silently missing that run's postings.
+    pub fn fetch(&self, handle: u32) -> Result<PostingsList, CodecError> {
         let mut out = PostingsList::new();
-        for r in &self.runs {
-            if let Some(part) = r.get(handle) {
-                for p in part {
-                    out.push(p);
+        if let Some(mut c) = SetCursor::over(&self.runs, handle) {
+            while let Some(p) = c.next()? {
+                // `PostingsList::push` asserts document order; corrupt
+                // bytes must be an error, not a panic.
+                if out.doc_range().is_some_and(|(_, last)| p.doc <= last) {
+                    return Err(CodecError::NonMonotone);
                 }
+                out.push(p);
             }
         }
-        out
+        Ok(out)
     }
 
     /// A lazy skip-pointer cursor over the full list of `handle`, chaining
@@ -713,22 +486,25 @@ impl RunSet {
     /// Postings of `handle` restricted to documents in `[lo, hi]`. Only
     /// partial lists whose doc range overlaps are decoded; returns the
     /// postings and the number of runs actually decoded (so tests and
-    /// benches can observe the §III.F narrowing benefit).
-    pub fn fetch_range(&self, handle: u32, lo: DocId, hi: DocId) -> (Vec<Posting>, usize) {
+    /// benches can observe the §III.F narrowing benefit). A part that does
+    /// not decode is the error, as in [`Self::fetch`].
+    pub fn fetch_range(
+        &self,
+        handle: u32,
+        lo: DocId,
+        hi: DocId,
+    ) -> Result<(Vec<Posting>, usize), CodecError> {
+        let overlaps = |e: &RunEntry| e.doc_max >= lo.0 && e.doc_min <= hi.0;
         let mut out = Vec::new();
-        let mut decoded = 0usize;
-        for r in &self.runs {
-            if let Some(e) = r.entry(handle) {
-                if e.doc_max < lo.0 || e.doc_min > hi.0 {
-                    continue;
-                }
-                decoded += 1;
-                if let Some(part) = r.get(handle) {
-                    out.extend(part.into_iter().filter(|p| p.doc >= lo && p.doc <= hi));
-                }
-            }
+        let Some(mut c) = SetCursor::over_parts(&self.runs, handle, overlaps) else {
+            return Ok((out, 0));
+        };
+        let mut next = c.advance_to(lo.0)?;
+        while let Some(p) = next.filter(|p| p.doc <= hi) {
+            out.push(p);
+            next = c.next()?;
         }
-        (out, decoded)
+        Ok((out, c.parts()))
     }
 }
 
@@ -777,7 +553,6 @@ mod tests {
         let run = RunFile::build(0, 0, &mut it, Codec::VarByte);
         assert_eq!(run.entries.len(), 1);
         assert_eq!(run.entries[0].handle, 9);
-        assert_eq!(run.format, RunFormat::Blocked);
     }
 
     #[test]
@@ -833,21 +608,6 @@ mod tests {
         let run = RunFile::build(1, 0, &mut it, Codec::Golomb(5));
         assert_eq!(RunFile::from_bytes(&run.to_bytes()).unwrap(), run);
         assert_eq!(run.get(u32::MAX).unwrap(), pairs[1].1.postings());
-    }
-
-    #[test]
-    fn serialization_roundtrip_legacy() {
-        for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(8)] {
-            let l = list(&[(0, 1), (9, 3)]);
-            let pairs = [(1u32, l.clone())];
-            let mut it = pairs.iter().map(|(h, l)| (*h, l));
-            let run = RunFile::build_legacy(5, 2, &mut it, codec);
-            let bytes = run.to_bytes();
-            assert_eq!(&bytes[..4], RUN_MAGIC, "legacy files keep the v1 magic");
-            let back = RunFile::from_bytes(&bytes).unwrap();
-            assert_eq!(back, run, "format preserved across a round-trip");
-            assert_eq!(back.get(1).unwrap(), l.postings());
-        }
     }
 
     #[test]
@@ -949,7 +709,7 @@ mod tests {
         rs.push(sample_run(0));
         rs.push(sample_run(1));
         rs.push(sample_run(2));
-        let full = rs.fetch(7);
+        let full = rs.fetch(7).unwrap();
         let docs: Vec<u32> = full.postings().iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, vec![0, 5, 100, 105, 200, 205]);
         // Sorted invariant held by construction.
@@ -968,7 +728,7 @@ mod tests {
         while let Some(p) = c.next().unwrap() {
             got.push(p);
         }
-        assert_eq!(got, rs.fetch(7).postings());
+        assert_eq!(got, rs.fetch(7).unwrap().postings());
         // advance_to across run boundaries.
         let mut c = rs.cursor(7).unwrap().unwrap();
         assert_eq!(c.advance_to(199).unwrap().unwrap().doc, DocId(200));
@@ -981,11 +741,11 @@ mod tests {
         for r in 0..5 {
             rs.push(sample_run(r));
         }
-        let (hits, decoded) = rs.fetch_range(7, DocId(100), DocId(205));
+        let (hits, decoded) = rs.fetch_range(7, DocId(100), DocId(205)).unwrap();
         assert_eq!(decoded, 2, "only runs 1 and 2 overlap");
         let docs: Vec<u32> = hits.iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, vec![100, 105, 200, 205]);
-        let (none, decoded) = rs.fetch_range(7, DocId(1000), DocId(2000));
+        let (none, decoded) = rs.fetch_range(7, DocId(1000), DocId(2000)).unwrap();
         assert!(none.is_empty());
         assert_eq!(decoded, 0);
     }

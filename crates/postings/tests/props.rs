@@ -2,15 +2,13 @@
 //! docID gap sequences, and merge associativity / ordering invariants.
 //!
 //! These are the differential guarantees the post-processing step of
-//! §III.F leans on: any gap structure survives every codec (legacy
-//! whole-list and blocked alike), and folding runs in stages cannot change
-//! the final lists.
+//! §III.F leans on: any gap structure survives every codec in the block
+//! layout, and folding runs in stages cannot change the final lists.
 
 use ii_corpus::DocId;
 use ii_postings::bits::golomb_parameter;
-use ii_postings::{
-    decode, encode, merge_runs, Codec, CodecError, Posting, PostingsList, RunFile, RunSet,
-};
+use ii_postings::block::{decode_list, encode_list};
+use ii_postings::{merge_runs, Codec, CodecError, ListCursor, Posting, PostingsList, RunFile, RunSet};
 use proptest::prelude::*;
 
 /// Arbitrary `(gap, tf)` pairs; gaps >= 1 keep docIDs strictly increasing,
@@ -25,8 +23,7 @@ fn list_from_gaps(gaps: &[(u32, u32)]) -> Vec<Posting> {
     let mut first = true;
     let mut out = Vec::with_capacity(gaps.len());
     for &(gap, tf) in gaps {
-        // First "gap" is doc + 1 in the codec's convention; build docIDs so
-        // gap 1 can produce doc 0.
+        // The first "gap" counts from doc -1, so gap 1 can produce doc 0.
         doc = if first { gap - 1 } else { doc + gap };
         first = false;
         out.push(Posting { doc: DocId(doc), tf });
@@ -34,8 +31,7 @@ fn list_from_gaps(gaps: &[(u32, u32)]) -> Vec<Posting> {
     out
 }
 
-/// Every codec, legacy and blocked, with a Golomb parameter scaled to the
-/// list at hand.
+/// Every codec, with a Golomb parameter scaled to the list at hand.
 fn all_codecs(list_len: usize) -> [Codec; 7] {
     [
         Codec::VarByte,
@@ -56,8 +52,8 @@ proptest! {
     fn codecs_roundtrip_arbitrary_gap_sequences(gaps in gaps_strategy()) {
         let list = list_from_gaps(&gaps);
         for codec in all_codecs(list.len()) {
-            let buf = encode(&list, codec);
-            let back = decode(&buf, list.len(), codec);
+            let buf = encode_list(&list, codec).bytes;
+            let back = decode_list(&buf, list.len(), codec);
             prop_assert_eq!(back.as_deref(), Ok(list.as_slice()), "codec {:?}", codec);
         }
     }
@@ -71,14 +67,13 @@ proptest! {
     ) {
         let list = list_from_gaps(&gaps);
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano] {
-            let buf = encode(&list, codec);
+            let buf = encode_list(&list, codec).bytes;
             let cut = cut.min(buf.len());
-            match decode(&buf[..buf.len() - cut], list.len(), codec) {
+            match decode_list(&buf[..buf.len() - cut], list.len(), codec) {
                 Err(_) => {}
-                // γ-style padding means a short cut can still decode — but
-                // then it must decode to the *same* postings, never wrong
-                // ones (possible for bit codecs whose tail was padding; the
-                // blocked layouts end byte-aligned so any cut is fatal).
+                // A cut that still decodes must decode to the *same*
+                // postings, never wrong ones (these four codecs end
+                // byte-aligned, so in fact any cut is fatal).
                 Ok(back) => prop_assert_eq!(back, list, "codec {:?}", codec),
             }
         }
@@ -160,7 +155,7 @@ proptest! {
                     "handle {} not strictly doc-sorted: {:?}", h, list
                 );
                 // The merged file agrees with the RunSet's own fetch path.
-                prop_assert_eq!(list, whole.fetch(h).postings().to_vec());
+                prop_assert_eq!(list, whole.fetch(h).unwrap().postings().to_vec());
             }
         }
     }
@@ -176,10 +171,8 @@ proptest! {
         let mut targets = targets;
         targets.sort_unstable();
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano] {
-            // Always the block layout: for VarByte, codec::encode would
-            // produce the legacy whole-list stream cursors don't read.
-            let buf = ii_postings::block::encode_list(&list, codec).bytes;
-            let mut cur = ii_postings::ListCursor::new(&buf, list.len(), codec).unwrap();
+            let buf = encode_list(&list, codec).bytes;
+            let mut cur = ListCursor::new(&buf, list.len(), codec).unwrap();
             let mut lin = 0usize; // next undelivered index in `list`
             for &t in &targets {
                 let expect = list[lin..].iter().position(|p| p.doc.0 >= t).map(|i| lin + i);
@@ -198,16 +191,10 @@ proptest! {
 fn single_posting_lists() {
     for (d, tf) in [(0u32, 1u32), (1, 1), (u32::MAX, 1), (0, u32::MAX), (u32::MAX, u32::MAX)] {
         let list = vec![Posting { doc: DocId(d), tf }];
-        for codec in [Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
-            let buf = encode(&list, codec);
-            assert_eq!(decode(&buf, 1, codec).as_deref(), Ok(list.as_slice()), "{codec:?} d={d}");
-        }
-        if d < u32::MAX {
-            // Legacy varbyte's `first doc + 1` convention cannot represent
-            // doc u32::MAX — the block layout can (first_doc is stored raw
-            // in the skip entry), which is itself worth pinning down.
-            let buf = encode(&list, Codec::VarByte);
-            assert_eq!(decode(&buf, 1, Codec::VarByte).as_deref(), Ok(list.as_slice()));
+        // Doc u32::MAX included: first_doc is stored raw in the skip entry.
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+            let buf = encode_list(&list, codec).bytes;
+            assert_eq!(decode_list(&buf, 1, codec).as_deref(), Ok(list.as_slice()), "{codec:?} d={d}");
         }
     }
 }
@@ -225,29 +212,14 @@ fn maximal_d_gaps() {
     ];
     for list in &lists {
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
-            let buf = encode(list, codec);
+            let buf = encode_list(list, codec).bytes;
             assert_eq!(
-                decode(&buf, list.len(), codec).as_deref(),
+                decode_list(&buf, list.len(), codec).as_deref(),
                 Ok(list.as_slice()),
                 "{codec:?}"
             );
         }
     }
-}
-
-/// All-equal docIDs (zero gaps) are invalid postings: a hostile stream
-/// claiming them must be rejected with `NonMonotone`, not decoded.
-#[test]
-fn all_equal_doc_ids_rejected() {
-    // Legacy varbyte is the only codec whose wire format can even express a
-    // zero gap; the blocked layouts store gap-1 so monotonicity is
-    // structural. Build the hostile stream by hand.
-    let mut buf = Vec::new();
-    for v in [8u32, 1, 0, 1, 0, 1] {
-        // doc 7 three times
-        ii_postings::varbyte::encode_u32(v, &mut buf);
-    }
-    assert_eq!(decode(&buf, 3, Codec::VarByte), Err(CodecError::NonMonotone));
 }
 
 /// Lengths straddling the block boundary (127/128/129) round-trip and
@@ -258,12 +230,9 @@ fn block_boundary_lengths() {
         let list: Vec<Posting> =
             (0..n as u32).map(|i| Posting { doc: DocId(i * 7 + 3), tf: 1 + i % 9 }).collect();
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
-            let buf = encode(&list, codec);
-            assert_eq!(decode(&buf, n, codec).as_deref(), Ok(list.as_slice()), "{codec:?} n={n}");
-            // Cursor over the block layout (codec::encode is legacy for
-            // VarByte, so re-encode through the block path).
-            let blocked = ii_postings::block::encode_list(&list, codec).bytes;
-            let mut cur = ii_postings::ListCursor::new(&blocked, n, codec.resolve(n)).unwrap();
+            let buf = encode_list(&list, codec).bytes;
+            assert_eq!(decode_list(&buf, n, codec).as_deref(), Ok(list.as_slice()), "{codec:?} n={n}");
+            let mut cur = ListCursor::new(&buf, n, codec.resolve(n)).unwrap();
             let mut count = 0usize;
             while cur.next().unwrap().is_some() {
                 count += 1;
@@ -279,7 +248,7 @@ fn block_boundary_lengths() {
 fn hostile_length_header_guarded() {
     let tiny = [0u8; 16];
     for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
-        let err = decode(&tiny, u32::MAX as usize, codec).unwrap_err();
+        let err = decode_list(&tiny, u32::MAX as usize, codec).unwrap_err();
         assert!(matches!(err, CodecError::AllocGuard { .. }), "{codec:?}: {err:?}");
     }
 }

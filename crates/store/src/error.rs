@@ -8,8 +8,9 @@ use std::path::PathBuf;
 /// replacement for the `io::Error` strings the first save/open used.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The directory has no `MANIFEST.json` (and is not a recognizable
-    /// legacy layout).
+    /// The directory has no `MANIFEST.json`: nothing was ever committed
+    /// there, or the manifest was removed (`ii repair` rebuilds one from
+    /// the artifacts that still validate).
     MissingManifest {
         /// The directory inspected.
         dir: PathBuf,
@@ -19,12 +20,6 @@ pub enum StoreError {
     TornManifest {
         /// Parse failure detail.
         detail: String,
-    },
-    /// An interrupted commit: temp files are present but no manifest was
-    /// ever committed, so there is no previous state to fall back to.
-    TornCommit {
-        /// The directory inspected.
-        dir: PathBuf,
     },
     /// The manifest's format version is not one this build reads.
     VersionSkew {
@@ -114,11 +109,6 @@ impl std::fmt::Display for StoreError {
             StoreError::TornManifest { detail } => {
                 write!(f, "torn or corrupt MANIFEST.json: {detail}")
             }
-            StoreError::TornCommit { dir } => write!(
-                f,
-                "interrupted commit in {} (temp files present, no manifest committed)",
-                dir.display()
-            ),
             StoreError::VersionSkew { found, supported } => write!(
                 f,
                 "manifest format version {found} is not supported (this build reads {supported})"

@@ -37,7 +37,6 @@ mod vfs;
 pub use error::StoreError;
 pub use manifest::{
     ArtifactMeta, Manifest, ManifestKind, PostingsMeta, FORMAT_VERSION, MANIFEST_NAME,
-    MIN_FORMAT_VERSION,
 };
 pub use store::{
     salvage, write_file_durable, ArtifactStatus, ArtifactValidator, SalvageReport, Store, Txn,

@@ -14,14 +14,10 @@ use std::path::Path;
 /// File name of the manifest inside an index directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
-/// Manifest format version this build writes. Version 2 added the optional
-/// per-artifact [`PostingsMeta`] block describing blocked postings
-/// artifacts (list/block counts, maximum term frequency).
+/// The manifest format version: what this build writes and the only one
+/// it reads. Run artifacts carry a [`PostingsMeta`] block (list/block
+/// counts, maximum term frequency).
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest manifest format version this build still reads. Version-1
-/// manifests (no postings metadata) open exactly as before.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// What a committed manifest describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,24 +51,20 @@ impl Deserialize for ManifestKind {
     }
 }
 
-/// Postings-artifact metadata recorded in version-2 manifests: enough to
-/// know a run file's shape — skip-table block count and block-max term
-/// frequency included — without reading the artifact itself.
+/// Postings-artifact metadata: enough to know a run file's shape —
+/// skip-table block count and block-max term frequency included — without
+/// reading the artifact itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PostingsMeta {
-    /// Wire format of the run file's bytes on disk: 1 = legacy whole-list
-    /// (`IIRF`), 3 = blocked with a delta-varint mapping table (`IIR3`,
-    /// what every blocked run is written as). 2 = blocked with fixed rows
-    /// and a skip table on every list (`IIR2`), found only in manifests
-    /// committed before `IIR3`; such runs still open.
+    /// Wire format of the run file's bytes on disk: always 3 (`IIR3`, the
+    /// block layout behind a delta-varint mapping table).
     pub format: u32,
     /// Postings lists (run entries) in the artifact.
     pub lists: u64,
-    /// Total 128-document blocks across all lists (0 for legacy format —
-    /// legacy lists carry no skip table).
+    /// Total 128-document blocks across all lists.
     pub blocks: u64,
     /// Maximum term frequency across the artifact (the global bound over
-    /// every block's block-max metadata; 0 for legacy format).
+    /// every block's block-max metadata).
     pub max_tf: u32,
 }
 
@@ -88,16 +80,14 @@ pub struct ArtifactMeta {
     pub len: u64,
     /// CRC32 of the content.
     pub crc32: u32,
-    /// Postings metadata, present on run artifacts committed by version-2
-    /// writers. `None` for non-postings artifacts and version-1 manifests.
+    /// Postings metadata, present on run artifacts. `None` for
+    /// non-postings artifacts.
     pub postings: Option<PostingsMeta>,
 }
 
-// Hand-written (rather than derived) so a version-1 manifest record — which
-// has no `postings` key at all — still deserializes: the derive treats a
-// missing field as an error, and `null`-filling old manifests would break
-// their recorded CRCs. Serialization omits the key when `None` so
-// non-postings artifacts keep the version-1 record shape.
+// Hand-written (rather than derived) because serialization omits the
+// `postings` key when `None`, and the derive treats a missing field as an
+// error.
 impl Serialize for ArtifactMeta {
     fn to_value(&self) -> Value {
         let mut pairs = vec![
@@ -153,7 +143,7 @@ impl Manifest {
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, StoreError> {
         let m: Manifest = serde_json::from_slice(bytes)
             .map_err(|e| StoreError::TornManifest { detail: e.to_string() })?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&m.version) {
+        if m.version != FORMAT_VERSION {
             return Err(StoreError::VersionSkew {
                 found: m.version,
                 supported: FORMAT_VERSION,
@@ -245,31 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn version_1_manifest_still_parses() {
-        // A verbatim version-1 manifest: no `postings` keys anywhere.
-        let v1 = br#"{
-            "version": 1,
-            "kind": "index",
-            "generation": 2,
-            "artifacts": [
-                {"name": "dictionary.bin", "file": "dictionary.bin", "len": 10, "crc32": 77},
-                {"name": "run_000_00000.iirf", "file": "run_000_00000.iirf", "len": 5, "crc32": 3}
-            ]
-        }"#;
-        let m = Manifest::from_bytes(v1).unwrap();
-        assert_eq!(m.version, 1);
-        assert!(m.artifacts.iter().all(|a| a.postings.is_none()));
-        assert_eq!(m.artifact("run_000_00000.iirf").unwrap().len, 5);
-    }
-
-    #[test]
     fn postings_meta_survives_roundtrip() {
         let m = sample();
         let back = Manifest::from_bytes(&m.to_bytes()).unwrap();
         let p = back.artifact("run_000_00000.iirf").unwrap().postings.unwrap();
         assert_eq!(p, PostingsMeta { format: 3, lists: 3, blocks: 17, max_tf: 9 });
         assert!(back.artifact("dictionary.bin").unwrap().postings.is_none());
-        // Non-postings records keep the version-1 shape: no `postings` key.
+        // Non-postings records carry no `postings` key.
         let json = String::from_utf8(m.to_bytes()).unwrap();
         assert_eq!(json.matches("postings").count(), 1);
     }

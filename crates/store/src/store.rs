@@ -157,9 +157,8 @@ impl<'v> Txn<'v> {
     /// [`Self::put`] with postings metadata attached to the manifest
     /// record: run artifacts carry their skip-table block count and
     /// block-max bound so loaders can see a run's shape without reading
-    /// it. The metadata is re-stamped even on the content-reuse path — an
-    /// unchanged run file inherited from a version-1 manifest gains its
-    /// metadata on the first version-2 commit.
+    /// it. The record staged is the caller's even on the content-reuse
+    /// path: only the file name comes from the previous commit.
     ///
     /// Returns the staged record. A caller whose artifact is immutable from
     /// here on (a sealed run) keeps it and stages later generations with

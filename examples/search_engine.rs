@@ -61,10 +61,10 @@ fn main() -> std::io::Result<()> {
         .dictionary
         .entries()
         .iter()
-        .max_by_key(|e| engine.run_sets[&e.indexer].fetch(e.postings).len())
+        .max_by_key(|e| engine.run_sets[&e.indexer].fetch(e.postings).map_or(0, |l| l.len()))
         .expect("non-empty index");
     let term = busiest.full_term();
-    let full = engine.run_sets[&busiest.indexer].fetch(busiest.postings);
+    let full = engine.run_sets[&busiest.indexer].fetch(busiest.postings).expect("built runs decode");
     let total_docs = engine.num_docs().max(full.postings().last().map(|p| p.doc.0 + 1).unwrap_or(1));
     let window = (DocId(total_docs / 4), DocId(total_docs / 2));
     let narrowed = engine.postings_in_range(&term, window.0, window.1);

@@ -1,21 +1,18 @@
 //! Differential codec suite: the block-compressed postings formats
 //! (BP128, PForDelta, Elias-Fano, and the per-length-class Auto policy)
-//! against each other and against the legacy whole-list codecs.
+//! against each other and against variable-byte.
 //!
 //! The contract under test is logical identity: the codec is a physical
 //! encoding choice and must never change *what* the index contains. For
 //! the same collection, every codec default must decode to the same
 //! postings for every dictionary term and serialize the same dictionary
-//! bytes; device mix and worker death must not change run bytes; and a
-//! hand-built legacy (v1 wire format, v1 manifest) index must still open,
-//! verify, and answer identically.
+//! bytes; device mix and worker death must not change run bytes.
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
 use ii_core::pipeline::{
-    build_index, PipelineConfig, PipelineReport, SupervisorPolicy, WorkerClass, WorkerFaultPlan,
+    build_index, PipelineConfig, SupervisorPolicy, WorkerClass, WorkerFaultPlan,
 };
-use ii_core::postings::{Codec, Posting, PostingsList, RunFile, RunFormat};
-use ii_core::store::{Manifest, MANIFEST_NAME};
+use ii_core::postings::{Codec, PostingsList};
 use ii_core::Index;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -178,88 +175,6 @@ fn device_mix_and_worker_kill_share_run_bytes() {
         run_bytes(&killed.run_sets),
         "fault-free vs worker-kill run bytes"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Legacy format: a v1 index (v1 runs, v1 manifest) still opens + verifies.
-// ---------------------------------------------------------------------------
-
-/// Rebuild a blocked index's runs in the legacy whole-list wire format,
-/// save it, rewrite the manifest as version 1 without postings metadata —
-/// exactly what an index built before the block-compression release looks
-/// like on disk — and require it to open, checksum-verify, and decode
-/// identically.
-#[test]
-fn legacy_v1_index_opens_and_verifies() {
-    let spec = e2e_spec("codec-legacy", 4, 10);
-    let coll_dir =
-        std::env::temp_dir().join(format!("ii-codec-diff-legacy-coll-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&coll_dir);
-    let coll = Arc::new(StoredCollection::generate(spec, &coll_dir).unwrap());
-    let idx = Index::from_output(
-        build_index(&coll, &PipelineConfig::small(2, 1, 0)).expect("build"),
-    );
-    std::fs::remove_dir_all(&coll_dir).unwrap();
-    let expected = decoded_postings(&idx);
-
-    // Re-encode every run in the v1 whole-list format.
-    let mut legacy_sets: HashMap<u32, ii_core::postings::RunSet> = HashMap::new();
-    for (&indexer, set) in &idx.run_sets {
-        for run in set.runs() {
-            let lists: Vec<(u32, PostingsList)> = run
-                .entries
-                .iter()
-                .map(|e| {
-                    let mut l = PostingsList::new();
-                    for p in run.decode_entry(e).expect("blocked entry decodes") {
-                        l.push(Posting { doc: p.doc, tf: p.tf });
-                    }
-                    (e.handle, l)
-                })
-                .collect();
-            let mut it = lists.iter().map(|(h, l)| (*h, l));
-            let legacy = RunFile::build_legacy(run.run_id, indexer, &mut it, Codec::VarByte);
-            assert_eq!(legacy.format, RunFormat::Legacy);
-            legacy_sets.entry(indexer).or_default().push(legacy);
-        }
-    }
-    let legacy_idx = Index {
-        dictionary: idx.dictionary,
-        run_sets: legacy_sets,
-        doc_map: idx.doc_map,
-        report: PipelineReport::default(),
-        obs: Arc::new(ii_core::obs::Registry::new()),
-    };
-
-    let dir = std::env::temp_dir().join(format!("ii-codec-diff-legacy-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    legacy_idx.save(&dir).unwrap();
-
-    // Downgrade the manifest to what a v1 writer produced: version 1, no
-    // postings metadata on any artifact. Artifact bytes (and so their
-    // CRCs) are untouched — `to_bytes` is format-preserving for legacy
-    // runs.
-    let mut m = Manifest::load(&dir).unwrap();
-    m.version = 1;
-    for a in &mut m.artifacts {
-        a.postings = None;
-    }
-    std::fs::write(dir.join(MANIFEST_NAME), m.to_bytes()).unwrap();
-
-    let statuses = Index::verify_dir(&dir).expect("v1 manifest verifies");
-    assert!(statuses.iter().all(|s| s.ok), "every v1 artifact checksum-clean");
-
-    let loaded = Index::open(&dir).expect("v1 index opens");
-    for set in loaded.run_sets.values() {
-        for run in set.runs() {
-            assert_eq!(run.format, RunFormat::Legacy, "v1 wire format survived the roundtrip");
-        }
-    }
-    assert_eq!(decoded_postings(&loaded), expected, "v1 postings decode identically");
-
-    // And ranked retrieval over the legacy index still works end to end.
-    assert!(!loaded.dictionary.entries().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

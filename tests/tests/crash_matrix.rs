@@ -53,7 +53,7 @@ fn fingerprint(idx: &Index) -> BTreeMap<String, Vec<(u32, u32)>> {
         .entries()
         .iter()
         .map(|e| {
-            let l = idx.run_sets[&e.indexer].fetch(e.postings);
+            let l = idx.run_sets[&e.indexer].fetch(e.postings).unwrap();
             (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
         })
         .collect()

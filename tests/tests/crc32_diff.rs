@@ -5,9 +5,10 @@
 //! The bit-serial loop below is the routine the store shipped before the
 //! table-driven one replaced it, frozen here as the oracle. Every manifest
 //! and every container footer ever written carries its values, so the two
-//! must agree on every input — and `fixtures/written_by_bd938b8` (an index
-//! and a collection committed by the last commit that used it) must still
-//! verify.
+//! must agree on every input — and the committed fixtures (the collection
+//! of `fixtures/written_by_bd938b8`, footers stamped by the last commit
+//! that used the old routine, and the index of `fixtures/golden`) must
+//! verify under both.
 
 use ii_core::corpus::container::{crc32, parse_container, FOOTER_MAGIC};
 use ii_core::corpus::{compress, StoredCollection};
@@ -81,24 +82,23 @@ proptest! {
 }
 
 fn fixture(part: &str) -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/written_by_bd938b8")).join(part)
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures")).join(part)
 }
 
-/// A manifest committed while `ii_store::crc32` was the bit-serial loop
-/// still verifies, opens and answers: the recorded values are the ones the
-/// new routine computes.
+/// A committed manifest verifies, opens and answers, and the values it
+/// records are the bit-serial loop's as much as the table-driven routine's.
 #[test]
 fn manifest_written_by_the_parent_commit_still_verifies() {
-    let dir = fixture("index");
+    let dir = fixture("golden/index");
     let statuses = Index::verify_dir(&dir).expect("manifest readable");
-    assert_eq!(statuses.len(), 4, "dictionary, doc map and two runs");
+    assert_eq!(statuses.len(), 6, "dictionary, doc map and two runs of two indexers");
     for s in &statuses {
         assert!(s.ok, "{}: {}", s.name, s.detail);
     }
     let store = Store::open(&dir).unwrap();
     for a in &store.manifest().artifacts {
         let bytes = std::fs::read(dir.join(&a.file)).unwrap();
-        assert_eq!(reference_crc32(&bytes), a.crc32, "{}: the fixture is the old routine's", a.name);
+        assert_eq!(reference_crc32(&bytes), a.crc32, "{}: the bit-serial value", a.name);
         assert_eq!(crc32(&bytes), a.crc32, "{}", a.name);
     }
     let index = Index::open(&dir).expect("opens");
@@ -110,7 +110,7 @@ fn manifest_written_by_the_parent_commit_still_verifies() {
 /// any record is read).
 #[test]
 fn container_written_by_the_parent_commit_still_verifies() {
-    let coll = StoredCollection::open(&fixture("collection")).unwrap();
+    let coll = StoredCollection::open(&fixture("written_by_bd938b8/collection")).unwrap();
     assert_eq!(coll.num_files(), 2);
     for f in 0..coll.num_files() {
         let raw = compress::decompress(&coll.read_file_raw(f).unwrap()).unwrap();

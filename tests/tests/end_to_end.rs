@@ -75,7 +75,7 @@ fn every_configuration_builds_the_same_index() {
             .entries()
             .iter()
             .map(|e| {
-                let l = idx.run_sets[&e.indexer].fetch(e.postings);
+                let l = idx.run_sets[&e.indexer].fetch(e.postings).unwrap();
                 (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
             })
             .collect();

@@ -82,14 +82,14 @@ proptest! {
             set.push(cpu.flush_run(i as u32, Codec::VarByte));
         }
         for handle in 0..cpu.dict.term_count() {
-            let list = set.fetch(handle);
+            let list = set.fetch(handle).unwrap();
             let ids: Vec<u32> = list.postings().iter().map(|p| p.doc.0).collect();
             prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "handle {handle}: {ids:?}");
             // Range fetch equals filtering the full fetch.
             if let (Some(&lo), Some(&hi)) = (ids.first(), ids.last()) {
                 let mid_lo = DocId(lo + (hi - lo) / 4);
                 let mid_hi = DocId(lo + (hi - lo) / 2);
-                let (ranged, _) = set.fetch_range(handle, mid_lo, mid_hi);
+                let (ranged, _) = set.fetch_range(handle, mid_lo, mid_hi).unwrap();
                 let want: Vec<_> = list
                     .postings()
                     .iter()

@@ -1,89 +1,21 @@
-//! Differential and hostile-bytes suite for the run-file wire layouts.
+//! Hostile-bytes and differential suite for the run-file wire layout.
 //!
-//! `IIR3` (delta-varint mapping table, no skip table on a list that fits
-//! one block) replaced `IIR2` (fixed 41-byte rows, a skip table in front of
-//! every list) as the only blocked layout the product writes; `IIR2` stays
-//! readable. The `IIR2` writer below is the one the product shipped, frozen
-//! here as the oracle: for every run, both byte strings must parse to the
-//! same `RunFile` and answer every lookup alike. `fixtures/written_by_bd938b8`
-//! — an index committed by the last commit that wrote `IIR2` — must open,
-//! answer and verify before and after `Index::save` rewrites it.
-//!
-//! The second half feeds the `IIR3` reader truncated and mutated files: it
+//! The first half feeds the `IIR3` reader truncated and mutated files: it
 //! may refuse them or parse them, never panic, and whatever it parses must
 //! decode to postings or to a typed `CodecError`.
 //!
-//! The last part holds the in-place run writer — `RunFile::build` and the
+//! The second half holds the in-place run writer — `RunFile::build` and the
 //! indexers' posting-log flush — to the bytes of the builder it replaced,
 //! frozen in `mod frozen`.
 
 use ii_core::corpus::DocId;
 use ii_core::indexer::PostingLog;
-use ii_core::postings::block::{encode_list, BLOCK_LEN, SKIP_ENTRY_BYTES};
 use ii_core::postings::run::RunFileError;
-use ii_core::postings::{
-    merge_runs, parse_run_artifact_name, wire_format, Codec, Posting, PostingsList, RunFile,
-    RunSet,
-};
-use ii_core::store::Store;
-use ii_core::Index;
+use ii_core::postings::{Codec, Posting, PostingsList, RunFile};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-
-// ---------------------------------------------------------------------------
-// The frozen IIR2 writer.
-// ---------------------------------------------------------------------------
 
 /// One list of a run under test: its handle and its postings.
 type List = (u32, Vec<Posting>);
-
-fn codec_tag(c: Codec) -> (u8, u64) {
-    match c {
-        Codec::VarByte => (0, 0),
-        Codec::Gamma => (1, 0),
-        Codec::Golomb(b) => (2, b),
-        Codec::Bp128 => (3, 0),
-        Codec::PFor => (4, 0),
-        Codec::EliasFano => (5, 0),
-        Codec::Auto => (6, 0),
-    }
-}
-
-/// A run as the pre-`IIR3` `RunFile::build` + `to_bytes` serialised it:
-/// 33-byte header, one 41-byte row per list (handle, u64 offset, len, n,
-/// doc_min, doc_max, max_tf, codec tag, u64 Golomb parameter), then every
-/// list as `block::encode_list` lays it out — skip table always present.
-/// `lists` must be non-empty lists in ascending handle order.
-fn iir2_bytes(run_id: u32, indexer_id: u32, codec: Codec, lists: &[List]) -> Vec<u8> {
-    let mut table = Vec::new();
-    let mut payload = Vec::new();
-    for (handle, list) in lists {
-        let resolved = codec.resolve(list.len());
-        let enc = encode_list(list, resolved);
-        table.extend_from_slice(&handle.to_le_bytes());
-        table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        table.extend_from_slice(&(enc.bytes.len() as u32).to_le_bytes());
-        table.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        table.extend_from_slice(&list[0].doc.0.to_le_bytes());
-        table.extend_from_slice(&list[list.len() - 1].doc.0.to_le_bytes());
-        table.extend_from_slice(&enc.max_tf.to_le_bytes());
-        let (tag, b) = codec_tag(resolved);
-        table.push(tag);
-        table.extend_from_slice(&b.to_le_bytes());
-        payload.extend_from_slice(&enc.bytes);
-    }
-    let mut out = b"IIR2".to_vec();
-    out.extend_from_slice(&run_id.to_le_bytes());
-    out.extend_from_slice(&indexer_id.to_le_bytes());
-    let (tag, b) = codec_tag(codec);
-    out.push(tag);
-    out.extend_from_slice(&b.to_le_bytes());
-    out.extend_from_slice(&(lists.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&table);
-    out.extend_from_slice(&payload);
-    out
-}
 
 /// The same run through the product's builder.
 fn built(run_id: u32, indexer_id: u32, codec: Codec, lists: &[List]) -> RunFile {
@@ -157,238 +89,6 @@ fn materialise(shapes: &[(u32, ListShape)], at_top: bool) -> Vec<List> {
         out.push((handle as u32, list));
     }
     out
-}
-
-fn collect_cursor(set: &RunSet, handle: u32) -> Vec<Posting> {
-    let mut out = Vec::new();
-    if let Some(mut c) = set.cursor(handle).expect("cursor opens") {
-        while let Some(p) = c.next().expect("cursor decodes") {
-            out.push(p);
-        }
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Both wire layouts of a run parse to the value the builder made, and
-    /// a two-run set answers `fetch`, `cursor`, `fetch_range` and
-    /// `merge_runs` alike whichever layout its runs were read from.
-    #[test]
-    fn iir2_and_iir3_bytes_are_the_same_run(
-        low in shape_strategy(),
-        high in shape_strategy(),
-        codec in codec_strategy(),
-        merge_codec in codec_strategy(),
-    ) {
-        let specs = [materialise(&low, false), materialise(&high, true)];
-        let mut expected: std::collections::BTreeMap<u32, Vec<Posting>> = Default::default();
-        let (mut from_v2, mut from_v3) = (RunSet::new(), RunSet::new());
-        for (run_id, lists) in specs.iter().enumerate() {
-            let run = built(run_id as u32, 3, codec, lists);
-            let v2 = iir2_bytes(run_id as u32, 3, codec, lists);
-            let v3 = run.to_bytes();
-            prop_assert_eq!(wire_format(&v2), Some(2));
-            prop_assert_eq!(wire_format(&v3), Some(3));
-            prop_assert_eq!(&RunFile::from_bytes(&v2).unwrap(), &run);
-            prop_assert_eq!(&RunFile::from_bytes(&v3).unwrap(), &run);
-            // What the layout is for: every single-block list lost its
-            // skip table, and no row costs the 41 bytes it used to.
-            let single = lists.iter().filter(|(_, l)| l.len() <= BLOCK_LEN).count();
-            prop_assert_eq!(
-                run.payload.len() + single * SKIP_ENTRY_BYTES,
-                v2.len() - 33 - 41 * lists.len()
-            );
-            prop_assert!(v3.len() < v2.len());
-            for (h, l) in lists {
-                expected.entry(*h).or_default().extend(l);
-            }
-            from_v2.push(RunFile::from_bytes(&v2).unwrap());
-            from_v3.push(RunFile::from_bytes(&v3).unwrap());
-        }
-        for (&handle, want) in &expected {
-            for set in [&from_v2, &from_v3] {
-                let fetched = set.fetch(handle);
-                prop_assert_eq!(fetched.postings(), want.as_slice());
-                prop_assert_eq!(&collect_cursor(set, handle), want);
-                let mid = want[want.len() / 2].doc;
-                let (hits, _) = set.fetch_range(handle, mid, DocId(u32::MAX));
-                prop_assert_eq!(hits.as_slice(), &want[want.len() / 2..]);
-                let mut c = set.cursor(handle).unwrap().unwrap();
-                prop_assert_eq!(c.advance_to(mid.0).unwrap(), Some(want[want.len() / 2]));
-            }
-        }
-        let merged = merge_runs(&from_v3, merge_codec);
-        prop_assert_eq!(merge_runs(&from_v2, merge_codec).to_bytes(), merged.to_bytes());
-        prop_assert_eq!(&RunFile::from_bytes(&merged.to_bytes()).unwrap(), &merged);
-        for (&handle, want) in &expected {
-            prop_assert_eq!(&merged.get(handle).unwrap(), want);
-        }
-    }
-}
-
-/// Two single-block lists and one of three blocks, handles 3, 7 and 9.
-fn small_lists() -> Vec<List> {
-    let list = |n: u32, first: u32| -> Vec<Posting> {
-        (0..n).map(|i| Posting { doc: DocId(first + i * 5), tf: 1 + i % 3 }).collect()
-    };
-    vec![(3, list(1, 40)), (7, list(2, 100)), (9, list(300, 7))]
-}
-
-/// Byte offset of row `i` of a fixed-row table behind the 33-byte header.
-fn fixed_row(i: usize, row_bytes: usize) -> usize {
-    33 + i * row_bytes
-}
-
-fn patched(bytes: &[u8], at: usize, with: &[u8]) -> Result<RunFile, RunFileError> {
-    let mut b = bytes.to_vec();
-    b[at..at + with.len()].copy_from_slice(with);
-    RunFile::from_bytes(&b)
-}
-
-/// The `IIR2` arm refuses what `IIR3` cannot express and what would make
-/// the conversion guess: lists that are not back to back in row order, a
-/// single-block skip table that disagrees with its row, an empty list.
-#[test]
-fn iir2_rejects_bad_offsets_and_disagreeing_skip_tables() {
-    let lists = small_lists();
-    let good = iir2_bytes(0, 0, Codec::VarByte, &lists);
-    assert_eq!(RunFile::from_bytes(&good).unwrap(), built(0, 0, Codec::VarByte, &lists));
-    let row = |i| fixed_row(i, 41);
-    let rd32 = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
-    let malformed = |at: usize, with: &[u8]| {
-        assert_eq!(patched(&good, at, with), Err(RunFileError::Malformed), "byte {at}");
-    };
-    // With `offset = u64::MAX - len + 1` an unchecked `offset + len` wraps
-    // to 0 and passes the payload bound; `payload_of` then panics.
-    let hostile = u64::MAX - u64::from(rd32(row(0) + 12)) + 1;
-    malformed(row(0) + 4, &hostile.to_le_bytes());
-    // The last list one byte past the payload; a list overlapping its
-    // predecessor by one byte.
-    let last = u64::from(rd32(row(2) + 4));
-    malformed(row(2) + 4, &(last + 1).to_le_bytes());
-    malformed(row(1) + 4, &(u64::from(rd32(row(1) + 4)) - 1).to_le_bytes());
-    // The first list's skip entry against its row: first_doc, offset, max_tf.
-    let payload_at = row(3);
-    for field in 0..3 {
-        let at = payload_at + field * 4;
-        malformed(at, &(rd32(at) + 1).to_le_bytes());
-    }
-    // A list shorter than the skip table it must start with; no postings.
-    malformed(row(0) + 12, &3u32.to_le_bytes());
-    malformed(row(0) + 16, &0u32.to_le_bytes());
-}
-
-/// `RunFile::entry` binary-searches the table: a fixed-row file whose rows
-/// were swapped or duplicated used to open and then lose lists at query
-/// time. (`IIR3` cannot write such a table down: its handle deltas are
-/// biased by one.)
-#[test]
-fn fixed_row_tables_must_ascend_strictly_by_handle() {
-    let lists = small_lists();
-    let owned: Vec<(u32, PostingsList)> =
-        lists.iter().map(|(h, l)| (*h, l.iter().copied().collect())).collect();
-    let mut it = owned.iter().map(|(h, l)| (*h, l));
-    let v1 = RunFile::build_legacy(0, 0, &mut it, Codec::VarByte).to_bytes();
-    let v2 = iir2_bytes(0, 0, Codec::VarByte, &lists);
-    for (bytes, row_bytes) in [(v1, 28), (v2, 41)] {
-        assert!(RunFile::from_bytes(&bytes).is_ok());
-        for handle in [3u32, 2] {
-            let got = patched(&bytes, fixed_row(1, row_bytes), &handle.to_le_bytes());
-            assert_eq!(got, Err(RunFileError::Malformed), "second row's handle set to {handle}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The index the parent commit wrote.
-// ---------------------------------------------------------------------------
-
-fn fixture_index() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/written_by_bd938b8/index"))
-}
-
-/// `(magic format of the bytes, format the manifest records)` per run.
-fn run_formats(dir: &Path) -> Vec<(Option<u32>, Option<u32>)> {
-    let store = Store::open(dir).unwrap();
-    let manifest = store.manifest();
-    let runs = manifest.artifacts.iter().filter(|a| parse_run_artifact_name(&a.name).is_some());
-    runs.map(|a| (wire_format(&store.read(&a.name).unwrap()), a.postings.map(|p| p.format)))
-        .collect()
-}
-
-/// What an index answers: every dictionary term's postings, and the hits of
-/// a few conjunctive queries.
-type Answers = (Vec<(String, PostingsList)>, Vec<Vec<(DocId, u64)>>);
-
-fn answers(idx: &Index) -> Answers {
-    let lists = idx
-        .dictionary
-        .entries()
-        .iter()
-        .map(|e| (e.full_term(), idx.postings_stemmed(&e.full_term()).expect("term has postings")))
-        .collect();
-    let queries = ["new", "new york", "state new", "absent-term"];
-    (lists, queries.iter().map(|q| idx.search(q)).collect())
-}
-
-#[test]
-fn parent_commit_index_survives_a_rewrite_as_iir3() {
-    let src = fixture_index();
-    assert_eq!(run_formats(&src), vec![(Some(2), Some(2)); 2], "the fixture is IIR2");
-    let before = Index::open(&src).expect("an IIR2 index opens");
-    let want = answers(&before);
-    assert!(want.0.len() > 100 && want.1.iter().any(|hits| !hits.is_empty()));
-
-    // Saved somewhere new, and saved over a copy of itself (the commit
-    // then supersedes the IIR2 generation in place).
-    let fresh = std::env::temp_dir().join(format!("ii-iir3-fresh-{}", std::process::id()));
-    let over = std::env::temp_dir().join(format!("ii-iir3-over-{}", std::process::id()));
-    for dir in [&fresh, &over] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    std::fs::create_dir_all(&over).unwrap();
-    for entry in std::fs::read_dir(&src).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), over.join(entry.file_name())).unwrap();
-    }
-    for dir in [&fresh, &over] {
-        before.save(dir).unwrap();
-        assert_eq!(run_formats(dir), vec![(Some(3), Some(3)); 2], "a save writes IIR3 only");
-        for s in Index::verify_dir(dir).unwrap() {
-            assert!(s.ok, "{}: {}", s.name, s.detail);
-        }
-        let after = Index::open(dir).unwrap();
-        assert_eq!(answers(&after), want);
-        // Nothing downstream of `from_bytes` can tell which magic a run had.
-        for (indexer, set) in &before.run_sets {
-            assert_eq!(set.runs(), after.run_sets[indexer].runs());
-        }
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-}
-
-/// `ii repair` leaves salvaged bytes where they are, so the manifest it
-/// writes must keep calling an `IIR2` run format 2 — even with the old
-/// manifest gone and only the bytes to go by.
-#[test]
-fn repair_records_the_format_of_the_bytes_it_keeps() {
-    let dir = std::env::temp_dir().join(format!("ii-iir2-repair-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(fixture_index()).unwrap() {
-        let entry = entry.unwrap();
-        if entry.file_name() != "MANIFEST.json" {
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
-    }
-    let report = Index::repair(&dir).unwrap();
-    assert!(report.lost.is_empty(), "{:?}", report.lost);
-    assert_eq!(run_formats(&dir), vec![(Some(2), Some(2)); 2]);
-    let repaired = Index::open(&dir).unwrap();
-    assert_eq!(answers(&repaired), answers(&Index::open(&fixture_index()).unwrap()));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +192,7 @@ fn mutated_iir3_headers_and_tables_never_panic() {
 /// the product's, which the change did not touch; everything from the block
 /// body up is the old code.
 mod frozen {
-    use ii_core::postings::run::{RunEntry, RunFormat};
+    use ii_core::postings::run::RunEntry;
     use ii_core::postings::{bits, varbyte, Codec, Posting, RunFile};
 
     const BLOCK_LEN: usize = 128;
@@ -691,7 +391,6 @@ mod frozen {
             entries: Vec::with_capacity(lists.len()),
             payload: Vec::new(),
             codec,
-            format: RunFormat::Blocked,
         };
         for (handle, list) in lists {
             let resolved = codec.resolve(list.len());
