@@ -95,11 +95,11 @@ mod tests {
         let da = GlobalDictionary::combine(std::slice::from_ref(&a.dict));
         let db = GlobalDictionary::combine(std::slice::from_ref(&b.dict));
         // Same term set.
-        let ta: Vec<String> = da.entries().iter().map(|e| e.full_term()).collect();
-        let tb: Vec<String> = db.entries().iter().map(|e| e.full_term()).collect();
+        let ta: Vec<String> = da.entries().map(|e| e.full_term()).collect();
+        let tb: Vec<String> = db.entries().map(|e| e.full_term()).collect();
         assert_eq!(ta, tb);
         // Same postings per term (handles differ — map through the dicts).
-        for (ea, eb) in da.entries().iter().zip(db.entries()) {
+        for (ea, eb) in da.entries().zip(db.entries()) {
             let la = &a.lists[ea.postings as usize];
             let lb = &b.lists[eb.postings as usize];
             assert_eq!(la, lb, "term {}", ea.full_term());

@@ -25,7 +25,6 @@ fn main() {
     let lists: Vec<Vec<Posting>> = out
         .dictionary
         .entries()
-        .iter()
         .map(|e| out.run_sets[&e.indexer].fetch(e.postings).expect("built runs decode"))
         .map(|l| l.postings().to_vec())
         .collect();

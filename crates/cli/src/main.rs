@@ -610,7 +610,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         let busiest = index
             .dictionary
             .entries()
-            .iter()
             .map(|e| (df.get(&(e.indexer, e.postings)).copied().unwrap_or(0), e))
             .max_by_key(|(docs, _)| *docs);
         if let Some((docs, e)) = busiest {

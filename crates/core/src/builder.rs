@@ -313,7 +313,7 @@ mod tests {
         let (index, positional) = IndexBuilder::small().build_with_positions(&coll).unwrap();
         assert_eq!(index.num_terms(), positional.len());
         // Every phrase hit must also be a conjunctive hit of the plain index.
-        let e = index.dictionary.entries().first().unwrap().full_term();
+        let e = index.dictionary.entries().next().unwrap().full_term();
         let hits = positional.phrase_search(&e);
         for (doc, _) in &hits {
             let plain = index.postings_stemmed(&e).unwrap();

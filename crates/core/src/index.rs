@@ -3,7 +3,7 @@
 use crate::query::query_terms;
 use ii_corpus::DocId;
 use ii_dict::{GlobalDictionary, PartialDictionary};
-use ii_obs::Registry;
+use ii_obs::{Counter, Registry, Stage};
 use ii_pipeline::{
     stage_runs_and_docmap, BuildCheckpoint, DocMap, IndexOutput, PipelineReport, SealedRuns,
     CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
@@ -31,18 +31,45 @@ pub struct Index {
     /// Query-time metrics: the `query` stage (wall, items, latency) and a
     /// `query.postings_scanned` counter accumulate over this index's life.
     pub obs: Arc<Registry>,
+    /// The metrics of `obs` every query touches, looked up once.
+    pub(crate) query_obs: QueryObs,
+}
+
+/// The `query` stage and `query.*` counters of an index's registry, resolved
+/// by name when the index is put together instead of on every query.
+pub(crate) struct QueryObs {
+    pub(crate) stage: Arc<Stage>,
+    pub(crate) postings_scanned: Arc<Counter>,
+    pub(crate) blocks_decoded: Arc<Counter>,
+    pub(crate) blocks_skipped: Arc<Counter>,
+    pub(crate) decode_errors: Arc<Counter>,
 }
 
 impl Index {
-    /// Wrap a pipeline output.
-    pub fn from_output(out: IndexOutput) -> Index {
-        Index {
-            dictionary: out.dictionary,
-            run_sets: out.run_sets,
-            doc_map: out.doc_map,
-            report: out.report,
-            obs: Arc::new(Registry::new()),
-        }
+    /// Wrap a pipeline output. Every run set is told to remember which runs
+    /// hold each handle (handles are dense below the term count).
+    pub fn from_output(mut out: IndexOutput) -> Index {
+        out.run_sets.values_mut().for_each(|set| set.track_holders(out.dictionary.len()));
+        Self::assemble(out.dictionary, out.run_sets, out.doc_map, out.report)
+    }
+
+    /// The one constructor: a fresh registry with the query metrics
+    /// resolved.
+    fn assemble(
+        dictionary: GlobalDictionary,
+        run_sets: HashMap<u32, RunSet>,
+        doc_map: DocMap,
+        report: PipelineReport,
+    ) -> Index {
+        let obs = Arc::new(Registry::new());
+        let query_obs = QueryObs {
+            stage: obs.stage("query"),
+            postings_scanned: obs.counter("query.postings_scanned"),
+            blocks_decoded: obs.counter("query.blocks_decoded"),
+            blocks_skipped: obs.counter("query.blocks_skipped"),
+            decode_errors: obs.counter("query.decode_errors"),
+        };
+        Index { dictionary, run_sets, doc_map, report, obs, query_obs }
     }
 
     /// Source container file of a global document ID (§III.F auxiliary
@@ -92,7 +119,7 @@ impl Index {
     /// answer, and a count.
     pub(crate) fn decoded<T>(&self, fetched: Result<T, CodecError>) -> Option<T> {
         if fetched.is_err() {
-            self.obs.counter("query.decode_errors").inc();
+            self.query_obs.decode_errors.inc();
         }
         fetched.ok()
     }
@@ -100,7 +127,7 @@ impl Index {
     /// Skip cursor over an already-stemmed term's partial lists across runs.
     pub(crate) fn stem_cursor(&self, stemmed: &str) -> Option<SetCursor<'_>> {
         let e = self.dictionary.lookup(stemmed)?;
-        SetCursor::over(self.run_sets.get(&e.indexer)?.runs(), e.postings)
+        self.run_sets.get(&e.indexer)?.cursor(e.postings).ok()?
     }
 
     /// Persist the index: `dictionary.bin`, `docmap.bin`, plus one `.iirf`
@@ -142,7 +169,7 @@ impl Index {
         if store.manifest().kind != ManifestKind::Index {
             return Err(StoreError::IncompleteBuild { dir: dir.to_path_buf() });
         }
-        let dictionary = GlobalDictionary::read_from(&mut store.read(DICTIONARY_ARTIFACT)?.as_slice())
+        let dictionary = GlobalDictionary::from_bytes(&store.read(DICTIONARY_ARTIFACT)?)
             .map_err(|e| StoreError::Corrupt {
                 name: DICTIONARY_ARTIFACT.into(),
                 detail: e.to_string(),
@@ -173,18 +200,27 @@ impl Index {
         named.sort();
         let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
         for (indexer, _, name) in named {
-            let run = RunFile::from_bytes(&store.read(name)?).map_err(|e| {
-                StoreError::Corrupt { name: name.to_string(), detail: e.to_string() }
-            })?;
-            run_sets.entry(indexer).or_default().push(run);
+            let corrupt = |detail: String| StoreError::Corrupt { name: name.to_string(), detail };
+            let run = RunFile::from_bytes(&store.read(name)?).map_err(|e| corrupt(e.to_string()))?;
+            // An indexer's handles are dense from 0 and each is a term, so
+            // none reaches the term count. Checked here because the holders
+            // column is sized by the dictionary, not by what a run claims.
+            if let Some(last) = run.entries.last().filter(|e| e.handle as usize >= dictionary.len()) {
+                return Err(corrupt(format!(
+                    "handle {} in a dictionary of {} terms",
+                    last.handle,
+                    dictionary.len()
+                )));
+            }
+            // Holders are marked as each run arrives, its table still warm.
+            let set = run_sets.entry(indexer).or_insert_with(|| {
+                let mut set = RunSet::new();
+                set.track_holders(dictionary.len());
+                set
+            });
+            set.push(run);
         }
-        Ok(Index {
-            dictionary,
-            run_sets,
-            doc_map,
-            report: PipelineReport::default(),
-            obs: Arc::new(Registry::new()),
-        })
+        Ok(Self::assemble(dictionary, run_sets, doc_map, PipelineReport::default()))
     }
 
     /// Checksum-verify every artifact of a committed index directory
@@ -207,7 +243,7 @@ impl Index {
 /// manifest keeps skip-table and block-max information.
 fn validate_artifact(name: &str, bytes: &[u8]) -> Result<Option<ii_store::PostingsMeta>, String> {
     if name == DICTIONARY_ARTIFACT {
-        GlobalDictionary::read_from(&mut &bytes[..]).map(|_| None).map_err(|e| e.to_string())
+        GlobalDictionary::from_bytes(bytes).map(|_| None).map_err(|e| e.to_string())
     } else if name == DOCMAP_ARTIFACT {
         DocMap::read_from(&mut &bytes[..]).map(|_| None).map_err(|e| e.to_string())
     } else if name == CHECKPOINT_ARTIFACT {
@@ -386,7 +422,7 @@ mod tests {
     fn corrupt_run_part_means_no_postings_and_is_counted() {
         let mut idx = small_index("badpart", vec![doc("kiwi lime"), doc("kiwi")]);
         let healthy = idx.postings("kiwi").expect("kiwi is indexed");
-        let e = idx.dictionary.lookup("kiwi").unwrap().clone();
+        let e = idx.dictionary.lookup("kiwi").unwrap();
         // A second run holding two more kiwi postings, the continuation bit
         // of its last payload byte set: the list's final varbyte never ends.
         let mut runs = RunSet::new();

@@ -120,17 +120,17 @@ impl<'a> Evaluation<'a> {
         contrib: impl Fn(usize, u32) -> S,
         hit: impl Fn(DocId, S) -> H,
     ) -> Vec<H> {
-        let obs = &self.index.obs;
+        let obs = &self.index.query_obs;
         let mut hits = Vec::new();
         if !self.satisfiable {
             return hits;
         }
-        obs.counter("query.postings_scanned").add(self.cursors.iter().map(|(_, c)| c.df()).sum());
+        obs.postings_scanned.add(self.cursors.iter().map(|(_, c)| c.df()).sum());
         let walked = self.walk(contrib, |doc, score| hits.push(hit(doc, score)));
         let decoded: u64 = self.cursors.iter().map(|(_, c)| u64::from(c.blocks_decoded())).sum();
         let total: u64 = self.cursors.iter().map(|(_, c)| c.blocks_total() as u64).sum();
-        obs.counter("query.blocks_decoded").add(decoded);
-        obs.counter("query.blocks_skipped").add(total.saturating_sub(decoded));
+        obs.blocks_decoded.add(decoded);
+        obs.blocks_skipped.add(total.saturating_sub(decoded));
         if self.index.decoded(walked).is_none() {
             hits.clear();
         }
@@ -201,8 +201,7 @@ impl Index {
     /// twice). Stop words in the query are ignored (as they were never
     /// indexed).
     pub fn search(&self, query: &str) -> Vec<(DocId, u64)> {
-        let stage = self.obs.stage("query");
-        let _span = stage.span();
+        let _span = self.query_obs.stage.span();
         let mut eval = Evaluation::open(self, &query_terms(query, false), QueryMode::And);
         let mut out = eval.run(|_, tf| u64::from(tf), |doc, tf| (doc, tf));
         // Hits arrive in document order: a stable sort on the score alone
@@ -215,8 +214,7 @@ impl Index {
     /// terms; stop words are dropped and a repeated word counts once, which
     /// keeps idf honest. Returns hits best-first.
     pub fn search_ranked(&self, query: &str, mode: QueryMode, params: Bm25Params) -> Vec<RankedHit> {
-        let stage = self.obs.stage("query");
-        let _span = stage.span();
+        let _span = self.query_obs.stage.span();
         let mut eval = Evaluation::open(self, &query_terms(query, true), mode);
         let n_docs = self.num_docs().max(self.doc_map.total_docs()).max(1) as f64;
         // BM25 idf with the +1 smoothing that keeps it positive.

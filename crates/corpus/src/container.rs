@@ -78,33 +78,107 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// One slice-by-8 step: fold the eight bytes of `w` into the register `c`.
+#[inline(always)]
+fn crc_step(c: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// `a · b mod P` over GF(2), polynomials in the CRC's reflected form (bit
+/// 31 is `x^0`).
+const fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0u32;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = if b & 1 == 1 { (b >> 1) ^ 0xEDB8_8320 } else { b >> 1 };
+    }
+    product
+}
+
+/// `X_POW_2[k]` is `x^(2^k) mod P`.
+const X_POW_2: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mul_mod(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// `x^(8n) mod P`: what appending `n` bytes multiplies a checksum by, so
+/// that `crc32(a ‖ b) = mul_mod(x_pow_bytes(b.len()), crc32(a)) ^ crc32(b)`.
+fn x_pow_bytes(mut n: usize) -> u32 {
+    let mut power = 1u32 << 31; // x^0
+    let mut k = 3; // 8n = n · 2^3
+    while n != 0 {
+        if n & 1 == 1 {
+            power = mul_mod(X_POW_2[k % 32], power);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    power
+}
+
+/// Inputs at least this long are checksummed as three interleaved streams.
+/// Below it the two multiplications that join the streams cost more than
+/// the interleaving saves.
+const CRC_INTERLEAVE_MIN: usize = 16 << 10;
+
 /// CRC-32 (ISO-HDLC: the IEEE 802.3 / zlib polynomial, reflected, initial
 /// value and final xor `0xFFFF_FFFF`) of `data`.
 ///
 /// The one checksum of the code base: container footers here and, through
 /// the `ii_store::crc32` re-export, every manifest record of an index
 /// directory. Slice-by-8 — eight input bytes per step through
-/// [`CRC_TABLES`] — so a checksum pass costs about what a memory-bound
-/// pass should; the values are those of the bit-serial definition, which
-/// `tests/tests/crc32_diff.rs` keeps as the oracle.
+/// [`CRC_TABLES`] — and, on a long input, three such streams over its
+/// thirds side by side (one stream is a chain of dependent table reads; the
+/// three checksums are joined by [`x_pow_bytes`]), so a checksum pass costs
+/// about what a memory-bound pass should; the values are those of the
+/// bit-serial definition, which `tests/tests/crc32_diff.rs` keeps as the
+/// oracle.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
+    let mut rest = data;
+    if data.len() >= CRC_INTERLEAVE_MIN {
+        let third = data.len() / 3 / 8 * 8;
+        let (first, tail) = data.split_at(third);
+        let (second, tail) = tail.split_at(third);
+        let (third_part, tail) = tail.split_at(third);
+        let (mut c1, mut c2, mut c3) = (c, c, c);
+        let streams = first.chunks_exact(8).zip(second.chunks_exact(8)).zip(third_part.chunks_exact(8));
+        for ((w1, w2), w3) in streams {
+            c1 = crc_step(c1, w1);
+            c2 = crc_step(c2, w2);
+            c3 = crc_step(c3, w3);
+        }
+        let shift = x_pow_bytes(third);
+        let joined = mul_mod(shift, mul_mod(shift, !c1) ^ !c2) ^ !c3;
+        c = !joined;
+        rest = tail;
+    }
+    let mut chunks = rest.chunks_exact(8);
     for w in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = crc_step(c, w);
     }
     for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

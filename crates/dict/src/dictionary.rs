@@ -219,93 +219,182 @@ fn presized<T>(claimed: usize) -> Vec<T> {
     Vec::with_capacity(claimed.min(PRESIZE_BYTES / std::mem::size_of::<T>()))
 }
 
-/// One record of the combined dictionary: where to find the postings list
-/// of a term. `indexer` + `postings` locate the list among the per-indexer
-/// outputs (the mapping-table indirection of §III.F).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DictEntry {
+/// One term of the combined dictionary and where to find its postings
+/// list: `indexer` + `postings` locate the list among the per-indexer
+/// outputs (the mapping-table indirection of §III.F). Borrowed from the
+/// dictionary's arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DictEntry<'a> {
     /// Trie collection of the term.
     pub trie_index: u32,
     /// Stored suffix (term minus the trie-captured prefix).
-    pub suffix: Vec<u8>,
+    pub suffix: &'a [u8],
     /// Owning indexer.
     pub indexer: u32,
     /// Postings handle within that indexer's output.
     pub postings: u32,
 }
 
-impl DictEntry {
+impl DictEntry<'_> {
     /// Reconstruct the full term (prefix + suffix).
     pub fn full_term(&self) -> String {
         let mut s = TrieIndex(self.trie_index).prefix();
-        s.push_str(&String::from_utf8_lossy(&self.suffix));
+        s.push_str(&String::from_utf8_lossy(self.suffix));
         s
     }
 }
 
-/// The combined, immutable dictionary for the whole collection.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The combined, immutable dictionary for the whole collection: the paper's
+/// §III.B structure frozen. The trie is a flat directory — collection `t`
+/// holds the terms of ordinals `dir[t]..dir[t + 1]` — in front of one
+/// sorted suffix column per collection, all in one arena. A shard owns
+/// whole collections (§III.E), so the owning indexer is stored once per
+/// collection, not per term.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalDictionary {
-    /// Entries sorted by `(trie_index, suffix)`.
-    entries: Vec<DictEntry>,
+    /// `TRIE_ENTRIES + 1` term ordinals, ascending from 0 to `len()`.
+    dir: Vec<u32>,
+    /// Owning indexer of each of the `TRIE_ENTRIES` collections (0 for an
+    /// empty one).
+    owners: Vec<u32>,
+    /// `len() + 1` arena offsets: the suffix of term `i` is
+    /// `arena[offsets[i]..offsets[i + 1]]`. Terms are ordered by
+    /// `(trie_index, suffix)`.
+    offsets: Vec<u32>,
+    /// Postings handle of each term within its owner's output.
+    handles: Vec<u32>,
+    /// Every suffix, back to back.
+    arena: Vec<u8>,
 }
 
-const DICT_MAGIC: &[u8; 4] = b"IIDC";
+const DICT_MAGIC: &[u8; 4] = b"IIDT";
+/// Magic, term count, arena length.
+const DICT_HEADER_BYTES: usize = 12;
+/// Longest suffix a dictionary holds: terms are at most 255 bytes
+/// (`ii_text::MAX_TERM_BYTES`).
+const MAX_SUFFIX_BYTES: usize = 255;
+
+impl Default for GlobalDictionary {
+    fn default() -> Self {
+        GlobalDictionary {
+            dir: vec![0; TRIE_ENTRIES + 1],
+            owners: vec![0; TRIE_ENTRIES],
+            offsets: vec![0],
+            handles: Vec::new(),
+            arena: Vec::new(),
+        }
+    }
+}
 
 impl GlobalDictionary {
-    /// Combine per-indexer shards. Each shard's trie collections are
-    /// disjoint by construction; entries are gathered tree by tree (terms
-    /// come out of each B-tree already sorted) and then ordered globally.
+    /// Combine per-indexer shards, whose trie collections are disjoint by
+    /// construction: collection by collection in trie order, each B-tree
+    /// walked in order straight into the arena.
     pub fn combine(parts: &[PartialDictionary]) -> GlobalDictionary {
-        let mut entries = Vec::new();
-        for p in parts {
+        const UNOWNED: usize = usize::MAX;
+        let mut part_of = vec![UNOWNED; TRIE_ENTRIES];
+        for (i, p) in parts.iter().enumerate() {
             for ti in p.trie_indices() {
-                let tree = p.tree(ti).expect("listed index has a tree");
-                for (suffix, postings) in p.store.iter_terms(&tree) {
-                    entries.push(DictEntry {
-                        trie_index: ti,
-                        suffix,
-                        indexer: p.indexer_id,
-                        postings,
-                    });
-                }
+                let slot = &mut part_of[ti as usize];
+                assert!(*slot == UNOWNED, "trie collection {ti} is in two shards");
+                *slot = i;
             }
         }
-        entries.sort_by(|a, b| {
-            (a.trie_index, a.suffix.as_slice()).cmp(&(b.trie_index, b.suffix.as_slice()))
-        });
-        GlobalDictionary { entries }
+        let mut dict = GlobalDictionary::default();
+        let terms: usize = parts.iter().map(|p| p.term_count() as usize).sum();
+        dict.offsets.reserve_exact(terms);
+        dict.handles.reserve_exact(terms);
+        for (ti, &i) in part_of.iter().enumerate() {
+            if i != UNOWNED {
+                let p = &parts[i];
+                let tree = p.tree(ti as u32).expect("listed index has a tree");
+                p.store.for_each_term(&tree, &mut |head, rest, postings| {
+                    dict.push(ti as u32, &[head, rest], p.indexer_id, postings)
+                });
+            }
+        }
+        dict.finish()
     }
 
-    /// Build from already-gathered entries (the frozen reference combine).
-    pub(crate) fn from_entries(entries: Vec<DictEntry>) -> GlobalDictionary {
-        GlobalDictionary { entries }
+    /// Append the next term in `(trie_index, suffix)` order, its suffix
+    /// given in pieces. Until [`Self::finish`], `dir[t + 1]` counts the
+    /// terms of collection `t`.
+    pub(crate) fn push(&mut self, trie_index: u32, suffix: &[&[u8]], indexer: u32, postings: u32) {
+        let start = self.arena.len();
+        suffix.iter().for_each(|piece| self.arena.extend_from_slice(piece));
+        assert!(self.arena.len() - start <= MAX_SUFFIX_BYTES, "term longer than 255 bytes");
+        let end = u32::try_from(self.arena.len()).expect("dictionary suffixes exceed 4 GiB");
+        self.offsets.push(end);
+        self.handles.push(postings);
+        self.dir[trie_index as usize + 1] += 1;
+        self.owners[trie_index as usize] = indexer;
+    }
+
+    /// Turn the per-collection counts [`Self::push`] kept into ordinals.
+    pub(crate) fn finish(mut self) -> GlobalDictionary {
+        let mut ordinal = 0u32;
+        for d in &mut self.dir {
+            ordinal += *d;
+            *d = ordinal;
+        }
+        self
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.handles.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.handles.is_empty()
+    }
+
+    fn suffix(&self, i: usize) -> &[u8] {
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The term ordinals of one trie collection.
+    fn collection(&self, trie_index: usize) -> std::ops::Range<usize> {
+        self.dir[trie_index] as usize..self.dir[trie_index + 1] as usize
     }
 
     /// All entries in `(trie_index, suffix)` order.
-    pub fn entries(&self) -> &[DictEntry] {
-        &self.entries
+    pub fn entries(&self) -> impl Iterator<Item = DictEntry<'_>> + '_ {
+        (0..TRIE_ENTRIES).flat_map(move |t| {
+            self.collection(t).map(move |i| DictEntry {
+                trie_index: t as u32,
+                suffix: self.suffix(i),
+                indexer: self.owners[t],
+                postings: self.handles[i],
+            })
+        })
     }
 
-    /// Look up a surface term (it is classified and prefix-stripped here).
-    pub fn lookup(&self, term: &str) -> Option<&DictEntry> {
+    /// Look up a surface term (it is classified and prefix-stripped here):
+    /// the directory names its collection, a binary search over that
+    /// collection's suffixes finds it.
+    pub fn lookup(&self, term: &str) -> Option<DictEntry<'_>> {
         let (idx, suffix) = crate::trie::classify(term);
-        self.entries
-            .binary_search_by(|e| {
-                (e.trie_index, e.suffix.as_slice()).cmp(&(idx.0, suffix.as_bytes()))
-            })
-            .ok()
-            .map(|i| &self.entries[i])
+        let t = idx.0 as usize;
+        let std::ops::Range { start: mut lo, end: mut hi } = self.collection(t);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let found = self.suffix(mid);
+            match found.cmp(suffix.as_bytes()) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => {
+                    return Some(DictEntry {
+                        trie_index: idx.0,
+                        suffix: found,
+                        indexer: self.owners[t],
+                        postings: self.handles[mid],
+                    })
+                }
+            }
+        }
+        None
     }
 
     /// Convenience: classify + lookup for an already-stemmed term string.
@@ -314,66 +403,103 @@ impl GlobalDictionary {
     }
 
     /// Serialize to `w`; returns bytes written (the "Dictionary Write"
-    /// cost). Suffixes are front-coded against the previous entry, the
-    /// compression Heinz & Zobel [4] apply to lexicographically ordered
-    /// dictionaries.
+    /// cost). The file is the structure itself: header, then the directory,
+    /// owner, offset and handle columns as little-endian `u32`s, then the
+    /// suffix arena.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let mut bytes = 0u64;
-        w.write_all(DICT_MAGIC)?;
-        w.write_all(&(self.entries.len() as u32).to_le_bytes())?;
-        bytes += 8;
-        let mut prev: &[u8] = b"";
-        let mut prev_trie = u32::MAX;
-        for e in &self.entries {
-            let shared = if e.trie_index == prev_trie {
-                prev.iter().zip(&e.suffix).take_while(|(a, b)| a == b).count().min(255)
-            } else {
-                0
-            };
-            let rest = &e.suffix[shared..];
-            w.write_all(&e.trie_index.to_le_bytes())?;
-            w.write_all(&[shared as u8, rest.len() as u8])?;
-            w.write_all(rest)?;
-            w.write_all(&e.indexer.to_le_bytes())?;
-            w.write_all(&e.postings.to_le_bytes())?;
-            bytes += 4 + 2 + rest.len() as u64 + 8;
-            prev = &e.suffix;
-            prev_trie = e.trie_index;
+        let mut out = Vec::with_capacity(
+            DICT_HEADER_BYTES
+                + 4 * (self.dir.len() + self.owners.len() + self.offsets.len() + self.handles.len())
+                + self.arena.len(),
+        );
+        out.extend_from_slice(DICT_MAGIC);
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.arena.len() as u32).to_le_bytes());
+        for column in [&self.dir, &self.owners, &self.offsets, &self.handles] {
+            column.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
         }
-        Ok(bytes)
+        out.extend_from_slice(&self.arena);
+        w.write_all(&out)?;
+        Ok(out.len() as u64)
     }
 
-    /// Deserialize a dictionary written by [`Self::write_to`].
+    /// Deserialize a dictionary written by [`Self::write_to`]: everything
+    /// `r` has left, through [`Self::from_bytes`].
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<GlobalDictionary> {
-        let mut head = [0u8; 8];
-        r.read_exact(&mut head)?;
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        Self::from_bytes(&bytes)
+    }
+
+    /// Parse the bytes [`Self::write_to`] wrote, checking in one pass
+    /// everything [`Self::lookup`] and [`Self::entries`] rely on: the
+    /// directory ascends from 0 to the term count, the offsets ascend from
+    /// 0 to the arena length in steps of at most 255, and suffixes ascend
+    /// strictly inside each collection. Nothing is allocated on the word of
+    /// a count: the columns are cut from the bytes given.
+    pub fn from_bytes(bytes: &[u8]) -> io::Result<GlobalDictionary> {
+        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
+        let Some((head, body)) = bytes.split_at_checked(DICT_HEADER_BYTES) else {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        };
         if &head[..4] != DICT_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad dictionary magic"));
+            return Err(bad("bad dictionary magic"));
         }
-        let n = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-        let mut entries = presized(n);
-        let mut prev: Vec<u8> = Vec::new();
-        for _ in 0..n {
-            let mut fixed = [0u8; 6];
-            r.read_exact(&mut fixed)?;
-            let trie = u32::from_le_bytes([fixed[0], fixed[1], fixed[2], fixed[3]]);
-            let shared = fixed[4] as usize;
-            let rest_len = fixed[5] as usize;
-            let mut rest = vec![0u8; rest_len];
-            r.read_exact(&mut rest)?;
-            if shared > prev.len() {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad front-coding"));
+        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap()) as usize;
+        let (n, arena_len) = (word(4), word(8));
+        // u32 counts: the sum fits a u64 with room to spare.
+        let columns = 4 * (2 * TRIE_ENTRIES as u64 + 1 + 2 * n as u64 + 1);
+        match (columns + arena_len as u64).cmp(&(body.len() as u64)) {
+            std::cmp::Ordering::Greater => return Err(io::ErrorKind::UnexpectedEof.into()),
+            std::cmp::Ordering::Less => return Err(bad("bytes after the dictionary")),
+            std::cmp::Ordering::Equal => {}
+        }
+        let mut rest = body;
+        let mut column = |len: usize| -> Vec<u32> {
+            let (bytes, tail) = rest.split_at(4 * len);
+            rest = tail;
+            bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect()
+        };
+        let dict = GlobalDictionary {
+            dir: column(TRIE_ENTRIES + 1),
+            owners: column(TRIE_ENTRIES),
+            offsets: column(n + 1),
+            handles: column(n),
+            arena: rest.to_vec(),
+        };
+        let ascends = |col: &[u32], end: usize, step: usize| {
+            col[0] == 0
+                && col[col.len() - 1] as usize == end
+                && col.windows(2).all(|w| w[0] <= w[1] && (w[1] - w[0]) as usize <= step)
+        };
+        if !ascends(&dict.dir, n, n) {
+            return Err(bad("trie directory does not ascend from 0 to the term count"));
+        }
+        if !ascends(&dict.offsets, arena_len, MAX_SUFFIX_BYTES) {
+            return Err(bad("suffix offsets do not ascend to the arena length in steps of at most 255"));
+        }
+        // A suffix's first 8 bytes as a zero-padded big-endian word: a
+        // smaller word means a smaller suffix, which settles nearly every
+        // neighbouring pair without a slice comparison. (0 for the last few
+        // suffixes of the arena, which the slice comparison then settles.)
+        let key = |i: usize| {
+            let (start, end) = (dict.offsets[i] as usize, dict.offsets[i + 1] as usize);
+            let Some(bytes) = dict.arena.get(start..start + 8) else { return 0 };
+            let keep = (end - start).min(8) as u32;
+            let word = u64::from_be_bytes(bytes.try_into().unwrap());
+            word & u64::MAX.checked_shl(64 - 8 * keep).unwrap_or(0)
+        };
+        for t in 0..TRIE_ENTRIES {
+            let mut prev = None;
+            for i in dict.collection(t) {
+                let cur = key(i);
+                if prev.is_some_and(|p| p >= cur && dict.suffix(i - 1) >= dict.suffix(i)) {
+                    return Err(bad("suffixes out of order inside a trie collection"));
+                }
+                prev = Some(cur);
             }
-            let mut suffix = prev[..shared].to_vec();
-            suffix.extend_from_slice(&rest);
-            let mut tail = [0u8; 8];
-            r.read_exact(&mut tail)?;
-            let indexer = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-            let postings = u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]);
-            prev = suffix.clone();
-            entries.push(DictEntry { trie_index: trie, suffix, indexer, postings });
         }
-        Ok(GlobalDictionary { entries })
+        Ok(dict)
     }
 }
 
@@ -454,15 +580,14 @@ mod tests {
             insert_surface(&mut d, t);
         }
         let g = GlobalDictionary::combine(&[d]);
-        let keys: Vec<(u32, Vec<u8>)> =
-            g.entries().iter().map(|e| (e.trie_index, e.suffix.clone())).collect();
+        let keys: Vec<(u32, &[u8])> = g.entries().map(|e| (e.trie_index, e.suffix)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), g.len());
     }
 
-    #[test]
-    fn serialization_roundtrip() {
+    fn sample() -> GlobalDictionary {
         let mut d = PartialDictionary::new(3);
         for t in [
             "apple", "applesauce", "application", "applied", "zebra", "zeal", "954", "-80",
@@ -470,53 +595,124 @@ mod tests {
         ] {
             insert_surface(&mut d, t);
         }
-        let g = GlobalDictionary::combine(&[d]);
+        GlobalDictionary::combine(&[d])
+    }
+
+    #[test]
+    fn serialization_roundtrip() {
+        let g = sample();
         let mut buf = Vec::new();
         let n = g.write_to(&mut buf).unwrap();
         assert_eq!(n as usize, buf.len());
         let g2 = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(g, g2);
+        // An empty dictionary is a directory of zeros.
+        let mut buf = Vec::new();
+        GlobalDictionary::default().write_to(&mut buf).unwrap();
+        assert_eq!(buf.len(), DICT_HEADER_BYTES + 4 * (2 * TRIE_ENTRIES + 2));
+        let empty = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(empty, GlobalDictionary::default());
+        assert!(empty.lookup("apple").is_none() && empty.entries().next().is_none());
     }
 
     #[test]
-    fn front_coding_helps_on_shared_prefixes() {
-        let mut d = PartialDictionary::new(0);
-        // Long terms sharing long prefixes inside one trie collection.
-        for i in 0..100 {
-            insert_surface(&mut d, &format!("prefixsharedverylong{i:03}"));
-        }
-        let g = GlobalDictionary::combine(&[d]);
+    fn a_term_costs_its_suffix_and_two_words() {
+        let g = sample();
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
-        let raw_size: usize =
-            g.entries().iter().map(|e| e.suffix.len() + 14).sum::<usize>() + 8;
-        assert!(
-            buf.len() < raw_size * 2 / 3,
-            "front coding should shrink output: {} vs {}",
-            buf.len(),
-            raw_size
+        let suffixes: usize = g.entries().map(|e| e.suffix.len()).sum();
+        let fixed = DICT_HEADER_BYTES + 4 * (2 * TRIE_ENTRIES + 2);
+        assert_eq!(buf.len(), fixed + 8 * g.len() + suffixes);
+    }
+
+    #[test]
+    fn owners_are_per_collection() {
+        let mut d0 = PartialDictionary::new(4);
+        let mut d1 = PartialDictionary::new(9);
+        insert_surface(&mut d0, "apple");
+        insert_surface(&mut d0, "applesauce");
+        insert_surface(&mut d1, "zebra");
+        let g = GlobalDictionary::combine(&[d1, d0]);
+        let owners: Vec<(String, u32)> = g.entries().map(|e| (e.full_term(), e.indexer)).collect();
+        assert_eq!(
+            owners,
+            [("apple".to_string(), 4), ("applesauce".to_string(), 4), ("zebra".to_string(), 9)]
         );
     }
 
     #[test]
+    #[should_panic(expected = "in two shards")]
+    fn a_collection_in_two_shards_is_a_bug() {
+        let mut d0 = PartialDictionary::new(0);
+        let mut d1 = PartialDictionary::new(1);
+        insert_surface(&mut d0, "apple");
+        insert_surface(&mut d1, "applesauce");
+        GlobalDictionary::combine(&[d0, d1]);
+    }
+
+    #[test]
     fn corrupt_dictionary_rejected() {
-        assert!(GlobalDictionary::read_from(&mut &b"XXXX\0\0\0\0"[..]).is_err());
-        let mut d = PartialDictionary::new(0);
-        insert_surface(&mut d, "apple");
-        let g = GlobalDictionary::combine(&[d]);
+        assert!(GlobalDictionary::read_from(&mut &b"XXXX\0\0\0\0\0\0\0\0"[..]).is_err());
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        let cut = &buf[..buf.len() - 1];
+        let err = GlobalDictionary::read_from(&mut &cut[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        buf.push(0);
+        let err = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "trailing byte");
+    }
+
+    /// `sample()` serialized with the little-endian word at `at` replaced.
+    fn with_word(at: usize, word: u32) -> io::Result<GlobalDictionary> {
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        buf[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        GlobalDictionary::read_from(&mut buf.as_slice())
+    }
+
+    #[test]
+    fn every_column_is_validated() {
+        let n = sample().len();
+        let dir_at = DICT_HEADER_BYTES;
+        let offsets_at = dir_at + 4 * (2 * TRIE_ENTRIES + 1);
+        let invalid = |r: io::Result<GlobalDictionary>, what: &str| {
+            assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData, "{what}");
+        };
+        invalid(with_word(dir_at, 1), "directory not starting at 0");
+        invalid(with_word(dir_at + 4 * TRIE_ENTRIES, n as u32 + 1), "directory past the count");
+        invalid(with_word(dir_at + 4 * 20, u32::MAX), "directory descending");
+        invalid(with_word(offsets_at, 1), "offsets not starting at 0");
+        invalid(with_word(offsets_at + 4, u32::MAX), "offset past the arena");
+        invalid(with_word(offsets_at + 4 * n, 0), "offsets not ending at the arena length");
+        // "apple" and "applesauce" share a collection: push the second
+        // suffix below the first through the arena.
+        let g = sample();
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() - 1);
-        assert!(GlobalDictionary::read_from(&mut buf.as_slice()).is_err());
+        let arena_at = buf.len() - g.arena.len();
+        let at = g.lookup("applesauce").unwrap().suffix.as_ptr() as usize - g.arena.as_ptr() as usize;
+        buf[arena_at + at] = b'a'; // "lesauce" -> "aesauce", now below "le"
+        invalid(GlobalDictionary::read_from(&mut buf.as_slice()), "suffix out of order");
+        // An equal neighbour is out of order too: the order is strict.
+        let mut dup = GlobalDictionary::default();
+        dup.push(40, &[b"x"], 0, 0);
+        dup.push(40, &[b"x"], 0, 1);
+        let mut buf = Vec::new();
+        dup.finish().write_to(&mut buf).unwrap();
+        invalid(GlobalDictionary::read_from(&mut buf.as_slice()), "duplicate suffix");
     }
 
     #[test]
     fn hostile_entry_count_is_a_failed_read_not_an_allocation() {
-        // Magic and a count of u32::MAX entries (160 GB of `DictEntry`),
-        // then nothing: the reader must run out of bytes, not of memory.
+        // A header claiming u32::MAX terms and arena bytes, then nothing:
+        // the reader must run out of bytes, not of memory.
         let mut buf = DICT_MAGIC.to_vec();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = with_word(4, u32::MAX).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -607,6 +803,8 @@ mod tests {
         let g = GlobalDictionary::combine(&[d]);
         let e = g.lookup("application").unwrap();
         assert_eq!(e.suffix, b"lication");
+        assert!(g.lookup("applicatio").is_none() && g.lookup("applications").is_none());
+        assert!(g.lookup("app").is_none() && g.lookup("").is_none() && g.lookup("été").is_none());
         assert_eq!(e.trie_index, crate::trie::trie_index("application").0);
     }
 }

@@ -14,7 +14,7 @@
 //! [`PartialDictionary`]: crate::dictionary::PartialDictionary
 
 use crate::btree::{BTree, BTreeStore, InsertOutcome};
-use crate::dictionary::{DictEntry, GlobalDictionary};
+use crate::dictionary::GlobalDictionary;
 use std::collections::HashMap;
 
 /// The pre-slotted dictionary shard, frozen as the differential reference.
@@ -66,26 +66,23 @@ impl ReferenceDictionary {
 /// Combine reference shards into a [`GlobalDictionary`] — the frozen
 /// legacy combine (gather tree by tree, then global sort).
 pub fn combine_reference(parts: &[ReferenceDictionary]) -> GlobalDictionary {
-    let mut entries = Vec::new();
+    let mut entries: Vec<(u32, Vec<u8>, u32, u32)> = Vec::new();
     for p in parts {
         let mut idxs: Vec<u32> = p.trie_indices().collect();
         idxs.sort_unstable();
         for ti in idxs {
             let tree = p.tree(ti).expect("listed index has a tree");
             for (suffix, postings) in p.store.iter_terms(&tree) {
-                entries.push(DictEntry {
-                    trie_index: ti,
-                    suffix,
-                    indexer: p.indexer_id,
-                    postings,
-                });
+                entries.push((ti, suffix, p.indexer_id, postings));
             }
         }
     }
-    entries.sort_by(|a, b| {
-        (a.trie_index, a.suffix.as_slice()).cmp(&(b.trie_index, b.suffix.as_slice()))
-    });
-    GlobalDictionary::from_entries(entries)
+    entries.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
+    let mut dict = GlobalDictionary::default();
+    for (ti, suffix, indexer, postings) in &entries {
+        dict.push(*ti, &[suffix], *indexer, *postings);
+    }
+    dict.finish()
 }
 
 /// Insert a *surface* term (classified internally) into a reference shard.

@@ -457,36 +457,54 @@ impl SlottedStore {
         }
     }
 
-    /// Reconstruct the full stored term at `slot` of node `node_idx`.
-    pub fn full_term(&self, node_idx: u32, slot: usize) -> Vec<u8> {
-        let node = &self.nodes[node_idx as usize];
+    /// The stored term at `slot` of `node` in its two pieces: the head bytes
+    /// the node holds and the remainder in the string arena (empty when the
+    /// head is all of it).
+    fn term_pieces(&self, node: &SlottedNode, slot: usize) -> ([u8; 4], usize, &[u8]) {
         let head = node.heads[slot].to_be_bytes();
         let head_len = head.iter().position(|&b| b == 0).unwrap_or(4);
-        let mut out = head[..head_len].to_vec();
-        if node.term_ptr[slot] != NULL {
-            out.extend_from_slice(self.strings.get(node.term_ptr[slot]));
-        }
-        out
+        let rest: &[u8] = match node.term_ptr[slot] {
+            NULL => &[],
+            ptr => self.strings.get(ptr),
+        };
+        (head, head_len, rest)
+    }
+
+    /// Reconstruct the full stored term at `slot` of node `node_idx`.
+    pub fn full_term(&self, node_idx: u32, slot: usize) -> Vec<u8> {
+        let (head, head_len, rest) = self.term_pieces(&self.nodes[node_idx as usize], slot);
+        [&head[..head_len], rest].concat()
     }
 
     /// In-order traversal: `(term, postings handle)` in lexicographic order.
     pub fn iter_terms(&self, tree: &BTree) -> Vec<(Vec<u8>, u32)> {
         let mut out = Vec::new();
-        self.walk(tree.root, &mut out);
+        self.for_each_term(tree, &mut |head, rest, postings| {
+            out.push(([head, rest].concat(), postings));
+        });
         out
     }
 
-    fn walk(&self, node_idx: u32, out: &mut Vec<(Vec<u8>, u32)>) {
+    /// In-order traversal without a `Vec` per term: `f(head, rest, postings
+    /// handle)` for every term in lexicographic order, the term being
+    /// `head` (its bytes held in the node) followed by `rest` (its
+    /// remainder in the string arena, empty when the head is all of it).
+    pub fn for_each_term(&self, tree: &BTree, f: &mut impl FnMut(&[u8], &[u8], u32)) {
+        self.walk(tree.root, f);
+    }
+
+    fn walk(&self, node_idx: u32, f: &mut impl FnMut(&[u8], &[u8], u32)) {
         let node = &self.nodes[node_idx as usize];
         let count = node.count as usize;
         for i in 0..count {
             if node.leaf == 0 {
-                self.walk(node.children[i], out);
+                self.walk(node.children[i], f);
             }
-            out.push((self.full_term(node_idx, i), node.postings_ptr[i]));
+            let (head, head_len, rest) = self.term_pieces(node, i);
+            f(&head[..head_len], rest, node.postings_ptr[i]);
         }
         if node.leaf == 0 && count > 0 {
-            self.walk(node.children[count], out);
+            self.walk(node.children[count], f);
         }
     }
 

@@ -272,16 +272,14 @@ pub enum GlobalViolation {
 /// by exactly one term. Returns all violations found.
 pub fn verify_global(dict: &crate::dictionary::GlobalDictionary) -> Vec<GlobalViolation> {
     let mut out = Vec::new();
-    let entries = dict.entries();
-    for (i, w) in entries.windows(2).enumerate() {
-        let a = (w[0].trie_index, w[0].suffix.as_slice());
-        let b = (w[1].trie_index, w[1].suffix.as_slice());
-        if a >= b {
-            out.push(GlobalViolation::EntriesOutOfOrder { index: i + 1 });
-        }
-    }
+    let mut prev = None;
     let mut seen = std::collections::HashSet::new();
-    for e in entries {
+    for (i, e) in dict.entries().enumerate() {
+        let key = (e.trie_index, e.suffix);
+        if prev.is_some_and(|p| p >= key) {
+            out.push(GlobalViolation::EntriesOutOfOrder { index: i });
+        }
+        prev = Some(key);
         if !seen.insert((e.indexer, e.postings)) {
             out.push(GlobalViolation::DuplicatePostings {
                 indexer: e.indexer,

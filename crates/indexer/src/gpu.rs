@@ -1039,16 +1039,16 @@ mod tests {
 
         // Same term set.
         let cpu_terms: Vec<String> =
-            cpu_dict.entries().iter().map(|e| e.full_term()).collect();
+            cpu_dict.entries().map(|e| e.full_term()).collect();
         let gpu_terms: Vec<String> =
-            gpu_dict.entries().iter().map(|e| e.full_term()).collect();
+            gpu_dict.entries().map(|e| e.full_term()).collect();
         assert_eq!(cpu_terms, gpu_terms);
 
         // Same postings for every term.
         for e in cpu_dict.entries() {
             let ch = e.postings;
             let gh = gdict
-                .lookup(e.trie_index, &e.suffix)
+                .lookup(e.trie_index, e.suffix)
                 .unwrap_or_else(|| panic!("GPU missing {}", e.full_term()));
             let cl = cpu_run.get(ch).unwrap_or_default();
             let gl = gpu_run.get(gh).unwrap_or_default();

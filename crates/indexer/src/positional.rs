@@ -121,7 +121,7 @@ impl PositionalIndex {
             let payload = list.encode();
             w.write_all(&e.trie_index.to_le_bytes())?;
             w.write_all(&[e.suffix.len() as u8])?;
-            w.write_all(&e.suffix)?;
+            w.write_all(e.suffix)?;
             w.write_all(&(list.len() as u32).to_le_bytes())?;
             w.write_all(&(payload.len() as u32).to_le_bytes())?;
             w.write_all(&payload)?;

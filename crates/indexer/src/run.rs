@@ -645,7 +645,6 @@ mod tests {
             let dict = GlobalDictionary::combine(&p.finish());
             let mut terms: Vec<(String, Vec<(u32, u32)>)> = dict
                 .entries()
-                .iter()
                 .map(|e| {
                     let l = sets[&e.indexer].fetch(e.postings).unwrap();
                     (

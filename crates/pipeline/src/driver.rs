@@ -237,7 +237,7 @@ pub struct IndexOutput {
     pub dictionary: GlobalDictionary,
     /// Run files grouped by indexer id.
     pub run_sets: HashMap<u32, RunSet>,
-    /// Serialized (front-coded) dictionary, as written to disk.
+    /// Serialized dictionary, as written to disk.
     pub dict_bytes: Vec<u8>,
     /// Auxiliary docID -> source-file map (§III.F).
     pub doc_map: DocMap,
@@ -1416,7 +1416,6 @@ mod tests {
         let e = out
             .dictionary
             .entries()
-            .iter()
             .max_by_key(|e| {
                 out.run_sets[&e.indexer].fetch(e.postings).unwrap().len()
             })
@@ -1444,7 +1443,6 @@ mod tests {
             let mut fp: Vec<(String, Vec<(u32, u32)>)> = out
                 .dictionary
                 .entries()
-                .iter()
                 .map(|e| {
                     let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
                     (
@@ -1488,7 +1486,7 @@ mod tests {
         let out = build_index(&coll, &PipelineConfig::small(1, 1, 0)).expect("build");
         // "zebra"-like content words exist in the tiny vocab; use the
         // dictionary itself to pick one and cross-check the helper.
-        let e = &out.dictionary.entries()[0];
+        let e = out.dictionary.entries().next().unwrap();
         let term = e.full_term();
         let via_helper = out.postings(&term).unwrap();
         let direct = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
@@ -1765,7 +1763,6 @@ mod tests {
         let mut terms: Vec<(String, Vec<(u32, u32)>)> = out
             .dictionary
             .entries()
-            .iter()
             .map(|e| {
                 let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
                 (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())

@@ -17,8 +17,10 @@
 //! That is the self-contained layout [`encode_list`] writes and
 //! [`decode_list`] / [`crate::cursor::ListCursor::new`] read. A run file
 //! stores a list that fits one block as its block body alone — the mapping
-//! table row implies the one skip entry ([`BlockedList::single_block`],
-//! used only by `RunFile::blocks_of`).
+//! table row implies the one skip entry ([`BlockedList::single_block`]) —
+//! and a list of one posting as no bytes at all: that skip entry *is* the
+//! posting ([`BlockedList::one_posting`]). Both are used only by
+//! `RunFile::blocks_of`.
 //!
 //! Blocks are *block-independent*: gaps are relative to the block's own
 //! first document (which lives only in the skip entry, so the first gap is
@@ -178,7 +180,7 @@ fn encode_block(codec: Codec, ps: &[Posting], scratch: &mut BlockScratch, out: &
 /// Decode one block body into `out`. `buf` is exactly the block body (as
 /// delimited by skip offsets), `first_doc` comes from the skip entry, `m`
 /// is the block's posting count.
-pub(crate) fn decode_block(
+fn decode_block(
     codec: Codec,
     buf: &[u8],
     first_doc: u32,
@@ -597,6 +599,9 @@ enum Skips<'a> {
     /// The list is one block and the caller already held its entry (a run
     /// file's mapping-table row implies it, see `RunFile::blocks_of`).
     Implied(SkipEntry),
+    /// The list is one posting, `(first_doc, max_tf)` of this entry, and
+    /// has no body.
+    Posting(SkipEntry),
 }
 
 /// A parsed (but not decoded) block-layout list: skip entries plus block
@@ -634,6 +639,13 @@ impl<'a> BlockedList<'a> {
         BlockedList { skips: Skips::Implied(entry), data: body, n }
     }
 
+    /// A list of one posting given as the skip entry it would have:
+    /// `first_doc` is its document, `max_tf` its term frequency, and there
+    /// is no body to decode.
+    pub fn one_posting(entry: SkipEntry) -> Self {
+        BlockedList { skips: Skips::Posting(entry), data: &[], n: 1 }
+    }
+
     /// Number of postings.
     pub fn n_postings(&self) -> usize {
         self.n
@@ -653,7 +665,7 @@ impl<'a> BlockedList<'a> {
     pub fn entry(&self, b: usize) -> SkipEntry {
         match self.skips {
             Skips::Table(skip) => read_skip(skip, b),
-            Skips::Implied(entry) => {
+            Skips::Implied(entry) | Skips::Posting(entry) => {
                 debug_assert_eq!(b, 0);
                 entry
             }
@@ -675,12 +687,32 @@ impl<'a> BlockedList<'a> {
         Ok(&self.data[start..end])
     }
 
+    /// Decode block `b` in the concrete `codec`, appending its postings to
+    /// `out` — the one way a block of a parsed list turns into postings.
+    /// `scratch` is allocated by the first block that has a body to decode;
+    /// a list that is its row ([`Self::one_posting`]) never needs it.
+    pub(crate) fn decode_block_into(
+        &self,
+        b: usize,
+        codec: Codec,
+        scratch: &mut Option<Box<BlockScratch>>,
+        out: &mut Vec<Posting>,
+    ) -> Result<(), CodecError> {
+        let e = self.entry(b);
+        if let Skips::Posting(_) = self.skips {
+            out.push(Posting { doc: DocId(e.first_doc), tf: e.max_tf });
+            return Ok(());
+        }
+        let scratch = scratch.get_or_insert_with(Default::default);
+        decode_block(codec, self.body(b)?, e.first_doc, self.len_of(b), scratch, out)
+    }
+
     /// Decode every block. `codec` may be [`Codec::Auto`] (resolved by
     /// list length).
     pub fn decode(&self, codec: Codec) -> Result<Vec<Posting>, CodecError> {
         let codec = codec.resolve(self.n);
         let mut out = Vec::with_capacity(self.n);
-        let mut scratch = BlockScratch::default();
+        let mut scratch = None;
         let mut prev_last: Option<u32> = None;
         for b in 0..self.n_blocks() {
             let e = self.entry(b);
@@ -689,7 +721,7 @@ impl<'a> BlockedList<'a> {
                     return Err(CodecError::NonMonotone);
                 }
             }
-            decode_block(codec, self.body(b)?, e.first_doc, self.len_of(b), &mut scratch, &mut out)?;
+            self.decode_block_into(b, codec, &mut scratch, &mut out)?;
             prev_last = Some(out.last().unwrap().doc.0);
         }
         Ok(out)

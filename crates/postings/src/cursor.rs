@@ -5,11 +5,12 @@
 //! over blocks whose document range cannot contain the target — the
 //! conjunctive-query fast path the block layout exists for. A [`SetCursor`]
 //! chains a term's partial lists across runs and is lazy one level up: a
-//! run part is opened only when iteration or `advance_to` reaches it. The
-//! `blocks_decoded` counters make the skipping observable in tests and
-//! query stats.
+//! run part is opened only when iteration or `advance_to` reaches it, and a
+//! part of one posting is served from its mapping-table row without a
+//! cursor of its own. The `blocks_decoded` counters make the skipping
+//! observable in tests and query stats.
 
-use crate::block::{decode_block, BlockScratch, BlockedList};
+use crate::block::{BlockScratch, BlockedList};
 use crate::codec::{Codec, CodecError};
 use crate::posting::Posting;
 use crate::run::{RunEntry, RunFile};
@@ -22,8 +23,9 @@ pub(crate) struct DecodeBufs {
     /// Decoded postings of the current block.
     postings: Vec<Posting>,
     /// Boxed: the fixed decode arrays are ~1 KiB and cursors move through
-    /// options and collections by value.
-    scratch: Box<BlockScratch>,
+    /// options and collections by value. Allocated by the first block that
+    /// has a body to decode.
+    scratch: Option<Box<BlockScratch>>,
 }
 
 /// Lazy decoding cursor over one block-layout list.
@@ -87,13 +89,10 @@ impl<'a> ListCursor<'a> {
     }
 
     fn load(&mut self, b: usize) -> Result<(), CodecError> {
-        let e = self.blocks.entry(b);
         self.bufs.postings.clear();
-        decode_block(
+        self.blocks.decode_block_into(
+            b,
             self.codec,
-            self.blocks.body(b)?,
-            e.first_doc,
-            self.blocks.len_of(b),
             &mut self.bufs.scratch,
             &mut self.bufs.postings,
         )?;
@@ -179,7 +178,9 @@ impl<'a> ListCursor<'a> {
 ///
 /// Set-up only finds the mapping-table rows. One part is open at a time: its
 /// cursor is built when iteration or [`Self::advance_to`] reaches it, and a
-/// part that ends below an `advance_to` target is never opened at all.
+/// part that ends below an `advance_to` target is never opened at all. A
+/// part of one posting is its row ([`RunEntry::sole_posting`]): reaching it
+/// counts as a part opened and a block decoded, and allocates nothing.
 #[derive(Debug)]
 pub struct SetCursor<'a> {
     /// The run and row of every partial list, ascending in document range.
@@ -200,19 +201,29 @@ impl<'a> SetCursor<'a> {
     /// A cursor over the partial lists of `handle` in `runs` (run order, so
     /// ascending document ranges). `None` when no run holds the handle.
     pub fn over(runs: &'a [RunFile], handle: u32) -> Option<Self> {
-        Self::over_parts(runs, handle, |_| true)
+        Self::over_parts(runs, u64::MAX, handle, |_| true)
     }
 
     /// [`Self::over`] restricted to the parts whose row `keep` accepts;
     /// the others count towards nothing, as if their runs lacked the handle.
+    /// Only the runs whose bit `position % 64` is set in `holders` are
+    /// searched for the handle: the caller vouches that no other run's
+    /// table has it (`RunSet::track_holders`).
     pub(crate) fn over_parts(
         runs: &'a [RunFile],
+        holders: u64,
         handle: u32,
         keep: impl Fn(&RunEntry) -> bool,
     ) -> Option<Self> {
-        let mut parts = Vec::with_capacity(runs.len());
+        if holders == 0 {
+            return None;
+        }
+        let mut parts = Vec::with_capacity(runs.len().min(holders.count_ones() as usize));
         let (mut df, mut blocks_total) = (0u64, 0usize);
-        for run in runs {
+        for (position, run) in runs.iter().enumerate() {
+            if holders >> (position % 64) & 1 == 0 {
+                continue;
+            }
             if let Some(e) = run.entry(handle).filter(|e| keep(e)) {
                 df += u64::from(e.n_postings);
                 blocks_total += crate::block::n_blocks(e.n_postings as usize);
@@ -271,15 +282,31 @@ impl<'a> SetCursor<'a> {
         self.next_decoding()
     }
 
+    /// The posting of part `idx` when that part is one posting and is not
+    /// open: the part is counted as opened and decoded, and left behind.
+    fn take_sole_posting(&mut self) -> Option<Posting> {
+        if self.open.is_some() {
+            return None;
+        }
+        let p = self.parts.get(self.idx)?.1.sole_posting()?;
+        self.parts_opened += 1;
+        self.blocks_decoded += 1;
+        self.idx += 1;
+        Some(p)
+    }
+
     /// [`Self::next`] when a block or a part has to be decoded first.
     fn next_decoding(&mut self) -> Result<Option<Posting>, CodecError> {
-        while let Some(cur) = self.current()? {
+        loop {
+            if let Some(p) = self.take_sole_posting() {
+                return Ok(Some(p));
+            }
+            let Some(cur) = self.current()? else { return Ok(None) };
             if let Some(p) = cur.next()? {
                 return Ok(Some(p));
             }
             self.pass();
         }
-        Ok(None)
     }
 
     /// Advance to the first posting with `doc >= target` and consume it.
@@ -288,6 +315,10 @@ impl<'a> SetCursor<'a> {
             // Whole parts below the target are passed by their row alone.
             while self.parts.get(self.idx).is_some_and(|(_, e)| e.doc_max < target) {
                 self.pass();
+            }
+            // A one-posting part still here holds `doc_max >= target`.
+            if let Some(p) = self.take_sole_posting() {
+                return Ok(Some(p));
             }
             let Some(cur) = self.current()? else { return Ok(None) };
             if let Some(p) = cur.advance_to(target)? {
@@ -473,6 +504,48 @@ mod tests {
         assert_eq!(c.next().unwrap(), Some(parts[0][0]));
         assert_eq!(c.advance_to(parts[5][0].doc.0).unwrap(), Some(parts[5][0]));
         assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 2));
+    }
+
+    #[test]
+    fn one_posting_parts_are_served_from_their_rows() {
+        let (runs, parts) = runs_of(4, 1);
+        assert!(runs.iter().all(|r| r.entry(7).unwrap().len == 0));
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!((c.df(), c.blocks_total()), (4, 4));
+        assert_eq!(c.next().unwrap(), Some(parts[0][0]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (1, 1), "a row counts as a block");
+        // Part 1 is passed by its row; part 2's posting is the target.
+        assert_eq!(c.advance_to(parts[2][0].doc.0).unwrap(), Some(parts[2][0]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (2, 2));
+        // A target between two parts lands on the later one.
+        assert_eq!(c.advance_to(parts[2][0].doc.0 + 1).unwrap(), Some(parts[3][0]));
+        assert_eq!(c.next().unwrap(), None);
+        assert_eq!(c.advance_to(0).unwrap(), None);
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (3, 3));
+        // Between block-coded parts: long, one, two, one postings.
+        let sizes = [300usize, 1, 2, 1];
+        let lists: Vec<Vec<Posting>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(r, &n)| mklist(n).iter().map(|p| Posting { doc: DocId(p.doc.0 + r as u32 * 10_000), ..*p }).collect())
+            .collect();
+        let runs: Vec<RunFile> = lists
+            .iter()
+            .enumerate()
+            .map(|(r, l)| {
+                let list: PostingsList = l.iter().copied().collect();
+                let mut it = std::iter::once((7u32, &list));
+                RunFile::build(r as u32, 0, &mut it, Codec::Auto)
+            })
+            .collect();
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(drain(&mut c).unwrap(), lists.concat());
+        assert_eq!((c.parts_opened(), c.blocks_decoded() as usize, c.blocks_total()), (4, 6, 6));
+        let mut c = SetCursor::over(&runs, 7).unwrap();
+        assert_eq!(c.advance_to(299 * 3).unwrap(), Some(lists[0][299]));
+        assert_eq!(c.advance_to(20_003).unwrap(), Some(lists[2][1]));
+        assert_eq!(c.next().unwrap(), Some(lists[3][0]));
+        assert_eq!((c.parts_opened(), c.blocks_decoded()), (3, 3));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! copied bytes are exactly what re-encoding would produce, so the merged
 //! file is byte-identical to building the full list from scratch.
 
-use crate::block::{decode_block, BlockScratch, BLOCK_LEN};
+use crate::block::BLOCK_LEN;
 use crate::codec::Codec;
 use crate::run::{RunBuilder, RunEntry, RunFile, RunSet};
 use std::collections::BTreeMap;
@@ -48,9 +48,16 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
     }
 
     let mut merged = RunBuilder::new(next_run, indexer_id, codec, by_handle.len());
-    let mut scratch = BlockScratch::default();
+    let mut scratch = None;
     let mut tmp = Vec::with_capacity(BLOCK_LEN);
     for (handle, parts) in by_handle {
+        if let [(_, e)] = parts[..] {
+            if let Some(p) = e.sole_posting() {
+                // A list of one posting stays its row.
+                merged.push_posting(handle, p);
+                continue;
+            }
+        }
         let total: usize = parts.iter().map(|(_, e)| e.n_postings as usize).sum();
         let target = codec.resolve(total);
         let doc_range = (
@@ -64,21 +71,15 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
                     // verbatim when the output is on a block boundary.
                     let blocks = r.blocks_of(e).expect("committed run entry parses");
                     for b in 0..blocks.n_blocks() {
-                        let body = blocks.body(b).expect("committed run entry parses");
                         if blocks.len_of(b) == BLOCK_LEN && enc.at_block_boundary() {
+                            let body = blocks.body(b).expect("committed run entry parses");
                             enc.push_raw_block(blocks.entry(b), body);
                             copied_ctr.inc();
                         } else {
                             tmp.clear();
-                            decode_block(
-                                target,
-                                body,
-                                blocks.entry(b).first_doc,
-                                blocks.len_of(b),
-                                &mut scratch,
-                                &mut tmp,
-                            )
-                            .expect("committed run entry decodes");
+                            blocks
+                                .decode_block_into(b, target, &mut scratch, &mut tmp)
+                                .expect("committed run entry decodes");
                             recoded_ctr.add(tmp.len() as u64);
                             enc.extend(&tmp);
                         }
@@ -131,6 +132,25 @@ mod tests {
         }
         let merged = merge_runs(&rs, Codec::VarByte);
         assert_eq!(merged.get(1).unwrap(), rs.fetch(1).unwrap().postings().to_vec());
+    }
+
+    #[test]
+    fn one_posting_rows_merge_into_what_a_build_of_the_full_list_writes() {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::EliasFano, Codec::Auto] {
+            // Handle 4 once in each run, handle 8 once in all.
+            let mut rs = RunSet::new();
+            rs.push(run_with(0, 4, &[3]));
+            rs.push(run_with(1, 4, &[12]));
+            rs.push(run_with(2, 8, &[20]));
+            assert!(rs.runs().iter().all(|r| r.payload.is_empty()), "rows only");
+            let merged = merge_runs(&rs, codec);
+            let lists: Vec<(u32, PostingsList)> =
+                [4, 8].iter().map(|&h| (h, rs.fetch(h).unwrap())).collect();
+            let rebuilt = RunFile::build(3, 0, &mut lists.iter().map(|(h, l)| (*h, l)), codec);
+            assert_eq!(merged, rebuilt, "{codec:?}");
+            assert_eq!(merged.entries[1].len, 0, "a list of one posting stays its row");
+            assert_eq!(RunFile::from_bytes(&merged.to_bytes()).unwrap(), merged);
+        }
     }
 
     #[test]

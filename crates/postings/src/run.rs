@@ -14,7 +14,11 @@
 //! implied by the running sum of lengths) and a list's payload slice is the
 //! block layout of [`crate::block`] — except that a list of at most
 //! [`BLOCK_LEN`] postings is its block body alone: the one skip entry it
-//! would carry is implied by its row ([`RunFile::blocks_of`]).
+//! would carry is implied by its row ([`RunFile::blocks_of`]). A list of
+//! one posting goes one step further and is its row alone, `(handle, 1,
+//! doc, tf)`: no length, no span, no codec tag and no payload byte
+//! ([`RunEntry::sole_posting`]). [`RunSet`] chains the runs of one indexer
+//! and remembers which of them hold each handle.
 
 use crate::block::{self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN};
 use crate::codec::{check_alloc, Codec, CodecError};
@@ -33,7 +37,7 @@ pub struct RunEntry {
     pub handle: u32,
     /// Payload-relative byte offset.
     pub offset: u64,
-    /// Encoded length in bytes.
+    /// Encoded length in bytes (0 for a list of one posting).
     pub len: u32,
     /// Number of postings encoded.
     pub n_postings: u32,
@@ -47,13 +51,36 @@ pub struct RunEntry {
     pub max_tf: u32,
 }
 
+impl RunEntry {
+    /// The row that is the list of `posting` alone: no payload byte at
+    /// `offset`, and `codec` as a longer row's tag would have named it.
+    fn of_posting(handle: u32, offset: u64, posting: Posting, codec: Codec) -> RunEntry {
+        RunEntry {
+            handle,
+            offset,
+            len: 0,
+            n_postings: 1,
+            doc_min: posting.doc.0,
+            doc_max: posting.doc.0,
+            codec,
+            max_tf: posting.tf,
+        }
+    }
+
+    /// The posting of a one-posting list, which its row holds whole:
+    /// `(doc_min, max_tf)`. `None` for a longer list.
+    pub fn sole_posting(&self) -> Option<Posting> {
+        (self.n_postings == 1).then_some(Posting { doc: DocId(self.doc_min), tf: self.max_tf })
+    }
+}
+
 /// `IIR3` header: magic, run id, indexer id, codec tag, Golomb parameter,
 /// row count, then the table's byte length before the payload length, so
 /// the payload is addressable without walking the table.
 const HEADER_BYTES_V3: usize = 41;
-/// Fewest bytes an `IIR3` row can take (six one-byte varints and the codec
-/// tag): bounds the row count a table of a given length can hold.
-const MIN_ROW_BYTES_V3: usize = 7;
+/// Fewest bytes an `IIR3` row can take (the four one-byte varints of a
+/// one-posting row): bounds the row count a table of a given length can hold.
+const MIN_ROW_BYTES_V3: usize = 4;
 const GOLOMB_TAG: u8 = 2;
 
 /// A run file: header + mapping table + payload.
@@ -194,9 +221,13 @@ impl RunFile {
     /// that knows whether a list's skip table is in its payload slice or
     /// implied by the row. A list of at most [`BLOCK_LEN`] postings is its
     /// block body alone and its skip entry is
-    /// `(first_doc: doc_min, offset: 0, max_tf)`; a longer list carries its
-    /// skip table in front ([`RunBuilder`] writes both).
+    /// `(first_doc: doc_min, offset: 0, max_tf)`; a list of one posting has
+    /// no body either, that entry being the posting; a longer list carries
+    /// its skip table in front ([`RunBuilder`] writes all three).
     pub fn blocks_of(&self, e: &RunEntry) -> Result<BlockedList<'_>, CodecError> {
+        if e.n_postings == 1 {
+            return Ok(BlockedList::one_posting(implied_skip(e)));
+        }
         let buf = self.payload_of(e);
         let n = e.n_postings as usize;
         check_alloc(buf, n)?;
@@ -227,7 +258,7 @@ impl RunFile {
 
     /// Serialize to bytes (what goes to disk).
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Rows measure 8 bytes on tail-heavy text; 10 avoids a regrow.
+        // Rows measure 6 bytes on tail-heavy text; 10 avoids a regrow.
         let mut out = Vec::with_capacity(
             HEADER_BYTES_V3 + self.entries.len() * 10 + self.payload.len(),
         );
@@ -251,6 +282,13 @@ impl RunFile {
             varbyte::encode_u32(e.handle - next_handle, &mut out);
             next_handle = e.handle.wrapping_add(1);
             varbyte::encode_u32(e.n_postings, &mut out);
+            if e.n_postings == 1 {
+                // The row is the list: its document and its frequency.
+                debug_assert_eq!((e.len, e.doc_max), (0, e.doc_min), "a one-posting list is its row");
+                varbyte::encode_u32(e.doc_min, &mut out);
+                varbyte::encode_u32(e.max_tf, &mut out);
+                continue;
+            }
             varbyte::encode_u32(e.len, &mut out);
             varbyte::encode_u32(e.doc_min, &mut out);
             varbyte::encode_u32(e.doc_max - e.doc_min, &mut out);
@@ -315,8 +353,17 @@ impl RunFile {
             let handle = next_handle + u64::from(field()?);
             let handle = u32::try_from(handle).map_err(|_| RunFileError::Malformed)?;
             next_handle = u64::from(handle) + 1;
-            let (n_postings, len, doc_min, doc_span, max_tf) =
-                (field()?, field()?, field()?, field()?, field()?);
+            let n_postings = field()?;
+            if n_postings == 1 {
+                let (doc, tf) = (field()?, field()?);
+                if tf == 0 {
+                    return Err(RunFileError::Malformed);
+                }
+                let posting = Posting { doc: DocId(doc), tf };
+                self.entries.push(RunEntry::of_posting(handle, offset, posting, self.codec.resolve(1)));
+                continue;
+            }
+            let (len, doc_min, doc_span, max_tf) = (field()?, field()?, field()?, field()?);
             let tag = *table.get(pos).ok_or(RunFileError::Truncated)?;
             pos += 1;
             let b = if tag == GOLOMB_TAG {
@@ -355,8 +402,9 @@ impl RunFile {
 /// each is encoded straight into the payload through one [`ListEncoder`] —
 /// the writing half of [`RunFile::blocks_of`]. A list of at most
 /// [`BLOCK_LEN`] postings is its block body alone, because its one skip
-/// entry is `(doc_min, 0, max_tf)` and the row says so; a longer list has
-/// its skip table in front.
+/// entry is `(doc_min, 0, max_tf)` and the row says so; a list of one
+/// posting is that row and nothing else; a longer list has its skip table
+/// in front.
 #[derive(Debug)]
 pub struct RunBuilder {
     run: RunFile,
@@ -381,6 +429,9 @@ impl RunBuilder {
     /// Append the non-empty, doc-ordered list of `handle`, in the run's
     /// codec resolved by the list's length.
     pub fn push_list(&mut self, handle: u32, postings: &[Posting]) {
+        if let [only] = postings {
+            return self.push_posting(handle, *only);
+        }
         let first = postings.first().expect("a run holds no empty list");
         let last = postings.last().expect("a run holds no empty list");
         let codec = self.run.codec.resolve(postings.len());
@@ -389,8 +440,24 @@ impl RunBuilder {
         });
     }
 
-    /// Append a list of `n` postings spanning `doc_min..=doc_max` in the
-    /// concrete `codec`; `fill` pushes exactly those postings.
+    /// Append the list that is `posting` alone: a row, no payload byte and
+    /// no work for the block encoder.
+    pub(crate) fn push_posting(&mut self, handle: u32, posting: Posting) {
+        assert!(posting.tf >= 1, "postings carry at least one occurrence");
+        let (offset, codec) = (self.run.payload.len() as u64, self.run.codec.resolve(1));
+        self.push_row(RunEntry::of_posting(handle, offset, posting, codec));
+    }
+
+    fn push_row(&mut self, row: RunEntry) {
+        assert!(
+            self.run.entries.last().is_none_or(|prev| prev.handle < row.handle),
+            "lists must arrive in ascending handle order"
+        );
+        self.run.entries.push(row);
+    }
+
+    /// Append a list of `n >= 2` postings spanning `doc_min..=doc_max` in
+    /// the concrete `codec`; `fill` pushes exactly those postings.
     pub(crate) fn push_list_with(
         &mut self,
         handle: u32,
@@ -399,15 +466,12 @@ impl RunBuilder {
         (doc_min, doc_max): (u32, u32),
         fill: impl FnOnce(&mut ListWriter<'_>),
     ) {
-        assert!(
-            self.run.entries.last().is_none_or(|prev| prev.handle < handle),
-            "lists must arrive in ascending handle order"
-        );
+        assert!(n >= 2, "a list of one posting is its row");
         let offset = self.run.payload.len();
         let mut list = self.enc.begin(&mut self.run.payload, codec, n, n > BLOCK_LEN);
         fill(&mut list);
         let max_tf = list.finish();
-        self.run.entries.push(RunEntry {
+        self.push_row(RunEntry {
             handle,
             offset: offset as u64,
             len: (self.run.payload.len() - offset) as u32,
@@ -435,6 +499,19 @@ fn implied_skip(e: &RunEntry) -> SkipEntry {
 #[derive(Clone, Debug, Default)]
 pub struct RunSet {
     runs: Vec<RunFile>,
+    /// Per handle, bit `position % 64` set for every run (by position in
+    /// `runs`) whose table has the handle — where a look-up searches
+    /// instead of every run's table. `None` until
+    /// [`Self::track_holders`]; a handle past its end is not tracked.
+    holders: Option<Vec<u64>>,
+}
+
+fn mark_holders(holders: &mut [u64], position: usize, run: &RunFile) {
+    for e in &run.entries {
+        // Rows ascend by handle: the first one out of range ends the run.
+        let Some(slot) = holders.get_mut(e.handle as usize) else { break };
+        *slot |= 1 << (position % 64);
+    }
 }
 
 impl RunSet {
@@ -448,7 +525,34 @@ impl RunSet {
         if let Some(last) = self.runs.last() {
             assert!(run.run_id > last.run_id, "runs must be appended in order");
         }
+        if let Some(holders) = &mut self.holders {
+            mark_holders(holders, self.runs.len(), &run);
+        }
         self.runs.push(run);
+    }
+
+    /// Remember, for every handle below `n_handles`, which runs hold it —
+    /// the runs already here and those pushed from now on — so that
+    /// [`Self::cursor`] and the fetches search only those runs' tables.
+    /// Costs 8 bytes per handle; the caller bounds `n_handles` (the index
+    /// passes its dictionary's term count). Results never change: an
+    /// untracked handle is searched for in every run.
+    pub fn track_holders(&mut self, n_handles: usize) {
+        let mut holders = vec![0u64; n_handles];
+        for (position, run) in self.runs.iter().enumerate() {
+            mark_holders(&mut holders, position, run);
+        }
+        self.holders = Some(holders);
+    }
+
+    /// The runs to search for `handle`, as a mask over `position % 64`.
+    fn holders_of(&self, handle: u32) -> u64 {
+        let tracked = self.holders.as_ref().and_then(|h| h.get(handle as usize));
+        tracked.copied().unwrap_or(u64::MAX)
+    }
+
+    fn parts_of(&self, handle: u32, keep: impl Fn(&RunEntry) -> bool) -> Option<SetCursor<'_>> {
+        SetCursor::over_parts(&self.runs, self.holders_of(handle), handle, keep)
     }
 
     /// Runs held.
@@ -461,7 +565,7 @@ impl RunSet {
     /// the error, never a list silently missing that run's postings.
     pub fn fetch(&self, handle: u32) -> Result<PostingsList, CodecError> {
         let mut out = PostingsList::new();
-        if let Some(mut c) = SetCursor::over(&self.runs, handle) {
+        if let Some(mut c) = self.parts_of(handle, |_| true) {
             while let Some(p) = c.next()? {
                 // `PostingsList::push` asserts document order; corrupt
                 // bytes must be an error, not a panic.
@@ -480,7 +584,7 @@ impl RunSet {
     /// lazily (a corrupt list surfaces from the cursor when reached); the
     /// `Result` stays for the callers written against the eager cursor.
     pub fn cursor(&self, handle: u32) -> Result<Option<SetCursor<'_>>, CodecError> {
-        Ok(SetCursor::over(&self.runs, handle))
+        Ok(self.parts_of(handle, |_| true))
     }
 
     /// Postings of `handle` restricted to documents in `[lo, hi]`. Only
@@ -496,7 +600,7 @@ impl RunSet {
     ) -> Result<(Vec<Posting>, usize), CodecError> {
         let overlaps = |e: &RunEntry| e.doc_max >= lo.0 && e.doc_min <= hi.0;
         let mut out = Vec::new();
-        let Some(mut c) = SetCursor::over_parts(&self.runs, handle, overlaps) else {
+        let Some(mut c) = self.parts_of(handle, overlaps) else {
             return Ok((out, 0));
         };
         let mut next = c.advance_to(lo.0)?;
@@ -635,20 +739,24 @@ mod tests {
         out
     }
 
-    /// One `IIR3` row with a one-byte payload per posting-less field.
+    /// One `IIR3` row of a list of two or more postings.
     fn v3_row(fields: [u32; 6], tag: u8) -> Vec<u8> {
         let mut row = varbyte::encode_all(&fields);
         row.push(tag);
         row
     }
 
+    /// The `IIR3` row of a one-posting list: `[handle delta, 1, doc, tf]`.
+    fn v3_single(handle_delta: u32, doc: u32, tf: u32) -> Vec<u8> {
+        varbyte::encode_all(&[handle_delta, 1, doc, tf])
+    }
+
     #[test]
     fn compact_table_rejects_every_malformed_row() {
         // [handle delta, n_postings, len, doc_min, doc_max - doc_min, max_tf]
-        let ok = v3_row([5, 1, 1, 9, 0, 1], 0);
-        let run = RunFile::from_bytes(&v3_with_table(1, &ok, 1)).unwrap();
+        let ok = v3_row([5, 2, 2, 9, 1, 1], 0);
+        let run = RunFile::from_bytes(&v3_with_table(1, &ok, 2)).unwrap();
         assert_eq!(run.entries[0].handle, 5);
-        assert_eq!(run.get(5).unwrap(), vec![Posting { doc: DocId(9), tf: 1 }]);
         let malformed = |n: u32, rows: &[u8], payload_len: usize| {
             assert_eq!(
                 RunFile::from_bytes(&v3_with_table(n, rows, payload_len)),
@@ -657,50 +765,107 @@ mod tests {
             );
         };
         // The running handle overflows u32 (u32::MAX, then anything).
-        let two = [v3_row([u32::MAX, 1, 1, 0, 0, 1], 0), v3_row([0, 1, 1, 1, 0, 1], 0)].concat();
+        let two = [v3_row([u32::MAX, 2, 1, 0, 1, 1], 0), v3_row([0, 2, 1, 2, 1, 1], 0)].concat();
         malformed(2, &two, 2);
+        malformed(2, &[v3_single(u32::MAX, 0, 1), v3_single(0, 1, 1)].concat(), 0);
         malformed(1, &v3_row([5, 0, 1, 9, 0, 1], 0), 1); // no postings
-        malformed(1, &v3_row([5, 1, 1, u32::MAX, 1, 1], 0), 1); // doc_max overflows
-        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 7), 1); // unknown codec tag
-        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 6), 1); // Codec::Auto in a row
-        malformed(1, &v3_row([5, 1, 2, 9, 0, 1], 0), 1); // lengths sum past the payload
-        malformed(1, &v3_row([5, 1, 1, 9, 0, 1], 0), 2); // ... and short of it
-        malformed(1, &[ok.clone(), vec![0x80]].concat(), 1); // table bytes left over
-        malformed(1 << 30, &ok, 1); // more rows than the table could hold
+        malformed(1, &v3_row([5, 2, 1, u32::MAX, 1, 1], 0), 1); // doc_max overflows
+        malformed(1, &v3_row([5, 2, 1, 9, 1, 1], 7), 1); // unknown codec tag
+        malformed(1, &v3_row([5, 2, 1, 9, 1, 1], 6), 1); // Codec::Auto in a row
+        malformed(1, &v3_row([5, 2, 3, 9, 1, 1], 0), 2); // lengths sum past the payload
+        malformed(1, &v3_row([5, 2, 2, 9, 1, 1], 0), 3); // ... and short of it
+        malformed(1, &[ok.clone(), vec![0x80]].concat(), 2); // table bytes left over
+        malformed(1 << 30, &ok, 2); // more rows than the table could hold
         // Bytes after the payload.
-        let mut trailing = v3_with_table(1, &ok, 1);
+        let mut trailing = v3_with_table(1, &ok, 2);
         trailing.push(0);
         assert_eq!(RunFile::from_bytes(&trailing), Err(RunFileError::Malformed));
         // A table that ends inside a row, or inside a Golomb parameter.
-        let cut_varint = &v3_row([300, 1, 1, 9, 0, 1], 0)[..7];
-        for rows in [cut_varint, &v3_row([5, 1, 1, 9, 0, 1], GOLOMB_TAG)] {
+        let cut_varint = &v3_row([300, 2, 1, 9, 1, 1], 0)[..7];
+        let cut_single = &v3_single(300, 9, 1)[..4];
+        for rows in [cut_varint, cut_single, &v3_row([5, 2, 1, 9, 1, 1], GOLOMB_TAG)] {
             assert_eq!(
                 RunFile::from_bytes(&v3_with_table(1, rows, 1)),
                 Err(RunFileError::Truncated)
             );
         }
         // Two rows of the largest lengths: the running offset stays a u64.
-        let big = [v3_row([0, 1, u32::MAX, 0, 0, 1], 0), v3_row([0, 1, u32::MAX, 1, 0, 1], 0)]
+        let big = [v3_row([0, 2, u32::MAX, 0, 1, 1], 0), v3_row([0, 2, u32::MAX, 2, 1, 1], 0)]
             .concat();
         malformed(2, &big, 2);
     }
 
     #[test]
-    fn one_posting_lists_cost_ten_table_bytes_and_no_skip_bytes() {
+    fn one_posting_rows_are_the_list_and_own_no_payload() {
+        let run = RunFile::from_bytes(&v3_with_table(1, &v3_single(5, 9, 3), 0)).unwrap();
+        let e = run.entries[0];
+        assert_eq!((e.handle, e.offset, e.len, e.doc_min, e.doc_max, e.max_tf), (5, 0, 0, 9, 9, 3));
+        assert_eq!(e.codec, run.codec.resolve(1));
+        let p = Posting { doc: DocId(9), tf: 3 };
+        assert_eq!(e.sole_posting(), Some(p));
+        assert_eq!(run.get(5).unwrap(), vec![p]);
+        let mut c = run.cursor_of(&e).unwrap();
+        assert_eq!((c.next().unwrap(), c.next().unwrap()), (Some(p), None));
+        assert_eq!((c.blocks_decoded(), c.blocks_total()), (1, 1), "counted as a block");
+        // tf 0 is no posting; a payload byte nobody owns is no run.
+        for (row, payload_len) in [(v3_single(5, 9, 0), 0), (v3_single(5, 9, 3), 1)] {
+            assert_eq!(
+                RunFile::from_bytes(&v3_with_table(1, &row, payload_len)),
+                Err(RunFileError::Malformed)
+            );
+        }
+        // Between two longer lists the one-posting row moves no offset: the
+        // list after it starts where the one before it ended.
+        let rows = [v3_row([0, 2, 2, 1, 1, 1], 0), v3_single(0, 7, 2), v3_row([3, 2, 3, 8, 4, 1], 0)];
+        let run = RunFile::from_bytes(&v3_with_table(3, &rows.concat(), 5)).unwrap();
+        let at: Vec<(u32, u64, u32)> = run.entries.iter().map(|e| (e.handle, e.offset, e.len)).collect();
+        assert_eq!(at, [(0, 0, 2), (1, 2, 0), (5, 2, 3)]);
+        assert_eq!(RunFile::from_bytes(&run.to_bytes()).unwrap(), run);
+    }
+
+    #[test]
+    fn one_posting_lists_cost_their_row_and_no_payload_byte() {
         // The layout's reason to exist, pinned where `cargo test` sees it:
-        // 10 000 one-posting lists (79 % of the rows a tail-heavy
-        // collection writes) take at most 10 table bytes each and their
-        // payload is block bodies only.
+        // 10 000 one-posting lists (78 % of the rows a tail-heavy
+        // collection writes) take at most 7 table bytes each — handle
+        // delta, count, a three-byte document, tf — and no payload at all.
         let lists: Vec<(u32, PostingsList)> =
             (0..10_000u32).map(|i| (i * 3, list(&[(i * 17, 1 + i % 4)]))).collect();
         let mut it = lists.iter().map(|(h, l)| (*h, l));
         let run = RunFile::build(0, 0, &mut it, Codec::Auto);
         let bytes = run.to_bytes();
-        let table = bytes.len() - HEADER_BYTES_V3 - run.payload.len();
-        assert!(table <= 10 * lists.len(), "{table} table bytes for {} rows", lists.len());
-        // One varbyte tf per list, no 12-byte skip entry in front of it.
-        assert_eq!(run.payload.len(), lists.len());
+        assert!(run.payload.is_empty());
+        let table = bytes.len() - HEADER_BYTES_V3;
+        assert!(table <= 7 * lists.len(), "{table} table bytes for {} rows", lists.len());
         assert_eq!(RunFile::from_bytes(&bytes).unwrap(), run);
+        assert_eq!(run.block_count(), lists.len() as u64, "each still counts as a block");
+        for (h, l) in &lists {
+            assert_eq!(run.get(*h).unwrap(), l.postings());
+        }
+    }
+
+    #[test]
+    fn roundtrip_of_mixed_list_lengths_under_every_codec() {
+        let of = |n: u32, first: u32| -> PostingsList {
+            (0..n).map(|i| Posting { doc: DocId(first + i * 3), tf: 1 + i % 5 }).collect()
+        };
+        for codec in [
+            Codec::VarByte,
+            Codec::Gamma,
+            Codec::Golomb(7),
+            Codec::Bp128,
+            Codec::PFor,
+            Codec::EliasFano,
+            Codec::Auto,
+        ] {
+            let lists =
+                [(0u32, of(1, 4)), (1, of(128, 0)), (2, of(1, u32::MAX)), (9, of(300, 7)), (10, of(2, 1))];
+            let run = RunFile::build(3, 1, &mut lists.iter().map(|(h, l)| (*h, l)), codec);
+            assert_eq!(RunFile::from_bytes(&run.to_bytes()).unwrap(), run, "{codec:?}");
+            for (h, l) in &lists {
+                assert_eq!(run.get(*h).unwrap(), l.postings(), "{codec:?} handle {h}");
+            }
+        }
     }
 
     #[test]
@@ -748,6 +913,55 @@ mod tests {
         let (none, decoded) = rs.fetch_range(7, DocId(1000), DocId(2000)).unwrap();
         assert!(none.is_empty());
         assert_eq!(decoded, 0);
+    }
+
+    /// What a cursor over `handle` reports and streams.
+    fn walked(set: &RunSet, handle: u32) -> Option<(u64, usize, usize, Vec<Posting>, u32)> {
+        let mut c = set.cursor(handle).unwrap()?;
+        let mut got = Vec::new();
+        while let Some(p) = c.next().unwrap() {
+            got.push(p);
+        }
+        Some((c.df(), c.parts(), c.blocks_total(), got, c.blocks_decoded()))
+    }
+
+    #[test]
+    fn tracked_holders_change_where_a_lookup_searches_not_what_it_finds() {
+        // 70 runs, so positions 0..6 share their bit with 64..70. Handle
+        // `r % 5` gets one posting in run r, handle 9 a longer list in
+        // every seventh, handle 40 lives in run 66 alone, handle 41 nowhere.
+        let mut plain = RunSet::new();
+        for r in 0..70u32 {
+            let mut lists = vec![(r % 5, list(&[(r * 10, 1 + r % 3)]))];
+            if r % 7 == 0 {
+                lists.push((9, list(&[(r * 10 + 1, 2), (r * 10 + 2, 1), (r * 10 + 5, 4)])));
+            }
+            if r == 66 {
+                lists.push((40, list(&[(r * 10 + 3, 1)])));
+            }
+            plain.push(RunFile::build(r, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto));
+        }
+        let mut tracked = plain.clone();
+        tracked.track_holders(41);
+        // Runs pushed after tracking began are marked as they arrive, and a
+        // handle the column was not sized for is searched for everywhere.
+        for set in [&mut plain, &mut tracked] {
+            let lists = [(3u32, list(&[(900, 1)])), (77, list(&[(901, 5)]))];
+            set.push(RunFile::build(70, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto));
+        }
+        for handle in [0, 1, 2, 3, 4, 9, 40, 41, 77, 78, u32::MAX] {
+            assert_eq!(walked(&tracked, handle), walked(&plain, handle), "handle {handle}");
+            assert_eq!(tracked.fetch(handle).unwrap(), plain.fetch(handle).unwrap());
+            let (lo, hi) = (DocId(100), DocId(665));
+            assert_eq!(
+                tracked.fetch_range(handle, lo, hi).unwrap(),
+                plain.fetch_range(handle, lo, hi).unwrap(),
+                "handle {handle} in range"
+            );
+        }
+        assert_eq!(walked(&tracked, 40).unwrap().1, 1);
+        assert_eq!(walked(&tracked, 3).unwrap().1, 15);
+        assert!(walked(&tracked, 41).is_none() && walked(&tracked, 78).is_none());
     }
 
     #[test]

@@ -60,7 +60,6 @@ fn main() -> std::io::Result<()> {
     let busiest = engine
         .dictionary
         .entries()
-        .iter()
         .max_by_key(|e| engine.run_sets[&e.indexer].fetch(e.postings).map_or(0, |l| l.len()))
         .expect("non-empty index");
     let term = busiest.full_term();

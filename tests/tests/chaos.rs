@@ -57,7 +57,6 @@ fn assert_dict_valid(out: &IndexOutput, ctx: &str) {
 fn fingerprint(out: &IndexOutput) -> BTreeMap<String, Vec<(u32, u32)>> {
     out.dictionary
         .entries()
-        .iter()
         .map(|e| {
             let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
             (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
@@ -254,7 +253,7 @@ fn kill_during_save_keeps_committed_index_intact() {
     assert!(crash.crashed());
     let survivor = Index::open(&out_dir).expect("first index must survive the kill");
     assert_eq!(survivor.num_terms(), first.num_terms());
-    let probe = first.dictionary.entries().first().unwrap().full_term();
+    let probe = first.dictionary.entries().next().unwrap().full_term();
     assert_eq!(
         survivor.postings_stemmed(&probe),
         first.postings_stemmed(&probe),

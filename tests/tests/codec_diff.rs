@@ -36,7 +36,6 @@ fn e2e_spec(name: &str, num_files: usize, docs_per_file: usize) -> CollectionSpe
 fn decoded_postings(idx: &Index) -> BTreeMap<String, PostingsList> {
     idx.dictionary
         .entries()
-        .iter()
         .map(|e| {
             let term = e.full_term();
             let list = idx

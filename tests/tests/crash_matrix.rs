@@ -51,7 +51,6 @@ fn small_index(tag: &str, seed: u64) -> Index {
 fn fingerprint(idx: &Index) -> BTreeMap<String, Vec<(u32, u32)>> {
     idx.dictionary
         .entries()
-        .iter()
         .map(|e| {
             let l = idx.run_sets[&e.indexer].fetch(e.postings).unwrap();
             (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())

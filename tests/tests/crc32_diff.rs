@@ -1,4 +1,5 @@
-//! Differential check of the product's one `crc32` (slice-by-8, defined in
+//! Differential check of the product's one `crc32` (slice-by-8, three
+//! streams side by side on long inputs; defined in
 //! `ii_corpus::container`, re-exported by `ii_store`) against the
 //! bit-serial definition of CRC-32/ISO-HDLC.
 //!
@@ -67,6 +68,35 @@ fn every_length_at_every_offset_matches_the_bit_serial_loop() {
             );
             register = reference_step(register, buf[offset + len]);
         }
+    }
+}
+
+/// Past `CRC_INTERLEAVE_MIN` (16 KiB) the routine runs three streams over
+/// the input's thirds and joins them: every length around the switch, and
+/// longer ones whose thirds and tails take every size modulo 24.
+#[test]
+fn long_inputs_match_the_bit_serial_loop() {
+    const MAX: usize = 70_000;
+    let mut state = 0xD1B5_4A32_D192_ED03u64;
+    let buf: Vec<u8> = (0..MAX)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect();
+    let checked: Vec<usize> = (16_300..16_500).chain(40_000..40_050).chain(MAX - 50..=MAX).collect();
+    let mut register = 0xFFFF_FFFFu32;
+    let mut len = 0;
+    for want in checked {
+        register = buf[len..want].iter().fold(register, |crc, &b| reference_step(crc, b));
+        len = want;
+        assert_eq!(crc32(&buf[..len]), !register, "length {len}");
+    }
+    // All zeros and all ones: the joins multiply by what they should even
+    // when a stream's checksum is the register's fixed pattern.
+    for fill in [0u8, 0xFF] {
+        let flat = vec![fill; 50_001];
+        assert_eq!(crc32(&flat), reference_crc32(&flat), "fill {fill:#x}");
     }
 }
 

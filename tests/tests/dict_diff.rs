@@ -200,19 +200,17 @@ proptest! {
         // Several shards with distinct indexer IDs, combined: the global
         // merge (k-way by trie index, then suffix) must agree byte for
         // byte no matter which implementation built the shards.
-        let mut fasts = Vec::new();
-        let mut refs = Vec::new();
-        for (id, terms) in shards.iter().enumerate() {
-            let mut f = PartialDictionary::new(id as u32);
-            let mut r = ReferenceDictionary::new(id as u32);
-            for t in terms {
-                prop_assert_eq!(
-                    insert_surface(&mut f, t),
-                    insert_surface_reference(&mut r, t)
-                );
-            }
-            fasts.push(f);
-            refs.push(r);
+        // A shard owns whole trie collections (§III.E; the combine relies
+        // on it), so each term goes to the shard that owns its collection.
+        let n = shards.len() as u32;
+        let mut fasts: Vec<_> = (0..n).map(PartialDictionary::new).collect();
+        let mut refs: Vec<_> = (0..n).map(ReferenceDictionary::new).collect();
+        for t in shards.iter().flatten() {
+            let owner = (ii_core::dict::trie_index(t).0 % n) as usize;
+            prop_assert_eq!(
+                insert_surface(&mut fasts[owner], t),
+                insert_surface_reference(&mut refs[owner], t)
+            );
         }
         let g_fast = GlobalDictionary::combine(&fasts);
         let g_ref = combine_reference(&refs);
@@ -285,11 +283,10 @@ fn cpu_gpu_and_worker_kill_builds_share_dictionary_bytes() {
     }
     let ref_terms: BTreeSet<String> = combine_reference(&[reference])
         .entries()
-        .iter()
         .map(|e| e.full_term())
         .collect();
     let built_terms: BTreeSet<String> =
-        cpu.dictionary.entries().iter().map(|e| e.full_term()).collect();
+        cpu.dictionary.entries().map(|e| e.full_term()).collect();
     assert_eq!(built_terms, ref_terms, "pipeline term set diverged from serial reference");
 
     std::fs::remove_dir_all(dir).unwrap();

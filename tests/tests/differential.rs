@@ -51,7 +51,6 @@ fn stored(tag: &str) -> (Arc<StoredCollection>, PathBuf) {
 fn pipeline_fingerprint(out: &IndexOutput) -> BTreeMap<String, Vec<(u32, u32)>> {
     out.dictionary
         .entries()
-        .iter()
         .map(|e| {
             let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
             (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())

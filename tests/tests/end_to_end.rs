@@ -73,7 +73,6 @@ fn every_configuration_builds_the_same_index() {
         let mut v: Vec<(String, Vec<(u32, u32)>)> = idx
             .dictionary
             .entries()
-            .iter()
             .map(|e| {
                 let l = idx.run_sets[&e.indexer].fetch(e.postings).unwrap();
                 (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
@@ -101,7 +100,6 @@ fn batches_per_run_does_not_change_results() {
     let probe: Vec<String> = one
         .dictionary
         .entries()
-        .iter()
         .step_by(97)
         .map(|e| e.full_term())
         .collect();

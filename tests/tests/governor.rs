@@ -53,7 +53,6 @@ fn base_cfg() -> PipelineConfig {
 fn fingerprint(out: &IndexOutput) -> BTreeMap<String, Vec<(u32, u32)>> {
     out.dictionary
         .entries()
-        .iter()
         .map(|e| {
             let l = out.run_sets[&e.indexer].fetch(e.postings).unwrap();
             (e.full_term(), l.postings().iter().map(|p| (p.doc.0, p.tf)).collect())

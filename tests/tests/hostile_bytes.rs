@@ -1,0 +1,335 @@
+//! Hostile bytes against the two readers an index is opened through:
+//! `GlobalDictionary::from_bytes` (`dictionary.bin`) and
+//! `RunFile::from_bytes` (`.iirf`), and against `Index::open` with the
+//! manifest's length and CRC rewritten to vouch for the damage — the state
+//! a buggy writer, not a flipped bit, leaves behind.
+//!
+//! Truncated files are always refused. A mutated file is refused with a
+//! typed error or yields a value that is safe to query: every walk and
+//! look-up terminates without a panic and the value survives its own
+//! serialization. Neither reader sizes an allocation by a count it has not
+//! checked against the bytes it holds: the dictionary's columns are cut
+//! from the input, a run's row count is bounded by its table length, and
+//! the index's holders column by the dictionary it already validated.
+//! (`run_format_diff.rs` mutates every header and table byte of whole run
+//! files; the run cases here are the ones the one-posting row adds.)
+
+use ii_core::corpus::{CollectionGenerator, CollectionSpec, DocId, StoredCollection};
+use ii_core::dict::{GlobalDictionary, TRIE_ENTRIES};
+use ii_core::pipeline::{build_index, PipelineConfig, DICTIONARY_ARTIFACT};
+use ii_core::postings::run::RunFileError;
+use ii_core::postings::{run_artifact_name, varbyte, Codec, Posting, PostingsList, RunFile};
+use ii_core::store::{crc32, Manifest, StoreError, MANIFEST_NAME};
+use ii_core::Index;
+use std::io::ErrorKind;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// Header of `dictionary.bin`: magic, term count, arena length.
+const DICT_HEADER: usize = 12;
+const DIR_AT: usize = DICT_HEADER;
+const OWNERS_AT: usize = DIR_AT + 4 * (TRIE_ENTRIES + 1);
+const OFFSETS_AT: usize = OWNERS_AT + 4 * TRIE_ENTRIES;
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ii-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A small two-indexer index and the directory it is saved in.
+fn saved_index(tag: &str) -> (Index, PathBuf) {
+    let coll_dir = scratch(&format!("{tag}-coll"));
+    let spec = CollectionSpec { num_files: 3, ..CollectionSpec::tiny(23) };
+    let coll = Arc::new(StoredCollection::generate(spec, &coll_dir).unwrap());
+    let out = build_index(&coll, &PipelineConfig::small(2, 1, 1)).expect("build");
+    std::fs::remove_dir_all(&coll_dir).unwrap();
+    let idx = Index::from_output(out);
+    let dir = scratch(tag);
+    idx.save(&dir).unwrap();
+    (idx, dir)
+}
+
+fn dictionary_bytes() -> (GlobalDictionary, Vec<u8>) {
+    let spec = CollectionSpec::tiny(23);
+    let gen = CollectionGenerator::new(spec.clone());
+    let mut shard = ii_core::dict::PartialDictionary::new(2);
+    for f in 0..spec.num_files {
+        let batch = ii_core::text::parse_documents(&gen.generate_file(f), spec.html, f);
+        for g in &batch.groups {
+            for (_, term) in g.iter_terms() {
+                shard.insert_term(g.trie_index, term);
+            }
+        }
+    }
+    let dict = GlobalDictionary::combine(&[shard]);
+    let mut bytes = Vec::new();
+    dict.write_to(&mut bytes).unwrap();
+    (dict, bytes)
+}
+
+/// Whatever the reader accepted must be safe to use.
+fn exercise_dictionary(d: &GlobalDictionary, terms: &[String]) {
+    let mut listed = 0usize;
+    for e in d.entries() {
+        listed += 1;
+        std::hint::black_box(e.full_term());
+    }
+    assert_eq!(listed, d.len());
+    for t in terms {
+        std::hint::black_box(d.lookup(t));
+    }
+    let mut again = Vec::new();
+    d.write_to(&mut again).unwrap();
+    assert!(GlobalDictionary::from_bytes(&again).unwrap() == *d);
+}
+
+#[test]
+fn truncated_dictionaries_are_refused() {
+    let (dict, bytes) = dictionary_bytes();
+    // Every cut through the header and the first words of each column,
+    // then a stride through the rest, then the last bytes.
+    let cuts = (0..DICT_HEADER + 64)
+        .chain(OWNERS_AT - 8..OWNERS_AT + 8)
+        .chain(OFFSETS_AT - 8..OFFSETS_AT + 8)
+        .chain((0..bytes.len()).step_by(997))
+        .chain(bytes.len() - 64..bytes.len());
+    for cut in cuts {
+        let err = GlobalDictionary::from_bytes(&bytes[..cut]).expect_err("a cut file parsed");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
+        let err = GlobalDictionary::read_from(&mut &bytes[..cut]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "cut at {cut} through a reader");
+    }
+    assert!(GlobalDictionary::from_bytes(&bytes).unwrap() == dict);
+}
+
+#[test]
+fn mutated_dictionary_bytes_never_panic() {
+    let (dict, bytes) = dictionary_bytes();
+    let terms: Vec<String> = dict.entries().map(|e| e.full_term()).collect();
+    let n = dict.len();
+    let handles_at = OFFSETS_AT + 4 * (n + 1);
+    let arena_at = handles_at + 4 * n;
+    // The header, the directory around its first occupied collections, the
+    // first and last 64 bytes of every column and of the arena.
+    let first_term_dir = DIR_AT + 4 * dict.entries().next().unwrap().trie_index as usize;
+    let spans = [
+        0..DICT_HEADER + 64,
+        first_term_dir.saturating_sub(16)..first_term_dir + 64,
+        OWNERS_AT - 64..OWNERS_AT + 64,
+        OFFSETS_AT - 64..OFFSETS_AT + 64,
+        handles_at - 64..handles_at + 64,
+        arena_at - 64..arena_at + 64,
+        bytes.len() - 64..bytes.len(),
+    ];
+    let (mut refused, mut parsed) = (0usize, 0usize);
+    let mut hostile = bytes.clone();
+    for at in spans.into_iter().flatten() {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            hostile[at] = bytes[at] ^ flip;
+            match GlobalDictionary::from_bytes(&hostile) {
+                Ok(d) => {
+                    parsed += 1;
+                    exercise_dictionary(&d, &terms);
+                }
+                Err(e) => {
+                    refused += 1;
+                    assert!(
+                        matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof),
+                        "byte {at}: {e}"
+                    );
+                }
+            }
+        }
+        hostile[at] = bytes[at];
+    }
+    // Header and offset damage is refused; an owner or a handle is any u32.
+    assert!(refused > 300 && parsed > 300, "{refused} refused, {parsed} parsed");
+}
+
+/// `bytes` with the little-endian word at `at` replaced.
+fn with_word(bytes: &[u8], at: usize, word: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 4].copy_from_slice(&word.to_le_bytes());
+    out
+}
+
+#[test]
+fn dictionary_columns_that_lie_are_refused() {
+    let (dict, bytes) = dictionary_bytes();
+    let n = dict.len() as u32;
+    let refused = |hostile: Vec<u8>, kind: ErrorKind, what: &str| {
+        let err = GlobalDictionary::from_bytes(&hostile).expect_err(what);
+        assert_eq!(err.kind(), kind, "{what}: {err}");
+    };
+    // Counts the bytes cannot back: the reader runs out of input, not memory.
+    refused(with_word(&bytes, 4, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX terms");
+    refused(with_word(&bytes, 8, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX arena bytes");
+    refused(with_word(&bytes, 4, n + 1), ErrorKind::UnexpectedEof, "one term too many");
+    refused(with_word(&bytes, 4, n - 1), ErrorKind::InvalidData, "one term too few");
+    let mut header_only = bytes[..DICT_HEADER].to_vec();
+    header_only[4..12].fill(0xFF);
+    refused(header_only, ErrorKind::UnexpectedEof, "a header and nothing else");
+    // A directory that overshoots the term count, wraps around it, or steps
+    // back.
+    let last_dir = DIR_AT + 4 * TRIE_ENTRIES;
+    refused(with_word(&bytes, last_dir, n + 1), ErrorKind::InvalidData, "directory ends past n");
+    refused(with_word(&bytes, last_dir, n - 1), ErrorKind::InvalidData, "directory ends short of n");
+    refused(with_word(&bytes, DIR_AT, 1), ErrorKind::InvalidData, "directory starts at 1");
+    refused(with_word(&bytes, DIR_AT + 4 * 100, u32::MAX), ErrorKind::InvalidData, "count overflows");
+    refused(with_word(&bytes, last_dir - 4, n + 7), ErrorKind::InvalidData, "ordinal past n");
+    // Offsets that step back, jump more than 255 bytes, or miss the arena's end.
+    let second = u32::from_le_bytes(bytes[OFFSETS_AT + 8..OFFSETS_AT + 12].try_into().unwrap());
+    refused(with_word(&bytes, OFFSETS_AT + 4, second + 1), ErrorKind::InvalidData, "offset steps back");
+    refused(with_word(&bytes, OFFSETS_AT, 1), ErrorKind::InvalidData, "offsets start at 1");
+    let end_at = OFFSETS_AT + 4 * n as usize;
+    let end = u32::from_le_bytes(bytes[end_at..end_at + 4].try_into().unwrap());
+    refused(with_word(&bytes, end_at, end - 1), ErrorKind::InvalidData, "offsets end early");
+    refused(with_word(&bytes, end_at, end + 300), ErrorKind::InvalidData, "a 300-byte suffix");
+    // Two neighbours of one collection swapped: each is a fine suffix, the
+    // pair is out of order.
+    let entries: Vec<_> = dict.entries().collect();
+    let pair = entries
+        .windows(2)
+        .position(|w| w[0].trie_index == w[1].trie_index && w[0].suffix.len() == w[1].suffix.len())
+        .expect("some collection holds two suffixes of one length");
+    let arena_at = bytes.len() - entries.iter().map(|e| e.suffix.len()).sum::<usize>();
+    let at = arena_at + entries[..pair].iter().map(|e| e.suffix.len()).sum::<usize>();
+    let len = entries[pair].suffix.len();
+    let mut swapped = bytes.clone();
+    swapped[at..at + len].copy_from_slice(entries[pair + 1].suffix);
+    swapped[at + len..at + 2 * len].copy_from_slice(entries[pair].suffix);
+    refused(swapped, ErrorKind::InvalidData, "suffixes out of order");
+    let mut duplicate = bytes.clone();
+    duplicate[at..at + len].copy_from_slice(entries[pair + 1].suffix);
+    refused(duplicate, ErrorKind::InvalidData, "the same suffix twice");
+}
+
+/// One `IIR3` file from a hand-written table over `payload`.
+fn run_file(rows: &[Vec<u8>], payload: &[u8]) -> Vec<u8> {
+    let list: PostingsList = [Posting { doc: DocId(0), tf: 1 }].into_iter().collect();
+    let donor = RunFile::build(0, 0, &mut [(0u32, &list)].into_iter(), Codec::VarByte).to_bytes();
+    let table = rows.concat();
+    let mut out = donor[..21].to_vec();
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&table);
+    out.extend_from_slice(payload);
+    out
+}
+
+/// `[handle delta, 1, doc, tf]`.
+fn single(handle_delta: u32, doc: u32, tf: u32) -> Vec<u8> {
+    varbyte::encode_all(&[handle_delta, 1, doc, tf])
+}
+
+/// `[handle delta, n, len, doc_min, doc_max - doc_min, max_tf]` and the
+/// varbyte codec tag.
+fn multi(fields: [u32; 6]) -> Vec<u8> {
+    let mut row = varbyte::encode_all(&fields);
+    row.push(0);
+    row
+}
+
+#[test]
+fn one_posting_rows_that_lie_are_refused() {
+    let p = |doc, tf| Posting { doc: DocId(doc), tf };
+    // The honest file: a one-posting row, then two postings (docs 8 and 10,
+    // tfs 1 and 2: varbyte gap 1, tf-1 0 and 1) whose payload starts at 0
+    // because the row before them owns no byte, then one more posting.
+    let rows = [single(3, 7, 2), multi([0, 2, 3, 8, 2, 2]), single(5, 40, 9)];
+    let payload = [0x81, 0x80, 0x81];
+    let bytes = run_file(&rows, &payload);
+    let run = RunFile::from_bytes(&bytes).unwrap();
+    assert_eq!(run.get(3).unwrap(), vec![p(7, 2)]);
+    assert_eq!(run.get(4).unwrap(), vec![p(8, 1), p(10, 2)]);
+    assert_eq!(run.get(10).unwrap(), vec![p(40, 9)]);
+    let at: Vec<(u64, u32)> = run.entries.iter().map(|e| (e.offset, e.len)).collect();
+    assert_eq!(at, [(0, 0), (0, 3), (3, 0)], "offsets are the running sum of the lengths");
+    assert_eq!(run.to_bytes(), bytes);
+    for cut in 0..bytes.len() {
+        assert!(RunFile::from_bytes(&bytes[..cut]).is_err(), "cut at {cut} parsed");
+    }
+    let malformed = |rows: &[Vec<u8>], payload: &[u8], what: &str| {
+        assert_eq!(RunFile::from_bytes(&run_file(rows, payload)), Err(RunFileError::Malformed), "{what}");
+    };
+    malformed(&[single(3, 7, 0)], &[], "a posting with tf 0");
+    malformed(&[single(3, 7, 2)], &[0x80], "a payload byte no row owns");
+    malformed(&[single(3, 7, 2), multi([0, 2, 3, 8, 2, 2])], &payload[..2], "lengths past the payload");
+    malformed(&[single(u32::MAX, 7, 2), single(0, 8, 1)], &[], "handles past u32::MAX");
+    // A count of rows the table could not hold is refused before any row is
+    // read or reserved for.
+    let mut many = run_file(&[single(3, 7, 2)], &[]);
+    many[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(RunFile::from_bytes(&many), Err(RunFileError::Malformed));
+}
+
+/// Replace artifact `name` of the index in `dir` with `bytes` and make the
+/// manifest vouch for them.
+fn overwrite_artifact(dir: &Path, name: &str, bytes: &[u8]) {
+    let mut manifest = Manifest::load(dir).unwrap();
+    let record = manifest.artifacts.iter_mut().find(|a| a.name == name).expect("artifact is listed");
+    std::fs::write(dir.join(&record.file), bytes).unwrap();
+    record.len = bytes.len() as u64;
+    record.crc32 = crc32(bytes);
+    std::fs::write(dir.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
+}
+
+fn corrupt_artifact(r: Result<Index, StoreError>) -> String {
+    match r {
+        Err(StoreError::Corrupt { name, .. }) => name,
+        Err(e) => panic!("expected StoreError::Corrupt, got {e}"),
+        Ok(_) => panic!("expected StoreError::Corrupt, the index opened"),
+    }
+}
+
+#[test]
+fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
+    let (idx, dir) = saved_index("open");
+    let reopened = Index::open(&dir).unwrap();
+    assert_eq!(reopened.num_terms(), idx.num_terms());
+
+    // A run whose last handle is not a term of the dictionary: the holders
+    // column is sized by the dictionary, so this must not be marked past it.
+    let (&indexer, set) = idx.run_sets.iter().next().unwrap();
+    let victim = set.runs().last().unwrap();
+    let name = run_artifact_name(indexer, victim.run_id);
+    let honest = victim.to_bytes();
+    for handle in [idx.num_terms() as u32, u32::MAX] {
+        let stray: PostingsList = [Posting { doc: DocId(1), tf: 1 }].into_iter().collect();
+        let run = RunFile::build(victim.run_id, indexer, &mut [(handle, &stray)].into_iter(), victim.codec);
+        overwrite_artifact(&dir, &name, &run.to_bytes());
+        assert_eq!(corrupt_artifact(Index::open(&dir)), name, "handle {handle}");
+    }
+    // The same run, its largest handle still a term: opens.
+    let stray: PostingsList = [Posting { doc: DocId(1), tf: 1 }].into_iter().collect();
+    let top = idx.num_terms() as u32 - 1;
+    let run = RunFile::build(victim.run_id, indexer, &mut [(top, &stray)].into_iter(), victim.codec);
+    overwrite_artifact(&dir, &name, &run.to_bytes());
+    Index::open(&dir).expect("a handle below the term count is in range");
+    // A run file cut short under a manifest that agrees with the cut.
+    overwrite_artifact(&dir, &name, &honest[..honest.len() - 1]);
+    assert_eq!(corrupt_artifact(Index::open(&dir)), name);
+    overwrite_artifact(&dir, &name, &honest);
+    Index::open(&dir).expect("restored");
+
+    // The dictionary: cut short, a directory past the term count, and the
+    // old front-coded magic.
+    let mut dict_bytes = Vec::new();
+    idx.dictionary.write_to(&mut dict_bytes).unwrap();
+    let n = idx.num_terms() as u32;
+    for hostile in [
+        dict_bytes[..dict_bytes.len() - 3].to_vec(),
+        with_word(&dict_bytes, DIR_AT + 4 * TRIE_ENTRIES, n + 1),
+        with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDC")),
+    ] {
+        overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &hostile);
+        assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT);
+    }
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
+    let restored = Index::open(&dir).expect("restored");
+    let probe = idx.dictionary.entries().next().unwrap().full_term();
+    assert_eq!(restored.postings_stemmed(&probe), idx.postings_stemmed(&probe));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

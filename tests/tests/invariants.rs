@@ -58,8 +58,8 @@ proptest! {
         prop_assert_eq!(a.tokens, b.tokens);
         let da = ii_core::dict::GlobalDictionary::combine(&[a.dict]);
         let db = ii_core::dict::GlobalDictionary::combine(&[b.dict]);
-        let ta: Vec<String> = da.entries().iter().map(|e| e.full_term()).collect();
-        let tb: Vec<String> = db.entries().iter().map(|e| e.full_term()).collect();
+        let ta: Vec<String> = da.entries().map(|e| e.full_term()).collect();
+        let tb: Vec<String> = db.entries().map(|e| e.full_term()).collect();
         prop_assert_eq!(ta, tb);
     }
 
@@ -158,8 +158,7 @@ fn dictionary_entries_sorted_and_unique() {
         cpu.index_group(g, 0);
     }
     let dict = ii_core::dict::GlobalDictionary::combine(&[cpu.dict]);
-    let keys: Vec<(u32, Vec<u8>)> =
-        dict.entries().iter().map(|e| (e.trie_index, e.suffix.clone())).collect();
+    let keys: Vec<(u32, &[u8])> = dict.entries().map(|e| (e.trie_index, e.suffix)).collect();
     for w in keys.windows(2) {
         assert!(w[0] < w[1], "entries must be strictly sorted: {w:?}");
     }

@@ -116,7 +116,9 @@ fn query_metrics_accumulate_per_index() {
     let (coll, dir) = stored("query");
     let out = build_index(&coll, &PipelineConfig::small(1, 1, 0)).expect("build");
     let index = ii_core::Index::from_output(out);
-    assert_eq!(index.obs.snapshot().counters.get("query.postings_scanned"), None);
+    // The index interns its query metrics when it is put together, so the
+    // counter is there from the start, at zero.
+    assert_eq!(index.obs.snapshot().counters.get("query.postings_scanned"), Some(&0));
     let hits = index.search("information");
     let snap = index.obs.snapshot();
     let scanned = snap.counters.get("query.postings_scanned").copied().unwrap_or(0);

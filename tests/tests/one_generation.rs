@@ -49,7 +49,6 @@ fn answers(idx: &Index) -> Answers {
     let lists = idx
         .dictionary
         .entries()
-        .iter()
         .map(|e| (e.full_term(), idx.postings_stemmed(&e.full_term()).expect("term has postings")))
         .collect();
     let queries = ["new", "new york", "state new", "absent-term"];

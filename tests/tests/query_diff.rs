@@ -22,6 +22,12 @@
 //!   added nothing. Neither scanned a posting. The copy adds nothing in
 //!   both, which is the evaluator's one rule.
 //!
+//! The loops read postings through `RunSet::cursor`, so they also serve as
+//! the oracle for the two things that changed underneath the evaluator
+//! without changing an answer: a one-posting list served from its
+//! mapping-table row, and the holders column that tells a look-up which
+//! runs to search (`holders_and_row_postings_change_no_answer`).
+//!
 //! Corrupt lists are not part of this comparison (the loops disagreed with
 //! each other there: AND emptied, OR dropped the list); the uniform rule is
 //! pinned by `a_corrupt_list_empties_every_mode_and_is_counted` in
@@ -361,4 +367,86 @@ fn evaluator_matches_on_the_awkward_queries() {
     }
     assert!(!idx.search("universities agreed analyses").is_empty());
     assert_eq!(idx.search("apple apple")[0].1 % 2, 0, "a repeated word counts twice");
+}
+
+/// `idx` with every run set rebuilt from clones of its runs and no holders
+/// column: each look-up searches every run's table, as before the column.
+fn without_holders(mut idx: Index) -> Index {
+    for set in idx.run_sets.values_mut() {
+        let mut plain = ii_core::postings::RunSet::new();
+        set.runs().iter().for_each(|run| plain.push(run.clone()));
+        *set = plain;
+    }
+    idx
+}
+
+/// The holders column narrows where a look-up searches and a one-posting
+/// list is read from its row; neither may change a posting, a `df`, a part
+/// count, a block counter or a query result. Cursor by cursor over every
+/// term, then end to end: the evaluator on the index as built against the
+/// frozen loops on the same index without the column.
+#[test]
+fn holders_and_row_postings_change_no_answer() {
+    let tracked = build(21, 5, 150);
+    let plain = without_holders(build(21, 5, 150));
+    let (mut row_parts, mut partial_holders) = (0usize, 0usize);
+    for e in tracked.dictionary.entries() {
+        let term = e.full_term();
+        let runs = tracked.run_sets[&e.indexer].runs();
+        row_parts += runs.iter().filter_map(|r| r.entry(e.postings)).filter(|row| row.len == 0).count();
+        let mut a = tracked.run_sets[&e.indexer].cursor(e.postings).unwrap().expect("term has a list");
+        let mut b = plain.run_sets[&e.indexer].cursor(e.postings).unwrap().expect("term has a list");
+        partial_holders += usize::from(a.parts() < runs.len());
+        assert_eq!((a.df(), a.parts(), a.blocks_total()), (b.df(), b.parts(), b.blocks_total()), "{term}");
+        // Alternate `next` and `advance_to` so parts are skipped, not only read.
+        let mut step = 0u32;
+        loop {
+            let (pa, pb) = if step % 3 == 2 {
+                let target = step * 7;
+                (a.advance_to(target).unwrap(), b.advance_to(target).unwrap())
+            } else {
+                (a.next().unwrap(), b.next().unwrap())
+            };
+            assert_eq!(pa, pb, "{term} step {step}");
+            assert_eq!(
+                (a.parts_opened(), a.blocks_decoded()),
+                (b.parts_opened(), b.blocks_decoded()),
+                "{term} step {step}"
+            );
+            if pa.is_none() {
+                break;
+            }
+            step += 1;
+        }
+        assert_eq!(tracked.postings_stemmed(&term), plain.postings_stemmed(&term), "{term}");
+    }
+    assert!(row_parts > 0, "some run holds a term once");
+    assert!(partial_holders > 0, "some term is missing from some run");
+    let texts = [
+        "music", "quetzal music", "apple music", "kiwi penguin walrus", "apple banana cherry",
+        "zebra nosuchterm", "running runs", "universities agreed analyses", "music music",
+    ];
+    for text in texts {
+        let mut n = 0;
+        assert_eq!(tracked.search(text), frozen::search(&plain, text, &mut n), "search({text})");
+        assert_eq!(plain.search(text), tracked.search(text));
+        for mode in [QueryMode::And, QueryMode::Or] {
+            let (mut want_scanned, before) = (0u64, scanned(&tracked));
+            let params = Bm25Params::default();
+            let want = frozen::search_ranked(&plain, text, mode, params, &mut want_scanned);
+            let got = tracked.search_ranked(text, mode, params);
+            assert_eq!(ranked_bits(&got), ranked_bits(&want), "{mode:?}({text})");
+            assert_eq!(scanned(&tracked) - before, want_scanned, "{mode:?}({text}) scanned");
+            assert_eq!(ranked_bits(&plain.search_ranked(text, mode, params)), ranked_bits(&want));
+            assert_eq!(tracked.explain(text, mode), plain.explain(text, mode), "explain {mode:?}({text})");
+        }
+        // Both indexes have now run the same evaluations (one `search` more
+        // on `tracked`, repeated here): every query counter agrees.
+        plain.search(text);
+        for name in ["query.postings_scanned", "query.blocks_decoded", "query.blocks_skipped"] {
+            let (a, b) = (tracked.obs.counter(name).get(), plain.obs.counter(name).get());
+            assert_eq!(a, b, "{name} after {text}");
+        }
+    }
+    assert_eq!(tracked.obs.counter("query.decode_errors").get(), 0);
 }
