@@ -272,8 +272,8 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let metrics_out = flag(args, "--metrics-out");
     let stats_out = flag(args, "--stats-out");
     let chaos_kill = flag(args, "--chaos-kill");
-    // The build itself is durable: sealed runs, the doc map, and indexer
-    // dictionary shards are committed atomically every `checkpoint_every`
+    // The build itself is durable: sealed runs, the doc map and the combined
+    // dictionary are committed atomically every `checkpoint_every`
     // runs, and the final index commit replaces the checkpoint — so a
     // crashed build is always `--resume`-able, never garbage.
     let mut builder = IndexBuilder::small()
@@ -586,7 +586,10 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("  terms:        {}", s.distinct_terms);
         println!("  uncompressed: {:.2} MB", s.uncompressed_bytes as f64 / 1e6);
         println!("  compressed:   {:.2} MB", s.compressed_bytes as f64 / 1e6);
-    } else if path.join("dictionary.bin").exists() {
+    } else if path.join(ii_core::store::MANIFEST_NAME).exists() {
+        // The manifest says what the directory holds; no artifact has a
+        // fixed file name (a checkpointed build's dictionary is
+        // `dictionary.bin.g2`).
         let index = open_index(dir)?;
         let runs: usize = index.run_sets.values().map(|s| s.runs().len()).sum();
         println!("index at {dir}:");

@@ -2,11 +2,11 @@
 
 use crate::query::query_terms;
 use ii_corpus::DocId;
-use ii_dict::{GlobalDictionary, PartialDictionary};
+use ii_dict::GlobalDictionary;
 use ii_obs::{Counter, Registry, Stage};
 use ii_pipeline::{
-    stage_runs_and_docmap, BuildCheckpoint, DocMap, IndexOutput, PipelineReport, SealedRuns,
-    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
+    read_generation, stage_runs_and_docmap, BuildCheckpoint, DocMap, Generation, IndexOutput,
+    PipelineReport, SealedRuns, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
 use ii_postings::{
     parse_run_artifact_name, CodecError, Posting, PostingsList, RunFile, RunSet, SetCursor,
@@ -161,65 +161,18 @@ impl Index {
     /// vouch for: a directory without one is
     /// [`StoreError::MissingManifest`], and [`Self::repair`] is the way
     /// back from it.
+    ///
+    /// A build's checkpoint holds the same artifacts and is refused all the
+    /// same ([`StoreError::IncompleteBuild`]): it indexes a prefix of the
+    /// collection. So is a checkpoint [`Self::repair`] re-committed, which
+    /// still lists its `checkpoint.json`.
     pub fn open(dir: &Path) -> Result<Index, StoreError> {
-        Self::open_store(dir, &Store::open(dir)?)
-    }
-
-    fn open_store(dir: &Path, store: &Store) -> Result<Index, StoreError> {
-        if store.manifest().kind != ManifestKind::Index {
+        let store = Store::open(dir)?;
+        let manifest = store.manifest();
+        if manifest.kind != ManifestKind::Index || manifest.artifact(CHECKPOINT_ARTIFACT).is_some() {
             return Err(StoreError::IncompleteBuild { dir: dir.to_path_buf() });
         }
-        let dictionary = GlobalDictionary::from_bytes(&store.read(DICTIONARY_ARTIFACT)?)
-            .map_err(|e| StoreError::Corrupt {
-                name: DICTIONARY_ARTIFACT.into(),
-                detail: e.to_string(),
-            })?;
-        let doc_map = match store.manifest().artifact(DOCMAP_ARTIFACT) {
-            Some(_) => DocMap::read_from(&mut store.read(DOCMAP_ARTIFACT)?.as_slice())
-                .map_err(|e| StoreError::Corrupt {
-                    name: DOCMAP_ARTIFACT.into(),
-                    detail: e.to_string(),
-                })?,
-            None => DocMap::new(),
-        };
-        let mut named: Vec<(u32, u32, &str)> = Vec::new();
-        for name in store.manifest().names() {
-            match parse_run_artifact_name(name) {
-                Some((indexer, run)) => named.push((indexer, run, name)),
-                // A manifest entry that merely *looks* like a run file is
-                // foreign data, not something to silently skip.
-                None if name.starts_with("run_") && name.ends_with(".iirf") => {
-                    return Err(StoreError::Corrupt {
-                        name: name.to_string(),
-                        detail: "unrecognized run artifact name".into(),
-                    });
-                }
-                None => {}
-            }
-        }
-        named.sort();
-        let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
-        for (indexer, _, name) in named {
-            let corrupt = |detail: String| StoreError::Corrupt { name: name.to_string(), detail };
-            let run = RunFile::from_bytes(&store.read(name)?).map_err(|e| corrupt(e.to_string()))?;
-            // An indexer's handles are dense from 0 and each is a term, so
-            // none reaches the term count. Checked here because the holders
-            // column is sized by the dictionary, not by what a run claims.
-            if let Some(last) = run.entries.last().filter(|e| e.handle as usize >= dictionary.len()) {
-                return Err(corrupt(format!(
-                    "handle {} in a dictionary of {} terms",
-                    last.handle,
-                    dictionary.len()
-                )));
-            }
-            // Holders are marked as each run arrives, its table still warm.
-            let set = run_sets.entry(indexer).or_insert_with(|| {
-                let mut set = RunSet::new();
-                set.track_holders(dictionary.len());
-                set
-            });
-            set.push(run);
-        }
+        let Generation { dictionary, run_sets, doc_map, .. } = read_generation(&store)?;
         Ok(Self::assemble(dictionary, run_sets, doc_map, PipelineReport::default()))
     }
 
@@ -250,8 +203,6 @@ fn validate_artifact(name: &str, bytes: &[u8]) -> Result<Option<ii_store::Postin
         serde_json::from_slice::<BuildCheckpoint>(bytes)
             .map(|_| None)
             .map_err(|e| format!("{e:?}"))
-    } else if name.ends_with(".iipd") {
-        PartialDictionary::read_from(&mut &bytes[..]).map(|_| None).map_err(|e| e.to_string())
     } else if parse_run_artifact_name(name).is_some() {
         RunFile::from_bytes(bytes)
             .map(|run| Some(ii_pipeline::run_postings_meta(&run)))

@@ -11,14 +11,16 @@
 //! [`SlottedStore`] and the per-collection tree roots live in a flat
 //! `TRIE_ENTRIES`-sized table indexed directly by trie index — the paper's
 //! §III.B trie *is* that table, so the per-token `HashMap` hash the old
-//! shard paid is gone. Checkpoints keep the legacy `IIPD` byte format
-//! (512-byte Table II nodes): nodes are converted at the serialization
-//! boundary, which is also what keeps GPU device interop unchanged.
+//! shard paid is gone. A shard has no serialisation of its own: every
+//! commit, checkpoints included, writes the combined dictionary, and
+//! [`GlobalDictionary::shards`] is the way back. The 512-byte Table II node
+//! survives only as the simulated GPU's device layout.
 
 use crate::btree::{BTree, BTreeStore, InsertOutcome};
 use crate::node::NULL;
 use crate::slotted::SlottedStore;
 use crate::trie::{trie_index, TrieIndex, TRIE_ENTRIES};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
@@ -50,10 +52,9 @@ impl PartialDictionary {
         }
     }
 
-    /// Rebuild a shard from a reconstructed legacy store and its
-    /// per-collection tree roots (the GPU download path). The legacy nodes
-    /// are converted into slotted form; handles and structure carry over
-    /// exactly.
+    /// Device interop: a shard from the Table II nodes and per-collection
+    /// tree roots downloaded from a simulated GPU. The nodes are converted
+    /// into slotted form; handles and structure carry over exactly.
     pub fn from_parts(indexer_id: u32, store: BTreeStore, roots: HashMap<u32, BTree>) -> Self {
         let mut table = vec![NULL; TRIE_ENTRIES];
         for (ti, tree) in roots {
@@ -114,109 +115,32 @@ impl PartialDictionary {
         self.store.term_count()
     }
 
-    /// Resident bytes of the shard's arenas (node arena + string arena +
-    /// trie-root table) for the pipeline memory governor. Deterministic
-    /// for a given insert history, so budget decisions keyed on it replay
-    /// exactly.
+    /// What the memory governor counts for this shard: the string arena and
+    /// the trie-root table as they are, and [`tree_nodes`] nodes for its
+    /// terms and collections. A function of the shard's content alone —
+    /// which terms, in which handle order — never of the order duplicates
+    /// arrived in or of how the trees happened to split, so a shard rebuilt
+    /// by [`GlobalDictionary::shards`] reports what the original did and a
+    /// resumed build flushes where the uninterrupted one would have.
     pub fn mem_bytes(&self) -> u64 {
-        self.store.mem_bytes() + (self.roots.len() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Serialize the complete shard state — node arena, string arena,
-    /// postings high-water mark, and per-collection tree roots — for a
-    /// build checkpoint. The byte layout is the legacy `IIPD` format
-    /// (512-byte Table II nodes in canonical form) and is identical for
-    /// CPU- and GPU-built shards, so a resumed build restores exactly the
-    /// handle-assignment state and later inserts allocate the same
-    /// postings handles as an uninterrupted run.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let nodes = self.store.to_legacy_nodes();
-        let strings = self.store.strings.as_bytes();
-        let roots: Vec<(u32, u32)> =
-            self.trie_indices().map(|ti| (ti, self.roots[ti as usize])).collect();
-        w.write_all(PARTIAL_MAGIC)?;
-        w.write_all(&self.indexer_id.to_le_bytes())?;
-        w.write_all(&self.store.term_count().to_le_bytes())?;
-        w.write_all(&(nodes.len() as u32).to_le_bytes())?;
-        w.write_all(&(strings.len() as u32).to_le_bytes())?;
-        w.write_all(&(roots.len() as u32).to_le_bytes())?;
-        for n in &nodes {
-            w.write_all(&n.to_bytes())?;
-        }
-        w.write_all(strings)?;
-        for (ti, root) in &roots {
-            w.write_all(&ti.to_le_bytes())?;
-            w.write_all(&root.to_le_bytes())?;
-        }
-        Ok(24 + nodes.len() as u64 * crate::node::NODE_BYTES as u64
-            + strings.len() as u64
-            + roots.len() as u64 * 8)
-    }
-
-    /// Deserialize a shard written by [`Self::write_to`].
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<PartialDictionary> {
-        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        let mut head = [0u8; 24];
-        r.read_exact(&mut head)?;
-        if &head[..4] != PARTIAL_MAGIC {
-            return Err(bad("bad partial-dictionary magic"));
-        }
-        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap());
-        let indexer_id = word(4);
-        let term_count = word(8);
-        let n_nodes = word(12) as usize;
-        let n_strings = word(16) as usize;
-        let n_trees = word(20) as usize;
-        let mut nodes = presized(n_nodes);
-        for _ in 0..n_nodes {
-            let mut buf = [0u8; crate::node::NODE_BYTES];
-            r.read_exact(&mut buf)?;
-            nodes.push(crate::node::BTreeNode::from_bytes(&buf));
-        }
-        let mut strings = presized(n_strings);
-        r.by_ref().take(n_strings as u64).read_to_end(&mut strings)?;
-        if strings.len() != n_strings {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        let mut roots = vec![NULL; TRIE_ENTRIES];
-        for _ in 0..n_trees {
-            let mut pair = [0u8; 8];
-            r.read_exact(&mut pair)?;
-            let ti = u32::from_le_bytes(pair[..4].try_into().unwrap());
-            let root = u32::from_le_bytes(pair[4..].try_into().unwrap());
-            if root as usize >= n_nodes {
-                return Err(bad("tree root out of node range"));
-            }
-            if ti as usize >= TRIE_ENTRIES {
-                return Err(bad("trie index out of table range"));
-            }
-            if roots[ti as usize] != NULL {
-                return Err(bad("duplicate trie collection in partial dictionary"));
-            }
-            roots[ti as usize] = root;
-        }
-        let store = SlottedStore::from_legacy(BTreeStore::from_parts(
-            crate::arena::NodeArena::from_nodes(nodes),
-            crate::arena::StringArena::from_bytes(strings),
-            term_count,
-        ));
-        Ok(PartialDictionary { indexer_id, store, roots })
+        let nodes = tree_nodes(u64::from(self.term_count()), self.trie_indices().count() as u64);
+        nodes * std::mem::size_of::<crate::slotted::SlottedNode>() as u64
+            + self.store.strings.len_bytes() as u64
+            + (self.roots.len() * std::mem::size_of::<u32>()) as u64
     }
 }
 
-const PARTIAL_MAGIC: &[u8; 4] = b"IIPD";
-
-/// Most bytes a reader reserves on the word of a record count whose records
-/// it has not read yet. `ii repair` hands these readers files no checksum
-/// has vouched for, so a hostile count must cost a failed read, not the
-/// allocation it names; every dictionary the ledger builds fits, so an
-/// honest one is still sized once.
-const PRESIZE_BYTES: usize = 16 << 20;
-
-/// An empty vector with room for `claimed` records, up to [`PRESIZE_BYTES`];
-/// past that it grows as the records actually arrive.
-fn presized<T>(claimed: usize) -> Vec<T> {
-    Vec::with_capacity(claimed.min(PRESIZE_BYTES / std::mem::size_of::<T>()))
+/// B-tree nodes the memory governor charges for `terms` distinct terms
+/// spread over `collections` trees: a root per tree, which takes the tree's
+/// first 8 terms, and a node per 20 terms past those (a node holds at most
+/// 31 keys and 15 after a split; most trees never outgrow their root). A
+/// fit, not a law: within 6 % of the nodes allocated on the ledger's shards
+/// (8 073 nodes for 106 886 terms in 3 784 trees, 12 916 for 230 300 in
+/// 2 649, 3 998 for 50 498 in 2 462) and on the small collections of
+/// `tests/tests/governor.rs`, which holds it to 25 % of the arena bytes.
+/// The simulated GPU charges its device nodes by the same rule.
+pub fn tree_nodes(terms: u64, collections: u64) -> u64 {
+    collections + terms.saturating_sub(8 * collections) / 20
 }
 
 /// One term of the combined dictionary and where to find its postings
@@ -289,24 +213,26 @@ impl Default for GlobalDictionary {
 impl GlobalDictionary {
     /// Combine per-indexer shards, whose trie collections are disjoint by
     /// construction: collection by collection in trie order, each B-tree
-    /// walked in order straight into the arena.
-    pub fn combine(parts: &[PartialDictionary]) -> GlobalDictionary {
+    /// walked in order straight into the arena. Shards are taken by value or
+    /// by reference (a checkpoint combines the live pool's without cloning
+    /// them).
+    pub fn combine<P: Borrow<PartialDictionary>>(parts: &[P]) -> GlobalDictionary {
         const UNOWNED: usize = usize::MAX;
         let mut part_of = vec![UNOWNED; TRIE_ENTRIES];
         for (i, p) in parts.iter().enumerate() {
-            for ti in p.trie_indices() {
+            for ti in p.borrow().trie_indices() {
                 let slot = &mut part_of[ti as usize];
                 assert!(*slot == UNOWNED, "trie collection {ti} is in two shards");
                 *slot = i;
             }
         }
         let mut dict = GlobalDictionary::default();
-        let terms: usize = parts.iter().map(|p| p.term_count() as usize).sum();
+        let terms: usize = parts.iter().map(|p| p.borrow().term_count() as usize).sum();
         dict.offsets.reserve_exact(terms);
         dict.handles.reserve_exact(terms);
         for (ti, &i) in part_of.iter().enumerate() {
             if i != UNOWNED {
-                let p = &parts[i];
+                let p = parts[i].borrow();
                 let tree = p.tree(ti as u32).expect("listed index has a tree");
                 p.store.for_each_term(&tree, &mut |head, rest, postings| {
                     dict.push(ti as u32, &[head, rest], p.indexer_id, postings)
@@ -314,6 +240,57 @@ impl GlobalDictionary {
             }
         }
         dict.finish()
+    }
+
+    /// The inverse of [`Self::combine`]: the shards of indexers
+    /// `0..n_indexers`, each rebuilt by inserting its terms in handle order,
+    /// so that every term gets its handle back and the next new term the
+    /// handle an uninterrupted shard would give it. This is what a resumed
+    /// build continues from. Tree shape is not restored and need not be:
+    /// nothing a build writes depends on it. `InvalidData` when an owner is
+    /// not below `n_indexers` or an owner's handles are not `0..n`, each
+    /// once — a dictionary [`Self::combine`] did not produce.
+    pub fn shards(&self, n_indexers: usize) -> io::Result<Vec<PartialDictionary>> {
+        let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
+        let mut sizes = vec![0usize; n_indexers];
+        for t in 0..TRIE_ENTRIES {
+            let terms = self.collection(t).len();
+            if terms > 0 {
+                let owner = self.owners[t];
+                *sizes.get_mut(owner as usize).ok_or_else(|| {
+                    bad(format!("collection {t} is owned by indexer {owner} of {n_indexers}"))
+                })? += terms;
+            }
+        }
+        // Per owner, the (collection, ordinal) of the term holding each handle.
+        const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
+        let mut by_handle: Vec<Vec<(u32, u32)>> =
+            sizes.iter().map(|&n| vec![VACANT; n]).collect();
+        for t in 0..TRIE_ENTRIES {
+            for i in self.collection(t) {
+                let (owner, handle) = (self.owners[t], self.handles[i]);
+                match by_handle[owner as usize].get_mut(handle as usize) {
+                    Some(slot) if *slot == VACANT => *slot = (t as u32, i as u32),
+                    _ => {
+                        return Err(bad(format!(
+                            "indexer {owner} has handle {handle} twice or past its {} terms",
+                            sizes[owner as usize]
+                        )))
+                    }
+                }
+            }
+        }
+        let mut parts: Vec<PartialDictionary> =
+            (0..n_indexers as u32).map(PartialDictionary::new).collect();
+        for (part, terms) in parts.iter_mut().zip(&by_handle) {
+            for (handle, &(t, i)) in terms.iter().enumerate() {
+                let placed = part.insert_term(t, self.suffix(i as usize));
+                if !placed.is_new || placed.postings as usize != handle {
+                    return Err(bad(format!("term {i} is in its collection twice")));
+                }
+            }
+        }
+        Ok(parts)
     }
 
     /// Append the next term in `(trie_index, suffix)` order, its suffix
@@ -717,31 +694,18 @@ mod tests {
     }
 
     #[test]
-    fn hostile_shard_counts_are_a_failed_read_not_an_allocation() {
-        // [magic, indexer, terms, n_nodes, n_strings, n_trees] and nothing
-        // else, with u32::MAX nodes (2 TB) and then u32::MAX string bytes.
-        for (n_nodes, n_strings) in [(u32::MAX, 0), (0, u32::MAX)] {
-            let mut buf = PARTIAL_MAGIC.to_vec();
-            for word in [0, 0, n_nodes, n_strings, 0] {
-                buf.extend_from_slice(&word.to_le_bytes());
-            }
-            let err = PartialDictionary::read_from(&mut buf.as_slice()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{n_nodes} nodes");
-        }
-    }
-
-    #[test]
     fn partial_checkpoint_roundtrip_resumes_handle_assignment() {
-        let mut d = PartialDictionary::new(7);
-        for t in ["apple", "applesauce", "zebra", "954", "-80", "a"] {
+        let mut d = PartialDictionary::new(1);
+        for t in ["apple", "applesauce", "zebra", "954", "-80", "a", "apple", "zebra"] {
             insert_surface(&mut d, t);
         }
-        let mut buf = Vec::new();
-        let n = d.write_to(&mut buf).unwrap();
-        assert_eq!(n as usize, buf.len());
-        let mut back = PartialDictionary::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.indexer_id, 7);
+        let checkpoint = GlobalDictionary::combine(&[&d]);
+        let mut shards = checkpoint.shards(2).unwrap();
+        assert_eq!(shards[0].term_count(), 0, "indexer 0 owns nothing");
+        let mut back = shards.pop().unwrap();
+        assert_eq!(back.indexer_id, 1);
         assert_eq!(back.term_count(), d.term_count());
+        assert_eq!(back.mem_bytes(), d.mem_bytes());
         // Existing terms resolve to their original handles...
         for t in ["apple", "zebra", "954"] {
             assert_eq!(lookup_surface(&mut back, t), lookup_surface(&mut d, t));
@@ -753,47 +717,99 @@ mod tests {
         assert!(a.is_new && b.is_new);
         assert_eq!(a.postings, b.postings);
         // Combined output is identical too.
-        let g1 = GlobalDictionary::combine(&[d]);
-        let g2 = GlobalDictionary::combine(&[back]);
-        assert_eq!(g1, g2);
+        assert_eq!(GlobalDictionary::combine(&[d]), GlobalDictionary::combine(&[back]));
     }
 
     #[test]
     fn checkpoint_bytes_are_stable_across_a_roundtrip() {
-        // write → read → write must reproduce the same bytes: the slotted
-        // store's canonical legacy rendering is a fixed point.
-        let mut d = PartialDictionary::new(2);
-        for i in 0..400 {
+        // write → read → shards → combine → write must reproduce the same
+        // bytes, splits and all.
+        let mut d = PartialDictionary::new(0);
+        for i in (0..400).rev() {
             insert_surface(&mut d, &format!("stable{i:04}"));
         }
         let mut first = Vec::new();
-        d.write_to(&mut first).unwrap();
-        let back = PartialDictionary::read_from(&mut first.as_slice()).unwrap();
+        GlobalDictionary::combine(&[d]).write_to(&mut first).unwrap();
+        let back = GlobalDictionary::read_from(&mut first.as_slice()).unwrap().shards(1).unwrap();
         let mut second = Vec::new();
-        back.write_to(&mut second).unwrap();
+        GlobalDictionary::combine(&back).write_to(&mut second).unwrap();
         assert_eq!(first, second);
     }
 
     #[test]
-    fn partial_checkpoint_rejects_garbage() {
-        assert!(PartialDictionary::read_from(&mut &b"XXXX"[..]).is_err());
-        let mut d = PartialDictionary::new(0);
-        insert_surface(&mut d, "apple");
-        let mut buf = Vec::new();
-        d.write_to(&mut buf).unwrap();
-        let full = buf.clone();
-        buf.truncate(buf.len() - 1);
-        assert!(PartialDictionary::read_from(&mut buf.as_slice()).is_err());
-        // A root index outside the node arena is rejected, not trusted.
-        let mut broken = full.clone();
-        let len = broken.len();
-        broken[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PartialDictionary::read_from(&mut broken.as_slice()).is_err());
-        // A trie index beyond the table is rejected too.
-        let mut broken = full;
-        let len = broken.len();
-        broken[len - 8..len - 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PartialDictionary::read_from(&mut broken.as_slice()).is_err());
+    fn shards_refuses_what_combine_cannot_have_written() {
+        let invalid = |d: GlobalDictionary, n: usize, what: &str| {
+            assert_eq!(d.shards(n).unwrap_err().kind(), io::ErrorKind::InvalidData, "{what}");
+        };
+        let of = |terms: &[(u32, &[u8], u32, u32)]| {
+            let mut d = GlobalDictionary::default();
+            terms.iter().for_each(|&(t, suffix, owner, handle)| d.push(t, &[suffix], owner, handle));
+            d.finish()
+        };
+        assert_eq!(of(&[(40, b"x", 1, 0), (41, b"y", 0, 0)]).shards(2).unwrap().len(), 2);
+        invalid(of(&[(40, b"x", 2, 0)]), 2, "owner past the pool");
+        invalid(of(&[(40, b"x", 0, 1)]), 1, "handle past the shard's terms");
+        invalid(of(&[(40, b"x", 0, 0), (41, b"y", 0, 0)]), 1, "handle held twice");
+        invalid(of(&[(40, b"x", 0, u32::MAX), (40, b"y", 0, 0)]), 1, "handle far out of range");
+        // In memory nothing stops a collection from repeating a suffix
+        // (`from_bytes` does); the second insert finds the first.
+        invalid(of(&[(40, b"x", 0, 0), (40, b"x", 0, 1)]), 1, "suffix twice in a collection");
+        assert!(GlobalDictionary::default().shards(0).unwrap().is_empty());
+    }
+
+    /// Feed `stream` to `n` shards, each term to the shard owning its
+    /// collection (`collection % n`), as the balance plan would.
+    fn sharded(stream: &[String], n: u32) -> Vec<PartialDictionary> {
+        let mut parts: Vec<PartialDictionary> = (0..n).map(PartialDictionary::new).collect();
+        for term in stream {
+            let (idx, suffix) = crate::trie::classify(term);
+            parts[(idx.0 % n) as usize].insert_term(idx.0, suffix.as_bytes());
+        }
+        parts
+    }
+
+    /// A term of one of four kinds: a head collision ("wxyz…"), a shared
+    /// prefix, a short word that may be all head, a number.
+    fn term((kind, tail): (u8, String)) -> String {
+        match kind {
+            0 => format!("wxyz{tail}"),
+            1 => format!("shared-prefix-{tail}"),
+            2 => tail,
+            _ => tail.bytes().map(|b| char::from(b'0' + b % 10)).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_shards_is_the_inverse_of_combine(
+            // Few enough distinct tails to repeat, enough terms to split.
+            stream in proptest::collection::vec((0u8..4, "[a-d]{1,5}"), 1..600),
+            more in proptest::collection::vec((0u8..4, "[a-e]{1,5}"), 1..40),
+            n in 1u32..4,
+        ) {
+            let stream: Vec<String> = stream.into_iter().map(term).collect();
+            let more: Vec<String> = more.into_iter().map(term).collect();
+            let mut original = sharded(&stream, n);
+            let d = GlobalDictionary::combine(&original);
+            let mut rebuilt = d.shards(n as usize).unwrap();
+            proptest::prop_assert_eq!(&GlobalDictionary::combine(&rebuilt), &d);
+            for (a, b) in original.iter_mut().zip(&mut rebuilt) {
+                proptest::prop_assert_eq!(a.term_count(), b.term_count());
+                proptest::prop_assert_eq!(a.mem_bytes(), b.mem_bytes());
+            }
+            for term in stream.iter().chain(&more) {
+                let (idx, suffix) = crate::trie::classify(term);
+                let shard = (idx.0 % n) as usize;
+                let a = original[shard].insert_term(idx.0, suffix.as_bytes());
+                let b = rebuilt[shard].insert_term(idx.0, suffix.as_bytes());
+                proptest::prop_assert_eq!(a, b, "{}", term);
+            }
+            proptest::prop_assert_eq!(
+                GlobalDictionary::combine(&original),
+                GlobalDictionary::combine(&rebuilt)
+            );
+        }
     }
 
     #[test]

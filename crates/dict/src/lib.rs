@@ -28,7 +28,9 @@ pub mod trie;
 pub mod verify;
 
 pub use btree::{BTree, BTreeStore, InsertOutcome};
-pub use dictionary::{insert_surface, lookup_surface, DictEntry, GlobalDictionary, PartialDictionary};
+pub use dictionary::{
+    insert_surface, lookup_surface, tree_nodes, DictEntry, GlobalDictionary, PartialDictionary,
+};
 pub use node::{BTreeNode, DEGREE, MAX_KEYS, MIN_KEYS, NODE_BYTES, NULL};
 pub use reference::{
     combine_reference, insert_surface_reference, lookup_surface_reference, ReferenceDictionary,

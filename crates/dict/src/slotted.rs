@@ -29,8 +29,10 @@
 //! The insert algorithm itself is byte-for-byte the legacy CLRS preemptive
 //! split (same node-allocation, string-allocation and postings-handle
 //! order), so a slotted store converts to and from the legacy 512-byte
-//! node layout losslessly: checkpoints keep the `IIPD` format and the
-//! simulated GPU keeps operating on Table II nodes in device memory.
+//! node layout losslessly: the simulated GPU keeps operating on Table II
+//! nodes in device memory. That conversion is device interop and nothing
+//! else — no file holds either node layout, and the shape of a host tree is
+//! free to change.
 
 use crate::arena::StringArena;
 use crate::btree::{BTree, BTreeStore, InsertOutcome};
@@ -115,8 +117,7 @@ impl SlottedNode {
     }
 
     /// Convert to the legacy 512-byte layout in canonical form (slots at or
-    /// above `count` cleared), the shape checkpoints serialize and the
-    /// simulated GPU uploads.
+    /// above `count` cleared), the shape the simulated GPU uploads.
     pub fn to_legacy(&self) -> BTreeNode {
         let count = (self.count as usize).min(MAX_KEYS);
         let mut n = BTreeNode { count: self.count, leaf: self.leaf, ..BTreeNode::default() };
@@ -180,16 +181,17 @@ impl SlottedStore {
         BTree { root: self.alloc_node() }
     }
 
-    /// Convert a legacy store (GPU download or checkpoint read) into
-    /// slotted form. Handle assignment and structure carry over exactly.
+    /// Device interop: convert a store downloaded from the simulated GPU
+    /// into slotted form. Handle assignment and structure carry over
+    /// exactly.
     pub fn from_legacy(store: BTreeStore) -> SlottedStore {
         let next_postings = store.term_count();
         let nodes = store.nodes.nodes().iter().map(SlottedNode::from_legacy).collect();
         SlottedStore { nodes, strings: store.strings, next_postings, ..Default::default() }
     }
 
-    /// Render every node in the legacy canonical 512-byte layout, for
-    /// checkpoint serialization and GPU device upload.
+    /// Device interop: render every node in the canonical 512-byte layout
+    /// the simulated GPU works on, for upload.
     pub fn to_legacy_nodes(&self) -> Vec<BTreeNode> {
         self.nodes.iter().map(SlottedNode::to_legacy).collect()
     }
@@ -203,14 +205,6 @@ impl SlottedStore {
     /// Number of nodes allocated.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Resident bytes of the store's arenas — slotted nodes plus the
-    /// string-remainder arena — the dictionary's contribution to the
-    /// pipeline memory governor's accounting.
-    pub fn mem_bytes(&self) -> u64 {
-        (self.nodes.len() * std::mem::size_of::<SlottedNode>()) as u64
-            + self.strings.len_bytes() as u64
     }
 
     /// Shared access to a node.
@@ -382,7 +376,7 @@ impl SlottedStore {
     /// Insert `term` (already trie-prefix-stripped) into `tree`, returning
     /// its postings handle and whether it is new. Allocation order (nodes,
     /// string remainders, postings handles) is identical to the legacy
-    /// path, which is what keeps checkpoints and GPU interop byte-stable.
+    /// path, which the differential suite and the GPU kernel are held to.
     pub fn insert(&mut self, tree: &mut BTree, term: &[u8]) -> InsertOutcome {
         let probe = term_head(term);
         if self.nodes[tree.root as usize].is_full() {

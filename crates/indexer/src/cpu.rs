@@ -38,23 +38,15 @@ impl CpuIndexer {
         }
     }
 
-    /// Rebuild an indexer from a checkpointed dictionary shard. The posting
-    /// log restarts empty — checkpoints are taken at run boundaries, where
-    /// pending postings have just been flushed — and the next new term
-    /// allocates the same handle an uninterrupted build would. Workload
-    /// counters restart from zero (they describe work actually performed by
-    /// this process).
-    pub fn restore(dict: PartialDictionary) -> Self {
-        Self::adopt(dict, PostingLog::new())
-    }
-
     /// Take over a dead worker's shard mid-run: adopt its dictionary
     /// *and* its pending (un-flushed) posting log, so indexing continues
-    /// exactly where the dead worker stopped. Unlike [`Self::restore`]
-    /// (which assumes a run-boundary checkpoint with nothing pending), this
-    /// is the mid-run takeover path — the GPU salvage drain hands over each
-    /// term's records in the same doc order the CPU path maintains, so the
-    /// continued build's run files stay byte-identical.
+    /// exactly where the dead worker stopped — the GPU salvage drain hands
+    /// over each term's records in the same doc order the CPU path
+    /// maintains, so the continued build's run files stay byte-identical.
+    /// (A shard restored from a run-boundary checkpoint is adopted with an
+    /// empty log: the next new term allocates the handle an uninterrupted
+    /// build would.) Workload counters restart from zero: they describe
+    /// work this process performed.
     pub fn adopt(dict: PartialDictionary, log: PostingLog) -> Self {
         CpuIndexer { id: dict.indexer_id, dict, log, stats: WorkloadStats::default() }
     }

@@ -414,29 +414,35 @@ impl GpuIndexer {
         PartialDictionary::from_parts(self.id, store, roots)
     }
 
-    /// Resume support: upload a checkpointed dictionary shard back into
-    /// device memory. The inverse of [`Self::into_partial_dictionary`] —
-    /// node and string arenas, allocation counters, and per-collection
-    /// root cells are restored byte-for-byte, so later inserts allocate
-    /// node indices and postings handles exactly as the uninterrupted
-    /// build would have. State is uploaded through the memset path (not
-    /// counted as PCIe traffic) like the initial device initialization;
-    /// the kernel is *not* replayed, because dynamic block scheduling
-    /// could discover terms in a different order and reassign handles.
-    pub fn restore_dictionary(&mut self, part: &PartialDictionary) {
+    /// Resume support: upload a dictionary shard into device memory, the
+    /// inverse of [`Self::into_partial_dictionary`] — node and string
+    /// arenas, allocation counters and per-collection root cells — so that
+    /// later inserts allocate postings handles exactly as the uninterrupted
+    /// build would have. The shard is the one
+    /// [`GlobalDictionary::shards`](ii_dict::GlobalDictionary::shards)
+    /// rebuilt: same terms and handles, not necessarily the tree shape the
+    /// device had, which no output depends on. State is uploaded through
+    /// the memset path (not counted as PCIe traffic) like the initial device
+    /// initialization; the kernel is *not* replayed, because dynamic block
+    /// scheduling could discover terms in a different order and reassign
+    /// handles. A shard this device was not sized for is refused with the
+    /// reason (device sizes are not part of a checkpoint's config
+    /// fingerprint).
+    pub fn restore_dictionary(&mut self, part: &PartialDictionary) -> Result<(), String> {
         let nodes = part.store.to_legacy_nodes();
-        assert!(
-            nodes.len() <= self.config.node_capacity,
-            "checkpoint has {} nodes, device capacity {}",
-            nodes.len(),
-            self.config.node_capacity
-        );
-        let strings = part.store.strings.as_bytes().to_vec();
-        assert!(
-            strings.len() <= self.config.string_capacity
-                && part.term_count() as usize <= self.config.max_terms,
-            "checkpoint exceeds device arena capacity"
-        );
+        let strings = part.store.strings.as_bytes();
+        for (what, needed, capacity) in [
+            ("nodes", nodes.len(), self.config.node_capacity),
+            ("string bytes", strings.len(), self.config.string_capacity),
+            ("terms", part.term_count() as usize, self.config.max_terms),
+        ] {
+            if needed > capacity {
+                return Err(format!(
+                    "dictionary shard of GPU indexer {} holds {needed} {what}, device capacity {capacity}",
+                    part.indexer_id
+                ));
+            }
+        }
         let mut node_bytes = Vec::with_capacity(nodes.len() * NODE_BYTES);
         for n in &nodes {
             node_bytes.extend_from_slice(&n.to_bytes());
@@ -447,7 +453,7 @@ impl GpuIndexer {
         }
         if !strings.is_empty() {
             let at = self.string_area.0 as usize;
-            self.memset(at, &strings);
+            self.memset(at, strings);
         }
         self.memset(self.ctr_nodes.0 as usize, &(nodes.len() as u32).to_le_bytes());
         self.memset(self.ctr_strings.0 as usize, &(strings.len() as u32).to_le_bytes());
@@ -459,6 +465,7 @@ impl GpuIndexer {
             self.memset(cell, &tree.root.to_le_bytes());
             self.seen.insert(ti);
         }
+        Ok(())
     }
 
     /// PCIe + metrics tallies of the device (testing/reporting).
@@ -466,17 +473,20 @@ impl GpuIndexer {
         self.mem.transfers
     }
 
-    /// Live device-state bytes: nodes, string remainders, the
-    /// current-posting table, the postings log, and the current batch's
-    /// input staging. Counts *content*, not the reserved arenas, so the
-    /// figure is a deterministic function of the documents indexed — the
-    /// memory governor's per-device accounting. (Arena capacity is
+    /// What the memory governor counts for this device: string remainders,
+    /// the current-posting table, the postings log and the current batch's
+    /// input staging as they are, and [`ii_dict::tree_nodes`] nodes for its
+    /// terms and collections — the host shards' rule, for the same reason:
+    /// the figure is a function of the documents indexed, not of how the
+    /// device's trees split, so a device restored from a checkpoint reports
+    /// what the uninterrupted one would. (Arena capacity is
     /// [`DeviceMemory::used`]; its high-water mark is
     /// [`DeviceMemory::high_water`].)
     pub fn resident_bytes(&self) -> u64 {
-        self.node_count() as u64 * NODE_BYTES as u64
+        let terms = u64::from(self.term_count());
+        ii_dict::tree_nodes(terms, self.seen.len() as u64) * NODE_BYTES as u64
             + self.read_ctr(self.ctr_strings) as u64
-            + self.term_count() as u64 * 8
+            + terms * 8
             + self.read_ctr(self.ctr_log) as u64 * 12
             + self.input_top as u64
     }

@@ -11,11 +11,13 @@
 use crate::balance::{BalancePlan, Owner};
 use crate::cpu::CpuIndexer;
 use crate::gpu::{GpuBatchReport, GpuIndexer, GpuIndexerConfig};
+use crate::log::PostingLog;
 use crate::stats::WorkloadStats;
 use ii_dict::PartialDictionary;
 use ii_obs::{Heartbeat, TraceKind, TraceSink, Tracer};
 use ii_postings::{Codec, RunFile};
 use ii_text::ParsedBatch;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -306,8 +308,9 @@ impl IndexerPool {
     /// Dictionary and postings figures cover CPU shards *and* adopted
     /// continuations of dead/shed GPUs; the device figure covers live
     /// GPUs' content (a salvaged GPU's state is already counted on the
-    /// CPU side). Every term is a deterministic function of the documents
-    /// indexed, so budget decisions keyed on these replay identically.
+    /// CPU side). Every term is a function of the documents indexed and the
+    /// handles their terms got — never of tree shape — so budget decisions
+    /// keyed on these replay identically, across a resume too.
     pub fn resident_bytes(&self) -> (u64, u64, u64) {
         let mut dict = 0u64;
         let mut postings = 0u64;
@@ -341,11 +344,13 @@ impl IndexerPool {
         Some((g, moves))
     }
 
-    /// Rebuild a pool from checkpointed dictionary shards plus the scalar
+    /// Rebuild a pool from a checkpoint's dictionary shards plus the scalar
     /// counters a resumed build must continue from. Each shard is routed to
     /// the indexer whose id it carries (CPU shards are adopted directly,
     /// GPU shards are uploaded back into device memory), so postings-handle
-    /// assignment continues exactly where the checkpoint left off.
+    /// assignment continues exactly where the checkpoint left off. A shard
+    /// the pool has no indexer for, or no device room for, is refused with
+    /// the reason.
     pub fn restore(
         plan: BalancePlan,
         gpu_config: GpuIndexerConfig,
@@ -354,26 +359,27 @@ impl IndexerPool {
         next_doc: u32,
         docs_indexed: u32,
         next_run: u32,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let mut pool = IndexerPool::new(plan, gpu_config, codec);
+        let n_cpu = pool.cpus.len();
         for part in parts {
             let id = part.indexer_id as usize;
-            assert!(
-                id < pool.cpus.len() + pool.gpus.len(),
-                "checkpoint shard for indexer {id} but pool has {} indexers",
-                pool.cpus.len() + pool.gpus.len()
-            );
-            if id < pool.cpus.len() {
-                pool.cpus[id] = CpuIndexer::restore(part);
+            if id < n_cpu {
+                // The posting log restarts empty: checkpoints are taken at
+                // run boundaries, where pending postings have just been
+                // flushed.
+                pool.cpus[id] = CpuIndexer::adopt(part, PostingLog::new());
+            } else if let Some(gpu) = pool.gpus.get_mut(id - n_cpu) {
+                gpu.restore_dictionary(&part)?;
             } else {
-                let g = id - pool.cpus.len();
-                pool.gpus[g].restore_dictionary(&part);
+                let indexers = n_cpu + pool.gpus.len();
+                return Err(format!("dictionary shard of indexer {id} but the pool has {indexers}"));
             }
         }
         pool.next_doc = next_doc;
         pool.docs_indexed = docs_indexed;
         pool.next_run = next_run;
-        pool
+        Ok(pool)
     }
 
     /// Documents actually indexed (doc-ID gaps reserved via
@@ -553,26 +559,34 @@ impl IndexerPool {
         (cpu, gpu)
     }
 
-    /// Collect every shard's dictionary without consuming the pool (the
-    /// checkpoint path). Dead GPUs' shards come from their adopted CPU
-    /// continuation.
-    pub fn snapshot_shards(&mut self) -> Vec<PartialDictionary> {
-        let mut parts: Vec<PartialDictionary> =
-            self.cpus.iter().map(|c| c.dict.clone()).collect();
-        for (g, gpu) in self.gpus.iter_mut().enumerate() {
-            match &self.adopted[g] {
-                Some((shard, _)) => parts.push(shard.dict.clone()),
-                None => parts.push(gpu.into_partial_dictionary()),
-            }
+    /// Every shard's dictionary, in indexer order, without consuming the
+    /// pool — what a commit combines. CPU shards, and the adopted CPU
+    /// continuations of dead GPUs, are borrowed; a live GPU's shard is
+    /// downloaded and reinterpreted.
+    pub fn shards(&mut self) -> Vec<Cow<'_, PartialDictionary>> {
+        let mut parts: Vec<Cow<'_, PartialDictionary>> =
+            self.cpus.iter().map(|c| Cow::Borrowed(&c.dict)).collect();
+        for (gpu, adopted) in self.gpus.iter_mut().zip(&self.adopted) {
+            parts.push(match adopted {
+                Some((shard, _)) => Cow::Borrowed(&shard.dict),
+                None => Cow::Owned(gpu.into_partial_dictionary()),
+            });
         }
         parts
     }
 
-    /// End of program: collect every indexer's dictionary shard (live GPU
-    /// shards are downloaded and reinterpreted; dead GPUs' shards come
-    /// from their adopted CPU continuation).
-    pub fn finish(mut self) -> Vec<PartialDictionary> {
-        self.snapshot_shards()
+    /// End of program: every indexer's dictionary shard, moved out of the
+    /// pool (live GPU shards are downloaded and reinterpreted; dead GPUs'
+    /// shards come from their adopted CPU continuation).
+    pub fn finish(self) -> Vec<PartialDictionary> {
+        let mut parts: Vec<PartialDictionary> = self.cpus.into_iter().map(|c| c.dict).collect();
+        for (mut gpu, adopted) in self.gpus.into_iter().zip(self.adopted) {
+            parts.push(match adopted {
+                Some((shard, _)) => shard.dict,
+                None => gpu.into_partial_dictionary(),
+            });
+        }
+        parts
     }
 }
 
@@ -678,45 +692,54 @@ mod tests {
     }
 
     /// The checkpoint/restore contract behind `build --resume`: flushing a
-    /// run, serializing every shard, restoring a fresh pool from those
-    /// bytes, and indexing the remaining batches must produce bit-identical
-    /// dictionaries and run files to the uninterrupted pool.
+    /// run, combining the live pool's shards as a commit does, restoring a
+    /// fresh pool from that dictionary's shards, and indexing the remaining
+    /// batches must produce bit-identical dictionaries and run files to the
+    /// uninterrupted pool — and the same governor figures on the way.
     #[test]
     fn restored_pool_continues_byte_identically() {
-        let batches = [
-            parse(&["zebra quilt xylophone", "the banana zebra"], 0),
-            parse(&["quilt again and again"], 1),
-            parse(&["xylophone zebra 954 zebra"], 2),
-        ];
+        // Six collections that keep growing while their terms keep
+        // repeating: known terms are looked up through full nodes, which
+        // splits them where a tree rebuilt without the repeats has not yet.
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let batches: Vec<ParsedBatch> = (0..4)
+            .map(|f| {
+                let mut word = || {
+                    let prefix = ["1", "2", "tan", "ser", "lod", "mic"][next() % 6];
+                    format!("{prefix}{:04}", next() % (25 * (f + 1)))
+                };
+                let docs: Vec<String> =
+                    (0..6).map(|_| (0..150).map(|_| word()).collect::<Vec<_>>().join(" ")).collect();
+                parse(&docs.iter().map(String::as_str).collect::<Vec<_>>(), f)
+            })
+            .collect();
         for (n_cpu, n_gpu) in [(2, 0), (0, 1), (1, 1)] {
             // Uninterrupted reference.
             let mut full = pool(n_cpu, n_gpu, &batches[0]);
             full.index_batch(&batches[0]);
-            let full_r0 = full.flush_run();
             full.index_batch(&batches[1]);
+            let full_r0 = full.flush_run();
             full.index_batch(&batches[2]);
+            let full_resident = full.resident_bytes();
+            full.index_batch(&batches[3]);
             let full_r1 = full.flush_run();
 
-            // Checkpointed: flush, serialize shards, restore, continue.
+            // Checkpointed: flush, combine, restore from the shards, continue.
             let mut first = pool(n_cpu, n_gpu, &batches[0]);
             first.index_batch(&batches[0]);
+            first.index_batch(&batches[1]);
             let ckpt_r0 = first.flush_run();
-            let next_doc = first.next_doc();
-            let docs = first.docs_indexed();
-            let runs = first.runs_flushed();
-            let shard_bytes: Vec<Vec<u8>> = first
-                .finish()
-                .iter()
-                .map(|p| {
-                    let mut b = Vec::new();
-                    p.write_to(&mut b).unwrap();
-                    b
-                })
-                .collect();
-            let parts: Vec<PartialDictionary> = shard_bytes
-                .iter()
-                .map(|b| PartialDictionary::read_from(&mut b.as_slice()).unwrap())
-                .collect();
+            let checkpoint = GlobalDictionary::combine(&first.shards());
+            let parts = checkpoint.shards(n_cpu + n_gpu).unwrap();
+            let nodes = |shards: &[Cow<'_, PartialDictionary>]| -> usize {
+                shards.iter().map(|p| p.store.num_nodes()).sum()
+            };
+            let rebuilt: Vec<_> = parts.iter().map(Cow::Borrowed).collect();
+            assert!(nodes(&rebuilt) < nodes(&first.shards()), "the shapes must differ");
             let counts = sample_counts(std::slice::from_ref(&batches[0]));
             let plan = make_plan(&counts, n_cpu, n_gpu, 2);
             let mut resumed = IndexerPool::restore(
@@ -724,29 +747,53 @@ mod tests {
                 GpuIndexerConfig::small(),
                 Codec::VarByte,
                 parts,
-                next_doc,
-                docs,
-                runs,
-            );
-            resumed.index_batch(&batches[1]);
+                first.next_doc(),
+                first.docs_indexed(),
+                first.runs_flushed(),
+            )
+            .unwrap();
+            // The governor reads the same bytes off both pools, the shapes
+            // notwithstanding (an empty batch clears the input staging the
+            // device figure includes).
+            let nothing = parse(&[], 2);
+            first.index_batch(&nothing);
+            resumed.index_batch(&nothing);
+            assert_eq!(resumed.resident_bytes(), first.resident_bytes(), "cfg ({n_cpu},{n_gpu})");
             resumed.index_batch(&batches[2]);
+            assert_eq!(resumed.resident_bytes(), full_resident, "cfg ({n_cpu},{n_gpu}) governor");
+            resumed.index_batch(&batches[3]);
             let ckpt_r1 = resumed.flush_run();
 
             let encode =
                 |runs: &[RunFile]| -> Vec<Vec<u8>> { runs.iter().map(|r| r.to_bytes()).collect() };
             assert_eq!(encode(&full_r0), encode(&ckpt_r0), "cfg ({n_cpu},{n_gpu}) run 0");
             assert_eq!(encode(&full_r1), encode(&ckpt_r1), "cfg ({n_cpu},{n_gpu}) run 1");
-            let dict_bytes = |parts: &[PartialDictionary]| {
-                let mut b = Vec::new();
-                GlobalDictionary::combine(parts).write_to(&mut b).unwrap();
-                b
-            };
             assert_eq!(
-                dict_bytes(&full.finish()),
-                dict_bytes(&resumed.finish()),
+                GlobalDictionary::combine(&full.finish()),
+                GlobalDictionary::combine(&resumed.finish()),
                 "cfg ({n_cpu},{n_gpu}) dictionary"
             );
         }
+    }
+
+    #[test]
+    fn shards_the_pool_cannot_hold_are_refused_not_asserted() {
+        let sample = parse(&["zebra quilt xylophone banana"], 0);
+        let restore = |parts: Vec<PartialDictionary>, gpu_config| {
+            let plan = make_plan(&sample_counts(std::slice::from_ref(&sample)), 1, 1, 2);
+            IndexerPool::restore(plan, gpu_config, Codec::VarByte, parts, 0, 0, 0).map(|_| ())
+        };
+        let unknown = restore(vec![PartialDictionary::new(2)], GpuIndexerConfig::small());
+        assert!(unknown.unwrap_err().contains("indexer 2 but the pool has 2"));
+        // A GPU shard of three terms for a device sized for two.
+        let mut shard = PartialDictionary::new(1);
+        for term in ["quilt", "xylophone", "zebra"] {
+            ii_dict::insert_surface(&mut shard, term);
+        }
+        let tight = GpuIndexerConfig { max_terms: 2, ..GpuIndexerConfig::small() };
+        let too_big = restore(vec![shard.clone()], tight).unwrap_err();
+        assert!(too_big.contains("holds 3 terms, device capacity 2"), "{too_big}");
+        assert_eq!(restore(vec![shard], GpuIndexerConfig::small()), Ok(()));
     }
 
     /// The degradation contract behind the supervisor: killing the GPU at

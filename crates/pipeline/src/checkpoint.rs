@@ -1,14 +1,16 @@
 //! Build checkpoints: the state a crash-interrupted build resumes from.
 //!
-//! A checkpoint is an ordinary ii-store commit with
-//! [`ManifestKind::Checkpoint`](ii_store::ManifestKind): the sealed run
-//! files so far, the docmap high-water mark, one serialized
-//! [`PartialDictionary`](ii_dict::PartialDictionary) per indexer (the
-//! handle-assignment state byte-identical resume depends on), and this
-//! module's `checkpoint.json` describing the scalar counters and the
-//! collection/config fingerprints the checkpoint is only valid for.
-//! Checkpoints are taken at run boundaries, where every indexer's pending
-//! postings have just been flushed — so no in-memory postings need saving.
+//! A checkpoint is an index of the files consumed so far — the sealed run
+//! files, the doc map and the combined `dictionary.bin`, exactly what a
+//! finished build commits — under
+//! [`ManifestKind::Checkpoint`](ii_store::ManifestKind), plus this module's
+//! `checkpoint.json` describing the scalar counters and the
+//! collection/config fingerprints the checkpoint is only valid for. The
+//! dictionary is the handle-assignment state byte-identical resume depends
+//! on: [`GlobalDictionary::shards`](ii_dict::GlobalDictionary::shards)
+//! turns it back into the indexers' shards. Checkpoints are taken at run
+//! boundaries, where every indexer's pending postings have just been
+//! flushed — so no in-memory postings need saving.
 
 use crate::fault::{FaultClass, FaultStage, FileFault};
 use serde::{Deserialize, Serialize};
@@ -19,11 +21,6 @@ pub const CHECKPOINT_ARTIFACT: &str = "checkpoint.json";
 pub const DOCMAP_ARTIFACT: &str = "docmap.bin";
 /// Logical artifact name of the combined dictionary.
 pub const DICTIONARY_ARTIFACT: &str = "dictionary.bin";
-
-/// Logical artifact name of one indexer's checkpointed dictionary shard.
-pub fn shard_artifact_name(indexer_id: u32) -> String {
-    format!("state_{indexer_id:03}.iipd")
-}
 
 /// A quarantined file carried across a resume so the final report lists
 /// every fault of the whole build, not just the post-resume part.
@@ -88,8 +85,6 @@ pub struct BuildCheckpoint {
     pub docs_indexed: u32,
     /// Runs flushed so far (the next run id).
     pub runs_flushed: u32,
-    /// Indexer ids with a `state_NNN.iipd` shard artifact.
-    pub indexers: Vec<u32>,
     /// Identity of the collection this checkpoint belongs to.
     pub collection: String,
     /// Fingerprint of every config knob that affects index bytes.
@@ -153,7 +148,6 @@ mod tests {
             next_doc: 220,
             docs_indexed: 200,
             runs_flushed: 3,
-            indexers: vec![0, 1, 2],
             collection: "tiny|seed=41|files=10|docs_per_file=20|bytes=12345".into(),
             config: "cpus=1|gpus=1|popular=8|batches_per_run=1|codec=VarByte|sample=2x1".into(),
             retries: 2,
@@ -187,11 +181,5 @@ mod tests {
             error: String::new(),
         };
         assert!(q.to_fault().is_none());
-    }
-
-    #[test]
-    fn shard_names_are_stable() {
-        assert_eq!(shard_artifact_name(0), "state_000.iipd");
-        assert_eq!(shard_artifact_name(12), "state_012.iipd");
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::breakdown::StageBreakdown;
 use crate::checkpoint::{
-    collection_fingerprint, config_fingerprint, shard_artifact_name, BuildCheckpoint,
-    QuarantinedFile, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
+    collection_fingerprint, config_fingerprint, BuildCheckpoint, QuarantinedFile,
+    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
 use crate::docmap::DocMap;
 use crate::fault::{
@@ -34,7 +34,9 @@ use crate::parsers::{
 use crate::supervisor::{DeathCause, Supervisor, SupervisorPolicy};
 use crate::telemetry::{PostmortemContext, PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
 use ii_corpus::StoredCollection;
-use ii_obs::{FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceKind, Tracer};
+use ii_obs::{
+    FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceKind, TraceSink, Tracer,
+};
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
 use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunSet};
@@ -42,6 +44,7 @@ use ii_store::{
     ArtifactMeta, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
 };
 use ii_text::{parse_documents_into, ParseScratch};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -73,11 +76,6 @@ pub struct PipelineConfig {
     pub batches_per_run: usize,
     /// Retry and quarantine behaviour for faulty container files.
     pub fault_policy: FaultPolicy,
-    /// Parse with the retained naive reference path instead of the
-    /// scratch-based hot path. Outputs are byte-identical by invariant
-    /// (the differential suite builds the same collection both ways);
-    /// excluded from the checkpoint config fingerprint for that reason.
-    pub reference_parser: bool,
     /// Event tracing (disabled by default). Excluded from the checkpoint
     /// config fingerprint: tracing never changes index bytes, so a traced
     /// build may resume an untraced one and vice versa.
@@ -121,7 +119,6 @@ impl Default for PipelineConfig {
             buffer_depth: 2,
             batches_per_run: 1,
             fault_policy: FaultPolicy::default(),
-            reference_parser: false,
             trace: TraceConfig::default(),
             supervision: SupervisorPolicy::default(),
             worker_faults: WorkerFaultPlan::none(),
@@ -344,11 +341,7 @@ pub fn sample_plan(
                 retries += attempts;
                 recovered_files += 1;
             }
-            batches.push(if cfg.reference_parser {
-                ii_text::parse_documents_reference(&docs, html, f)
-            } else {
-                parse_documents_into(&mut scratch, &docs, html, f)
-            });
+            batches.push(parse_documents_into(&mut scratch, &docs, html, f));
         }
         f += stride;
     }
@@ -426,9 +419,10 @@ pub fn build_index(
     build_inner(collection, cfg, None)
 }
 
-/// [`build_index`] with crash-safe persistence: every flushed run, the doc
-/// map, the indexer dictionary shards, and finally the whole index are
-/// committed to `opts.dir` through the ii-store atomic-commit protocol.
+/// [`build_index`] with crash-safe persistence: every `checkpoint_every`
+/// runs the index of the files consumed so far — sealed runs, doc map,
+/// combined dictionary — and finally the whole index are committed to
+/// `opts.dir` through the ii-store atomic-commit protocol.
 /// With `opts.resume`, a build interrupted after a checkpoint continues
 /// from it — skipping already-indexed container files — and produces a
 /// byte-identical dictionary and postings to an uninterrupted build.
@@ -446,18 +440,15 @@ struct ResumeState {
     run_sets: HashMap<u32, RunSet>,
     sealed: SealedRuns,
     doc_map: DocMap,
-    files_done: usize,
-    next_doc: u32,
-    docs_indexed: u32,
-    runs_flushed: u32,
-    retries: u32,
-    recovered_files: u32,
+    /// The descriptor: where to continue and what the build had counted.
+    ckpt: BuildCheckpoint,
     quarantined: Vec<FileFault>,
 }
 
 /// Load and validate the resumable state of `opts.dir`. `Ok(None)` means a
 /// fresh directory (start from scratch); a completed index or a checkpoint
-/// for a different collection/config is a typed refusal.
+/// for a different collection/config is a typed refusal, and so is one an
+/// older build wrote (there is no reader for its per-indexer shard files).
 fn load_resume_state(
     collection: &StoredCollection,
     cfg: &PipelineConfig,
@@ -494,35 +485,31 @@ fn load_resume_state(
         }
         .into());
     }
-    let doc_map = DocMap::read_from(&mut store.read(DOCMAP_ARTIFACT)?.as_slice())?;
-    let mut run_names: Vec<(u32, u32, String)> = Vec::new();
-    for name in store.manifest().names() {
-        if let Some((indexer, run)) = parse_run_artifact_name(name) {
-            run_names.push((indexer, run, name.to_string()));
+    if store.manifest().artifact(DICTIONARY_ARTIFACT).is_none() {
+        return Err(PipelineError::Resume(format!(
+            "the checkpoint in {} holds no {DICTIONARY_ARTIFACT}: an older build wrote it, \
+             build again without --resume",
+            opts.dir.display()
+        )));
+    }
+    let Generation { dictionary, run_sets, doc_map, sealed } = read_generation(&store)?;
+    // The checkpoint's dictionary is every indexer's handle assignment so
+    // far; the shards continue it.
+    let parts = dictionary.shards(cfg.num_cpu_indexers + cfg.num_gpus).map_err(|e| {
+        StoreError::Corrupt { name: DICTIONARY_ARTIFACT.into(), detail: e.to_string() }
+    })?;
+    // A sealed run may only name handles its shard has issued: the next new
+    // term gets the next handle.
+    for (&indexer, set) in &run_sets {
+        let issued = parts.get(indexer as usize).map_or(0, |p| p.term_count());
+        let stray = |run: &&RunFile| run.entries.last().is_some_and(|e| e.handle >= issued);
+        if let Some(run) = set.runs().iter().find(stray) {
+            return Err(StoreError::Corrupt {
+                name: run_artifact_name(indexer, run.run_id),
+                detail: format!("a handle past the {issued} its indexer issued"),
+            }
+            .into());
         }
-    }
-    // Push runs in run-id order per indexer so postings concatenate in doc
-    // order.
-    run_names.sort();
-    let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
-    let mut sealed = SealedRuns::new();
-    for (indexer, _, name) in run_names {
-        let rf = RunFile::from_bytes(&store.read(&name)?).map_err(|e| {
-            StoreError::Corrupt { name: name.clone(), detail: e.to_string() }
-        })?;
-        let meta = run_postings_meta(&rf);
-        // `read` just verified these bytes against the manifest record, so
-        // the record seals the run for every later generation.
-        let record = store.manifest().artifact(&name).expect("name came from the manifest");
-        sealed.insert(name, ArtifactMeta { postings: Some(meta), ..record.clone() });
-        run_sets.entry(indexer).or_default().push(rf);
-    }
-    let mut parts = Vec::with_capacity(ckpt.indexers.len());
-    for &id in &ckpt.indexers {
-        let name = shard_artifact_name(id);
-        let p = PartialDictionary::read_from(&mut store.read(&name)?.as_slice())
-            .map_err(|e| StoreError::Corrupt { name, detail: e.to_string() })?;
-        parts.push(p);
     }
     let mut quarantined = Vec::with_capacity(ckpt.quarantined.len());
     for q in &ckpt.quarantined {
@@ -530,19 +517,86 @@ fn load_resume_state(
             PipelineError::Resume(format!("unrecognized fault record '{}/{}'", q.class, q.stage))
         })?);
     }
-    Ok(Some(ResumeState {
-        parts,
-        run_sets,
-        sealed,
-        doc_map,
-        files_done: ckpt.files_done as usize,
-        next_doc: ckpt.next_doc,
-        docs_indexed: ckpt.docs_indexed,
-        runs_flushed: ckpt.runs_flushed,
-        retries: ckpt.retries,
-        recovered_files: ckpt.recovered_files,
-        quarantined,
-    }))
+    Ok(Some(ResumeState { parts, run_sets, sealed, doc_map, ckpt, quarantined }))
+}
+
+/// What every committed generation holds — a checkpoint's and a finished
+/// index's alike — read back and validated.
+pub struct Generation {
+    /// The combined dictionary of the files the generation covers.
+    pub dictionary: GlobalDictionary,
+    /// The sealed runs by indexer, in run order, each set tracking which of
+    /// its runs hold which handle.
+    pub run_sets: HashMap<u32, RunSet>,
+    /// The doc map (empty when a repair lost it).
+    pub doc_map: DocMap,
+    /// The manifest record of every run read: a later generation stages the
+    /// run by it ([`stage_runs_and_docmap`]).
+    pub sealed: SealedRuns,
+}
+
+/// Read a committed generation: `dictionary.bin`, `docmap.bin` and every
+/// `run_III_RRRRR.iirf` the manifest names, each verified against its
+/// manifest record by [`Store::read`] and then parsed. This is the one
+/// routine that knows how the artifacts of a generation hang together, for
+/// `Index::open` and for a resumed build: runs are pushed in run order per
+/// indexer so postings concatenate in doc order, and a run may only name
+/// handles the dictionary has terms for.
+pub fn read_generation(store: &Store) -> Result<Generation, StoreError> {
+    let corrupt = |name: &str, detail: String| StoreError::Corrupt { name: name.into(), detail };
+    let dictionary = GlobalDictionary::from_bytes(&store.read(DICTIONARY_ARTIFACT)?)
+        .map_err(|e| corrupt(DICTIONARY_ARTIFACT, e.to_string()))?;
+    let doc_map = match store.manifest().artifact(DOCMAP_ARTIFACT) {
+        Some(_) => DocMap::read_from(&mut store.read(DOCMAP_ARTIFACT)?.as_slice())
+            .map_err(|e| corrupt(DOCMAP_ARTIFACT, e.to_string()))?,
+        None => DocMap::new(),
+    };
+    let mut named: Vec<(u32, u32, &ArtifactMeta)> = Vec::new();
+    for record in &store.manifest().artifacts {
+        let name = record.name.as_str();
+        match parse_run_artifact_name(name) {
+            Some((indexer, run)) => named.push((indexer, run, record)),
+            // A manifest entry that merely *looks* like a run file is
+            // foreign data, not something to silently skip.
+            None if name.starts_with("run_") && name.ends_with(".iirf") => {
+                return Err(corrupt(name, "unrecognized run artifact name".into()));
+            }
+            None => {}
+        }
+    }
+    named.sort_by_key(|&(indexer, run, _)| (indexer, run));
+    let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
+    let mut sealed = SealedRuns::new();
+    for (indexer, run_id, record) in named {
+        let name = record.name.as_str();
+        let run = RunFile::from_bytes(&store.read(name)?).map_err(|e| corrupt(name, e.to_string()))?;
+        if (run.indexer_id, run.run_id) != (indexer, run_id) {
+            return Err(corrupt(
+                name,
+                format!("holds run {} of indexer {}", run.run_id, run.indexer_id),
+            ));
+        }
+        // An indexer's handles are dense from 0 and each is a term, so
+        // none reaches the term count. Checked here because the holders
+        // column is sized by the dictionary, not by what a run claims.
+        if let Some(last) = run.entries.last().filter(|e| e.handle as usize >= dictionary.len()) {
+            return Err(corrupt(
+                name,
+                format!("handle {} in a dictionary of {} terms", last.handle, dictionary.len()),
+            ));
+        }
+        // Holders are marked as each run arrives, its table still warm.
+        let set = run_sets.entry(indexer).or_insert_with(|| {
+            let mut set = RunSet::new();
+            set.track_holders(dictionary.len());
+            set
+        });
+        set.push(run);
+        // `read` just verified the bytes against this record, so the record
+        // seals the run for every later generation.
+        sealed.insert(record.name.clone(), record.clone());
+    }
+    Ok(Generation { dictionary, run_sets, doc_map, sealed })
 }
 
 /// Manifest-level postings metadata of a run file: the wire format
@@ -594,47 +648,86 @@ pub fn stage_runs_and_docmap(
     Ok(())
 }
 
-/// Commit a mid-build checkpoint: sealed runs + doc map + dictionary
-/// shards + descriptor, as one atomic generation.
+/// The dictionary of everything indexed so far, combined from the pool's
+/// shards — borrowed for a checkpoint ([`IndexerPool::shards`]), moved out
+/// at the end ([`IndexerPool::finish`]) — and serialised: the "Dictionary
+/// Combine" and "Dictionary Write" rows of Table VI, which a checkpointing
+/// build pays once per commit.
+fn combine_and_write<P: Borrow<PartialDictionary>>(
+    shards: &[P],
+    registry: &Registry,
+    driver_sink: &TraceSink,
+    report: &mut PipelineReport,
+) -> (GlobalDictionary, Vec<u8>) {
+    let (combine_stage, write_stage) = (registry.stage("dict_combine"), registry.stage("dict_write"));
+    let t0 = Instant::now();
+    let dictionary = {
+        let _span = combine_stage.span();
+        let _tspan = driver_sink.span(TraceKind::DictCombine);
+        GlobalDictionary::combine(shards)
+    };
+    report.dict_combine_seconds += t0.elapsed().as_secs_f64();
+
+    let t0 = Instant::now();
+    let mut dict_bytes = Vec::new();
+    {
+        let mut span = write_stage.span();
+        let mut tspan = driver_sink.span(TraceKind::DictWrite);
+        dictionary.write_to(&mut dict_bytes).expect("vec write is infallible");
+        span.add_bytes(dict_bytes.len() as u64);
+        tspan.add_bytes(dict_bytes.len() as u64);
+    }
+    report.dict_write_seconds += t0.elapsed().as_secs_f64();
+    (dictionary, dict_bytes)
+}
+
+/// Commit one generation of the index directory: the sealed runs and the
+/// doc map, `dictionary.bin`, and — while container files remain —
+/// the `checkpoint.json` that makes it a resumable
+/// [`ManifestKind::Checkpoint`]; without one it is the finished
+/// [`ManifestKind::Index`], and the commit's garbage collection removes the
+/// descriptor the index no longer references. A retriable storage failure
+/// (disk full) retries the whole transaction — each attempt rebuilds it from
+/// scratch, the commit protocol is all-or-nothing — with jittered backoff,
+/// counted in `commit_retries`; anything else is the typed error.
 #[allow(clippy::too_many_arguments)]
-fn commit_checkpoint(
+fn commit_generation(
     opts: &DurableOptions<'_>,
     registry: &Arc<Registry>,
-    collection: &StoredCollection,
-    cfg: &PipelineConfig,
-    pool: &mut IndexerPool,
+    policy: &FaultPolicy,
     run_sets: &HashMap<u32, RunSet>,
     sealed: &mut SealedRuns,
     doc_map: &DocMap,
-    files_done: usize,
-    report: &PipelineReport,
+    dict_bytes: &[u8],
+    checkpoint: Option<&BuildCheckpoint>,
+    commit_retries: &mut u32,
 ) -> Result<(), StoreError> {
-    let parts = pool.snapshot_shards();
-    let mut txn = Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(registry));
-    stage_runs_and_docmap(&mut txn, run_sets, doc_map, sealed)?;
-    let mut indexers = Vec::with_capacity(parts.len());
-    for p in &parts {
-        let mut bytes = Vec::new();
-        p.write_to(&mut bytes).expect("vec write is infallible");
-        txn.put(&shard_artifact_name(p.indexer_id), &bytes)?;
-        indexers.push(p.indexer_id);
+    let mut attempt = 0u32;
+    loop {
+        let committed = (|| -> Result<(), StoreError> {
+            let mut txn = Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(registry));
+            stage_runs_and_docmap(&mut txn, run_sets, doc_map, sealed)?;
+            txn.put(DICTIONARY_ARTIFACT, dict_bytes)?;
+            if let Some(ckpt) = checkpoint {
+                let bytes = serde_json::to_vec_pretty(ckpt)
+                    .expect("checkpoint serialization is infallible");
+                txn.put(CHECKPOINT_ARTIFACT, &bytes)?;
+            }
+            txn.commit(match checkpoint {
+                Some(_) => ManifestKind::Checkpoint,
+                None => ManifestKind::Index,
+            })?;
+            Ok(())
+        })();
+        match committed {
+            Err(e) if e.is_retriable() && attempt < policy.max_retries => {
+                attempt += 1;
+                *commit_retries += 1;
+                std::thread::sleep(policy.jittered_backoff(attempt, 0xD15C_F0FF));
+            }
+            done => return done,
+        }
     }
-    let ckpt = BuildCheckpoint {
-        files_done: files_done as u64,
-        next_doc: pool.next_doc(),
-        docs_indexed: pool.docs_indexed(),
-        runs_flushed: pool.runs_flushed(),
-        indexers,
-        collection: collection_fingerprint(collection),
-        config: config_fingerprint(cfg),
-        retries: report.faults.retries,
-        recovered_files: report.faults.recovered_files,
-        quarantined: report.faults.quarantined.iter().map(QuarantinedFile::from_fault).collect(),
-    };
-    let bytes = serde_json::to_vec_pretty(&ckpt).expect("checkpoint serialization is infallible");
-    txn.put(CHECKPOINT_ARTIFACT, &bytes)?;
-    txn.commit(ManifestKind::Checkpoint)?;
-    Ok(())
 }
 
 /// Fire any scheduled indexer kills/stalls for this batch ordinal. A kill
@@ -724,8 +817,8 @@ fn build_inner(
 
     let (mut pool, mut run_sets, mut sealed, mut doc_map, start_file) = match resume_state {
         Some(rs) => {
-            report.faults.retries += rs.retries;
-            report.faults.recovered_files += rs.recovered_files;
+            report.faults.retries += rs.ckpt.retries;
+            report.faults.recovered_files += rs.ckpt.recovered_files;
             for fault in rs.quarantined {
                 report.uncompressed_bytes = report.uncompressed_bytes.saturating_sub(
                     *collection
@@ -744,11 +837,12 @@ fn build_inner(
                 cfg.gpu_config,
                 cfg.codec,
                 rs.parts,
-                rs.next_doc,
-                rs.docs_indexed,
-                rs.runs_flushed,
-            );
-            (pool, rs.run_sets, rs.sealed, rs.doc_map, rs.files_done)
+                rs.ckpt.next_doc,
+                rs.ckpt.docs_indexed,
+                rs.ckpt.runs_flushed,
+            )
+            .map_err(PipelineError::Resume)?;
+            (pool, rs.run_sets, rs.sealed, rs.doc_map, rs.ckpt.files_done as usize)
         }
         None => (
             IndexerPool::new(sampled.plan, cfg.gpu_config, cfg.codec),
@@ -851,7 +945,6 @@ fn build_inner(
     let spawn_options = SpawnOptions {
         start_file,
         recycler: Some(recycler.clone()),
-        reference_parser: cfg.reference_parser,
         tracer: tracer.clone(),
         heartbeats: parser_beats,
         worker_faults: cfg.worker_faults.clone(),
@@ -904,8 +997,6 @@ fn build_inner(
     let mut round_robin = SupervisedRoundRobin::new(
         &mut parser_pool,
         Arc::clone(collection),
-        collection.num_files(),
-        start_file,
         cfg.fault_policy,
         ParserObs::from_registry(&registry),
         spawn_options,
@@ -1147,10 +1238,35 @@ fn build_inner(
                     && runs_since_checkpoint >= opts.checkpoint_every_runs
                     && files_done < collection.num_files()
                 {
+                    let (_, dict_bytes) =
+                        combine_and_write(&pool.shards(), &registry, &driver_sink, &mut report);
+                    let ckpt = BuildCheckpoint {
+                        files_done: files_done as u64,
+                        next_doc: pool.next_doc(),
+                        docs_indexed: pool.docs_indexed(),
+                        runs_flushed: pool.runs_flushed(),
+                        collection: collection_fingerprint(collection),
+                        config: config_fingerprint(cfg),
+                        retries: report.faults.retries,
+                        recovered_files: report.faults.recovered_files,
+                        quarantined: report
+                            .faults
+                            .quarantined
+                            .iter()
+                            .map(QuarantinedFile::from_fault)
+                            .collect(),
+                    };
                     let _ckpt_span = driver_sink.span(TraceKind::Checkpoint);
-                    commit_checkpoint(
-                        opts, &registry, collection, cfg, &mut pool, &run_sets, &mut sealed,
-                        &doc_map, files_done, &report,
+                    commit_generation(
+                        opts,
+                        &registry,
+                        &cfg.fault_policy,
+                        &run_sets,
+                        &mut sealed,
+                        &doc_map,
+                        &dict_bytes,
+                        Some(&ckpt),
+                        &mut supervisor.report.commit_retries,
                     )?;
                     runs_since_checkpoint = 0;
                 }
@@ -1283,75 +1399,38 @@ fn build_inner(
         registry.counter("gpu.d2h_bytes").add(t.d2h_bytes);
     }
 
-    let t0 = Instant::now();
-    let combine_stage = registry.stage("dict_combine");
-    let tspan = driver_sink.span(TraceKind::DictCombine);
-    let parts = {
-        let _span = combine_stage.span();
-        pool.finish()
-    };
-    let dictionary = {
-        let _span = combine_stage.span();
-        GlobalDictionary::combine(&parts)
-    };
-    drop(tspan);
-    report.dict_combine_seconds = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let mut dict_bytes = Vec::new();
-    {
-        let write_stage = registry.stage("dict_write");
-        let mut span = write_stage.span();
-        let mut tspan = driver_sink.span(TraceKind::DictWrite);
-        dictionary.write_to(&mut dict_bytes)?;
-        span.add_bytes(dict_bytes.len() as u64);
-        tspan.add_bytes(dict_bytes.len() as u64);
-    }
-    report.dict_write_seconds = t0.elapsed().as_secs_f64();
+    // `finish` frees the pool — posting logs, simulated devices — before the
+    // dictionary is built, and the shards go before the commit.
+    let (dictionary, dict_bytes) =
+        combine_and_write(&pool.finish(), &registry, &driver_sink, &mut report);
     registry.counter("pipeline.terms").add(dictionary.len() as u64);
 
     if let Some(opts) = durable {
-        // The final commit flips the manifest kind to Index; the commit's
-        // garbage collection removes the checkpoint descriptor and shard
-        // artifacts the index no longer references. A retriable storage
-        // failure (disk full) retries the whole transaction — each attempt
-        // rebuilds it from scratch, the commit protocol is all-or-nothing —
-        // with jittered backoff; anything else is a typed error.
-        let mut attempt = 0u32;
-        loop {
-            let committed = (|| -> Result<(), StoreError> {
-                let mut txn =
-                    Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(&registry));
-                stage_runs_and_docmap(&mut txn, &run_sets, &doc_map, &mut sealed)?;
-                txn.put(DICTIONARY_ARTIFACT, &dict_bytes)?;
-                txn.commit(ManifestKind::Index)?;
-                Ok(())
-            })();
-            match committed {
-                Ok(()) => break,
-                Err(e) if e.is_retriable() && attempt < cfg.fault_policy.max_retries => {
-                    attempt += 1;
-                    supervisor.report.commit_retries += 1;
-                    std::thread::sleep(
-                        cfg.fault_policy.jittered_backoff(attempt, 0xD15C_F0FF),
-                    );
-                }
-                Err(e) => {
-                    postmortem.write(
-                        &PostmortemContext {
-                            trigger: "commit-failure",
-                            detail: e.to_string(),
-                            batch_ordinal,
-                            supervision: &supervisor.report,
-                            quarantined: &report.faults.quarantined,
-                        },
-                        &recorder,
-                        &registry,
-                        &tracer,
-                    );
-                    return Err(e.into());
-                }
-            }
+        let committed = commit_generation(
+            opts,
+            &registry,
+            &cfg.fault_policy,
+            &run_sets,
+            &mut sealed,
+            &doc_map,
+            &dict_bytes,
+            None,
+            &mut supervisor.report.commit_retries,
+        );
+        if let Err(e) = committed {
+            postmortem.write(
+                &PostmortemContext {
+                    trigger: "commit-failure",
+                    detail: e.to_string(),
+                    batch_ordinal,
+                    supervision: &supervisor.report,
+                    quarantined: &report.faults.quarantined,
+                },
+                &recorder,
+                &registry,
+                &tracer,
+            );
+            return Err(e.into());
         }
     }
 

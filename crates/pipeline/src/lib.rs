@@ -10,9 +10,9 @@
 //! and every build's [`PipelineReport`] carries a [`FaultReport`] of what
 //! was retried, recovered, quarantined, or contained.
 //!
-//! It is also crash-safe: [`build_index_durable`] commits sealed runs, the
-//! doc map, and per-indexer dictionary shards through the ii-store
-//! atomic-commit protocol at run-boundary checkpoints, and
+//! It is also crash-safe: at run-boundary checkpoints [`build_index_durable`]
+//! commits the index of the files consumed so far — sealed runs, doc map,
+//! combined dictionary — through the ii-store atomic-commit protocol, and
 //! `DurableOptions::resume` continues an interrupted build byte-identically
 //! from its last committed checkpoint.
 //!
@@ -43,13 +43,13 @@ pub mod telemetry;
 
 pub use breakdown::StageBreakdown;
 pub use checkpoint::{
-    collection_fingerprint, config_fingerprint, shard_artifact_name, BuildCheckpoint,
-    QuarantinedFile, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
+    collection_fingerprint, config_fingerprint, BuildCheckpoint, QuarantinedFile,
+    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
 };
 pub use docmap::{DocMap, DocMapEntry};
 pub use driver::{
-    build_index, build_index_durable, run_postings_meta, sample_plan,
-    stage_runs_and_docmap, DurableOptions, FileTiming, IndexOutput, PipelineConfig,
+    build_index, build_index_durable, read_generation, run_postings_meta, sample_plan,
+    stage_runs_and_docmap, DurableOptions, FileTiming, Generation, IndexOutput, PipelineConfig,
     PipelineReport, SamplePlan, SealedRuns,
 };
 pub use fault::{
@@ -58,7 +58,7 @@ pub use fault::{
 };
 pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
 pub use parsers::{
-    BatchRecycler, ParsedFile, ParserObs, ParserPool, ParserTiming, RoundRobin, SpawnOptions,
+    BatchRecycler, ParsedFile, ParserObs, ParserPool, ParserTiming, SpawnOptions,
     SupervisedRoundRobin,
 };
 pub use supervisor::{

@@ -27,7 +27,7 @@ use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use ii_corpus::{compress, container, StoredCollection};
 use ii_obs::{Heartbeat, Registry, Stage, TraceKind, TraceSink, Tracer};
-use ii_text::{parse_documents_into, parse_documents_reference, ParseScratch, ParsedBatch};
+use ii_text::{parse_documents_into, ParseScratch, ParsedBatch};
 use parking_lot::Mutex;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,17 +110,15 @@ impl BatchRecycler {
     }
 }
 
-/// Extended spawn options (the plain `spawn*` constructors cover the
-/// common defaults).
+/// What [`ParserPool::spawn_with`] can be told beyond the collection and
+/// the fault policy; the default is an unsupervised, untraced pool that
+/// starts at file 0.
 #[derive(Clone, Default)]
 pub struct SpawnOptions {
     /// First container file to ingest (resume path).
     pub start_file: usize,
     /// Buffer pool fed by the consumer via [`BatchRecycler::reclaim`].
     pub recycler: Option<BatchRecycler>,
-    /// Parse with the retained naive reference path instead of the
-    /// scratch-based hot path (differential testing).
-    pub reference_parser: bool,
     /// Event tracer; each parser registers a `parser-{p}` timeline. The
     /// default (disabled) tracer records nothing.
     pub tracer: Tracer,
@@ -160,7 +158,7 @@ pub struct ParsedFile {
     /// path — the fault itself carries its retry count).
     pub retries: u32,
     /// Seconds the *consumer* blocked waiting for this message (set by
-    /// [`RoundRobin`]; 0 until the message is consumed). Distinguishes
+    /// [`SupervisedRoundRobin`]; 0 until the message is consumed). Distinguishes
     /// "the parser was slow" from "the file itself was slow" in per-file
     /// reports.
     pub queue_wait_seconds: f64,
@@ -186,66 +184,16 @@ pub struct ParserPool {
 }
 
 impl ParserPool {
-    /// Spawn `num_parsers` parser threads over the collection's files.
+    /// Spawn `num_parsers` parser threads over the collection's files from
+    /// `options.start_file` on (the resume path after a build checkpoint).
     /// `buffer_depth` bounds each parser's output buffer, providing the
-    /// back-pressure that couples the two pipeline stages. `policy` governs
-    /// retry and skip behaviour for faulty files.
-    pub fn spawn(
-        collection: Arc<StoredCollection>,
-        num_parsers: usize,
-        buffer_depth: usize,
-        policy: FaultPolicy,
-    ) -> ParserPool {
-        // Callers that don't care about metrics still record into a
-        // throwaway registry — the instrumentation stays exercised (and
-        // measured) everywhere.
-        Self::spawn_observed(
-            collection,
-            num_parsers,
-            buffer_depth,
-            policy,
-            ParserObs::from_registry(&Registry::new()),
-        )
-    }
-
-    /// [`Self::spawn`] recording per-stage metrics into `obs` (the
-    /// pipeline driver passes stages interned in its per-build registry).
-    pub fn spawn_observed(
-        collection: Arc<StoredCollection>,
-        num_parsers: usize,
-        buffer_depth: usize,
-        policy: FaultPolicy,
-        obs: ParserObs,
-    ) -> ParserPool {
-        Self::spawn_observed_from(collection, num_parsers, buffer_depth, policy, obs, 0)
-    }
-
-    /// [`Self::spawn_observed`] starting at container file `start_file`
-    /// instead of 0 — the resume path after a build checkpoint. Parser `p`
-    /// still owns every file whose index is `p` modulo `num_parsers`, so a
-    /// resumed build routes each remaining file through the same parser
-    /// slot (and thus the same round-robin consumption order) as an
-    /// uninterrupted build.
-    pub fn spawn_observed_from(
-        collection: Arc<StoredCollection>,
-        num_parsers: usize,
-        buffer_depth: usize,
-        policy: FaultPolicy,
-        obs: ParserObs,
-        start_file: usize,
-    ) -> ParserPool {
-        Self::spawn_with(
-            collection,
-            num_parsers,
-            buffer_depth,
-            policy,
-            obs,
-            SpawnOptions { start_file, ..SpawnOptions::default() },
-        )
-    }
-
-    /// [`Self::spawn_observed_from`] with the full option set: batch-buffer
-    /// recycling and the reference-parser differential knob.
+    /// back-pressure that couples the two pipeline stages; `policy` governs
+    /// retry and skip behaviour for faulty files; per-stage metrics go to
+    /// `obs` (the pipeline driver passes stages interned in its per-build
+    /// registry). Parser `p` owns every file whose index is `p` modulo
+    /// `num_parsers`, so a resumed build routes each remaining file through
+    /// the same parser slot (and thus the same round-robin consumption
+    /// order) as an uninterrupted build.
     pub fn spawn_with(
         collection: Arc<StoredCollection>,
         num_parsers: usize,
@@ -257,7 +205,6 @@ impl ParserPool {
         let start_file = options.start_file;
         assert!(num_parsers >= 1);
         let disk = Arc::new(Mutex::new(()));
-        let html = collection.manifest.spec.html;
         let num_files = collection.num_files();
         let mut buffers = Vec::with_capacity(num_parsers);
         let mut handles = Vec::with_capacity(num_parsers);
@@ -292,50 +239,17 @@ impl ParserPool {
                         Some(WorkerFaultKind::Stall(d)) => std::thread::sleep(d),
                         None => {}
                     }
-                    // Crash containment: a panic anywhere in this file's
-                    // ingest becomes a typed fault in its round-robin slot.
-                    // (The scratch self-cleans any stale state on reuse.)
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        ingest_file(
-                            &coll,
-                            &disk,
-                            html,
-                            file_idx,
-                            &policy,
-                            &mut timing,
-                            &obs,
-                            &mut scratch,
-                            &options,
-                            &sink,
-                        )
-                    }));
-                    let msg = match outcome {
-                        Ok((retries, Ok(batch))) => {
-                            ParsedFile { retries, queue_wait_seconds: 0.0, result: Ok(batch) }
-                        }
-                        Ok((retries, Err((class, error)))) => ParsedFile {
-                            retries: 0,
-                            queue_wait_seconds: 0.0,
-                            result: Err(FileFault {
-                                file_idx,
-                                class,
-                                retries,
-                                stage: FaultStage::Parsing,
-                                error,
-                            }),
-                        },
-                        Err(payload) => ParsedFile {
-                            retries: 0,
-                            queue_wait_seconds: 0.0,
-                            result: Err(FileFault {
-                                file_idx,
-                                class: FaultClass::Panic,
-                                retries: 0,
-                                stage: FaultStage::Parsing,
-                                error: panic_message(payload.as_ref()),
-                            }),
-                        },
-                    };
+                    let msg = ingest_contained(
+                        &coll,
+                        &disk,
+                        file_idx,
+                        &policy,
+                        &mut timing,
+                        &obs,
+                        &mut scratch,
+                        &options,
+                        &sink,
+                    );
                     let failed = msg.result.is_err();
                     // Memory back-pressure: a parsed batch may not enter
                     // the in-flight queues until the governor's byte-credit
@@ -376,6 +290,40 @@ impl ParserPool {
     }
 }
 
+/// Ingest one container file under crash containment: the parsed batch, or
+/// the typed fault — a panic anywhere in the ingest included — that takes
+/// the file's round-robin slot. (The scratch self-cleans any stale state on
+/// reuse.)
+#[allow(clippy::too_many_arguments)]
+fn ingest_contained(
+    coll: &StoredCollection,
+    disk: &Mutex<()>,
+    file_idx: usize,
+    policy: &FaultPolicy,
+    timing: &mut ParserTiming,
+    obs: &ParserObs,
+    scratch: &mut ParseScratch,
+    options: &SpawnOptions,
+    sink: &TraceSink,
+) -> ParsedFile {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        ingest_file(coll, disk, file_idx, policy, timing, obs, scratch, options, sink)
+    }));
+    let fault = |class, retries, error| FileFault {
+        file_idx,
+        class,
+        retries,
+        stage: FaultStage::Parsing,
+        error,
+    };
+    let (retries, result) = match outcome {
+        Ok((retries, Ok(batch))) => (retries, Ok(batch)),
+        Ok((retries, Err((class, error)))) => (0, Err(fault(class, retries, error))),
+        Err(payload) => (0, Err(fault(FaultClass::Panic, 0, panic_message(payload.as_ref())))),
+    };
+    ParsedFile { retries, queue_wait_seconds: 0.0, result }
+}
+
 type IngestOutcome = (u32, Result<ParsedBatch, (FaultClass, String)>);
 
 /// Ingest one container file: serialized read (with transient-fault retry),
@@ -385,7 +333,6 @@ type IngestOutcome = (u32, Result<ParsedBatch, (FaultClass, String)>);
 fn ingest_file(
     coll: &StoredCollection,
     disk: &Mutex<()>,
-    html: bool,
     file_idx: usize,
     policy: &FaultPolicy,
     timing: &mut ParserTiming,
@@ -475,11 +422,7 @@ fn ingest_file(
     if let Some(recycler) = &options.recycler {
         recycler.refill(scratch);
     }
-    let batch = if options.reference_parser {
-        parse_documents_reference(&docs, html, file_idx)
-    } else {
-        parse_documents_into(scratch, &docs, html, file_idx)
-    };
+    let batch = parse_documents_into(scratch, &docs, coll.manifest.spec.html, file_idx);
     timing.parse_seconds += t0.elapsed().as_secs_f64();
     timing.files += 1;
     span.add_bytes(bytes.len() as u64);
@@ -514,96 +457,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Consume the parser buffers in strict round-robin order, yielding one
-/// message per file in global file order (the §III.F consumption rule).
-///
-/// A channel that closes before delivering its files yields a
-/// [`PipelineError::ParserDisconnected`] instead of ending the stream —
-/// the silent-truncation bug where a crashed parser looked identical to
-/// end-of-input.
-pub struct RoundRobin<'a> {
-    buffers: &'a [Receiver<ParsedFile>],
-    next_file: usize,
-    num_files: usize,
-    /// Consumer queue-wait accounting: time blocked in `recv` lands in
-    /// this stage's `queue_wait_ns` (the driver passes its index stage).
-    queue_wait: Option<Arc<Stage>>,
-    /// Consumer timeline: each blocking `recv` records a `parser_wait`
-    /// stall span (disabled by default).
-    trace: TraceSink,
-}
-
-impl<'a> RoundRobin<'a> {
-    /// Iterate the messages of `num_files` files over `buffers`.
-    pub fn new(buffers: &'a [Receiver<ParsedFile>], num_files: usize) -> Self {
-        Self::starting_at(buffers, num_files, 0)
-    }
-
-    /// Iterate files `start_file..num_files` — pairs with
-    /// [`ParserPool::spawn_observed_from`] on the resume path.
-    pub fn starting_at(
-        buffers: &'a [Receiver<ParsedFile>],
-        num_files: usize,
-        start_file: usize,
-    ) -> Self {
-        RoundRobin {
-            buffers,
-            next_file: start_file,
-            num_files,
-            queue_wait: None,
-            trace: TraceSink::disabled(),
-        }
-    }
-
-    /// Record time blocked waiting on parser buffers into `stage`'s
-    /// `queue_wait_ns`.
-    pub fn with_queue_wait(mut self, stage: Arc<Stage>) -> Self {
-        self.queue_wait = Some(stage);
-        self
-    }
-
-    /// Record each blocking `recv` as a `parser_wait` stall span on
-    /// `sink` (the driver passes its own timeline).
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        self.trace = sink;
-        self
-    }
-}
-
-impl Iterator for RoundRobin<'_> {
-    type Item = Result<ParsedFile, PipelineError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next_file >= self.num_files {
-            return None;
-        }
-        let parser = self.next_file % self.buffers.len();
-        let t_recv = Instant::now();
-        let received = {
-            let mut wspan = self.trace.span(TraceKind::ParserWait);
-            wspan.set_batch(self.next_file as u32);
-            self.buffers[parser].recv()
-        };
-        let waited = t_recv.elapsed();
-        if let Some(stage) = &self.queue_wait {
-            stage.queue_wait_ns.add(waited.as_nanos() as u64);
-        }
-        match received {
-            Ok(mut msg) => {
-                debug_assert_eq!(msg.file_idx(), self.next_file, "round-robin order violated");
-                msg.queue_wait_seconds = waited.as_secs_f64();
-                self.next_file += 1;
-                Some(Ok(msg))
-            }
-            Err(_) => {
-                let err = PipelineError::ParserDisconnected { parser, file_idx: self.next_file };
-                self.next_file = self.num_files; // fuse: the stream is dead
-                Some(Err(err))
-            }
-        }
-    }
-}
-
-/// [`RoundRobin`] with a watchdog: consumes the parser buffers in strict
-/// file order, but survives parser death instead of aborting.
+/// message per file in global file order (the §III.F consumption rule),
+/// with a watchdog that survives parser death instead of aborting.
 ///
 /// The consumer owns the receivers. While waiting for a file it polls with
 /// `recv_timeout`; a parser whose channel disconnects with files
@@ -637,19 +492,18 @@ pub struct SupervisedRoundRobin {
 
 impl SupervisedRoundRobin {
     /// Adopt `pool`'s buffers (the pool keeps only its join handles) and
-    /// iterate files `start_file..num_files` under watchdog supervision.
-    /// `options` must be the same option set the pool was spawned with —
-    /// its `heartbeats` pair the watchdog with the parser threads, and its
-    /// parse knobs keep inline re-ingest byte-identical. With
+    /// iterate the collection's files from `options.start_file` on under
+    /// watchdog supervision. `options` must be the same option set the pool
+    /// was spawned with — its `heartbeats` pair the watchdog with the parser
+    /// threads, and inline re-ingest draws on its recycler and tracer. With
     /// `supervision.enabled == false` the watchdog and inline takeover are
-    /// off and a dead parser is the fatal
-    /// [`PipelineError::ParserDisconnected`] of the unsupervised pipeline.
-    #[allow(clippy::too_many_arguments)]
+    /// off: this is the unsupervised consumer, and a channel that closes
+    /// before delivering its files yields the fatal
+    /// [`PipelineError::ParserDisconnected`] instead of ending the stream
+    /// (a crashed parser must not look like end-of-input).
     pub fn new(
         pool: &mut ParserPool,
         collection: Arc<StoredCollection>,
-        num_files: usize,
-        start_file: usize,
         policy: FaultPolicy,
         obs: ParserObs,
         options: SpawnOptions,
@@ -663,8 +517,8 @@ impl SupervisedRoundRobin {
         SupervisedRoundRobin {
             buffers,
             heartbeats,
-            next_file: start_file,
-            num_files,
+            next_file: options.start_file,
+            num_files: collection.num_files(),
             queue_wait: None,
             trace: TraceSink::disabled(),
             supervision,
@@ -726,50 +580,22 @@ impl SupervisedRoundRobin {
         }
     }
 
-    /// Re-ingest `file_idx` on this thread with the exact pipeline the
-    /// dead parser would have run, including panic containment and fault
-    /// classification.
+    /// Re-ingest `file_idx` on this thread with the exact routine the dead
+    /// parser would have run, panic containment and fault classification
+    /// included.
     fn ingest_inline(&mut self, file_idx: usize) -> ParsedFile {
         self.inline_parsed += 1;
-        let coll = &self.collection;
-        let disk = &self.disk;
-        let html = coll.manifest.spec.html;
-        let policy = &self.policy;
-        let timing = &mut self.inline_timing;
-        let obs = &self.obs;
-        let scratch = &mut self.scratch;
-        let options = &self.options;
-        let sink = &self.trace;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            ingest_file(coll, disk, html, file_idx, policy, timing, obs, scratch, options, sink)
-        }));
-        match outcome {
-            Ok((retries, Ok(batch))) => {
-                ParsedFile { retries, queue_wait_seconds: 0.0, result: Ok(batch) }
-            }
-            Ok((retries, Err((class, error)))) => ParsedFile {
-                retries: 0,
-                queue_wait_seconds: 0.0,
-                result: Err(FileFault {
-                    file_idx,
-                    class,
-                    retries,
-                    stage: FaultStage::Parsing,
-                    error,
-                }),
-            },
-            Err(payload) => ParsedFile {
-                retries: 0,
-                queue_wait_seconds: 0.0,
-                result: Err(FileFault {
-                    file_idx,
-                    class: FaultClass::Panic,
-                    retries: 0,
-                    stage: FaultStage::Parsing,
-                    error: panic_message(payload.as_ref()),
-                }),
-            },
-        }
+        ingest_contained(
+            &self.collection,
+            &self.disk,
+            file_idx,
+            &self.policy,
+            &mut self.inline_timing,
+            &self.obs,
+            &mut self.scratch,
+            &self.options,
+            &self.trace,
+        )
     }
 
     /// Approximate queued-message depth of parser `p`'s buffer (0 once the
@@ -896,17 +722,41 @@ mod tests {
         Arc::new(StoredCollection::open(dir).unwrap().with_faults(plan))
     }
 
+    /// An unsupervised pool over `coll` and the consumer of its buffers.
+    fn unsupervised(
+        coll: &Arc<StoredCollection>,
+        num_parsers: usize,
+        policy: FaultPolicy,
+    ) -> (ParserPool, SupervisedRoundRobin) {
+        let obs = ParserObs::from_registry(&Registry::new());
+        let mut pool = ParserPool::spawn_with(
+            Arc::clone(coll),
+            num_parsers,
+            2,
+            policy,
+            obs.clone(),
+            SpawnOptions::default(),
+        );
+        let consumer = SupervisedRoundRobin::new(
+            &mut pool,
+            Arc::clone(coll),
+            policy,
+            obs,
+            SpawnOptions::default(),
+            SupervisorPolicy::disabled(),
+        );
+        (pool, consumer)
+    }
+
     #[test]
     fn batches_arrive_in_file_order() {
         let mut spec = CollectionSpec::tiny(31);
         spec.num_files = 7;
         let (coll, dir) = stored("order", spec);
         for num_parsers in [1usize, 2, 3] {
-            let pool =
-                ParserPool::spawn(Arc::clone(&coll), num_parsers, 2, FaultPolicy::default());
-            let files: Vec<usize> = RoundRobin::new(&pool.buffers, coll.num_files())
-                .map(|m| m.unwrap().result.unwrap().file_idx)
-                .collect();
+            let (pool, consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
+            let files: Vec<usize> =
+                consumer.map(|m| m.unwrap().result.unwrap().file_idx).collect();
             assert_eq!(files, (0..7).collect::<Vec<_>>(), "parsers={num_parsers}");
             let timings = pool.join();
             assert_eq!(timings.iter().map(|t| t.files).sum::<usize>(), 7);
@@ -921,9 +771,8 @@ mod tests {
         let (coll, dir) = stored("deterministic", spec);
         let mut outputs = Vec::new();
         for num_parsers in [1usize, 4] {
-            let pool =
-                ParserPool::spawn(Arc::clone(&coll), num_parsers, 2, FaultPolicy::default());
-            let tokens: Vec<(usize, u64)> = RoundRobin::new(&pool.buffers, coll.num_files())
+            let (pool, consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
+            let tokens: Vec<(usize, u64)> = consumer
                 .map(|m| {
                     let b = m.unwrap().result.unwrap();
                     (b.file_idx, b.stats.terms_kept)
@@ -939,9 +788,8 @@ mod tests {
     #[test]
     fn timings_are_recorded() {
         let (coll, dir) = stored("timing", CollectionSpec::tiny(33));
-        let pool = ParserPool::spawn(Arc::clone(&coll), 2, 2, FaultPolicy::default());
-        let n: usize = RoundRobin::new(&pool.buffers, coll.num_files()).count();
-        assert_eq!(n, coll.num_files());
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default());
+        assert_eq!(consumer.count(), coll.num_files());
         let timings = pool.join();
         let total_parse: f64 = timings.iter().map(|t| t.parse_seconds).sum();
         assert!(total_parse > 0.0);
@@ -955,10 +803,8 @@ mod tests {
         let (_, dir) = stored("transient", spec);
         let plan = FaultPlan::new(1).with_fault(2, FaultKind::TransientRead { failures: 2 });
         let coll = reopen_with(&dir, plan);
-        let pool = ParserPool::spawn(Arc::clone(&coll), 2, 2, FaultPolicy::default());
-        let msgs: Vec<ParsedFile> = RoundRobin::new(&pool.buffers, coll.num_files())
-            .map(|m| m.unwrap())
-            .collect();
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default());
+        let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         assert!(msgs.iter().all(|m| m.result.is_ok()));
         assert_eq!(msgs[2].retries, 2, "file 2 needed two retries");
         assert_eq!(msgs.iter().map(|m| m.retries).sum::<u32>(), 2);
@@ -972,10 +818,8 @@ mod tests {
         spec.num_files = 4;
         let (_, dir) = stored("permanent", spec);
         let coll = reopen_with(&dir, FaultPlan::new(2).with_fault(1, FaultKind::Garbage));
-        let pool = ParserPool::spawn(Arc::clone(&coll), 2, 2, FaultPolicy::skip_file());
-        let msgs: Vec<ParsedFile> = RoundRobin::new(&pool.buffers, coll.num_files())
-            .map(|m| m.unwrap())
-            .collect();
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::skip_file());
+        let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         assert_eq!(msgs.len(), 4, "every file slot is accounted for");
         for (i, m) in msgs.iter().enumerate() {
             assert_eq!(m.file_idx(), i, "round-robin order preserved across the fault");
@@ -994,10 +838,8 @@ mod tests {
         spec.num_files = 3;
         let (_, dir) = stored("panic", spec);
         let coll = reopen_with(&dir, FaultPlan::new(3).with_fault(0, FaultKind::Panic));
-        let pool = ParserPool::spawn(Arc::clone(&coll), 1, 2, FaultPolicy::skip_file());
-        let msgs: Vec<ParsedFile> = RoundRobin::new(&pool.buffers, coll.num_files())
-            .map(|m| m.unwrap())
-            .collect();
+        let (pool, consumer) = unsupervised(&coll, 1, FaultPolicy::skip_file());
+        let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         let fault = msgs[0].result.as_ref().unwrap_err();
         assert_eq!(fault.class, FaultClass::Panic);
         assert!(fault.error.contains("injected parser panic"), "{}", fault.error);
@@ -1022,8 +864,6 @@ mod tests {
         let mut rr = SupervisedRoundRobin::new(
             &mut pool,
             Arc::clone(coll),
-            coll.num_files(),
-            0,
             FaultPolicy::default(),
             ParserObs::from_registry(&Registry::new()),
             options,
@@ -1113,15 +953,40 @@ mod tests {
     #[test]
     fn early_disconnect_is_an_error_not_end_of_stream() {
         // A channel that closes with files outstanding must surface as an
-        // error — this was the silent-truncation bug.
-        let (tx, rx) = bounded::<ParsedFile>(1);
-        drop(tx);
-        let buffers = [rx];
-        let mut rr = RoundRobin::new(&buffers, 3);
+        // error — this was the silent-truncation bug. A parser killed before
+        // its first file is such a channel; with supervision off nobody
+        // re-ingests for it.
+        let mut spec = CollectionSpec::tiny(39);
+        spec.num_files = 3;
+        let (coll, dir) = stored("disconnect", spec);
+        let options = SpawnOptions {
+            worker_faults: WorkerFaultPlan::none().kill(WorkerClass::Parser, 0, 0),
+            ..SpawnOptions::default()
+        };
+        let obs = ParserObs::from_registry(&Registry::new());
+        let mut pool = ParserPool::spawn_with(
+            Arc::clone(&coll),
+            1,
+            2,
+            FaultPolicy::default(),
+            obs.clone(),
+            options.clone(),
+        );
+        let mut rr = SupervisedRoundRobin::new(
+            &mut pool,
+            Arc::clone(&coll),
+            FaultPolicy::default(),
+            obs,
+            options,
+            SupervisorPolicy::disabled(),
+        );
         match rr.next() {
             Some(Err(PipelineError::ParserDisconnected { parser: 0, file_idx: 0 })) => {}
             other => panic!("expected ParserDisconnected, got {other:?}"),
         }
         assert!(rr.next().is_none(), "iterator fuses after the error");
+        assert!(rr.deaths().is_empty(), "supervision is off: nothing is declared");
+        pool.join();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

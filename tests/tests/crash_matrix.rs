@@ -5,17 +5,20 @@
 //! write/fsync/rename boundary, reopening the directory yields either the
 //! last committed state, the fully committed new state (only when the
 //! crash landed at or after the commit point), or a typed
-//! [`StoreError`](ii_core::store::StoreError) — never a panic and never a
+//! [`StoreError`] — never a panic and never a
 //! silently partial index. Bit flips are silent at write time and must be
 //! caught by the manifest checksum pass at open.
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
+use ii_core::dict::{GlobalDictionary, TrieIndex};
 use ii_core::pipeline::{
-    build_index_durable, DurableOptions, PipelineConfig, PipelineError,
+    build_index_durable, BuildCheckpoint, DurableOptions, PipelineConfig, PipelineError,
+    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
 };
-use ii_core::store::{CrashMode, CrashVfs, Store};
+use ii_core::postings::{parse_run_artifact_name, RunFile, RunSet};
+use ii_core::store::{CrashMode, CrashVfs, ManifestKind, Store, StoreError};
 use ii_core::{Index, IndexBuilder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -172,9 +175,61 @@ fn store_fingerprint(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
+/// Term -> (docID, tf) postings of the first `files_done` container files,
+/// indexed serially: one map, documents numbered as they come.
+fn serial_oracle(coll: &StoredCollection, files_done: usize) -> BTreeMap<String, Vec<(u32, u32)>> {
+    let mut index: BTreeMap<String, Vec<(u32, u32)>> = BTreeMap::new();
+    let mut first_doc = 0u32;
+    for f in 0..files_done {
+        let docs = coll.read_file(f).expect("clean corpus");
+        let batch = ii_core::text::parse_documents(&docs, coll.manifest.spec.html, f);
+        for group in &batch.groups {
+            let prefix = TrieIndex(group.trie_index).prefix();
+            for (local, suffix) in group.iter_terms() {
+                let term = format!("{prefix}{}", String::from_utf8_lossy(suffix));
+                let (doc, list) = (first_doc + local.0, index.entry(term).or_default());
+                match list.last_mut() {
+                    Some((last, tf)) if *last == doc => *tf += 1,
+                    _ => list.push((doc, 1)),
+                }
+            }
+        }
+        first_doc += batch.num_docs;
+    }
+    index
+}
+
+/// What a committed generation's artifacts answer, read the way any reader
+/// of the format would: the dictionary names (indexer, handle), the runs of
+/// that indexer in run order hold the list.
+fn generation_answers(store: &Store) -> BTreeMap<String, Vec<(u32, u32)>> {
+    let dictionary =
+        GlobalDictionary::from_bytes(&store.read(DICTIONARY_ARTIFACT).unwrap()).expect("dictionary");
+    let mut runs: Vec<(u32, u32, &str)> = store
+        .manifest()
+        .names()
+        .filter_map(|n| parse_run_artifact_name(n).map(|(indexer, run)| (indexer, run, n)))
+        .collect();
+    runs.sort();
+    let mut sets: HashMap<u32, RunSet> = HashMap::new();
+    for (indexer, _, name) in runs {
+        let run = RunFile::from_bytes(&store.read(name).unwrap()).expect("run file");
+        sets.entry(indexer).or_default().push(run);
+    }
+    dictionary
+        .entries()
+        .map(|e| {
+            let list = sets[&e.indexer].fetch(e.postings).expect("list decodes");
+            (e.full_term(), list.postings().iter().map(|p| (p.doc.0, p.tf)).collect())
+        })
+        .collect()
+}
+
 /// Kill a checkpointing durable build at storage-op boundaries spread over
 /// the whole build, resume each, and require the final committed index to
-/// be byte-identical to an uninterrupted build's.
+/// be byte-identical to an uninterrupted build's. Every checkpoint a kill
+/// leaves committed is an index of the files it covers: its artifacts must
+/// answer every term as the serial oracle over those files does.
 #[test]
 fn killed_build_resumes_to_byte_identical_index() {
     let coll_dir = scratch("resume-coll");
@@ -196,6 +251,7 @@ fn killed_build_resumes_to_byte_identical_index() {
     // Every op would be ~total builds; a stride keeps this test fast while
     // still covering first-checkpoint, mid-build, and final-commit crashes.
     let stride = (total / 24).max(1);
+    let mut checkpoints_checked = Vec::new();
     let mut k = 0;
     while k < total {
         let dir = scratch("resume-hit");
@@ -205,6 +261,22 @@ fn killed_build_resumes_to_byte_identical_index() {
             build_index_durable(&coll, &cfg, &opts).is_err(),
             "op {k}/{total}: a power-loss crash must surface as a build error"
         );
+        let checkpoint =
+            Store::open(&dir).ok().filter(|s| s.manifest().kind == ManifestKind::Checkpoint);
+        if let Some(store) = checkpoint {
+            let ckpt: BuildCheckpoint =
+                serde_json::from_slice(&store.read(CHECKPOINT_ARTIFACT).unwrap()).unwrap();
+            if !checkpoints_checked.contains(&ckpt.files_done) {
+                checkpoints_checked.push(ckpt.files_done);
+                assert_eq!(
+                    generation_answers(&store),
+                    serial_oracle(&coll, ckpt.files_done as usize),
+                    "op {k}/{total}: checkpoint of {} files",
+                    ckpt.files_done
+                );
+                assert!(matches!(Index::open(&dir), Err(StoreError::IncompleteBuild { .. })));
+            }
+        }
         let opts = DurableOptions::new(&dir).checkpoint_every(1).resume(true);
         match build_index_durable(&coll, &cfg, &opts) {
             Ok(_) => {}
@@ -223,5 +295,36 @@ fn killed_build_resumes_to_byte_identical_index() {
         std::fs::remove_dir_all(&dir).unwrap();
         k += stride;
     }
+    // One run per file and a checkpoint after every run but the last.
+    checkpoints_checked.sort_unstable();
+    assert_eq!(checkpoints_checked, [1, 2, 3, 4, 5], "every checkpoint generation was read");
     std::fs::remove_dir_all(&coll_dir).unwrap();
+}
+
+/// The volume fills while the build's first checkpoint — a mid-build commit
+/// — is writing its artifacts, and frees again: the commit is retried like
+/// the final one, the retries are reported, and no byte of the index moves.
+#[test]
+fn disk_full_over_a_checkpoint_commit_is_retried() {
+    let coll_dir = scratch("ckpt-full-coll");
+    let coll = Arc::new(StoredCollection::generate(spec(105, 4), &coll_dir).unwrap());
+    let cfg = durable_cfg();
+    let base_dir = scratch("ckpt-full-base");
+    let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
+    build_index_durable(&coll, &cfg, &opts).expect("uninterrupted durable build");
+
+    // The first storage ops of a checkpointing build are its first
+    // checkpoint's: ENOSPC on ops 2-3 fails the first attempt (and the
+    // first retry) among its artifact writes.
+    let dir = scratch("ckpt-full-hit");
+    let full = CrashVfs::disk_full(2, 2);
+    let opts = DurableOptions::new(&dir).checkpoint_every(1).with_vfs(&full);
+    let out = build_index_durable(&coll, &cfg, &opts).expect("checkpoint retried past ENOSPC");
+    assert!(out.report.supervision.commit_retries >= 1, "retries must be reported");
+    assert!(out.report.stages.counter("supervisor.commit_retries") >= 1);
+    assert!(!full.crashed(), "disk-full is pressure, not a crash");
+    assert_eq!(store_fingerprint(&dir), store_fingerprint(&base_dir));
+    for d in [coll_dir, base_dir, dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }

@@ -22,6 +22,7 @@
 use ii_baselines::{sort_based_index, spmr_index, MapReduceConfig};
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, RawDocument, StoredCollection};
 use ii_core::pipeline::{build_index, IndexOutput, PipelineConfig};
+use ii_core::text::{parse_documents_into, parse_documents_reference, ParseScratch};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -118,40 +119,22 @@ fn pipeline_agrees_with_sort_based_baseline() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// Serialized run files keyed by (indexer, run id).
-type RunBytes = Vec<(u32, u32, Vec<u8>)>;
-
-/// Serialized index bytes: dictionary, every run file, and the doc map.
-fn index_bytes(out: &IndexOutput) -> (Vec<u8>, RunBytes, Vec<u8>) {
-    let mut runs: RunBytes = out
-        .run_sets
-        .iter()
-        .flat_map(|(id, rs)| rs.runs().iter().map(|r| (*id, r.run_id, r.to_bytes())))
-        .collect();
-    runs.sort();
-    let mut dm = Vec::new();
-    out.doc_map.write_to(&mut dm).unwrap();
-    (out.dict_bytes.clone(), runs, dm)
-}
-
-/// The PR-4 hot-path contract: a full `build_index` through the
-/// zero-allocation parser is byte-identical — dictionary bytes, every run
-/// file, doc map, and the logical term → postings view — to one through
-/// the retained naive reference parser.
+/// The PR-4 hot-path contract: for every container file the zero-allocation
+/// parser — its scratch carried from file to file, as a parser thread
+/// carries it — returns the batch the retained naive reference parser does.
+/// Everything downstream of the parser sees only the batch.
 #[test]
-fn optimized_and_reference_parsers_build_identical_indexes() {
+fn optimized_and_reference_parsers_return_equal_batches() {
     let (coll, dir) = stored("ref-parser");
-    let optimized = build_index(&coll, &PipelineConfig::small(2, 1, 1)).expect("hot-path build");
-    let reference = build_index(
-        &coll,
-        &PipelineConfig { reference_parser: true, ..PipelineConfig::small(2, 1, 1) },
-    )
-    .expect("reference build");
-    assert_eq!(
-        index_bytes(&optimized),
-        index_bytes(&reference),
-        "hot-path parser changed the serialized index"
-    );
-    assert_eq!(pipeline_fingerprint(&optimized), pipeline_fingerprint(&reference));
+    let html = coll.manifest.spec.html;
+    let mut scratch = ParseScratch::new();
+    for f in 0..coll.num_files() {
+        let docs = coll.read_file(f).expect("clean corpus");
+        assert_eq!(
+            parse_documents_into(&mut scratch, &docs, html, f),
+            parse_documents_reference(&docs, html, f),
+            "file {f}"
+        );
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -224,10 +224,231 @@ fn repair_salvages_torn_final_commit_after_disk_full() {
         report.kept
     );
     assert!(report.kept.iter().any(|n| n == "docmap.bin"), "{:?}", report.kept);
-    assert!(report.kept.iter().any(|n| n.ends_with(".iipd")), "{:?}", report.kept);
+    assert!(report.kept.iter().any(|n| n == "dictionary.bin"), "{:?}", report.kept);
     let store = Store::open(&idx_dir).expect("repaired store opens");
     for st in store.verify() {
         assert!(st.ok, "{}: {:?}", st.name, st.detail);
     }
+    // What was salvaged is a checkpoint's artifacts — an index of the files
+    // consumed before the disk filled — and must not open as the index.
+    assert!(matches!(Index::open(&idx_dir), Err(StoreError::IncompleteBuild { .. })));
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A collection of twelve trie collections that keep growing while their
+/// terms keep repeating, so that look-ups of known terms meet full nodes:
+/// four leading digits and eight three-letter prefixes, each file drawing
+/// from a pool 40 terms larger than the one before it.
+fn splitting_collection(dir: &std::path::Path) -> Arc<StoredCollection> {
+    use ii_core::corpus::{compress, container, CollectionStats, Manifest, RawDocument};
+    const PREFIXES: [&str; 12] =
+        ["1", "2", "3", "4", "tan", "ser", "lod", "mic", "pov", "rut", "gan", "wol"];
+    let (files, docs_per_file, tokens_per_doc) = (12usize, 8usize, 120usize);
+    std::fs::create_dir_all(dir).unwrap();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut manifest = Manifest {
+        spec: CollectionSpec {
+            name: "governor-splitting".into(),
+            num_files: files,
+            docs_per_file,
+            mean_doc_tokens: tokens_per_doc,
+            vocab_size: 12 * 40 * files,
+            zipf_s: 0.0,
+            html: false,
+            seed: 0,
+            shift: None,
+        },
+        stats: CollectionStats::default(),
+        file_compressed_bytes: Vec::new(),
+        file_uncompressed_bytes: Vec::new(),
+    };
+    for f in 0..files {
+        let docs: Vec<RawDocument> = (0..docs_per_file)
+            .map(|_| {
+                let body: Vec<String> = (0..tokens_per_doc)
+                    .map(|_| {
+                        let (prefix, k) = (PREFIXES[next() % 12], next() % (40 * (f + 1)));
+                        match prefix.len() {
+                            1 => format!("{prefix}{k:04}"),
+                            // Base-5 digits as consonants: nothing to stem.
+                            _ => (0..4).fold(prefix.to_string(), |word, place| {
+                                word + ["b", "c", "d", "f", "g"][k / 5usize.pow(place) % 5]
+                            }),
+                        }
+                    })
+                    .collect();
+                RawDocument { url: String::new(), body: body.join(" ") }
+            })
+            .collect();
+        let raw = container::write_container(&docs);
+        let packed = compress::compress(&raw);
+        std::fs::write(dir.join(format!("file_{f:05}.iic")), &packed).unwrap();
+        manifest.stats.documents += docs.len() as u64;
+        manifest.stats.uncompressed_bytes += raw.len() as u64;
+        manifest.stats.compressed_bytes += packed.len() as u64;
+        manifest.file_compressed_bytes.push(packed.len() as u64);
+        manifest.file_uncompressed_bytes.push(raw.len() as u64);
+    }
+    std::fs::write(dir.join("manifest.json"), serde_json::to_vec(&manifest).unwrap()).unwrap();
+    Arc::new(StoredCollection::open(dir).unwrap())
+}
+
+/// Logical artifact name -> committed bytes, read through the manifest.
+fn store_fingerprint(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    let store = Store::open(dir).expect("committed store");
+    let names = store.manifest().names();
+    names.map(|n| (n.to_string(), store.read(n).expect("verified artifact"))).collect()
+}
+
+/// A budget that binds — some batches flush their run early, by the
+/// dictionary and device bytes the governor counts — a kill after every
+/// checkpoint, and `--resume`: the index must be the uninterrupted build's
+/// under the same budget, byte for byte, and the governor must end on the
+/// same figures. A resumed shard is rebuilt from `dictionary.bin`
+/// (`GlobalDictionary::shards`) and its trees are not the shape the killed
+/// build's were (on this collection they differ by a few nodes at most
+/// checkpoints), so the run boundaries can only agree while the figures are
+/// a function of content. That equality itself is pinned where it is exact:
+/// `prop_shards_is_the_inverse_of_combine` (ii-dict) and
+/// `restored_pool_continues_byte_identically` (ii-indexer).
+#[test]
+fn resume_under_a_binding_budget_is_byte_identical() {
+    let dir = std::env::temp_dir().join(format!("ii-governor-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let coll = splitting_collection(&dir.join("coll"));
+    let mut cfg = PipelineConfig::small(2, 1, 1);
+    cfg.batches_per_run = 3;
+    cfg.governor = GovernorPolicy::unlimited();
+    let unlimited = build_index(&coll, &cfg).expect("unlimited build");
+    assert!(unlimited.report.stages.counter("dict.node_splits") > 0, "trees must split");
+    let counted = |out: &IndexOutput| {
+        let gauge = |name: &str| out.report.stages.gauge(name);
+        (gauge("governor.dict_bytes"), gauge("governor.device_bytes"))
+    };
+    // Resident bytes end near `total`. Of a budget of four times that, the
+    // highest flush watermark that binds at all: the late batches flush
+    // their run early, the early ones do not. Nothing sheds.
+    let total = (counted(&unlimited).0 + counted(&unlimited).1) as u64;
+    let early = |out: &IndexOutput| out.report.stages.counter("governor.early_flushes");
+    let binds = (60..100).rev().step_by(3).find(|percent| {
+        cfg.governor = GovernorPolicy {
+            budget_bytes: total * 4,
+            flush_watermark: f64::from(*percent) / 300.0,
+            shed_watermark: 0.95,
+        };
+        early(&build_index(&coll, &cfg).expect("budgeted build")) > 0
+    });
+    assert!(binds.is_some(), "no watermark down to 0.6 of the final resident bytes binds");
+
+    let whole_dir = dir.join("whole");
+    let opts = DurableOptions::new(&whole_dir).checkpoint_every(1);
+    let whole = build_index_durable(&coll, &cfg, &opts).expect("uninterrupted build");
+    assert!(early(&whole) > 0 && early(&whole) < 5, "binds late: {} early flushes", early(&whole));
+    let want = store_fingerprint(&whole_dir);
+
+    let probe = CrashVfs::probe();
+    let opts = DurableOptions::new(dir.join("probe")).checkpoint_every(1).with_vfs(&probe);
+    build_index_durable(&coll, &cfg, &opts).expect("probe build");
+    // Kill at every storage op; resume from each generation the first time
+    // a kill leaves it committed.
+    let mut resumed_from = Vec::new();
+    for k in 0..probe.ops() {
+        let hit = dir.join("hit");
+        let _ = std::fs::remove_dir_all(&hit);
+        let crash = CrashVfs::new(k, ii_core::store::CrashMode::PowerLoss, 0xACC7 ^ k);
+        let opts = DurableOptions::new(&hit).checkpoint_every(1).with_vfs(&crash);
+        assert!(build_index_durable(&coll, &cfg, &opts).is_err(), "op {k}: killed build");
+        let Ok(store) = Store::open(&hit) else { continue };
+        let generation = store.manifest().generation;
+        if store.manifest().kind != ii_core::store::ManifestKind::Checkpoint
+            || resumed_from.contains(&generation)
+        {
+            continue;
+        }
+        resumed_from.push(generation);
+        let opts = DurableOptions::new(&hit).checkpoint_every(1).resume(true);
+        let resumed = build_index_durable(&coll, &cfg, &opts).expect("resume");
+        assert_eq!(store_fingerprint(&hit), want, "resumed from generation {generation}");
+        assert_eq!(counted(&resumed), counted(&whole), "resumed from generation {generation}");
+    }
+    let checkpoints = whole.report.stages.counter("store.commits") - 1;
+    assert_eq!(resumed_from.len() as u64, checkpoints, "every checkpoint resumed from");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// What the governor charges a shard against the bytes its arenas hold, on
+/// a parsed collection of `spec`: `(charged, held)`.
+fn charged_and_held(spec: CollectionSpec) -> (u64, u64) {
+    use ii_core::dict::{PartialDictionary, SlottedNode, TRIE_ENTRIES};
+    let html = spec.html;
+    let files = spec.num_files;
+    let generator = ii_core::corpus::CollectionGenerator::new(spec);
+    let mut shard = PartialDictionary::new(0);
+    for f in 0..files {
+        let batch = ii_core::text::parse_documents(&generator.generate_file(f), html, f);
+        for group in &batch.groups {
+            for (_, term) in group.iter_terms() {
+                shard.insert_term(group.trie_index, term);
+            }
+        }
+    }
+    let held = shard.store.num_nodes() * std::mem::size_of::<SlottedNode>()
+        + shard.store.strings.len_bytes()
+        + TRIE_ENTRIES * 4;
+    (shard.mem_bytes(), held as u64)
+}
+
+fn assert_within_a_quarter(spec: CollectionSpec) {
+    let name = spec.name.clone();
+    let (charged, held) = charged_and_held(spec);
+    let error = charged as f64 / held as f64 - 1.0;
+    assert!(error.abs() <= 0.25, "{name}: charged {charged} B, arenas hold {held} B ({error:+.3})");
+}
+
+/// The governor's dictionary figure is derived from content (terms,
+/// collections, remainder bytes), not read off the arenas; it must stay
+/// within a quarter of what the arenas hold, on a skewed HTML vocabulary
+/// and on a flat one of short documents.
+#[test]
+fn content_derived_dictionary_bytes_track_the_arenas() {
+    for (vocab_size, zipf_s, mean_doc_tokens, html) in
+        [(50_000, 1.05, 400, true), (100_000, 0.6, 120, false)]
+    {
+        assert_within_a_quarter(CollectionSpec {
+            name: format!("accounting-{vocab_size}"),
+            num_files: 2,
+            docs_per_file: 90_000 / mean_doc_tokens,
+            mean_doc_tokens,
+            vocab_size,
+            zipf_s,
+            html,
+            seed: 906,
+            shift: None,
+        });
+    }
+}
+
+/// The same bound on the three shapes the formula was fitted on: the
+/// ledger's web, tail and congress collections at full size.
+#[test]
+#[ignore = "parses three 10 MB collections; run in release"]
+fn content_derived_dictionary_bytes_track_the_arenas_on_the_ledger_shapes() {
+    let shape = |name: &str, files, docs, tokens, vocab_size, zipf_s, html| CollectionSpec {
+        name: name.into(),
+        num_files: files,
+        docs_per_file: docs,
+        mean_doc_tokens: tokens,
+        vocab_size,
+        zipf_s,
+        html,
+        seed: 0,
+        shift: None,
+    };
+    assert_within_a_quarter(shape("web", 12, 200, 650, 150_000, 1.0, true));
+    assert_within_a_quarter(shape("tail", 8, 800, 120, 300_000, 0.6, false));
+    assert_within_a_quarter(shape("congress", 8, 150, 580, 50_000, 1.05, true));
 }

@@ -1,8 +1,8 @@
 //! Hostile bytes against the two readers an index is opened through:
 //! `GlobalDictionary::from_bytes` (`dictionary.bin`) and
-//! `RunFile::from_bytes` (`.iirf`), and against `Index::open` with the
-//! manifest's length and CRC rewritten to vouch for the damage — the state
-//! a buggy writer, not a flipped bit, leaves behind.
+//! `RunFile::from_bytes` (`.iirf`), and against `Index::open` and a resumed
+//! build with the manifest's length and CRC rewritten to vouch for the
+//! damage — the state a buggy writer, not a flipped bit, leaves behind.
 //!
 //! Truncated files are always refused. A mutated file is refused with a
 //! typed error or yields a value that is safe to query: every walk and
@@ -16,10 +16,15 @@
 
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, DocId, StoredCollection};
 use ii_core::dict::{GlobalDictionary, TRIE_ENTRIES};
-use ii_core::pipeline::{build_index, PipelineConfig, DICTIONARY_ARTIFACT};
+use ii_core::pipeline::{
+    build_index, build_index_durable, DurableOptions, PipelineConfig, PipelineError,
+    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
+};
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{run_artifact_name, varbyte, Codec, Posting, PostingsList, RunFile};
-use ii_core::store::{crc32, Manifest, StoreError, MANIFEST_NAME};
+use ii_core::store::{
+    crc32, ArtifactMeta, CrashMode, CrashVfs, Manifest, ManifestKind, StoreError, MANIFEST_NAME,
+};
 use ii_core::Index;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -308,6 +313,10 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     let run = RunFile::build(victim.run_id, indexer, &mut [(top, &stray)].into_iter(), victim.codec);
     overwrite_artifact(&dir, &name, &run.to_bytes());
     Index::open(&dir).expect("a handle below the term count is in range");
+    // A run file that is some other run's, under this one's name.
+    let run = RunFile::build(victim.run_id + 1, indexer, &mut [(0, &stray)].into_iter(), victim.codec);
+    overwrite_artifact(&dir, &name, &run.to_bytes());
+    assert_eq!(corrupt_artifact(Index::open(&dir)), name, "run id from another name");
     // A run file cut short under a manifest that agrees with the cut.
     overwrite_artifact(&dir, &name, &honest[..honest.len() - 1]);
     assert_eq!(corrupt_artifact(Index::open(&dir)), name);
@@ -332,4 +341,105 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     let probe = idx.dictionary.entries().next().unwrap().full_term();
     assert_eq!(restored.postings_stemmed(&probe), idx.postings_stemmed(&probe));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint is read by the reader an index is, and then turned back
+/// into shards: a dictionary no `combine` wrote, a run naming a handle its
+/// shard has not issued and a checkpoint of the generation before this one
+/// (per-indexer shard files, no `dictionary.bin`) each end a resumed build
+/// in a typed error.
+#[test]
+fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
+    let coll_dir = scratch("ckpt-coll");
+    let spec = CollectionSpec { num_files: 5, ..CollectionSpec::tiny(29) };
+    let coll = Arc::new(StoredCollection::generate(spec, &coll_dir).unwrap());
+    let cfg = PipelineConfig::small(2, 1, 1);
+    // Kill a build halfway through its storage ops: some checkpoint is in.
+    let probe = CrashVfs::probe();
+    let opts = DurableOptions::new(scratch("ckpt-probe")).checkpoint_every(1).with_vfs(&probe);
+    build_index_durable(&coll, &cfg, &opts).expect("probe build");
+    std::fs::remove_dir_all(&opts.dir).unwrap();
+    let dir = scratch("ckpt");
+    let crash = CrashVfs::new(probe.ops() / 2, CrashMode::PowerLoss, 3);
+    let opts = DurableOptions::new(&dir).checkpoint_every(1).with_vfs(&crash);
+    assert!(build_index_durable(&coll, &cfg, &opts).is_err(), "killed");
+    let honest = Manifest::load(&dir).unwrap();
+    assert_eq!(honest.kind, ManifestKind::Checkpoint);
+    let read = |name: &str| std::fs::read(dir.join(&honest.artifact(name).unwrap().file)).unwrap();
+    let dict_bytes = read(DICTIONARY_ARTIFACT);
+    let dict = GlobalDictionary::from_bytes(&dict_bytes).unwrap();
+
+    let resume = || {
+        let opts = DurableOptions::new(&dir).checkpoint_every(1).resume(true);
+        build_index_durable(&coll, &cfg, &opts).map(|_| ())
+    };
+    let corrupt = |what: &str| match resume() {
+        Err(PipelineError::Store(StoreError::Corrupt { name, .. })) => name,
+        Err(e) => panic!("{what}: expected StoreError::Corrupt, got {e}"),
+        Ok(()) => panic!("{what}: expected StoreError::Corrupt, the build resumed"),
+    };
+
+    // Two terms of one indexer claim one handle; a handle past the shard.
+    let n = dict.len();
+    let handles_at = OFFSETS_AT + 4 * (n + 1);
+    let first = dict.entries().next().unwrap();
+    let twin = dict.entries().position(|e| e.indexer == first.indexer && e.postings != first.postings);
+    let twin = twin.expect("the first term's indexer owns a second term");
+    for (what, word) in [("a handle held twice", first.postings), ("a handle past the shard", u32::MAX)] {
+        overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &with_word(&dict_bytes, handles_at + 4 * twin, word));
+        assert_eq!(corrupt(what), DICTIONARY_ARTIFACT, "{what}");
+    }
+    // A collection owned by an indexer the pool does not have. (Its terms
+    // leave their old owner's count, so that owner's runs may be refused
+    // first: either way the build does not resume.)
+    let owner_at = OWNERS_AT + 4 * first.trie_index as usize;
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &with_word(&dict_bytes, owner_at, 2));
+    corrupt("an owner past the pool");
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
+
+    // A sealed run naming a handle its shard has not issued.
+    let name = honest.names().find(|n| n.starts_with("run_")).unwrap().to_string();
+    let honest_run = RunFile::from_bytes(&read(&name)).unwrap();
+    let issued = dict.entries().filter(|e| e.indexer == honest_run.indexer_id).count() as u32;
+    let stray: PostingsList = [Posting { doc: DocId(1), tf: 1 }].into_iter().collect();
+    let lists = [(issued, &stray)];
+    let run = RunFile::build(honest_run.run_id, honest_run.indexer_id, &mut lists.into_iter(), honest_run.codec);
+    overwrite_artifact(&dir, &name, &run.to_bytes());
+    assert_eq!(corrupt("a handle the shard has not issued"), name);
+    overwrite_artifact(&dir, &name, &honest_run.to_bytes());
+
+    // The generation before this one: a shard file per indexer, their ids
+    // listed in the descriptor, and no combined dictionary.
+    let mut old = Manifest::load(&dir).unwrap();
+    old.artifacts.retain(|a| a.name != DICTIONARY_ARTIFACT);
+    for id in 0..2 {
+        let name = format!("state_{id:03}.{}", "iipd");
+        let bytes = b"a shard nothing reads any more".to_vec();
+        std::fs::write(dir.join(&name), &bytes).unwrap();
+        let (len, crc32) = (bytes.len() as u64, crc32(&bytes));
+        old.artifacts.push(ArtifactMeta { file: name.clone(), name, len, crc32, postings: None });
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), old.to_bytes()).unwrap();
+    let descriptor = String::from_utf8(read(CHECKPOINT_ARTIFACT)).unwrap();
+    let descriptor = descriptor.replacen('{', "{\n  \"indexers\": [0, 1],", 1);
+    overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, descriptor.as_bytes());
+    match resume() {
+        Err(PipelineError::Resume(why)) => assert!(why.contains("older build"), "{why}"),
+        Err(e) => panic!("a parent-shaped checkpoint: unexpected error {e}"),
+        Ok(()) => panic!("a parent-shaped checkpoint resumed"),
+    }
+    // Nor does repair keep what nothing reads.
+    let report = Index::repair(&dir).unwrap();
+    assert!(report.lost.iter().any(|(name, _)| name.ends_with("iipd")), "{:?}", report.lost);
+
+    // Put back as committed, the checkpoint resumes.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let crash = CrashVfs::new(probe.ops() / 2, CrashMode::PowerLoss, 3);
+    let opts = DurableOptions::new(&dir).checkpoint_every(1).with_vfs(&crash);
+    assert!(build_index_durable(&coll, &cfg, &opts).is_err(), "killed");
+    resume().expect("the honest checkpoint resumes");
+    Index::open(&dir).expect("and ends as an index");
+    for d in [coll_dir, dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
