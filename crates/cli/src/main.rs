@@ -361,6 +361,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "indexer queue wait: {queue_wait:.3}s across {} files (driver idle on parsers)",
             r.per_file.len()
         );
+        println!(
+            "consumer ingested {} of {} files while waiting",
+            r.stages.counter("pipeline.helped_files"),
+            r.stages.gauge("pipeline.files_total")
+        );
     }
     if bool_flag(args, "--stats-json") {
         println!("{}", r.stages.snapshot.to_json());

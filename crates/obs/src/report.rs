@@ -258,7 +258,7 @@ impl TraceReport {
         }
         o.push_str(
             "legend: R read  D decompress  P parse  I index  F flush  K checkpoint  \
-             C dict_combine  W dict_write  S sample\n        \
+             C dict_combine  W dict_write  S sample  H help\n        \
              d disk-wait  q queue-full  w parser-wait  m mem-wait  · idle\n",
         );
         o

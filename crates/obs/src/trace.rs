@@ -69,6 +69,10 @@ pub enum TraceKind {
     DictWrite,
     /// The sampling pre-pass (driver, before streaming starts).
     Sample,
+    /// The in-order consumer ingesting a file itself — read, decompress
+    /// and parse in one span — while the batch it needs is not queued yet
+    /// (driver; time that would otherwise be a [`Self::ParserWait`] stall).
+    Help,
     /// Stall: waiting for the disk-scheduler lock (waiting-on-read).
     DiskWait,
     /// Stall: producer blocked on a full output buffer (queue-full).
@@ -82,7 +86,7 @@ pub enum TraceKind {
 }
 
 /// Every kind, in rendering order (work first, stalls last).
-pub const ALL_KINDS: [TraceKind; 13] = [
+pub const ALL_KINDS: [TraceKind; 14] = [
     TraceKind::Read,
     TraceKind::Decompress,
     TraceKind::Parse,
@@ -92,6 +96,7 @@ pub const ALL_KINDS: [TraceKind; 13] = [
     TraceKind::DictCombine,
     TraceKind::DictWrite,
     TraceKind::Sample,
+    TraceKind::Help,
     TraceKind::DiskWait,
     TraceKind::QueueFull,
     TraceKind::ParserWait,
@@ -122,6 +127,7 @@ impl TraceKind {
             TraceKind::DictCombine => "dict_combine",
             TraceKind::DictWrite => "dict_write",
             TraceKind::Sample => "sample",
+            TraceKind::Help => "help",
             TraceKind::DiskWait => "disk_wait",
             TraceKind::QueueFull => "queue_full",
             TraceKind::ParserWait => "parser_wait",
@@ -146,6 +152,7 @@ impl TraceKind {
             TraceKind::DictCombine => 'C',
             TraceKind::DictWrite => 'W',
             TraceKind::Sample => 'S',
+            TraceKind::Help => 'H',
             TraceKind::DiskWait => 'd',
             TraceKind::QueueFull => 'q',
             TraceKind::ParserWait => 'w',

@@ -1009,6 +1009,11 @@ fn build_inner(
         files_done = msg.file_idx() + 1;
         recorder.maybe_sample();
         let queue_wait_seconds = msg.queue_wait_seconds;
+        // The credit travels with the message: it goes back to whoever
+        // acquired it — the parser that sent the batch or, for a file the
+        // consumer ingested while it waited, the consumer's own ledger —
+        // once the batch is consumed and its buffers recycled below.
+        let (credit_holder, credit) = (msg.parser, msg.credit);
         for (p, (gauge, series)) in queue_gauges.iter().enumerate() {
             let depth = round_robin.queue_depth(p) as i64;
             gauge.set(depth);
@@ -1080,13 +1085,6 @@ fn build_inner(
                 continue;
             }
         };
-        // Credit captured at receive time: the parser acquired exactly
-        // `mem_bytes()` before sending, and the batch is consumed (and its
-        // buffers recycled) below, so this is the last point the figure is
-        // still readable. Files are round-robin over parsers (idx ≡ p mod
-        // num_parsers), which names the ledger the credit returns to.
-        let credit = batch.mem_bytes();
-        let credit_parser = batch.file_idx % cfg.num_parsers;
         doc_map.push_file(batch.file_idx as u32, batch.num_docs);
         let file_bytes = *collection
             .manifest
@@ -1194,7 +1192,7 @@ fn build_inner(
         });
         // The batch is fully consumed; return its buffers to the parsers.
         recycler.reclaim(batch);
-        governor.release(credit_parser, credit);
+        governor.release(credit_holder, credit);
         batches_in_run += 1;
         // Feed the governor the deterministic resident figures — dictionary
         // arenas, pending postings, live GPU device state — then walk the
@@ -1324,6 +1322,7 @@ fn build_inner(
         supervisor.declare_dead(d.class, d.index, d.cause.clone());
     }
     supervisor.report.inline_parsed_files += round_robin.inline_parsed_files();
+    registry.counter("pipeline.helped_files").add(u64::from(round_robin.helped_files()));
     // Parser deaths surface from the consumer ledger at end of streaming;
     // bundle any the per-batch watermark has not seen yet.
     if supervisor.report.deaths.len() > deaths_bundled {
@@ -1349,6 +1348,8 @@ fn build_inner(
     // Release the receivers so a parser parked on a full buffer exits.
     drop(round_robin);
     let parser_timings = parser_pool.join();
+    // Nobody parses again: the husks go before the combine and the commit.
+    recycler.clear();
     report.parser_busy_seconds = parser_timings
         .iter()
         .map(|t| t.read_seconds + t.decompress_seconds + t.parse_seconds)

@@ -28,8 +28,11 @@
 //! state. The gate is accounted per parser and always admits a parser
 //! with nothing outstanding — the one the in-order consumer is waiting
 //! on — so backpressure can never deadlock the pipeline; each parser may
-//! overshoot the gate by at most one batch. Every pressure decision keys on
-//! *deterministic* quantities (arena sizes and pending-posting counts at
+//! overshoot the gate by at most one batch. The consumer, which ingests
+//! files itself while it would otherwise wait (DESIGN.md §5), has a ledger
+//! of its own and only ever *tries* the gate: it is the thread that
+//! returns credits and must never wait for one. Every pressure decision
+//! keys on *deterministic* quantities (arena sizes and pending-posting counts at
 //! batch boundaries — never wall-clock or queue timing), so a given
 //! `(budget, squeeze schedule)` replays exactly.
 //!
@@ -103,7 +106,7 @@ impl PoolBytes {
     }
 }
 
-/// Per-parser credit ledger behind the gate mutex. The split matters for
+/// Per-holder credit ledger behind the gate mutex. The split matters for
 /// liveness: the driver consumes batches in *file order*, so the parser it
 /// is waiting on is always the one whose oldest file has not been sent —
 /// a parser with **zero outstanding credit**. Admitting such a parser
@@ -115,16 +118,30 @@ impl PoolBytes {
 /// per worker, and the accounting (not the cap) feeds the high-water mark.
 #[derive(Default)]
 struct GateState {
-    /// Total bytes out on credit across all parsers.
+    /// Total bytes out on credit across all holders.
     total: u64,
-    /// Outstanding bytes per parser index (grown on demand).
+    /// Outstanding bytes per ledger slot (grown on demand): slot 0 is the
+    /// consumer's, slot `p + 1` parser `p`'s.
     per: Vec<u64>,
 }
 
 impl GateState {
-    fn held(&self, parser: usize) -> u64 {
-        self.per.get(parser).copied().unwrap_or(0)
+    fn held(&self, slot: usize) -> u64 {
+        self.per.get(slot).copied().unwrap_or(0)
     }
+
+    fn take(&mut self, slot: usize, bytes: u64) {
+        if self.per.len() <= slot {
+            self.per.resize(slot + 1, 0);
+        }
+        self.per[slot] = self.per[slot].saturating_add(bytes);
+        self.total = self.total.saturating_add(bytes);
+    }
+}
+
+/// Ledger slot of a credit holder: `None` is the consumer thread.
+fn slot_of(holder: Option<usize>) -> usize {
+    holder.map_or(0, |parser| parser + 1)
 }
 
 struct GovernorShared {
@@ -286,13 +303,14 @@ impl MemoryGovernor {
             return;
         }
         let inner = &*self.inner;
+        let slot = slot_of(Some(parser));
         let mut gate = inner.gate.lock().unwrap();
-        if gate.held(parser) > 0 && gate.total.saturating_add(bytes) > self.gate_capacity() {
+        if gate.held(slot) > 0 && gate.total.saturating_add(bytes) > self.gate_capacity() {
             inner.credit_waits.fetch_add(1, Relaxed);
             let span = sink.span(TraceKind::MemoryWait);
             let t0 = Instant::now();
             while !inner.closed.load(Relaxed)
-                && gate.held(parser) > 0
+                && gate.held(slot) > 0
                 && gate.total.saturating_add(bytes) > self.gate_capacity()
             {
                 // Timed wait: a driver that tears down without draining
@@ -305,25 +323,47 @@ impl MemoryGovernor {
             inner.credit_wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
             drop(span);
         }
-        if gate.per.len() <= parser {
-            gate.per.resize(parser + 1, 0);
-        }
-        gate.per[parser] = gate.per[parser].saturating_add(bytes);
-        gate.total = gate.total.saturating_add(bytes);
+        gate.take(slot, bytes);
         let now_out = gate.total;
         drop(gate);
         inner.inflight_bytes.store(now_out, Relaxed);
         self.bump_high_water(now_out);
     }
 
-    /// Return `parser`'s credit for `bytes` (driver side, when a batch's
-    /// memory is recycled). Clamped to what that parser actually holds: a
-    /// batch the driver re-ingested inline (its parser died) never
-    /// acquired credit, and over-returning must not corrupt the ledger.
-    pub fn release(&self, parser: usize, bytes: u64) {
+    /// Non-blocking acquire for the consumer thread, before it ingests a
+    /// file itself: takes `bytes` on the consumer's ledger and returns
+    /// true only if the gate has that much room *now*. No unconditional
+    /// admission and no wait — every credit comes back through this very
+    /// thread, so waiting here could never end; a refusal just means the
+    /// consumer blocks on its parser as it always did.
+    pub fn try_acquire(&self, bytes: u64) -> bool {
         let mut gate = self.inner.gate.lock().unwrap();
-        let returned = gate.held(parser).min(bytes);
-        if let Some(held) = gate.per.get_mut(parser) {
+        if gate.total.saturating_add(bytes) > self.gate_capacity() {
+            return false;
+        }
+        gate.take(slot_of(None), bytes);
+        let now_out = gate.total;
+        drop(gate);
+        self.inner.inflight_bytes.store(now_out, Relaxed);
+        self.bump_high_water(now_out);
+        true
+    }
+
+    /// Return `bytes` of `holder`'s credit (driver side, when a batch's
+    /// memory is recycled): `Some(p)` is the parser that acquired them,
+    /// `None` the consumer's own ledger. The holder travels with the batch
+    /// ([`ParsedFile::parser`]) because it cannot be worked out from the
+    /// file index: a live parser whose file the consumer ingested holds
+    /// credit for *other* batches, which must not be handed back early.
+    /// Clamped to what the holder has, so over-returning cannot corrupt
+    /// another ledger.
+    ///
+    /// [`ParsedFile::parser`]: crate::parsers::ParsedFile::parser
+    pub fn release(&self, holder: Option<usize>, bytes: u64) {
+        let slot = slot_of(holder);
+        let mut gate = self.inner.gate.lock().unwrap();
+        let returned = gate.held(slot).min(bytes);
+        if let Some(held) = gate.per.get_mut(slot) {
             *held -= returned;
         }
         gate.total = gate.total.saturating_sub(returned);
@@ -484,8 +524,8 @@ mod tests {
         assert!(!g.should_shed());
         assert!(g.budget_exceeded().is_none());
         assert_eq!(g.credit_waits(), 0);
-        g.release(0, 10 << 20);
-        g.release(1, 10 << 20);
+        g.release(Some(0), 10 << 20);
+        g.release(Some(1), 10 << 20);
         assert_eq!(g.inflight_bytes(), 0);
         assert_eq!(g.high_water(), 26 << 20, "high water is sticky");
     }
@@ -507,7 +547,7 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(50)).is_err(),
             "second acquire must block while the gate is over capacity"
         );
-        g.release(0, 60);
+        g.release(Some(0), 60);
         rx.recv_timeout(Duration::from_secs(5)).expect("release unblocks the waiter");
         t.join().unwrap();
         assert_eq!(g.credit_waits(), 1);
@@ -529,11 +569,52 @@ mod tests {
         assert_eq!(g.credit_waits(), 0, "the laggard parser never waits");
         // Releasing an inline-parsed batch (its parser never acquired)
         // must not corrupt another parser's ledger.
-        g.release(2, 1000);
+        g.release(Some(2), 1000);
         assert_eq!(g.inflight_bytes(), 175);
-        g.release(0, 80);
-        g.release(1, 95);
+        g.release(Some(0), 80);
+        g.release(Some(1), 95);
         assert_eq!(g.inflight_bytes(), 0);
+    }
+
+    #[test]
+    fn credit_returns_to_its_holder_not_to_the_files_owner() {
+        // Parser 0 has file 0 queued (60 B) when the consumer ingests file
+        // 1 — also parser 0's, with one parser — itself. Releasing the
+        // consumer's batch to "the file's owner" would, through the clamp,
+        // hand back the credit of the batch still in the queue.
+        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        g.acquire(0, 60, &TraceSink::disabled());
+        assert!(g.try_acquire(30), "60 + 30 fits the 100-byte gate");
+        assert_eq!(g.inflight_bytes(), 90);
+        g.release(None, 30);
+        assert_eq!(g.inflight_bytes(), 60, "parser 0 still holds its queued batch");
+        // A dead parser's file re-ingested inline holds nothing anywhere.
+        g.release(None, 0);
+        g.release(None, 1000);
+        assert_eq!(g.inflight_bytes(), 60, "the consumer's ledger was empty: clamped");
+        g.release(Some(0), 60);
+        assert_eq!(g.inflight_bytes(), 0);
+    }
+
+    #[test]
+    fn try_acquire_never_waits_and_never_overshoots() {
+        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let sink = TraceSink::disabled();
+        // Unlike a parser, the consumer is not admitted over a full gate
+        // just because it holds nothing: it is never the thread the
+        // pipeline is waiting on.
+        assert!(!g.try_acquire(101), "larger than the whole gate");
+        g.acquire(0, 80, &sink);
+        assert!(!g.try_acquire(21));
+        assert!(g.try_acquire(20));
+        assert!(!g.try_acquire(1), "full");
+        assert_eq!(g.inflight_bytes(), 100);
+        assert_eq!(g.credit_waits(), 0, "a refusal is not a wait");
+        g.release(Some(0), 80);
+        assert!(g.try_acquire(80), "room again once the parser's batch is consumed");
+        g.release(None, 100);
+        assert_eq!(g.inflight_bytes(), 0);
+        assert!(MemoryGovernor::unlimited().try_acquire(u64::MAX / 2));
     }
 
     #[test]
@@ -550,7 +631,7 @@ mod tests {
             hb.beats() > before,
             "a parser parked on the credit gate must keep proving liveness"
         );
-        g.release(0, 90);
+        g.release(Some(0), 90);
         t.join().unwrap();
     }
 
@@ -562,7 +643,7 @@ mod tests {
         // rather than deadlock.
         g.acquire(0, 250, &sink);
         assert_eq!(g.inflight_bytes(), 250);
-        g.release(0, 250);
+        g.release(Some(0), 250);
         assert_eq!(g.inflight_bytes(), 0);
     }
 

@@ -10,6 +10,14 @@
 //! Steps 2-5 (tokenize, stem, stop words, regroup) and pushes the parsed
 //! batch into its bounded output buffer.
 //!
+//! Ownership is static but not exclusive: every file has one claim flag,
+//! and whoever sets it first ingests the file. A parser claims each file it
+//! owns before ingesting it; the in-order consumer, whenever the batch it
+//! needs is not queued yet, claims a later unstarted file and ingests it
+//! itself instead of blocking ([`SupervisedRoundRobin`]). A file's batch
+//! does not depend on who parsed it and batches are still consumed in file
+//! order, so the index bytes cannot tell the difference.
+//!
 //! Fault handling: transient read errors are retried with exponential
 //! backoff under the [`FaultPolicy`]; permanent corruption (and exhausted
 //! retries) produce a typed [`FileFault`] message in the file's round-robin
@@ -24,15 +32,17 @@ use crate::fault::{
 };
 use crate::governor::MemoryGovernor;
 use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use ii_corpus::{compress, container, StoredCollection};
 use ii_obs::{Heartbeat, Registry, Stage, TraceKind, TraceSink, Tracer};
 use ii_text::{parse_documents_into, ParseScratch, ParsedBatch};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Stage handles the parser threads record into: one [`Stage`] per
 /// dataflow step of paper Step 1 (read, decompress) and Steps 2-5 (parse).
@@ -103,6 +113,12 @@ impl BatchRecycler {
         }
     }
 
+    /// Free every pooled husk (end of streaming: nobody will parse again,
+    /// and the combine and commit that follow should not carry them).
+    pub fn clear(&self) {
+        *self.pool.lock() = Vec::new();
+    }
+
     /// Number of husks currently pooled (0 when the pool is busy) — a
     /// gauge-sampling probe, approximate by design.
     pub fn depth(&self) -> usize {
@@ -162,6 +178,14 @@ pub struct ParsedFile {
     /// "the parser was slow" from "the file itself was slow" in per-file
     /// reports.
     pub queue_wait_seconds: f64,
+    /// The parser thread that ingested the file; `None` when the consumer
+    /// did (for a dead parser, or while it would otherwise have waited).
+    /// Also names the governor ledger [`Self::credit`] is held on.
+    pub parser: Option<usize>,
+    /// Bytes of in-flight credit acquired from the memory governor for
+    /// this message, to be released to [`Self::parser`]'s ledger once the
+    /// batch is consumed (0 for a fault, and for a dead parser's file).
+    pub credit: u64,
     /// The batch, or the fault occupying this file's slot.
     pub result: Result<ParsedBatch, FileFault>,
 }
@@ -176,11 +200,45 @@ impl ParsedFile {
     }
 }
 
+/// What the parser threads and the consumer share besides the channels.
+struct Shared {
+    /// One claim flag per container file: whoever sets it first ingests
+    /// the file, the other side leaves it alone. A flag publishes nothing
+    /// but itself.
+    claimed: Vec<AtomicBool>,
+    /// Set by parser `p` once it has been through every file it owns. With
+    /// the consumer taking files, a parser may owe nothing when it goes:
+    /// a channel that closes without this is a death, with it an exit.
+    finished: Vec<AtomicBool>,
+    /// The disk scheduler: one read at a time, the consumer's included.
+    disk: Mutex<()>,
+}
+
+impl Shared {
+    fn new(num_files: usize, num_parsers: usize) -> Shared {
+        let flags = |n: usize| (0..n).map(|_| AtomicBool::new(false)).collect();
+        Shared { claimed: flags(num_files), finished: flags(num_parsers), disk: Mutex::new(()) }
+    }
+
+    /// Take `file_idx` if nobody has; true means the caller ingests it.
+    fn claim(&self, file_idx: usize) -> bool {
+        !self.claimed[file_idx].swap(true, SeqCst)
+    }
+
+    /// Lowest unclaimed file at or after `from`.
+    fn first_free(&self, from: usize) -> Option<usize> {
+        (from..self.claimed.len()).find(|&i| !self.claimed[i].load(SeqCst))
+    }
+}
+
 /// Handle to a running parser pool.
 pub struct ParserPool {
     /// One output buffer per parser, in parser order.
     pub buffers: Vec<Receiver<ParsedFile>>,
     handles: Vec<std::thread::JoinHandle<ParserTiming>>,
+    // For the consumer, which ingests files too.
+    shared: Arc<Shared>,
+    buffer_depth: usize,
 }
 
 impl ParserPool {
@@ -204,14 +262,14 @@ impl ParserPool {
     ) -> ParserPool {
         let start_file = options.start_file;
         assert!(num_parsers >= 1);
-        let disk = Arc::new(Mutex::new(()));
         let num_files = collection.num_files();
+        let shared = Arc::new(Shared::new(num_files, num_parsers));
+        let buffer_depth = buffer_depth.max(1);
         let mut buffers = Vec::with_capacity(num_parsers);
         let mut handles = Vec::with_capacity(num_parsers);
         for p in 0..num_parsers {
-            let (tx, rx): (Sender<ParsedFile>, Receiver<ParsedFile>) =
-                bounded(buffer_depth.max(1));
-            let disk = Arc::clone(&disk);
+            let (tx, rx): (Sender<ParsedFile>, Receiver<ParsedFile>) = bounded(buffer_depth);
+            let shared = Arc::clone(&shared);
             let coll = Arc::clone(&collection);
             let obs = obs.clone();
             let options = options.clone();
@@ -234,14 +292,22 @@ impl ParserPool {
                     // the file boundary (the channel disconnect is what the
                     // watchdog observes); a stall sleeps without beating the
                     // heartbeat, so only the watchdog timeout can notice.
+                    // Before the claim: the schedule fires at this boundary
+                    // whether or not the consumer already took the file.
                     match options.worker_faults.fault_at(WorkerClass::Parser, p, file_idx) {
                         Some(WorkerFaultKind::Kill) => break,
                         Some(WorkerFaultKind::Stall(d)) => std::thread::sleep(d),
                         None => {}
                     }
-                    let msg = ingest_contained(
+                    if !shared.claim(file_idx) {
+                        // The consumer ingested this one while it waited;
+                        // its slot is filled, nothing is sent for it.
+                        file_idx += num_parsers;
+                        continue;
+                    }
+                    let mut msg = ingest_contained(
                         &coll,
-                        &disk,
+                        &shared.disk,
                         file_idx,
                         &policy,
                         &mut timing,
@@ -258,13 +324,15 @@ impl ParserPool {
                     // when the batch's memory is recycled.
                     let credit = msg.result.as_ref().map_or(0, |b| b.mem_bytes());
                     options.governor.acquire(p, credit, &sink);
+                    msg.parser = Some(p);
+                    msg.credit = credit;
                     // Producer back-pressure: time blocked on a full buffer.
                     let t_send = Instant::now();
                     {
                         let mut qspan = sink.span(TraceKind::QueueFull);
                         qspan.set_batch(file_idx as u32);
                         if tx.send(msg).is_err() {
-                            options.governor.release(p, credit);
+                            options.governor.release(Some(p), credit);
                             break; // consumer gone
                         }
                     }
@@ -274,12 +342,16 @@ impl ParserPool {
                     }
                     file_idx += num_parsers;
                 }
+                // Every `break` above leaves a file unvisited.
+                if file_idx >= num_files {
+                    shared.finished[p].store(true, SeqCst);
+                }
                 timing
             });
             buffers.push(rx);
             handles.push(handle);
         }
-        ParserPool { buffers, handles }
+        ParserPool { buffers, handles, shared, buffer_depth }
     }
 
     /// Wait for all parsers and collect their timings. A parser that died
@@ -321,7 +393,7 @@ fn ingest_contained(
         Ok((retries, Err((class, error)))) => (0, Err(fault(class, retries, error))),
         Err(payload) => (0, Err(fault(FaultClass::Panic, 0, panic_message(payload.as_ref())))),
     };
-    ParsedFile { retries, queue_wait_seconds: 0.0, result }
+    ParsedFile { retries, queue_wait_seconds: 0.0, parser: None, credit: 0, result }
 }
 
 type IngestOutcome = (u32, Result<ParsedBatch, (FaultClass, String)>);
@@ -469,6 +541,20 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// on the consumer thread* — same read/decompress/parse code, same fault
 /// classification, same round-robin slot — so document IDs and the final
 /// index stay byte-identical to a healthy build.
+///
+/// The same inline ingest keeps a healthy build's consumer busy: when the
+/// file it needs is not queued yet, it claims the lowest *later* file no
+/// parser has started, ingests it, parks the message until that file's
+/// turn, and looks at the queue again; it blocks only when nothing is free
+/// (or the memory gate is full, or it already holds a parser's buffer
+/// depth of parked messages). The file it is waiting for is never taken:
+/// that one is the parser's to deliver or the watchdog's to bury. And it
+/// takes nothing before a parser has delivered its first batch: until
+/// then an empty queue is the pipeline filling, not a parser falling
+/// behind, and a parse started then only delays the first batch's
+/// indexing. All of it keys on observable pipeline state, so where
+/// indexing is the wall the queue is never empty again and none of this
+/// runs.
 pub struct SupervisedRoundRobin {
     /// One slot per parser; `None` once that parser is declared dead.
     buffers: Vec<Option<Receiver<ParsedFile>>>,
@@ -478,16 +564,26 @@ pub struct SupervisedRoundRobin {
     queue_wait: Option<Arc<Stage>>,
     trace: TraceSink,
     supervision: SupervisorPolicy,
-    // Inline re-ingest context for files a dead parser owed.
+    // Inline ingest context: for files a dead parser owed, and for files
+    // taken while waiting.
     collection: Arc<StoredCollection>,
     policy: FaultPolicy,
     obs: ParserObs,
     options: SpawnOptions,
-    disk: Arc<Mutex<()>>,
+    shared: Arc<Shared>,
     scratch: ParseScratch,
     inline_timing: ParserTiming,
     deaths: Vec<WorkerDeath>,
     inline_parsed: u32,
+    /// Messages waiting for their file's turn: files ingested here ahead
+    /// of the stream, and anything a liveness probe found queued.
+    parked: BTreeMap<usize, ParsedFile>,
+    /// At most this many messages are parked by helping: what one parser
+    /// may queue ahead.
+    park_limit: usize,
+    /// A parser has delivered a message (nothing is taken before that).
+    fed: bool,
+    helped: u32,
 }
 
 impl SupervisedRoundRobin {
@@ -495,7 +591,7 @@ impl SupervisedRoundRobin {
     /// iterate the collection's files from `options.start_file` on under
     /// watchdog supervision. `options` must be the same option set the pool
     /// was spawned with — its `heartbeats` pair the watchdog with the parser
-    /// threads, and inline re-ingest draws on its recycler and tracer. With
+    /// threads, and inline ingest draws on its recycler and governor. With
     /// `supervision.enabled == false` the watchdog and inline takeover are
     /// off: this is the unsupervised consumer, and a channel that closes
     /// before delivering its files yields the fatal
@@ -526,11 +622,15 @@ impl SupervisedRoundRobin {
             policy,
             obs,
             options,
-            disk: Arc::new(Mutex::new(())),
+            shared: Arc::clone(&pool.shared),
             scratch: ParseScratch::new(),
             inline_timing: ParserTiming::default(),
             deaths: Vec::new(),
             inline_parsed: 0,
+            parked: BTreeMap::new(),
+            park_limit: pool.buffer_depth,
+            fed: false,
+            helped: 0,
         }
     }
 
@@ -542,8 +642,9 @@ impl SupervisedRoundRobin {
     }
 
     /// Record each blocking wait as a `parser_wait` stall span on `sink`
-    /// (the driver passes its own timeline). Inline re-ingest spans land
-    /// on the same timeline.
+    /// (the driver passes its own timeline). A dead parser's re-ingest
+    /// spans and one `help` span per file taken while waiting land on the
+    /// same timeline.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;
         self
@@ -559,8 +660,14 @@ impl SupervisedRoundRobin {
         self.inline_parsed
     }
 
-    /// Timing accumulated by inline re-ingest (folded into the parser
-    /// timings by the driver).
+    /// Files of live parsers the consumer ingested while it would
+    /// otherwise have waited.
+    pub fn helped_files(&self) -> u32 {
+        self.helped
+    }
+
+    /// Timing accumulated by ingest on this thread, re-ingest and help
+    /// alike (folded into the parser timings by the driver).
     pub fn inline_timing(&self) -> ParserTiming {
         self.inline_timing
     }
@@ -580,22 +687,78 @@ impl SupervisedRoundRobin {
         }
     }
 
-    /// Re-ingest `file_idx` on this thread with the exact routine the dead
-    /// parser would have run, panic containment and fault classification
-    /// included.
-    fn ingest_inline(&mut self, file_idx: usize) -> ParsedFile {
-        self.inline_parsed += 1;
-        ingest_contained(
+    /// Ingest `file_idx` on this thread with the exact routine a parser
+    /// runs, panic containment and fault classification included. For a
+    /// dead parser this thread stands in as a parser: spans on its
+    /// timeline, scratch kept for the next file. `helping`, the caller's
+    /// one `help` span covers the file, and this thread must not become a
+    /// second steady-state parser in memory: the grown builders go back
+    /// to the allocator (the batch itself is built on a recycled husk
+    /// either way, and returns to the pool when consumed).
+    fn ingest_inline(&mut self, file_idx: usize, helping: bool) -> ParsedFile {
+        let untraced = TraceSink::disabled();
+        let sink = if helping { &untraced } else { &self.trace };
+        let msg = ingest_contained(
             &self.collection,
-            &self.disk,
+            &self.shared.disk,
             file_idx,
             &self.policy,
             &mut self.inline_timing,
             &self.obs,
             &mut self.scratch,
             &self.options,
-            &self.trace,
-        )
+            sink,
+        );
+        if helping {
+            self.scratch = ParseScratch::new();
+        }
+        msg
+    }
+
+    /// Take one file no parser has started and ingest it here, parking the
+    /// message until its turn. False when there is nothing to take: no
+    /// parser has delivered yet, every later file is claimed, the memory
+    /// gate has no room for the file, or the parked set is at its limit.
+    fn help(&mut self) -> bool {
+        if !self.fed || self.parked.len() >= self.park_limit {
+            return false;
+        }
+        let (file_idx, credit) = loop {
+            let Some(idx) = self.shared.first_free(self.next_file + 1) else { return false };
+            // The credit is taken before the parse, so it is the file's
+            // uncompressed size — the figure known by then — that stands
+            // in for the batch's footprint on the consumer's ledger.
+            let sizes = &self.collection.manifest.file_uncompressed_bytes;
+            let credit = sizes.get(idx).copied().unwrap_or(0);
+            if !self.options.governor.try_acquire(credit) {
+                return false;
+            }
+            if self.shared.claim(idx) {
+                break (idx, credit);
+            }
+            // Its parser got there first; look again.
+            self.options.governor.release(None, credit);
+        };
+        let trace = self.trace.clone();
+        let mut span = trace.span(TraceKind::Help);
+        span.set_batch(file_idx as u32);
+        span.add_bytes(credit);
+        let mut msg = self.ingest_inline(file_idx, true);
+        drop(span);
+        if msg.result.is_ok() {
+            msg.credit = credit;
+        } else {
+            self.options.governor.release(None, credit);
+        }
+        // Taken from a parser already known dead, it is that parser's
+        // re-ingest done early, not help.
+        if self.parser_is_dead(file_idx % self.buffers.len()) {
+            self.inline_parsed += 1;
+        } else {
+            self.helped += 1;
+        }
+        self.parked.insert(file_idx, msg);
+        true
     }
 
     /// Approximate queued-message depth of parser `p`'s buffer (0 once the
@@ -604,55 +767,142 @@ impl SupervisedRoundRobin {
         self.buffers.get(p).and_then(|b| b.as_ref()).map_or(0, |rx| rx.len())
     }
 
-    /// Wait for the next expected file from parser `p`, declare it dead
-    /// ([`Recv::Dead`] — the caller re-ingests inline), or, with
-    /// supervision off, surface the fatal disconnect ([`Recv::Fatal`]).
-    fn receive_or_bury(&mut self, p: usize) -> Recv {
+    /// Block on parser `p`'s buffer until a message arrives, the channel
+    /// disconnects, or (supervised) the watchdog finds the parser stalled.
+    fn watch(&self, p: usize) -> Watched {
+        let Some(rx) = self.buffers[p].as_ref() else { return Watched::Disconnected };
+        if !self.supervision.enabled {
+            return rx.recv().map_or(Watched::Disconnected, Watched::Msg);
+        }
         let stall_timeout = self.supervision.stall_timeout;
         // Poll fast enough to notice a stall promptly without busy-waiting
         // (a quarter of the stall timeout unless the policy pins it).
         let poll = self.supervision.effective_poll_interval();
         let t_start = Instant::now();
         loop {
-            let rx = match self.buffers[p].as_ref() {
-                Some(rx) => rx,
-                None => return Recv::Dead,
-            };
-            if !self.supervision.enabled {
-                return match rx.recv() {
-                    Ok(msg) => Recv::Msg(msg),
-                    Err(_) => Recv::Fatal,
-                };
-            }
             match rx.recv_timeout(poll) {
-                Ok(msg) => return Recv::Msg(msg),
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The thread exited with this file undelivered: a panic
-                    // outside per-file containment or an injected kill.
-                    self.declare_dead(p, DeathCause::Disconnect);
-                    return Recv::Dead;
-                }
+                Ok(msg) => return Watched::Msg(msg),
+                Err(RecvTimeoutError::Disconnected) => return Watched::Disconnected,
                 Err(RecvTimeoutError::Timeout) => {
                     // Stall detection needs a heartbeat: progress beats come
                     // from the parser's trace spans, so "no beat AND we have
-                    // been waiting for this file" past the timeout means the
-                    // worker is wedged, not merely slow on one step.
-                    let stalled = self.heartbeats[p]
-                        .as_ref()
-                        .is_some_and(|hb| hb.idle() >= stall_timeout)
-                        && t_start.elapsed() >= stall_timeout;
-                    if stalled {
-                        let idle = self.heartbeats[p].as_ref().map(|hb| hb.idle());
-                        self.declare_dead(p, DeathCause::Stall(idle.unwrap_or(stall_timeout)));
-                        return Recv::Dead;
+                    // been waiting on it" past the timeout means the worker
+                    // is wedged, not merely slow on one step.
+                    let idle = self.heartbeats[p].as_ref().map(|hb| hb.idle());
+                    if let Some(idle) = idle.filter(|&idle| idle >= stall_timeout) {
+                        if t_start.elapsed() >= stall_timeout {
+                            return Watched::Stalled(idle);
+                        }
                     }
                 }
             }
         }
     }
+
+    /// Wait for the next expected file from parser `p`, declare it dead
+    /// ([`Recv::Dead`] — the caller re-ingests inline), or, with
+    /// supervision off, surface the fatal disconnect ([`Recv::Fatal`]).
+    fn receive_or_bury(&mut self, p: usize) -> Recv {
+        let cause = match self.watch(p) {
+            Watched::Msg(msg) => return Recv::Msg(msg),
+            Watched::Disconnected if !self.supervision.enabled => return Recv::Fatal,
+            // The thread exited with this file undelivered: a panic outside
+            // per-file containment or an injected kill.
+            Watched::Disconnected => DeathCause::Disconnect,
+            Watched::Stalled(idle) => DeathCause::Stall(idle),
+        };
+        self.declare_dead(p, cause);
+        Recv::Dead
+    }
+
+    /// Get the next expected file from its parser, ingesting later files
+    /// here for as long as it is not queued and there is one to take; then
+    /// block under the watchdog. `helping` accumulates the time spent
+    /// ingesting, which is work, not wait.
+    fn receive_or_help(&mut self, helping: &mut Duration) -> Recv {
+        let parser = self.next_file % self.buffers.len();
+        loop {
+            match self.buffers[parser].as_ref().map(|rx| rx.try_recv()) {
+                None => return Recv::Dead,
+                Some(Ok(msg)) => return Recv::Msg(msg),
+                // The blocking path below knows what a disconnect means.
+                Some(Err(TryRecvError::Disconnected)) => break,
+                Some(Err(TryRecvError::Empty)) => {}
+            }
+            let t_help = Instant::now();
+            if !self.help() {
+                break;
+            }
+            *helping += t_help.elapsed();
+        }
+        // Clone the sink handle: the wait span must outlive the (mutably
+        // borrowing) receive below.
+        let trace = self.trace.clone();
+        let mut wspan = trace.span(TraceKind::ParserWait);
+        wspan.set_batch(self.next_file as u32);
+        self.receive_or_bury(parser)
+    }
+
+    /// A file ingested here is being consumed without anyone having waited
+    /// on its owner `p`: look at `p`'s channel, so that a parser that died
+    /// is buried now and its later files count as re-ingested for it, not
+    /// as help. A message found queued is for a later file of `p` and is
+    /// parked.
+    fn probe(&mut self, p: usize) {
+        if !self.supervision.enabled {
+            return;
+        }
+        match self.buffers[p].as_ref().map(|rx| rx.try_recv()) {
+            Some(Ok(msg)) => {
+                self.parked.insert(msg.file_idx(), msg);
+            }
+            Some(Err(TryRecvError::Disconnected)) if !self.finished(p) => {
+                self.declare_dead(p, DeathCause::Disconnect);
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether parser `p` went through all its files (its channel closing
+    /// is then an exit, not a death).
+    fn finished(&self, p: usize) -> bool {
+        self.shared.finished[p].load(SeqCst)
+    }
+
+    /// End of stream: every file is in, but a parser killed or stalled at
+    /// a file taken from under it was never waited on. Watch each live
+    /// parser leave, so the death is on the ledger before the driver's
+    /// `join` sits a stall out.
+    fn see_parsers_out(&mut self) {
+        if !self.supervision.enabled {
+            return;
+        }
+        for p in 0..self.buffers.len() {
+            if self.parser_is_dead(p) {
+                continue;
+            }
+            match self.watch(p) {
+                Watched::Stalled(idle) => self.declare_dead(p, DeathCause::Stall(idle)),
+                Watched::Disconnected if !self.finished(p) => {
+                    self.declare_dead(p, DeathCause::Disconnect)
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
-/// Outcome of one supervised wait on a parser buffer.
+/// Outcome of one blocking wait on a parser buffer.
+enum Watched {
+    /// A message arrived.
+    Msg(ParsedFile),
+    /// Every sender is gone and the buffer is drained.
+    Disconnected,
+    /// Heartbeat silent, and this wait as long, past the stall timeout.
+    Stalled(Duration),
+}
+
+/// Outcome of one supervised wait for the next expected file.
 enum Recv {
     /// The expected message arrived.
     Msg(ParsedFile),
@@ -666,25 +916,24 @@ impl Iterator for SupervisedRoundRobin {
     type Item = Result<ParsedFile, PipelineError>;
     fn next(&mut self) -> Option<Self::Item> {
         if self.next_file >= self.num_files {
+            self.see_parsers_out();
             return None;
         }
         let parser = self.next_file % self.buffers.len();
         let t_recv = Instant::now();
-        let received = if self.parser_is_dead(parser) {
-            Recv::Dead
-        } else {
-            // Clone the sink handle: the wait span must outlive the
-            // (mutably borrowing) receive below.
-            let trace = self.trace.clone();
-            let mut wspan = trace.span(TraceKind::ParserWait);
-            wspan.set_batch(self.next_file as u32);
-            self.receive_or_bury(parser)
+        let mut helping = Duration::ZERO;
+        let received = match self.parked.remove(&self.next_file) {
+            Some(msg) => Recv::Msg(msg),
+            None => self.receive_or_help(&mut helping),
         };
         let mut msg = match received {
             Recv::Msg(msg) => msg,
             // Dead parser: its slot is re-ingested inline, preserving the
             // round-robin order (and with it docID determinism).
-            Recv::Dead => self.ingest_inline(self.next_file),
+            Recv::Dead => {
+                self.inline_parsed += 1;
+                self.ingest_inline(self.next_file, false)
+            }
             Recv::Fatal => {
                 let err =
                     PipelineError::ParserDisconnected { parser, file_idx: self.next_file };
@@ -692,7 +941,11 @@ impl Iterator for SupervisedRoundRobin {
                 return Some(Err(err));
             }
         };
-        let waited = t_recv.elapsed();
+        match msg.parser {
+            Some(_) => self.fed = true,
+            None => self.probe(parser),
+        }
+        let waited = t_recv.elapsed().saturating_sub(helping);
         if let Some(stage) = &self.queue_wait {
             stage.queue_wait_ns.add(waited.as_nanos() as u64);
         }
@@ -706,7 +959,6 @@ impl Iterator for SupervisedRoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use ii_corpus::{CollectionSpec, FaultKind, FaultPlan};
     use std::path::{Path, PathBuf};
 
@@ -754,12 +1006,16 @@ mod tests {
         spec.num_files = 7;
         let (coll, dir) = stored("order", spec);
         for num_parsers in [1usize, 2, 3] {
-            let (pool, consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
+            let (pool, mut consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
             let files: Vec<usize> =
-                consumer.map(|m| m.unwrap().result.unwrap().file_idx).collect();
+                (&mut consumer).map(|m| m.unwrap().result.unwrap().file_idx).collect();
             assert_eq!(files, (0..7).collect::<Vec<_>>(), "parsers={num_parsers}");
+            // Every file was ingested once: by its parser, or by the
+            // consumer while it waited.
+            let here = consumer.inline_timing().files;
+            assert_eq!(here, consumer.helped_files() as usize);
             let timings = pool.join();
-            assert_eq!(timings.iter().map(|t| t.files).sum::<usize>(), 7);
+            assert_eq!(timings.iter().map(|t| t.files).sum::<usize>() + here, 7);
         }
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -848,6 +1104,12 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A governor whose gate never has room for a file: `try_acquire` always
+    /// refuses, so the consumer never helps and takeover counts are exact.
+    fn full_gate() -> MemoryGovernor {
+        MemoryGovernor::new(crate::governor::GovernorPolicy::default().with_budget(1))
+    }
+
     fn token_stream(
         coll: &Arc<StoredCollection>,
         options: SpawnOptions,
@@ -866,12 +1128,14 @@ mod tests {
             Arc::clone(coll),
             FaultPolicy::default(),
             ParserObs::from_registry(&Registry::new()),
-            options,
+            options.clone(),
             SupervisorPolicy::default().with_stall_timeout(stall_timeout),
         );
         let tokens: Vec<(usize, u64)> = (&mut rr)
             .map(|m| {
-                let b = m.unwrap().result.unwrap();
+                let m = m.unwrap();
+                options.governor.release(m.parser, m.credit);
+                let b = m.result.unwrap();
                 (b.file_idx, b.stats.terms_kept)
             })
             .collect();
@@ -901,6 +1165,7 @@ mod tests {
             SpawnOptions {
                 heartbeats: heartbeats.clone(),
                 worker_faults: faults,
+                governor: full_gate(),
                 ..SpawnOptions::default()
             },
             Duration::from_secs(30),
@@ -938,6 +1203,7 @@ mod tests {
             SpawnOptions {
                 heartbeats: fresh,
                 worker_faults: faults,
+                governor: full_gate(),
                 ..SpawnOptions::default()
             },
             Duration::from_millis(50),
@@ -947,6 +1213,102 @@ mod tests {
         assert_eq!(deaths[0].index, 0);
         assert!(matches!(deaths[0].cause, DeathCause::Stall(_)), "{:?}", deaths[0].cause);
         assert_eq!(inline, 3, "files 0, 2, 4 re-ingested inline");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// One parser that naps before `nap_at` (far below any watchdog), and
+    /// the messages the consumer yields: their credits released as the
+    /// driver would, and the consumer itself for its tallies.
+    fn napping_parser_stream(
+        coll: &Arc<StoredCollection>,
+        nap_at: usize,
+        governor: MemoryGovernor,
+    ) -> (Vec<ParsedFile>, SupervisedRoundRobin) {
+        let options = SpawnOptions {
+            worker_faults: WorkerFaultPlan::none().stall(
+                WorkerClass::Parser,
+                0,
+                nap_at,
+                Duration::from_millis(150),
+            ),
+            governor,
+            ..SpawnOptions::default()
+        };
+        let obs = ParserObs::from_registry(&Registry::new());
+        let mut pool = ParserPool::spawn_with(
+            Arc::clone(coll),
+            1,
+            2,
+            FaultPolicy::default(),
+            obs.clone(),
+            options.clone(),
+        );
+        let mut rr = SupervisedRoundRobin::new(
+            &mut pool,
+            Arc::clone(coll),
+            FaultPolicy::default(),
+            obs,
+            options.clone(),
+            SupervisorPolicy::disabled(),
+        );
+        let msgs: Vec<ParsedFile> = (&mut rr)
+            .map(|m| {
+                let m = m.unwrap();
+                options.governor.release(m.parser, m.credit);
+                m
+            })
+            .collect();
+        pool.join();
+        (msgs, rr)
+    }
+
+    #[test]
+    fn idle_consumer_ingests_unstarted_files_in_order_and_unchanged() {
+        let mut spec = CollectionSpec::tiny(40);
+        spec.num_files = 7;
+        let (coll, dir) = stored("help", spec);
+        let governor =
+            MemoryGovernor::new(crate::governor::GovernorPolicy::default().with_budget(1 << 30));
+        let (msgs, rr) = napping_parser_stream(&coll, 1, governor.clone());
+        // Every file exactly once, in file order, and the batch is what a
+        // lone parse of that file gives — whoever parsed it.
+        assert_eq!(msgs.len(), 7);
+        for (i, m) in msgs.iter().enumerate() {
+            let docs = container::parse_container(
+                &compress::decompress(&coll.read_file_raw(i).unwrap()).unwrap(),
+            )
+            .unwrap();
+            let want = ii_text::parse_documents(&docs, coll.manifest.spec.html, i);
+            assert_eq!(m.result.as_ref().unwrap(), &want, "file {i}");
+        }
+        // Nothing is taken before the parser's first delivery. Then it
+        // slept before file 1, and the consumer took 2 and 3 (a buffer's
+        // depth, then it blocked) — never 1, the one it waited for.
+        for i in [0, 1] {
+            assert_eq!(msgs[i].parser, Some(0), "file {i} is the parser's");
+        }
+        for i in [2, 3] {
+            assert_eq!(msgs[i].parser, None, "file {i} was there for the taking");
+        }
+        let here = msgs.iter().filter(|m| m.parser.is_none()).count();
+        assert_eq!(rr.helped_files() as usize, here);
+        assert_eq!(rr.inline_timing().files, here);
+        assert_eq!(rr.inline_parsed_files(), 0, "nobody died");
+        assert_eq!(governor.inflight_bytes(), 0, "every credit went back to its holder");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn helper_declines_over_a_full_gate() {
+        let mut spec = CollectionSpec::tiny(41);
+        spec.num_files = 6;
+        let (coll, dir) = stored("help-gate", spec);
+        let governor = full_gate();
+        let (msgs, rr) = napping_parser_stream(&coll, 1, governor.clone());
+        assert_eq!(msgs.len(), 6, "refused credit, the consumer waits as it always did");
+        assert!(msgs.iter().all(|m| m.parser == Some(0)));
+        assert_eq!(rr.helped_files(), 0);
+        assert_eq!(governor.inflight_bytes(), 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

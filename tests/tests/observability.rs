@@ -80,7 +80,11 @@ fn breakdown_counters_are_deterministic_across_configs() {
             .map(|(name, s)| (name.clone(), s.bytes, s.items))
             .collect();
         for (name, value) in &b.snapshot.counters {
-            v.push((name.clone(), *value, 0));
+            // How many files the consumer ingested while it waited says who
+            // did the work, which is scheduling; the work is the same.
+            if name != "pipeline.helped_files" {
+                v.push((name.clone(), *value, 0));
+            }
         }
         v
     };
