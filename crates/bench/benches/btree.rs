@@ -1,9 +1,9 @@
-//! Criterion microbench: hybrid-dictionary B-tree operations — insert and
-//! search throughput, plus grouped-vs-interleaved access order (the
-//! cache-locality effect behind the §III.C regrouping claim).
+//! Criterion microbench: the product's slotted B-tree — insert and search
+//! throughput, plus grouped-vs-interleaved access order (the cache-locality
+//! effect behind the §III.C regrouping claim).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ii_core::dict::{classify, BTreeStore, SlottedStore};
+use ii_core::dict::{classify, SlottedStore};
 use ii_core::corpus::Vocabulary;
 use std::collections::HashMap;
 
@@ -25,16 +25,6 @@ fn bench_insert(c: &mut Criterion) {
     g.throughput(Throughput::Elements(ks.len() as u64));
     g.bench_function("20k_terms_single_tree", |b| {
         b.iter(|| {
-            let mut store = BTreeStore::new();
-            let mut tree = store.new_tree();
-            for (_, k) in &ks {
-                store.insert(&mut tree, black_box(k.as_bytes()));
-            }
-            store.term_count()
-        })
-    });
-    g.bench_function("20k_terms_single_tree_slotted", |b| {
-        b.iter(|| {
             let mut store = SlottedStore::new();
             let mut tree = store.new_tree();
             for (_, k) in &ks {
@@ -54,7 +44,7 @@ fn bench_insert(c: &mut Criterion) {
         };
         grouped.sort_by_key(|(ti, _)| *ti);
         b.iter(|| {
-            let mut store = BTreeStore::new();
+            let mut store = SlottedStore::new();
             for (_, terms) in &grouped {
                 let mut tree = store.new_tree();
                 for k in terms {
@@ -69,7 +59,7 @@ fn bench_insert(c: &mut Criterion) {
 
 fn bench_search(c: &mut Criterion) {
     let ks = keys(20_000);
-    let mut store = BTreeStore::new();
+    let mut store = SlottedStore::new();
     let mut tree = store.new_tree();
     for (_, k) in &ks {
         store.insert(&mut tree, k.as_bytes());
@@ -81,22 +71,6 @@ fn bench_search(c: &mut Criterion) {
             let mut found = 0u32;
             for (_, k) in &ks {
                 if store.get(&tree, black_box(k.as_bytes())).is_some() {
-                    found += 1;
-                }
-            }
-            found
-        })
-    });
-    let mut slotted = SlottedStore::new();
-    let mut stree = slotted.new_tree();
-    for (_, k) in &ks {
-        slotted.insert(&mut stree, k.as_bytes());
-    }
-    g.bench_function("20k_hits_slotted", |b| {
-        b.iter(|| {
-            let mut found = 0u32;
-            for (_, k) in &ks {
-                if slotted.get(&stree, black_box(k.as_bytes())).is_some() {
                     found += 1;
                 }
             }

@@ -9,7 +9,7 @@
 //! time over the grouped stream.
 
 use ii_core::corpus::{CollectionGenerator, CollectionSpec};
-use ii_core::dict::{BTreeStore, BTree};
+use ii_core::dict::SlottedStore;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -47,8 +47,7 @@ fn main() {
 
         // Serial-index each group into its own B-tree, grouped order.
         let t0 = Instant::now();
-        let mut store = BTreeStore::new();
-        let mut trees: Vec<BTree> = Vec::new();
+        let mut store = SlottedStore::new();
         let mut depths: Vec<usize> = Vec::new();
         for (prefix, terms) in &groups {
             let mut tree = store.new_tree();
@@ -58,7 +57,6 @@ fn main() {
                 store.insert(&mut tree, suffix.as_bytes());
             }
             depths.push(store.depth(&tree));
-            trees.push(tree);
         }
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let mean_depth = depths.iter().sum::<usize>() as f64 / depths.len().max(1) as f64;

@@ -154,7 +154,8 @@ fn check_flags(args: &[String], allowed: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
+/// The non-flag arguments, skipping each value flag's value.
+fn operands(args: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in args {
@@ -173,7 +174,7 @@ fn positional(args: &[String]) -> Vec<&String> {
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     check_flags(args, &["--preset", "--scale", "--seed"])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let dir = pos.first().ok_or("generate: missing <dir>")?;
     let scale: f64 = flag(args, "--scale").map_or(Ok(0.5), |v| {
         v.parse().map_err(|_| format!("--scale expects a number, got '{v}'"))
@@ -226,7 +227,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "--chaos-kill",
         ],
     )?;
-    let pos = positional(args);
+    let pos = operands(args);
     let [coll_dir, index_dir] = pos.as_slice() else {
         return Err("build: need <collection-dir> <index-dir>".into());
     };
@@ -417,7 +418,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 fn cmd_trace_report(args: &[String]) -> Result<(), String> {
     check_flags(args, &["--check"])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let path = pos.first().ok_or("trace report: missing <trace.json>")?;
     let text = std::fs::read_to_string(path.as_str())
         .map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -437,7 +438,7 @@ fn open_index(dir: &str) -> Result<Index, String> {
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     check_flags(args, &[])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let dir = pos.first().ok_or("verify: missing <index-dir>")?;
     let statuses = Index::verify_dir(Path::new(dir.as_str()))
         .map_err(|e| format!("cannot verify {dir}: {e}"))?;
@@ -474,7 +475,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 
 fn cmd_repair(args: &[String]) -> Result<(), String> {
     check_flags(args, &[])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let dir = pos.first().ok_or("repair: missing <index-dir>")?;
     let report = Index::repair(Path::new(dir.as_str()))
         .map_err(|e| format!("cannot repair {dir}: {e}"))?;
@@ -501,7 +502,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     check_flags(args, &["--mode", "--explain"])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let (dir, terms) = pos.split_first().ok_or("query: need <index-dir> <terms...>")?;
     if terms.is_empty() {
         return Err("query: need at least one term".into());
@@ -544,7 +545,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
 fn cmd_postings(args: &[String]) -> Result<(), String> {
     check_flags(args, &["--range"])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let [dir, term] = pos.as_slice() else {
         return Err("postings: need <index-dir> <term>".into());
     };
@@ -578,7 +579,7 @@ fn cmd_postings(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     check_flags(args, &[])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let dir = pos.first().ok_or("stats: missing <dir>")?;
     let path = Path::new(dir.as_str());
     if path.join("manifest.json").exists() {
@@ -680,7 +681,7 @@ fn parse_chaos_kill(spec: &str) -> Result<(WorkerClass, usize, usize), String> {
 
 fn cmd_postmortem(args: &[String]) -> Result<(), String> {
     check_flags(args, &[])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let target = pos.first().ok_or("postmortem: need <bundle.json | index-dir>")?;
     let path = Path::new(target.as_str());
     let bundle = if path.is_dir() {
@@ -830,7 +831,7 @@ fn render_top_frame(points: &[MetricPoint], prev: Option<&TopState>) -> (String,
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
     check_flags(args, &["--iters", "--interval-ms", "--check"])?;
-    let pos = positional(args);
+    let pos = operands(args);
     let target = pos.first().ok_or("top: need <host:port | exposition-file>")?.as_str();
     let check = bool_flag(args, "--check");
     let is_file = Path::new(target).is_file();

@@ -241,28 +241,6 @@ impl IndexBuilder {
         let coll = Arc::new(StoredCollection::open(dir)?);
         self.build(&coll).map_err(io::Error::other)
     }
-
-    /// Build the plain index plus a positional index for phrase search
-    /// (the Ivory-style "extra information" extension; see
-    /// `ii_indexer::positional`). The positional pass is a separate serial
-    /// sweep over the collection, so its extra cost is directly visible in
-    /// wall time (measured by the `ablate_positional` bench).
-    pub fn build_with_positions(
-        &self,
-        collection: &Arc<StoredCollection>,
-    ) -> io::Result<(Index, ii_indexer::PositionalIndex)> {
-        let index = self.build(collection).map_err(io::Error::other)?;
-        let html = collection.manifest.spec.html;
-        let mut pos = ii_indexer::PositionalIndexer::new();
-        let mut offset = 0u32;
-        for f in 0..collection.num_files() {
-            let docs = collection.read_file_docs(f)?;
-            let batch = ii_text::parse_documents(&docs, html, f);
-            pos.index_batch(&batch, offset);
-            offset += batch.num_docs;
-        }
-        Ok((index, pos.finish()))
-    }
 }
 
 #[cfg(test)]
@@ -301,25 +279,6 @@ mod tests {
         assert_eq!(b.pipeline_config().governor.budget_bytes, 64 << 20);
         let b = b.mem_budget(0);
         assert_eq!(b.pipeline_config().governor.budget_bytes, 0, "0 = unlimited");
-    }
-
-    #[test]
-    fn build_with_positions_enables_phrase_search() {
-        let dir = std::env::temp_dir()
-            .join(format!("ii-builder-pos-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ii_corpus::StoredCollection::generate(CollectionSpec::tiny(72), &dir).unwrap();
-        let coll = Arc::new(StoredCollection::open(&dir).unwrap());
-        let (index, positional) = IndexBuilder::small().build_with_positions(&coll).unwrap();
-        assert_eq!(index.num_terms(), positional.len());
-        // Every phrase hit must also be a conjunctive hit of the plain index.
-        let e = index.dictionary.entries().next().unwrap().full_term();
-        let hits = positional.phrase_search(&e);
-        for (doc, _) in &hits {
-            let plain = index.postings_stemmed(&e).unwrap();
-            assert!(plain.postings().iter().any(|p| p.doc == *doc));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

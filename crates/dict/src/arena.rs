@@ -1,11 +1,9 @@
-//! Arenas backing the dictionary.
+//! The string arena backing the dictionary.
 //!
-//! Nodes and string remainders are allocated from flat, append-only arenas
-//! addressed by `u32` offsets — the "pointers" of Table II. This keeps the
-//! node layout position-independent (the GPU copy of a B-tree is the same
-//! bytes at a different base address) and makes serialization trivial.
-
-use crate::node::{BTreeNode, NULL};
+//! Term remainders are allocated from a flat, append-only arena addressed
+//! by `u32` offsets — the "pointers" of Table II. This keeps the layout
+//! position-independent (the GPU copy of the arena is the same bytes at a
+//! different base address) and makes serialization trivial.
 
 /// Append-only store for term-string remainders: each allocation is a
 /// length byte followed by the bytes (the paper's Fig 6 representation;
@@ -54,58 +52,6 @@ impl StringArena {
     }
 }
 
-/// Append-only node storage addressed by `u32` node indices.
-#[derive(Clone, Debug, Default)]
-pub struct NodeArena {
-    nodes: Vec<BTreeNode>,
-}
-
-impl NodeArena {
-    /// Create an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuild an arena from nodes (e.g. deserialized from GPU device
-    /// memory, which stores the identical 512-byte layout).
-    pub fn from_nodes(nodes: Vec<BTreeNode>) -> Self {
-        NodeArena { nodes }
-    }
-
-    /// Allocate a fresh empty leaf, returning its index.
-    pub fn alloc(&mut self) -> u32 {
-        let idx = self.nodes.len() as u32;
-        assert!(idx != NULL, "node arena exhausted");
-        self.nodes.push(BTreeNode::default());
-        idx
-    }
-
-    /// Shared access to a node.
-    pub fn get(&self, idx: u32) -> &BTreeNode {
-        &self.nodes[idx as usize]
-    }
-
-    /// Mutable access to a node.
-    pub fn get_mut(&mut self, idx: u32) -> &mut BTreeNode {
-        &mut self.nodes[idx as usize]
-    }
-
-    /// Number of nodes allocated.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// All nodes, for serialization / device upload.
-    pub fn nodes(&self) -> &[BTreeNode] {
-        &self.nodes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,19 +66,6 @@ mod tests {
         assert_eq!(a.get(o2), b"");
         assert_eq!(a.get(o3), b"xyz");
         assert_eq!(a.len_bytes(), (1 + 8 + 1) + 1 + 3);
-    }
-
-    #[test]
-    fn node_arena_alloc_and_access() {
-        let mut a = NodeArena::new();
-        let n0 = a.alloc();
-        let n1 = a.alloc();
-        assert_eq!(n0, 0);
-        assert_eq!(n1, 1);
-        a.get_mut(n1).count = 5;
-        assert_eq!(a.get(n1).count, 5);
-        assert_eq!(a.get(n0).count, 0);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

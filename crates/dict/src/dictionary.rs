@@ -16,12 +16,10 @@
 //! [`GlobalDictionary::shards`] is the way back. The 512-byte Table II node
 //! survives only as the simulated GPU's device layout.
 
-use crate::btree::{BTree, BTreeStore, InsertOutcome};
 use crate::node::NULL;
-use crate::slotted::SlottedStore;
+use crate::slotted::{BTree, InsertOutcome, SlottedStore};
 use crate::trie::{trie_index, TrieIndex, TRIE_ENTRIES};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
 /// The dictionary shard owned by a single indexer.
@@ -52,19 +50,23 @@ impl PartialDictionary {
         }
     }
 
-    /// Device interop: a shard from the Table II nodes and per-collection
-    /// tree roots downloaded from a simulated GPU. The nodes are converted
-    /// into slotted form; handles and structure carry over exactly.
-    pub fn from_parts(indexer_id: u32, store: BTreeStore, roots: HashMap<u32, BTree>) -> Self {
-        let mut table = vec![NULL; TRIE_ENTRIES];
-        for (ti, tree) in roots {
+    /// Device interop: a shard from a store downloaded from a simulated GPU
+    /// ([`SlottedStore::from_device`]) and the per-collection tree roots
+    /// `(trie index, root node)` it read from device memory.
+    pub fn from_device(
+        indexer_id: u32,
+        store: SlottedStore,
+        roots: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Self {
+        let mut part = PartialDictionary { store, ..PartialDictionary::new(indexer_id) };
+        for (ti, root) in roots {
             let ti = ti as usize;
-            if ti >= table.len() {
-                table.resize(ti + 1, NULL);
+            if ti >= part.roots.len() {
+                part.roots.resize(ti + 1, NULL);
             }
-            table[ti] = tree.root;
+            part.roots[ti] = root;
         }
-        PartialDictionary { indexer_id, store: SlottedStore::from_legacy(store), roots: table }
+        part
     }
 
     /// Insert a prefix-stripped term into the B-tree of `trie_idx`

@@ -1,10 +1,11 @@
-//! Slotted-node B-tree — the dictionary insert/lookup hot path.
+//! Slotted-node B-tree — the dictionary's one host B-tree.
 //!
-//! The legacy path ([`crate::btree`], frozen as the differential-test
-//! reference) stores each key's 4-byte string cache as `[u8; 4]` and walks
-//! nodes with a branchy binary search that clones 512-byte nodes and
-//! re-derives the probe's cache on every comparison. This module rewrites
-//! the same degree-16 B-tree around a *slotted* node:
+//! The original host path stored each key's 4-byte string cache as
+//! `[u8; 4]` in the Table II node and walked nodes with a branchy binary
+//! search that cloned 512-byte nodes and re-derived the probe's cache on
+//! every comparison (it survives, frozen, as the integration tests'
+//! differential oracle). This module builds the same degree-16 B-tree
+//! around a *slotted* node:
 //!
 //! * Each key slot holds a 4-byte order-preserving **head**: the first four
 //!   bytes of the stored term, zero-padded, reinterpreted as a big-endian
@@ -22,22 +23,38 @@
 //! * A head tie is resolved by *remainder emptiness* before any string
 //!   touch: if either side has no out-of-node remainder, the order is
 //!   decided by length alone. Only a tie between two keys that both have
-//!   remainders reads the string arena (the legacy path read it whenever
+//!   remainders reads the string arena (the original path read it whenever
 //!   caches tied, even when emptiness already decided — the "falls back to
 //!   strings too eagerly" defect this module fixes).
 //!
-//! The insert algorithm itself is byte-for-byte the legacy CLRS preemptive
-//! split (same node-allocation, string-allocation and postings-handle
-//! order), so a slotted store converts to and from the legacy 512-byte
-//! node layout losslessly: the simulated GPU keeps operating on Table II
-//! nodes in device memory. That conversion is device interop and nothing
-//! else — no file holds either node layout, and the shape of a host tree is
-//! free to change.
+//! The insert algorithm itself is the CLRS preemptive split of §III.D.1
+//! (node-allocation, string-allocation and postings-handle order as the
+//! GPU kernel does them), so a slotted store converts to and from the
+//! 512-byte Table II layout losslessly: the simulated GPU operates on
+//! Table II nodes in device memory, and [`SlottedStore::from_device`] /
+//! [`SlottedStore::to_device_nodes`] are the download and upload. That
+//! conversion is device interop and nothing else — no file holds either
+//! node layout, and the shape of a host tree is free to change.
 
 use crate::arena::StringArena;
-use crate::btree::{BTree, BTreeStore, InsertOutcome};
 use crate::node::{BTreeNode, MAX_KEYS, NULL};
 use std::cmp::Ordering;
+
+/// Handle to one B-tree (one trie collection) within a store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BTree {
+    /// Root node index.
+    pub root: u32,
+}
+
+/// Result of an insert.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InsertOutcome {
+    /// Postings-list handle for the term (new or existing).
+    pub postings: u32,
+    /// True when the term was not previously present.
+    pub is_new: bool,
+}
 
 /// Head value of every unused slot. `u32::MAX` decodes to the byte string
 /// `FF FF FF FF`, which no UTF-8 term prefix can equal; even for raw
@@ -52,7 +69,7 @@ pub fn term_head(term: &[u8]) -> u32 {
     u32::from_be_bytes(BTreeNode::make_cache(term))
 }
 
-/// One slotted B-tree node: the same degree-16 shape as the legacy
+/// One slotted B-tree node: the same degree-16 shape as the Table II
 /// [`BTreeNode`], laid out struct-of-arrays so intra-node search touches
 /// only the head array and shifts/splits are slice copies.
 #[derive(Clone, Debug)]
@@ -98,11 +115,11 @@ impl SlottedNode {
         self.count as usize == MAX_KEYS
     }
 
-    /// Convert a legacy 512-byte node. Slots at or above `count` are
+    /// Convert a 512-byte device node. Slots at or above `count` are
     /// normalized to the canonical empty form regardless of any residue the
-    /// legacy builder (CPU or GPU) left behind — residue is never read, so
-    /// normalizing it cannot change behavior.
-    pub fn from_legacy(n: &BTreeNode) -> SlottedNode {
+    /// GPU kernel left behind — residue is never read, so normalizing it
+    /// cannot change behavior.
+    fn from_device(n: &BTreeNode) -> SlottedNode {
         let count = (n.count as usize).min(MAX_KEYS);
         let mut s = SlottedNode { count: count as u32, leaf: n.leaf, ..SlottedNode::default() };
         for i in 0..count {
@@ -116,9 +133,9 @@ impl SlottedNode {
         s
     }
 
-    /// Convert to the legacy 512-byte layout in canonical form (slots at or
+    /// Convert to the 512-byte device layout in canonical form (slots at or
     /// above `count` cleared), the shape the simulated GPU uploads.
-    pub fn to_legacy(&self) -> BTreeNode {
+    fn to_device(&self) -> BTreeNode {
         let count = (self.count as usize).min(MAX_KEYS);
         let mut n = BTreeNode { count: self.count, leaf: self.leaf, ..BTreeNode::default() };
         for i in 0..count {
@@ -149,13 +166,13 @@ fn head_rank(heads: &[u32; MAX_KEYS], probe: u32) -> usize {
 
 /// Backing storage for all slotted B-trees owned by one indexer: node
 /// arena, string arena, postings-handle allocator and comparison counters.
-/// The drop-in fast-path replacement for [`BTreeStore`]; identical insert
-/// semantics (same handles, same structure) at a fraction of the cost.
+/// Trees in the same store share arenas but are structurally independent,
+/// so one indexer thread can own many trie collections without locking.
 #[derive(Clone, Debug, Default)]
 pub struct SlottedStore {
     nodes: Vec<SlottedNode>,
-    /// Term-remainder storage (same layout as the legacy store, so the
-    /// bytes upload to the simulated GPU's string area unchanged).
+    /// Term-remainder storage (the device's layout, so the bytes upload to
+    /// the simulated GPU's string area unchanged).
     pub strings: StringArena,
     next_postings: u32,
     /// Node searches settled entirely by the 4-byte head array.
@@ -165,8 +182,8 @@ pub struct SlottedStore {
     /// B-TREE-SPLIT-CHILD invocations across all trees in the store.
     pub node_splits: u64,
     /// Head ties resolved by remainder *emptiness* without touching the
-    /// string arena — each one was a full string comparison on the legacy
-    /// path (the eager-fallback defect, fixed here).
+    /// string arena — each one was a full string comparison on the
+    /// original path (the eager-fallback defect, fixed here).
     pub head_tie_breaks: u64,
 }
 
@@ -181,19 +198,18 @@ impl SlottedStore {
         BTree { root: self.alloc_node() }
     }
 
-    /// Device interop: convert a store downloaded from the simulated GPU
-    /// into slotted form. Handle assignment and structure carry over
-    /// exactly.
-    pub fn from_legacy(store: BTreeStore) -> SlottedStore {
-        let next_postings = store.term_count();
-        let nodes = store.nodes.nodes().iter().map(SlottedNode::from_legacy).collect();
-        SlottedStore { nodes, strings: store.strings, next_postings, ..Default::default() }
+    /// Device interop: a store from the Table II nodes, string arena and
+    /// postings-handle count downloaded from a simulated GPU. Handle
+    /// assignment and structure carry over exactly.
+    pub fn from_device(nodes: &[BTreeNode], strings: StringArena, term_count: u32) -> SlottedStore {
+        let nodes = nodes.iter().map(SlottedNode::from_device).collect();
+        SlottedStore { nodes, strings, next_postings: term_count, ..Default::default() }
     }
 
     /// Device interop: render every node in the canonical 512-byte layout
     /// the simulated GPU works on, for upload.
-    pub fn to_legacy_nodes(&self) -> Vec<BTreeNode> {
-        self.nodes.iter().map(SlottedNode::to_legacy).collect()
+    pub fn to_device_nodes(&self) -> Vec<BTreeNode> {
+        self.nodes.iter().map(SlottedNode::to_device).collect()
     }
 
     /// Number of distinct terms ever inserted across all trees in the store
@@ -375,8 +391,8 @@ impl SlottedStore {
 
     /// Insert `term` (already trie-prefix-stripped) into `tree`, returning
     /// its postings handle and whether it is new. Allocation order (nodes,
-    /// string remainders, postings handles) is identical to the legacy
-    /// path, which the differential suite and the GPU kernel are held to.
+    /// string remainders, postings handles) is the GPU kernel's and the
+    /// frozen original path's, which the differential suite holds it to.
     pub fn insert(&mut self, tree: &mut BTree, term: &[u8]) -> InsertOutcome {
         let probe = term_head(term);
         if self.nodes[tree.root as usize].is_full() {
@@ -528,12 +544,6 @@ mod tests {
         (s, t)
     }
 
-    fn legacy_fresh() -> (BTreeStore, BTree) {
-        let mut s = BTreeStore::new();
-        let t = s.new_tree();
-        (s, t)
-    }
-
     #[test]
     fn term_head_preserves_order() {
         let mut terms: Vec<&[u8]> = vec![b"", b"a", b"ab", b"abcd", b"abce", b"b", b"zzzz"];
@@ -576,70 +586,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_store_handle_for_handle() {
-        // The load-bearing identity: same stream in, same outcome stream,
-        // same structure, same canonical node bytes out.
-        let mut keys: Vec<String> = (0..800)
-            .map(|i| match i % 5 {
-                0 => format!("k{i:05}"),
-                1 => format!("shared-prefix-{:03}", i % 97),
-                2 => format!("{:02}", i % 50),
-                3 => format!("x{}", "y".repeat(i % 9)),
-                _ => format!("unicode-é火-{i}"),
-            })
-            .collect();
-        keys.shuffle(&mut StdRng::seed_from_u64(42));
-        let (mut s, mut t) = fresh();
-        let (mut ls, mut lt) = legacy_fresh();
-        for k in &keys {
-            let a = s.insert(&mut t, k.as_bytes());
-            let b = ls.insert(&mut lt, k.as_bytes());
-            assert_eq!(a, b, "outcome diverged on {k}");
-        }
-        assert_eq!(t.root, lt.root);
-        assert_eq!(s.term_count(), ls.term_count());
-        assert_eq!(s.iter_terms(&t), ls.iter_terms(&lt));
-        assert_eq!(s.depth(&t), ls.depth(&lt));
-        assert_eq!(s.strings.as_bytes(), ls.strings.as_bytes());
-        // Canonical legacy rendering matches node-for-node in the fields
-        // that carry information (slots < count plus live children).
-        let rendered = s.to_legacy_nodes();
-        assert_eq!(rendered.len(), ls.nodes.len());
-        for (idx, (a, b)) in rendered.iter().zip(ls.nodes.nodes()).enumerate() {
-            assert_eq!(a.count, b.count, "count differs at node {idx}");
-            assert_eq!(a.leaf, b.leaf, "leaf differs at node {idx}");
-            let c = a.count as usize;
-            assert_eq!(a.cache[..c], b.cache[..c], "caches differ at node {idx}");
-            assert_eq!(a.term_ptr[..c], b.term_ptr[..c], "term ptrs differ at node {idx}");
-            assert_eq!(
-                a.postings_ptr[..c],
-                b.postings_ptr[..c],
-                "postings differ at node {idx}"
-            );
-            if a.leaf == 0 {
-                assert_eq!(
-                    a.children[..=c],
-                    b.children[..=c],
-                    "children differ at node {idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_roundtrip_preserves_structure_and_handles() {
+    fn device_roundtrip_preserves_structure_and_handles() {
         let (mut s, mut t) = fresh();
         let mut keys: Vec<String> = (0..300).map(|i| format!("key{i:04}")).collect();
         keys.shuffle(&mut StdRng::seed_from_u64(7));
         for k in &keys {
             s.insert(&mut t, k.as_bytes());
         }
-        let legacy = BTreeStore::from_parts(
-            crate::arena::NodeArena::from_nodes(s.to_legacy_nodes()),
+        let mut back = SlottedStore::from_device(
+            &s.to_device_nodes(),
             StringArena::from_bytes(s.strings.as_bytes().to_vec()),
             s.term_count(),
         );
-        let mut back = SlottedStore::from_legacy(legacy);
         assert_eq!(back.term_count(), s.term_count());
         assert_eq!(back.iter_terms(&t), s.iter_terms(&t));
         // Continued inserts allocate the same handles in both stores.
@@ -652,17 +610,15 @@ mod tests {
 
     #[test]
     fn head_distinguishable_ties_never_touch_strings() {
-        // Satellite regression for the eager-fallback fix: every key pair
-        // here is distinguished by (head, remainder-emptiness) alone, so
-        // the slotted path must do ZERO string comparisons while the legacy
-        // path (which read the arena on every cache tie) does many.
+        // Regression for the eager-fallback fix: every key pair here is
+        // distinguished by (head, remainder-emptiness) alone, so the slotted
+        // path must do ZERO string comparisons (the original path read the
+        // arena on every cache tie).
         let heads = ["aaaa", "abab", "baba", "bbbb", "cccc", "dddd", "eeee", "ffff"];
         let (mut s, mut t) = fresh();
-        let (mut ls, mut lt) = legacy_fresh();
         for h in heads {
             for k in [h.to_string(), format!("{h}tail")] {
                 s.insert(&mut t, k.as_bytes());
-                ls.insert(&mut lt, k.as_bytes());
             }
         }
         // Probe the short (in-head-only) variants repeatedly: each probe
@@ -670,15 +626,10 @@ mod tests {
         for _ in 0..10 {
             for h in heads {
                 assert!(s.get(&t, h.as_bytes()).is_some());
-                assert!(ls.get(&lt, h.as_bytes()).is_some());
             }
         }
         assert_eq!(s.cache_misses, 0, "slotted path read the string arena needlessly");
         assert!(s.head_tie_breaks > 0, "ties should be resolved by emptiness");
-        assert!(
-            ls.cache_misses > 0,
-            "reference path is expected to fall back eagerly on this workload"
-        );
     }
 
     #[test]
@@ -713,24 +664,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn prop_matches_legacy_on_arbitrary_streams(
-            keys in proptest::collection::vec("[a-f]{0,10}", 1..300)
-        ) {
-            let (mut s, mut t) = fresh();
-            let (mut ls, mut lt) = legacy_fresh();
-            for k in &keys {
-                let a = s.insert(&mut t, k.as_bytes());
-                let b = ls.insert(&mut lt, k.as_bytes());
-                prop_assert_eq!(a, b);
-            }
-            prop_assert_eq!(t.root, lt.root);
-            prop_assert_eq!(s.iter_terms(&t), ls.iter_terms(&lt));
-            for k in &keys {
-                prop_assert_eq!(s.get(&t, k.as_bytes()), ls.get(&lt, k.as_bytes()));
-            }
-        }
-
         #[test]
         fn prop_head_collision_streams_stay_sorted(
             tails in proptest::collection::vec("[a-c]{0,6}", 1..120)

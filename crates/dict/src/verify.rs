@@ -3,8 +3,9 @@
 //! The GPU indexer builds B-trees in device memory with warp-parallel
 //! shifts and splits, and the CPU hot path builds slotted-node trees with
 //! branch-free head search; after either, the trees must be *structurally*
-//! valid, not merely return correct lookups. This module checks every CLRS
-//! B-tree invariant over both node layouts:
+//! valid, not merely return correct lookups. A device tree reaches the host
+//! through [`SlottedStore::from_device`], so one checker covers both: it
+//! checks every CLRS B-tree invariant over the slotted layout:
 //!
 //! 1. keys within each node are strictly increasing (slot order = key
 //!    order);
@@ -14,13 +15,12 @@
 //! 5. postings handles are unique across the tree;
 //! 6. string-cache / head contents match the first bytes of the stored
 //!    term;
-//! 7. (slotted only) slots at or above `count` hold the canonical empty
+//! 7. slots at or above `count` hold the canonical empty
 //!    form — [`HEAD_SENTINEL`] heads and `NULL` pointers — since the
 //!    branch-free rank depends on the sentinel discipline.
 
-use crate::btree::{BTree, BTreeStore};
 use crate::node::{MAX_KEYS, MIN_KEYS, NULL};
-use crate::slotted::{term_head, SlottedStore, HEAD_SENTINEL};
+use crate::slotted::{term_head, BTree, SlottedStore, HEAD_SENTINEL};
 
 /// A violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,87 +76,8 @@ pub enum BTreeViolation {
     },
 }
 
-/// Check every invariant of a legacy-layout `tree`; returns all violations
-/// found.
-pub fn verify_btree(store: &BTreeStore, tree: &BTree) -> Vec<BTreeViolation> {
-    let mut violations = Vec::new();
-    let mut leaf_depth: Option<usize> = None;
-    let mut seen_handles = std::collections::HashSet::new();
-    let mut last_key: Option<Vec<u8>> = None;
-    walk(
-        store,
-        tree.root,
-        true,
-        1,
-        &mut leaf_depth,
-        &mut seen_handles,
-        &mut last_key,
-        &mut violations,
-    );
-    violations
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    store: &BTreeStore,
-    node_idx: u32,
-    is_root: bool,
-    depth: usize,
-    leaf_depth: &mut Option<usize>,
-    seen: &mut std::collections::HashSet<u32>,
-    last_key: &mut Option<Vec<u8>>,
-    out: &mut Vec<BTreeViolation>,
-) {
-    let node = store.nodes.get(node_idx);
-    let count = node.count as usize;
-    let min = if is_root { 0 } else { MIN_KEYS };
-    if count > MAX_KEYS || count < min {
-        out.push(BTreeViolation::BadCount { node: node_idx, count: node.count });
-    }
-    if node.is_leaf() {
-        match *leaf_depth {
-            None => *leaf_depth = Some(depth),
-            Some(expected) if expected != depth => {
-                out.push(BTreeViolation::UnevenLeaves { found: depth, expected });
-            }
-            _ => {}
-        }
-    }
-    for slot in 0..count {
-        if !node.is_leaf() {
-            let child = node.children[slot];
-            if child == NULL {
-                out.push(BTreeViolation::MissingChild { node: node_idx, slot });
-            } else {
-                walk(store, child, false, depth + 1, leaf_depth, seen, last_key, out);
-            }
-        }
-        // In-order position: this key must be strictly greater than every
-        // key seen so far (global order implies in-node + separator order).
-        let key = store.full_term(node, slot);
-        if let Some(prev) = last_key.as_ref() {
-            if *prev >= key {
-                out.push(BTreeViolation::OutOfOrder { node: node_idx, slot });
-            }
-        }
-        *last_key = Some(key);
-        let handle = node.postings_ptr[slot];
-        if !seen.insert(handle) {
-            out.push(BTreeViolation::DuplicateHandle { handle });
-        }
-    }
-    if !node.is_leaf() && count > 0 {
-        let child = node.children[count];
-        if child == NULL {
-            out.push(BTreeViolation::MissingChild { node: node_idx, slot: count });
-        } else {
-            walk(store, child, false, depth + 1, leaf_depth, seen, last_key, out);
-        }
-    }
-}
-
 /// Check every invariant of a slotted-layout `tree`, including the two the
-/// slotted hot path adds: head consistency (each slot's head encodes the
+/// slotted layout adds: head consistency (each slot's head encodes the
 /// first bytes of its full term) and the sentinel discipline for slots at
 /// or above `count`. Returns all violations found.
 pub fn verify_slotted(store: &SlottedStore, tree: &BTree) -> Vec<BTreeViolation> {
@@ -308,20 +229,38 @@ pub fn verify_shard(dict: &crate::dictionary::PartialDictionary) -> Vec<(u32, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::StringArena;
+    use crate::node::BTreeNode;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
+    /// `keys` inserted into a fresh tree, then the store as a simulated GPU
+    /// would hand it back: its Table II nodes, edited by `damage`, and its
+    /// string arena, downloaded through [`SlottedStore::from_device`].
+    fn downloaded<S: AsRef<[u8]>>(
+        keys: &[S],
+        damage: impl FnOnce(&mut [BTreeNode], BTree),
+    ) -> (SlottedStore, BTree) {
+        let mut store = SlottedStore::new();
+        let mut tree = store.new_tree();
+        for k in keys {
+            store.insert(&mut tree, k.as_ref());
+        }
+        let mut nodes = store.to_device_nodes();
+        damage(&mut nodes, tree);
+        let strings = StringArena::from_bytes(store.strings.as_bytes().to_vec());
+        (SlottedStore::from_device(&nodes, strings, store.term_count()), tree)
+    }
+
     #[test]
     fn healthy_tree_verifies_clean() {
-        let mut store = BTreeStore::new();
-        let mut tree = store.new_tree();
+        // A tree downloaded from the device layout keeps every invariant.
         let mut keys: Vec<String> = (0..500).map(|i| format!("k{i:04}")).collect();
         keys.shuffle(&mut StdRng::seed_from_u64(1));
-        for k in &keys {
-            store.insert(&mut tree, k.as_bytes());
-        }
-        assert_eq!(verify_btree(&store, &tree), vec![]);
+        let (store, tree) = downloaded(&keys, |_, _| {});
+        assert!(store.depth(&tree) >= 2);
+        assert_eq!(verify_slotted(&store, &tree), vec![]);
     }
 
     #[test]
@@ -338,12 +277,6 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_trees_verify() {
-        let mut store = BTreeStore::new();
-        let tree = store.new_tree();
-        assert_eq!(verify_btree(&store, &tree), vec![]);
-        let mut t2 = store.new_tree();
-        store.insert(&mut t2, b"only");
-        assert_eq!(verify_btree(&store, &t2), vec![]);
         let mut slotted = SlottedStore::new();
         let st = slotted.new_tree();
         assert_eq!(verify_slotted(&slotted, &st), vec![]);
@@ -354,16 +287,12 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let mut store = BTreeStore::new();
-        let mut tree = store.new_tree();
-        for i in 0..100 {
-            // Distinct 4-byte caches so a cache swap breaks key order.
-            store.insert(&mut tree, format!("{i:04}").as_bytes());
-        }
-        // Swap two caches in the root to break ordering.
-        let root = store.nodes.get_mut(tree.root);
-        root.cache.swap(0, 1);
-        let violations = verify_btree(&store, &tree);
+        // Distinct 4-byte caches so a cache swap breaks key order: swap two
+        // in the root's device node.
+        let keys: Vec<String> = (0..100).map(|i| format!("{i:04}")).collect();
+        let (store, tree) =
+            downloaded(&keys, |nodes, tree| nodes[tree.root as usize].cache.swap(0, 1));
+        let violations = verify_slotted(&store, &tree);
         assert!(
             violations.iter().any(|v| matches!(v, BTreeViolation::OutOfOrder { .. })),
             "expected OutOfOrder, got {violations:?}"
@@ -406,13 +335,11 @@ mod tests {
 
     #[test]
     fn duplicate_handles_detected() {
-        let mut store = BTreeStore::new();
-        let mut tree = store.new_tree();
-        store.insert(&mut tree, b"aa");
-        store.insert(&mut tree, b"bb");
-        let root = store.nodes.get_mut(tree.root);
-        root.postings_ptr[1] = root.postings_ptr[0];
-        let violations = verify_btree(&store, &tree);
+        let (store, tree) = downloaded(&["aa", "bb"], |nodes, tree| {
+            let root = &mut nodes[tree.root as usize];
+            root.postings_ptr[1] = root.postings_ptr[0];
+        });
+        let violations = verify_slotted(&store, &tree);
         assert!(violations
             .iter()
             .any(|v| matches!(v, BTreeViolation::DuplicateHandle { .. })));
@@ -454,16 +381,14 @@ mod tests {
 
     #[test]
     fn undercount_detected() {
-        let mut store = BTreeStore::new();
-        let mut tree = store.new_tree();
-        // Force a split so there are non-root nodes.
-        for i in 0..64 {
-            store.insert(&mut tree, format!("{i:04}").as_bytes());
-        }
-        // Truncate a child below MIN_KEYS.
-        let child = store.nodes.get(tree.root).children[0];
-        store.nodes.get_mut(child).count = 1;
-        let violations = verify_btree(&store, &tree);
+        // Force a split so there are non-root nodes, then truncate a child's
+        // device node below MIN_KEYS.
+        let keys: Vec<String> = (0..64).map(|i| format!("{i:04}")).collect();
+        let (store, tree) = downloaded(&keys, |nodes, tree| {
+            let child = nodes[tree.root as usize].children[0];
+            nodes[child as usize].count = 1;
+        });
+        let violations = verify_slotted(&store, &tree);
         assert!(violations.iter().any(|v| matches!(v, BTreeViolation::BadCount { .. })));
     }
 

@@ -17,9 +17,10 @@
 //!   table; completed postings are appended to a device log that the host
 //!   drains at the end of each run.
 //!
-//! Node bytes in device memory use the *identical* 512-byte layout as the
-//! CPU dictionary (`ii_dict::node`), so at end of program the device arenas
-//! are downloaded and reinterpreted directly as a `PartialDictionary`.
+//! Node bytes in device memory use the Table II 512-byte layout
+//! (`ii_dict::node`), which converts losslessly to the host's slotted
+//! nodes, so at end of program the device arenas are downloaded straight
+//! into a `PartialDictionary`.
 
 use crate::log::PostingLog;
 use crate::stats::WorkloadStats;
@@ -28,12 +29,11 @@ use ii_dict::node::{
     BTreeNode, MAX_KEYS, NODE_BYTES, NULL, OFF_CACHE, OFF_CHILDREN, OFF_COUNT, OFF_LEAF,
     OFF_POSTINGS, OFF_TERM_PTR,
 };
-use ii_dict::{arena, BTree, BTreeStore, PartialDictionary, TRIE_ENTRIES};
+use ii_dict::{arena::StringArena, PartialDictionary, SlottedStore, TRIE_ENTRIES};
 use ii_gpusim::{launch_dynamic, BlockCtx, DevPtr, DeviceMemory, GpuConfig, LaunchReport};
 use ii_obs::{GpuSpanArgs, TraceKind, TraceSink};
 use ii_postings::{Codec, Posting, RunFile};
 use ii_text::TrieGroup;
-use std::collections::HashMap;
 
 /// Shared-memory layout of the kernel (well inside the 16 KB budget).
 const SH_CHUNK: usize = 0; // 512 B staging for term strings
@@ -386,8 +386,8 @@ impl GpuIndexer {
         log
     }
 
-    /// End of program: download the device arenas and reinterpret them as
-    /// a host dictionary shard (identical layouts).
+    /// End of program: download the device arenas into a host dictionary
+    /// shard (each Table II node becomes its slotted twin).
     pub fn into_partial_dictionary(&mut self) -> PartialDictionary {
         let n_nodes = self.node_count() as usize;
         let node_bytes = self.mem.host_read(self.node_area, n_nodes * NODE_BYTES);
@@ -397,21 +397,18 @@ impl GpuIndexer {
             .collect();
         let n_str = self.read_ctr(self.ctr_strings) as usize;
         let string_bytes = self.mem.host_read(self.string_area, n_str);
-        let store = BTreeStore::from_parts(
-            arena::NodeArena::from_nodes(nodes),
-            arena::StringArena::from_bytes(string_bytes),
-            self.term_count(),
-        );
-        let mut roots = HashMap::new();
+        let store =
+            SlottedStore::from_device(&nodes, StringArena::from_bytes(string_bytes), self.term_count());
+        let mut roots = Vec::with_capacity(self.seen.len());
         for &ti in &self.seen {
             let cell = DevPtr(self.roots.0 + ti * 4);
             let root =
                 u32::from_le_bytes(self.mem.debug_read(cell, 4).try_into().unwrap());
             if root != NULL {
-                roots.insert(ti, BTree { root });
+                roots.push((ti, root));
             }
         }
-        PartialDictionary::from_parts(self.id, store, roots)
+        PartialDictionary::from_device(self.id, store, roots)
     }
 
     /// Resume support: upload a dictionary shard into device memory, the
@@ -429,7 +426,7 @@ impl GpuIndexer {
     /// reason (device sizes are not part of a checkpoint's config
     /// fingerprint).
     pub fn restore_dictionary(&mut self, part: &PartialDictionary) -> Result<(), String> {
-        let nodes = part.store.to_legacy_nodes();
+        let nodes = part.store.to_device_nodes();
         let strings = part.store.strings.as_bytes();
         for (what, needed, capacity) in [
             ("nodes", nodes.len(), self.config.node_capacity),

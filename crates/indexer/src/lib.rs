@@ -14,7 +14,6 @@ pub mod balance;
 pub mod cpu;
 pub mod gpu;
 pub mod log;
-pub mod positional;
 pub mod run;
 pub mod stats;
 
@@ -22,6 +21,5 @@ pub use balance::{make_plan, sample_counts, BalancePlan, Owner};
 pub use cpu::CpuIndexer;
 pub use gpu::{GpuBatchReport, GpuIndexer, GpuIndexerConfig};
 pub use log::PostingLog;
-pub use positional::{PositionalIndex, PositionalIndexer};
 pub use run::{BatchTiming, Host, IndexerPool, Takeover};
 pub use stats::WorkloadStats;

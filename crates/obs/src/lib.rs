@@ -5,7 +5,9 @@
 //! goes* — reading, decompression/parsing, indexing, post-processing — and
 //! on low-level device counters (global-memory transactions, warp
 //! comparisons). This crate provides the measurement substrate for all of
-//! that with **no external dependencies** and **~ns-per-event cost**:
+//! that at **~ns-per-event cost**, depending on nothing but the vendored
+//! `serde_json` (which reads traces back for `ii trace report`; every JSON
+//! this crate emits is written by hand):
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-ordering atomics. A counter bump is
 //!   a single `fetch_add(Relaxed)`; cheap enough to stay enabled in
@@ -29,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub mod http;
-pub mod json;
 pub mod openmetrics;
 pub mod recorder;
 pub mod report;
@@ -522,7 +523,9 @@ pub struct Snapshot {
     pub stages: BTreeMap<String, StageSnapshot>,
 }
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted, escaped JSON string — the escaping every
+/// hand-written JSON of this crate and of the post-mortem bundle shares.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -19,7 +19,7 @@
 //!   full, the oldest event is overwritten and a drop counter ticks, so a
 //!   pathological build degrades the timeline's tail instead of memory.
 
-use crate::json::{parse_json, JsonValue};
+use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -648,14 +648,15 @@ impl Trace {
     }
 
     /// Parse a Chrome trace produced by [`Self::to_chrome_json`] back into
-    /// a `Trace` (the `ii trace report` input path).
+    /// a `Trace` (the `ii trace report` input path). Malformed JSON and a
+    /// span whose end does not fit a `u64` of nanoseconds are errors.
     pub fn from_chrome_json(input: &str) -> Result<Trace, String> {
-        let doc = parse_json(input)?;
+        let doc: Value = serde_json::from_str(input).map_err(|e| e.to_string())?;
         let events = doc
             .get("traceEvents")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_array)
             .ok_or("no traceEvents array")?;
-        let ns_of = |v: &JsonValue| -> Option<u64> {
+        let ns_of = |v: &Value| -> Option<u64> {
             v.as_f64().map(|us| (us * 1000.0).round() as u64)
         };
         // tid → worker slot, in order of first appearance of thread names.
@@ -671,9 +672,9 @@ impl Trace {
             }
         };
         for ev in events {
-            let ph = ev.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-            let tid = ev.get("tid").and_then(JsonValue::as_u64).unwrap_or(0);
-            let name = ev.get("name").and_then(JsonValue::as_str).unwrap_or("");
+            let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
+            let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
+            let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
             match ph {
                 "M" if name == "thread_name" && tid > 0 => {
                     let slot = slot_of(&mut workers, tid);
@@ -683,7 +684,7 @@ impl Trace {
                     workers[slot].1.dropped = ev
                         .get("args")
                         .and_then(|a| a.get("dropped"))
-                        .and_then(JsonValue::as_u64)
+                        .and_then(Value::as_u64)
                         .unwrap_or(0);
                 }
                 "X" => {
@@ -691,9 +692,10 @@ impl Trace {
                         .ok_or_else(|| format!("unknown span kind '{name}'"))?;
                     let ts = ev.get("ts").and_then(&ns_of).ok_or("span without ts")?;
                     let dur = ev.get("dur").and_then(&ns_of).unwrap_or(0);
+                    let t_end_ns = ts.checked_add(dur).ok_or("span end overflows")?;
                     let args = ev.get("args");
                     let arg_u64 = |key: &str| -> Option<u64> {
-                        args.and_then(|a| a.get(key)).and_then(JsonValue::as_u64)
+                        args.and_then(|a| a.get(key)).and_then(Value::as_u64)
                     };
                     let gpu = if arg_u64("gpu_device_ns").is_some() {
                         Some(GpuSpanArgs {
@@ -711,7 +713,7 @@ impl Trace {
                     workers[slot].1.events.push(TraceEvent {
                         kind,
                         t_start_ns: ts,
-                        t_end_ns: ts + dur,
+                        t_end_ns,
                         bytes: arg_u64("bytes").unwrap_or(0),
                         batch_id: arg_u64("batch").map_or(NO_ID, |v| v as u32),
                         trie_lo: arg_u64("trie_lo").map_or(NO_ID, |v| v as u32),
@@ -724,7 +726,7 @@ impl Trace {
                     let v = ev
                         .get("args")
                         .and_then(|a| a.get("depth"))
-                        .and_then(JsonValue::as_i64)
+                        .and_then(Value::as_i64)
                         .unwrap_or(0);
                     match gauges.iter_mut().find(|g| g.name == name) {
                         Some(g) => g.samples.push((ts, v)),
@@ -915,6 +917,25 @@ mod tests {
         assert!(json.contains("\"cat\":\"stall\""));
         let back = Trace::from_chrome_json(&json).expect("parse back");
         assert_eq!(back, tr, "ns-exact round trip");
+    }
+
+    #[test]
+    fn a_span_end_past_u64_is_an_error() {
+        let span = |ts: &str, dur: &str| {
+            format!(
+                "{{\"traceEvents\":[{{\"ph\":\"X\",\"tid\":1,\"name\":\"parse\",\
+                 \"ts\":{ts},\"dur\":{dur}}}]}}"
+            )
+        };
+        let ok = Trace::from_chrome_json(&span("1.000", "2.500")).unwrap();
+        let e = &ok.workers[0].events[0];
+        assert_eq!((e.t_start_ns, e.t_end_ns), (1000, 3500));
+        // `ts` saturates to u64::MAX nanoseconds; adding any duration must
+        // not wrap into a span that ends before it starts.
+        for (ts, dur) in [("1e300", "1.000"), ("18446744073709551.615", "0.001")] {
+            let err = Trace::from_chrome_json(&span(ts, dur)).unwrap_err();
+            assert_eq!(err, "span end overflows", "ts {ts} dur {dur}");
+        }
     }
 
     #[test]

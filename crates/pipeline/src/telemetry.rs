@@ -29,9 +29,9 @@
 
 use crate::fault::FileFault;
 use crate::supervisor::SupervisionReport;
-use ii_obs::json::{self, JsonValue};
-use ii_obs::{FlightRecorder, RecorderConfig, Registry, Trace, Tracer, WorkerTrace};
+use ii_obs::{push_json_str, FlightRecorder, RecorderConfig, Registry, Trace, Tracer, WorkerTrace};
 use ii_store::RealVfs;
+use serde_json::Value;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -159,16 +159,16 @@ impl PostmortemWriter {
 /// identically-seeded runs).
 fn render_event_json(ctx: &PostmortemContext<'_>) -> String {
     let mut o = String::from("{\n  \"trigger\": ");
-    json::write_json_str(&mut o, ctx.trigger);
+    push_json_str(&mut o, ctx.trigger);
     o.push_str(",\n  \"detail\": ");
-    json::write_json_str(&mut o, &ctx.detail);
+    push_json_str(&mut o, &ctx.detail);
     o.push_str(&format!(",\n  \"batch_ordinal\": {},\n  \"deaths\": [", ctx.batch_ordinal));
     for (i, d) in ctx.supervision.deaths.iter().enumerate() {
         o.push_str(if i == 0 { "\n    " } else { ",\n    " });
         o.push_str("{\"class\": ");
-        json::write_json_str(&mut o, &d.class.to_string());
+        push_json_str(&mut o, &d.class.to_string());
         o.push_str(&format!(", \"index\": {}, \"cause\": ", d.index));
-        json::write_json_str(&mut o, &d.cause.to_string());
+        push_json_str(&mut o, &d.cause.to_string());
         o.push('}');
     }
     let s = ctx.supervision;
@@ -180,7 +180,7 @@ fn render_event_json(ctx: &PostmortemContext<'_>) -> String {
         if i > 0 {
             o.push_str(", ");
         }
-        json::write_json_str(&mut o, l);
+        push_json_str(&mut o, l);
     }
     o.push_str("],\n  \"quarantined_files\": [");
     for (i, f) in ctx.quarantined.iter().enumerate() {
@@ -271,17 +271,17 @@ fn short_num(v: f64) -> String {
 
 /// Append the transposed flight-recorder timeline: one row per watched
 /// metric, one column per sample (last [`TIMELINE_COLUMNS`]).
-fn render_timeline(fr: &JsonValue, o: &mut String) {
+fn render_timeline(fr: &Value, o: &mut String) {
     let names = |key: &str| -> Vec<String> {
         fr.get(key)
-            .and_then(|v| v.as_arr())
+            .and_then(Value::as_array)
             .map(|a| a.iter().map(|n| n.as_str().unwrap_or("?").to_string()).collect())
             .unwrap_or_default()
     };
     let counters = names("counters");
     let gauges = names("gauges");
     let workers = names("workers");
-    let samples = fr.get("samples").and_then(|v| v.as_arr()).unwrap_or(&[]);
+    let samples = fr.get("samples").and_then(Value::as_array).map_or(&[][..], Vec::as_slice);
     let dropped = fr.get("dropped").and_then(|v| v.as_u64()).unwrap_or(0);
     o.push_str(&format!(
         "flight recorder: {} samples in ring ({} evicted)\n",
@@ -295,8 +295,8 @@ fn render_timeline(fr: &JsonValue, o: &mut String) {
     let first_shown = samples.len() - take;
     let window = &samples[first_shown..];
     // Value of series `key[idx]` in one sample.
-    let val = |s: &JsonValue, key: &str, idx: usize| -> f64 {
-        s.get(key).and_then(|v| v.as_arr()).and_then(|a| a.get(idx)).and_then(|v| v.as_f64()).unwrap_or(0.0)
+    let val = |s: &Value, key: &str, idx: usize| -> f64 {
+        s.get(key).and_then(Value::as_array).and_then(|a| a.get(idx)).and_then(Value::as_f64).unwrap_or(0.0)
     };
     let label_w = counters
         .iter()
@@ -353,9 +353,9 @@ fn render_timeline(fr: &JsonValue, o: &mut String) {
 
 /// Render a bundle's human-readable report: cause attribution, the
 /// supervision ledger, and the flight-recorder timeline. This is what
-/// `ii postmortem` prints.
+/// `ii postmortem` prints; a bundle that is not JSON is an error.
 pub fn render_bundle_report(text: &str) -> Result<String, String> {
-    let v = json::parse_json(text)?;
+    let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let event = v.get("event").ok_or("bundle has no 'event' section")?;
     let schema = v.get("schema_version").and_then(|x| x.as_u64()).unwrap_or(0);
     if schema > BUNDLE_SCHEMA_VERSION as u64 {
@@ -369,7 +369,7 @@ pub fn render_bundle_report(text: &str) -> Result<String, String> {
     o.push_str(&format!("trigger: {}\n", sv("trigger")));
     o.push_str(&format!("cause: {}\n", sv("detail")));
     o.push_str(&format!("batch ordinal: {}\n", nv("batch_ordinal")));
-    if let Some(deaths) = event.get("deaths").and_then(|d| d.as_arr()) {
+    if let Some(deaths) = event.get("deaths").and_then(Value::as_array) {
         if !deaths.is_empty() {
             o.push_str("deaths:\n");
             for d in deaths {
@@ -389,7 +389,7 @@ pub fn render_bundle_report(text: &str) -> Result<String, String> {
         nv("inline_parsed_files"),
         nv("commit_retries")
     ));
-    if let Some(lossy) = event.get("lossy_incidents").and_then(|l| l.as_arr()) {
+    if let Some(lossy) = event.get("lossy_incidents").and_then(Value::as_array) {
         if !lossy.is_empty() {
             o.push_str(&format!("lossy incidents: {}\n", lossy.len()));
             for l in lossy {
@@ -397,7 +397,7 @@ pub fn render_bundle_report(text: &str) -> Result<String, String> {
             }
         }
     }
-    match event.get("quarantined_files").and_then(|q| q.as_arr()) {
+    match event.get("quarantined_files").and_then(Value::as_array) {
         Some(q) if !q.is_empty() => {
             let idxs: Vec<String> =
                 q.iter().map(|x| format!("{}", x.as_u64().unwrap_or(0))).collect();
@@ -407,11 +407,11 @@ pub fn render_bundle_report(text: &str) -> Result<String, String> {
     }
     let telemetry = v.get("telemetry");
     match telemetry.and_then(|t| t.get("flight_recorder")) {
-        Some(JsonValue::Null) | None => o.push_str("flight recorder: disabled\n"),
+        Some(Value::Null) | None => o.push_str("flight recorder: disabled\n"),
         Some(fr) => render_timeline(fr, &mut o),
     }
     if let Some(trace) = telemetry.and_then(|t| t.get("trace_tail")) {
-        if let Some(events) = trace.get("traceEvents").and_then(|e| e.as_arr()) {
+        if let Some(events) = trace.get("traceEvents").and_then(Value::as_array) {
             o.push_str(&format!("trace tail: {} events\n", events.len()));
         }
     }
@@ -466,7 +466,7 @@ mod tests {
         };
         recorder.force_sample();
         let bundle = render_bundle(&ctx, &recorder, &registry, &tracer);
-        json::parse_json(&bundle).expect("bundle must be valid JSON");
+        serde_json::from_str::<Value>(&bundle).expect("bundle must be valid JSON");
         let report = render_bundle_report(&bundle).expect("report");
         assert!(report.contains("trigger: worker-death"), "{report}");
         assert!(report.contains("cause: gpu-indexer 0 died (injected kill)"), "{report}");

@@ -17,7 +17,6 @@ pub mod block;
 pub mod codec;
 pub mod cursor;
 pub mod merge;
-pub mod positional;
 pub mod posting;
 pub mod run;
 pub mod varbyte;
@@ -28,7 +27,6 @@ pub use block::{
 pub use codec::{codec_for, Codec, CodecError, LONG_LIST_MIN, SHORT_LIST_MAX};
 pub use cursor::{ListCursor, SetCursor};
 pub use merge::merge_runs;
-pub use positional::{phrase_matches, phrase_matches_with_offsets, PositionalList, PositionalPosting};
 pub use posting::{Posting, PostingsList};
 pub use run::{
     parse_run_artifact_name, run_artifact_name, RunBuilder, RunEntry, RunFile, RunSet,

@@ -18,8 +18,8 @@
 //! and all buffers — group builders, stem scratch, the HTML text buffer,
 //! the output `Vec`s of recycled batches — are reused across container
 //! files so steady-state parsing performs no growth reallocation. Output is
-//! byte-identical to the retained [`parse_documents_reference`] path; the
-//! differential tests in `tests/parse_differential.rs` enforce this.
+//! byte-identical to the pre-optimization parser, which the integration
+//! test crate keeps frozen as its differential oracle.
 
 use crate::html::{strip_tags, strip_tags_into};
 use crate::porter::{stem_into, StemBuf};
@@ -27,7 +27,6 @@ use crate::stopwords::is_stop_word;
 use crate::tokenize::tokens;
 use ii_corpus::doc::{DocId, RawDocument};
 use ii_dict::trie::{classify, TrieIndex, TRIE_ENTRIES};
-use std::collections::HashMap;
 
 /// Longest stored term suffix; the paper assumes one length byte suffices.
 pub const MAX_TERM_BYTES: usize = 255;
@@ -55,10 +54,6 @@ pub struct TrieGroup {
     pub docs: Vec<DocSpan>,
     /// Length-prefixed term strings.
     pub term_bytes: Vec<u8>,
-    /// In-document token positions, one per term in emission order (the
-    /// "possibly other information" of §II; consumed by the positional
-    /// index extension, ignored by the paper's non-positional indexers).
-    pub positions: Vec<u32>,
 }
 
 impl TrieGroup {
@@ -76,15 +71,6 @@ impl TrieGroup {
     /// Total number of terms in the group.
     pub fn total_terms(&self) -> u64 {
         self.docs.iter().map(|d| d.n_terms as u64).sum()
-    }
-
-    /// Iterate `(local doc id, term bytes, in-doc token position)`.
-    pub fn iter_terms_with_positions(
-        &self,
-    ) -> impl Iterator<Item = (DocId, &[u8], u32)> + '_ {
-        self.iter_terms()
-            .zip(self.positions.iter())
-            .map(|((d, t), &p)| (d, t, p))
     }
 }
 
@@ -147,8 +133,8 @@ impl ParsedBatch {
             .map(|i| &self.groups[i])
     }
 
-    /// Resident bytes of the batch payload — term bytes, doc spans,
-    /// positions, and the doc-location table — the credit a parser must
+    /// Resident bytes of the batch payload — term bytes, doc spans and
+    /// the doc-location table — the credit a parser must
     /// acquire from the memory governor before the batch enters the
     /// in-flight queues. Deterministic per file: identical across runs,
     /// parser counts, and budgets.
@@ -157,7 +143,6 @@ impl ParsedBatch {
         for g in &self.groups {
             n += g.term_bytes.len() as u64;
             n += (g.docs.len() * std::mem::size_of::<DocSpan>()) as u64;
-            n += (g.positions.len() * std::mem::size_of::<u32>()) as u64;
         }
         for (_, loc) in &self.doc_table {
             n += (loc.len() + std::mem::size_of::<(DocId, String)>()) as u64;
@@ -170,11 +155,10 @@ impl ParsedBatch {
 struct GroupBuilder {
     docs: Vec<DocSpan>,
     term_bytes: Vec<u8>,
-    positions: Vec<u32>,
 }
 
 impl GroupBuilder {
-    fn push(&mut self, doc: DocId, term: &[u8], position: u32) {
+    fn push(&mut self, doc: DocId, term: &[u8]) {
         let start_new = match self.docs.last() {
             Some(span) => span.doc != doc,
             None => true,
@@ -193,7 +177,6 @@ impl GroupBuilder {
         let span = self.docs.last_mut().unwrap();
         span.byte_len += 1 + term.len() as u32;
         span.n_terms += 1;
-        self.positions.push(position);
     }
 }
 
@@ -275,7 +258,6 @@ impl ParseScratch {
             }
             g.docs.clear();
             g.term_bytes.clear();
-            g.positions.clear();
             self.spare_groups.push(g);
         }
         if self.spare_group_lists.len() < MAX_SPARE_BATCHES {
@@ -293,7 +275,6 @@ impl ParseScratch {
         for b in &mut self.builders {
             b.docs.clear();
             b.term_bytes.clear();
-            b.positions.clear();
         }
         self.active = 0;
     }
@@ -314,7 +295,6 @@ impl ParseScratch {
             g.trie_index = ti;
             std::mem::swap(&mut g.docs, &mut b.docs);
             std::mem::swap(&mut g.term_bytes, &mut b.term_bytes);
-            std::mem::swap(&mut g.positions, &mut b.positions);
             groups.push(g);
         }
         self.touched.clear();
@@ -354,11 +334,8 @@ pub fn parse_documents_into(
                 &d.body
             };
             let mut it = tokens(text);
-            let mut token_pos = 0u32;
             while let Some(tok) = it.next_token() {
                 stats.tokens += 1;
-                let position = token_pos;
-                token_pos += 1;
                 // Step 3: stemming (copy-on-write into the scratch buffer).
                 let stemmed = stem_into(tok, stem_buf);
                 // Step 4: stop-word removal (post-stem, as in the paper).
@@ -383,7 +360,7 @@ pub fn parse_documents_into(
                     touched.push(idx.0);
                     *active += 1;
                 }
-                builders[bi as usize].push(doc_id, suffix.as_bytes(), position);
+                builders[bi as usize].push(doc_id, suffix.as_bytes());
             }
         }
     }
@@ -398,63 +375,6 @@ pub fn parse_documents_into(
 pub fn parse_documents(docs: &[RawDocument], html: bool, file_idx: usize) -> ParsedBatch {
     let mut scratch = ParseScratch::new();
     parse_documents_into(&mut scratch, docs, html, file_idx)
-}
-
-/// The pre-optimization parser, retained as the differential-testing and
-/// benchmark baseline: per-batch `HashMap` regrouping over the naive
-/// tokenizer ([`crate::tokenize::tokens_reference`]), allocating stemmer
-/// ([`crate::porter::reference::stem`]), full-table stop lookup
-/// ([`crate::stopwords::is_stop_word_reference`]) and char-counting
-/// classifier ([`ii_dict::trie::classify_reference`]) — every piece the
-/// hot-path rewrite touched, frozen at its pre-rewrite form. Must produce
-/// byte-identical [`ParsedBatch`]es to [`parse_documents_into`].
-pub fn parse_documents_reference(
-    docs: &[RawDocument],
-    html: bool,
-    file_idx: usize,
-) -> ParsedBatch {
-    use crate::porter::reference::stem;
-    use crate::stopwords::is_stop_word_reference;
-    use crate::tokenize::tokens_reference;
-    use ii_dict::trie::classify_reference;
-    let mut builders: HashMap<u32, GroupBuilder> = HashMap::new();
-    let mut stats = ParseStats::default();
-    let mut doc_table = Vec::with_capacity(docs.len());
-    for (local, d) in docs.iter().enumerate() {
-        let doc_id = DocId(local as u32);
-        doc_table.push((doc_id, d.url.clone()));
-        let text: std::borrow::Cow<'_, str> =
-            if html { strip_tags(&d.body).into() } else { (&d.body).into() };
-        let mut it = tokens_reference(&text);
-        let mut token_pos = 0u32;
-        while let Some(tok) = it.next_token() {
-            stats.tokens += 1;
-            let position = token_pos;
-            token_pos += 1;
-            let stemmed = stem(tok);
-            if is_stop_word_reference(&stemmed) {
-                continue;
-            }
-            let (idx, suffix) = classify_reference(&stemmed);
-            stats.terms_kept += 1;
-            stats.chars += suffix.len() as u64;
-            builders
-                .entry(idx.0)
-                .or_default()
-                .push(doc_id, suffix.as_bytes(), position);
-        }
-    }
-    let mut groups: Vec<TrieGroup> = builders
-        .into_iter()
-        .map(|(trie_index, b)| TrieGroup {
-            trie_index,
-            docs: b.docs,
-            term_bytes: b.term_bytes,
-            positions: b.positions,
-        })
-        .collect();
-    groups.sort_unstable_by_key(|g| g.trie_index);
-    ParsedBatch { file_idx, num_docs: docs.len() as u32, doc_table, groups, stats }
 }
 
 /// Parse without regrouping: emit a single flat `(doc, term)` stream in
@@ -642,16 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_parser_agrees() {
-        let docs = vec![
-            doc("The QUICK brown -80 fox caf\u{e9} jumped"),
-            doc("running RUNNERS ran; stra\u{df}e"),
-        ];
-        assert_eq!(parse_documents(&docs, false, 7), parse_documents_reference(&docs, false, 7));
-        assert_eq!(parse_documents(&docs, true, 7), parse_documents_reference(&docs, true, 7));
-    }
-
-    #[test]
     fn scratch_recovers_from_poisoned_state() {
         // Simulate a parse that unwound mid-batch leaving stale builders.
         let mut scratch = ParseScratch::new();
@@ -660,7 +570,7 @@ mod tests {
         scratch.touched.push(3);
         scratch.slot[3] = 0;
         scratch.active = 1;
-        scratch.builders[0].positions.push(9);
+        scratch.builders[0].term_bytes.push(9);
         let clean = parse_documents_into(&mut scratch, &docs, false, 1);
         let mut expect = parse_documents(&docs, false, 1);
         expect.file_idx = 1;

@@ -42,9 +42,6 @@ struct StopTable {
     buckets: Vec<(u16, u16)>,
     /// Length of the longest entry — anything longer is never a stop word.
     max_len: usize,
-    /// The same entries sorted lexicographically, for the retained
-    /// pre-optimization lookup ([`is_stop_word_reference`]).
-    sorted: Vec<&'static str>,
 }
 
 fn table() -> &'static StopTable {
@@ -59,9 +56,6 @@ fn table() -> &'static StopTable {
                 v.push(Box::leak(stemmed.into_owned().into_boxed_str()));
             }
         }
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
         v.sort_unstable_by_key(|w| (w.as_bytes()[0], w.len(), *w));
         v.dedup();
         let max_len = v.iter().map(|w| w.len()).max().unwrap_or(0);
@@ -77,7 +71,7 @@ fn table() -> &'static StopTable {
             }
             buckets[key] = (start as u16, i as u16);
         }
-        StopTable { words: v, buckets, max_len, sorted }
+        StopTable { words: v, buckets, max_len }
     })
 }
 
@@ -104,27 +98,9 @@ pub fn is_stop_word(term: &str) -> bool {
         .any(|w| w.as_bytes() == b)
 }
 
-/// The pre-optimization lookup, retained verbatim as the differential and
-/// benchmark baseline: a plain binary search over the full sorted table,
-/// with no length or first-letter rejects. Must agree with
-/// [`is_stop_word`] on every input.
-pub fn is_stop_word_reference(term: &str) -> bool {
-    table().sorted.binary_search(&term).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reference_lookup_agrees() {
-        let t = table();
-        for w in t.words.iter().chain(
-            ["computer", "index", "the", "thi", "954", "", "-80", "zzzz"].iter(),
-        ) {
-            assert_eq!(is_stop_word(w), is_stop_word_reference(w), "word {w:?}");
-        }
-    }
 
     #[test]
     fn classic_stop_words_match() {

@@ -1,7 +1,7 @@
 //! Differential dictionary suite: the slotted-node fast path
-//! (`PartialDictionary`) against the frozen reference shard
-//! (`ReferenceDictionary`, the pre-slotted implementation kept
-//! byte-for-byte).
+//! (`SlottedStore`, `PartialDictionary`) against the frozen Table II host
+//! B-tree and reference shard (`BTreeStore`, `ReferenceDictionary`: the
+//! pre-slotted implementation, kept byte-for-byte in this crate's library).
 //!
 //! The contract under test is total behavioural identity: for any insert
 //! stream — unicode-heavy surface terms, long shared prefixes, adversarial
@@ -17,18 +17,98 @@
 
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, StoredCollection};
 use ii_core::dict::{
-    combine_reference, insert_surface, insert_surface_reference, lookup_surface,
-    lookup_surface_reference, GlobalDictionary, PartialDictionary, ReferenceDictionary,
+    insert_surface, lookup_surface, GlobalDictionary, PartialDictionary, SlottedStore,
     TRIE_ENTRIES,
+};
+use ii_integration_tests::btree::BTreeStore;
+use ii_integration_tests::reference::{
+    combine_reference, insert_surface_reference, lookup_surface_reference, ReferenceDictionary,
 };
 use ii_core::pipeline::{
     build_index, PipelineConfig, SupervisorPolicy, WorkerClass, WorkerFaultPlan,
 };
 use ii_core::text::parse_documents;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
+
+// ---------------------------------------------------------------------------
+// Store-level differential: one tree, both node layouts.
+// ---------------------------------------------------------------------------
+
+/// The load-bearing identity: same stream in, same outcome stream, same
+/// structure, same canonical Table II node bytes out — so the GPU kernel,
+/// which builds the Table II layout, and the host agree handle for handle.
+#[test]
+fn matches_legacy_store_handle_for_handle() {
+    let mut keys: Vec<String> = (0..800)
+        .map(|i| match i % 5 {
+            0 => format!("k{i:05}"),
+            1 => format!("shared-prefix-{:03}", i % 97),
+            2 => format!("{:02}", i % 50),
+            3 => format!("x{}", "y".repeat(i % 9)),
+            _ => format!("unicode-é火-{i}"),
+        })
+        .collect();
+    keys.shuffle(&mut StdRng::seed_from_u64(42));
+    let mut s = SlottedStore::new();
+    let mut t = s.new_tree();
+    let mut ls = BTreeStore::new();
+    let mut lt = ls.new_tree();
+    for k in &keys {
+        let a = s.insert(&mut t, k.as_bytes());
+        let b = ls.insert(&mut lt, k.as_bytes());
+        assert_eq!(a, b, "outcome diverged on {k}");
+    }
+    assert_eq!(t.root, lt.root);
+    assert_eq!(s.term_count(), ls.term_count());
+    assert_eq!(s.iter_terms(&t), ls.iter_terms(&lt));
+    assert_eq!(s.depth(&t), ls.depth(&lt));
+    assert_eq!(s.strings.as_bytes(), ls.strings.as_bytes());
+    // The device rendering matches node-for-node in the fields that carry
+    // information (slots < count plus live children).
+    let rendered = s.to_device_nodes();
+    assert_eq!(rendered.len(), ls.nodes.len());
+    for (idx, (a, b)) in rendered.iter().zip(ls.nodes.nodes()).enumerate() {
+        assert_eq!(a.count, b.count, "count differs at node {idx}");
+        assert_eq!(a.leaf, b.leaf, "leaf differs at node {idx}");
+        let c = a.count as usize;
+        assert_eq!(a.cache[..c], b.cache[..c], "caches differ at node {idx}");
+        assert_eq!(a.term_ptr[..c], b.term_ptr[..c], "term ptrs differ at node {idx}");
+        assert_eq!(a.postings_ptr[..c], b.postings_ptr[..c], "postings differ at node {idx}");
+        if a.leaf == 0 {
+            assert_eq!(a.children[..=c], b.children[..=c], "children differ at node {idx}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_matches_legacy_on_arbitrary_streams(
+        keys in proptest::collection::vec("[a-f]{0,10}", 1..300)
+    ) {
+        let mut s = SlottedStore::new();
+        let mut t = s.new_tree();
+        let mut ls = BTreeStore::new();
+        let mut lt = ls.new_tree();
+        for k in &keys {
+            let a = s.insert(&mut t, k.as_bytes());
+            let b = ls.insert(&mut lt, k.as_bytes());
+            prop_assert_eq!(a, b);
+        }
+        prop_assert_eq!(t.root, lt.root);
+        prop_assert_eq!(s.iter_terms(&t), ls.iter_terms(&lt));
+        for k in &keys {
+            prop_assert_eq!(s.get(&t, k.as_bytes()), ls.get(&lt, k.as_bytes()));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Stream-level differential: raw (trie index, suffix) inserts.

@@ -22,7 +22,8 @@
 use ii_baselines::{sort_based_index, spmr_index, MapReduceConfig};
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, RawDocument, StoredCollection};
 use ii_core::pipeline::{build_index, IndexOutput, PipelineConfig};
-use ii_core::text::{parse_documents_into, parse_documents_reference, ParseScratch};
+use ii_core::text::{parse_documents_into, ParseScratch};
+use ii_integration_tests::parse::parse_documents_reference;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,7 +122,7 @@ fn pipeline_agrees_with_sort_based_baseline() {
 
 /// The PR-4 hot-path contract: for every container file the zero-allocation
 /// parser — its scratch carried from file to file, as a parser thread
-/// carries it — returns the batch the retained naive reference parser does.
+/// carries it — returns the batch the frozen reference parser does.
 /// Everything downstream of the parser sees only the batch.
 #[test]
 fn optimized_and_reference_parsers_return_equal_batches() {

@@ -13,17 +13,26 @@
 //! the index's holders column by the dictionary it already validated.
 //! (`run_format_diff.rs` mutates every header and table byte of whole run
 //! files; the run cases here are the ones the one-posting row adds.)
+//!
+//! Every JSON an index directory or a build leaves behind — `MANIFEST.json`,
+//! `checkpoint.json`, a Chrome trace, a post-mortem bundle — is read by the
+//! one vendored `serde_json`: JSON nested deeper than its recursion limit
+//! is a typed error at each of those readers, never a stack overflow, and a
+//! trace of tens of thousands of events reads back in linear time.
 
 use ii_core::corpus::{CollectionGenerator, CollectionSpec, DocId, StoredCollection};
 use ii_core::dict::{GlobalDictionary, TRIE_ENTRIES};
+use ii_core::obs::trace::{GaugeTrack, NO_ID};
+use ii_core::obs::{GpuSpanArgs, Trace, TraceEvent, TraceKind, WorkerTrace};
 use ii_core::pipeline::{
-    build_index, build_index_durable, DurableOptions, PipelineConfig, PipelineError,
-    CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
+    build_index, build_index_durable, render_bundle_report, DurableOptions, PipelineConfig,
+    PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
 };
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{run_artifact_name, varbyte, Codec, Posting, PostingsList, RunFile};
 use ii_core::store::{
-    crc32, ArtifactMeta, CrashMode, CrashVfs, Manifest, ManifestKind, StoreError, MANIFEST_NAME,
+    crc32, ArtifactMeta, CrashMode, CrashVfs, Manifest, ManifestKind, Store, StoreError,
+    MANIFEST_NAME,
 };
 use ii_core::Index;
 use std::io::ErrorKind;
@@ -340,14 +349,32 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     let restored = Index::open(&dir).expect("restored");
     let probe = idx.dictionary.entries().next().unwrap().full_term();
     assert_eq!(restored.postings_stemmed(&probe), idx.postings_stemmed(&probe));
+
+    // A manifest nested 200 000 deep is a torn manifest, not a stack overflow.
+    let manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    std::fs::write(dir.join(MANIFEST_NAME), deep_json()).unwrap();
+    for r in [Index::open(&dir).map(|_| ()), Store::open(&dir).map(|_| ())] {
+        match r {
+            Err(StoreError::TornManifest { detail }) => assert!(detail.contains("recursion limit")),
+            Err(e) => panic!("a 200 000-deep manifest: expected TornManifest, got {e}"),
+            Ok(()) => panic!("a 200 000-deep manifest opened"),
+        }
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+    Index::open(&dir).expect("restored");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// 200 000 unclosed `[`: about 200 KB that nests past any stack.
+fn deep_json() -> String {
+    "[".repeat(200_000)
 }
 
 /// A checkpoint is read by the reader an index is, and then turned back
 /// into shards: a dictionary no `combine` wrote, a run naming a handle its
-/// shard has not issued and a checkpoint of the generation before this one
-/// (per-indexer shard files, no `dictionary.bin`) each end a resumed build
-/// in a typed error.
+/// shard has not issued, a descriptor nested 200 000 deep and a checkpoint
+/// of the generation before this one (per-indexer shard files, no
+/// `dictionary.bin`) each end a resumed build in a typed error.
 #[test]
 fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     let coll_dir = scratch("ckpt-coll");
@@ -368,6 +395,7 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     let read = |name: &str| std::fs::read(dir.join(&honest.artifact(name).unwrap().file)).unwrap();
     let dict_bytes = read(DICTIONARY_ARTIFACT);
     let dict = GlobalDictionary::from_bytes(&dict_bytes).unwrap();
+    let descriptor = read(CHECKPOINT_ARTIFACT);
 
     let resume = || {
         let opts = DurableOptions::new(&dir).checkpoint_every(1).resume(true);
@@ -408,6 +436,13 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     assert_eq!(corrupt("a handle the shard has not issued"), name);
     overwrite_artifact(&dir, &name, &honest_run.to_bytes());
 
+    overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, deep_json().as_bytes());
+    match resume() {
+        Err(PipelineError::Resume(why)) => assert!(why.contains("recursion limit"), "{why}"),
+        Err(e) => panic!("a 200 000-deep descriptor: unexpected error {e}"),
+        Ok(()) => panic!("a 200 000-deep descriptor resumed"),
+    }
+
     // The generation before this one: a shard file per indexer, their ids
     // listed in the descriptor, and no combined dictionary.
     let mut old = Manifest::load(&dir).unwrap();
@@ -420,7 +455,7 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
         old.artifacts.push(ArtifactMeta { file: name.clone(), name, len, crc32, postings: None });
     }
     std::fs::write(dir.join(MANIFEST_NAME), old.to_bytes()).unwrap();
-    let descriptor = String::from_utf8(read(CHECKPOINT_ARTIFACT)).unwrap();
+    let descriptor = String::from_utf8(descriptor).unwrap();
     let descriptor = descriptor.replacen('{', "{\n  \"indexers\": [0, 1],", 1);
     overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, descriptor.as_bytes());
     match resume() {
@@ -442,4 +477,50 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     for d in [coll_dir, dir] {
         std::fs::remove_dir_all(d).unwrap();
     }
+}
+
+
+#[test]
+fn deeply_nested_traces_and_bundles_are_errors() {
+    for hostile in [deep_json(), format!("{{\"traceEvents\": {}", deep_json())] {
+        let err = Trace::from_chrome_json(&hostile).expect_err("a hostile trace parsed");
+        assert!(err.contains("recursion limit"), "{err}");
+        let err = render_bundle_report(&hostile).expect_err("a hostile bundle rendered");
+        assert!(err.contains("recursion limit"), "{err}");
+    }
+}
+
+/// 32 000 spans on three workers plus a gauge, about 4 MB of Chrome JSON,
+/// read back exactly. (A reader that re-validated the rest of the document
+/// at every string character took minutes on this.)
+#[test]
+fn a_long_chrome_trace_round_trips() {
+    let kinds = [TraceKind::Read, TraceKind::Parse, TraceKind::Index, TraceKind::ParserWait];
+    let mut workers: Vec<WorkerTrace> = ["parser-0", "driver", "gpu-0"]
+        .map(|name| WorkerTrace { name: name.into(), events: Vec::new(), dropped: 7 })
+        .into();
+    for i in 0..32_000u64 {
+        let (w, t) = ((i % 3) as usize, 1_000_000_007 + (i / 3) * 20_011);
+        let gpu = w == 2 && i % 4 == 2;
+        workers[w].events.push(TraceEvent {
+            kind: kinds[(i % 4) as usize],
+            t_start_ns: t,
+            t_end_ns: t + 10_000 + i % 1000,
+            bytes: i * 4096,
+            batch_id: if i % 5 == 1 { (i / 7) as u32 } else { NO_ID },
+            trie_lo: if gpu { (i % 17_000) as u32 } else { NO_ID },
+            trie_hi: if gpu { (i % 17_000) as u32 + 600 } else { NO_ID },
+            gpu: gpu.then(|| GpuSpanArgs {
+                device_ns: i * 31,
+                instructions: i * 20_000,
+                ..Default::default()
+            }),
+        });
+    }
+    let samples = (0..500).map(|i| (1_000_000_000 + i * 333_333, (i % 9) as i64 - 2)).collect();
+    let gauges = vec![GaugeTrack { name: "queue.parser-0".into(), samples }];
+    let trace = Trace { workers, gauges, dropped: 21 };
+    let json = trace.to_chrome_json();
+    assert!(json.len() > 3_500_000, "{} bytes", json.len());
+    assert_eq!(Trace::from_chrome_json(&json).expect("the trace reads back"), trace);
 }

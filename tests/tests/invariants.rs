@@ -108,8 +108,7 @@ proptest! {
     /// Worker death mid-build must leave every surviving shard a
     /// structurally sound slotted B-tree: slot order == key order, head
     /// consistency, sentinel discipline in unused slots, CLRS fill
-    /// bounds. `verify_shard` checks all of these (plus the legacy-view
-    /// invariants) per tree.
+    /// bounds. `verify_shard` checks all of these per tree.
     #[test]
     fn shards_stay_structurally_sound_after_kills(
         docs in docs_strategy(),

@@ -11,13 +11,13 @@
 //! the death exactly as the `SupervisionReport` records it.
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
-use ii_core::obs::json::parse_json;
 use ii_core::obs::{openmetrics, Registry};
 use ii_core::pipeline::{
     build_index, render_bundle_report, PipelineConfig, SupervisorPolicy, WorkerClass,
     WorkerFaultPlan,
 };
 use proptest::prelude::*;
+use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -93,7 +93,7 @@ proptest! {
         }
         // The JSON snapshot parses with the in-tree reader (the format the
         // bundle embeds).
-        prop_assert!(parse_json(&snap.to_json()).is_ok());
+        prop_assert!(serde_json::from_str::<Value>(&snap.to_json()).is_ok());
     }
 }
 
@@ -175,11 +175,11 @@ fn bundle_report_attribution_matches_the_supervision_report() {
 
     // The bundle's deaths array mirrors the SupervisionReport entry for
     // entry (class, index, cause strings).
-    let v = parse_json(&text).expect("bundle is valid JSON");
+    let v: Value = serde_json::from_str(&text).expect("bundle is valid JSON");
     let deaths = v
         .get("event")
         .and_then(|e| e.get("deaths"))
-        .and_then(|d| d.as_arr())
+        .and_then(Value::as_array)
         .expect("bundle has a deaths array");
     assert_eq!(deaths.len(), out.report.supervision.deaths.len());
     for (j, d) in deaths.iter().zip(&out.report.supervision.deaths) {
