@@ -23,7 +23,7 @@
 
 use ii_core::corpus::{CollectionSpec, DocId, StoredCollection};
 use ii_core::pipeline::{FaultAction, WorkerClass, WorkerFaultPlan};
-use ii_core::postings::Codec;
+use ii_core::postings::{Codec, SAMPLE_EVERY};
 use ii_core::platsim::{simulate, CollectionModel, PlatformModel, Scenario};
 use ii_core::{Bm25Params, Index, IndexBuilder, QueryMode};
 use ii_obs::openmetrics::MetricPoint;
@@ -603,12 +603,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("  indexers: {}", index.run_sets.len());
         println!("  runs:     {runs}");
         // Document frequencies from the mapping tables: every run row
-        // carries its posting count, so no list is decoded.
+        // carries its posting count, so no list is decoded, only rows.
         let mut df: std::collections::HashMap<(u32, u32), u64> = std::collections::HashMap::new();
-        let (mut lists, mut postings, mut payload) = (0u64, 0u64, 0u64);
+        let (mut lists, mut sampled, mut postings, mut payload) = (0u64, 0u64, 0u64, 0u64);
         for (&indexer, set) in &index.run_sets {
             for run in set.runs() {
                 lists += run.entries.len() as u64;
+                sampled += run.entries.sampled() as u64;
                 payload += run.payload.len() as u64;
                 for e in &run.entries {
                     postings += u64::from(e.n_postings);
@@ -625,6 +626,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             println!("  busiest term: '{}' in {docs} docs", e.full_term());
         }
         println!("  lists:    {lists}");
+        println!("  row sample:    {sampled} rows, one in {SAMPLE_EVERY} (what a look-up searches)");
         println!("  postings: {postings}");
         println!("  payload bytes: {payload}");
         let (run_bytes, index_bytes) = on_disk_shape(path)?;

@@ -391,7 +391,7 @@ mod tests {
         let mut corrupt = ii_postings::RunSet::new();
         for run in idx.run_sets[&e.indexer].runs() {
             let mut run = run.clone();
-            if let Some(row) = run.entry(e.postings).copied() {
+            if let Some(row) = run.entry(e.postings) {
                 run.payload[(row.offset + u64::from(row.len)) as usize - 1] ^= 0x80;
             }
             corrupt.push(run);

@@ -176,8 +176,9 @@ mod tests {
         }
         let run1 = idx.flush_run(1, Codec::VarByte);
         assert_eq!(run1.entries.len(), 1);
-        assert_eq!(run0.entries[0].handle, run1.entries[0].handle);
-        assert_eq!(run1.entries[0].doc_min, 10);
+        let (row0, row1) = (run0.entries.last().unwrap(), run1.entries.last().unwrap());
+        assert_eq!(row0.handle, row1.handle);
+        assert_eq!(row1.doc_min, 10);
         // Stats count both batches.
         assert_eq!(idx.stats.tokens, 3);
         assert_eq!(idx.stats.terms, 1);

@@ -1091,8 +1091,8 @@ mod tests {
         let r0 = g.flush_run(0, Codec::VarByte);
         g.index_batch(&groups, 50);
         let r1 = g.flush_run(1, Codec::VarByte);
-        let h = r0.entries[0].handle;
-        assert_eq!(r1.entries[0].handle, h, "handle stable across runs");
+        let h = r0.entries.iter().next().unwrap().handle;
+        assert_eq!(r1.entries.iter().next().unwrap().handle, h, "handle stable across runs");
         assert_eq!(r0.get(h).unwrap()[0].doc, DocId(0));
         assert_eq!(r1.get(h).unwrap()[0].doc, DocId(50));
     }

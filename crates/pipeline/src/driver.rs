@@ -41,7 +41,7 @@ use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
 use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunSet};
 use ii_store::{
-    ArtifactMeta, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
+    ArtifactMeta, Manifest, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
 };
 use ii_text::{parse_documents_into, ParseScratch};
 use std::borrow::Borrow;
@@ -540,36 +540,44 @@ pub struct Generation {
 /// manifest record by [`Store::read`] and then parsed. This is the one
 /// routine that knows how the artifacts of a generation hang together, for
 /// `Index::open` and for a resumed build: runs are pushed in run order per
-/// indexer so postings concatenate in doc order, and a run may only name
-/// handles the dictionary has terms for.
+/// indexer so postings concatenate in doc order (two names of one run are
+/// `Corrupt`), each run's table is checked in the walk that marks which
+/// handles it holds, and a run may only name handles the dictionary has
+/// terms for.
 pub fn read_generation(store: &Store) -> Result<Generation, StoreError> {
     let corrupt = |name: &str, detail: String| StoreError::Corrupt { name: name.into(), detail };
-    let dictionary = GlobalDictionary::from_bytes(&store.read(DICTIONARY_ARTIFACT)?)
-        .map_err(|e| corrupt(DICTIONARY_ARTIFACT, e.to_string()))?;
+    let named = run_artifacts(store.manifest());
+    // A run's walk needs the dictionary's term count, its reading and
+    // checksum nothing: the run files are read beside the dictionary. What
+    // fails is still reported in the order a sequential read meets it.
+    let (dictionary, runs) = std::thread::scope(|scope| {
+        let runs = scope.spawn(|| match &named {
+            Ok(named) => named.iter().map(|&(_, _, record)| store.read(&record.name)).collect(),
+            Err(_) => Vec::new(),
+        });
+        let dictionary = store.read(DICTIONARY_ARTIFACT).and_then(|bytes| {
+            GlobalDictionary::from_bytes(&bytes)
+                .map_err(|e| corrupt(DICTIONARY_ARTIFACT, e.to_string()))
+        });
+        (dictionary, runs.join().expect("reading a file does not panic"))
+    });
+    let dictionary = dictionary?;
     let doc_map = match store.manifest().artifact(DOCMAP_ARTIFACT) {
         Some(_) => DocMap::read_from(&mut store.read(DOCMAP_ARTIFACT)?.as_slice())
             .map_err(|e| corrupt(DOCMAP_ARTIFACT, e.to_string()))?,
         None => DocMap::new(),
     };
-    let mut named: Vec<(u32, u32, &ArtifactMeta)> = Vec::new();
-    for record in &store.manifest().artifacts {
-        let name = record.name.as_str();
-        match parse_run_artifact_name(name) {
-            Some((indexer, run)) => named.push((indexer, run, record)),
-            // A manifest entry that merely *looks* like a run file is
-            // foreign data, not something to silently skip.
-            None if name.starts_with("run_") && name.ends_with(".iirf") => {
-                return Err(corrupt(name, "unrecognized run artifact name".into()));
-            }
-            None => {}
-        }
-    }
-    named.sort_by_key(|&(indexer, run, _)| (indexer, run));
     let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
     let mut sealed = SealedRuns::new();
-    for (indexer, run_id, record) in named {
+    for ((indexer, run_id, record), bytes) in named?.into_iter().zip(runs) {
         let name = record.name.as_str();
-        let run = RunFile::from_bytes(&store.read(name)?).map_err(|e| corrupt(name, e.to_string()))?;
+        // Holders are marked in the walk that checks the run's table.
+        let set = run_sets.entry(indexer).or_insert_with(|| {
+            let mut set = RunSet::new();
+            set.track_holders(dictionary.len());
+            set
+        });
+        let run = set.push_bytes(bytes?).map_err(|e| corrupt(name, e.to_string()))?;
         if (run.indexer_id, run.run_id) != (indexer, run_id) {
             return Err(corrupt(
                 name,
@@ -585,18 +593,40 @@ pub fn read_generation(store: &Store) -> Result<Generation, StoreError> {
                 format!("handle {} in a dictionary of {} terms", last.handle, dictionary.len()),
             ));
         }
-        // Holders are marked as each run arrives, its table still warm.
-        let set = run_sets.entry(indexer).or_insert_with(|| {
-            let mut set = RunSet::new();
-            set.track_holders(dictionary.len());
-            set
-        });
-        set.push(run);
         // `read` just verified the bytes against this record, so the record
         // seals the run for every later generation.
         sealed.insert(record.name.clone(), record.clone());
     }
     Ok(Generation { dictionary, run_sets, doc_map, sealed })
+}
+
+/// The run artifacts `manifest` lists, as `(indexer, run, record)` in run
+/// order per indexer. A name that merely looks like a run's, or two names
+/// of one run, are `Corrupt`.
+fn run_artifacts(manifest: &Manifest) -> Result<Vec<(u32, u32, &ArtifactMeta)>, StoreError> {
+    let corrupt = |name: &str, detail: String| StoreError::Corrupt { name: name.into(), detail };
+    let mut named: Vec<(u32, u32, &ArtifactMeta)> = Vec::new();
+    for record in &manifest.artifacts {
+        let name = record.name.as_str();
+        match parse_run_artifact_name(name) {
+            Some((indexer, run)) => named.push((indexer, run, record)),
+            // A manifest entry that merely *looks* like a run file is
+            // foreign data, not something to silently skip.
+            None if name.starts_with("run_") && name.ends_with(".iirf") => {
+                return Err(corrupt(name, "unrecognized run artifact name".into()));
+            }
+            None => {}
+        }
+    }
+    named.sort_by_key(|&(indexer, run, _)| (indexer, run));
+    // Two names of one run (`run_000_00001.iirf`, `run_0_1.iirf`) would
+    // append it twice.
+    if let Some(w) = named.windows(2).find(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1)) {
+        let (indexer, run_id, record) = w[1];
+        let detail = format!("run {run_id} of indexer {indexer} is also named {}", w[0].2.name);
+        return Err(corrupt(&record.name, detail));
+    }
+    Ok(named)
 }
 
 /// Manifest-level postings metadata of a run file: the wire format

@@ -184,7 +184,7 @@ impl<'a> ListCursor<'a> {
 #[derive(Debug)]
 pub struct SetCursor<'a> {
     /// The run and row of every partial list, ascending in document range.
-    parts: Vec<(&'a RunFile, &'a RunEntry)>,
+    parts: Vec<(&'a RunFile, RunEntry)>,
     /// The part `open` reads, else the next one to open.
     idx: usize,
     open: Option<ListCursor<'a>>,
@@ -252,7 +252,7 @@ impl<'a> SetCursor<'a> {
     fn current(&mut self) -> Result<Option<&mut ListCursor<'a>>, CodecError> {
         if self.open.is_none() {
             let Some(&(run, e)) = self.parts.get(self.idx) else { return Ok(None) };
-            let blocks = run.blocks_of(e)?;
+            let blocks = run.blocks_of(&e)?;
             let bufs = self.spare.take().unwrap_or_default();
             self.open = Some(ListCursor::reusing(blocks, e.codec, bufs));
             self.parts_opened += 1;
@@ -460,7 +460,7 @@ mod tests {
             let mut eager = Vec::new();
             for run in &runs {
                 let e = run.entry(7).unwrap();
-                let mut c = ListCursor::over(run.blocks_of(e).unwrap(), e.codec);
+                let mut c = ListCursor::over(run.blocks_of(&e).unwrap(), e.codec);
                 while let Some(p) = c.next().unwrap() {
                     eager.push(p);
                 }
@@ -552,7 +552,7 @@ mod tests {
     fn decode_error_in_a_later_part_surfaces_when_reached() {
         let (mut runs, parts) = runs_of(3, 40);
         // Unterminate the last varbyte value of part 1's list.
-        let e = *runs[1].entry(7).unwrap();
+        let e = runs[1].entry(7).unwrap();
         runs[1].payload[(e.offset + u64::from(e.len)) as usize - 1] ^= 0x80;
         let mut c = SetCursor::over(&runs, 7).expect("set-up reads rows, not payloads");
         for want in &parts[0] {

@@ -5,7 +5,8 @@
 //! the codec ablation, plus the modern block codecs — BP128 bitpacking,
 //! PForDelta and Elias-Fano — in a fixed 128-document block layout with
 //! per-list skip tables and block-max metadata), the per-run output file
-//! format with its header mapping table (§III.F), skip-pointer cursors,
+//! format with its header mapping table (§III.F) — held in memory as the
+//! bytes it is written as — skip-pointer cursors,
 //! range-narrowed retrieval, and the block-aligned post-processing merge
 //! of partial lists.
 
@@ -19,6 +20,7 @@ pub mod cursor;
 pub mod merge;
 pub mod posting;
 pub mod run;
+pub mod table;
 pub mod varbyte;
 
 pub use block::{
@@ -31,3 +33,4 @@ pub use posting::{Posting, PostingsList};
 pub use run::{
     parse_run_artifact_name, run_artifact_name, RunBuilder, RunEntry, RunFile, RunSet,
 };
+pub use table::{RunTable, SAMPLE_EVERY};

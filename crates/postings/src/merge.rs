@@ -36,7 +36,7 @@ pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
     let copied_ctr = ii_obs::global().counter("merge.blocks_copied");
     let recoded_ctr = ii_obs::global().counter("merge.postings_recoded");
 
-    let mut by_handle: BTreeMap<u32, Vec<(&RunFile, &RunEntry)>> = BTreeMap::new();
+    let mut by_handle: BTreeMap<u32, Vec<(&RunFile, RunEntry)>> = BTreeMap::new();
     let mut indexer_id = 0;
     let mut next_run = 0;
     for r in runs.runs() {
@@ -148,7 +148,7 @@ mod tests {
                 [4, 8].iter().map(|&h| (h, rs.fetch(h).unwrap())).collect();
             let rebuilt = RunFile::build(3, 0, &mut lists.iter().map(|(h, l)| (*h, l)), codec);
             assert_eq!(merged, rebuilt, "{codec:?}");
-            assert_eq!(merged.entries[1].len, 0, "a list of one posting stays its row");
+            assert_eq!(merged.entry(8).unwrap().len, 0, "a list of one posting stays its row");
             assert_eq!(RunFile::from_bytes(&merged.to_bytes()).unwrap(), merged);
         }
     }
@@ -178,7 +178,7 @@ mod tests {
         rs.push(run_with(0, 2, &[1, 5, 9]));
         let merged = merge_runs(&rs, Codec::Bp128);
         assert_eq!(merged.codec, Codec::Bp128);
-        assert_eq!(merged.entries[0].codec, Codec::Bp128);
+        assert_eq!(merged.entry(2).unwrap().codec, Codec::Bp128);
         let docs: Vec<u32> = merged.get(2).unwrap().iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, vec![1, 5, 9]);
     }

@@ -11,7 +11,8 @@
 //! [`RunFile::build`], the indexers' flush and the merge) produces,
 //! [`RunFile::to_bytes`] writes and [`RunFile::from_bytes`] reads. The
 //! mapping table is delta-varint coded (rows sorted by handle, offsets
-//! implied by the running sum of lengths) and a list's payload slice is the
+//! implied by the running sum of lengths) and stays so in memory, from the
+//! builder to the query ([`RunTable`]); a list's payload slice is the
 //! block layout of [`crate::block`] — except that a list of at most
 //! [`BLOCK_LEN`] postings is its block body alone: the one skip entry it
 //! would carry is implied by its row ([`RunFile::blocks_of`]). A list of
@@ -20,17 +21,17 @@
 //! ([`RunEntry::sole_posting`]). [`RunSet`] chains the runs of one indexer
 //! and remembers which of them hold each handle.
 
-use crate::block::{self, BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN};
+use crate::block::{BlockedList, ListEncoder, ListWriter, SkipEntry, BLOCK_LEN};
 use crate::codec::{check_alloc, Codec, CodecError};
 use crate::cursor::{ListCursor, SetCursor};
 use crate::posting::{Posting, PostingsList};
-use crate::varbyte;
+use crate::table::RunTable;
 use ii_corpus::DocId;
 
 /// Magic bytes of a run file.
 pub const RUN_MAGIC_V3: &[u8; 4] = b"IIR3";
 
-/// One mapping-table row: where a partial postings list lives.
+/// One mapping-table row, decoded: where a partial postings list lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunEntry {
     /// Postings handle (dictionary pointer).
@@ -54,7 +55,7 @@ pub struct RunEntry {
 impl RunEntry {
     /// The row that is the list of `posting` alone: no payload byte at
     /// `offset`, and `codec` as a longer row's tag would have named it.
-    fn of_posting(handle: u32, offset: u64, posting: Posting, codec: Codec) -> RunEntry {
+    pub(crate) fn of_posting(handle: u32, offset: u64, posting: Posting, codec: Codec) -> RunEntry {
         RunEntry {
             handle,
             offset,
@@ -77,11 +78,11 @@ impl RunEntry {
 /// `IIR3` header: magic, run id, indexer id, codec tag, Golomb parameter,
 /// row count, then the table's byte length before the payload length, so
 /// the payload is addressable without walking the table.
-const HEADER_BYTES_V3: usize = 41;
+pub(crate) const HEADER_BYTES_V3: usize = 41;
 /// Fewest bytes an `IIR3` row can take (the four one-byte varints of a
 /// one-posting row): bounds the row count a table of a given length can hold.
 const MIN_ROW_BYTES_V3: usize = 4;
-const GOLOMB_TAG: u8 = 2;
+pub(crate) const GOLOMB_TAG: u8 = 2;
 
 /// A run file: header + mapping table + payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,8 +91,9 @@ pub struct RunFile {
     pub run_id: u32,
     /// Which indexer produced this file.
     pub indexer_id: u32,
-    /// Mapping table, sorted by handle.
-    pub entries: Vec<RunEntry>,
+    /// Mapping table, sorted by handle: the header and rows as they are on
+    /// disk, decoded a row at a time.
+    pub entries: RunTable,
     /// Concatenated encoded postings.
     pub payload: Vec<u8>,
     /// The codec the run was built with (possibly [`Codec::Auto`]; the
@@ -141,7 +143,7 @@ pub fn parse_run_artifact_name(name: &str) -> Option<(u32, u32)> {
     Some((indexer.parse().ok()?, run.parse().ok()?))
 }
 
-fn codec_tag(c: Codec) -> (u8, u64) {
+pub(crate) fn codec_tag(c: Codec) -> (u8, u64) {
     match c {
         Codec::VarByte => (0, 0),
         Codec::Gamma => (1, 0),
@@ -153,7 +155,7 @@ fn codec_tag(c: Codec) -> (u8, u64) {
     }
 }
 
-fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
+pub(crate) fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
     match tag {
         0 => Some(Codec::VarByte),
         1 => Some(Codec::Gamma),
@@ -189,27 +191,23 @@ impl RunFile {
 
     /// Document range covered by the whole run, if any list is present.
     pub fn doc_range(&self) -> Option<(u32, u32)> {
-        let lo = self.entries.iter().map(|e| e.doc_min).min()?;
-        let hi = self.entries.iter().map(|e| e.doc_max).max()?;
-        Some((lo, hi))
+        self.entries.doc_range()
     }
 
     /// Largest term frequency across every list in the run (0 when empty).
     pub fn max_tf(&self) -> u32 {
-        self.entries.iter().map(|e| e.max_tf).max().unwrap_or(0)
+        self.entries.max_tf()
     }
 
     /// Total 128-doc blocks across every list.
     pub fn block_count(&self) -> u64 {
-        self.entries.iter().map(|e| block::n_blocks(e.n_postings as usize) as u64).sum()
+        self.entries.blocks()
     }
 
-    /// Look up the mapping-table row of `handle`.
-    pub fn entry(&self, handle: u32) -> Option<&RunEntry> {
-        self.entries
-            .binary_search_by_key(&handle, |e| e.handle)
-            .ok()
-            .map(|i| &self.entries[i])
+    /// Look up the mapping-table row of `handle`, decoding at most one group
+    /// of the table's rows.
+    pub fn entry(&self, handle: u32) -> Option<RunEntry> {
+        self.entries.entry(handle)
     }
 
     /// The encoded bytes of one mapping-table row.
@@ -252,154 +250,123 @@ impl RunFile {
     /// Decode the partial postings list of `handle` in this run. `None`
     /// when the handle is absent or its bytes are corrupt.
     pub fn get(&self, handle: u32) -> Option<Vec<Posting>> {
-        let e = self.entry(handle)?;
-        self.decode_entry(e).ok()
+        self.decode_entry(&self.entry(handle)?).ok()
     }
 
-    /// Serialize to bytes (what goes to disk).
+    /// Serialize to bytes (what goes to disk): the header, the table's rows
+    /// as they are held, the payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Rows measure 6 bytes on tail-heavy text; 10 avoids a regrow.
-        let mut out = Vec::with_capacity(
-            HEADER_BYTES_V3 + self.entries.len() * 10 + self.payload.len(),
-        );
-        out.extend_from_slice(RUN_MAGIC_V3);
-        out.extend_from_slice(&self.run_id.to_le_bytes());
-        out.extend_from_slice(&self.indexer_id.to_le_bytes());
-        let (tag, b) = codec_tag(self.codec);
-        out.push(tag);
-        out.extend_from_slice(&b.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        let table_len_at = out.len();
-        out.extend_from_slice(&[0; 8]); // table length, patched below
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        let mut next_handle = 0u32;
-        let mut offset = 0u64;
-        for e in &self.entries {
-            // Offsets are not stored: lists sit back to back in row
-            // order, so each is the running sum of the lengths.
-            debug_assert_eq!(e.offset, offset, "lists must be contiguous");
-            offset += u64::from(e.len);
-            varbyte::encode_u32(e.handle - next_handle, &mut out);
-            next_handle = e.handle.wrapping_add(1);
-            varbyte::encode_u32(e.n_postings, &mut out);
-            if e.n_postings == 1 {
-                // The row is the list: its document and its frequency.
-                debug_assert_eq!((e.len, e.doc_max), (0, e.doc_min), "a one-posting list is its row");
-                varbyte::encode_u32(e.doc_min, &mut out);
-                varbyte::encode_u32(e.max_tf, &mut out);
-                continue;
-            }
-            varbyte::encode_u32(e.len, &mut out);
-            varbyte::encode_u32(e.doc_min, &mut out);
-            varbyte::encode_u32(e.doc_max - e.doc_min, &mut out);
-            varbyte::encode_u32(e.max_tf, &mut out);
-            let (tag, b) = codec_tag(e.codec);
-            out.push(tag);
-            if tag == GOLOMB_TAG {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
-        let table_len = (out.len() - HEADER_BYTES_V3) as u64;
-        out[table_len_at..table_len_at + 8].copy_from_slice(&table_len.to_le_bytes());
+        let rows = self.entries.rows_bytes();
+        let mut out = Vec::with_capacity(HEADER_BYTES_V3 + rows.len() + self.payload.len());
+        out.extend_from_slice(&self.header());
+        out.extend_from_slice(rows);
         out.extend_from_slice(&self.payload);
         out
     }
 
+    /// The `IIR3` header of this run: magic, ids, codec, then the row count
+    /// and the table's byte length before the payload's, so the payload is
+    /// addressable without walking the table.
+    fn header(&self) -> [u8; HEADER_BYTES_V3] {
+        let rows = u32::try_from(self.entries.len()).expect("a run's rows fit the header's u32");
+        let (tag, b) = codec_tag(self.codec);
+        let mut h = [0u8; HEADER_BYTES_V3];
+        h[..4].copy_from_slice(RUN_MAGIC_V3);
+        h[4..8].copy_from_slice(&self.run_id.to_le_bytes());
+        h[8..12].copy_from_slice(&self.indexer_id.to_le_bytes());
+        h[12] = tag;
+        h[13..21].copy_from_slice(&b.to_le_bytes());
+        h[21..25].copy_from_slice(&rows.to_le_bytes());
+        h[25..33].copy_from_slice(&(self.entries.rows_bytes().len() as u64).to_le_bytes());
+        h[33..41].copy_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        h
+    }
+
     /// Deserialize a run file. Bytes that do not begin with the `IIR3`
-    /// magic are [`RunFileError::Malformed`].
+    /// magic are [`RunFileError::Malformed`]. The table is checked row by
+    /// row, once ([`RunTable`]), and kept as the bytes it is.
     pub fn from_bytes(buf: &[u8]) -> Result<RunFile, RunFileError> {
+        let head = Header::parse(buf)?;
+        let (table, payload) = buf.split_at(head.table_end);
+        head.read(table.to_vec(), payload.to_vec(), |_| {})
+    }
+
+    /// [`Self::from_bytes`] of a buffer it may keep, handing `mark` the
+    /// handle of every row as the one walk over the table reaches it. The
+    /// table stays where it was read (on tail-heavy text it is most of a
+    /// run); the payload is moved out.
+    pub(crate) fn from_vec(
+        mut buf: Vec<u8>,
+        mark: impl FnMut(u32),
+    ) -> Result<RunFile, RunFileError> {
+        let head = Header::parse(&buf)?;
+        let payload = buf.split_off(head.table_end);
+        buf.shrink_to_fit();
+        head.read(buf, payload, mark)
+    }
+}
+
+/// What a run file's header says, checked against the length of the file.
+struct Header {
+    run_id: u32,
+    indexer_id: u32,
+    codec: Codec,
+    rows: usize,
+    /// Where the table ends and the payload starts.
+    table_end: usize,
+}
+
+impl Header {
+    fn parse(buf: &[u8]) -> Result<Header, RunFileError> {
         if buf.len() < HEADER_BYTES_V3 {
             return Err(RunFileError::Truncated);
         }
         if &buf[..4] != RUN_MAGIC_V3 {
             return Err(RunFileError::Malformed);
         }
-        let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
-        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let mut run = RunFile {
-            run_id: rd32(4),
-            indexer_id: rd32(8),
-            entries: Vec::new(),
-            payload: Vec::new(),
-            codec: codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?,
-        };
-        run.read_compact(buf, rd32(21) as usize)?;
-        Ok(run)
-    }
-
-    /// Table and payload: `buf` is the whole file (at least a header), `n`
-    /// the header's row count.
-    fn read_compact(&mut self, buf: &[u8], n: usize) -> Result<(), RunFileError> {
-        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let (table_len, payload_len) = (rd64(25), rd64(33));
+        let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().expect("a header word"));
+        let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().expect("a header word"));
+        let codec = codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?;
+        let (rows, table_len, payload_len) = (rd32(21) as usize, rd64(25), rd64(33));
         let body = (buf.len() - HEADER_BYTES_V3) as u64;
         match table_len.checked_add(payload_len) {
             Some(need) if need == body => {}
             Some(need) if need > body => return Err(RunFileError::Truncated),
             _ => return Err(RunFileError::Malformed),
         }
-        let (table, payload) = buf[HEADER_BYTES_V3..].split_at(table_len as usize);
-        // A hostile row count must not size the allocation: `n` rows take
-        // at least `MIN_ROW_BYTES_V3 * n` table bytes.
-        if n.checked_mul(MIN_ROW_BYTES_V3).is_none_or(|min| min > table.len()) {
+        // A hostile row count must not size the sample: `rows` rows take at
+        // least `MIN_ROW_BYTES_V3 * rows` table bytes.
+        if rows.checked_mul(MIN_ROW_BYTES_V3).is_none_or(|min| min as u64 > table_len) {
             return Err(RunFileError::Malformed);
         }
-        self.entries.reserve_exact(n);
-        let mut pos = 0usize;
-        let mut next_handle = 0u64;
-        let mut offset = 0u64;
-        for _ in 0..n {
-            let mut field = || varbyte::decode_u32(table, &mut pos).ok_or(RunFileError::Truncated);
-            let handle = next_handle + u64::from(field()?);
-            let handle = u32::try_from(handle).map_err(|_| RunFileError::Malformed)?;
-            next_handle = u64::from(handle) + 1;
-            let n_postings = field()?;
-            if n_postings == 1 {
-                let (doc, tf) = (field()?, field()?);
-                if tf == 0 {
-                    return Err(RunFileError::Malformed);
-                }
-                let posting = Posting { doc: DocId(doc), tf };
-                self.entries.push(RunEntry::of_posting(handle, offset, posting, self.codec.resolve(1)));
-                continue;
-            }
-            let (len, doc_min, doc_span, max_tf) = (field()?, field()?, field()?, field()?);
-            let tag = *table.get(pos).ok_or(RunFileError::Truncated)?;
-            pos += 1;
-            let b = if tag == GOLOMB_TAG {
-                let raw = table.get(pos..pos + 8).ok_or(RunFileError::Truncated)?;
-                pos += 8;
-                u64::from_le_bytes(raw.try_into().unwrap())
-            } else {
-                0
-            };
-            let codec = codec_from_tag(tag, b).ok_or(RunFileError::Malformed)?;
-            if codec == Codec::Auto || n_postings == 0 {
-                // Rows carry resolved codecs and at least one posting.
-                return Err(RunFileError::Malformed);
-            }
-            self.entries.push(RunEntry {
-                handle,
-                offset,
-                len,
-                n_postings,
-                doc_min,
-                doc_max: doc_min.checked_add(doc_span).ok_or(RunFileError::Malformed)?,
-                codec,
-                max_tf,
-            });
-            offset = offset.checked_add(u64::from(len)).ok_or(RunFileError::Malformed)?;
-        }
-        if pos != table.len() || offset != payload_len {
+        Ok(Header {
+            run_id: rd32(4),
+            indexer_id: rd32(8),
+            codec,
+            rows,
+            table_end: HEADER_BYTES_V3 + table_len as usize,
+        })
+    }
+
+    /// The run of `table` (this header and its rows) and `payload`.
+    fn read(
+        self,
+        table: Vec<u8>,
+        payload: Vec<u8>,
+        mark: impl FnMut(u32),
+    ) -> Result<RunFile, RunFileError> {
+        let (entries, paid) = RunTable::read(table, self.rows, self.codec, mark)?;
+        if paid != payload.len() as u64 {
             return Err(RunFileError::Malformed);
         }
-        self.payload = payload.to_vec();
-        Ok(())
+        let Header { run_id, indexer_id, codec, .. } = self;
+        Ok(RunFile { run_id, indexer_id, entries, payload, codec })
     }
 }
 
-/// Writer of a run file: lists arrive in ascending handle order and
-/// each is encoded straight into the payload through one [`ListEncoder`] —
+/// Writer of a run file: lists arrive in ascending handle order, each row
+/// is appended to the table as the bytes it will be committed as, and each
+/// list is encoded straight into the payload through one [`ListEncoder`] —
 /// the writing half of [`RunFile::blocks_of`]. A list of at most
 /// [`BLOCK_LEN`] postings is its block body alone, because its one skip
 /// entry is `(doc_min, 0, max_tf)` and the row says so; a list of one
@@ -418,7 +385,7 @@ impl RunBuilder {
             run: RunFile {
                 run_id,
                 indexer_id,
-                entries: Vec::with_capacity(lists),
+                entries: RunTable::with_capacity(codec, lists),
                 payload: Vec::new(),
                 codec,
             },
@@ -445,15 +412,7 @@ impl RunBuilder {
     pub(crate) fn push_posting(&mut self, handle: u32, posting: Posting) {
         assert!(posting.tf >= 1, "postings carry at least one occurrence");
         let (offset, codec) = (self.run.payload.len() as u64, self.run.codec.resolve(1));
-        self.push_row(RunEntry::of_posting(handle, offset, posting, codec));
-    }
-
-    fn push_row(&mut self, row: RunEntry) {
-        assert!(
-            self.run.entries.last().is_none_or(|prev| prev.handle < row.handle),
-            "lists must arrive in ascending handle order"
-        );
-        self.run.entries.push(row);
+        self.run.entries.push(&RunEntry::of_posting(handle, offset, posting, codec));
     }
 
     /// Append a list of `n >= 2` postings spanning `doc_min..=doc_max` in
@@ -471,7 +430,7 @@ impl RunBuilder {
         let mut list = self.enc.begin(&mut self.run.payload, codec, n, n > BLOCK_LEN);
         fill(&mut list);
         let max_tf = list.finish();
-        self.push_row(RunEntry {
+        self.run.entries.push(&RunEntry {
             handle,
             offset: offset as u64,
             len: (self.run.payload.len() - offset) as u32,
@@ -483,8 +442,10 @@ impl RunBuilder {
         });
     }
 
-    /// The run file written so far.
-    pub fn finish(self) -> RunFile {
+    /// The run file written so far, its header in front of its table.
+    pub fn finish(mut self) -> RunFile {
+        let header = self.run.header();
+        self.run.entries.set_header(header);
         self.run
     }
 }
@@ -529,6 +490,26 @@ impl RunSet {
             mark_holders(holders, self.runs.len(), &run);
         }
         self.runs.push(run);
+    }
+
+    /// Read the run file `bytes` and append it: the one walk that checks its
+    /// table also marks which handles it holds, when the set tracks them. A
+    /// file that does not parse, or whose run does not come after the last
+    /// one ([`RunFileError::Malformed`]), is refused and not appended; marks
+    /// the walk already made stay, and only widen where a look-up searches.
+    pub fn push_bytes(&mut self, bytes: Vec<u8>) -> Result<&RunFile, RunFileError> {
+        let bit = 1u64 << (self.runs.len() % 64);
+        let mut holders = self.holders.as_deref_mut();
+        let run = RunFile::from_vec(bytes, |handle| {
+            if let Some(slot) = holders.as_mut().and_then(|h| h.get_mut(handle as usize)) {
+                *slot |= bit;
+            }
+        })?;
+        if self.runs.last().is_some_and(|last| run.run_id <= last.run_id) {
+            return Err(RunFileError::Malformed);
+        }
+        self.runs.push(run);
+        Ok(self.runs.last().expect("a run was just pushed"))
     }
 
     /// Remember, for every handle below `n_handles`, which runs hold it —
@@ -615,6 +596,7 @@ impl RunSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::varbyte;
 
     #[test]
     fn artifact_names_roundtrip_and_reject_garbage() {
@@ -656,7 +638,7 @@ mod tests {
         let mut it = pairs.iter().map(|(h, l)| (*h, l));
         let run = RunFile::build(0, 0, &mut it, Codec::VarByte);
         assert_eq!(run.entries.len(), 1);
-        assert_eq!(run.entries[0].handle, 9);
+        assert_eq!(run.entries.last().unwrap().handle, 9);
     }
 
     #[test]
@@ -756,7 +738,7 @@ mod tests {
         // [handle delta, n_postings, len, doc_min, doc_max - doc_min, max_tf]
         let ok = v3_row([5, 2, 2, 9, 1, 1], 0);
         let run = RunFile::from_bytes(&v3_with_table(1, &ok, 2)).unwrap();
-        assert_eq!(run.entries[0].handle, 5);
+        assert_eq!(run.entry(5).unwrap().handle, 5);
         let malformed = |n: u32, rows: &[u8], payload_len: usize| {
             assert_eq!(
                 RunFile::from_bytes(&v3_with_table(n, rows, payload_len)),
@@ -798,7 +780,7 @@ mod tests {
     #[test]
     fn one_posting_rows_are_the_list_and_own_no_payload() {
         let run = RunFile::from_bytes(&v3_with_table(1, &v3_single(5, 9, 3), 0)).unwrap();
-        let e = run.entries[0];
+        let e = run.entries.last().unwrap();
         assert_eq!((e.handle, e.offset, e.len, e.doc_min, e.doc_max, e.max_tf), (5, 0, 0, 9, 9, 3));
         assert_eq!(e.codec, run.codec.resolve(1));
         let p = Posting { doc: DocId(9), tf: 3 };

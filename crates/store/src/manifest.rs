@@ -140,6 +140,8 @@ impl Manifest {
 
     /// Parse manifest bytes. Version skew and parse failures get their own
     /// typed errors so an `open` can tell "future format" from "torn write".
+    /// Artifacts must be listed as the writer lists them, each once and by
+    /// ascending name; otherwise the manifest is [`StoreError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, StoreError> {
         let m: Manifest = serde_json::from_slice(bytes)
             .map_err(|e| StoreError::TornManifest { detail: e.to_string() })?;
@@ -148,6 +150,14 @@ impl Manifest {
                 found: m.version,
                 supported: FORMAT_VERSION,
             });
+        }
+        if let Some(w) = m.artifacts.windows(2).find(|w| w[0].name >= w[1].name) {
+            let detail = if w[0].name == w[1].name {
+                format!("{} is listed twice", w[1].name)
+            } else {
+                format!("{} is listed after {}", w[1].name, w[0].name)
+            };
+            return Err(StoreError::Corrupt { name: MANIFEST_NAME.into(), detail });
         }
         Ok(m)
     }
@@ -244,6 +254,26 @@ mod tests {
         // Non-postings records carry no `postings` key.
         let json = String::from_utf8(m.to_bytes()).unwrap();
         assert_eq!(json.matches("postings").count(), 1);
+    }
+
+    #[test]
+    fn artifacts_listed_twice_or_out_of_order_are_corrupt() {
+        for (names, why) in [
+            (["run_000_00000.iirf", "run_000_00000.iirf"], "is listed twice"),
+            (["run_000_00000.iirf", "dictionary.bin"], "dictionary.bin is listed after run_"),
+        ] {
+            let mut m = sample();
+            for (a, name) in m.artifacts.iter_mut().zip(names) {
+                a.name = name.into();
+            }
+            match Manifest::from_bytes(&m.to_bytes()) {
+                Err(StoreError::Corrupt { name, detail }) => {
+                    assert_eq!(name, MANIFEST_NAME);
+                    assert!(detail.contains(why), "{detail}");
+                }
+                other => panic!("{names:?}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

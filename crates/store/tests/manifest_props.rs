@@ -1,5 +1,6 @@
-//! Property tests for the manifest codec: arbitrary manifests survive the
-//! JSON round-trip exactly, and no byte-truncation of a valid manifest is
+//! Property tests for the manifest codec: arbitrary manifests, their
+//! artifacts listed as the writer lists them, survive the JSON round-trip
+//! exactly, and no byte-truncation of a valid manifest is
 //! ever accepted.
 
 use ii_store::{ArtifactMeta, Manifest, ManifestKind, PostingsMeta, StoreError, FORMAT_VERSION};
@@ -40,11 +41,16 @@ fn manifest_strategy() -> impl Strategy<Value = Manifest> {
         proptest::prelude::any::<u64>(),
         proptest::collection::vec(artifact_strategy(), 0..12),
     )
-        .prop_map(|(checkpoint, generation, artifacts)| Manifest {
-            version: FORMAT_VERSION,
-            kind: if checkpoint { ManifestKind::Checkpoint } else { ManifestKind::Index },
-            generation,
-            artifacts,
+        .prop_map(|(checkpoint, generation, mut artifacts)| {
+            // Listed as `Txn::commit` lists them: each name once, ascending.
+            artifacts.sort_by(|a, b| a.name.cmp(&b.name));
+            artifacts.dedup_by(|a, b| a.name == b.name);
+            Manifest {
+                version: FORMAT_VERSION,
+                kind: if checkpoint { ManifestKind::Checkpoint } else { ManifestKind::Index },
+                generation,
+                artifacts,
+            }
         })
 }
 

@@ -9,10 +9,17 @@
 //! look-up terminates without a panic and the value survives its own
 //! serialization. Neither reader sizes an allocation by a count it has not
 //! checked against the bytes it holds: the dictionary's columns are cut
-//! from the input, a run's row count is bounded by its table length, and
-//! the index's holders column by the dictionary it already validated.
-//! (`run_format_diff.rs` mutates every header and table byte of whole run
-//! files; the run cases here are the ones the one-posting row adds.)
+//! from the input, a run's row count and row sample are bounded by its
+//! table length, and the index's holders column by the dictionary it
+//! already validated. (`run_format_diff.rs` mutates every header and table
+//! byte of whole run files against the frozen reader; the run cases here
+//! are the ones the one-posting row adds, and rows flipped, cut and spliced
+//! where the row sample's groups begin and end, opened through
+//! `Index::open` and answered handle by handle.)
+//!
+//! A manifest that lists one run twice — the same record again, or a
+//! second name for the same run — is a typed error at `Index::open` and on
+//! `--resume`, not a run appended twice.
 //!
 //! Every JSON an index directory or a build leaves behind — `MANIFEST.json`,
 //! `checkpoint.json`, a Chrome trace, a post-mortem bundle — is read by the
@@ -29,13 +36,18 @@ use ii_core::pipeline::{
     PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
 };
 use ii_core::postings::run::RunFileError;
-use ii_core::postings::{run_artifact_name, varbyte, Codec, Posting, PostingsList, RunFile};
+use ii_core::postings::{
+    parse_run_artifact_name, run_artifact_name, varbyte, Codec, Posting, PostingsList, RunFile,
+    SAMPLE_EVERY,
+};
 use ii_core::store::{
     crc32, ArtifactMeta, CrashMode, CrashVfs, Manifest, ManifestKind, Store, StoreError,
     MANIFEST_NAME,
 };
 use ii_core::Index;
+use ii_integration_tests::run_table::MaterialisedRun;
 use std::io::ErrorKind;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -290,6 +302,27 @@ fn overwrite_artifact(dir: &Path, name: &str, bytes: &[u8]) {
     std::fs::write(dir.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
 }
 
+/// The manifest of `dir` rewritten to list run artifact `name` twice, each
+/// paired with the artifact the refusal must name: the record appended
+/// again (what a hand-edited manifest looks like), the record next to
+/// itself, and a second, unpadded name for the same run — a manifest in
+/// order, but a generation that would append the run twice.
+fn listed_twice(dir: &Path, name: &str) -> Vec<(Manifest, String)> {
+    let honest = Manifest::load(dir).unwrap();
+    let at = honest.artifacts.iter().position(|a| a.name == name).expect("artifact is listed");
+    let record = honest.artifacts[at].clone();
+    let (indexer, run) = parse_run_artifact_name(name).expect("a run artifact");
+    let alias = format!("run_{indexer}_{run}.iirf");
+    let mut appended = honest.clone();
+    appended.artifacts.push(record.clone());
+    let mut doubled = honest.clone();
+    doubled.artifacts.insert(at, record.clone());
+    let mut aliased = honest.clone();
+    aliased.artifacts.push(ArtifactMeta { name: alias.clone(), ..record });
+    aliased.artifacts.sort_by(|a, b| a.name.cmp(&b.name));
+    vec![(appended, MANIFEST_NAME.into()), (doubled, MANIFEST_NAME.into()), (aliased, alias)]
+}
+
 fn corrupt_artifact(r: Result<Index, StoreError>) -> String {
     match r {
         Err(StoreError::Corrupt { name, .. }) => name,
@@ -332,6 +365,15 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     overwrite_artifact(&dir, &name, &honest);
     Index::open(&dir).expect("restored");
 
+    // One run listed twice: refused, not appended twice.
+    let manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    for (hostile, refusal) in listed_twice(&dir, &name) {
+        std::fs::write(dir.join(MANIFEST_NAME), hostile.to_bytes()).unwrap();
+        assert_eq!(corrupt_artifact(Index::open(&dir)), refusal);
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), &manifest).unwrap();
+    Index::open(&dir).expect("restored");
+
     // The dictionary: cut short, a directory past the term count, and the
     // old front-coded magic.
     let mut dict_bytes = Vec::new();
@@ -362,6 +404,125 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     }
     std::fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
     Index::open(&dir).expect("restored");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `bytes`, a run file, with `bytes[range]` replaced by `with`, the
+/// header's row count moved by `rows` and its table length by the splice:
+/// a file whose lengths agree around a rewritten table.
+fn splice(bytes: &[u8], range: Range<usize>, with: &[u8], rows: i32) -> Vec<u8> {
+    let mut out = [&bytes[..range.start], with, &bytes[range.end..]].concat();
+    let n = u32::from_le_bytes(out[21..25].try_into().unwrap()).wrapping_add_signed(rows);
+    out[21..25].copy_from_slice(&n.to_le_bytes());
+    let table = u64::from_le_bytes(out[25..33].try_into().unwrap()) + with.len() as u64;
+    out[25..33].copy_from_slice(&(table - range.len() as u64).to_le_bytes());
+    out
+}
+
+/// Every handle of `index` answers as the reference's rows of run `run_id`
+/// (`want`) and the other runs' own rows say, decoded over the same
+/// payloads: the same postings, or an error for both.
+fn answers_like(index: &Index, indexer: u32, run_id: u32, want: &MaterialisedRun) {
+    let set = &index.run_sets[&indexer];
+    for run in set.runs() {
+        assert!(run.entries.sampled() <= run.entries.len() / SAMPLE_EVERY + 1);
+    }
+    let hostile = set.runs().iter().find(|r| r.run_id == run_id).unwrap();
+    for h in 0..index.num_terms() as u32 {
+        assert_eq!(hostile.entry(h), want.entry(h).copied(), "handle {h}");
+        // `None`: a part that does not decode, or parts out of order.
+        let mut expected = Some(Vec::new());
+        for run in set.runs() {
+            let row = if run.run_id == run_id { want.entry(h).copied() } else { run.entry(h) };
+            if let (Some(list), Some(row)) = (&mut expected, row) {
+                match run.decode_entry(&row) {
+                    Ok(part) => list.extend(part),
+                    Err(_) => expected = None,
+                }
+            }
+        }
+        let expected = expected.filter(|list| list.windows(2).all(|w| w[0].doc < w[1].doc));
+        assert_eq!(set.fetch(h).ok().map(|l| l.postings().to_vec()), expected, "handle {h}");
+    }
+}
+
+/// Rows of a multi-block `IIR3` table flipped, cut and spliced where the
+/// row sample's groups begin and end — the first row of a group, a row
+/// inside one, the last row of one and the table's last row — each under a
+/// manifest re-vouched for it. A file the frozen reader refuses is refused
+/// at `Index::open`; one it reads is refused only for a handle past the
+/// dictionary, or opens and answers every handle as its rows say. No open
+/// keeps more sample than its rows need.
+#[test]
+fn rows_damaged_at_sample_group_boundaries_are_refused_or_answered_right() {
+    let coll_dir = scratch("groups-coll");
+    let spec =
+        CollectionSpec { num_files: 2, docs_per_file: 300, vocab_size: 1_000, ..CollectionSpec::tiny(31) };
+    let coll = Arc::new(StoredCollection::generate(spec, &coll_dir).unwrap());
+    // One run over both files: 600 documents, so the head terms' lists
+    // pass one block.
+    let cfg = PipelineConfig { batches_per_run: 2, ..PipelineConfig::small(1, 1, 0) };
+    let out = build_index(&coll, &cfg).expect("build");
+    std::fs::remove_dir_all(&coll_dir).unwrap();
+    let idx = Index::from_output(out);
+    let dir = scratch("groups");
+    idx.save(&dir).unwrap();
+    let (&indexer, set) = idx.run_sets.iter().next().unwrap();
+    let victim = set.runs().iter().max_by_key(|r| r.entries.len()).unwrap();
+    let name = run_artifact_name(indexer, victim.run_id);
+    let honest = victim.to_bytes();
+    let rows = MaterialisedRun::from_bytes(&honest).unwrap();
+    assert!(rows.entries.len() > 3 * SAMPLE_EVERY, "{} rows", rows.entries.len());
+    let longest = rows.entries.iter().map(|e| e.n_postings).max();
+    assert!(longest > Some(128), "no multi-block list: {longest:?} postings at most");
+
+    let spans = rows.row_spans();
+    let last = spans.len() - 1;
+    let mut hostile = Vec::new();
+    for r in [SAMPLE_EVERY, SAMPLE_EVERY + SAMPLE_EVERY / 2, 2 * SAMPLE_EVERY - 1, last] {
+        let span = spans[r].clone();
+        let row = &honest[span.clone()];
+        for at in span.clone() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bytes = honest.clone();
+                bytes[at] ^= flip;
+                hostile.push(bytes);
+            }
+        }
+        for keep in 0..row.len() {
+            hostile.push(splice(&honest, span.clone(), &row[..keep], 0));
+        }
+        hostile.push(splice(&honest, span.clone(), &[], -1));
+        hostile.push(splice(&honest, span.start..span.start, row, 1));
+        if r < last {
+            let next = &honest[spans[r + 1].clone()];
+            hostile.push(splice(&honest, span.start..spans[r + 1].end, &[next, row].concat(), 0));
+        }
+    }
+    let (mut refused, mut answered) = (0usize, 0usize);
+    for bytes in &hostile {
+        overwrite_artifact(&dir, &name, bytes);
+        let want = MaterialisedRun::from_bytes(bytes);
+        match Index::open(&dir) {
+            Err(StoreError::Corrupt { name: refused_name, .. }) => {
+                assert_eq!(refused_name, name);
+                if let Ok(want) = want {
+                    let top = want.entries.last().unwrap().handle;
+                    assert!(top as usize >= idx.num_terms(), "a readable table refused");
+                }
+                refused += 1;
+            }
+            Err(e) => panic!("expected StoreError::Corrupt, got {e}"),
+            Ok(index) => {
+                let want = want.expect("the index opened a table the reference refuses");
+                answers_like(&index, indexer, victim.run_id, &want);
+                answered += 1;
+            }
+        }
+    }
+    assert!(refused > 50 && answered > 10, "{refused} refused, {answered} answered");
+    overwrite_artifact(&dir, &name, &honest);
+    answers_like(&Index::open(&dir).expect("restored"), indexer, victim.run_id, &rows);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -435,6 +596,14 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     overwrite_artifact(&dir, &name, &run.to_bytes());
     assert_eq!(corrupt("a handle the shard has not issued"), name);
     overwrite_artifact(&dir, &name, &honest_run.to_bytes());
+
+    // A sealed run listed twice.
+    let manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    for (hostile, refusal) in listed_twice(&dir, &name) {
+        std::fs::write(dir.join(MANIFEST_NAME), hostile.to_bytes()).unwrap();
+        assert_eq!(corrupt("a run listed twice"), refusal);
+    }
+    std::fs::write(dir.join(MANIFEST_NAME), &manifest).unwrap();
 
     overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, deep_json().as_bytes());
     match resume() {

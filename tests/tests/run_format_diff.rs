@@ -1,8 +1,14 @@
 //! Hostile-bytes and differential suite for the run-file wire layout.
 //!
-//! The first half feeds the `IIR3` reader truncated and mutated files: it
-//! may refuse them or parse them, never panic, and whatever it parses must
-//! decode to postings or to a typed `CodecError`.
+//! The first half holds the `IIR3` reader — a table kept as its bytes,
+//! checked in one walk and looked up through a sparse sample of its rows —
+//! to the reader it replaced, which decoded every row into a `Vec` up front
+//! (`ii_integration_tests::run_table`, frozen): on generated runs under
+//! every codec, every handle's look-up, every row, the manifest's postings
+//! record and the document range must be the reference's, and on truncated
+//! and mutated files the reader must return the reference's error or the
+//! reference's rows — never panic — and whatever it parses must decode to
+//! postings or to a typed `CodecError`.
 //!
 //! The second half holds the in-place run writer — `RunFile::build` and the
 //! indexers' posting-log flush — to the bytes of the builder it replaced,
@@ -12,8 +18,9 @@
 
 use ii_core::corpus::DocId;
 use ii_core::indexer::PostingLog;
-use ii_core::postings::run::RunFileError;
-use ii_core::postings::{Codec, Posting, PostingsList, RunFile};
+use ii_core::pipeline::run_postings_meta;
+use ii_core::postings::{Codec, Posting, PostingsList, RunFile, SAMPLE_EVERY};
+use ii_integration_tests::run_table::MaterialisedRun;
 use proptest::prelude::*;
 
 /// One list of a run under test: its handle and its postings.
@@ -94,8 +101,113 @@ fn materialise(shapes: &[(u32, ListShape)], at_top: bool) -> Vec<List> {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile bytes.
+// The table in place against the materialised rows.
 // ---------------------------------------------------------------------------
+
+/// Row counts on both sides of the first few sample boundaries.
+const ROW_COUNTS: [usize; 9] = [
+    1,
+    SAMPLE_EVERY - 1,
+    SAMPLE_EVERY,
+    SAMPLE_EVERY + 1,
+    2 * SAMPLE_EVERY - 1,
+    2 * SAMPLE_EVERY,
+    2 * SAMPLE_EVERY + 1,
+    3 * SAMPLE_EVERY,
+    5 * SAMPLE_EVERY + 3,
+];
+
+/// A run of one of [`ROW_COUNTS`] lists: handle gaps of 0 (consecutive
+/// handles), of a few or of thousands, lengths of 1, 2–128 and past one
+/// block. Each row is drawn from one random word.
+fn table_strategy() -> impl Strategy<Value = (Codec, Vec<List>)> {
+    let most = ROW_COUNTS[ROW_COUNTS.len() - 1];
+    let words = proptest::collection::vec(any::<u64>(), most..=most);
+    (codec_strategy(), 0..ROW_COUNTS.len(), words).prop_map(|(codec, rows, words)| {
+        let mut handle = 0u32;
+        let lists = words[..ROW_COUNTS[rows]]
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let field = |shift: u32, modulus: u64| ((w >> shift) % modulus) as u32;
+                handle += match field(0, 6) {
+                    0..=2 => u32::from(i > 0),
+                    3 | 4 => 2 + field(8, 4),
+                    _ => 1_000 + field(8, 10_000),
+                };
+                let n = [1, 2 + field(24, 127), 129 + field(32, 172)][field(40, 3) as usize];
+                let (first, tf_mod) = (i as u32 * 4_000, 1 + field(48, 39));
+                let list = (0..n)
+                    .map(|k| Posting { doc: DocId(first + k * 3), tf: 1 + k % tf_mod })
+                    .collect();
+                (handle, list)
+            })
+            .collect();
+        (codec, lists)
+    })
+}
+
+/// Every answer the table gives equals the reference's: each row, the
+/// look-up of every handle from 0 to one past the largest (present ones and
+/// their neighbours when that is too many), the manifest's record, the
+/// document range.
+fn assert_answers_like(run: &RunFile, want: &MaterialisedRun) {
+    assert_eq!(run.entries.iter().collect::<Vec<_>>(), want.entries, "rows");
+    assert_eq!(run.entries.len(), want.entries.len());
+    assert_eq!(run.entries.is_empty(), want.entries.is_empty());
+    assert_eq!(run.entries.last(), want.entries.last().copied());
+    assert_eq!(run_postings_meta(run), want.postings_meta());
+    assert_eq!(run.doc_range(), want.doc_range());
+    assert!(run.entries.sampled() <= run.entries.len() / SAMPLE_EVERY + 1);
+    let top = want.entries.last().map_or(0, |e| u64::from(e.handle) + 1);
+    let probes: Vec<u64> = if top <= 100_000 {
+        (0..=top).collect()
+    } else {
+        let near = want.entries.iter().flat_map(|e| {
+            let h = u64::from(e.handle);
+            [h.saturating_sub(1), h, h + 1]
+        });
+        near.chain((0..=1_000).map(|i| top * i / 1_000)).collect()
+    };
+    for h in probes.into_iter().filter_map(|h| u32::try_from(h).ok()) {
+        assert_eq!(run.entry(h), want.entry(h).copied(), "handle {h}");
+    }
+}
+
+/// Whatever `from_bytes` accepted must be safe to query: each row either
+/// decodes or yields a typed error, through both entry points, and the row
+/// count is one a file of `file_len` bytes could hold (4 table bytes each).
+fn exercise(run: &RunFile, file_len: usize) {
+    assert!(run.entries.len() * 4 <= file_len, "more rows than the file has bytes for");
+    for e in &run.entries {
+        let decoded = run.decode_entry(&e);
+        let mut streamed = Vec::new();
+        let walked = run.cursor_of(&e).and_then(|mut c| {
+            while let Some(p) = c.next()? {
+                streamed.push(p);
+            }
+            Ok(())
+        });
+        if let (Ok(list), Ok(())) = (&decoded, &walked) {
+            assert_eq!(list, &streamed);
+        }
+    }
+}
+
+/// `bytes` read by the product and by the reference: the same error, or
+/// the same rows and payload. Returns what the product parsed.
+fn read_like_the_reference(bytes: &[u8]) -> Option<RunFile> {
+    let got = RunFile::from_bytes(bytes);
+    match (&got, MaterialisedRun::from_bytes(bytes)) {
+        (Err(e), Err(want)) => assert_eq!(*e, want),
+        (Ok(run), Ok(want)) => {
+            assert_eq!(run.entries.iter().collect::<Vec<_>>(), want.entries);
+            assert!(run.payload == want.payload);
+        }
+        (got, want) => panic!("product {:?}, reference {:?}", got.as_ref().err(), want.err()),
+    }
+    got.ok()
+}
 
 /// Valid `IIR3` files covering every row shape: one-posting lists, full and
 /// multi-block lists, wide handle gaps, doc IDs at the top of the range, a
@@ -121,38 +233,13 @@ fn hostile_seeds() -> Vec<RunFile> {
     ]
 }
 
-/// Whatever `from_bytes` accepted must be safe to query: each row either
-/// decodes or yields a typed error, through both entry points, and the row
-/// count is one a file of `file_len` bytes could hold (4 table bytes each).
-fn exercise(run: &RunFile, file_len: usize) {
-    assert!(run.entries.len() * 4 <= file_len, "more rows than the file has bytes for");
-    for e in &run.entries {
-        let decoded = run.decode_entry(e);
-        let mut streamed = Vec::new();
-        let walked = run.cursor_of(e).and_then(|mut c| {
-            while let Some(p) = c.next()? {
-                streamed.push(p);
-            }
-            Ok(())
-        });
-        if let (Ok(list), Ok(())) = (&decoded, &walked) {
-            assert_eq!(list, &streamed);
-        }
-    }
-}
-
 #[test]
 fn truncated_iir3_files_are_refused() {
     for run in hostile_seeds() {
         let bytes = run.to_bytes();
         for cut in 0..bytes.len() {
-            let got = RunFile::from_bytes(&bytes[..cut]);
-            assert!(
-                matches!(got, Err(RunFileError::Truncated | RunFileError::Malformed)),
-                "run {} cut to {cut} of {} bytes parsed",
-                run.run_id,
-                bytes.len()
-            );
+            let parsed = read_like_the_reference(&bytes[..cut]).is_some();
+            assert!(!parsed, "run {} cut to {cut} of {} bytes parsed", run.run_id, bytes.len());
         }
         assert_eq!(RunFile::from_bytes(&bytes).unwrap(), run);
     }
@@ -171,7 +258,7 @@ fn mutated_iir3_headers_and_tables_never_panic() {
                     continue;
                 }
                 hostile[at] = value;
-                if let Ok(run) = RunFile::from_bytes(&hostile) {
+                if let Some(run) = read_like_the_reference(&hostile) {
                     parsed += 1;
                     exercise(&run, hostile.len());
                 }
@@ -180,6 +267,51 @@ fn mutated_iir3_headers_and_tables_never_panic() {
         }
     }
     assert!(parsed > 1_000, "the harness must reach the decoders, got {parsed} parses");
+}
+
+/// The largest handles: a table whose every look-up above the last row
+/// must miss without its handle arithmetic overflowing.
+#[test]
+fn tables_at_the_top_of_the_handle_space_answer_like_the_reference() {
+    for run in hostile_seeds() {
+        let want = MaterialisedRun::from_bytes(&run.to_bytes()).unwrap();
+        assert_answers_like(&run, &want);
+        for h in [u32::MAX - 2, u32::MAX - 1, u32::MAX] {
+            assert_eq!(run.entry(h), want.entry(h).copied(), "handle {h}");
+        }
+    }
+    let top: Vec<List> = (0..3 * SAMPLE_EVERY as u32 + 1)
+        .map(|i| (u32::MAX - 100 + 2 * i, vec![Posting { doc: DocId(i), tf: 1 }]))
+        .collect();
+    for codec in CODECS {
+        let run = built(0, 0, codec, &top);
+        let want = MaterialisedRun::from_bytes(&run.to_bytes()).unwrap();
+        assert_answers_like(&run, &want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Runs around multiples of the sample spacing, under every codec: the
+    /// built table and the opened one agree row for row and answer every
+    /// question as the materialised rows do; every truncation of the file
+    /// is refused with the reference's error.
+    #[test]
+    fn opened_tables_answer_like_the_materialised_rows(case in table_strategy()) {
+        let (codec, lists) = case;
+        let run = built(5, 2, codec, &lists);
+        let bytes = run.to_bytes();
+        let want = MaterialisedRun::from_bytes(&bytes).unwrap();
+        let opened = RunFile::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&opened, &run);
+        prop_assert!(want.to_bytes() == bytes);
+        assert_answers_like(&run, &want);
+        assert_answers_like(&opened, &want);
+        for cut in 0..bytes.len() {
+            prop_assert!(read_like_the_reference(&bytes[..cut]).is_none());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,10 +324,12 @@ fn mutated_iir3_headers_and_tables_never_panic() {
 /// then `append_list` copying it into the payload, minus the skip table of a
 /// list that fits one block. The bit-level helpers (`bits`, `varbyte`) are
 /// the product's, which the change did not touch; everything from the block
-/// body up is the old code.
+/// body up is the old code. It fills a `MaterialisedRun`, the frozen
+/// reader's value, whose `to_bytes` is the row encoder of that commit.
 mod frozen {
     use ii_core::postings::run::RunEntry;
-    use ii_core::postings::{bits, varbyte, Codec, Posting, RunFile};
+    use ii_core::postings::{bits, varbyte, Codec, Posting};
+    use ii_integration_tests::run_table::MaterialisedRun;
 
     const BLOCK_LEN: usize = 128;
     const SKIP_ENTRY_BYTES: usize = 12;
@@ -386,14 +520,8 @@ mod frozen {
     }
 
     /// The run of `lists` (non-empty, ascending handles).
-    pub fn build(run_id: u32, indexer_id: u32, codec: Codec, lists: &[super::List]) -> RunFile {
-        let mut run = RunFile {
-            run_id,
-            indexer_id,
-            entries: Vec::with_capacity(lists.len()),
-            payload: Vec::new(),
-            codec,
-        };
+    pub fn build(run_id: u32, indexer_id: u32, codec: Codec, lists: &[super::List]) -> MaterialisedRun {
+        let mut run = MaterialisedRun::new(run_id, indexer_id, codec);
         for (handle, list) in lists {
             let resolved = codec.resolve(list.len());
             let enc = encode_list(list, resolved);
@@ -475,8 +603,8 @@ fn densely(lists: &[List], first: u32) -> Vec<List> {
     out
 }
 
-fn assert_same_run(got: &RunFile, want: &RunFile, what: &str) {
-    assert_eq!(got.entries, want.entries, "{what}: mapping table");
+fn assert_same_run(got: &RunFile, want: &MaterialisedRun, what: &str) {
+    assert_eq!(got.entries.iter().collect::<Vec<_>>(), want.entries, "{what}: mapping table");
     assert!(got.payload == want.payload, "{what}: payload bytes");
     let bytes = got.to_bytes();
     assert!(bytes == want.to_bytes(), "{what}: file bytes");
