@@ -1,6 +1,6 @@
-//! Criterion microbench: postings gap-compression codecs (variable-byte as
-//! in the paper, vs Elias γ and Golomb) in the block layout, plus the LZSS
-//! collection codec.
+//! Criterion microbench: the postings gap-compression codecs the index
+//! writes (variable-byte as in the paper, BP128 and PForDelta) in the block
+//! layout, plus the LZSS collection codec.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ii_core::corpus::compress;
@@ -25,7 +25,7 @@ fn bench_postings_codecs(c: &mut Criterion) {
     let list = postings(50_000, 40);
     let mut g = c.benchmark_group("postings_codecs");
     g.throughput(Throughput::Elements(list.len() as u64));
-    for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(28)] {
+    for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor] {
         g.bench_function(format!("encode_{codec:?}"), |b| {
             b.iter(|| encode_list(black_box(&list), codec).bytes.len())
         });
@@ -38,7 +38,7 @@ fn bench_postings_codecs(c: &mut Criterion) {
 
     // Report-style size comparison (printed once under --nocapture-like
     // bench output): sizes matter as much as speed for codecs.
-    for codec in [Codec::VarByte, Codec::Gamma, Codec::Golomb(28)] {
+    for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor] {
         let bytes = encode_list(&list, codec).bytes.len();
         eprintln!(
             "codec {:?}: {:.2} bytes/posting",

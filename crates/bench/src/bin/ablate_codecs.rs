@@ -2,17 +2,41 @@
 //!
 //! The paper compresses postings with variable-byte encoding and cites
 //! γ and Golomb as the classic alternatives. This harness builds a real
-//! index and re-encodes every postings list with each codec in the block
-//! layout the product writes (skip table included), reporting bytes per
-//! posting and encode/decode wall time — the trade-off that justifies the
-//! paper's variable-byte choice (speed at modest size cost).
+//! index and re-encodes every postings list with each code in the block
+//! layout the product writes (a 12-byte skip entry per 128-posting block
+//! included), reporting bytes per posting and encode/decode wall time —
+//! the trade-off that justifies the paper's variable-byte choice (speed at
+//! modest size cost). γ and Golomb are not codecs of the index: their bit
+//! codes live in `ii_bench::bits`, for this ablation only.
 
+use ii_bench::bits::{self, golomb_parameter, BitCode};
 use ii_core::corpus::CollectionSpec;
 use ii_core::pipeline::{build_index, PipelineConfig};
-use ii_core::postings::bits::golomb_parameter;
-use ii_core::postings::block::{decode_list, encode_list};
+use ii_core::postings::block;
 use ii_core::postings::{Codec, Posting};
 use std::time::Instant;
+
+/// A list in one code of the comparison.
+enum Code {
+    VarByte,
+    Bits(BitCode),
+}
+
+impl Code {
+    fn encode(&self, l: &[Posting]) -> Vec<u8> {
+        match self {
+            Code::VarByte => block::encode_list(l, Codec::VarByte).bytes,
+            Code::Bits(code) => bits::encode_list(l, *code),
+        }
+    }
+
+    fn decoded_len(&self, buf: &[u8], n: usize) -> usize {
+        match self {
+            Code::VarByte => block::decode_list(buf, n, Codec::VarByte).expect("roundtrip").len(),
+            Code::Bits(code) => bits::decode_list(buf, n, *code).expect("roundtrip").len(),
+        }
+    }
+}
 
 fn main() {
     let mut spec = CollectionSpec::wikipedia_like(0.4);
@@ -39,22 +63,20 @@ fn main() {
         "codec", "bytes/posting", "encode Mp/s", "decode Mp/s"
     );
     ii_bench::rule(72);
-    for (name, pick) in [
-        ("VarByte (paper)", None),
-        ("Elias gamma", Some(Codec::Gamma)),
-        ("Golomb (per-list b)", None),
-    ] {
-        let codec_for = |l: &Vec<Posting>| match (name, pick) {
-            ("VarByte (paper)", _) => Codec::VarByte,
-            (_, Some(c)) => c,
-            _ => Codec::Golomb(golomb_parameter(total_docs, l.len() as u64)),
+    for name in ["VarByte (paper)", "Elias gamma", "Golomb (per-list b)"] {
+        let code_for = |l: &[Posting]| match name {
+            "Elias gamma" => Code::Bits(BitCode::Gamma),
+            "Golomb (per-list b)" => {
+                Code::Bits(BitCode::Golomb(golomb_parameter(total_docs, l.len() as u64)))
+            }
+            _ => Code::VarByte,
         };
         let t0 = Instant::now();
-        let encoded: Vec<(Vec<u8>, Codec, usize)> = lists
+        let encoded: Vec<(Vec<u8>, Code, usize)> = lists
             .iter()
             .map(|l| {
-                let c = codec_for(l);
-                (encode_list(l, c).bytes, c, l.len())
+                let c = code_for(l);
+                (c.encode(l), c, l.len())
             })
             .collect();
         let enc_s = t0.elapsed().as_secs_f64();
@@ -62,7 +84,7 @@ fn main() {
         let t0 = Instant::now();
         let mut decoded_postings = 0u64;
         for (buf, c, n) in &encoded {
-            decoded_postings += decode_list(buf, *n, *c).expect("roundtrip").len() as u64;
+            decoded_postings += c.decoded_len(buf, *n) as u64;
         }
         let dec_s = t0.elapsed().as_secs_f64();
         assert_eq!(decoded_postings, postings);

@@ -1,5 +1,5 @@
-//! Codec frontier benchmark: every postings codec (varbyte, gamma, Golomb,
-//! BP128, PForDelta, Elias-Fano, and the per-length-class Auto policy)
+//! Codec frontier benchmark: every postings codec (varbyte, BP128,
+//! PForDelta, and the per-length-class Auto policy that picks among them)
 //! measured on seeded synthetic lists in the three length classes the
 //! policy distinguishes — short (< 128 postings), medium, long (>= 4096).
 //!
@@ -140,7 +140,6 @@ fn best_of<F: FnMut()>(reps: usize, mut pass: F) -> f64 {
 fn codec_name(c: Codec) -> String {
     match c {
         Codec::Auto => "policy".into(),
-        Codec::Golomb(_) => "golomb".into(),
         c => format!("{c:?}").to_lowercase(),
     }
 }
@@ -150,20 +149,7 @@ fn measure_class(name: &str, lists: &[Vec<Posting>], reps: usize) -> ClassResult
     let mpps = |s: f64| postings as f64 / 1e6 / s;
     let mut codecs = Vec::new();
     let mut varbyte: Option<(f64, f64)> = None; // (bytes_per_posting, decode_mpps)
-    // Fit Golomb's divisor to the class like the per-list chooser of `ablate_codecs`
-    // does (Gallager–van Voorhis: b ~ 0.69 * mean gap); a fixed divisor
-    // would strawman the codec at these gap scales.
-    let gap_sum: u64 = lists.iter().filter_map(|l| l.last()).map(|p| p.doc.0 as u64).sum();
-    let golomb_b = ((gap_sum as f64 / postings.max(1) as f64) * 0.69).max(1.0) as u64;
-    for codec in [
-        Codec::VarByte,
-        Codec::Gamma,
-        Codec::Golomb(golomb_b),
-        Codec::Bp128,
-        Codec::PFor,
-        Codec::EliasFano,
-        Codec::Auto,
-    ] {
+    for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
         // Correctness before timing: every list must roundtrip exactly.
         let encoded: Vec<block::EncodedList> =
             lists.iter().map(|l| block::encode_list(l, codec)).collect();

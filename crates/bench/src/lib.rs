@@ -3,10 +3,13 @@
 //! One binary per table and figure of the paper's evaluation section (see
 //! DESIGN.md §4 for the index), plus criterion microbenches of the hot
 //! kernels. This library holds the shared scaffolding: scaled synthetic
-//! collections, run directories, and table formatting.
+//! collections, run directories, and table formatting — and, in [`bits`],
+//! the γ and Golomb codes the codec ablation compares variable-byte with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod bits;
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
 use std::path::PathBuf;

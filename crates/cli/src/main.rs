@@ -3,7 +3,7 @@
 //! ```text
 //! ii generate <dir> [--preset clueweb|wikipedia|congress|tiny] [--scale F] [--seed N]
 //! ii build    <collection-dir> <index-dir> [--parsers N] [--cpu N] [--gpus N] [--popular N]
-//!             [--codec varbyte|gamma|golomb|bp128|pfor|ef|auto]
+//!             [--codec varbyte|bp128|pfor|auto]
 //!             [--max-retries N] [--on-fault fail|skip] [--checkpoint-every N] [--resume]
 //!             [--mem-budget BYTES] [--stats] [--stats-json] [--stats-out stats.json]
 //!             [--trace trace.json] [--strict] [--metrics-addr HOST:PORT]
@@ -18,6 +18,9 @@
 //! ii stats    <collection-dir | index-dir>
 //! ii simulate [--parsers N] [--cpu N] [--gpus N] [--collection clueweb|wikipedia|congress]
 //! ```
+//!
+//! Exit status: 0 on success, 1 when a command ran and failed, 2 for a flag
+//! the command does not take or a value outside a flag's fixed set.
 
 #![forbid(unsafe_code)]
 
@@ -77,7 +80,7 @@ fn usage() {
          commands:\n  \
          generate <dir> [--preset P] [--scale F] [--seed N]   synthesize a collection\n  \
          build <coll-dir> <index-dir> [--parsers N] [--cpu N] [--gpus N] [--popular N]\n        \
-         [--codec varbyte|gamma|golomb|bp128|pfor|ef|auto] postings codec; auto (default)\n        \
+         [--codec varbyte|bp128|pfor|auto]             postings codec; auto (default)\n        \
          picks per list length: varbyte short, PForDelta medium, BP128 long\n        \
          [--max-retries N] [--on-fault fail|skip]      fail aborts on a corrupt file (default);\n        \
          skip quarantines it and indexes the rest\n        \
@@ -110,7 +113,8 @@ fn usage() {
          postings <index-dir> <term> [--range LO HI]          dump a postings list\n  \
          stats <dir>                                          collection stats, or an index's\n        \
          shape: terms, runs, lists, postings, table/payload/index bytes\n  \
-         simulate [--parsers N] [--cpu N] [--gpus N] [--collection C]  platsim projection"
+         simulate [--parsers N] [--cpu N] [--gpus N] [--collection C]  platsim projection\n\n\
+         exit status: 0 done, 1 the command failed, 2 an unknown flag or flag value"
     );
 }
 
@@ -134,14 +138,22 @@ fn bool_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Report a command line the command does not accept and exit with status
+/// 2, where a command that ran and failed exits with 1. Called while flags
+/// are parsed, before a command has done anything.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
 /// Reject any `--flag` the command does not understand. Silently ignoring
 /// unknown flags hid typos like `--parser 8` (which ran a 2-parser build
 /// and skewed every number derived from it), so each command declares its
-/// flag set and anything else is an error.
-fn check_flags(args: &[String], allowed: &[&str]) -> Result<(), String> {
+/// flag set and anything else is a usage error.
+fn check_flags(args: &[String], allowed: &[&str]) {
     for a in args {
         if a.starts_with("--") && !allowed.contains(&a.as_str()) {
-            return Err(format!(
+            usage_error(&format!(
                 "unknown flag '{a}'{}",
                 if allowed.is_empty() {
                     " (this command takes no flags)".to_string()
@@ -151,7 +163,6 @@ fn check_flags(args: &[String], allowed: &[&str]) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
 }
 
 /// The non-flag arguments, skipping each value flag's value.
@@ -173,7 +184,7 @@ fn operands(args: &[String]) -> Vec<&String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--preset", "--scale", "--seed"])?;
+    check_flags(args, &["--preset", "--scale", "--seed"]);
     let pos = operands(args);
     let dir = pos.first().ok_or("generate: missing <dir>")?;
     let scale: f64 = flag(args, "--scale").map_or(Ok(0.5), |v| {
@@ -186,7 +197,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         "wikipedia" => CollectionSpec::wikipedia_like(scale),
         "congress" => CollectionSpec::congress_like(scale),
         "tiny" => CollectionSpec::tiny(seed),
-        other => return Err(format!("unknown preset '{other}'")),
+        other => usage_error(&format!("unknown preset '{other}'")),
     };
     spec.seed = seed;
     let stored = StoredCollection::generate(spec, Path::new(dir))
@@ -226,7 +237,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "--metrics-out",
             "--chaos-kill",
         ],
-    )?;
+    );
     let pos = operands(args);
     let [coll_dir, index_dir] = pos.as_slice() else {
         return Err("build: need <collection-dir> <index-dir>".into());
@@ -235,20 +246,13 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let cpu = flag_usize(args, "--cpu", 1)?;
     let gpus = flag_usize(args, "--gpus", 1)?;
     let codec = match flag(args, "--codec").as_deref() {
-        // Auto picks per list-length class: varbyte / PForDelta / Elias-Fano.
+        // Auto picks per list-length class: varbyte / PForDelta / BP128.
         None | Some("auto") => Codec::Auto,
         Some("varbyte") => Codec::VarByte,
-        Some("gamma") => Codec::Gamma,
-        // A fixed mid-range Golomb parameter; per-list tuning is the
-        // ablation harness's job (`ablate_codecs`), not the build path's.
-        Some("golomb") => Codec::Golomb(64),
         Some("bp128") => Codec::Bp128,
         Some("pfor") => Codec::PFor,
-        Some("ef") => Codec::EliasFano,
         Some(other) => {
-            return Err(format!(
-                "--codec expects varbyte|gamma|golomb|bp128|pfor|ef|auto, got '{other}'"
-            ))
+            usage_error(&format!("--codec expects varbyte|bp128|pfor|auto, got '{other}'"))
         }
     };
     let popular = flag_usize(args, "--popular", 40)?;
@@ -256,7 +260,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let on_fault = match flag(args, "--on-fault").as_deref() {
         None | Some("fail") => FaultAction::FailFast,
         Some("skip") => FaultAction::SkipFile,
-        Some(other) => return Err(format!("--on-fault expects 'fail' or 'skip', got '{other}'")),
+        Some(other) => usage_error(&format!("--on-fault expects 'fail' or 'skip', got '{other}'")),
     };
     let checkpoint_every = flag_usize(args, "--checkpoint-every", 8)?;
     // Absent: the library's sane default budget. Present: the given hard
@@ -417,7 +421,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace_report(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--check"])?;
+    check_flags(args, &["--check"]);
     let pos = operands(args);
     let path = pos.first().ok_or("trace report: missing <trace.json>")?;
     let text = std::fs::read_to_string(path.as_str())
@@ -437,7 +441,7 @@ fn open_index(dir: &str) -> Result<Index, String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &[]);
     let pos = operands(args);
     let dir = pos.first().ok_or("verify: missing <index-dir>")?;
     let statuses = Index::verify_dir(Path::new(dir.as_str()))
@@ -474,7 +478,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_repair(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &[]);
     let pos = operands(args);
     let dir = pos.first().ok_or("repair: missing <index-dir>")?;
     let report = Index::repair(Path::new(dir.as_str()))
@@ -501,7 +505,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--mode", "--explain"])?;
+    check_flags(args, &["--mode", "--explain"]);
     let pos = operands(args);
     let (dir, terms) = pos.split_first().ok_or("query: need <index-dir> <terms...>")?;
     if terms.is_empty() {
@@ -511,7 +515,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         "bool" => None,
         "and" => Some(QueryMode::And),
         "or" => Some(QueryMode::Or),
-        other => return Err(format!("--mode expects and, or or bool, got '{other}'")),
+        other => usage_error(&format!("--mode expects and, or or bool, got '{other}'")),
     };
     let index = open_index(dir)?;
     let q = terms.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(" ");
@@ -544,7 +548,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_postings(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--range"])?;
+    check_flags(args, &["--range"]);
     let pos = operands(args);
     let [dir, term] = pos.as_slice() else {
         return Err("postings: need <index-dir> <term>".into());
@@ -578,7 +582,7 @@ fn cmd_postings(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &[]);
     let pos = operands(args);
     let dir = pos.first().ok_or("stats: missing <dir>")?;
     let path = Path::new(dir.as_str());
@@ -682,7 +686,7 @@ fn parse_chaos_kill(spec: &str) -> Result<(WorkerClass, usize, usize), String> {
 }
 
 fn cmd_postmortem(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &[]);
     let pos = operands(args);
     let target = pos.first().ok_or("postmortem: need <bundle.json | index-dir>")?;
     let path = Path::new(target.as_str());
@@ -832,7 +836,7 @@ fn render_top_frame(points: &[MetricPoint], prev: Option<&TopState>) -> (String,
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--iters", "--interval-ms", "--check"])?;
+    check_flags(args, &["--iters", "--interval-ms", "--check"]);
     let pos = operands(args);
     let target = pos.first().ok_or("top: need <host:port | exposition-file>")?.as_str();
     let check = bool_flag(args, "--check");
@@ -880,7 +884,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--parsers", "--cpu", "--gpus", "--collection"])?;
+    check_flags(args, &["--parsers", "--cpu", "--gpus", "--collection"]);
     let parsers = flag_usize(args, "--parsers", 6)?;
     let cpu = flag_usize(args, "--cpu", 2)?;
     let gpus = flag_usize(args, "--gpus", 2)?;
@@ -889,7 +893,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "clueweb" => CollectionModel::clueweb09(),
         "wikipedia" => CollectionModel::wikipedia(),
         "congress" => CollectionModel::congress(),
-        other => return Err(format!("unknown collection '{other}'")),
+        other => usage_error(&format!("unknown collection '{other}'")),
     };
     let p = PlatformModel::c1060_xeon();
     let r = simulate(&p, &c, &Scenario::new(parsers, cpu, gpus));

@@ -72,7 +72,9 @@ impl IndexBuilder {
         self
     }
 
-    /// Postings compression codec (default: variable-byte, as the paper).
+    /// Postings compression codec (default: [`Codec::Auto`], the measured
+    /// per-length-class policy — variable-byte, as the paper, for short
+    /// lists; PForDelta for medium ones; BP128 for long ones).
     pub fn codec(mut self, codec: Codec) -> Self {
         self.config.codec = codec;
         self

@@ -141,38 +141,6 @@ fn encode_block(codec: Codec, ps: &[Posting], scratch: &mut BlockScratch, out: &
             pfor_encode(gaps, out);
             pfor_encode(tfs, out);
         }
-        Codec::EliasFano => {
-            // Doc section: the m-1 non-first docs as y = doc - first - 1,
-            // strictly increasing.
-            let mut ys = [0u32; BLOCK_LEN];
-            for i in 1..m {
-                ys[i - 1] = ps[i].doc.0 - ps[0].doc.0 - 1;
-            }
-            ef_encode(&ys[..m - 1], out);
-            let tw = tfs.iter().map(|&t| bits::bits_needed(t)).max().unwrap_or(0);
-            out.push(tw as u8);
-            bits::pack_bits(tfs, tw, out);
-        }
-        Codec::Gamma => {
-            let mut w = bits::BitWriter::new();
-            for &g in gaps {
-                bits::gamma_encode(g as u64 + 1, &mut w); // actual gap >= 1
-            }
-            for &t in tfs {
-                bits::gamma_encode(t as u64 + 1, &mut w); // actual tf >= 1
-            }
-            out.extend_from_slice(&w.finish());
-        }
-        Codec::Golomb(b) => {
-            let mut w = bits::BitWriter::new();
-            for &g in gaps {
-                bits::golomb_encode(g as u64 + 1, b, &mut w);
-            }
-            for &t in tfs {
-                bits::gamma_encode(t as u64 + 1, &mut w);
-            }
-            out.extend_from_slice(&w.finish());
-        }
         Codec::Auto => unreachable!("Auto must be resolved before block encode"),
     }
 }
@@ -221,99 +189,10 @@ fn decode_block(
             pfor_decode(buf, &mut pos, gaps)?;
             pfor_decode(buf, &mut pos, tfs)?;
         }
-        Codec::EliasFano => {
-            // Parse the EF header up front so the tf section can be
-            // decoded first, then select the high bits straight into
-            // postings: one emission pass, no separate gap-rebuild sweep.
-            let k = m - 1;
-            let mut pos = 0usize;
-            let mut l = 0u32;
-            let mut high: &[u8] = &[];
-            if k > 0 {
-                let lb = *buf.first().ok_or(CodecError::Truncated)?;
-                if lb > 31 {
-                    return Err(CodecError::BadBitWidth(lb));
-                }
-                l = lb as u32;
-                let hb = buf
-                    .get(1..3)
-                    .map(|s| u16::from_le_bytes(s.try_into().unwrap()) as usize)
-                    .ok_or(CodecError::Truncated)?;
-                high = buf.get(3..3 + hb).ok_or(CodecError::Truncated)?;
-                pos = 3 + hb;
-                pos +=
-                    bits::unpack_bits_into(&buf[pos..], gaps, l).ok_or(CodecError::Truncated)?;
-            }
-            let tw = *buf.get(pos).ok_or(CodecError::Truncated)?;
-            if tw > 32 {
-                return Err(CodecError::BadBitWidth(tw));
-            }
-            pos += 1;
-            bits::unpack_bits_into(&buf[pos..], tfs, tw as u32)
-                .ok_or(CodecError::Truncated)?;
-            let tf0 = tfs[0].checked_add(1).ok_or(CodecError::Overflow)?;
-            out.push(Posting { doc: DocId(first_doc), tf: tf0 });
-            // Select the k ones a 64-bit word at a time: the i-th one at
-            // bit p encodes high bucket p - i (p >= i always — i ones
-            // precede it). Elias-Fano stores absolute (block-relative)
-            // positions, not gaps, so docs are emitted directly; strict
-            // monotonicity guards hostile low bits within a bucket. The
-            // outer loop walks the low bits and tfs in lockstep, so the
-            // hot path has no bounds checks; the inner scanner refills a
-            // word only when the current one runs dry.
-            let ys = &gaps[..k];
-            let mut word_iter = high.chunks(8).map(|chunk| match <[u8; 8]>::try_from(chunk) {
-                Ok(b) => u64::from_le_bytes(b),
-                Err(_) => {
-                    let mut b = [0u8; 8];
-                    b[..chunk.len()].copy_from_slice(chunk);
-                    u64::from_le_bytes(b)
-                }
-            });
-            let mut prev = first_doc;
-            let mut w = 0u64;
-            // Starts one word "before" the section so the first refill
-            // lands base_bit on 0; never read while w == 0.
-            let mut base_bit = 0usize.wrapping_sub(64);
-            for (i, (&low, &t)) in ys.iter().zip(tfs[1..].iter()).enumerate() {
-                while w == 0 {
-                    w = word_iter.next().ok_or(CodecError::Truncated)?;
-                    base_bit = base_bit.wrapping_add(64);
-                }
-                let p = base_bit + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let y = ((p - i) as u64) << l | u64::from(low);
-                let doc = u32::try_from(first_doc as u64 + y + 1)
-                    .map_err(|_| CodecError::Overflow)?;
-                if doc <= prev {
-                    return Err(CodecError::NonMonotone);
-                }
-                let tf = t.checked_add(1).ok_or(CodecError::Overflow)?;
-                out.push(Posting { doc: DocId(doc), tf });
-                prev = doc;
-            }
-            return Ok(());
-        }
-        Codec::Gamma | Codec::Golomb(_) => {
-            let mut r = bits::BitReader::new(buf);
-            for g in gaps.iter_mut() {
-                let v = match codec {
-                    Codec::Gamma => bits::gamma_decode(&mut r),
-                    Codec::Golomb(b) => bits::golomb_decode(b, &mut r),
-                    _ => unreachable!(),
-                }
-                .ok_or(CodecError::Truncated)?;
-                *g = u32::try_from(v - 1).map_err(|_| CodecError::Overflow)?;
-            }
-            for t in tfs.iter_mut() {
-                let v = bits::gamma_decode(&mut r).ok_or(CodecError::Truncated)?;
-                *t = u32::try_from(v - 1).map_err(|_| CodecError::Overflow)?;
-            }
-        }
         Codec::Auto => unreachable!("Auto must be resolved before block decode"),
     }
-    // Common tail for gap-coded bodies: rebuild docs from biased gaps
-    // (strictly increasing by construction) and unbias tfs.
+    // Rebuild docs from biased gaps (strictly increasing by construction)
+    // and unbias tfs.
     let tf0 = tfs[0].checked_add(1).ok_or(CodecError::Overflow)?;
     out.push(Posting { doc: DocId(first_doc), tf: tf0 });
     let mut doc = first_doc;
@@ -393,37 +272,6 @@ fn pfor_decode(buf: &[u8], pos: &mut usize, out: &mut [u32]) -> Result<(), Codec
         out[slot as usize] = u32::try_from(patched).map_err(|_| CodecError::Overflow)?;
     }
     Ok(())
-}
-
-/// Encode one Elias-Fano section for strictly increasing `ys`:
-/// `[l u8][high_bytes u16][unary high bits, LSB-first][packed low bits]`.
-/// Empty `ys` writes nothing (the caller knows the count).
-fn ef_encode(ys: &[u32], out: &mut Vec<u8>) {
-    let k = ys.len();
-    if k == 0 {
-        return;
-    }
-    let u = *ys.last().unwrap() as u64;
-    let per = u / k as u64;
-    let l: u32 = if per >= 2 { 63 - per.leading_zeros() } else { 0 };
-    out.push(l as u8);
-    // The i-th one sits at bit i + (y_i >> l); with l = floor(log2(u/k))
-    // the high region stays under 3k bits.
-    let n_high_bits = k + (u >> l) as usize;
-    let high_bytes = n_high_bits.div_ceil(8);
-    out.extend_from_slice(&(high_bytes as u16).to_le_bytes());
-    let start = out.len();
-    out.resize(start + high_bytes, 0);
-    for (i, &y) in ys.iter().enumerate() {
-        let p = i + (y >> l) as usize;
-        out[start + p / 8] |= 1 << (p % 8);
-    }
-    let mask: u32 = if l == 0 { 0 } else { (1u32 << l) - 1 };
-    let mut lows = [0u32; BLOCK_LEN];
-    for (i, &y) in ys.iter().enumerate() {
-        lows[i] = y & mask;
-    }
-    bits::pack_bits(&lows[..k], l, out);
 }
 
 /// A fully encoded block-layout list: skip table followed by block data.
@@ -736,14 +584,7 @@ mod tests {
         (0..n as u32).map(|i| Posting { doc: DocId(7 + i * gap), tf: 1 + (i % tf.max(1)) }).collect()
     }
 
-    const BLOCK_CODECS: [Codec; 6] = [
-        Codec::VarByte,
-        Codec::Gamma,
-        Codec::Golomb(8),
-        Codec::Bp128,
-        Codec::PFor,
-        Codec::EliasFano,
-    ];
+    const BLOCK_CODECS: [Codec; 3] = [Codec::VarByte, Codec::Bp128, Codec::PFor];
 
     #[test]
     fn roundtrip_block_boundaries() {
@@ -824,11 +665,7 @@ mod tests {
     fn maximal_gap_roundtrips() {
         let list =
             vec![Posting { doc: DocId(0), tf: 1 }, Posting { doc: DocId(u32::MAX), tf: u32::MAX }];
-        // Golomb needs a parameter near the gap scale or its unary part
-        // degenerates (that's why Auto never picks it).
-        for codec in
-            [Codec::VarByte, Codec::Gamma, Codec::Golomb(1 << 28), Codec::Bp128, Codec::PFor, Codec::EliasFano]
-        {
+        for codec in BLOCK_CODECS {
             let enc = encode_list(&list, codec);
             let dec = decode_list(&enc.bytes, 2, codec).unwrap();
             assert_eq!(dec, list, "{codec:?}");

@@ -1,17 +1,17 @@
 //! Gap-coded postings compression.
 //!
 //! Document IDs are stored as gaps from their predecessor (the lists are
-//! doc-sorted), then compressed with one of the supported codecs. Every
-//! codec — variable-byte (what the paper itself uses in post-processing),
-//! Elias γ, Golomb, BP128-style bitpacking, PForDelta and Elias-Fano — is
-//! a coder of one block body in the fixed 128-document layout of
-//! [`crate::block`], which is where the encode and decode loops live; this
-//! module names the codecs, holds the policy that picks one and the error
-//! a decode returns.
+//! doc-sorted), then compressed with one of the codecs the length-class
+//! policy writes: variable-byte (what the paper itself uses in
+//! post-processing), BP128-style bitpacking and PForDelta. Each is a coder
+//! of one block body in the fixed 128-document layout of [`crate::block`],
+//! which is where the encode and decode loops live; this module names the
+//! codecs, holds the policy that picks one and the error a decode returns.
 //!
 //! [`Codec::Auto`] is the per-length-class default policy measured by the
 //! `codec_frontier` bench: short lists → varbyte, medium → PForDelta,
-//! long → BP128.
+//! long → BP128. The paper's bit-level alternatives (Elias γ, Golomb) live
+//! in the `ablate_codecs` harness only; they are no codec of the index.
 
 use crate::block;
 
@@ -20,19 +20,11 @@ use crate::block;
 pub enum Codec {
     /// Variable-byte (paper's choice).
     VarByte,
-    /// Elias γ.
-    Gamma,
-    /// Golomb with the given parameter (use
-    /// [`crate::bits::golomb_parameter`]).
-    Golomb(u64),
     /// 128-integer block bitpacking: one bit width per block, word-level
     /// pack/unpack.
     Bp128,
     /// PForDelta: packed low bits plus a patched exception list per block.
     PFor,
-    /// Elias-Fano: high bits in unary, low bits packed; supports in-block
-    /// skipping without sequential decode.
-    EliasFano,
     /// Per-length-class policy: resolves to [`Codec::VarByte`] /
     /// [`Codec::PFor`] / [`Codec::Bp128`] by document frequency.
     Auto,
@@ -44,9 +36,7 @@ pub const SHORT_LIST_MAX: usize = 128;
 
 /// Lists at least this long get BP128 under [`Codec::Auto`] — decode
 /// throughput binds on long lists and per-block bitpacking decodes
-/// fastest on the measured frontier (BENCH_codecs.json). Elias-Fano
-/// stays available for skip-dominated access patterns, but its select
-/// loop loses to branch-free unpacking on sequential scans.
+/// fastest on the measured frontier (BENCH_codecs.json).
 pub const LONG_LIST_MIN: usize = 4096;
 
 /// The measured-frontier default policy for a list of `n` postings.
@@ -153,15 +143,7 @@ mod tests {
         docs.iter().map(|&(d, tf)| Posting { doc: DocId(d), tf }).collect()
     }
 
-    const ALL: [Codec; 7] = [
-        Codec::VarByte,
-        Codec::Gamma,
-        Codec::Golomb(16),
-        Codec::Bp128,
-        Codec::PFor,
-        Codec::EliasFano,
-        Codec::Auto,
-    ];
+    const ALL: [Codec; 4] = [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto];
 
     #[test]
     fn roundtrip_all_codecs() {
@@ -193,18 +175,13 @@ mod tests {
     #[test]
     fn dense_lists_compress() {
         // Every doc contains the term: unit gaps and unit tfs are stored as
-        // zeros — one byte each in varbyte, one bit each in gamma, nothing
-        // at all at width 0.
+        // zeros — one byte each in varbyte, nothing at all at width 0.
         let list: Vec<Posting> = (0..1000).map(|d| Posting { doc: DocId(d), tf: 1 }).collect();
         let skips = 8 * SKIP_ENTRY_BYTES;
         let vb = encode_list(&list, Codec::VarByte).bytes;
         assert_eq!(vb.len(), skips + (1000 - 8) + 1000);
-        let g = encode_list(&list, Codec::Gamma).bytes;
-        assert!(g.len() < 500, "gamma on unit gaps should be tiny, got {}", g.len());
         let bp = encode_list(&list, Codec::Bp128).bytes;
         assert!(bp.len() < 200, "bp128 on unit gaps should be tiny, got {}", bp.len());
-        let ef = encode_list(&list, Codec::EliasFano).bytes;
-        assert!(ef.len() < 400, "elias-fano on unit gaps should be tiny, got {}", ef.len());
     }
 
     #[test]
@@ -233,7 +210,7 @@ mod tests {
         assert_eq!(codec_for(LONG_LIST_MIN - 1), Codec::PFor);
         assert_eq!(codec_for(LONG_LIST_MIN), Codec::Bp128);
         assert_eq!(Codec::Auto.resolve(10), Codec::VarByte);
-        assert_eq!(Codec::Gamma.resolve(10), Codec::Gamma);
+        assert_eq!(Codec::Bp128.resolve(10), Codec::Bp128);
     }
 
     proptest! {

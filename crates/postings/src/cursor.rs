@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn cursor_streams_all_postings() {
         let list = mklist(300);
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor] {
             let enc = encode_list(&list, codec);
             let mut c = ListCursor::new(&enc.bytes, 300, codec).unwrap();
             let mut got = Vec::new();

@@ -1,12 +1,11 @@
 //! # ii-postings — postings lists, compression codecs and run files
 //!
 //! The output side of the indexing system: doc-sorted postings lists,
-//! gap compression (variable-byte as in the paper, Elias γ and Golomb for
-//! the codec ablation, plus the modern block codecs — BP128 bitpacking,
-//! PForDelta and Elias-Fano — in a fixed 128-document block layout with
-//! per-list skip tables and block-max metadata), the per-run output file
-//! format with its header mapping table (§III.F) — held in memory as the
-//! bytes it is written as — skip-pointer cursors,
+//! gap compression (variable-byte as in the paper, plus BP128 bitpacking
+//! and PForDelta, picked per list by length class, in a fixed 128-document
+//! block layout with per-list skip tables and block-max metadata), the
+//! per-run output file format with its header mapping table (§III.F) —
+//! held in memory as the bytes it is written as — skip-pointer cursors,
 //! range-narrowed retrieval, and the block-aligned post-processing merge
 //! of partial lists.
 

@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn one_posting_rows_merge_into_what_a_build_of_the_full_list_writes() {
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::EliasFano, Codec::Auto] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
             // Handle 4 once in each run, handle 8 once in all.
             let mut rs = RunSet::new();
             rs.push(run_with(0, 4, &[3]));
@@ -200,8 +200,8 @@ mod tests {
         // so assert a lower bound over the whole matrix (96 copies per
         // codec: 3 parts x 32 full blocks each, output always aligned).
         let copied_before = ii_obs::global().counter("merge.blocks_copied").get();
-        for codec in [Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
-            let n = 4096u32; // long class: Auto resolves to EliasFano
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
+            let n = 4096u32; // long class: Auto resolves to BP128
             let mut rs = RunSet::new();
             for r in 0..3u32 {
                 rs.push(big_run(r, 9, r * 100_000, n, codec));

@@ -75,14 +75,13 @@ impl RunEntry {
     }
 }
 
-/// `IIR3` header: magic, run id, indexer id, codec tag, Golomb parameter,
-/// row count, then the table's byte length before the payload length, so
-/// the payload is addressable without walking the table.
+/// `IIR3` header: magic, run id, indexer id, codec tag, eight reserved
+/// bytes (zero), row count, then the table's byte length before the payload
+/// length, so the payload is addressable without walking the table.
 pub(crate) const HEADER_BYTES_V3: usize = 41;
 /// Fewest bytes an `IIR3` row can take (the four one-byte varints of a
 /// one-posting row): bounds the row count a table of a given length can hold.
 const MIN_ROW_BYTES_V3: usize = 4;
-pub(crate) const GOLOMB_TAG: u8 = 2;
 
 /// A run file: header + mapping table + payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,26 +142,23 @@ pub fn parse_run_artifact_name(name: &str) -> Option<(u32, u32)> {
     Some((indexer.parse().ok()?, run.parse().ok()?))
 }
 
-pub(crate) fn codec_tag(c: Codec) -> (u8, u64) {
+/// The byte that names `c` in a header or a row. Tags 1, 2 and 5 named
+/// codecs the index no longer has; they stay unassigned.
+pub(crate) fn codec_tag(c: Codec) -> u8 {
     match c {
-        Codec::VarByte => (0, 0),
-        Codec::Gamma => (1, 0),
-        Codec::Golomb(b) => (GOLOMB_TAG, b),
-        Codec::Bp128 => (3, 0),
-        Codec::PFor => (4, 0),
-        Codec::EliasFano => (5, 0),
-        Codec::Auto => (6, 0),
+        Codec::VarByte => 0,
+        Codec::Bp128 => 3,
+        Codec::PFor => 4,
+        Codec::Auto => 6,
     }
 }
 
-pub(crate) fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
+/// The codec a tag names; `None` for any byte [`codec_tag`] does not write.
+pub(crate) fn codec_from_tag(tag: u8) -> Option<Codec> {
     match tag {
         0 => Some(Codec::VarByte),
-        1 => Some(Codec::Gamma),
-        GOLOMB_TAG => Some(Codec::Golomb(b.max(1))),
         3 => Some(Codec::Bp128),
         4 => Some(Codec::PFor),
-        5 => Some(Codec::EliasFano),
         6 => Some(Codec::Auto),
         _ => None,
     }
@@ -264,18 +260,17 @@ impl RunFile {
         out
     }
 
-    /// The `IIR3` header of this run: magic, ids, codec, then the row count
-    /// and the table's byte length before the payload's, so the payload is
-    /// addressable without walking the table.
+    /// The `IIR3` header of this run: magic, ids, codec, the reserved bytes
+    /// 13..21 left zero, then the row count and the table's byte length
+    /// before the payload's, so the payload is addressable without walking
+    /// the table.
     fn header(&self) -> [u8; HEADER_BYTES_V3] {
         let rows = u32::try_from(self.entries.len()).expect("a run's rows fit the header's u32");
-        let (tag, b) = codec_tag(self.codec);
         let mut h = [0u8; HEADER_BYTES_V3];
         h[..4].copy_from_slice(RUN_MAGIC_V3);
         h[4..8].copy_from_slice(&self.run_id.to_le_bytes());
         h[8..12].copy_from_slice(&self.indexer_id.to_le_bytes());
-        h[12] = tag;
-        h[13..21].copy_from_slice(&b.to_le_bytes());
+        h[12] = codec_tag(self.codec);
         h[21..25].copy_from_slice(&rows.to_le_bytes());
         h[25..33].copy_from_slice(&(self.entries.rows_bytes().len() as u64).to_le_bytes());
         h[33..41].copy_from_slice(&(self.payload.len() as u64).to_le_bytes());
@@ -326,7 +321,10 @@ impl Header {
         }
         let rd32 = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().expect("a header word"));
         let rd64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().expect("a header word"));
-        let codec = codec_from_tag(buf[12], rd64(13)).ok_or(RunFileError::Malformed)?;
+        // The index reads what it writes: a tag it does not write, or a
+        // reserved byte that is not zero, is no run of its.
+        let codec =
+            codec_from_tag(buf[12]).filter(|_| rd64(13) == 0).ok_or(RunFileError::Malformed)?;
         let (rows, table_len, payload_len) = (rd32(21) as usize, rd64(25), rd64(33));
         let body = (buf.len() - HEADER_BYTES_V3) as u64;
         match table_len.checked_add(payload_len) {
@@ -675,7 +673,7 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip_blocked() {
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
             let l = list(&[(0, 1), (9, 3)]);
             let pairs = [(1u32, l)];
             let mut it = pairs.iter().map(|(h, l)| (*h, l));
@@ -685,13 +683,12 @@ mod tests {
             let back = RunFile::from_bytes(&bytes).unwrap();
             assert_eq!(back, run);
         }
-        // A Golomb row carries its parameter; lists past one block keep
-        // their skip table.
+        // Lists past one block keep their skip table.
         let long: PostingsList =
             (0..300u32).map(|i| Posting { doc: DocId(i * 7), tf: 1 + i % 3 }).collect();
         let pairs = [(4u32, list(&[(3, 1)])), (u32::MAX, long)];
         let mut it = pairs.iter().map(|(h, l)| (*h, l));
-        let run = RunFile::build(1, 0, &mut it, Codec::Golomb(5));
+        let run = RunFile::build(1, 0, &mut it, Codec::PFor);
         assert_eq!(RunFile::from_bytes(&run.to_bytes()).unwrap(), run);
         assert_eq!(run.get(u32::MAX).unwrap(), pairs[1].1.postings());
     }
@@ -707,6 +704,13 @@ mod tests {
             RunFile::from_bytes(&bytes[..bytes.len() - 1]),
             Err(RunFileError::Truncated)
         );
+        // A retired codec tag, or a reserved header byte that is not zero.
+        assert!(bytes[13..21].iter().all(|&b| b == 0), "reserved bytes are written as zero");
+        for (at, value) in [(12, 1), (12, 2), (12, 5), (13, 1), (20, 0x80)] {
+            let mut hostile = bytes.clone();
+            hostile[at] = value;
+            assert_eq!(RunFile::from_bytes(&hostile), Err(RunFileError::Malformed), "byte {at}");
+        }
     }
 
     /// An `IIR3` file from a hand-written table: header fields of
@@ -752,7 +756,11 @@ mod tests {
         malformed(2, &[v3_single(u32::MAX, 0, 1), v3_single(0, 1, 1)].concat(), 0);
         malformed(1, &v3_row([5, 0, 1, 9, 0, 1], 0), 1); // no postings
         malformed(1, &v3_row([5, 2, 1, u32::MAX, 1, 1], 0), 1); // doc_max overflows
-        malformed(1, &v3_row([5, 2, 1, 9, 1, 1], 7), 1); // unknown codec tag
+        for tag in [1, 2, 5, 7] {
+            // γ, Golomb and Elias-Fano, which the index no longer writes,
+            // and a tag it never wrote.
+            malformed(1, &v3_row([5, 2, 1, 9, 1, 1], tag), 1);
+        }
         malformed(1, &v3_row([5, 2, 1, 9, 1, 1], 6), 1); // Codec::Auto in a row
         malformed(1, &v3_row([5, 2, 3, 9, 1, 1], 0), 2); // lengths sum past the payload
         malformed(1, &v3_row([5, 2, 2, 9, 1, 1], 0), 3); // ... and short of it
@@ -762,10 +770,10 @@ mod tests {
         let mut trailing = v3_with_table(1, &ok, 2);
         trailing.push(0);
         assert_eq!(RunFile::from_bytes(&trailing), Err(RunFileError::Malformed));
-        // A table that ends inside a row, or inside a Golomb parameter.
+        // A table that ends inside a row.
         let cut_varint = &v3_row([300, 2, 1, 9, 1, 1], 0)[..7];
         let cut_single = &v3_single(300, 9, 1)[..4];
-        for rows in [cut_varint, cut_single, &v3_row([5, 2, 1, 9, 1, 1], GOLOMB_TAG)] {
+        for rows in [cut_varint, cut_single] {
             assert_eq!(
                 RunFile::from_bytes(&v3_with_table(1, rows, 1)),
                 Err(RunFileError::Truncated)
@@ -831,15 +839,7 @@ mod tests {
         let of = |n: u32, first: u32| -> PostingsList {
             (0..n).map(|i| Posting { doc: DocId(first + i * 3), tf: 1 + i % 5 }).collect()
         };
-        for codec in [
-            Codec::VarByte,
-            Codec::Gamma,
-            Codec::Golomb(7),
-            Codec::Bp128,
-            Codec::PFor,
-            Codec::EliasFano,
-            Codec::Auto,
-        ] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
             let lists =
                 [(0u32, of(1, 4)), (1, of(128, 0)), (2, of(1, u32::MAX)), (9, of(300, 7)), (10, of(2, 1))];
             let run = RunFile::build(3, 1, &mut lists.iter().map(|(h, l)| (*h, l)), codec);

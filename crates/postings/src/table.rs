@@ -25,7 +25,7 @@
 use crate::block;
 use crate::codec::Codec;
 use crate::posting::Posting;
-use crate::run::{codec_from_tag, codec_tag, RunEntry, RunFileError, GOLOMB_TAG, HEADER_BYTES_V3};
+use crate::run::{codec_from_tag, codec_tag, RunEntry, RunFileError, HEADER_BYTES_V3};
 use crate::varbyte;
 use ii_corpus::DocId;
 
@@ -123,11 +123,7 @@ impl RunTable {
             varbyte::encode_u32(row.doc_min, out);
             varbyte::encode_u32(row.doc_max - row.doc_min, out);
             varbyte::encode_u32(row.max_tf, out);
-            let (tag, b) = codec_tag(row.codec);
-            out.push(tag);
-            if tag == GOLOMB_TAG {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
+            out.push(codec_tag(row.codec));
         }
         self.note(row, at);
         self.from = u64::from(row.handle) + 1;
@@ -317,7 +313,7 @@ impl Rows<'_> {
             } else {
                 offset += u64::from(field(&mut pos)?);
                 skip_varints(bytes, &mut pos, 3)?;
-                pos += if *bytes.get(pos)? == GOLOMB_TAG { 9 } else { 1 };
+                pos += 1; // the codec tag
             }
             from = found + 1;
         }
@@ -386,14 +382,7 @@ fn read_row(
     let (len, doc_min, doc_span, max_tf) = (field()?, field()?, field()?, field()?);
     let tag = *bytes.get(pos).ok_or(RunFileError::Truncated)?;
     pos += 1;
-    let b = if tag == GOLOMB_TAG {
-        let raw = bytes.get(pos..pos + 8).ok_or(RunFileError::Truncated)?;
-        pos += 8;
-        u64::from_le_bytes(raw.try_into().expect("eight bytes"))
-    } else {
-        0
-    };
-    let codec = codec_from_tag(tag, b).ok_or(RunFileError::Malformed)?;
+    let codec = codec_from_tag(tag).ok_or(RunFileError::Malformed)?;
     if codec == Codec::Auto || n_postings == 0 {
         // Rows carry resolved codecs and at least one posting.
         return Err(RunFileError::Malformed);

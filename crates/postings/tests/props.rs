@@ -6,7 +6,6 @@
 //! layout, and folding runs in stages cannot change the final lists.
 
 use ii_corpus::DocId;
-use ii_postings::bits::golomb_parameter;
 use ii_postings::block::{decode_list, encode_list};
 use ii_postings::{merge_runs, Codec, CodecError, ListCursor, Posting, PostingsList, RunFile, RunSet};
 use proptest::prelude::*;
@@ -31,18 +30,8 @@ fn list_from_gaps(gaps: &[(u32, u32)]) -> Vec<Posting> {
     out
 }
 
-/// Every codec, with a Golomb parameter scaled to the list at hand.
-fn all_codecs(list_len: usize) -> [Codec; 7] {
-    [
-        Codec::VarByte,
-        Codec::Gamma,
-        Codec::Golomb(golomb_parameter(1 << 24, list_len.max(1) as u64)),
-        Codec::Bp128,
-        Codec::PFor,
-        Codec::EliasFano,
-        Codec::Auto,
-    ]
-}
+/// Every codec, the length-class policy included.
+const ALL_CODECS: [Codec; 4] = [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -51,7 +40,7 @@ proptest! {
     #[test]
     fn codecs_roundtrip_arbitrary_gap_sequences(gaps in gaps_strategy()) {
         let list = list_from_gaps(&gaps);
-        for codec in all_codecs(list.len()) {
+        for codec in ALL_CODECS {
             let buf = encode_list(&list, codec).bytes;
             let back = decode_list(&buf, list.len(), codec);
             prop_assert_eq!(back.as_deref(), Ok(list.as_slice()), "codec {:?}", codec);
@@ -66,13 +55,13 @@ proptest! {
         cut in 1usize..32,
     ) {
         let list = list_from_gaps(&gaps);
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor] {
             let buf = encode_list(&list, codec).bytes;
             let cut = cut.min(buf.len());
             match decode_list(&buf[..buf.len() - cut], list.len(), codec) {
                 Err(_) => {}
                 // A cut that still decodes must decode to the *same*
-                // postings, never wrong ones (these four codecs end
+                // postings, never wrong ones (these three codecs end
                 // byte-aligned, so in fact any cut is fatal).
                 Ok(back) => prop_assert_eq!(back, list, "codec {:?}", codec),
             }
@@ -170,7 +159,7 @@ proptest! {
         let list = list_from_gaps(&gaps);
         let mut targets = targets;
         targets.sort_unstable();
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano] {
+        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor] {
             let buf = encode_list(&list, codec).bytes;
             let mut cur = ListCursor::new(&buf, list.len(), codec).unwrap();
             let mut lin = 0usize; // next undelivered index in `list`
@@ -192,7 +181,7 @@ fn single_posting_lists() {
     for (d, tf) in [(0u32, 1u32), (1, 1), (u32::MAX, 1), (0, u32::MAX), (u32::MAX, u32::MAX)] {
         let list = vec![Posting { doc: DocId(d), tf }];
         // Doc u32::MAX included: first_doc is stored raw in the skip entry.
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+        for codec in ALL_CODECS {
             let buf = encode_list(&list, codec).bytes;
             assert_eq!(decode_list(&buf, 1, codec).as_deref(), Ok(list.as_slice()), "{codec:?} d={d}");
         }
@@ -211,7 +200,7 @@ fn maximal_d_gaps() {
         ],
     ];
     for list in &lists {
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+        for codec in ALL_CODECS {
             let buf = encode_list(list, codec).bytes;
             assert_eq!(
                 decode_list(&buf, list.len(), codec).as_deref(),
@@ -229,7 +218,7 @@ fn block_boundary_lengths() {
     for n in [127usize, 128, 129] {
         let list: Vec<Posting> =
             (0..n as u32).map(|i| Posting { doc: DocId(i * 7 + 3), tf: 1 + i % 9 }).collect();
-        for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+        for codec in ALL_CODECS {
             let buf = encode_list(&list, codec).bytes;
             assert_eq!(decode_list(&buf, n, codec).as_deref(), Ok(list.as_slice()), "{codec:?} n={n}");
             let mut cur = ListCursor::new(&buf, n, codec.resolve(n)).unwrap();
@@ -247,7 +236,7 @@ fn block_boundary_lengths() {
 #[test]
 fn hostile_length_header_guarded() {
     let tiny = [0u8; 16];
-    for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::EliasFano, Codec::Auto] {
+    for codec in ALL_CODECS {
         let err = decode_list(&tiny, u32::MAX as usize, codec).unwrap_err();
         assert!(matches!(err, CodecError::AllocGuard { .. }), "{codec:?}: {err:?}");
     }

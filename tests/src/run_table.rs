@@ -19,29 +19,22 @@ use std::ops::Range;
 const RUN_MAGIC_V3: &[u8; 4] = b"IIR3";
 const HEADER_BYTES_V3: usize = 41;
 const MIN_ROW_BYTES_V3: usize = 4;
-const GOLOMB_TAG: u8 = 2;
 
 fn codec_tag(c: Codec) -> (u8, u64) {
     match c {
         Codec::VarByte => (0, 0),
-        Codec::Gamma => (1, 0),
-        Codec::Golomb(b) => (GOLOMB_TAG, b),
         Codec::Bp128 => (3, 0),
         Codec::PFor => (4, 0),
-        Codec::EliasFano => (5, 0),
         Codec::Auto => (6, 0),
     }
 }
 
 fn codec_from_tag(tag: u8, b: u64) -> Option<Codec> {
-    match tag {
-        0 => Some(Codec::VarByte),
-        1 => Some(Codec::Gamma),
-        GOLOMB_TAG => Some(Codec::Golomb(b.max(1))),
-        3 => Some(Codec::Bp128),
-        4 => Some(Codec::PFor),
-        5 => Some(Codec::EliasFano),
-        6 => Some(Codec::Auto),
+    match (tag, b) {
+        (0, 0) => Some(Codec::VarByte),
+        (3, 0) => Some(Codec::Bp128),
+        (4, 0) => Some(Codec::PFor),
+        (6, 0) => Some(Codec::Auto),
         _ => None,
     }
 }
@@ -134,14 +127,7 @@ impl MaterialisedRun {
             let (len, doc_min, doc_span, max_tf) = (field()?, field()?, field()?, field()?);
             let tag = *table.get(pos).ok_or(RunFileError::Truncated)?;
             pos += 1;
-            let b = if tag == GOLOMB_TAG {
-                let raw = table.get(pos..pos + 8).ok_or(RunFileError::Truncated)?;
-                pos += 8;
-                u64::from_le_bytes(raw.try_into().unwrap())
-            } else {
-                0
-            };
-            let codec = codec_from_tag(tag, b).ok_or(RunFileError::Malformed)?;
+            let codec = codec_from_tag(tag, 0).ok_or(RunFileError::Malformed)?;
             if codec == Codec::Auto || n_postings == 0 {
                 return Err(RunFileError::Malformed);
             }
@@ -238,11 +224,7 @@ fn encode_row(e: &RunEntry, next_handle: u32, out: &mut Vec<u8>) {
     varbyte::encode_u32(e.doc_min, out);
     varbyte::encode_u32(e.doc_max - e.doc_min, out);
     varbyte::encode_u32(e.max_tf, out);
-    let (tag, b) = codec_tag(e.codec);
-    out.push(tag);
-    if tag == GOLOMB_TAG {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
+    out.push(codec_tag(e.codec).0);
 }
 
 #[cfg(test)]
@@ -258,7 +240,7 @@ mod tests {
         };
         let lists: Vec<(u32, PostingsList)> =
             (0..50).map(|i| (i * 7, list(1 + (i % 5) * 70, i * 1000))).collect();
-        let run = RunFile::build(3, 1, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Golomb(9));
+        let run = RunFile::build(3, 1, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::PFor);
         let bytes = run.to_bytes();
         let old = MaterialisedRun::from_bytes(&bytes).unwrap();
         assert_eq!(run.entries.iter().collect::<Vec<_>>(), old.entries);

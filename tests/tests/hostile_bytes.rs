@@ -15,7 +15,9 @@
 //! byte of whole run files against the frozen reader; the run cases here
 //! are the ones the one-posting row adds, and rows flipped, cut and spliced
 //! where the row sample's groups begin and end, opened through
-//! `Index::open` and answered handle by handle.)
+//! `Index::open` and answered handle by handle.) A codec tag the index no
+//! longer writes, in a run's header or in a row, and a reserved header byte
+//! that is not zero are refused there too.
 //!
 //! A manifest that lists one run twice — the same record again, or a
 //! second name for the same run — is a typed error at `Index::open` and on
@@ -403,6 +405,55 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
         }
     }
     std::fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+    Index::open(&dir).expect("restored");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Codec tags the index no longer writes — γ (1), Golomb (2) and
+/// Elias-Fano (5) — in a run's header and in a multi-posting row, and a
+/// header whose reserved bytes 13..21 are not zero, each under a manifest
+/// re-vouched for it: the checksum pass of `ii verify` finds every artifact
+/// as committed, and `Index::open` — the pass after it — refuses the run
+/// with a typed `Corrupt` naming it.
+#[test]
+fn retired_codec_tags_and_reserved_header_bytes_are_refused() {
+    let (idx, dir) = saved_index("retired");
+    let (indexer, victim) = idx
+        .run_sets
+        .iter()
+        .flat_map(|(&indexer, set)| set.runs().iter().map(move |run| (indexer, run)))
+        .find(|(_, run)| run.entries.iter().any(|e| e.n_postings > 1))
+        .expect("some run holds a list of two postings or more");
+    let name = run_artifact_name(indexer, victim.run_id);
+    let honest = victim.to_bytes();
+    let rows = MaterialisedRun::from_bytes(&honest).unwrap();
+    let multi = rows.entries.iter().position(|e| e.n_postings > 1).unwrap();
+    // A multi-posting row ends in its codec tag.
+    let row_tag_at = rows.row_spans()[multi].end - 1;
+    assert!(matches!(honest[row_tag_at], 0 | 3 | 4), "tag {}", honest[row_tag_at]);
+    assert_eq!(honest[13..21], [0; 8], "the reserved bytes are written as zero");
+
+    let mut cases = Vec::new();
+    for tag in [1u8, 2, 5] {
+        for at in [12, row_tag_at] {
+            let mut bytes = honest.clone();
+            bytes[at] = tag;
+            cases.push((format!("tag {tag} at byte {at}"), bytes));
+        }
+    }
+    for reserved in [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0x80], [0xFF; 8]] {
+        let mut bytes = honest.clone();
+        bytes[13..21].copy_from_slice(&reserved);
+        cases.push((format!("reserved bytes {reserved:?}"), bytes));
+    }
+    for (what, bytes) in &cases {
+        assert_eq!(RunFile::from_bytes(bytes), Err(RunFileError::Malformed), "{what}");
+        overwrite_artifact(&dir, &name, bytes);
+        let statuses = Index::verify_dir(&dir).unwrap();
+        assert!(statuses.iter().all(|s| s.ok), "{what}: the manifest vouches for the bytes");
+        assert_eq!(corrupt_artifact(Index::open(&dir)), name, "{what}");
+    }
+    overwrite_artifact(&dir, &name, &honest);
     Index::open(&dir).expect("restored");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -41,19 +41,8 @@ fn built(run_id: u32, indexer_id: u32, codec: Codec, lists: &[List]) -> RunFile 
 /// Block-boundary list lengths.
 const LENGTHS: [usize; 7] = [1, 2, 127, 128, 129, 256, 1_000];
 
-/// Every block codec; gaps stay under 5 000, so even the smallest Golomb
-/// parameter's unary part is short.
-const CODECS: [Codec; 9] = [
-    Codec::VarByte,
-    Codec::Gamma,
-    Codec::Golomb(8),
-    Codec::Golomb(64),
-    Codec::Golomb(1 << 20),
-    Codec::Bp128,
-    Codec::PFor,
-    Codec::EliasFano,
-    Codec::Auto,
-];
+/// Every block codec, and the length-class policy.
+const CODECS: [Codec; 4] = [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto];
 
 fn codec_strategy() -> impl Strategy<Value = Codec> {
     (0..CODECS.len()).prop_map(|i| CODECS[i])
@@ -210,8 +199,8 @@ fn read_like_the_reference(bytes: &[u8]) -> Option<RunFile> {
 }
 
 /// Valid `IIR3` files covering every row shape: one-posting lists, full and
-/// multi-block lists, wide handle gaps, doc IDs at the top of the range, a
-/// Golomb parameter in the row.
+/// multi-block lists, wide handle gaps, doc IDs at the top of the range,
+/// each codec tag in a row.
 fn hostile_seeds() -> Vec<RunFile> {
     let list = |n: u32, first: u32, gap: u32| -> Vec<Posting> {
         (0..n).map(|i| Posting { doc: DocId(first + i * gap), tf: 1 + i % 7 }).collect()
@@ -227,8 +216,8 @@ fn hostile_seeds() -> Vec<RunFile> {
     let short: Vec<List> = (0..40).map(|i| (i * 3, list(1 + i % 3, i * 11, 2))).collect();
     vec![
         built(0, 0, Codec::Auto, &mixed),
-        built(1, 2, Codec::Golomb(64), &mixed[..4]),
-        built(2, 0, Codec::EliasFano, &mixed[2..]),
+        built(1, 2, Codec::VarByte, &mixed[..4]),
+        built(2, 0, Codec::Bp128, &mixed[2..]),
         built(7, 1, Codec::Auto, &short),
     ]
 }
@@ -368,36 +357,6 @@ mod frozen {
                 pfor_encode(gaps, out);
                 pfor_encode(tfs, out);
             }
-            Codec::EliasFano => {
-                let mut ys = [0u32; BLOCK_LEN];
-                for i in 1..m {
-                    ys[i - 1] = ps[i].doc.0 - ps[0].doc.0 - 1;
-                }
-                ef_encode(&ys[..m - 1], out);
-                let tw = tfs.iter().map(|&t| bits::bits_needed(t)).max().unwrap_or(0);
-                out.push(tw as u8);
-                bits::pack_bits(tfs, tw, out);
-            }
-            Codec::Gamma => {
-                let mut w = bits::BitWriter::new();
-                for &g in gaps {
-                    bits::gamma_encode(g as u64 + 1, &mut w);
-                }
-                for &t in tfs {
-                    bits::gamma_encode(t as u64 + 1, &mut w);
-                }
-                out.extend_from_slice(&w.finish());
-            }
-            Codec::Golomb(b) => {
-                let mut w = bits::BitWriter::new();
-                for &g in gaps {
-                    bits::golomb_encode(g as u64 + 1, b, &mut w);
-                }
-                for &t in tfs {
-                    bits::gamma_encode(t as u64 + 1, &mut w);
-                }
-                out.extend_from_slice(&w.finish());
-            }
             Codec::Auto => unreachable!("Auto must be resolved before block encode"),
         }
     }
@@ -432,32 +391,6 @@ mod frozen {
                 varbyte::encode_u32(v >> width, out);
             }
         }
-    }
-
-    fn ef_encode(ys: &[u32], out: &mut Vec<u8>) {
-        let k = ys.len();
-        if k == 0 {
-            return;
-        }
-        let u = *ys.last().unwrap() as u64;
-        let per = u / k as u64;
-        let l: u32 = if per >= 2 { 63 - per.leading_zeros() } else { 0 };
-        out.push(l as u8);
-        let n_high_bits = k + (u >> l) as usize;
-        let high_bytes = n_high_bits.div_ceil(8);
-        out.extend_from_slice(&(high_bytes as u16).to_le_bytes());
-        let start = out.len();
-        out.resize(start + high_bytes, 0);
-        for (i, &y) in ys.iter().enumerate() {
-            let p = i + (y >> l) as usize;
-            out[start + p / 8] |= 1 << (p % 8);
-        }
-        let mask: u32 = if l == 0 { 0 } else { (1u32 << l) - 1 };
-        let mut lows = [0u32; BLOCK_LEN];
-        for (i, &y) in ys.iter().enumerate() {
-            lows[i] = y & mask;
-        }
-        bits::pack_bits(&lows[..k], l, out);
     }
 
     struct EncodedList {
