@@ -7,6 +7,7 @@
 //! indexer's run set and compare to the build time.
 
 use ii_core::corpus::CollectionSpec;
+use ii_core::obs::Registry;
 use ii_core::pipeline::{build_index, PipelineConfig};
 use ii_core::postings::{merge_runs, Codec};
 use std::time::Instant;
@@ -24,10 +25,11 @@ fn main() {
     println!("ABLATION: post-processing merge of partial postings lists\n");
     println!("index built in {build_s:.2}s; {} runs across {} indexers", n_runs, out.run_sets.len());
 
+    let registry = Registry::new();
     let t0 = Instant::now();
     let mut merged_lists = 0usize;
     for set in out.run_sets.values() {
-        let merged = merge_runs(set, Codec::VarByte);
+        let merged = merge_runs(set, Codec::VarByte, &registry);
         merged_lists += merged.entries.len();
     }
     let merge_s = t0.elapsed().as_secs_f64();
@@ -38,7 +40,7 @@ fn main() {
 
     // Correctness spot check: merged lists equal on-the-fly concatenation.
     let (indexer, set) = out.run_sets.iter().next().unwrap();
-    let merged = merge_runs(set, Codec::VarByte);
+    let merged = merge_runs(set, Codec::VarByte, &registry);
     let mut checked = 0;
     for e in merged.entries.iter().take(200) {
         let direct = set.fetch(e.handle).expect("built runs decode");

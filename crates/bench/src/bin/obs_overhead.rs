@@ -7,13 +7,17 @@
 //! `events x per-event cost / build wall time` — the acceptance bar for
 //! the always-on path (tracing compiled in but disabled) is <2% of
 //! end-to-end throughput; (3) run the same build with tracing enabled
-//! and report the opt-in cost (informational, no gate).
+//! and report the opt-in cost (informational, no gate); (4) price the
+//! flight recorder — a throttle check per loop turn plus one full registry
+//! read per cadence interval, on a registry as large as the build's — with
+//! the same <2% gate.
 
 use ii_core::corpus::CollectionSpec;
-use ii_core::obs::{FlightRecorder, Heartbeat, Registry, TraceKind, Tracer};
+use ii_core::obs::recorder::SAMPLE_INTERVAL;
+use ii_core::obs::{FlightRecorder, Registry, Snapshot, TraceKind, Tracer};
 use ii_core::pipeline::{build_index, PipelineConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn ns_per<F: FnMut()>(iters: u64, mut f: F) -> f64 {
     let t = Instant::now();
@@ -50,36 +54,6 @@ fn main() {
     println!("  trace span, disabled (the always-on path) {disabled_trace_ns:>8.2} ns");
     println!("  trace span, enabled (opt-in --trace)      {enabled_trace_ns:>8.1} ns");
 
-    // --- flight recorder primitives ---------------------------------------
-    // The black-box ring defaults to ON; its steady-state cost is one
-    // throttle check per pipeline loop turn plus one full sample per
-    // cadence interval. Watch a driver-shaped set: a stage, governor
-    // gauges, queue gauges, and per-worker heartbeats.
-    let off = FlightRecorder::disabled();
-    let recorder_off_ns = ns_per(10_000_000, || {
-        off.maybe_sample();
-    });
-    let fr = FlightRecorder::new(256, Duration::from_millis(20));
-    fr.watch_stage("index", r.stage("bench.stage"));
-    fr.watch_counter("governor.high_water_bytes", r.counter("bench.counter"));
-    for g in 0..8 {
-        fr.watch_gauge(&format!("gauge.{g}"), r.gauge(&format!("bench.gauge.{g}")));
-    }
-    for w in 0..4 {
-        fr.watch_heartbeat(&format!("worker-{w}"), Arc::new(Heartbeat::new()));
-    }
-    // Throttled path: every call lands inside the 20 ms cadence window.
-    fr.force_sample();
-    let recorder_throttled_ns = ns_per(1_000_000, || {
-        fr.maybe_sample();
-    });
-    let recorder_sample_ns = ns_per(100_000, || {
-        fr.force_sample();
-    });
-    println!("  flight recorder, disabled maybe_sample    {recorder_off_ns:>8.2} ns");
-    println!("  flight recorder, throttled maybe_sample   {recorder_throttled_ns:>8.1} ns");
-    println!("  flight recorder, full sample (15 probes)  {recorder_sample_ns:>8.1} ns");
-
     // --- events recorded by a real build ---------------------------------
     let spec = CollectionSpec::clueweb_like(ii_bench::MEASURED_SCALE * 0.2);
     let coll = ii_bench::stored_collection("obs-overhead", spec);
@@ -89,7 +63,7 @@ fn main() {
     let out = build_index(&coll, &cfg).expect("build");
     let wall_ns = t.elapsed().as_nanos() as f64;
 
-    let snap = &out.report.stages.snapshot;
+    let snap = &out.report.stages;
     // Every stage item is one span; every counter value arrived through
     // add() calls (deep counters are exported once per component, so this
     // over-counts — the estimate is conservative).
@@ -125,25 +99,50 @@ fn main() {
     assert!(overhead < 2.0, "observability overhead {overhead:.3}% exceeds 2%");
 
     // --- flight recorder priced over the same build ------------------------
+    // A full sample reads every metric of the build's registry; price it
+    // on a registry holding the same metrics as this build's snapshot.
+    let (fr, metrics) = recorder_over(snap);
+    // Throttled path: every call lands inside the cadence window.
+    fr.force_sample();
+    let recorder_throttled_ns = ns_per(1_000_000, || {
+        fr.maybe_sample();
+    });
+    let recorder_sample_ns = ns_per(20_000, || fr.force_sample());
+    println!("\nflight recorder, throttled maybe_sample   {recorder_throttled_ns:>8.1} ns");
+    println!("flight recorder, full sample ({metrics} metrics) {recorder_sample_ns:>8.1} ns");
     // The driver calls maybe_sample once per loop turn; spans over-counts
     // loop turns, so pricing every span at the throttle-check rate is
     // conservative. Full samples are cadence-bounded: at most one per
-    // 20 ms of build wall time (plus the forced sample a bundle cuts).
-    let cadence_ns = 20e6;
+    // cadence interval of build wall time (plus the forced sample a bundle
+    // cuts).
+    let cadence_ns = SAMPLE_INTERVAL.as_nanos() as f64;
     let max_samples = (wall_ns / cadence_ns).ceil() + 1.0;
     let recorder_cost_ns =
         spans as f64 * recorder_throttled_ns + max_samples * recorder_sample_ns;
     let recorder_pct = recorder_cost_ns / wall_ns * 100.0;
-    let recorder_off_pct = spans as f64 * recorder_off_ns / wall_ns * 100.0;
-    println!("\nflight recorder (enabled, 20 ms cadence): ≤{max_samples:.0} samples, \
+    println!("flight recorder ({} ms cadence): ≤{max_samples:.0} samples, \
               {:.1} µs priced = {recorder_pct:.4}% of build wall time",
-        recorder_cost_ns / 1e3);
-    println!("flight recorder (disabled): {recorder_off_pct:.5}% of build wall time");
+        SAMPLE_INTERVAL.as_millis(), recorder_cost_ns / 1e3);
     println!("acceptance bar (recorder enabled): < 2%  ->  {}",
         if recorder_pct < 2.0 { "PASS" } else { "FAIL" });
     assert!(recorder_pct < 2.0, "flight recorder overhead {recorder_pct:.3}% exceeds 2%");
-    assert!(
-        recorder_off_pct < 0.1,
-        "disabled flight recorder must be free, costs {recorder_off_pct:.4}%"
-    );
+}
+
+/// A recorder over a fresh registry holding every counter, gauge and stage
+/// of `snap`, and the number of values one of its samples reads.
+fn recorder_over(snap: &Snapshot) -> (FlightRecorder, usize) {
+    let r = Arc::new(Registry::new());
+    for (name, v) in &snap.counters {
+        r.counter(name).add(*v);
+    }
+    for (name, v) in &snap.gauges {
+        r.gauge(name).set(*v);
+    }
+    for (name, s) in &snap.stages {
+        let stage = r.stage(name);
+        stage.bytes.add(s.bytes);
+        stage.items.add(s.items);
+    }
+    let metrics = snap.counters.len() + snap.gauges.len() + 3 * snap.stages.len();
+    (FlightRecorder::new(r), metrics)
 }

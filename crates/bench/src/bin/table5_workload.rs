@@ -47,7 +47,7 @@ fn main() {
         ..Default::default()
     };
     let out = build_index(&coll, &cfg).expect("index build");
-    ii_bench::write_stats_snapshot("table5_workload", &out.report.stages.snapshot);
+    ii_bench::write_stats_snapshot("table5_workload", &out.report.stages);
     let cpu = out.report.cpu_stats;
     let gpu = out.report.gpu_stats;
 

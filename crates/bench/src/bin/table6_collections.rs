@@ -73,17 +73,17 @@ fn main() {
         let out = build_index(&coll, &cfg).expect("index build");
         ii_bench::write_stats_snapshot(
             &format!("table6_{}_{}gpu", coll.manifest.spec.name, gpus),
-            &out.report.stages.snapshot,
+            &out.report.stages,
         );
         let r = &out.report;
         println!(
             "{:<26}{:>10}{:>12}{:>12}{:>10}{:>10}{:>10}{:>10.2}",
             name,
             ii_bench::fmt_s(r.sampling_seconds),
-            ii_bench::fmt_s(r.parser_busy_seconds),
+            ii_bench::fmt_s(r.parser_busy_seconds()),
             ii_bench::fmt_s(r.indexing_seconds),
-            ii_bench::fmt_s(r.dict_combine_seconds),
-            ii_bench::fmt_s(r.dict_write_seconds),
+            ii_bench::fmt_s(r.dict_combine_seconds()),
+            ii_bench::fmt_s(r.dict_write_seconds()),
             ii_bench::fmt_s(r.total_seconds),
             r.throughput_mb_s(),
         );

@@ -42,7 +42,7 @@ pub fn write_stats_snapshot(tag: &str, snapshot: &ii_core::obs::Snapshot) -> Pat
     let dir = bench_dir("obs");
     std::fs::create_dir_all(&dir).expect("create obs dir");
     let path = dir.join(format!("{tag}.json"));
-    snapshot.write_json(&path).expect("write obs snapshot");
+    std::fs::write(&path, snapshot.to_json()).expect("write obs snapshot");
     println!("\n[obs] stage snapshot written to {}", path.display());
     path
 }

@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 
 use ii_core::corpus::{CollectionSpec, DocId, StoredCollection};
-use ii_core::pipeline::{FaultAction, WorkerClass, WorkerFaultPlan};
+use ii_core::pipeline::{render_table, FaultAction, WorkerClass, WorkerFaultPlan};
 use ii_core::postings::{Codec, SAMPLE_EVERY};
 use ii_core::platsim::{simulate, CollectionModel, PlatformModel, Scenario};
 use ii_core::{Bm25Params, Index, IndexBuilder, QueryMode};
@@ -327,11 +327,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     println!(
         "stage seconds: sampling {:.2}, parser busy {:.2}, indexing {:.2}, post {:.2}, dict {:.3}+{:.3}",
         r.sampling_seconds,
-        r.parser_busy_seconds,
+        r.parser_busy_seconds(),
         r.indexing_seconds,
-        r.post_processing_seconds,
-        r.dict_combine_seconds,
-        r.dict_write_seconds
+        r.post_processing_seconds(),
+        r.dict_combine_seconds(),
+        r.dict_write_seconds()
     );
     println!("faults: {}", r.faults.summary());
     for q in &r.faults.quarantined {
@@ -360,7 +360,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     }
     if bool_flag(args, "--stats") {
         println!("\nper-stage breakdown (Table V / Fig 9):");
-        print!("{}", r.stages.render_table());
+        print!("{}", render_table(&r.stages));
         let queue_wait: f64 = r.per_file.iter().map(|f| f.queue_wait_seconds).sum();
         println!(
             "indexer queue wait: {queue_wait:.3}s across {} files (driver idle on parsers)",
@@ -373,14 +373,14 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         );
     }
     if bool_flag(args, "--stats-json") {
-        println!("{}", r.stages.snapshot.to_json());
+        println!("{}", r.stages.to_json());
     }
     if let Some(path) = &stats_out {
-        write_durable(Path::new(path), r.stages.snapshot.to_json().as_bytes())?;
+        write_durable(Path::new(path), r.stages.to_json().as_bytes())?;
         println!("stats: JSON snapshot written to {path}");
     }
     if let Some(path) = &metrics_out {
-        let exposition = ii_obs::openmetrics::render(&r.stages.snapshot);
+        let exposition = ii_obs::openmetrics::render(&r.stages);
         write_durable(Path::new(path), exposition.as_bytes())?;
         println!("metrics: OpenMetrics exposition written to {path}");
     }

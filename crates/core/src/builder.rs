@@ -176,15 +176,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Toggle the always-on flight recorder (black-box ring of coarse
-    /// pipeline samples; enabled by default, priced under the `obs_overhead`
-    /// gate). Disabling it also leaves post-mortem bundles without a
-    /// timeline, so prefer tuning the cadence over switching it off.
-    pub fn flight_recorder(mut self, enabled: bool) -> Self {
-        self.config.telemetry.recorder.enabled = enabled;
-        self
-    }
-
     /// Where automatic post-mortem bundles are written. Default: a
     /// `postmortem/` directory inside the durable index dir (in-memory
     /// builds then write none).
@@ -193,8 +184,8 @@ impl IndexBuilder {
         self
     }
 
-    /// Replace the whole telemetry configuration (recorder cadence,
-    /// post-mortem switches, metrics endpoint) at once.
+    /// Replace the whole telemetry configuration (post-mortem directory,
+    /// metrics endpoint) at once.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.config.telemetry = cfg;
         self

@@ -6,8 +6,8 @@
 //! on low-level device counters (global-memory transactions, warp
 //! comparisons). This crate provides the measurement substrate for all of
 //! that at **~ns-per-event cost**, depending on nothing but the vendored
-//! `serde_json` (which reads traces back for `ii trace report`; every JSON
-//! this crate emits is written by hand):
+//! `serde_json`, which writes every JSON this crate emits and reads traces
+//! back for `ii trace report`:
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-ordering atomics. A counter bump is
 //!   a single `fetch_add(Relaxed)`; cheap enough to stay enabled in
@@ -18,15 +18,15 @@
 //! * [`Stage`] + [`StageSpan`] — per-pipeline-stage wall time, bytes,
 //!   items, and queue-wait accounting. `StageSpan` is a scoped timer:
 //!   created at stage entry, it adds its elapsed time on drop.
-//! * [`Registry`] — an *instantiable* bag of named metrics. The pipeline
-//!   driver creates one registry per build so concurrent builds (e.g.
-//!   parallel tests) never interleave, and renders it into the report's
-//!   `StageBreakdown`. A process-global registry ([`global`]) exists for
-//!   ad-hoc instrumentation and bench binaries.
-//! * [`Snapshot`] — a point-in-time copy of a registry, with a
-//!   hand-rolled JSON writer ([`Snapshot::to_json`] /
-//!   [`Snapshot::write_json`]) shared by `--stats-json` and the bench
-//!   binaries.
+//! * [`Registry`] — an *instantiable* bag of named metrics, and the only
+//!   place a build measurement lands. The pipeline driver creates one
+//!   registry per build so concurrent builds (e.g. parallel tests) never
+//!   interleave; an index keeps one for its queries. There is no
+//!   process-global registry.
+//! * [`Snapshot`] — a point-in-time copy of a registry: the build report's
+//!   `stages`, the `--stats-json` / bench-file JSON ([`Snapshot::to_json`]),
+//!   and the input of the OpenMetrics exposition. The flight recorder
+//!   ([`FlightRecorder`]) samples the same registry on a cadence.
 
 #![forbid(unsafe_code)]
 
@@ -37,16 +37,17 @@ pub mod report;
 pub mod trace;
 
 pub use http::MetricsServer;
-pub use recorder::{FlightDump, FlightRecorder, FlightSample, RecorderConfig};
+pub use recorder::{FlightDump, FlightRecorder, FlightSample};
 pub use report::{TraceReport, WorkerReport};
 pub use trace::{
     GaugeSeries, GpuSpanArgs, Trace, TraceConfig, TraceEvent, TraceKind, TraceSink, TraceSpan,
     Tracer, WorkerTrace,
 };
 
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version of the snapshot JSON layout (`--stats-json`, bench snapshots).
@@ -375,8 +376,7 @@ impl Drop for StageSpan<'_> {
 /// Lookup (`counter`/`gauge`/`stage`/`histogram`) interns the metric on
 /// first use and returns a cheap `Arc`; hot paths resolve once and bump
 /// the returned handle. Use one registry per unit of measurement (e.g.
-/// one per pipeline build) so concurrent runs never mix, or [`global`]
-/// for process-wide instrumentation.
+/// one per pipeline build) so concurrent runs never mix.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -489,12 +489,6 @@ impl Registry {
     }
 }
 
-/// The process-global registry (for bench binaries and ad-hoc probes).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 /// Frozen copy of one stage's metrics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageSnapshot {
@@ -523,86 +517,67 @@ pub struct Snapshot {
     pub stages: BTreeMap<String, StageSnapshot>,
 }
 
-/// Append `s` to `out` as a quoted, escaped JSON string — the escaping every
-/// hand-written JSON of this crate and of the post-mortem bundle shares.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A JSON object with `pairs` in the given order.
+pub(crate) fn json_object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 impl Snapshot {
-    /// Render as a stable, self-contained JSON object (the format shared
-    /// by `--stats-json` and the bench snapshot files). The layout is
-    /// versioned via [`SNAPSHOT_SCHEMA_VERSION`].
-    pub fn to_json(&self) -> String {
-        let q = |counts: &[u64], q: f64| {
-            quantile_from_counts(counts, q).map_or_else(|| "null".to_string(), |v| v.to_string())
-        };
-        let mut o = format!(
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"counters\": {{"
-        );
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut o, k);
-            o.push_str(&format!(": {v}"));
-        }
-        o.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut o, k);
-            o.push_str(&format!(": {v}"));
-        }
-        o.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, v)) in self.histograms.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut o, k);
-            o.push_str(": {\"counts\": [");
-            for (j, c) in v.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                o.push_str(&c.to_string());
-            }
-            o.push_str(&format!(
-                "], \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                q(v, 0.50),
-                q(v, 0.95),
-                q(v, 0.99),
-                q(v, 0.999)
-            ));
-        }
-        o.push_str("\n  },\n  \"stages\": {");
-        for (i, (k, s)) in self.stages.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut o, k);
-            o.push_str(&format!(
-                ": {{\"wall_seconds\": {:.9}, \"queue_wait_seconds\": {:.9}, \"bytes\": {}, \"items\": {}, \"latency_p50_ns\": {}, \"latency_p95_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}}}",
-                s.wall_seconds,
-                s.queue_wait_seconds,
-                s.bytes,
-                s.items,
-                q(&s.latency, 0.50),
-                q(&s.latency, 0.95),
-                q(&s.latency, 0.99),
-                q(&s.latency, 0.999)
-            ));
-        }
-        o.push_str("\n  }\n}\n");
-        o
+    /// A stage's frozen metrics, if it was recorded.
+    pub fn stage(&self, name: &str) -> Option<&StageSnapshot> {
+        self.stages.get(name)
     }
 
-    /// Write the JSON rendering to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// A counter's value (0 when never bumped).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// A gauge's last level (0 when never set).
+    pub fn gauge(&self, name: &str) -> i64 {
+        self.gauges.get(name).copied().unwrap_or(0)
+    }
+
+    /// The snapshot as a JSON value (what [`Self::to_json`] prints and the
+    /// post-mortem bundle embeds). The layout is versioned via
+    /// [`SNAPSHOT_SCHEMA_VERSION`].
+    pub fn to_json_value(&self) -> Value {
+        let quantiles = |prefix: &str, counts: &[u64]| {
+            [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)].map(|(name, q)| {
+                let v = quantile_from_counts(counts, q).map_or(Value::Null, Value::U64);
+                (format!("{prefix}{name}_ns"), v)
+            })
+        };
+        let histograms = self.histograms.iter().map(|(k, counts)| {
+            let counts_v = Value::Array(counts.iter().map(|&c| Value::U64(c)).collect());
+            let fields = std::iter::once(("counts".to_string(), counts_v));
+            (k, json_object(fields.chain(quantiles("", counts))))
+        });
+        let stages = self.stages.iter().map(|(k, s)| {
+            let fields = [
+                ("wall_seconds".to_string(), Value::F64(s.wall_seconds)),
+                ("queue_wait_seconds".to_string(), Value::F64(s.queue_wait_seconds)),
+                ("bytes".to_string(), Value::U64(s.bytes)),
+                ("items".to_string(), Value::U64(s.items)),
+            ];
+            (k, json_object(fields.into_iter().chain(quantiles("latency_", &s.latency))))
+        });
+        json_object([
+            ("schema_version", Value::U64(SNAPSHOT_SCHEMA_VERSION.into())),
+            ("counters", json_object(self.counters.iter().map(|(k, &v)| (k, Value::U64(v))))),
+            ("gauges", json_object(self.gauges.iter().map(|(k, &v)| (k, Value::I64(v))))),
+            ("histograms", json_object(histograms)),
+            ("stages", json_object(stages)),
+        ])
+    }
+
+    /// Render as a stable, self-contained JSON document (the format shared
+    /// by `--stats-json` and the bench snapshot files).
+    pub fn to_json(&self) -> String {
+        let value = self.to_json_value();
+        let mut json = serde_json::to_string_pretty(&value).expect("a JSON value always prints");
+        json.push('\n');
+        json
     }
 }
 
@@ -746,9 +721,12 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // Balanced braces/brackets — cheap structural validity check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v: Value = serde_json::from_str(&json).expect("snapshot JSON parses");
+        let keys: Vec<&str> = match &v {
+            Value::Object(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(keys, ["schema_version", "counters", "gauges", "histograms", "stages"]);
     }
 
     #[test]
@@ -760,11 +738,5 @@ mod tests {
         hb.beat();
         assert_eq!(hb.beats(), 1);
         assert!(hb.idle() < Duration::from_millis(2), "beat resets the idle clock");
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        global().counter("test.global.singleton").inc();
-        assert!(global().snapshot().counters["test.global.singleton"] >= 1);
     }
 }

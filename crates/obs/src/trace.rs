@@ -19,6 +19,7 @@
 //!   full, the oldest event is overwritten and a drop counter ticks, so a
 //!   pathological build degrades the timeline's tail instead of memory.
 
+use crate::json_object;
 use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -572,10 +573,11 @@ pub struct Trace {
     pub dropped: u64,
 }
 
-/// Microsecond timestamp with exact nanosecond precision (Chrome's `ts`
-/// unit is µs; three decimals preserve the ns).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Microseconds (Chrome's `ts` unit) as the `f64` nearest `ns / 1000`:
+/// printed shortest-round-trip, it parses back to the same `f64`, which
+/// [`Trace::from_chrome_json`] rounds to the exact nanosecond.
+fn us(ns: u64) -> Value {
+    Value::F64(ns as f64 / 1000.0)
 }
 
 impl Trace {
@@ -584,67 +586,70 @@ impl Trace {
         self.workers.iter().map(|w| w.events.len()).sum()
     }
 
-    /// Render as Chrome/Perfetto `trace.json` (the JSON-object form with a
-    /// `traceEvents` array; loads directly in `ui.perfetto.dev` or
-    /// `chrome://tracing`).
-    pub fn to_chrome_json(&self) -> String {
-        let mut o = String::with_capacity(256 + self.num_events() * 160);
-        o.push_str("{\"schema_version\": 1, \"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-        o.push_str(
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"ii build\"}}",
-        );
+    /// The trace as a Chrome/Perfetto `trace.json` value (the JSON-object
+    /// form with a `traceEvents` array).
+    pub fn to_chrome_value(&self) -> Value {
+        let text = |s: &str| Value::Str(s.to_string());
+        let event = |ph: &str, tid: usize, name: &str, fields: Vec<(&str, Value)>| {
+            let head = [("ph", text(ph)), ("pid", Value::U64(1)), ("tid", Value::U64(tid as u64))];
+            json_object(head.into_iter().chain([("name", text(name))]).chain(fields))
+        };
+        let mut events = Vec::with_capacity(1 + self.workers.len() + self.num_events());
+        let process = json_object([("name", text("ii build"))]);
+        events.push(event("M", 0, "process_name", vec![("args", process)]));
         for (tid0, w) in self.workers.iter().enumerate() {
             let tid = tid0 + 1;
-            o.push_str(&format!(
-                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\",\"dropped\":{}}}}}",
-                w.name, w.dropped
-            ));
+            let thread = json_object([("name", text(&w.name)), ("dropped", Value::U64(w.dropped))]);
+            events.push(event("M", tid, "thread_name", vec![("args", thread)]));
             for e in &w.events {
-                o.push_str(&format!(
-                    ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"cat\":\"{}\",\
-                     \"ts\":{},\"dur\":{},\"args\":{{\"bytes\":{}",
-                    e.kind.label(),
-                    if e.kind.is_stall() { "stall" } else { "work" },
-                    us(e.t_start_ns),
-                    us(e.dur_ns()),
-                    e.bytes,
-                ));
+                let mut args = vec![("bytes", Value::U64(e.bytes))];
                 if e.batch_id != NO_ID {
-                    o.push_str(&format!(",\"batch\":{}", e.batch_id));
+                    args.push(("batch", Value::U64(e.batch_id.into())));
                 }
                 if e.trie_lo != NO_ID {
-                    o.push_str(&format!(",\"trie_lo\":{},\"trie_hi\":{}", e.trie_lo, e.trie_hi));
+                    args.push(("trie_lo", Value::U64(e.trie_lo.into())));
+                    args.push(("trie_hi", Value::U64(e.trie_hi.into())));
                 }
                 if let Some(g) = &e.gpu {
-                    o.push_str(&format!(
-                        ",\"gpu_device_ns\":{},\"gpu_transfer_ns\":{},\
-                         \"gpu_warp_comparisons\":{},\"gpu_global_transactions\":{},\
-                         \"gpu_global_bytes\":{},\"gpu_instructions\":{}",
-                        g.device_ns,
-                        g.transfer_ns,
-                        g.warp_comparisons,
-                        g.global_transactions,
-                        g.global_bytes,
-                        g.instructions
-                    ));
+                    args.extend([
+                        ("gpu_device_ns", Value::U64(g.device_ns)),
+                        ("gpu_transfer_ns", Value::U64(g.transfer_ns)),
+                        ("gpu_warp_comparisons", Value::U64(g.warp_comparisons)),
+                        ("gpu_global_transactions", Value::U64(g.global_transactions)),
+                        ("gpu_global_bytes", Value::U64(g.global_bytes)),
+                        ("gpu_instructions", Value::U64(g.instructions)),
+                    ]);
                 }
-                o.push_str("}}");
+                let cat = if e.kind.is_stall() { "stall" } else { "work" };
+                let fields = vec![
+                    ("cat", text(cat)),
+                    ("ts", us(e.t_start_ns)),
+                    ("dur", us(e.dur_ns())),
+                    ("args", json_object(args)),
+                ];
+                events.push(event("X", tid, e.kind.label(), fields));
             }
         }
         for t in &self.gauges {
-            for (t_ns, v) in &t.samples {
-                o.push_str(&format!(
-                    ",\n{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"{}\",\"ts\":{},\
-                     \"args\":{{\"depth\":{v}}}}}",
-                    t.name,
-                    us(*t_ns),
-                ));
+            for &(t_ns, v) in &t.samples {
+                let args = json_object([("depth", Value::I64(v))]);
+                events.push(event("C", 0, &t.name, vec![("ts", us(t_ns)), ("args", args)]));
             }
         }
-        o.push_str("\n]}\n");
-        o
+        json_object([
+            ("schema_version", Value::U64(1)),
+            ("displayTimeUnit", text("ms")),
+            ("traceEvents", Value::Array(events)),
+        ])
+    }
+
+    /// Render as Chrome/Perfetto `trace.json` (loads directly in
+    /// `ui.perfetto.dev` or `chrome://tracing`).
+    pub fn to_chrome_json(&self) -> String {
+        let mut json =
+            serde_json::to_string(&self.to_chrome_value()).expect("a JSON value always prints");
+        json.push('\n');
+        json
     }
 
     /// Parse a Chrome trace produced by [`Self::to_chrome_json`] back into

@@ -17,7 +17,6 @@
 //! (fail-fast) or quarantine the file and continue (skip-file). Everything
 //! survived is tallied in the report's [`FaultReport`].
 
-use crate::breakdown::StageBreakdown;
 use crate::checkpoint::{
     collection_fingerprint, config_fingerprint, BuildCheckpoint, QuarantinedFile,
     CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
@@ -35,7 +34,8 @@ use crate::supervisor::{DeathCause, Supervisor, SupervisorPolicy};
 use crate::telemetry::{PostmortemContext, PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
 use ii_corpus::StoredCollection;
 use ii_obs::{
-    FlightRecorder, MetricsServer, Registry, Trace, TraceConfig, TraceKind, TraceSink, Tracer,
+    FlightRecorder, MetricsServer, Registry, Snapshot, Trace, TraceConfig, TraceKind, TraceSink,
+    Tracer,
 };
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
@@ -95,10 +95,10 @@ pub struct PipelineConfig {
     /// *logical* index — dictionary, postings, doc map — stays identical
     /// across budgets; the checkpoint guard protects the physical runs.)
     pub governor: GovernorPolicy,
-    /// Live telemetry: flight-recorder cadence, automatic post-mortem
-    /// bundles, and the optional OpenMetrics endpoint. Excluded from the
-    /// checkpoint config fingerprint like `trace` and `supervision`:
-    /// telemetry observes a build, it never changes index bytes.
+    /// Live telemetry: where automatic post-mortem bundles land, and the
+    /// optional OpenMetrics endpoint. Excluded from the checkpoint config
+    /// fingerprint like `trace` and `supervision`: telemetry observes a
+    /// build, it never changes index bytes.
     pub telemetry: TelemetryConfig,
 }
 
@@ -164,27 +164,18 @@ pub struct FileTiming {
     pub tokens: u64,
 }
 
-/// Table VI-style timing rows plus supporting detail.
+/// Table VI-style timing rows plus supporting detail. Host wall time per
+/// stage lives in [`Self::stages`] only; the `*_seconds` methods read it.
+/// The modelled `pre_processing_seconds` / `indexing_seconds` are
+/// simulated time, never mixed with host wall.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineReport {
     /// Sampling + plan time (Table VI "Sampling Time").
     pub sampling_seconds: f64,
-    /// Summed parser-thread busy time (read + decompress + parse).
-    pub parser_busy_seconds: f64,
-    /// Serialized read seconds (disk lock held).
-    pub read_seconds: f64,
-    /// Wall time of the streaming phase (parse + index overlap).
-    pub streaming_seconds: f64,
     /// Simulated GPU pre-processing (input transfer) seconds.
     pub pre_processing_seconds: f64,
     /// Indexing time: sum over batches of the modeled stage time.
     pub indexing_seconds: f64,
-    /// Post-processing: measured run-flush/encode seconds.
-    pub post_processing_seconds: f64,
-    /// Dictionary combine seconds (Table VI).
-    pub dict_combine_seconds: f64,
-    /// Dictionary write seconds (Table VI).
-    pub dict_write_seconds: f64,
     /// Total wall seconds for the whole build.
     pub total_seconds: f64,
     /// Per-file indexing detail (Fig 11); quarantined files have no row.
@@ -203,9 +194,10 @@ pub struct PipelineReport {
     /// Worker deaths, shard reassignments, and degraded modes the
     /// supervisor carried the build through.
     pub supervision: crate::supervisor::SupervisionReport,
-    /// Per-stage observability breakdown (wall, queue-wait, bytes, items)
-    /// plus deep counters — the Table V / Fig 9 view of this build.
-    pub stages: StageBreakdown,
+    /// The build registry's final snapshot: per-stage wall, queue-wait,
+    /// bytes and items plus the deep counters — the Table V / Fig 9 view
+    /// of this build.
+    pub stages: Snapshot,
     /// Merged event trace (`Some` only when the build ran with
     /// [`TraceConfig::enabled`]); export with
     /// [`Trace::to_chrome_json`].
@@ -224,6 +216,32 @@ impl PipelineReport {
             return 0.0;
         }
         self.uncompressed_bytes as f64 / 1e6 / self.total_seconds
+    }
+
+    /// Busy wall seconds of the named stages, summed.
+    fn stage_seconds(&self, names: &[&str]) -> f64 {
+        names.iter().filter_map(|n| self.stages.stage(n)).map(|s| s.wall_seconds).sum()
+    }
+
+    /// Summed parser busy time: the `read`, `decompress` and `parse`
+    /// stages, on parser threads and the consumer alike.
+    pub fn parser_busy_seconds(&self) -> f64 {
+        self.stage_seconds(&["read", "decompress", "parse"])
+    }
+
+    /// Post-processing: the `post_process` stage (run flush/encode).
+    pub fn post_processing_seconds(&self) -> f64 {
+        self.stage_seconds(&["post_process"])
+    }
+
+    /// Dictionary combine seconds (Table VI), every generation's included.
+    pub fn dict_combine_seconds(&self) -> f64 {
+        self.stage_seconds(&["dict_combine"])
+    }
+
+    /// Dictionary write seconds (Table VI), every generation's included.
+    pub fn dict_write_seconds(&self) -> f64 {
+        self.stage_seconds(&["dict_write"])
     }
 }
 
@@ -687,18 +705,13 @@ fn combine_and_write<P: Borrow<PartialDictionary>>(
     shards: &[P],
     registry: &Registry,
     driver_sink: &TraceSink,
-    report: &mut PipelineReport,
 ) -> (GlobalDictionary, Vec<u8>) {
     let (combine_stage, write_stage) = (registry.stage("dict_combine"), registry.stage("dict_write"));
-    let t0 = Instant::now();
     let dictionary = {
         let _span = combine_stage.span();
         let _tspan = driver_sink.span(TraceKind::DictCombine);
         GlobalDictionary::combine(shards)
     };
-    report.dict_combine_seconds += t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
     let mut dict_bytes = Vec::new();
     {
         let mut span = write_stage.span();
@@ -707,7 +720,6 @@ fn combine_and_write<P: Borrow<PartialDictionary>>(
         span.add_bytes(dict_bytes.len() as u64);
         tspan.add_bytes(dict_bytes.len() as u64);
     }
-    report.dict_write_seconds += t0.elapsed().as_secs_f64();
     (dictionary, dict_bytes)
 }
 
@@ -905,28 +917,11 @@ fn build_inner(
     let index_stage = registry.stage("index");
     let post_stage = registry.stage("post_process");
     // The flight recorder rides the consumer loop: one cheap gate per
-    // message, a bounded ring of absolute samples behind it. Watches
-    // cover the index stage, the governor's resident/high-water figures,
-    // the inter-stage queue gauges (added below, once they exist), and
-    // every worker heartbeat — the figures a post-mortem needs to explain
-    // the final seconds of a build.
-    let recorder = FlightRecorder::from_config(&cfg.telemetry.recorder);
-    recorder.watch_stage("index", Arc::clone(&index_stage));
-    {
-        let g = governor.clone();
-        recorder.watch_gauge_fn("governor.resident_bytes", move || g.resident().total() as i64);
-        let g = governor.clone();
-        recorder.watch_counter_fn("governor.high_water_bytes", move || g.high_water());
-    }
-    for (p, hb) in parser_beats.iter().enumerate() {
-        recorder.watch_heartbeat(&format!("parser-{p}"), Arc::clone(hb));
-    }
-    for (i, hb) in cpu_beats.iter().enumerate() {
-        recorder.watch_heartbeat(&format!("cpu-{i}"), Arc::clone(hb));
-    }
-    for (g, hb) in gpu_beats.iter().enumerate() {
-        recorder.watch_heartbeat(&format!("gpu-{g}"), Arc::clone(hb));
-    }
+    // message, a bounded ring of registry samples behind it — stages,
+    // queue depths, governor figures and heartbeat ages, everything
+    // published below, which a post-mortem needs to explain the final
+    // seconds of a build.
+    let recorder = FlightRecorder::new(Arc::clone(&registry));
     // Live OpenMetrics endpoint (`ii build --metrics-addr`, scraped by
     // `ii top` and Prometheus). Bound for the duration of the build; the
     // handle's Drop unbinds it on every exit path, typed errors included.
@@ -939,14 +934,9 @@ fn build_inner(
     // Post-mortem bundles land in `postmortem/` next to the index (or
     // wherever the config points); in-memory builds with no explicit dir
     // write none.
-    let mut postmortem = PostmortemWriter::new(if cfg.telemetry.postmortem {
-        cfg.telemetry
-            .postmortem_dir
-            .clone()
-            .or_else(|| durable.map(|o| o.dir.join(POSTMORTEM_DIR)))
-    } else {
-        None
-    });
+    let default_dir = durable.map(|o| o.dir.join(POSTMORTEM_DIR));
+    let mut postmortem =
+        PostmortemWriter::new(cfg.telemetry.postmortem_dir.clone().or(default_dir));
     // Deaths already bundled: a bundle is cut the batch a death happens,
     // not at end of build, so the ring still holds the surrounding samples.
     let mut deaths_bundled = 0usize;
@@ -967,7 +957,6 @@ fn build_inner(
             (registry.gauge(&format!("worker.gpu-{g}.idle_ms")), Arc::clone(hb))
         }))
         .collect();
-    let t_stream = Instant::now();
     // Consumed batch buffers flow back to the parser threads through this
     // pool; size it to the in-flight window (one slot per buffered batch
     // per parser, plus the one being indexed).
@@ -1001,10 +990,6 @@ fn build_inner(
         .collect();
     let recycler_gauge =
         (registry.gauge("recycler.pool.depth"), tracer.gauge("recycler.pool"));
-    for (p, (gauge, _)) in queue_gauges.iter().enumerate() {
-        recorder.watch_gauge(&format!("queue.parser-{p}.depth"), Arc::clone(gauge));
-    }
-    recorder.watch_gauge("recycler.pool.depth", Arc::clone(&recycler_gauge.0));
     // Governor gauges published per batch so a live scrape sees the
     // memory-vs-budget picture mid-build; counters stay end-of-build
     // (`governor.export`) so they are added exactly once.
@@ -1037,7 +1022,6 @@ fn build_inner(
     while let Some(msg) = round_robin.next() {
         let msg = msg?;
         files_done = msg.file_idx() + 1;
-        recorder.maybe_sample();
         let queue_wait_seconds = msg.queue_wait_seconds;
         // The credit travels with the message: it goes back to whoever
         // acquired it — the parser that sent the batch or, for a file the
@@ -1056,6 +1040,7 @@ fn build_inner(
         for (gauge, hb) in &beat_gauges {
             gauge.set(hb.idle().as_millis() as i64);
         }
+        recorder.maybe_sample();
         let batch = match msg.result {
             Ok(batch) => {
                 if msg.retries > 0 {
@@ -1075,7 +1060,6 @@ fn build_inner(
                             quarantined: &report.faults.quarantined,
                         },
                         &recorder,
-                        &registry,
                         &tracer,
                     );
                     return Err(PipelineError::File(fault));
@@ -1109,7 +1093,6 @@ fn build_inner(
                         quarantined: &report.faults.quarantined,
                     },
                     &recorder,
-                    &registry,
                     &tracer,
                 );
                 continue;
@@ -1203,7 +1186,6 @@ fn build_inner(
                     quarantined: &report.faults.quarantined,
                 },
                 &recorder,
-                &registry,
                 &tracer,
             );
         }
@@ -1246,7 +1228,6 @@ fn build_inner(
             governor.record_early_flush();
         }
         if batches_in_run >= cfg.batches_per_run || early_flush {
-            let t0 = Instant::now();
             let mut span = post_stage.span();
             let tspan = driver_sink.span(TraceKind::Flush);
             for run in pool.flush_run() {
@@ -1255,7 +1236,6 @@ fn build_inner(
             }
             drop(tspan);
             drop(span);
-            report.post_processing_seconds += t0.elapsed().as_secs_f64();
             batches_in_run = 0;
             runs_since_checkpoint += 1;
             if let Some(opts) = durable {
@@ -1267,7 +1247,7 @@ fn build_inner(
                     && files_done < collection.num_files()
                 {
                     let (_, dict_bytes) =
-                        combine_and_write(&pool.shards(), &registry, &driver_sink, &mut report);
+                        combine_and_write(&pool.shards(), &registry, &driver_sink);
                     let ckpt = BuildCheckpoint {
                         files_done: files_done as u64,
                         next_doc: pool.next_doc(),
@@ -1327,14 +1307,12 @@ fn build_inner(
                     quarantined: &report.faults.quarantined,
                 },
                 &recorder,
-                &registry,
                 &tracer,
             );
             return Err(PipelineError::MemoryBudgetExceeded { budget, needed });
         }
     }
     if batches_in_run > 0 {
-        let t0 = Instant::now();
         let mut span = post_stage.span();
         let tspan = driver_sink.span(TraceKind::Flush);
         for run in pool.flush_run() {
@@ -1343,9 +1321,7 @@ fn build_inner(
         }
         drop(tspan);
         drop(span);
-        report.post_processing_seconds += t0.elapsed().as_secs_f64();
     }
-    report.streaming_seconds = t_stream.elapsed().as_secs_f64();
     // Fold the consumer-side supervision ledger: parser deaths the
     // watchdog declared, and the files the driver re-ingested inline.
     for d in round_robin.deaths() {
@@ -1370,25 +1346,14 @@ fn build_inner(
                 quarantined: &report.faults.quarantined,
             },
             &recorder,
-            &registry,
             &tracer,
         );
     }
-    let inline_timing = round_robin.inline_timing();
     // Release the receivers so a parser parked on a full buffer exits.
     drop(round_robin);
-    let parser_timings = parser_pool.join();
+    parser_pool.join();
     // Nobody parses again: the husks go before the combine and the commit.
     recycler.clear();
-    report.parser_busy_seconds = parser_timings
-        .iter()
-        .map(|t| t.read_seconds + t.decompress_seconds + t.parse_seconds)
-        .sum::<f64>()
-        + inline_timing.read_seconds
-        + inline_timing.decompress_seconds
-        + inline_timing.parse_seconds;
-    report.read_seconds =
-        parser_timings.iter().map(|t| t.read_seconds).sum::<f64>() + inline_timing.read_seconds;
 
     report.docs = pool.docs_indexed();
     let (cpu_stats, gpu_stats) = pool.workload_split();
@@ -1433,7 +1398,7 @@ fn build_inner(
     // `finish` frees the pool — posting logs, simulated devices — before the
     // dictionary is built, and the shards go before the commit.
     let (dictionary, dict_bytes) =
-        combine_and_write(&pool.finish(), &registry, &driver_sink, &mut report);
+        combine_and_write(&pool.finish(), &registry, &driver_sink);
     registry.counter("pipeline.terms").add(dictionary.len() as u64);
 
     if let Some(opts) = durable {
@@ -1458,7 +1423,6 @@ fn build_inner(
                     quarantined: &report.faults.quarantined,
                 },
                 &recorder,
-                &registry,
                 &tracer,
             );
             return Err(e.into());
@@ -1484,7 +1448,7 @@ fn build_inner(
 
     report.supervision = supervisor.report;
     report.total_seconds = t_total.elapsed().as_secs_f64();
-    report.stages = StageBreakdown::from_registry(&registry);
+    report.stages = registry.snapshot();
     report.trace = tracer.finish();
     report.postmortem_bundles = postmortem.paths().to_vec();
     Ok(IndexOutput { dictionary, run_sets, dict_bytes, doc_map, report })
@@ -1576,7 +1540,7 @@ mod tests {
         let out = build_index(&coll, &PipelineConfig::small(2, 1, 1)).expect("build");
         let r = &out.report;
         assert!(r.total_seconds > 0.0);
-        assert!(r.parser_busy_seconds > 0.0);
+        assert!(r.parser_busy_seconds() > 0.0);
         assert!(r.indexing_seconds > 0.0);
         assert!(r.pre_processing_seconds > 0.0, "GPU transfers modeled");
         assert_eq!(r.per_file.len(), coll.num_files());
@@ -1885,7 +1849,7 @@ mod tests {
     }
 
     fn governor_gauge(out: &IndexOutput, name: &str) -> i64 {
-        out.report.stages.snapshot.gauges.get(name).copied().unwrap_or(-1)
+        out.report.stages.gauges.get(name).copied().unwrap_or(-1)
     }
 
     fn total_runs(out: &IndexOutput) -> usize {

@@ -41,7 +41,7 @@ pub mod parsers;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use breakdown::StageBreakdown;
+pub use breakdown::{cache_hit_rate, render_table};
 pub use checkpoint::{
     collection_fingerprint, config_fingerprint, BuildCheckpoint, QuarantinedFile,
     CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT, DOCMAP_ARTIFACT,
@@ -58,8 +58,7 @@ pub use fault::{
 };
 pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
 pub use parsers::{
-    BatchRecycler, ParsedFile, ParserObs, ParserPool, ParserTiming, SpawnOptions,
-    SupervisedRoundRobin,
+    BatchRecycler, ParsedFile, ParserObs, ParserPool, SpawnOptions, SupervisedRoundRobin,
 };
 pub use supervisor::{
     DeathCause, SupervisionReport, Supervisor, SupervisorPolicy, WorkerDeath,

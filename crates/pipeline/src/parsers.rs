@@ -153,19 +153,6 @@ pub struct SpawnOptions {
     pub governor: MemoryGovernor,
 }
 
-/// Per-parser timing accumulators (read under the disk lock vs the rest).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParserTiming {
-    /// Seconds holding the disk (serialized reads).
-    pub read_seconds: f64,
-    /// Seconds decompressing in memory.
-    pub decompress_seconds: f64,
-    /// Seconds tokenizing/stemming/regrouping.
-    pub parse_seconds: f64,
-    /// Files handled successfully.
-    pub files: usize,
-}
-
 /// One parser's message for one container file: either the parsed batch or
 /// the fault that consumed the file's round-robin slot.
 #[derive(Debug)]
@@ -235,7 +222,7 @@ impl Shared {
 pub struct ParserPool {
     /// One output buffer per parser, in parser order.
     pub buffers: Vec<Receiver<ParsedFile>>,
-    handles: Vec<std::thread::JoinHandle<ParserTiming>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
     // For the consumer, which ingests files too.
     shared: Arc<Shared>,
     buffer_depth: usize,
@@ -279,7 +266,6 @@ impl ParserPool {
                 sink = sink.with_heartbeat(Arc::clone(hb));
             }
             let handle = std::thread::spawn(move || {
-                let mut timing = ParserTiming::default();
                 // Thread-owned working memory, carried across files so
                 // steady-state parsing reuses every buffer.
                 let mut scratch = ParseScratch::new();
@@ -310,7 +296,6 @@ impl ParserPool {
                         &shared.disk,
                         file_idx,
                         &policy,
-                        &mut timing,
                         &obs,
                         &mut scratch,
                         &options,
@@ -346,7 +331,6 @@ impl ParserPool {
                 if file_idx >= num_files {
                     shared.finished[p].store(true, SeqCst);
                 }
-                timing
             });
             buffers.push(rx);
             handles.push(handle);
@@ -354,11 +338,13 @@ impl ParserPool {
         ParserPool { buffers, handles, shared, buffer_depth }
     }
 
-    /// Wait for all parsers and collect their timings. A parser that died
-    /// outside its per-file containment contributes empty timings rather
-    /// than propagating the panic.
-    pub fn join(self) -> Vec<ParserTiming> {
-        self.handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
+    /// Wait for all parsers. A parser that died outside its per-file
+    /// containment is not propagated as a panic: the consumer has already
+    /// accounted for its files.
+    pub fn join(self) {
+        for h in self.handles {
+            let _ = h.join();
+        }
     }
 }
 
@@ -372,14 +358,13 @@ fn ingest_contained(
     disk: &Mutex<()>,
     file_idx: usize,
     policy: &FaultPolicy,
-    timing: &mut ParserTiming,
     obs: &ParserObs,
     scratch: &mut ParseScratch,
     options: &SpawnOptions,
     sink: &TraceSink,
 ) -> ParsedFile {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        ingest_file(coll, disk, file_idx, policy, timing, obs, scratch, options, sink)
+        ingest_file(coll, disk, file_idx, policy, obs, scratch, options, sink)
     }));
     let fault = |class, retries, error| FileFault {
         file_idx,
@@ -407,7 +392,6 @@ fn ingest_file(
     disk: &Mutex<()>,
     file_idx: usize,
     policy: &FaultPolicy,
-    timing: &mut ParserTiming,
     obs: &ParserObs,
     scratch: &mut ParseScratch,
     options: &SpawnOptions,
@@ -427,7 +411,6 @@ fn ingest_file(
             let t0 = Instant::now();
             let r = coll.read_file_raw(file_idx);
             let dt = t0.elapsed();
-            timing.read_seconds += dt.as_secs_f64();
             obs.read.wall_ns.add(dt.as_nanos() as u64);
             obs.read.latency.record_ns(dt.as_nanos() as u64);
             if let Ok(raw) = &r {
@@ -461,7 +444,6 @@ fn ingest_file(
     let mut span = obs.decompress.span();
     let mut tspan = sink.span(TraceKind::Decompress);
     tspan.set_batch(file_idx as u32);
-    let t0 = Instant::now();
     let bytes = match compress::decompress(&raw) {
         Ok(b) => b,
         Err(e) => {
@@ -469,7 +451,6 @@ fn ingest_file(
             return (retries, Err((FaultClass::Permanent, format!("decompress failed: {e}"))));
         }
     };
-    timing.decompress_seconds += t0.elapsed().as_secs_f64();
     span.add_bytes(bytes.len() as u64);
     tspan.add_bytes(bytes.len() as u64);
     drop(span);
@@ -478,7 +459,6 @@ fn ingest_file(
     let mut span = obs.parse.span();
     let mut tspan = sink.span(TraceKind::Parse);
     tspan.set_batch(file_idx as u32);
-    let t0 = Instant::now();
     let docs = match container::parse_container(&bytes) {
         Ok(d) => d,
         Err(e) => {
@@ -495,8 +475,6 @@ fn ingest_file(
         recycler.refill(scratch);
     }
     let batch = parse_documents_into(scratch, &docs, coll.manifest.spec.html, file_idx);
-    timing.parse_seconds += t0.elapsed().as_secs_f64();
-    timing.files += 1;
     span.add_bytes(bytes.len() as u64);
     tspan.add_bytes(bytes.len() as u64);
     drop(span);
@@ -572,7 +550,6 @@ pub struct SupervisedRoundRobin {
     options: SpawnOptions,
     shared: Arc<Shared>,
     scratch: ParseScratch,
-    inline_timing: ParserTiming,
     deaths: Vec<WorkerDeath>,
     inline_parsed: u32,
     /// Messages waiting for their file's turn: files ingested here ahead
@@ -624,7 +601,6 @@ impl SupervisedRoundRobin {
             options,
             shared: Arc::clone(&pool.shared),
             scratch: ParseScratch::new(),
-            inline_timing: ParserTiming::default(),
             deaths: Vec::new(),
             inline_parsed: 0,
             parked: BTreeMap::new(),
@@ -666,12 +642,6 @@ impl SupervisedRoundRobin {
         self.helped
     }
 
-    /// Timing accumulated by ingest on this thread, re-ingest and help
-    /// alike (folded into the parser timings by the driver).
-    pub fn inline_timing(&self) -> ParserTiming {
-        self.inline_timing
-    }
-
     /// Whether parser `p` has been declared dead.
     pub fn parser_is_dead(&self, p: usize) -> bool {
         self.buffers.get(p).is_some_and(|b| b.is_none())
@@ -703,7 +673,6 @@ impl SupervisedRoundRobin {
             &self.shared.disk,
             file_idx,
             &self.policy,
-            &mut self.inline_timing,
             &self.obs,
             &mut self.scratch,
             &self.options,
@@ -974,13 +943,15 @@ mod tests {
         Arc::new(StoredCollection::open(dir).unwrap().with_faults(plan))
     }
 
-    /// An unsupervised pool over `coll` and the consumer of its buffers.
+    /// An unsupervised pool over `coll` and the consumer of its buffers,
+    /// both recording into `registry`.
     fn unsupervised(
         coll: &Arc<StoredCollection>,
         num_parsers: usize,
         policy: FaultPolicy,
+        registry: &Registry,
     ) -> (ParserPool, SupervisedRoundRobin) {
-        let obs = ParserObs::from_registry(&Registry::new());
+        let obs = ParserObs::from_registry(registry);
         let mut pool = ParserPool::spawn_with(
             Arc::clone(coll),
             num_parsers,
@@ -1006,16 +977,18 @@ mod tests {
         spec.num_files = 7;
         let (coll, dir) = stored("order", spec);
         for num_parsers in [1usize, 2, 3] {
-            let (pool, mut consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
-            let files: Vec<usize> =
-                (&mut consumer).map(|m| m.unwrap().result.unwrap().file_idx).collect();
+            let registry = Registry::new();
+            let (pool, mut consumer) =
+                unsupervised(&coll, num_parsers, FaultPolicy::default(), &registry);
+            let msgs: Vec<ParsedFile> = (&mut consumer).map(|m| m.unwrap()).collect();
+            let files: Vec<usize> = msgs.iter().map(ParsedFile::file_idx).collect();
             assert_eq!(files, (0..7).collect::<Vec<_>>(), "parsers={num_parsers}");
             // Every file was ingested once: by its parser, or by the
             // consumer while it waited.
-            let here = consumer.inline_timing().files;
+            let here = msgs.iter().filter(|m| m.parser.is_none()).count();
             assert_eq!(here, consumer.helped_files() as usize);
-            let timings = pool.join();
-            assert_eq!(timings.iter().map(|t| t.files).sum::<usize>() + here, 7);
+            pool.join();
+            assert_eq!(registry.stage("parse").items.get(), 7);
         }
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -1027,7 +1000,8 @@ mod tests {
         let (coll, dir) = stored("deterministic", spec);
         let mut outputs = Vec::new();
         for num_parsers in [1usize, 4] {
-            let (pool, consumer) = unsupervised(&coll, num_parsers, FaultPolicy::default());
+            let (pool, consumer) =
+                unsupervised(&coll, num_parsers, FaultPolicy::default(), &Registry::new());
             let tokens: Vec<(usize, u64)> = consumer
                 .map(|m| {
                     let b = m.unwrap().result.unwrap();
@@ -1044,11 +1018,18 @@ mod tests {
     #[test]
     fn timings_are_recorded() {
         let (coll, dir) = stored("timing", CollectionSpec::tiny(33));
-        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default());
+        let registry = Registry::new();
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default(), &registry);
         assert_eq!(consumer.count(), coll.num_files());
-        let timings = pool.join();
-        let total_parse: f64 = timings.iter().map(|t| t.parse_seconds).sum();
-        assert!(total_parse > 0.0);
+        pool.join();
+        let stats = &coll.manifest.stats;
+        let (raw, full) = (stats.compressed_bytes, stats.uncompressed_bytes);
+        for (stage, bytes) in [("read", raw), ("decompress", full), ("parse", full)] {
+            let s = registry.stage(stage);
+            assert_eq!(s.items.get(), coll.num_files() as u64, "{stage}");
+            assert_eq!(s.bytes.get(), bytes, "{stage}");
+            assert!(s.wall_ns.get() > 0, "{stage}");
+        }
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1059,7 +1040,7 @@ mod tests {
         let (_, dir) = stored("transient", spec);
         let plan = FaultPlan::new(1).with_fault(2, FaultKind::TransientRead { failures: 2 });
         let coll = reopen_with(&dir, plan);
-        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default());
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::default(), &Registry::new());
         let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         assert!(msgs.iter().all(|m| m.result.is_ok()));
         assert_eq!(msgs[2].retries, 2, "file 2 needed two retries");
@@ -1074,7 +1055,7 @@ mod tests {
         spec.num_files = 4;
         let (_, dir) = stored("permanent", spec);
         let coll = reopen_with(&dir, FaultPlan::new(2).with_fault(1, FaultKind::Garbage));
-        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::skip_file());
+        let (pool, consumer) = unsupervised(&coll, 2, FaultPolicy::skip_file(), &Registry::new());
         let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         assert_eq!(msgs.len(), 4, "every file slot is accounted for");
         for (i, m) in msgs.iter().enumerate() {
@@ -1094,7 +1075,7 @@ mod tests {
         spec.num_files = 3;
         let (_, dir) = stored("panic", spec);
         let coll = reopen_with(&dir, FaultPlan::new(3).with_fault(0, FaultKind::Panic));
-        let (pool, consumer) = unsupervised(&coll, 1, FaultPolicy::skip_file());
+        let (pool, consumer) = unsupervised(&coll, 1, FaultPolicy::skip_file(), &Registry::new());
         let msgs: Vec<ParsedFile> = consumer.map(|m| m.unwrap()).collect();
         let fault = msgs[0].result.as_ref().unwrap_err();
         assert_eq!(fault.class, FaultClass::Panic);
@@ -1292,7 +1273,6 @@ mod tests {
         }
         let here = msgs.iter().filter(|m| m.parser.is_none()).count();
         assert_eq!(rr.helped_files() as usize, here);
-        assert_eq!(rr.inline_timing().files, here);
         assert_eq!(rr.inline_parsed_files(), 0, "nobody died");
         assert_eq!(governor.inflight_bytes(), 0, "every credit went back to its holder");
         std::fs::remove_dir_all(dir).unwrap();

@@ -2,11 +2,11 @@
 //! flight recorder, the automatic post-mortem bundle, and its renderer.
 //!
 //! The flight recorder answers "what were the last seconds like?" when a
-//! build dies; this module decides *what it watches* (the index stage,
-//! governor resident/high-water figures, queue gauges, every worker
-//! heartbeat), *when a bundle is cut* (any failure-domain event: worker
-//! death, quarantine, memory-budget abort, commit failure), and *what the
-//! bundle holds*:
+//! build dies: it samples the build's registry — stages, queue depths,
+//! governor figures, `worker.*.idle_ms` heartbeat ages, everything the
+//! driver publishes. This module decides *when a bundle is cut* (any
+//! failure-domain event: worker death, quarantine, memory-budget abort,
+//! commit failure) and *what the bundle holds*:
 //!
 //! * an `event` section — trigger, cause detail, batch ordinal, the
 //!   supervision ledger, quarantined files. Fully deterministic: two
@@ -24,13 +24,14 @@
 //! must not perturb the op numbering of an injected [`ii_store::CrashVfs`].
 //!
 //! `ii postmortem <bundle>` renders [`render_bundle_report`]: cause
-//! attribution plus a transposed timeline (one row per watched metric,
+//! attribution plus a transposed timeline (one row per sampled metric,
 //! one column per flight-recorder sample).
 
 use crate::fault::FileFault;
 use crate::supervisor::SupervisionReport;
-use ii_obs::{push_json_str, FlightRecorder, RecorderConfig, Registry, Trace, Tracer, WorkerTrace};
+use ii_obs::{FlightRecorder, Trace, Tracer, WorkerTrace};
 use ii_store::RealVfs;
+use serde::Serialize;
 use serde_json::Value;
 use std::fs;
 use std::io;
@@ -52,31 +53,15 @@ const TIMELINE_COLUMNS: usize = 8;
 ///
 /// Excluded from the checkpoint config fingerprint, like tracing and
 /// supervision: telemetry observes a build, it never changes index bytes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TelemetryConfig {
-    /// Flight-recorder cadence and ring size (enabled by default; the
-    /// per-message cost is priced in the `obs_overhead` bench gate).
-    pub recorder: RecorderConfig,
-    /// Cut automatic post-mortem bundles on failure-domain events.
-    pub postmortem: bool,
-    /// Where bundles land. `None` (default) = `postmortem/` inside the
-    /// durable index dir; in-memory builds then write no bundles. Tests
-    /// and embedders can point it anywhere.
+    /// Where automatic post-mortem bundles land. `None` (default) =
+    /// `postmortem/` inside the durable index dir; in-memory builds then
+    /// write no bundles. Tests and embedders can point it anywhere.
     pub postmortem_dir: Option<PathBuf>,
     /// Serve a live OpenMetrics endpoint on this address for the whole
     /// build (`ii build --metrics-addr`).
     pub metrics_addr: Option<String>,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            recorder: RecorderConfig::default(),
-            postmortem: true,
-            postmortem_dir: None,
-            metrics_addr: None,
-        }
-    }
 }
 
 /// The deterministic half of a bundle: what happened, and the supervision
@@ -134,12 +119,11 @@ impl PostmortemWriter {
         &mut self,
         ctx: &PostmortemContext<'_>,
         recorder: &FlightRecorder,
-        registry: &Registry,
         tracer: &Tracer,
     ) -> Option<PathBuf> {
         let dir = self.dir.clone()?;
         recorder.force_sample();
-        let bundle = render_bundle(ctx, recorder, registry, tracer);
+        let bundle = render_bundle(ctx, recorder, tracer);
         let _ = fs::create_dir_all(&dir);
         let path = dir.join(format!("bundle_{:03}_{}.json", self.written.len(), ctx.trigger));
         match ii_store::write_file_durable(&RealVfs, &path, bundle.as_bytes()) {
@@ -157,40 +141,68 @@ impl PostmortemWriter {
 
 /// The deterministic `event` section (byte-identical across
 /// identically-seeded runs).
-fn render_event_json(ctx: &PostmortemContext<'_>) -> String {
-    let mut o = String::from("{\n  \"trigger\": ");
-    push_json_str(&mut o, ctx.trigger);
-    o.push_str(",\n  \"detail\": ");
-    push_json_str(&mut o, &ctx.detail);
-    o.push_str(&format!(",\n  \"batch_ordinal\": {},\n  \"deaths\": [", ctx.batch_ordinal));
-    for (i, d) in ctx.supervision.deaths.iter().enumerate() {
-        o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        o.push_str("{\"class\": ");
-        push_json_str(&mut o, &d.class.to_string());
-        o.push_str(&format!(", \"index\": {}, \"cause\": ", d.index));
-        push_json_str(&mut o, &d.cause.to_string());
-        o.push('}');
-    }
-    let s = ctx.supervision;
-    o.push_str(&format!(
-        "\n  ],\n  \"reassignments\": {}, \"gpu_takeovers\": {}, \"inline_parsed_files\": {}, \"commit_retries\": {},\n  \"lossy_incidents\": [",
-        s.reassignments, s.gpu_takeovers, s.inline_parsed_files, s.commit_retries
-    ));
-    for (i, l) in s.lossy_incidents.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
+#[derive(Serialize)]
+struct EventSection {
+    trigger: String,
+    detail: String,
+    batch_ordinal: usize,
+    deaths: Vec<DeathEntry>,
+    reassignments: u32,
+    gpu_takeovers: u32,
+    inline_parsed_files: u32,
+    commit_retries: u32,
+    lossy_incidents: Vec<String>,
+    quarantined_files: Vec<usize>,
+}
+
+#[derive(Serialize)]
+struct DeathEntry {
+    class: String,
+    index: usize,
+    cause: String,
+}
+
+impl EventSection {
+    fn new(ctx: &PostmortemContext<'_>) -> EventSection {
+        let s = ctx.supervision;
+        EventSection {
+            trigger: ctx.trigger.to_string(),
+            detail: ctx.detail.clone(),
+            batch_ordinal: ctx.batch_ordinal,
+            deaths: s
+                .deaths
+                .iter()
+                .map(|d| DeathEntry {
+                    class: d.class.to_string(),
+                    index: d.index,
+                    cause: d.cause.to_string(),
+                })
+                .collect(),
+            reassignments: s.reassignments,
+            gpu_takeovers: s.gpu_takeovers,
+            inline_parsed_files: s.inline_parsed_files,
+            commit_retries: s.commit_retries,
+            lossy_incidents: s.lossy_incidents.clone(),
+            quarantined_files: ctx.quarantined.iter().map(|f| f.file_idx).collect(),
         }
-        push_json_str(&mut o, l);
     }
-    o.push_str("],\n  \"quarantined_files\": [");
-    for (i, f) in ctx.quarantined.iter().enumerate() {
-        if i > 0 {
-            o.push_str(", ");
-        }
-        o.push_str(&f.file_idx.to_string());
-    }
-    o.push_str("]\n}");
-    o
+}
+
+/// The timing-dependent `telemetry` section.
+#[derive(Serialize)]
+struct TelemetrySection {
+    flight_recorder: Value,
+    snapshot: Value,
+    trace_tail: Option<Value>,
+}
+
+/// A whole bundle: deterministic `event` first, timing-dependent
+/// `telemetry` last.
+#[derive(Serialize)]
+struct Bundle {
+    schema_version: u32,
+    event: EventSection,
+    telemetry: TelemetrySection,
 }
 
 /// The last [`TRACE_TAIL_EVENTS`] events of each worker's ring.
@@ -213,32 +225,29 @@ fn trace_tail(full: &Trace) -> Trace {
     }
 }
 
-/// Assemble the full bundle: deterministic `event` first, timing-dependent
-/// `telemetry` last.
+/// Assemble the full bundle from the recorder's ring, its registry and the
+/// tail of the trace.
 fn render_bundle(
     ctx: &PostmortemContext<'_>,
     recorder: &FlightRecorder,
-    registry: &Registry,
     tracer: &Tracer,
 ) -> String {
-    let mut o = format!("{{\n\"schema_version\": {BUNDLE_SCHEMA_VERSION},\n\"event\": ");
-    o.push_str(&render_event_json(ctx));
-    o.push_str(",\n\"telemetry\": {\n\"flight_recorder\": ");
-    match recorder.dump() {
-        Some(d) => o.push_str(&d.to_json()),
-        None => o.push_str("null"),
-    }
-    o.push_str(",\n\"snapshot\": ");
-    o.push_str(registry.snapshot().to_json().trim_end());
-    o.push_str(",\n\"trace_tail\": ");
-    match tracer.finish() {
-        Some(trace) if !trace.workers.is_empty() => {
-            o.push_str(trace_tail(&trace).to_chrome_json().trim_end());
-        }
-        _ => o.push_str("null"),
-    }
-    o.push_str("\n}\n}\n");
-    o
+    let trace_tail = tracer
+        .finish()
+        .filter(|trace| !trace.workers.is_empty())
+        .map(|trace| trace_tail(&trace).to_chrome_value());
+    let bundle = Bundle {
+        schema_version: BUNDLE_SCHEMA_VERSION,
+        event: EventSection::new(ctx),
+        telemetry: TelemetrySection {
+            flight_recorder: recorder.dump().to_json_value(),
+            snapshot: recorder.registry().snapshot().to_json_value(),
+            trace_tail,
+        },
+    };
+    let mut json = serde_json::to_string_pretty(&bundle).expect("a JSON value always prints");
+    json.push('\n');
+    json
 }
 
 /// Bundle files in `dir`, sorted by name (write order).
@@ -269,7 +278,7 @@ fn short_num(v: f64) -> String {
     }
 }
 
-/// Append the transposed flight-recorder timeline: one row per watched
+/// Append the transposed flight-recorder timeline: one row per sampled
 /// metric, one column per sample (last [`TIMELINE_COLUMNS`]).
 fn render_timeline(fr: &Value, o: &mut String) {
     let names = |key: &str| -> Vec<String> {
@@ -280,7 +289,6 @@ fn render_timeline(fr: &Value, o: &mut String) {
     };
     let counters = names("counters");
     let gauges = names("gauges");
-    let workers = names("workers");
     let samples = fr.get("samples").and_then(Value::as_array).map_or(&[][..], Vec::as_slice);
     let dropped = fr.get("dropped").and_then(|v| v.as_u64()).unwrap_or(0);
     o.push_str(&format!(
@@ -302,7 +310,6 @@ fn render_timeline(fr: &Value, o: &mut String) {
         .iter()
         .map(|n| n.len() + 2)
         .chain(gauges.iter().map(|n| n.len()))
-        .chain(workers.iter().map(|n| n.len() + 10))
         .chain(["t_ms".len()])
         .max()
         .unwrap_or(4)
@@ -343,11 +350,6 @@ fn render_timeline(fr: &Value, o: &mut String) {
     for (gi, name) in gauges.iter().enumerate() {
         let cells = window.iter().map(|s| short_num(val(s, "g", gi))).collect();
         row(name, cells);
-    }
-    for (wi, name) in workers.iter().enumerate() {
-        let cells =
-            window.iter().map(|s| short_num(val(s, "idle_ns", wi) / 1e6)).collect();
-        row(&format!("idle {name} (ms)"), cells);
     }
 }
 
@@ -423,8 +425,8 @@ mod tests {
     use super::*;
     use crate::supervisor::{DeathCause, WorkerDeath};
     use crate::WorkerClass;
+    use ii_obs::Registry;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn sample_ledger() -> SupervisionReport {
         SupervisionReport {
@@ -442,20 +444,19 @@ mod tests {
         }
     }
 
-    fn harness() -> (FlightRecorder, Registry, Tracer) {
-        let recorder = FlightRecorder::new(16, Duration::ZERO);
-        let registry = Registry::new();
+    fn harness() -> (FlightRecorder, Tracer) {
+        let registry = Arc::new(Registry::new());
+        let recorder = FlightRecorder::new(Arc::clone(&registry));
         let c = registry.counter("pipeline.docs");
-        recorder.watch_counter("pipeline.docs", Arc::clone(&c));
         c.add(42);
         recorder.maybe_sample();
         c.add(8);
-        (recorder, registry, Tracer::disabled())
+        (recorder, Tracer::disabled())
     }
 
     #[test]
     fn bundle_renders_and_report_attributes_cause() {
-        let (recorder, registry, tracer) = harness();
+        let (recorder, tracer) = harness();
         let ledger = sample_ledger();
         let ctx = PostmortemContext {
             trigger: "worker-death",
@@ -465,7 +466,7 @@ mod tests {
             quarantined: &[],
         };
         recorder.force_sample();
-        let bundle = render_bundle(&ctx, &recorder, &registry, &tracer);
+        let bundle = render_bundle(&ctx, &recorder, &tracer);
         serde_json::from_str::<Value>(&bundle).expect("bundle must be valid JSON");
         let report = render_bundle_report(&bundle).expect("report");
         assert!(report.contains("trigger: worker-death"), "{report}");
@@ -482,20 +483,21 @@ mod tests {
     fn event_section_is_deterministic() {
         let ledger = sample_ledger();
         let make = || {
-            render_event_json(&PostmortemContext {
+            let ctx = PostmortemContext {
                 trigger: "memory-budget",
                 detail: "budget 1024 B, needed 4096 B".into(),
                 batch_ordinal: 7,
                 supervision: &ledger,
                 quarantined: &[],
-            })
+            };
+            serde_json::to_string_pretty(&EventSection::new(&ctx)).unwrap()
         };
         assert_eq!(make(), make());
     }
 
     #[test]
     fn writer_is_inert_without_a_dir_and_writes_bundles_with_one() {
-        let (recorder, registry, tracer) = harness();
+        let (recorder, tracer) = harness();
         let ledger = SupervisionReport::default();
         let ctx = PostmortemContext {
             trigger: "quarantine",
@@ -505,15 +507,15 @@ mod tests {
             quarantined: &[],
         };
         let mut inert = PostmortemWriter::new(None);
-        assert!(inert.write(&ctx, &recorder, &registry, &tracer).is_none());
+        assert!(inert.write(&ctx, &recorder, &tracer).is_none());
         assert_eq!(inert.bundles_written(), 0);
 
         let dir = std::env::temp_dir()
             .join(format!("ii-postmortem-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut writer = PostmortemWriter::new(Some(dir.clone()));
-        let p1 = writer.write(&ctx, &recorder, &registry, &tracer).expect("bundle 1");
-        let p2 = writer.write(&ctx, &recorder, &registry, &tracer).expect("bundle 2");
+        let p1 = writer.write(&ctx, &recorder, &tracer).expect("bundle 1");
+        let p2 = writer.write(&ctx, &recorder, &tracer).expect("bundle 2");
         assert_eq!(writer.bundles_written(), 2);
         assert_eq!(writer.failures(), 0);
         assert!(p1.file_name().unwrap().to_string_lossy().starts_with("bundle_000_"));

@@ -18,23 +18,23 @@
 use crate::block::BLOCK_LEN;
 use crate::codec::Codec;
 use crate::run::{RunBuilder, RunEntry, RunFile, RunSet};
+use ii_obs::Registry;
 use std::collections::BTreeMap;
 
 /// Merge every term's partial lists across `runs` into a single run file
 /// (run id = one past the last input run). Lists stay doc-sorted because
 /// runs are processed in order.
 ///
-/// Records one span on the process-global `merge` stage
-/// (`ii_obs::global()`): wall time, one item per call, and the input
-/// payload bytes folded. Two global counters make the fast path
-/// observable: `merge.blocks_copied` (verbatim block copies) and
+/// Records one span on `registry`'s `merge` stage: wall time, one item
+/// per call, and the input payload bytes folded. Two counters make the
+/// fast path observable: `merge.blocks_copied` (verbatim block copies) and
 /// `merge.postings_recoded` (postings that went through decode+encode).
-pub fn merge_runs(runs: &RunSet, codec: Codec) -> RunFile {
-    let stage = ii_obs::global().stage("merge");
+pub fn merge_runs(runs: &RunSet, codec: Codec, registry: &Registry) -> RunFile {
+    let stage = registry.stage("merge");
     let mut span = stage.span();
     span.add_bytes(runs.runs().iter().map(|r| r.payload.len() as u64).sum());
-    let copied_ctr = ii_obs::global().counter("merge.blocks_copied");
-    let recoded_ctr = ii_obs::global().counter("merge.postings_recoded");
+    let copied_ctr = registry.counter("merge.blocks_copied");
+    let recoded_ctr = registry.counter("merge.postings_recoded");
 
     let mut by_handle: BTreeMap<u32, Vec<(&RunFile, RunEntry)>> = BTreeMap::new();
     let mut indexer_id = 0;
@@ -116,7 +116,7 @@ mod tests {
         rs.push(run_with(0, 4, &[1, 2]));
         rs.push(run_with(1, 4, &[10, 11]));
         rs.push(run_with(2, 8, &[5]));
-        let merged = merge_runs(&rs, Codec::VarByte);
+        let merged = merge_runs(&rs, Codec::VarByte, &Registry::new());
         assert_eq!(merged.run_id, 3);
         let l4: Vec<u32> = merged.get(4).unwrap().iter().map(|p| p.doc.0).collect();
         assert_eq!(l4, vec![1, 2, 10, 11]);
@@ -130,7 +130,7 @@ mod tests {
         for r in 0..4 {
             rs.push(run_with(r, 1, &[r * 10, r * 10 + 3]));
         }
-        let merged = merge_runs(&rs, Codec::VarByte);
+        let merged = merge_runs(&rs, Codec::VarByte, &Registry::new());
         assert_eq!(merged.get(1).unwrap(), rs.fetch(1).unwrap().postings().to_vec());
     }
 
@@ -143,7 +143,7 @@ mod tests {
             rs.push(run_with(1, 4, &[12]));
             rs.push(run_with(2, 8, &[20]));
             assert!(rs.runs().iter().all(|r| r.payload.is_empty()), "rows only");
-            let merged = merge_runs(&rs, codec);
+            let merged = merge_runs(&rs, codec, &Registry::new());
             let lists: Vec<(u32, PostingsList)> =
                 [4, 8].iter().map(|&h| (h, rs.fetch(h).unwrap())).collect();
             let rebuilt = RunFile::build(3, 0, &mut lists.iter().map(|(h, l)| (*h, l)), codec);
@@ -155,28 +155,33 @@ mod tests {
 
     #[test]
     fn merge_empty_runset() {
-        let merged = merge_runs(&RunSet::new(), Codec::VarByte);
+        let merged = merge_runs(&RunSet::new(), Codec::VarByte, &Registry::new());
         assert!(merged.entries.is_empty());
         assert!(merged.payload.is_empty());
     }
 
     #[test]
     fn merge_records_global_stage_metrics() {
-        let stage = ii_obs::global().stage("merge");
-        let items_before = stage.items.get();
-        let bytes_before = stage.bytes.get();
+        let registry = Registry::new();
         let mut rs = RunSet::new();
         rs.push(run_with(0, 1, &[1, 2, 3]));
-        merge_runs(&rs, Codec::VarByte);
-        assert_eq!(stage.items.get(), items_before + 1);
-        assert!(stage.bytes.get() > bytes_before, "input payload bytes recorded");
+        rs.push(run_with(1, 1, &[7, 8]));
+        let payload: u64 = rs.runs().iter().map(|r| r.payload.len() as u64).sum();
+        assert!(payload > 0);
+        merge_runs(&rs, Codec::VarByte, &registry);
+        merge_runs(&rs, Codec::VarByte, &registry);
+        let stage = registry.stage("merge");
+        assert_eq!(stage.items.get(), 2, "one item per call");
+        assert_eq!(stage.bytes.get(), 2 * payload, "input payload bytes recorded");
+        assert_eq!(registry.counter("merge.blocks_copied").get(), 0, "no full block");
+        assert_eq!(registry.counter("merge.postings_recoded").get(), 2 * 5);
     }
 
     #[test]
     fn merge_can_recode() {
         let mut rs = RunSet::new();
         rs.push(run_with(0, 2, &[1, 5, 9]));
-        let merged = merge_runs(&rs, Codec::Bp128);
+        let merged = merge_runs(&rs, Codec::Bp128, &Registry::new());
         assert_eq!(merged.codec, Codec::Bp128);
         assert_eq!(merged.entry(2).unwrap().codec, Codec::Bp128);
         let docs: Vec<u32> = merged.get(2).unwrap().iter().map(|p| p.doc.0).collect();
@@ -196,17 +201,18 @@ mod tests {
         // Three aligned runs of a long list: merge must equal building the
         // concatenated list from scratch, and the aligned full blocks must
         // travel the verbatim-copy path.
-        // The counter is process-global and other tests run concurrently,
-        // so assert a lower bound over the whole matrix (96 copies per
-        // codec: 3 parts x 32 full blocks each, output always aligned).
-        let copied_before = ii_obs::global().counter("merge.blocks_copied").get();
+        // 96 copies per codec: 3 parts x 32 full blocks each, the output
+        // always aligned, and nothing recoded.
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
             let n = 4096u32; // long class: Auto resolves to BP128
             let mut rs = RunSet::new();
             for r in 0..3u32 {
                 rs.push(big_run(r, 9, r * 100_000, n, codec));
             }
-            let merged = merge_runs(&rs, codec);
+            let registry = Registry::new();
+            let merged = merge_runs(&rs, codec, &registry);
+            assert_eq!(registry.counter("merge.blocks_copied").get(), 96, "{codec:?}");
+            assert_eq!(registry.counter("merge.postings_recoded").get(), 0, "{codec:?}");
             // Byte-identity with a from-scratch build of the full list.
             let full: PostingsList = rs.fetch(9).unwrap().postings().iter().copied().collect();
             let pairs = [(9u32, full)];
@@ -215,8 +221,6 @@ mod tests {
             assert_eq!(merged.payload, rebuilt.payload, "{codec:?}");
             assert_eq!(merged.entries, rebuilt.entries, "{codec:?}");
         }
-        let copied = ii_obs::global().counter("merge.blocks_copied").get() - copied_before;
-        assert!(copied >= 96 * 4, "verbatim copies must dominate, got {copied}");
     }
 
     #[test]
@@ -227,7 +231,7 @@ mod tests {
         rs.push(big_run(0, 9, 0, 300, Codec::PFor));
         rs.push(big_run(1, 9, 1_000_000, 129, Codec::PFor));
         rs.push(big_run(2, 9, 2_000_000, 127, Codec::PFor));
-        let merged = merge_runs(&rs, Codec::PFor);
+        let merged = merge_runs(&rs, Codec::PFor, &Registry::new());
         let full: PostingsList = rs.fetch(9).unwrap().postings().iter().copied().collect();
         let pairs = [(9u32, full)];
         let mut it = pairs.iter().map(|(h, l)| (*h, l));

@@ -7,6 +7,7 @@
 
 use ii_corpus::DocId;
 use ii_postings::block::{decode_list, encode_list};
+use ii_obs::Registry;
 use ii_postings::{merge_runs, Codec, CodecError, ListCursor, Posting, PostingsList, RunFile, RunSet};
 use proptest::prelude::*;
 
@@ -112,7 +113,8 @@ proptest! {
         for f in &files {
             whole.push(f.clone());
         }
-        let one_shot = merge_runs(&whole, codec);
+        let registry = Registry::new();
+        let one_shot = merge_runs(&whole, codec, &registry);
 
         let split = split_at.min(files.len());
         let mut staged = RunSet::new();
@@ -121,7 +123,7 @@ proptest! {
             for f in &files[..split] {
                 prefix.push(f.clone());
             }
-            staged.push(merge_runs(&prefix, codec));
+            staged.push(merge_runs(&prefix, codec, &registry));
         }
         for f in &files[split..] {
             // The intermediate file takes run_id `split`; renumber the
@@ -130,7 +132,7 @@ proptest! {
             f.run_id += 1;
             staged.push(f);
         }
-        let two_stage = merge_runs(&staged, codec);
+        let two_stage = merge_runs(&staged, codec, &registry);
 
         for h in 0..num_handles {
             prop_assert_eq!(

@@ -31,7 +31,7 @@ fn main() -> std::io::Result<()> {
     println!("   {} terms in dictionary, {} docs indexed", index.num_terms(), index.num_docs());
     println!(
         "   build: {:.2}s total ({:.2}s sampling, {:.2}s parser busy, {:.2}s indexing)",
-        r.total_seconds, r.sampling_seconds, r.parser_busy_seconds, r.indexing_seconds
+        r.total_seconds, r.sampling_seconds, r.parser_busy_seconds(), r.indexing_seconds
     );
     println!(
         "   workload split — CPU: {} tokens / {} terms; GPU: {} tokens / {} terms",

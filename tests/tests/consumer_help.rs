@@ -155,19 +155,13 @@ fn help_at_the_first_middle_and_last_file_is_byte_identical() {
                 assert_eq!(spans[0].0, 2, "{ctx}: the lowest free file goes first: {spans:?}");
             }
             // Every file was read, decompressed and parsed exactly once,
-            // and the consumer's share is in the parser-busy total.
+            // the consumer's share included: these stages are what the
+            // report's parser-busy time is read from.
             let stage = |name: &str| out.report.stages.stage(name).unwrap();
-            assert_eq!(stage("parse").items, FILES as u64, "{ctx}");
+            for name in ["read", "decompress", "parse"] {
+                assert_eq!(stage(name).items, FILES as u64, "{ctx}: {name}");
+            }
             assert_eq!(stage("parse").bytes, coll.manifest.stats.uncompressed_bytes, "{ctx}");
-            let staged: f64 = ["read", "decompress", "parse"]
-                .iter()
-                .map(|s| stage(s).wall_seconds)
-                .sum();
-            let busy = out.report.parser_busy_seconds;
-            assert!(
-                (busy - staged).abs() <= 0.1 * staged + 1e-3,
-                "{ctx}: parser_busy_seconds {busy} vs staged {staged}"
-            );
         }
     }
     std::fs::remove_dir_all(dir).unwrap();

@@ -10,7 +10,7 @@
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
 use ii_core::pipeline::{
-    build_index_durable, DurableOptions, IndexOutput, PipelineConfig, PipelineError,
+    build_index_durable, render_table, DurableOptions, IndexOutput, PipelineConfig, PipelineError,
 };
 use ii_core::postings::parse_run_artifact_name;
 use ii_core::store::{CrashMode, CrashVfs, RealVfs, Store, Vfs, MANIFEST_NAME};
@@ -134,7 +134,7 @@ fn checkpoint_per_run_hashes_and_writes_each_run_once() {
     assert_eq!(stages.counter("store.artifacts_reused"), by_reference as u64);
 
     // `--stats` shows the same figures.
-    let table = stages.render_table();
+    let table = render_table(stages);
     let row = format!(
         "store: {FILES} commits, {} B written, {} B checksummed, {by_reference} artifacts reused",
         stages.counter("store.bytes_written"),
@@ -142,7 +142,7 @@ fn checkpoint_per_run_hashes_and_writes_each_run_once() {
     );
     assert!(table.contains(&row), "missing `{row}` in:\n{table}");
     // ... and so does the OpenMetrics exposition (`--metrics-out`, `ii top`).
-    let exposition = ii_core::obs::openmetrics::render(&stages.snapshot);
+    let exposition = ii_core::obs::openmetrics::render(stages);
     for (name, value) in [
         ("store.bytes_checksummed", stages.counter("store.bytes_checksummed")),
         ("store.artifacts_reused", by_reference as u64),

@@ -197,6 +197,15 @@ fn bundle_report_attribution_matches_the_supervision_report() {
     }
     assert!(report.contains("flight recorder:"), "{report}");
     assert!(report.contains("timeline"), "{report}");
+    // The recorder samples the build's registry: the dead GPU's heartbeat
+    // age arrives as its `worker.*.idle_ms` gauge, the index stage as its
+    // bytes/items/wall counters.
+    for row in ["worker.gpu-0.idle_ms", "Δ index.bytes", "Δ index.items", "Δ index.wall_ns"] {
+        assert!(
+            report.lines().any(|l| l.trim_start().starts_with(row)),
+            "no timeline row {row}:\n{report}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&pm);
 }
 
