@@ -96,7 +96,8 @@ fn usage() {
          [--metrics-addr H:P] serves a live OpenMetrics endpoint for the whole build\n        \
          (watch with 'ii top H:P'); [--metrics-out F] writes the final exposition to F\n        \
          [--chaos-kill CLASS:INDEX:BATCH] seeded worker kill (parser|cpu|gpu) for\n        \
-         forensics drills — the build survives and cuts a post-mortem bundle\n  \
+         forensics drills — the build survives and cuts a post-mortem bundle;\n        \
+         for parser, BATCH is a file and INDEX is ignored (whoever claims it dies)\n  \
          top <host:port | metrics.prom> [--iters N] [--interval-ms MS] [--check]\n        \
          live build monitor: per-stage MB/s, queue depths, worker liveness,\n        \
          memory-vs-budget, ETA; --check lints the exposition and exits non-zero\n  \
@@ -298,9 +299,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     }
     if let Some(spec) = &chaos_kill {
         let (class, idx, at) = parse_chaos_kill(spec)?;
-        builder = builder
-            .supervised(true)
-            .worker_faults(WorkerFaultPlan::none().kill(class, idx, at));
+        builder = builder.worker_faults(WorkerFaultPlan::none().kill(class, idx, at));
     }
     let index = builder
         .build_dir_durable(Path::new(coll_dir), Path::new(index_dir), checkpoint_every, resume)
@@ -667,7 +666,9 @@ fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// `--chaos-kill parser|cpu|gpu:INDEX:BATCH` — a seeded worker kill.
+/// `--chaos-kill parser|cpu|gpu:INDEX:BATCH` — a seeded worker kill. For
+/// `parser`, BATCH is the file index and INDEX is ignored: the kill fires
+/// on whichever parser thread claims that file.
 fn parse_chaos_kill(spec: &str) -> Result<(WorkerClass, usize, usize), String> {
     let bad = || format!("--chaos-kill expects CLASS:INDEX:BATCH (e.g. gpu:0:2), got '{spec}'");
     let parts: Vec<&str> = spec.split(':').collect();

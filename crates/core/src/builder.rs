@@ -111,14 +111,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Enable or disable worker-death supervision (on by default). Off,
-    /// a dead parser is a fatal `ParserDisconnected` error — the
-    /// pre-supervisor pipeline semantics.
-    pub fn supervised(mut self, enabled: bool) -> Self {
-        self.config.supervision.enabled = enabled;
-        self
-    }
-
     /// Heartbeat silence after which the watchdog declares a worker dead
     /// and reassigns its partitions (default 30s).
     pub fn stall_timeout(mut self, d: std::time::Duration) -> Self {
@@ -133,7 +125,8 @@ impl IndexBuilder {
     }
 
     /// Inject a seeded worker-fault schedule (chaos testing): kills and
-    /// stalls at chosen pipeline points. Inert when supervision is off.
+    /// stalls at chosen pipeline points — an indexer at a batch ordinal, or
+    /// whichever parser thread claims a given file.
     pub fn worker_faults(mut self, plan: WorkerFaultPlan) -> Self {
         self.config.worker_faults = plan;
         self
@@ -250,8 +243,7 @@ mod tests {
             .popular_count(5)
             .max_retries(5)
             .on_fault(FaultAction::SkipFile)
-            .stall_timeout(std::time::Duration::from_secs(5))
-            .supervised(false);
+            .stall_timeout(std::time::Duration::from_secs(5));
         assert_eq!(b.pipeline_config().num_parsers, 3);
         assert_eq!(b.pipeline_config().num_cpu_indexers, 1);
         assert_eq!(b.pipeline_config().num_gpus, 0);
@@ -262,11 +254,9 @@ mod tests {
             b.pipeline_config().supervision.stall_timeout,
             std::time::Duration::from_secs(5)
         );
-        assert!(!b.pipeline_config().supervision.enabled);
-        let b = b.supervised(true).worker_faults(
+        let b = b.worker_faults(
             WorkerFaultPlan::none().kill(ii_pipeline::WorkerClass::GpuIndexer, 0, 1),
         );
-        assert!(b.pipeline_config().supervision.enabled);
         assert!(!b.pipeline_config().worker_faults.is_empty());
         let b = b.mem_budget(64 << 20);
         assert_eq!(b.pipeline_config().governor.budget_bytes, 64 << 20);

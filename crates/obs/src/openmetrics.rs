@@ -2,7 +2,7 @@
 //!
 //! [`render`] maps the registry's four metric shapes onto four exposition
 //! families, using the original dotted metric name as a *label* rather
-//! than mangling it into the sample name (so `queue.parser-0.depth`
+//! than mangling it into the sample name (so `worker.parser-0.idle_ms`
 //! survives round trips exactly):
 //!
 //! * counters  → `ii_counter_total{name="..."}`
@@ -401,8 +401,8 @@ mod tests {
     fn sample_snapshot() -> Snapshot {
         let r = Registry::new();
         r.counter("pipeline.docs").add(48);
-        r.counter("queue.parser-0.sends").add(7);
-        r.gauge("queue.parser-0.depth").set(-2);
+        r.counter("queue.parsed.sends").add(7);
+        r.gauge("worker.parser-0.idle_ms").set(-2);
         r.histogram("lat").record_ns(100);
         r.histogram("lat").record_ns(u64::MAX);
         let st = r.stage("read");
@@ -427,7 +427,7 @@ mod tests {
         assert_eq!(docs.value, 48.0);
         let depth = points
             .iter()
-            .find(|p| p.name == "ii_gauge" && p.label("name") == Some("queue.parser-0.depth"))
+            .find(|p| p.name == "ii_gauge" && p.label("name") == Some("worker.parser-0.idle_ms"))
             .unwrap();
         assert_eq!(depth.value, -2.0);
         // Overflow observation lands only in the +Inf cumulative bucket.

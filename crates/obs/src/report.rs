@@ -358,14 +358,14 @@ mod tests {
         let mut tr = sample_trace();
         tr.workers[1].events[1].gpu = Some(GpuSpanArgs::default());
         tr.gauges.push(crate::trace::GaugeTrack {
-            name: "queue.parser-0".into(),
+            name: "queue.parsed".into(),
             samples: vec![(0, 1), (500, 3), (900, 0)],
         });
         let rep = TraceReport::from_trace(&tr);
         let out = rep.render(&tr, 40);
         assert!(out.contains("parser-0"));
         assert!(out.contains("critical stage: index"));
-        assert!(out.contains("queue peak: queue.parser-0 = 3"));
+        assert!(out.contains("queue peak: queue.parsed = 3"));
         assert!(out.contains("p999 ms"));
         assert!(out.contains("legend:"));
         // Timeline rows contain work glyphs.

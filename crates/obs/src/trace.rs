@@ -555,7 +555,7 @@ impl WorkerTrace {
 /// One sampled gauge series in a merged trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GaugeTrack {
-    /// Series name (`queue.parser-0`, `recycler.pool`, …).
+    /// Series name (`queue.parsed`, `recycler.pool`, …).
     pub name: String,
     /// `(t_ns, value)` samples in record order.
     pub samples: Vec<(u64, i64)>,
@@ -913,7 +913,7 @@ mod tests {
             });
         }
         { let _ = sink.span(TraceKind::ParserWait); }
-        let g = t.gauge("queue.parser-0");
+        let g = t.gauge("queue.parsed");
         g.sample(2);
         g.sample(0);
         let tr = t.finish().unwrap();

@@ -115,7 +115,7 @@ pub fn collection_fingerprint(c: &ii_corpus::StoredCollection) -> String {
 /// Fingerprint of the pipeline-config knobs that change index *bytes*.
 /// Deliberately excludes `num_parsers`, `buffer_depth`, and the fault
 /// policy: those change scheduling and recovery, not output (the
-/// round-robin consumption rule makes output parser-count-independent).
+/// file-order consumption rule makes output parser-count-independent).
 /// The memory-governor knobs ARE included: a different budget or watermark
 /// moves early-flush and shed points, which moves run boundaries — the
 /// logical index is identical, but a resume would splice physically

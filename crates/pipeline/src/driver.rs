@@ -1,7 +1,7 @@
 //! End-to-end pipelined indexing (paper Fig 9, Table VI).
 //!
 //! `build_index` drives the full system over a stored collection:
-//! sampling → balance plan → parallel parsers → round-robin batch
+//! sampling → balance plan → parallel parsers → in-order batch
 //! consumption by the indexer pool → per-run postings flushes → dictionary
 //! combine → dictionary write. It reports the same timing rows as the
 //! paper's Table VI plus per-file indexing times for Fig 11.
@@ -27,9 +27,7 @@ use crate::fault::{
     WorkerClass, WorkerFaultKind, WorkerFaultPlan,
 };
 use crate::governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
-use crate::parsers::{
-    panic_message, BatchRecycler, ParserObs, ParserPool, SpawnOptions, SupervisedRoundRobin,
-};
+use crate::parsers::{panic_message, BatchRecycler, ParserObs, ParserPool, SpawnOptions};
 use crate::supervisor::{DeathCause, Supervisor, SupervisorPolicy};
 use crate::telemetry::{PostmortemContext, PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
 use ii_corpus::StoredCollection;
@@ -70,7 +68,10 @@ pub struct PipelineConfig {
     pub sample_docs_per_file: usize,
     /// Sample every n-th file (1 = all files).
     pub sample_file_stride: usize,
-    /// Parser output-buffer depth (batches).
+    /// Batches each parser may hold ahead of the consumer: no file is
+    /// claimed `num_parsers × (buffer_depth + 1)` or more files past the
+    /// one being consumed, and the consumer parks at most this many files
+    /// it ingested itself.
     pub buffer_depth: usize,
     /// Batches per run (1 = one run per container file).
     pub batches_per_run: usize,
@@ -424,10 +425,10 @@ impl<'v> DurableOptions<'v> {
 /// Build the full inverted index for a stored collection.
 ///
 /// Returns a typed [`PipelineError`] when a file fails unrecoverably under
-/// [`FaultAction::FailFast`], when a parser disconnects before delivering
-/// its files, or when an artifact write fails. Under
+/// [`FaultAction::FailFast`], or when an artifact write fails. A dead
+/// parser is not an error: its claimed file is re-ingested inline. Under
 /// [`FaultAction::SkipFile`] unrecoverable files are quarantined — their
-/// round-robin slot is preserved with an empty docID range so every
+/// place in file order is kept with an empty docID range so every
 /// surviving document keeps the ID a clean build would assign it — and
 /// listed in the report's [`FaultReport`].
 pub fn build_index(
@@ -776,16 +777,13 @@ fn commit_generation(
 /// marks the executor dead and reassigns its shards to the lightest
 /// survivors; a stall sleeps on the spot (indexer executors run on the
 /// driver thread) and is treated as a death only when the silence would
-/// exceed the watchdog timeout. Inert when supervision is disabled.
+/// exceed the watchdog timeout.
 fn inject_indexer_faults(
     cfg: &PipelineConfig,
     pool: &mut IndexerPool,
     supervisor: &mut Supervisor,
     batch_ordinal: usize,
 ) {
-    if !cfg.supervision.enabled {
-        return;
-    }
     for (class, count) in [
         (WorkerClass::CpuIndexer, cfg.num_cpu_indexers),
         (WorkerClass::GpuIndexer, cfg.num_gpus),
@@ -824,7 +822,7 @@ fn build_inner(
 ) -> Result<IndexOutput, PipelineError> {
     let t_total = Instant::now();
     let tracer = Tracer::from_config(&cfg.trace);
-    // The driver's own timeline: sampling, round-robin waits, per-batch
+    // The driver's own timeline: sampling, parser waits, per-batch
     // dispatch, flushes, checkpoints, and the dictionary endgame.
     let driver_sink = tracer.sink("driver");
     // One governor per build: parsers acquire in-flight byte credits from
@@ -961,33 +959,31 @@ fn build_inner(
     // pool; size it to the in-flight window (one slot per buffered batch
     // per parser, plus the one being indexed).
     let recycler = BatchRecycler::new(cfg.num_parsers * cfg.buffer_depth + 1);
-    let spawn_options = SpawnOptions {
-        start_file,
-        recycler: Some(recycler.clone()),
-        tracer: tracer.clone(),
-        heartbeats: parser_beats,
-        worker_faults: cfg.worker_faults.clone(),
-        governor: governor.clone(),
-    };
-    let mut parser_pool = ParserPool::spawn_with(
+    // The parsers and the in-order consumer: it yields every file in file
+    // order, watches the claimer of the file it waits for, and ingests a
+    // dead claimer's file inline.
+    let mut parsing = ParserPool::spawn(
         Arc::clone(collection),
         cfg.num_parsers,
         cfg.buffer_depth,
         cfg.fault_policy,
         ParserObs::from_registry(&registry),
-        spawn_options.clone(),
-    );
-    // Sampled queue-depth gauges on every inter-stage channel: one per
-    // parser output buffer plus the recycler return pool, mirrored into
-    // the registry (last value) and the trace (full time series).
-    let queue_gauges: Vec<_> = (0..cfg.num_parsers)
-        .map(|p| {
-            (
-                registry.gauge(&format!("queue.parser-{p}.depth")),
-                tracer.gauge(&format!("queue.parser-{p}")),
-            )
-        })
-        .collect();
+        SpawnOptions {
+            start_file,
+            recycler: Some(recycler.clone()),
+            tracer: tracer.clone(),
+            heartbeats: parser_beats,
+            worker_faults: cfg.worker_faults.clone(),
+            governor: governor.clone(),
+            supervision: cfg.supervision,
+        },
+    )
+    .with_queue_wait(Arc::clone(&index_stage))
+    .with_trace(driver_sink.clone());
+    // Sampled queue-depth gauges on both inter-stage queues — the parsed
+    // files waiting for their turn and the recycler return pool — mirrored
+    // into the registry (last value) and the trace (full time series).
+    let queue_gauge = (registry.gauge("queue.parsed.depth"), tracer.gauge("queue.parsed"));
     let recycler_gauge =
         (registry.gauge("recycler.pool.depth"), tracer.gauge("recycler.pool"));
     // Governor gauges published per batch so a live scrape sees the
@@ -1005,22 +1001,7 @@ fn build_inner(
     let mut runs_since_checkpoint = 0usize;
     let mut batch_ordinal = 0usize;
     let mut files_done;
-    // The supervised consumer owns the parser buffers: it watches for
-    // disconnects and heartbeat stalls, and re-ingests a dead parser's
-    // files inline. With supervision disabled it degrades to the strict
-    // fail-on-disconnect consumer.
-    let mut round_robin = SupervisedRoundRobin::new(
-        &mut parser_pool,
-        Arc::clone(collection),
-        cfg.fault_policy,
-        ParserObs::from_registry(&registry),
-        spawn_options,
-        cfg.supervision,
-    )
-    .with_queue_wait(Arc::clone(&index_stage))
-    .with_trace(driver_sink.clone());
-    while let Some(msg) = round_robin.next() {
-        let msg = msg?;
+    while let Some(msg) = parsing.next() {
         files_done = msg.file_idx() + 1;
         let queue_wait_seconds = msg.queue_wait_seconds;
         // The credit travels with the message: it goes back to whoever
@@ -1028,11 +1009,9 @@ fn build_inner(
         // consumer ingested while it waited, the consumer's own ledger —
         // once the batch is consumed and its buffers recycled below.
         let (credit_holder, credit) = (msg.parser, msg.credit);
-        for (p, (gauge, series)) in queue_gauges.iter().enumerate() {
-            let depth = round_robin.queue_depth(p) as i64;
-            gauge.set(depth);
-            series.sample(depth);
-        }
+        let queued = parsing.queued() as i64;
+        queue_gauge.0.set(queued);
+        queue_gauge.1.sample(queued);
         let pool_depth = recycler.depth() as i64;
         recycler_gauge.0.set(pool_depth);
         recycler_gauge.1.sample(pool_depth);
@@ -1324,11 +1303,11 @@ fn build_inner(
     }
     // Fold the consumer-side supervision ledger: parser deaths the
     // watchdog declared, and the files the driver re-ingested inline.
-    for d in round_robin.deaths() {
+    for d in parsing.deaths() {
         supervisor.declare_dead(d.class, d.index, d.cause.clone());
     }
-    supervisor.report.inline_parsed_files += round_robin.inline_parsed_files();
-    registry.counter("pipeline.helped_files").add(u64::from(round_robin.helped_files()));
+    supervisor.report.inline_parsed_files += parsing.inline_parsed_files();
+    registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
     // Parser deaths surface from the consumer ledger at end of streaming;
     // bundle any the per-batch watermark has not seen yet.
     if supervisor.report.deaths.len() > deaths_bundled {
@@ -1349,9 +1328,7 @@ fn build_inner(
             &tracer,
         );
     }
-    // Release the receivers so a parser parked on a full buffer exits.
-    drop(round_robin);
-    parser_pool.join();
+    parsing.join();
     // Nobody parses again: the husks go before the combine and the commit.
     recycler.clear();
 
@@ -1791,9 +1768,9 @@ mod tests {
         let baseline = build_index(&coll, &cfg).expect("healthy build");
 
         // One CPU indexer killed mid-run (shards rehosted to the
-        // survivor), one parser killed (its remaining files re-ingested
-        // inline on the driver), one parser stalled past the watchdog
-        // timeout (same recovery path as a kill).
+        // survivor), the parser thread claiming file 3 killed (that file
+        // re-ingested inline on the driver), the one claiming file 6
+        // stalled past the watchdog timeout (same recovery path as a kill).
         let mut chaos = cfg.clone();
         chaos.supervision = SupervisorPolicy::default()
             .with_stall_timeout(std::time::Duration::from_millis(200));
@@ -1805,24 +1782,9 @@ mod tests {
         assert_eq!(index_fingerprint(&out), index_fingerprint(&baseline));
         let sup = &out.report.supervision;
         assert_eq!(sup.deaths_of(WorkerClass::CpuIndexer), 1, "{}", sup.summary());
-        assert!(sup.deaths_of(WorkerClass::Parser) >= 2, "{}", sup.summary());
+        assert_eq!(sup.deaths_of(WorkerClass::Parser), 2, "{}", sup.summary());
         assert!(sup.reassignments >= 1, "{}", sup.summary());
         assert!(sup.inline_parsed_files >= 1, "{}", sup.summary());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn supervision_disabled_keeps_plain_semantics() {
-        let mut spec = CollectionSpec::tiny(52);
-        spec.num_files = 4;
-        let (coll, dir) = stored("plain-mode", spec);
-        let mut cfg = PipelineConfig::small(2, 1, 0);
-        cfg.supervision = SupervisorPolicy::disabled();
-        // Injected faults are inert when supervision is off; the build is
-        // the pre-supervisor pipeline.
-        cfg.worker_faults = WorkerFaultPlan::none().kill(WorkerClass::CpuIndexer, 0, 1);
-        let out = build_index(&coll, &cfg).expect("plain build");
-        assert!(out.report.supervision.is_clean());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1972,9 +1934,14 @@ mod tests {
         // typed error naming both figures — never an OOM kill.
         cfg.governor = GovernorPolicy::default().with_budget(80_000);
         match build_index(&coll, &cfg) {
-            Err(PipelineError::MemoryBudgetExceeded { budget, needed }) => {
+            Err(e @ PipelineError::MemoryBudgetExceeded { budget, needed }) => {
                 assert_eq!(budget, 80_000);
                 assert!(needed > 60_000, "needed={needed}");
+                // The message names the share `needed` was held against,
+                // beside the budget it is a share of.
+                let msg = e.to_string();
+                assert!(msg.contains("resident share of 60000"), "{msg}");
+                assert!(msg.contains("budget of 80000"), "{msg}");
             }
             other => panic!("expected budget refusal, got {:?}", other.map(|_| "index")),
         }

@@ -196,16 +196,18 @@ pub enum WorkerFaultKind {
 }
 
 /// One scheduled worker fault: `class`/`index` pick the worker, `at` the
-/// progress point where it fires — the *file index* a parser is about to
-/// ingest, or the *batch ordinal* (0-based count of batches consumed) an
-/// indexer is about to process. Faults fire at these clean boundaries so
-/// a kill never tears a half-indexed batch, mirroring how the supervisor
-/// reassigns work at batch granularity.
+/// progress point where it fires — the *batch ordinal* (0-based count of
+/// batches consumed) an indexer is about to process, or the *file index* a
+/// parser has just claimed. Parsers own no files, so a parser fault is
+/// keyed by file alone: it fires on whichever parser thread claims file
+/// `at`, and its `index` is ignored. Faults fire at these clean boundaries
+/// so a kill never tears a half-indexed batch, mirroring how the
+/// supervisor reassigns work at batch granularity.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerFault {
     /// Targeted worker class.
     pub class: WorkerClass,
-    /// Worker index within its class.
+    /// Worker index within its class (ignored for parsers).
     pub index: usize,
     /// File index (parsers) or batch ordinal (indexers) at which to fire.
     pub at: usize,
@@ -252,23 +254,35 @@ impl WorkerFaultPlan {
         self.faults.is_empty() && self.squeezes.is_empty()
     }
 
-    /// Add a kill of `class` worker `index` at progress point `at`.
+    /// Add a kill of `class` worker `index` at progress point `at`. For a
+    /// parser `index` is ignored: the kill ends whichever parser thread
+    /// claims file `at`.
     pub fn kill(mut self, class: WorkerClass, index: usize, at: usize) -> Self {
         self.faults.push(WorkerFault { class, index, at, kind: WorkerFaultKind::Kill });
         self
     }
 
-    /// Add a stall of `class` worker `index` at progress point `at`.
+    /// Add a stall of `class` worker `index` at progress point `at`. For a
+    /// parser `index` is ignored: the stall puts whichever parser thread
+    /// claims file `at` to sleep.
     pub fn stall(mut self, class: WorkerClass, index: usize, at: usize, d: Duration) -> Self {
         self.faults.push(WorkerFault { class, index, at, kind: WorkerFaultKind::Stall(d) });
         self
     }
 
-    /// The fault scheduled for (`class`, `index`, `at`), if any.
+    /// The indexer fault scheduled for (`class`, `index`, `at`), if any.
     pub fn fault_at(&self, class: WorkerClass, index: usize, at: usize) -> Option<WorkerFaultKind> {
         self.faults
             .iter()
             .find(|f| f.class == class && f.index == index && f.at == at)
+            .map(|f| f.kind)
+    }
+
+    /// The parser fault scheduled at file `at`, whichever parser claims it.
+    pub fn parser_fault_at(&self, at: usize) -> Option<WorkerFaultKind> {
+        self.faults
+            .iter()
+            .find(|f| f.class == WorkerClass::Parser && f.at == at)
             .map(|f| f.kind)
     }
 
@@ -408,15 +422,6 @@ impl FaultReport {
 pub enum PipelineError {
     /// A file failed unrecoverably under [`FaultAction::FailFast`].
     File(FileFault),
-    /// A parser's output channel closed before it delivered all of its
-    /// files — the crash-truncation case that previously looked like a
-    /// clean end-of-stream.
-    ParserDisconnected {
-        /// Which parser's buffer closed early.
-        parser: usize,
-        /// The file the consumer was waiting for.
-        file_idx: usize,
-    },
     /// Writing a build artifact failed.
     Io(std::io::Error),
     /// The crash-safe store rejected an operation (typed: torn manifest,
@@ -443,19 +448,15 @@ impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::File(fault) => write!(f, "indexing aborted: {fault}"),
-            PipelineError::ParserDisconnected { parser, file_idx } => write!(
-                f,
-                "parser {parser} disconnected before delivering file {file_idx} \
-                 (crashed or exited early)"
-            ),
             PipelineError::Io(e) => write!(f, "index artifact write failed: {e}"),
             PipelineError::Store(e) => write!(f, "index store: {e}"),
             PipelineError::Resume(why) => write!(f, "cannot resume: {why}"),
             PipelineError::MemoryBudgetExceeded { budget, needed } => write!(
                 f,
                 "memory budget exceeded: {needed} resident bytes needed after early \
-                 flushes and GPU sheds, budget is {budget} (raise --mem-budget or \
-                 pass 0 for unlimited)"
+                 flushes and GPU sheds, over the resident share of {} of the budget \
+                 of {budget} (raise --mem-budget or pass 0 for unlimited)",
+                crate::governor::resident_share(*budget)
             ),
         }
     }
@@ -528,11 +529,12 @@ mod tests {
             plan.fault_at(WorkerClass::GpuIndexer, 0, 3),
             Some(WorkerFaultKind::Kill)
         );
+        // A parser fault is keyed by file: its index (1) is ignored.
         assert_eq!(
-            plan.fault_at(WorkerClass::Parser, 1, 5),
+            plan.parser_fault_at(5),
             Some(WorkerFaultKind::Stall(Duration::from_millis(50)))
         );
-        assert_eq!(plan.fault_at(WorkerClass::Parser, 0, 5), None);
+        assert_eq!(plan.parser_fault_at(3), None, "file 3 holds the GPU's kill");
         // Seeded generation is deterministic and respects the topology.
         let a = WorkerFaultPlan::seeded(99, 2, 1, 1, 10, 3);
         let b = WorkerFaultPlan::seeded(99, 2, 1, 1, 10, 3);
@@ -595,7 +597,5 @@ mod tests {
         });
         let s = e.to_string();
         assert!(s.contains("file 7") && s.contains("transient"), "{s}");
-        let d = PipelineError::ParserDisconnected { parser: 1, file_idx: 9 }.to_string();
-        assert!(d.contains("parser 1") && d.contains("file 9"), "{d}");
     }
 }

@@ -26,12 +26,14 @@
 //! The budget splits statically: the credit gate admits at most ¼ of the
 //! effective budget of in-flight batch bytes, leaving ¾ for resident
 //! state. The gate is accounted per parser and always admits a parser
-//! with nothing outstanding — the one the in-order consumer is waiting
-//! on — so backpressure can never deadlock the pipeline; each parser may
-//! overshoot the gate by at most one batch. The consumer, which ingests
-//! files itself while it would otherwise wait (DESIGN.md §5), has a ledger
-//! of its own and only ever *tries* the gate: it is the thread that
-//! returns credits and must never wait for one. Every pressure decision
+//! with nothing outstanding. The parser the in-order consumer waits on is
+//! one: it claimed the awaited file, and every file it claimed before lies
+//! below that one, so it has been consumed and its credit released. So
+//! backpressure can never deadlock the pipeline; each parser may overshoot
+//! the gate by at most one batch. The consumer, which claims files itself
+//! while it would otherwise wait (DESIGN.md §5), has a ledger of its own
+//! and only ever *tries* the gate: it is the thread that returns credits
+//! and must never wait for one. Every pressure decision
 //! keys on *deterministic* quantities (arena sizes and pending-posting counts at
 //! batch boundaries — never wall-clock or queue timing), so a given
 //! `(budget, squeeze schedule)` replays exactly.
@@ -86,6 +88,12 @@ impl GovernorPolicy {
     }
 }
 
+/// The resident share of a `budget`: what is left of it after the credit
+/// gate's quarter.
+pub(crate) fn resident_share(budget: u64) -> u64 {
+    budget - (budget / 4).max(1).min(budget)
+}
+
 /// Live byte accounting per pool, as last probed by the driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolBytes {
@@ -107,9 +115,10 @@ impl PoolBytes {
 }
 
 /// Per-holder credit ledger behind the gate mutex. The split matters for
-/// liveness: the driver consumes batches in *file order*, so the parser it
-/// is waiting on is always the one whose oldest file has not been sent —
-/// a parser with **zero outstanding credit**. Admitting such a parser
+/// liveness: the driver consumes batches in *file order*, and parsers claim
+/// files in rising order, so the parser it is waiting on — the claimer of
+/// the awaited file — has had every earlier batch consumed: it holds
+/// **zero outstanding credit**. Admitting such a parser
 /// unconditionally (even over a full gate) means the consumer's next
 /// batch always arrives, the gate drains, and the pipeline cannot wedge
 /// with credit parked on queued batches the driver will not take yet.
@@ -256,7 +265,7 @@ impl MemoryGovernor {
     pub fn resident_budget(&self) -> u64 {
         match self.inner.effective.load(Relaxed) {
             UNLIMITED => UNLIMITED,
-            b => b - (b / 4).max(1).min(b),
+            b => resident_share(b),
         }
     }
 
@@ -286,8 +295,9 @@ impl MemoryGovernor {
     /// batch downstream). Returns once the gate admits `bytes` of
     /// in-flight payload. A parser with **no outstanding credit** is
     /// admitted unconditionally: the driver consumes batches in file
-    /// order, so the parser it is waiting on has, by construction, nothing
-    /// in flight — blocking it while other parsers' queued batches hold
+    /// order and parsers claim in rising file order, so the claimer of the
+    /// file it is waiting on has, by construction, nothing in flight —
+    /// blocking it while other parsers' queued batches hold
     /// the gate's credit would deadlock the pipeline until the watchdog
     /// shot an innocent thread. (This also admits a batch larger than the
     /// whole gate, degrading to serial operation.) Blocked time is
@@ -335,7 +345,7 @@ impl MemoryGovernor {
     /// true only if the gate has that much room *now*. No unconditional
     /// admission and no wait — every credit comes back through this very
     /// thread, so waiting here could never end; a refusal just means the
-    /// consumer blocks on its parser as it always did.
+    /// consumer waits for the file's claimer as it always did.
     pub fn try_acquire(&self, bytes: u64) -> bool {
         let mut gate = self.inner.gate.lock().unwrap();
         if gate.total.saturating_add(bytes) > self.gate_capacity() {
@@ -578,10 +588,10 @@ mod tests {
 
     #[test]
     fn credit_returns_to_its_holder_not_to_the_files_owner() {
-        // Parser 0 has file 0 queued (60 B) when the consumer ingests file
-        // 1 — also parser 0's, with one parser — itself. Releasing the
-        // consumer's batch to "the file's owner" would, through the clamp,
-        // hand back the credit of the batch still in the queue.
+        // Parser 0 has file 0 in the hand-off (60 B) when the consumer
+        // claims file 1 and ingests it itself. Releasing the consumer's
+        // batch to the lone parser would, through the clamp, hand back the
+        // credit of the batch still waiting.
         let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
         g.acquire(0, 60, &TraceSink::disabled());
         assert!(g.try_acquire(30), "60 + 30 fits the 100-byte gate");

@@ -1,8 +1,8 @@
 //! # ii-pipeline — the pipelined parallel indexing system (paper Fig 9)
 //!
-//! Parallel parsers with a serialized disk scheduler feed bounded buffers
-//! that CPU and GPU indexers drain in strict round-robin order, preserving
-//! global document order; `build_index` drives the whole system and emits
+//! Parallel parsers with a serialized disk scheduler each claim the lowest
+//! unclaimed file and hand its batch to one consumer that feeds the CPU and
+//! GPU indexers in strict file order, preserving global document order; `build_index` drives the whole system and emits
 //! Table VI-style timing plus per-file Fig 11 detail.
 //!
 //! The pipeline is fault-tolerant: a [`FaultPolicy`] governs transient-read
@@ -57,9 +57,7 @@ pub use fault::{
     PipelineError, WorkerClass, WorkerFault, WorkerFaultKind, WorkerFaultPlan,
 };
 pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
-pub use parsers::{
-    BatchRecycler, ParsedFile, ParserObs, ParserPool, SpawnOptions, SupervisedRoundRobin,
-};
+pub use parsers::{BatchRecycler, ParsedFile, ParserObs};
 pub use supervisor::{
     DeathCause, SupervisionReport, Supervisor, SupervisorPolicy, WorkerDeath,
 };

@@ -8,10 +8,10 @@
 //! worker dead when it panics, disconnects, or stays silent past the
 //! configured stall timeout; the dead worker's trie-partition shards are
 //! reassigned to survivors ([`ii_indexer::IndexerPool::kill_cpu`] /
-//! [`ii_indexer::IndexerPool::kill_gpu`], parser files are re-ingested
-//! inline on the driver), and the build continues. Everything that
-//! happened is recorded in a [`SupervisionReport`] the operator sees in
-//! the build report and `ii build --stats`.
+//! [`ii_indexer::IndexerPool::kill_gpu`]; a dead parser's claimed file is
+//! re-ingested inline on the driver), and the build continues. Everything
+//! that happened is recorded in a [`SupervisionReport`] the operator sees
+//! in the build report and `ii build --stats`.
 
 use crate::fault::WorkerClass;
 use ii_obs::Heartbeat;
@@ -27,7 +27,7 @@ pub enum DeathCause {
     /// The worker made no progress for this long (heartbeat silence past
     /// the stall timeout).
     Stall(Duration),
-    /// The worker's channel closed before it delivered all of its work.
+    /// The worker left with work it had claimed still undelivered.
     Disconnect,
     /// A seeded fault-injection kill (chaos testing).
     Injected,
@@ -61,62 +61,34 @@ impl std::fmt::Display for WorkerDeath {
     }
 }
 
-/// The supervisor's knobs.
+/// The supervisor's knob. Supervision is always on.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorPolicy {
-    /// Whether worker-death supervision (and its takeover machinery) is
-    /// active. Off, a dead parser is the fatal `ParserDisconnected` error
-    /// of the earlier pipeline.
-    pub enabled: bool,
     /// Heartbeat silence after which a worker is declared dead. Progress
     /// beats come from the worker's trace spans (per file read /
-    /// decompress / parse step), so the timeout bounds *per-step* silence,
-    /// not per-file latency.
+    /// decompress / parse step) and a parser's claims, so the timeout
+    /// bounds *per-step* silence, not per-file latency.
     pub stall_timeout: Duration,
-    /// `recv_timeout` poll interval the supervised consumer uses between
-    /// stall checks. `None` (the default) derives the historical value —
-    /// `stall_timeout / 4` clamped to `[1 ms, 500 ms]` — so a tight
-    /// stall timeout still polls promptly; set it explicitly to poll
-    /// faster under tight memory budgets without touching the timeout.
-    pub poll_interval: Option<Duration>,
 }
 
 impl Default for SupervisorPolicy {
     fn default() -> Self {
-        SupervisorPolicy {
-            enabled: true,
-            stall_timeout: Duration::from_secs(30),
-            poll_interval: None,
-        }
+        SupervisorPolicy { stall_timeout: Duration::from_secs(30) }
     }
 }
 
 impl SupervisorPolicy {
-    /// Supervision disabled (pre-supervisor pipeline semantics).
-    pub fn disabled() -> Self {
-        SupervisorPolicy { enabled: false, ..SupervisorPolicy::default() }
-    }
-
     /// Same policy with a different stall timeout.
     pub fn with_stall_timeout(mut self, d: Duration) -> Self {
         self.stall_timeout = d;
         self
     }
 
-    /// Same policy with an explicit consumer poll interval.
-    pub fn with_poll_interval(mut self, d: Duration) -> Self {
-        self.poll_interval = Some(d);
-        self
-    }
-
-    /// The poll interval the consumer actually uses: the explicit value
-    /// when set, else `stall_timeout / 4` clamped to `[1 ms, 500 ms]` —
-    /// fast enough to notice a stall promptly without busy-waiting.
+    /// How often the consumer looks at the claimer it waits on:
+    /// `stall_timeout / 4` clamped to `[1 ms, 500 ms]` — fast enough to
+    /// notice a stall promptly without busy-waiting.
     pub fn effective_poll_interval(&self) -> Duration {
-        self.poll_interval.unwrap_or_else(|| {
-            (self.stall_timeout / 4)
-                .clamp(Duration::from_millis(1), Duration::from_millis(500))
-        })
+        (self.stall_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(500))
     }
 }
 
@@ -131,7 +103,8 @@ pub struct SupervisionReport {
     pub reassignments: u32,
     /// Shards salvaged off dead GPUs onto the CPU path.
     pub gpu_takeovers: u32,
-    /// Files a dead parser owed that the driver re-ingested inline.
+    /// Files the driver ingested inline for a dead claimer, or with no
+    /// parser left.
     pub inline_parsed_files: u32,
     /// Wall seconds of shard work hosted on the driver thread because no
     /// CPU executor survived.
@@ -299,24 +272,19 @@ mod tests {
     #[test]
     fn policy_defaults_and_knobs() {
         let p = SupervisorPolicy::default();
-        assert!(p.enabled);
-        let off = SupervisorPolicy::disabled();
-        assert!(!off.enabled);
+        assert_eq!(p.stall_timeout, Duration::from_secs(30));
         let quick = SupervisorPolicy::default().with_stall_timeout(Duration::from_millis(5));
         assert_eq!(quick.stall_timeout, Duration::from_millis(5));
     }
 
     #[test]
-    fn poll_interval_derives_from_stall_timeout_unless_explicit() {
+    fn poll_interval_derives_from_stall_timeout() {
         let p = SupervisorPolicy::default();
-        assert_eq!(p.poll_interval, None);
         // 30 s / 4 clamps to the 500 ms ceiling (the historical constant).
         assert_eq!(p.effective_poll_interval(), Duration::from_millis(500));
         let tight = p.with_stall_timeout(Duration::from_millis(80));
         assert_eq!(tight.effective_poll_interval(), Duration::from_millis(20));
         let tiny = tight.with_stall_timeout(Duration::from_micros(100));
         assert_eq!(tiny.effective_poll_interval(), Duration::from_millis(1), "1 ms floor");
-        let explicit = SupervisorPolicy::default().with_poll_interval(Duration::from_millis(7));
-        assert_eq!(explicit.effective_poll_interval(), Duration::from_millis(7));
     }
 }

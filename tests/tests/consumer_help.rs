@@ -2,9 +2,9 @@
 //! the batch it needs is not queued yet (DESIGN.md §5).
 //!
 //! The contract under test: who parsed a file never shows in the output.
-//! Help is forced with a sub-timeout `Stall` on the parser thread — it
-//! sleeps at a file boundary before claiming the file, the consumer finds
-//! its queue empty and takes the files behind it — and the build must be
+//! Help is forced with sub-timeout `Stall`s that put every parser thread to
+//! sleep holding a file it claimed — the consumer, waiting for the first of
+//! them, takes the files behind them — and the build must be
 //! byte-identical to one in which the consumer never had the chance,
 //! under every mode that leans on file order: CPU-only and heterogeneous
 //! indexing, checkpoints with kill and resume, a binding memory budget,
@@ -65,10 +65,14 @@ fn unhelped(mut cfg: PipelineConfig) -> PipelineConfig {
     cfg
 }
 
-/// A build whose parser `parser` naps just before `file`: the consumer,
-/// waiting for `file`, ingests what lies behind it.
-fn helped_at(mut cfg: PipelineConfig, parser: usize, file: usize) -> PipelineConfig {
-    cfg.worker_faults = cfg.worker_faults.stall(WorkerClass::Parser, parser, file, NAP);
+/// A build whose parser threads nap holding files `file..file + parsers`,
+/// one each (a napping thread claims nothing more, and the consumer never
+/// takes a file a parser fault is scheduled on): the consumer, waiting for
+/// `file`, ingests what lies behind them.
+fn helped_at(mut cfg: PipelineConfig, file: usize) -> PipelineConfig {
+    for nap in file..file + cfg.num_parsers {
+        cfg.worker_faults = cfg.worker_faults.stall(WorkerClass::Parser, 0, nap, NAP);
+    }
     cfg
 }
 
@@ -126,15 +130,12 @@ fn help_at_the_first_middle_and_last_file_is_byte_identical() {
         assert_eq!(helped_files(&base), 0, "{parsers}/{cpus}/{gpus}: baseline was helped");
         assert!(help_spans(&base).is_empty());
         let want = fingerprint(&base);
-        // The awaited file is never taken and nothing is taken before
-        // every parser's first delivery could be in, so the first nap is
-        // at file `parsers`. Then mid-build, and at the last file that has
-        // an unstarted one behind it: with two parsers that is 5, parser
-        // 1's, whose 7 is still free while parser 0 works on 6.
-        let last = if parsers == 1 { FILES - 2 } else { FILES - 3 };
-        for nap_at in [parsers, FILES / 2, last] {
-            let out = build_index(&coll, &helped_at(cfg.clone(), nap_at % parsers, nap_at))
-                .expect("helped build");
+        // Nothing is taken before the first delivery (file 0), so the
+        // first naps start at file 1. Then mid-build, and the last naps
+        // that leave an unclaimed file behind them.
+        let last = FILES - 1 - parsers;
+        for nap_at in [1, FILES / 2, last] {
+            let out = build_index(&coll, &helped_at(cfg.clone(), nap_at)).expect("helped build");
             let ctx = format!("{parsers}/{cpus}/{gpus}, nap at {nap_at}");
             assert_eq!(fingerprint(&out), want, "{ctx}: index bytes moved");
             assert!(out.report.supervision.is_clean(), "{ctx}: help is not degradation");
@@ -151,8 +152,9 @@ fn help_at_the_first_middle_and_last_file_is_byte_identical() {
             // Later naps may find the files behind them already taken (a
             // test-sized file parses about as fast as it indexes, so the
             // consumer helps unprompted too); the first one cannot.
-            if (parsers, nap_at) == (1, 1) {
-                assert_eq!(spans[0].0, 2, "{ctx}: the lowest free file goes first: {spans:?}");
+            if nap_at == 1 {
+                let first = (nap_at + parsers) as u32;
+                assert_eq!(spans[0].0, first, "{ctx}: the lowest free file goes first: {spans:?}");
             }
             // Every file was read, decompressed and parsed exactly once,
             // the consumer's share included: these stages are what the
@@ -183,7 +185,7 @@ fn help_across_kill_and_resume_is_byte_identical() {
     // Naps all along the build: wherever a resume starts, one lies ahead.
     let mut napping = cfg.clone();
     for file in (1..FILES).step_by(2) {
-        napping = helped_at(napping, 0, file);
+        napping = helped_at(napping, file);
     }
     let probe_dir = scratch("resume-probe");
     let probe = CrashVfs::probe();
@@ -228,7 +230,7 @@ fn help_under_a_binding_budget_neither_deadlocks_nor_moves_a_byte() {
     for budget in [high_water * 2, high_water, high_water / 2, high_water / 4] {
         cfg.governor = GovernorPolicy::default().with_budget(budget);
         let base = build_index(&coll, &unhelped(cfg.clone()));
-        let out = build_index(&coll, &helped_at(cfg.clone(), 0, FILES / 2));
+        let out = build_index(&coll, &helped_at(cfg.clone(), FILES / 2));
         match (base, out) {
             (Ok(base), Ok(out)) => {
                 assert_eq!(fingerprint(&out), fingerprint(&base), "budget {budget}");
@@ -255,7 +257,7 @@ fn help_under_a_binding_budget_neither_deadlocks_nor_moves_a_byte() {
 #[test]
 fn a_faulty_file_the_consumer_ingested_fails_fast_or_is_skipped_in_its_slot() {
     let (_, dir) = stored("faulty");
-    // The parser sleeps before file 1, the first file the consumer waits
+    // The parser sleeps holding file 1, the first file the consumer waits
     // for with leave to help: it takes 2 — the bad one — and 3.
     let nap_at = 1;
     let bad = nap_at + 1;
@@ -269,7 +271,7 @@ fn a_faulty_file_the_consumer_ingested_fails_fast_or_is_skipped_in_its_slot() {
 
     cfg.fault_policy = FaultPolicy::skip_file();
     let base = build_index(&coll, &unhelped(cfg.clone())).expect("skip, parser ingests");
-    let out = build_index(&coll, &helped_at(cfg.clone(), 0, nap_at)).expect("skip, helped");
+    let out = build_index(&coll, &helped_at(cfg.clone(), nap_at)).expect("skip, helped");
     assert!(help_spans(&out).iter().any(|(file, _)| *file as usize == bad));
     assert_eq!(fingerprint(&out), fingerprint(&base));
     let quarantined: Vec<usize> =
@@ -278,7 +280,7 @@ fn a_faulty_file_the_consumer_ingested_fails_fast_or_is_skipped_in_its_slot() {
     assert_eq!(out.report.docs, base.report.docs);
 
     cfg.fault_policy = FaultPolicy::default();
-    match build_index(&coll, &helped_at(cfg, 0, nap_at)) {
+    match build_index(&coll, &helped_at(cfg, nap_at)) {
         Err(PipelineError::File(fault)) => assert_eq!(fault.file_idx, bad),
         other => panic!("expected the file fault, got {:?}", other.map(|_| ())),
     }
@@ -291,13 +293,13 @@ fn a_parser_killed_behind_a_parked_batch_is_buried_and_its_files_reingested() {
     let cfg = PipelineConfig::small(1, 1, 0);
     let base = build_index(&coll, &unhelped(cfg.clone())).expect("unhelped build");
 
-    // The parser naps before file 1; the consumer, fed file 0, takes 2 and
-    // 3. Awake, the parser delivers 1 and reaches 2 — the consumer's —
-    // where its kill is scheduled: the schedule fires at the boundary,
-    // claimed or not, so it dies with two batches parked, is buried when
-    // they are consumed, and files 4.. are re-ingested for it.
-    let mut chaos = helped_at(cfg, 0, 1);
-    chaos.worker_faults = chaos.worker_faults.kill(WorkerClass::Parser, 0, 2);
+    // The parser naps holding file 1; the consumer, fed file 0, takes 2
+    // and 3. Awake, the parser delivers 1 and claims 4, where its kill is
+    // scheduled (the consumer never takes that file): it dies with two
+    // batches parked, is buried when the consumer reaches 4, and with no
+    // parser left files 4.. are re-ingested inline.
+    let mut chaos = helped_at(cfg, 1);
+    chaos.worker_faults = chaos.worker_faults.kill(WorkerClass::Parser, 0, 4);
     let out = build_index(&coll, &chaos).expect("degraded build");
     assert_eq!(fingerprint(&out), fingerprint(&base));
     let sup = &out.report.supervision;

@@ -738,7 +738,7 @@ fn a_long_chrome_trace_round_trips() {
         });
     }
     let samples = (0..500).map(|i| (1_000_000_000 + i * 333_333, (i % 9) as i64 - 2)).collect();
-    let gauges = vec![GaugeTrack { name: "queue.parser-0".into(), samples }];
+    let gauges = vec![GaugeTrack { name: "queue.parsed".into(), samples }];
     let trace = Trace { workers, gauges, dropped: 21 };
     let json = trace.to_chrome_json();
     assert!(json.len() > 3_500_000, "{} bytes", json.len());

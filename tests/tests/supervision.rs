@@ -72,9 +72,9 @@ fn kill_matrix_every_worker_class_at_every_stage() {
     assert!(baseline.report.supervision.is_clean());
     let base_fp = fingerprint(&baseline);
 
-    // Kill each worker of each class early, mid-build, and late. (A kill
-    // point a worker never reaches — e.g. parser 1 and file 0 — is simply
-    // a clean build; identity must hold either way.)
+    // Kill each worker of each class early, mid-build, and late. (A parser
+    // kill is keyed by file: it fires on whichever parser thread claims
+    // file `at`, so both parser indices kill at the same file.)
     for at in [0usize, n / 2, n - 1] {
         for (class, count) in [
             (WorkerClass::Parser, 2usize),
@@ -95,6 +95,10 @@ fn kill_matrix_every_worker_class_at_every_stage() {
                     out.report.supervision.lossy_incidents.is_empty(),
                     "clean-boundary kills must be lossless"
                 );
+                if class == WorkerClass::Parser {
+                    let sup = &out.report.supervision;
+                    assert_eq!(sup.deaths_of(class), 1, "file {at}: {}", sup.summary());
+                }
             }
         }
     }
@@ -109,8 +113,9 @@ fn stall_matrix_watchdog_death_and_tolerated_hiccups() {
     let baseline = build_index(&coll, &cfg).expect("fault-free build");
     let base_fp = fingerprint(&baseline);
 
-    // A parser stalled past the watchdog timeout is declared dead and its
-    // files are re-ingested inline — at every stage.
+    // The parser thread claiming file `at`, stalled past the watchdog
+    // timeout, is declared dead and that file re-ingested inline — at
+    // every stage.
     for at in [0usize, n / 2] {
         let mut c = cfg.clone();
         c.worker_faults =
@@ -118,7 +123,7 @@ fn stall_matrix_watchdog_death_and_tolerated_hiccups() {
         let out = build_index(&coll, &c).expect("stalled-parser build");
         assert_eq!(fingerprint(&out), base_fp, "stall at {at} diverged");
         let sup = &out.report.supervision;
-        assert!(sup.deaths_of(WorkerClass::Parser) >= 1, "{}", sup.summary());
+        assert_eq!(sup.deaths_of(WorkerClass::Parser), 1, "{}", sup.summary());
         assert!(sup.inline_parsed_files >= 1, "{}", sup.summary());
     }
 
