@@ -21,5 +21,5 @@ pub use balance::{make_plan, sample_counts, BalancePlan, Owner};
 pub use cpu::CpuIndexer;
 pub use gpu::{GpuBatchReport, GpuIndexer, GpuIndexerConfig};
 pub use log::PostingLog;
-pub use run::{BatchTiming, Host, IndexerPool, Takeover};
+pub use run::{BatchTiming, Executor, ExecutorDeath, Host, IndexerPool, Takeover};
 pub use stats::WorkloadStats;

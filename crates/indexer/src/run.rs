@@ -42,6 +42,36 @@ impl std::fmt::Display for Host {
     }
 }
 
+impl Host {
+    /// The executor a shard hosted here runs on (none on the driver).
+    fn executor(self) -> Option<Executor> {
+        match self {
+            Host::Cpu(h) => Some(Executor::Cpu(h)),
+            Host::Driver => None,
+        }
+    }
+}
+
+/// An indexer executor that can die: CPU executor `n` or GPU `g`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Executor {
+    /// CPU indexer executor `n` (0-based).
+    Cpu(usize),
+    /// GPU indexer `g` (0-based).
+    Gpu(usize),
+}
+
+/// An executor the pool declared dead inside a batch.
+#[derive(Clone, Debug)]
+pub struct ExecutorDeath {
+    /// The executor that died.
+    pub executor: Executor,
+    /// The message of the shard panic that killed it.
+    pub panic: String,
+    /// The shards that moved off it.
+    pub takeovers: Vec<Takeover>,
+}
+
 /// Record of one dictionary shard moving to a new host after a worker
 /// death.
 #[derive(Clone, Debug)]
@@ -72,8 +102,10 @@ pub struct BatchTiming {
     /// message)`. The shard's host was declared dead and its shards were
     /// reassigned; the batch continued on the survivors.
     pub panics: Vec<(u32, String)>,
-    /// Reassignments triggered by panics inside this batch.
-    pub takeovers: Vec<Takeover>,
+    /// The executors those panics killed, in the order they died, each
+    /// with its own panic and the shards that moved off it. A shard that
+    /// panics on the driver thread kills nobody.
+    pub deaths: Vec<ExecutorDeath>,
 }
 
 impl BatchTiming {
@@ -186,8 +218,8 @@ impl IndexerPool {
 
     /// Attach liveness beacons to the indexer timelines: every span an
     /// indexer records (index, flush) bumps its beacon, feeding the
-    /// supervisor watchdog with zero extra instrumentation. Call after
-    /// [`Self::attach_tracer`] (which replaces the sinks).
+    /// driver's `worker.*.idle_ms` gauges with zero extra instrumentation.
+    /// Call after [`Self::attach_tracer`] (which replaces the sinks).
     pub fn attach_heartbeats(&mut self, cpu: &[Arc<Heartbeat>], gpu: &[Arc<Heartbeat>]) {
         for (sink, hb) in self.cpu_sinks.iter_mut().zip(cpu) {
             *sink = std::mem::take(sink).with_heartbeat(Arc::clone(hb));
@@ -195,26 +227,6 @@ impl IndexerPool {
         for (sink, hb) in self.gpu_sinks.iter_mut().zip(gpu) {
             *sink = std::mem::take(sink).with_heartbeat(Arc::clone(hb));
         }
-    }
-
-    /// Whether CPU executor `i` is still alive.
-    pub fn cpu_is_alive(&self, i: usize) -> bool {
-        self.cpu_alive.get(i).copied().unwrap_or(false)
-    }
-
-    /// Whether GPU `g` is still alive.
-    pub fn gpu_is_alive(&self, g: usize) -> bool {
-        self.gpu_alive.get(g).copied().unwrap_or(false)
-    }
-
-    /// Surviving CPU executors.
-    pub fn alive_cpus(&self) -> usize {
-        self.cpu_alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Surviving GPUs.
-    pub fn alive_gpus(&self) -> usize {
-        self.gpu_alive.iter().filter(|&&a| a).count()
     }
 
     /// Shards salvaged off dead GPUs and continued on the CPU path.
@@ -245,13 +257,7 @@ impl IndexerPool {
         self.gpu_alive[g] = false;
         let dict = self.gpus[g].into_partial_dictionary();
         let log = self.gpus[g].salvage_pending_log();
-        let host = match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load) {
-            Some(e) => {
-                self.adopted_load[e] += self.plan.sampled_load(Owner::Gpu(g));
-                Host::Cpu(e)
-            }
-            None => Host::Driver,
-        };
+        let host = self.new_host(Owner::Gpu(g));
         self.adopted[g] = Some((CpuIndexer::adopt(dict, log), host));
         vec![Takeover { shard: (self.plan.n_cpu() + g) as u32, host, gpu_takeover: true }]
     }
@@ -264,14 +270,7 @@ impl IndexerPool {
         for s in 0..self.cpus.len() {
             if let Host::Cpu(h) = self.cpu_host[s] {
                 if !self.cpu_alive[h] {
-                    let host = match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load)
-                    {
-                        Some(e) => {
-                            self.adopted_load[e] += self.plan.sampled_load(Owner::Cpu(s));
-                            Host::Cpu(e)
-                        }
-                        None => Host::Driver,
-                    };
+                    let host = self.new_host(Owner::Cpu(s));
                     self.cpu_host[s] = host;
                     moves.push(Takeover { shard: s as u32, host, gpu_takeover: false });
                 }
@@ -283,13 +282,7 @@ impl IndexerPool {
                 Some((_, Host::Cpu(h))) if !self.cpu_alive[*h]
             );
             if stranded {
-                let host = match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load) {
-                    Some(e) => {
-                        self.adopted_load[e] += self.plan.sampled_load(Owner::Gpu(g));
-                        Host::Cpu(e)
-                    }
-                    None => Host::Driver,
-                };
+                let host = self.new_host(Owner::Gpu(g));
                 if let Some((_, h)) = &mut self.adopted[g] {
                     *h = host;
                 }
@@ -301,6 +294,19 @@ impl IndexerPool {
             }
         }
         moves
+    }
+
+    /// Where a shard of `owner` moves after its host died: the lightest
+    /// surviving CPU executor, which takes on its sampled load, or the
+    /// driver thread when none survives.
+    fn new_host(&mut self, owner: Owner) -> Host {
+        match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load) {
+            Some(e) => {
+                self.adopted_load[e] += self.plan.sampled_load(owner);
+                Host::Cpu(e)
+            }
+            None => Host::Driver,
+        }
     }
 
     /// Resident bytes per pool, probed at batch boundaries by the memory
@@ -413,10 +419,10 @@ impl IndexerPool {
     /// Every shard's work runs under `catch_unwind`: a panic no longer
     /// kills the build — the panicking shard's host executor is declared
     /// dead, its shards are reassigned to survivors, and the batch
-    /// continues. The panic and the reassignments are reported in the
-    /// returned [`BatchTiming`] (a mid-group panic may have lost that
-    /// shard's partial work for this batch — the caller records it as a
-    /// lossy incident).
+    /// continues. The panics and the dead executors, each with its own
+    /// panic and reassignments, are reported in the returned
+    /// [`BatchTiming`] (a mid-group panic may have lost that shard's partial
+    /// work for this batch — the caller records it as a lossy incident).
     pub fn index_batch(&mut self, batch: &ParsedBatch) -> BatchTiming {
         let offset = self.next_doc;
         self.next_doc += batch.num_docs;
@@ -451,10 +457,8 @@ impl IndexerPool {
             let dt = t0.elapsed().as_secs_f64();
             self.attribute(self.cpu_host[i], dt, &mut timing);
             if let Err(payload) = outcome {
-                timing.panics.push((i as u32, panic_text(payload.as_ref())));
-                if let Host::Cpu(h) = self.cpu_host[i] {
-                    timing.takeovers.extend(self.kill_cpu(h));
-                }
+                let on = self.cpu_host[i].executor();
+                self.contain(&mut timing, i as u32, on, payload.as_ref());
             }
         }
         for (g, groups) in gpu_groups.iter().enumerate() {
@@ -474,8 +478,8 @@ impl IndexerPool {
                         // degrade the shard to the CPU path (lossy — the
                         // caller flags it).
                         let shard = (self.plan.n_cpu() + g) as u32;
-                        timing.panics.push((shard, panic_text(payload.as_ref())));
-                        timing.takeovers.extend(self.kill_gpu(g));
+                        let on = Some(Executor::Gpu(g));
+                        self.contain(&mut timing, shard, on, payload.as_ref());
                         timing.gpu.push(GpuBatchReport::default());
                     }
                 }
@@ -493,15 +497,31 @@ impl IndexerPool {
                 self.attribute(host, dt, &mut timing);
                 if let Err(payload) = outcome {
                     let shard = (self.plan.n_cpu() + g) as u32;
-                    timing.panics.push((shard, panic_text(payload.as_ref())));
-                    if let Host::Cpu(h) = host {
-                        timing.takeovers.extend(self.kill_cpu(h));
-                    }
+                    self.contain(&mut timing, shard, host.executor(), payload.as_ref());
                 }
                 timing.gpu.push(GpuBatchReport::default());
             }
         }
         timing
+    }
+
+    /// Record `shard`'s panic and kill the executor it ran on, if any, with
+    /// that panic as its cause.
+    fn contain(
+        &mut self,
+        timing: &mut BatchTiming,
+        shard: u32,
+        on: Option<Executor>,
+        payload: &(dyn std::any::Any + Send),
+    ) {
+        let panic = panic_text(payload);
+        timing.panics.push((shard, panic.clone()));
+        let Some(executor) = on else { return };
+        let takeovers = match executor {
+            Executor::Cpu(h) => self.kill_cpu(h),
+            Executor::Gpu(g) => self.kill_gpu(g),
+        };
+        timing.deaths.push(ExecutorDeath { executor, panic, takeovers });
     }
 
     /// Credit `dt` seconds of shard work to its host executor.
@@ -860,8 +880,6 @@ mod tests {
                 assert_eq!(moves[0].shard, 0);
                 assert_eq!(moves[0].host, Host::Cpu(1));
                 assert!(!moves[0].gpu_takeover);
-                assert!(!p.cpu_is_alive(0));
-                assert_eq!(p.alive_cpus(), 1);
             }
             let t = p.index_batch(&batches[1]);
             if kill {
@@ -890,7 +908,6 @@ mod tests {
                 assert_eq!(moves[0].host, Host::Driver);
                 let gpu_moves = p.kill_gpu(0);
                 assert_eq!(gpu_moves[0].host, Host::Driver, "no CPU survivor to adopt");
-                assert_eq!(p.alive_cpus() + p.alive_gpus(), 0);
             }
             let t = p.index_batch(&batches[1]);
             if kill {
@@ -905,26 +922,58 @@ mod tests {
         assert_eq!(build(false).1, build(true).1);
     }
 
-    /// A panic inside a shard's indexing work is contained: the host dies,
-    /// survivors absorb its shards, and the pool keeps accepting batches.
+    /// A panic inside a shard's indexing work is contained: the executor it
+    /// ran on dies with that panic as its cause, the survivors absorb its
+    /// shards, and the pool keeps accepting batches.
     #[test]
     fn shard_panic_is_contained_and_reassigned() {
         let b0 = parse(&["zebra quilt xylophone", "banana zebra"], 0);
-        let mut p = pool(2, 0, &b0);
-        p.index_batch(&b0);
-        // Poison shard 0 so its next insert panics: shrink its term arena
-        // is not reachable, so instead kill via the public injection path
-        // and verify idempotence + double-death cascade.
-        let first = p.kill_cpu(0);
-        assert_eq!(first.len(), 1);
-        assert!(p.kill_cpu(0).is_empty(), "idempotent");
-        // Killing the survivor strands both shards on the driver.
-        let second = p.kill_cpu(1);
-        assert_eq!(second.len(), 2, "own shard + adopted shard rehost");
-        assert!(second.iter().all(|t| t.host == Host::Driver));
-        let t = p.index_batch(&parse(&["quilt banana"], 1));
-        assert!(t.panics.is_empty());
-        assert_eq!(p.flush_run().len(), 2);
+        // Each group's first document claims one term byte more than its
+        // group holds, so every CPU shard panics slicing its first group.
+        let mut poisoned = parse(&["quilt banana xylophone", "zebra"], 1);
+        for g in &mut poisoned.groups {
+            g.docs[0].byte_len = g.term_bytes.len() as u32 + 1;
+        }
+        // Per pool shape, each dead executor and where its shards went: with
+        // two CPUs the survivor of the first death dies next and both shards
+        // end on the driver; with one CPU its shard goes there at once.
+        let two_cpus = vec![
+            (Executor::Cpu(0), vec![Host::Cpu(1)]),
+            (Executor::Cpu(1), vec![Host::Driver; 2]),
+        ];
+        let shapes = [(2, 0, two_cpus), (1, 1, vec![(Executor::Cpu(0), vec![Host::Driver])])];
+        for (n_cpu, n_gpu, expected) in shapes {
+            let mut p = pool(n_cpu, n_gpu, &b0);
+            p.index_batch(&b0);
+            let t = p.index_batch(&poisoned);
+            assert_eq!(t.panics.len(), expected.len(), "cfg ({n_cpu},{n_gpu}): {:?}", t.panics);
+            assert_eq!(t.deaths.len(), expected.len());
+            for ((death, (shard, panic)), (executor, hosts)) in
+                t.deaths.iter().zip(&t.panics).zip(&expected)
+            {
+                assert_eq!(death.executor, *executor, "shard {shard}");
+                assert_eq!(&death.panic, panic, "each death carries its own panic");
+                assert!(panic.contains("out of range for slice of length"), "{panic}");
+                let moved: Vec<Host> = death.takeovers.iter().map(|t| t.host).collect();
+                assert_eq!(&moved, hosts, "{executor:?}");
+            }
+            if let [first, second] = &t.deaths[..] {
+                assert_ne!(first.panic, second.panic, "two shards, two messages");
+            }
+            // Killing is idempotent: a dead executor dies once.
+            for h in 0..n_cpu {
+                assert!(p.kill_cpu(h).is_empty(), "cfg ({n_cpu},{n_gpu}): cpu {h} idempotent");
+            }
+            if n_gpu == 1 {
+                let moved = p.kill_gpu(0);
+                assert_eq!(moved.len(), 1, "the GPU's shard rehosts once");
+                assert_eq!(moved[0].host, Host::Driver, "no CPU survives to take it");
+                assert!(p.kill_gpu(0).is_empty(), "gpu 0 idempotent");
+            }
+            let after = p.index_batch(&parse(&["quilt banana"], 2));
+            assert!(after.panics.is_empty() && after.deaths.is_empty());
+            assert_eq!(p.flush_run().len(), n_cpu + n_gpu);
+        }
     }
 
     /// The governor's probe: postings bytes fall to zero at a flush, and a

@@ -27,23 +27,29 @@ use crate::fault::{
     WorkerClass, WorkerFaultKind, WorkerFaultPlan,
 };
 use crate::governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
-use crate::parsers::{panic_message, BatchRecycler, ParserObs, ParserPool, SpawnOptions};
-use crate::supervisor::{DeathCause, Supervisor, SupervisorPolicy};
-use crate::telemetry::{PostmortemContext, PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
+use crate::parsers::{
+    panic_message, BatchRecycler, ParsedFile, ParserObs, ParserPool, SpawnOptions,
+};
+use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
+use crate::telemetry::{PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
 use ii_corpus::StoredCollection;
 use ii_obs::{
-    FlightRecorder, MetricsServer, Registry, Snapshot, Trace, TraceConfig, TraceKind, TraceSink,
-    Tracer,
+    FlightRecorder, Gauge, GaugeSeries, Heartbeat, MetricsServer, Registry, Snapshot, Stage,
+    Trace, TraceConfig, TraceKind, TraceSink, Tracer,
 };
 use ii_dict::{GlobalDictionary, PartialDictionary};
-use ii_indexer::{make_plan, sample_counts, BalancePlan, GpuIndexerConfig, IndexerPool, WorkloadStats};
+use ii_indexer::{
+    make_plan, sample_counts, BalancePlan, BatchTiming, Executor, GpuIndexerConfig, IndexerPool,
+    Takeover, WorkloadStats,
+};
 use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunSet};
 use ii_store::{
     ArtifactMeta, Manifest, ManifestKind, PostingsMeta, RealVfs, Store, StoreError, Txn, Vfs,
 };
-use ii_text::{parse_documents_into, ParseScratch};
+use ii_text::{parse_documents_into, ParseScratch, ParsedBatch};
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::mem::take;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -318,42 +324,27 @@ pub fn sample_plan(
             // Containment also covers the sampling read: an injected (or
             // real) panic inside decode must not unwind out of the build.
             let read = || collection.read_file_prefix(f, cfg.sample_docs_per_file);
-            match catch_unwind(AssertUnwindSafe(read)) {
+            let (class, error) = match catch_unwind(AssertUnwindSafe(read)) {
                 Ok(Ok(docs)) => break Some(docs),
                 Ok(Err(e)) if e.is_transient() && attempts < policy.max_retries => {
                     attempts += 1;
                     std::thread::sleep(policy.jittered_backoff(attempts, f as u64));
+                    continue;
                 }
-                Ok(Err(e)) => {
-                    if policy.action == FaultAction::FailFast {
-                        let class = if e.is_transient() {
-                            FaultClass::Transient
-                        } else {
-                            FaultClass::Permanent
-                        };
-                        return Err(PipelineError::File(FileFault {
-                            file_idx: f,
-                            class,
-                            retries: attempts,
-                            stage: FaultStage::Sampling,
-                            error: e.to_string(),
-                        }));
-                    }
-                    break None;
-                }
-                Err(payload) => {
-                    if policy.action == FaultAction::FailFast {
-                        return Err(PipelineError::File(FileFault {
-                            file_idx: f,
-                            class: FaultClass::Panic,
-                            retries: attempts,
-                            stage: FaultStage::Sampling,
-                            error: panic_message(payload.as_ref()),
-                        }));
-                    }
-                    break None;
-                }
+                Ok(Err(e)) if e.is_transient() => (FaultClass::Transient, e.to_string()),
+                Ok(Err(e)) => (FaultClass::Permanent, e.to_string()),
+                Err(payload) => (FaultClass::Panic, panic_message(payload.as_ref())),
+            };
+            if policy.action == FaultAction::FailFast {
+                return Err(PipelineError::File(FileFault {
+                    file_idx: f,
+                    class,
+                    retries: attempts,
+                    stage: FaultStage::Sampling,
+                    error,
+                }));
             }
+            break None;
         };
         if let Some(docs) = docs {
             if attempts > 0 {
@@ -724,456 +715,327 @@ fn combine_and_write<P: Borrow<PartialDictionary>>(
     (dictionary, dict_bytes)
 }
 
-/// Commit one generation of the index directory: the sealed runs and the
-/// doc map, `dictionary.bin`, and — while container files remain —
-/// the `checkpoint.json` that makes it a resumable
-/// [`ManifestKind::Checkpoint`]; without one it is the finished
-/// [`ManifestKind::Index`], and the commit's garbage collection removes the
-/// descriptor the index no longer references. A retriable storage failure
-/// (disk full) retries the whole transaction — each attempt rebuilds it from
-/// scratch, the commit protocol is all-or-nothing — with jittered backoff,
-/// counted in `commit_retries`; anything else is the typed error.
-#[allow(clippy::too_many_arguments)]
-fn commit_generation(
-    opts: &DurableOptions<'_>,
-    registry: &Arc<Registry>,
-    policy: &FaultPolicy,
-    run_sets: &HashMap<u32, RunSet>,
-    sealed: &mut SealedRuns,
-    doc_map: &DocMap,
-    dict_bytes: &[u8],
-    checkpoint: Option<&BuildCheckpoint>,
-    commit_retries: &mut u32,
-) -> Result<(), StoreError> {
-    let mut attempt = 0u32;
-    loop {
-        let committed = (|| -> Result<(), StoreError> {
-            let mut txn = Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(registry));
-            stage_runs_and_docmap(&mut txn, run_sets, doc_map, sealed)?;
-            txn.put(DICTIONARY_ARTIFACT, dict_bytes)?;
-            if let Some(ckpt) = checkpoint {
-                let bytes = serde_json::to_vec_pretty(ckpt)
-                    .expect("checkpoint serialization is infallible");
-                txn.put(CHECKPOINT_ARTIFACT, &bytes)?;
-            }
-            txn.commit(match checkpoint {
-                Some(_) => ManifestKind::Checkpoint,
-                None => ManifestKind::Index,
-            })?;
-            Ok(())
-        })();
-        match committed {
-            Err(e) if e.is_retriable() && attempt < policy.max_retries => {
-                attempt += 1;
-                *commit_retries += 1;
-                std::thread::sleep(policy.jittered_backoff(attempt, 0xD15C_F0FF));
-            }
-            done => return done,
-        }
+/// What a started build holds on the consumer (driver) thread, with one
+/// method per step of Fig 9; [`build_inner`] names the steps in order.
+struct Build<'a> {
+    collection: &'a Arc<StoredCollection>,
+    cfg: &'a PipelineConfig,
+    durable: Option<&'a DurableOptions<'a>>,
+    t_total: Instant,
+    tracer: Tracer,
+    /// The driver's own timeline: sampling, parser waits, per-batch
+    /// dispatch, flushes, checkpoints, and the dictionary endgame.
+    driver_sink: TraceSink,
+    /// Parsers acquire in-flight byte credits from it; the driver feeds it
+    /// resident figures at batch boundaries and walks the degradation
+    /// ladder.
+    governor: MemoryGovernor,
+    /// The indexer pool, until [`Self::combine`] frees it.
+    pool: Option<IndexerPool>,
+    run_sets: HashMap<u32, RunSet>,
+    sealed: SealedRuns,
+    doc_map: DocMap,
+    /// Consumed batch buffers flow back to the parser threads through it.
+    recycler: BatchRecycler,
+    /// The report being filled in; its `supervision` is the death ledger.
+    report: PipelineReport,
+    /// One registry per build: concurrent builds never interleave metrics.
+    registry: Arc<Registry>,
+    index_stage: Arc<Stage>,
+    post_stage: Arc<Stage>,
+    files_done_gauge: Arc<Gauge>,
+    /// The parsed files waiting for their turn and the recycler's return
+    /// pool: last depth in the registry, time series in the trace.
+    queue_gauges: [(Arc<Gauge>, GaugeSeries); 2],
+    /// Each worker's heartbeat and `worker.*.idle_ms` gauge: parsers, CPU
+    /// executors, GPUs.
+    beats: Vec<(Arc<Gauge>, Arc<Heartbeat>)>,
+    /// The governor's effective budget, resident pools (dictionary,
+    /// postings, device) and high-water, published per batch.
+    governor_gauges: [Arc<Gauge>; 5],
+    /// Cuts the bundles; it keeps the flight recorder sampling the registry.
+    postmortem: PostmortemWriter,
+    /// The live OpenMetrics endpoint (`ii build --metrics-addr`).
+    _metrics: Option<MetricsServer>,
+    /// Container files consumed: the resume point until the first message.
+    files_done: usize,
+    batches_in_run: usize,
+    runs_since_checkpoint: usize,
+    /// Deaths already bundled: a bundle is cut the batch a death happens,
+    /// not at end of build, so the ring still holds the samples around it.
+    deaths_bundled: usize,
+}
+
+impl Drop for Build<'_> {
+    /// Close the credit gate on every exit path — typed errors included —
+    /// so no parser stays parked on a gate nobody will ever drain.
+    fn drop(&mut self) {
+        self.governor.close();
     }
 }
 
-/// Fire any scheduled indexer kills/stalls for this batch ordinal. A kill
-/// marks the executor dead and reassigns its shards to the lightest
-/// survivors; a stall sleeps on the spot (indexer executors run on the
-/// driver thread) and is treated as a death only when the silence would
-/// exceed the watchdog timeout.
-fn inject_indexer_faults(
-    cfg: &PipelineConfig,
-    pool: &mut IndexerPool,
-    supervisor: &mut Supervisor,
-    batch_ordinal: usize,
-) {
-    for (class, count) in [
-        (WorkerClass::CpuIndexer, cfg.num_cpu_indexers),
-        (WorkerClass::GpuIndexer, cfg.num_gpus),
-    ] {
-        for idx in 0..count {
-            let Some(kind) = cfg.worker_faults.fault_at(class, idx, batch_ordinal) else {
-                continue;
-            };
-            let cause = match kind {
-                WorkerFaultKind::Kill => DeathCause::Injected,
-                WorkerFaultKind::Stall(d) if d < cfg.supervision.stall_timeout => {
-                    // A hiccup the watchdog tolerates: the executor pauses
-                    // and resumes; nothing is reassigned.
-                    std::thread::sleep(d);
-                    continue;
-                }
-                WorkerFaultKind::Stall(d) => DeathCause::Stall(d),
-            };
-            let takeovers = match class {
-                WorkerClass::CpuIndexer => pool.kill_cpu(idx),
-                WorkerClass::GpuIndexer => pool.kill_gpu(idx),
-                WorkerClass::Parser => unreachable!("parser faults fire in the parser threads"),
-            };
-            if supervisor.declare_dead(class, idx, cause) {
-                let gpu = takeovers.iter().filter(|t| t.gpu_takeover).count() as u32;
-                supervisor.record_reassignments(takeovers.len() as u32, gpu);
+/// Only [`Build::combine`] takes the pool, and every other step runs before
+/// it, so a step that finds it gone is a bug in [`build_inner`]'s order.
+const LIVE: &str = "the indexer pool lives until the combine";
+
+impl<'a> Build<'a> {
+    /// Start: resume from the directory's checkpoint if asked, sample the
+    /// collection for the balance plan, and stand up the indexer pool with
+    /// its heartbeats and the build's registry and telemetry. An error here
+    /// cuts no bundle.
+    fn start(
+        collection: &'a Arc<StoredCollection>,
+        cfg: &'a PipelineConfig,
+        durable: Option<&'a DurableOptions<'a>>,
+    ) -> Result<Build<'a>, PipelineError> {
+        let t_total = Instant::now();
+        let tracer = Tracer::from_config(&cfg.trace);
+        let driver_sink = tracer.sink("driver");
+        let resumed = match durable {
+            Some(opts) if opts.resume => load_resume_state(collection, cfg, opts)?,
+            _ => None,
+        };
+        let sampled = {
+            let _span = driver_sink.span(TraceKind::Sample);
+            sample_plan(collection, cfg)?
+        };
+        let mut report = PipelineReport {
+            sampling_seconds: sampled.seconds,
+            uncompressed_bytes: collection.manifest.stats.uncompressed_bytes,
+            ..Default::default()
+        };
+        report.faults.retries = sampled.retries;
+        report.faults.recovered_files = sampled.recovered_files;
+        let (mut pool, run_sets, sealed, doc_map, files_done, quarantined) = match resumed {
+            Some(rs) => {
+                report.faults.retries += rs.ckpt.retries;
+                report.faults.recovered_files += rs.ckpt.recovered_files;
+                let pool = IndexerPool::restore(
+                    sampled.plan,
+                    cfg.gpu_config,
+                    cfg.codec,
+                    rs.parts,
+                    rs.ckpt.next_doc,
+                    rs.ckpt.docs_indexed,
+                    rs.ckpt.runs_flushed,
+                )
+                .map_err(PipelineError::Resume)?;
+                let files_done = rs.ckpt.files_done as usize;
+                (pool, rs.run_sets, rs.sealed, rs.doc_map, files_done, rs.quarantined)
             }
-        }
-    }
-}
-
-fn build_inner(
-    collection: &Arc<StoredCollection>,
-    cfg: &PipelineConfig,
-    durable: Option<&DurableOptions<'_>>,
-) -> Result<IndexOutput, PipelineError> {
-    let t_total = Instant::now();
-    let tracer = Tracer::from_config(&cfg.trace);
-    // The driver's own timeline: sampling, parser waits, per-batch
-    // dispatch, flushes, checkpoints, and the dictionary endgame.
-    let driver_sink = tracer.sink("driver");
-    // One governor per build: parsers acquire in-flight byte credits from
-    // it before sending a batch downstream; the driver feeds it resident
-    // figures at batch boundaries and walks the degradation ladder. The
-    // drop guard closes the credit gate on *every* exit path — typed
-    // errors included — so no parser stays parked on a gate nobody will
-    // ever drain.
-    let governor = MemoryGovernor::new(cfg.governor);
-    struct GateGuard(MemoryGovernor);
-    impl Drop for GateGuard {
-        fn drop(&mut self) {
-            self.0.close();
-        }
-    }
-    let _gate_guard = GateGuard(governor.clone());
-    let resume_state = match durable {
-        Some(opts) if opts.resume => load_resume_state(collection, cfg, opts)?,
-        _ => None,
-    };
-    let sampled = {
-        let _span = driver_sink.span(TraceKind::Sample);
-        sample_plan(collection, cfg)?
-    };
-    let mut report = PipelineReport {
-        sampling_seconds: sampled.seconds,
-        uncompressed_bytes: collection.manifest.stats.uncompressed_bytes,
-        ..Default::default()
-    };
-    report.faults.retries = sampled.retries;
-    report.faults.recovered_files = sampled.recovered_files;
-
-    let (mut pool, mut run_sets, mut sealed, mut doc_map, start_file) = match resume_state {
-        Some(rs) => {
-            report.faults.retries += rs.ckpt.retries;
-            report.faults.recovered_files += rs.ckpt.recovered_files;
-            for fault in rs.quarantined {
-                report.uncompressed_bytes = report.uncompressed_bytes.saturating_sub(
-                    *collection
-                        .manifest
-                        .file_uncompressed_bytes
-                        .get(fault.file_idx)
-                        .unwrap_or(&0),
-                );
-                if fault.class == FaultClass::Panic {
-                    report.faults.parser_panics += 1;
-                }
-                report.faults.quarantined.push(fault);
+            None => {
+                let pool = IndexerPool::new(sampled.plan, cfg.gpu_config, cfg.codec);
+                (pool, HashMap::new(), SealedRuns::new(), DocMap::new(), 0, Vec::new())
             }
-            let pool = IndexerPool::restore(
-                sampled.plan,
-                cfg.gpu_config,
-                cfg.codec,
-                rs.parts,
-                rs.ckpt.next_doc,
-                rs.ckpt.docs_indexed,
-                rs.ckpt.runs_flushed,
-            )
-            .map_err(PipelineError::Resume)?;
-            (pool, rs.run_sets, rs.sealed, rs.doc_map, rs.ckpt.files_done as usize)
-        }
-        None => (
-            IndexerPool::new(sampled.plan, cfg.gpu_config, cfg.codec),
-            HashMap::new(),
-            SealedRuns::new(),
-            DocMap::new(),
-            0,
-        ),
-    };
-    // Register cpu-N / gpu-N timelines so indexer slices appear as their
-    // own workers in the trace even though they execute on this thread.
-    pool.attach_tracer(&tracer);
+        };
+        // Register cpu-N / gpu-N timelines so indexer slices appear as their
+        // own workers in the trace even though they execute on this thread.
+        pool.attach_tracer(&tracer);
 
-    // Failure-domain supervision: one heartbeat per worker, bumped by that
-    // worker's trace spans (liveness without new instrumentation). The
-    // driver thread is the watchdog.
-    let mut supervisor = Supervisor::new();
-    let parser_beats: Vec<_> =
-        (0..cfg.num_parsers).map(|p| supervisor.register(WorkerClass::Parser, p)).collect();
-    let cpu_beats: Vec<_> = (0..cfg.num_cpu_indexers)
-        .map(|i| supervisor.register(WorkerClass::CpuIndexer, i))
-        .collect();
-    let gpu_beats: Vec<_> =
-        (0..cfg.num_gpus).map(|g| supervisor.register(WorkerClass::GpuIndexer, g)).collect();
-    pool.attach_heartbeats(&cpu_beats, &gpu_beats);
-
-    // One registry per build: concurrent builds (parallel tests, library
-    // embedders) never interleave metrics.
-    let registry = Arc::new(Registry::new());
-    let index_stage = registry.stage("index");
-    let post_stage = registry.stage("post_process");
-    // The flight recorder rides the consumer loop: one cheap gate per
-    // message, a bounded ring of registry samples behind it — stages,
-    // queue depths, governor figures and heartbeat ages, everything
-    // published below, which a post-mortem needs to explain the final
-    // seconds of a build.
-    let recorder = FlightRecorder::new(Arc::clone(&registry));
-    // Live OpenMetrics endpoint (`ii build --metrics-addr`, scraped by
-    // `ii top` and Prometheus). Bound for the duration of the build; the
-    // handle's Drop unbinds it on every exit path, typed errors included.
-    let _metrics_server: Option<MetricsServer> = match cfg.telemetry.metrics_addr.as_deref() {
-        Some(addr) => {
-            Some(MetricsServer::serve(addr, Arc::clone(&registry)).map_err(PipelineError::Io)?)
-        }
-        None => None,
-    };
-    // Post-mortem bundles land in `postmortem/` next to the index (or
-    // wherever the config points); in-memory builds with no explicit dir
-    // write none.
-    let default_dir = durable.map(|o| o.dir.join(POSTMORTEM_DIR));
-    let mut postmortem =
-        PostmortemWriter::new(cfg.telemetry.postmortem_dir.clone().or(default_dir));
-    // Deaths already bundled: a bundle is cut the batch a death happens,
-    // not at end of build, so the ring still holds the surrounding samples.
-    let mut deaths_bundled = 0usize;
-    // Progress and liveness gauges for the live exposition (`ii top`):
-    // files done vs total and per-worker heartbeat idle ages, refreshed
-    // once per consumed message.
-    registry.gauge("pipeline.files_total").set(collection.num_files() as i64);
-    let files_done_gauge = registry.gauge("pipeline.files_done");
-    files_done_gauge.set(start_file as i64);
-    let beat_gauges: Vec<_> = parser_beats
-        .iter()
-        .enumerate()
-        .map(|(p, hb)| (registry.gauge(&format!("worker.parser-{p}.idle_ms")), Arc::clone(hb)))
-        .chain(cpu_beats.iter().enumerate().map(|(i, hb)| {
-            (registry.gauge(&format!("worker.cpu-{i}.idle_ms")), Arc::clone(hb))
-        }))
-        .chain(gpu_beats.iter().enumerate().map(|(g, hb)| {
-            (registry.gauge(&format!("worker.gpu-{g}.idle_ms")), Arc::clone(hb))
-        }))
-        .collect();
-    // Consumed batch buffers flow back to the parser threads through this
-    // pool; size it to the in-flight window (one slot per buffered batch
-    // per parser, plus the one being indexed).
-    let recycler = BatchRecycler::new(cfg.num_parsers * cfg.buffer_depth + 1);
-    // The parsers and the in-order consumer: it yields every file in file
-    // order, watches the claimer of the file it waits for, and ingests a
-    // dead claimer's file inline.
-    let mut parsing = ParserPool::spawn(
-        Arc::clone(collection),
-        cfg.num_parsers,
-        cfg.buffer_depth,
-        cfg.fault_policy,
-        ParserObs::from_registry(&registry),
-        SpawnOptions {
-            start_file,
-            recycler: Some(recycler.clone()),
+        let registry = Arc::new(Registry::new());
+        // One heartbeat per worker, bumped by that worker's trace spans
+        // (liveness without new instrumentation), published as its idle
+        // age for the live exposition (`ii top`) and the flight recorder.
+        let parsers = cfg.num_parsers;
+        let cpus = cfg.num_cpu_indexers;
+        let beats: Vec<_> = (0..parsers)
+            .map(|p| format!("parser-{p}"))
+            .chain((0..cpus).map(|i| format!("cpu-{i}")))
+            .chain((0..cfg.num_gpus).map(|g| format!("gpu-{g}")))
+            .map(|w| (registry.gauge(&format!("worker.{w}.idle_ms")), Arc::new(Heartbeat::new())))
+            .collect();
+        let heartbeats = |workers: std::ops::Range<usize>| -> Vec<Arc<Heartbeat>> {
+            beats[workers].iter().map(|(_, hb)| Arc::clone(hb)).collect()
+        };
+        let gpus = parsers + cpus..beats.len();
+        pool.attach_heartbeats(&heartbeats(parsers..parsers + cpus), &heartbeats(gpus));
+        let metrics = match cfg.telemetry.metrics_addr.as_deref() {
+            Some(addr) => Some(MetricsServer::serve(addr, Arc::clone(&registry))?),
+            None => None,
+        };
+        // Post-mortem bundles land in `postmortem/` next to the index (or
+        // wherever the config points); in-memory builds with no explicit dir
+        // write none.
+        let default_dir = durable.map(|o| o.dir.join(POSTMORTEM_DIR));
+        let dir = cfg.telemetry.postmortem_dir.clone().or(default_dir);
+        let recorder = FlightRecorder::new(Arc::clone(&registry));
+        let postmortem = PostmortemWriter::new(dir, recorder, tracer.clone());
+        registry.gauge("pipeline.files_total").set(collection.num_files() as i64);
+        registry.gauge("governor.budget_bytes").set(cfg.governor.budget_bytes as i64);
+        let mut build = Build {
+            collection,
+            cfg,
+            durable,
+            t_total,
             tracer: tracer.clone(),
-            heartbeats: parser_beats,
+            driver_sink,
+            governor: MemoryGovernor::new(cfg.governor),
+            pool: Some(pool),
+            run_sets,
+            sealed,
+            doc_map,
+            // One slot per buffered batch per parser, plus the one indexed.
+            recycler: BatchRecycler::new(cfg.num_parsers * cfg.buffer_depth + 1),
+            report,
+            index_stage: registry.stage("index"),
+            post_stage: registry.stage("post_process"),
+            files_done_gauge: registry.gauge("pipeline.files_done"),
+            queue_gauges: [
+                (registry.gauge("queue.parsed.depth"), tracer.gauge("queue.parsed")),
+                (registry.gauge("recycler.pool.depth"), tracer.gauge("recycler.pool")),
+            ],
+            beats,
+            governor_gauges: [
+                "governor.effective_budget_bytes",
+                "governor.dict_bytes",
+                "governor.postings_bytes",
+                "governor.device_bytes",
+                "governor.high_water_bytes",
+            ]
+            .map(|name| registry.gauge(name)),
+            registry,
+            postmortem,
+            _metrics: metrics,
+            files_done,
+            batches_in_run: 0,
+            runs_since_checkpoint: 0,
+            deaths_bundled: 0,
+        };
+        build.files_done_gauge.set(files_done as i64);
+        for fault in quarantined {
+            build.count_quarantined(fault);
+        }
+        Ok(build)
+    }
+
+    /// Parse: spawn the parser threads over the files not yet consumed. The
+    /// pool yields every file in file order, watches the claimer of the
+    /// file it waits for, and ingests a dead claimer's file inline.
+    fn spawn_parsers(&self) -> ParserPool {
+        let cfg = self.cfg;
+        let heartbeats = self.beats[..cfg.num_parsers].iter().map(|(_, hb)| Arc::clone(hb));
+        let options = SpawnOptions {
+            start_file: self.files_done,
+            recycler: Some(self.recycler.clone()),
+            tracer: self.tracer.clone(),
+            heartbeats: heartbeats.collect(),
             worker_faults: cfg.worker_faults.clone(),
-            governor: governor.clone(),
+            governor: self.governor.clone(),
             supervision: cfg.supervision,
-        },
-    )
-    .with_queue_wait(Arc::clone(&index_stage))
-    .with_trace(driver_sink.clone());
-    // Sampled queue-depth gauges on both inter-stage queues — the parsed
-    // files waiting for their turn and the recycler return pool — mirrored
-    // into the registry (last value) and the trace (full time series).
-    let queue_gauge = (registry.gauge("queue.parsed.depth"), tracer.gauge("queue.parsed"));
-    let recycler_gauge =
-        (registry.gauge("recycler.pool.depth"), tracer.gauge("recycler.pool"));
-    // Governor gauges published per batch so a live scrape sees the
-    // memory-vs-budget picture mid-build; counters stay end-of-build
-    // (`governor.export`) so they are added exactly once.
-    let gov_gauges = (
-        registry.gauge("governor.effective_budget_bytes"),
-        registry.gauge("governor.dict_bytes"),
-        registry.gauge("governor.postings_bytes"),
-        registry.gauge("governor.device_bytes"),
-        registry.gauge("governor.high_water_bytes"),
-    );
-    registry.gauge("governor.budget_bytes").set(cfg.governor.budget_bytes as i64);
-    let mut batches_in_run = 0usize;
-    let mut runs_since_checkpoint = 0usize;
-    let mut batch_ordinal = 0usize;
-    let mut files_done;
-    while let Some(msg) = parsing.next() {
-        files_done = msg.file_idx() + 1;
-        let queue_wait_seconds = msg.queue_wait_seconds;
-        // The credit travels with the message: it goes back to whoever
-        // acquired it — the parser that sent the batch or, for a file the
-        // consumer ingested while it waited, the consumer's own ledger —
-        // once the batch is consumed and its buffers recycled below.
-        let (credit_holder, credit) = (msg.parser, msg.credit);
-        let queued = parsing.queued() as i64;
-        queue_gauge.0.set(queued);
-        queue_gauge.1.sample(queued);
-        let pool_depth = recycler.depth() as i64;
-        recycler_gauge.0.set(pool_depth);
-        recycler_gauge.1.sample(pool_depth);
-        files_done_gauge.set(files_done as i64);
-        for (gauge, hb) in &beat_gauges {
+        };
+        ParserPool::spawn(
+            Arc::clone(self.collection),
+            cfg.num_parsers,
+            cfg.buffer_depth,
+            cfg.fault_policy,
+            ParserObs::from_registry(&self.registry),
+            options,
+        )
+            .with_queue_wait(Arc::clone(&self.index_stage))
+            .with_trace(self.driver_sink.clone())
+    }
+
+    /// Per message, first: publish progress, queue depths and heartbeat
+    /// ages, then give the flight recorder its throttled chance to sample
+    /// them.
+    fn observe(&mut self, msg: &ParsedFile, queued: usize) {
+        self.files_done = msg.file_idx() + 1;
+        self.files_done_gauge.set(self.files_done as i64);
+        let depths = [queued, self.recycler.depth()];
+        for ((gauge, series), depth) in self.queue_gauges.iter().zip(depths) {
+            gauge.set(depth as i64);
+            series.sample(depth as i64);
+        }
+        for (gauge, hb) in &self.beats {
             gauge.set(hb.idle().as_millis() as i64);
         }
-        recorder.maybe_sample();
+        self.postmortem.recorder().maybe_sample();
+    }
+
+    /// Per message, then: quarantine the file a fault stands for (or, under
+    /// fail-fast, refuse it), or index its batch and walk the after-batch
+    /// steps.
+    fn consume(&mut self, msg: ParsedFile) -> Result<(), PipelineError> {
         let batch = match msg.result {
-            Ok(batch) => {
-                if msg.retries > 0 {
-                    report.faults.retries += msg.retries;
-                    report.faults.recovered_files += 1;
-                }
-                batch
+            Ok(batch) => batch,
+            Err(fault) if self.cfg.fault_policy.action == FaultAction::FailFast => {
+                return Err(PipelineError::File(fault));
             }
             Err(fault) => {
-                if cfg.fault_policy.action == FaultAction::FailFast {
-                    postmortem.write(
-                        &PostmortemContext {
-                            trigger: "file-fault",
-                            detail: fault.to_string(),
-                            batch_ordinal,
-                            supervision: &supervisor.report,
-                            quarantined: &report.faults.quarantined,
-                        },
-                        &recorder,
-                        &tracer,
-                    );
-                    return Err(PipelineError::File(fault));
-                }
-                // Quarantine: keep the file's slot in the doc map as an
-                // empty entry that still reserves the file's doc-ID range,
-                // so every surviving document gets the same global ID a
-                // clean build would assign. Synthetic collections hold
-                // exactly `docs_per_file` documents per container.
-                let reserved = collection.manifest.spec.docs_per_file as u32;
-                doc_map.push_quarantined(fault.file_idx as u32, reserved);
-                pool.skip_docs(reserved);
-                report.uncompressed_bytes = report.uncompressed_bytes.saturating_sub(
-                    *collection
-                        .manifest
-                        .file_uncompressed_bytes
-                        .get(fault.file_idx)
-                        .unwrap_or(&0),
-                );
-                if fault.class == FaultClass::Panic {
-                    report.faults.parser_panics += 1;
-                }
-                let detail = fault.to_string();
-                report.faults.quarantined.push(fault);
-                postmortem.write(
-                    &PostmortemContext {
-                        trigger: "quarantine",
-                        detail,
-                        batch_ordinal,
-                        supervision: &supervisor.report,
-                        quarantined: &report.faults.quarantined,
-                    },
-                    &recorder,
-                    &tracer,
-                );
-                continue;
+                self.quarantine(fault);
+                return Ok(());
             }
         };
-        doc_map.push_file(batch.file_idx as u32, batch.num_docs);
-        let file_bytes = *collection
-            .manifest
-            .file_uncompressed_bytes
-            .get(batch.file_idx)
-            .unwrap_or(&0);
-        // Chaos injection for the indexer classes, at the batch boundary —
-        // a clean point where every shard's state is whole, mirroring the
-        // granularity at which the supervisor reassigns work.
-        if !cfg.worker_faults.is_empty() {
-            inject_indexer_faults(cfg, &mut pool, &mut supervisor, batch_ordinal);
-            // Budget squeezes fire at the same clean boundary: the
-            // effective budget only ever shrinks, so the degradation
-            // ladder below reacts on this very batch.
-            if let Some(bytes) = cfg.worker_faults.squeeze_at(batch_ordinal) {
-                governor.squeeze_to(bytes);
-            }
+        if msg.retries > 0 {
+            self.report.faults.retries += msg.retries;
+            self.report.faults.recovered_files += 1;
         }
-        // Aliveness before the batch: any executor dead afterwards was
-        // killed by an in-batch panic, which the watchdog records.
-        let cpu_alive_before: Vec<bool> =
-            (0..cfg.num_cpu_indexers).map(|i| pool.cpu_is_alive(i)).collect();
-        let gpu_alive_before: Vec<bool> =
-            (0..cfg.num_gpus).map(|g| pool.gpu_is_alive(g)).collect();
+        self.index(&batch, msg.queue_wait_seconds);
+        // The batch is consumed: its buffers go back to the parsers, and its
+        // credit to whoever acquired it — the parser that sent it or, for a
+        // file the consumer ingested while it waited, the consumer's ledger.
+        self.recycler.reclaim(batch);
+        self.governor.release(msg.parser, msg.credit);
+        self.after_batch()
+    }
+
+    /// Quarantine a file: its slot in the doc map stays as an empty entry
+    /// that still reserves the file's doc-ID range, so every surviving
+    /// document gets the global ID a clean build would assign. Synthetic
+    /// collections hold exactly `docs_per_file` documents per container.
+    fn quarantine(&mut self, fault: FileFault) {
+        let reserved = self.collection.manifest.spec.docs_per_file as u32;
+        self.doc_map.push_quarantined(fault.file_idx as u32, reserved);
+        self.pool.as_mut().expect(LIVE).skip_docs(reserved);
+        let detail = fault.to_string();
+        self.count_quarantined(fault);
+        self.bundle("quarantine", detail);
+    }
+
+    /// A quarantined file's place in the report — quarantined now, or by
+    /// the checkpoint a build resumes from: its bytes leave the throughput
+    /// denominator, and its fault joins the fault report.
+    fn count_quarantined(&mut self, fault: FileFault) {
+        let bytes = self.file_bytes(fault.file_idx);
+        self.report.uncompressed_bytes = self.report.uncompressed_bytes.saturating_sub(bytes);
+        let faults = &mut self.report.faults;
+        if fault.class == FaultClass::Panic {
+            faults.parser_panics += 1;
+        }
+        faults.quarantined.push(fault);
+    }
+
+    fn file_bytes(&self, file_idx: usize) -> u64 {
+        self.collection.manifest.file_uncompressed_bytes.get(file_idx).copied().unwrap_or(0)
+    }
+
+    /// Index one batch on the pool — after the chaos schedule's indexer
+    /// faults for this batch fired — then add the file's Fig 11 row and
+    /// record whom its panics killed.
+    fn index(&mut self, batch: &ParsedBatch, queue_wait_seconds: f64) {
+        self.doc_map.push_file(batch.file_idx as u32, batch.num_docs);
+        let file_bytes = self.file_bytes(batch.file_idx);
+        if !self.cfg.worker_faults.is_empty() {
+            self.inject_faults();
+        }
         let t0 = Instant::now();
         let timing = {
-            let mut span = index_stage.span();
+            let mut span = self.index_stage.span();
             span.add_bytes(file_bytes);
-            let mut tspan = driver_sink.span(TraceKind::Index);
+            let mut tspan = self.driver_sink.span(TraceKind::Index);
             tspan.set_batch(batch.file_idx as u32);
             tspan.add_bytes(file_bytes);
-            pool.index_batch(&batch)
+            self.pool.as_mut().expect(LIVE).index_batch(batch)
         };
-        batch_ordinal += 1;
-        if !timing.panics.is_empty() {
-            // A genuine mid-batch panic is contained and the shard
-            // reassigned, but the shard's partial work for this batch has
-            // unknown extent — the build completes, without the
-            // byte-identity guarantee. Record who died and why.
-            let first_panic = timing.panics[0].1.clone();
-            for (shard, msg) in &timing.panics {
-                supervisor
-                    .record_lossy(format!("shard {shard} panicked mid-batch: {msg}"));
-            }
-            for (i, was_alive) in cpu_alive_before.iter().enumerate() {
-                if *was_alive && !pool.cpu_is_alive(i) {
-                    supervisor.declare_dead(
-                        WorkerClass::CpuIndexer,
-                        i,
-                        DeathCause::Panic(first_panic.clone()),
-                    );
-                }
-            }
-            for (g, was_alive) in gpu_alive_before.iter().enumerate() {
-                if *was_alive && !pool.gpu_is_alive(g) {
-                    supervisor.declare_dead(
-                        WorkerClass::GpuIndexer,
-                        g,
-                        DeathCause::Panic(first_panic.clone()),
-                    );
-                }
-            }
-        }
-        if !timing.takeovers.is_empty() {
-            let gpu_takeovers =
-                timing.takeovers.iter().filter(|t| t.gpu_takeover).count() as u32;
-            supervisor.record_reassignments(timing.takeovers.len() as u32, gpu_takeovers);
-        }
-        supervisor.report.fallback_seconds += timing.fallback_seconds;
-        // Any new death this batch — injected kill, mid-batch panic — cuts
-        // a post-mortem bundle now, while the flight-recorder ring still
-        // holds the samples surrounding the event.
-        if supervisor.report.deaths.len() > deaths_bundled {
-            let detail = supervisor.report.deaths[deaths_bundled..]
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            deaths_bundled = supervisor.report.deaths.len();
-            postmortem.write(
-                &PostmortemContext {
-                    trigger: "worker-death",
-                    detail,
-                    batch_ordinal,
-                    supervision: &supervisor.report,
-                    quarantined: &report.faults.quarantined,
-                },
-                &recorder,
-                &tracer,
-            );
-        }
+        // The file's indexing wall ends where the pool returns, as the span's
+        // does: the death bookkeeping and any bundle it writes are not in it.
         let wall = t0.elapsed().as_secs_f64();
         let modeled = timing.stage_seconds();
-        report.pre_processing_seconds +=
+        self.report.pre_processing_seconds +=
             timing.gpu.iter().map(|g| g.transfer_seconds).sum::<f64>();
-        report.indexing_seconds += modeled;
-        report.per_file.push(FileTiming {
+        self.report.indexing_seconds += modeled;
+        self.report.supervision.fallback_seconds += timing.fallback_seconds;
+        self.report.per_file.push(FileTiming {
             file_idx: batch.file_idx,
             uncompressed_bytes: file_bytes,
             wall_seconds: wall,
@@ -1181,260 +1043,397 @@ fn build_inner(
             queue_wait_seconds,
             tokens: batch.stats.terms_kept,
         });
-        // The batch is fully consumed; return its buffers to the parsers.
-        recycler.reclaim(batch);
-        governor.release(credit_holder, credit);
-        batches_in_run += 1;
-        // Feed the governor the deterministic resident figures — dictionary
-        // arenas, pending postings, live GPU device state — then walk the
-        // degradation ladder. Rung 1 (backpressure) lives in the parsers'
-        // credit gate; rungs 2-4 fire here, at the batch boundary, keyed
-        // only on content-derived byte counts so the same budget schedule
-        // degrades identically on every run.
-        let (dict, postings, device) = pool.resident_bytes();
-        governor.note_resident(PoolBytes { dict, postings, device });
-        let r = governor.resident();
-        gov_gauges.0.set(governor.effective_budget() as i64);
-        gov_gauges.1.set(r.dict as i64);
-        gov_gauges.2.set(r.postings as i64);
-        gov_gauges.3.set(r.device as i64);
-        gov_gauges.4.set(governor.high_water() as i64);
+        self.record_deaths(&timing);
+    }
+
+    /// Fire the indexer kills, stalls and budget squeezes scheduled for this
+    /// batch, at the batch boundary — a clean point where every shard's
+    /// state is whole. A kill marks the executor dead and reassigns its
+    /// shards to the lightest survivors; a stall sleeps on the spot
+    /// (indexer executors run on the driver thread) and is a death only
+    /// when the silence would exceed the watchdog timeout; a squeeze only
+    /// ever shrinks the effective budget, so the ladder reacts on this very
+    /// batch.
+    fn inject_faults(&mut self) {
+        let cfg = self.cfg;
+        let ordinal = self.report.per_file.len();
+        for (class, count) in [
+            (WorkerClass::CpuIndexer, cfg.num_cpu_indexers),
+            (WorkerClass::GpuIndexer, cfg.num_gpus),
+        ] {
+            for idx in 0..count {
+                let cause = match cfg.worker_faults.fault_at(class, idx, ordinal) {
+                    None => continue,
+                    Some(WorkerFaultKind::Kill) => DeathCause::Injected,
+                    Some(WorkerFaultKind::Stall(d)) if d < cfg.supervision.stall_timeout => {
+                        // A hiccup the watchdog tolerates: the executor
+                        // pauses and resumes; nothing is reassigned.
+                        std::thread::sleep(d);
+                        continue;
+                    }
+                    Some(WorkerFaultKind::Stall(d)) => DeathCause::Stall(d),
+                };
+                let pool = self.pool.as_mut().expect(LIVE);
+                let takeovers = match class {
+                    WorkerClass::CpuIndexer => pool.kill_cpu(idx),
+                    WorkerClass::GpuIndexer => pool.kill_gpu(idx),
+                    WorkerClass::Parser => unreachable!("parser faults fire in the parser threads"),
+                };
+                self.declare_dead(WorkerDeath { class, index: idx, cause }, &takeovers);
+            }
+        }
+        if let Some(bytes) = cfg.worker_faults.squeeze_at(ordinal) {
+            self.governor.squeeze_to(bytes);
+        }
+    }
+
+    /// Record a batch's panics and the executors the pool says they killed.
+    /// A genuine mid-batch panic is contained and the shard reassigned, but
+    /// the shard's partial work for this batch has unknown extent: each
+    /// panic is a lossy incident (the build completes without the
+    /// byte-identity guarantee), and each death carries its own panic. Any
+    /// death new this batch — an injected kill too — cuts a bundle now,
+    /// while the flight-recorder ring still holds the samples around it.
+    fn record_deaths(&mut self, timing: &BatchTiming) {
+        for (shard, msg) in &timing.panics {
+            let incident = format!("shard {shard} panicked mid-batch: {msg}");
+            self.report.supervision.lossy_incidents.push(incident);
+        }
+        for death in &timing.deaths {
+            let (class, index) = match death.executor {
+                Executor::Cpu(i) => (WorkerClass::CpuIndexer, i),
+                Executor::Gpu(g) => (WorkerClass::GpuIndexer, g),
+            };
+            let cause = DeathCause::Panic(death.panic.clone());
+            self.declare_dead(WorkerDeath { class, index, cause }, &death.takeovers);
+        }
+        self.bundle_deaths();
+    }
+
+    /// Enter a worker's death, and the shards that moved off it, in the
+    /// supervision ledger. The first declaration of a death wins.
+    fn declare_dead(&mut self, death: WorkerDeath, takeovers: &[Takeover]) {
+        let ledger = &mut self.report.supervision;
+        if ledger.deaths.iter().any(|d| (d.class, d.index) == (death.class, death.index)) {
+            return;
+        }
+        ledger.deaths.push(death);
+        ledger.reassignments += takeovers.len() as u32;
+        ledger.gpu_takeovers += takeovers.iter().filter(|t| t.gpu_takeover).count() as u32;
+    }
+
+    /// Cut one `worker-death` bundle for the deaths not bundled yet.
+    fn bundle_deaths(&mut self) {
+        let new = &self.report.supervision.deaths[self.deaths_bundled..];
+        if new.is_empty() {
+            return;
+        }
+        let detail = new.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("; ");
+        self.deaths_bundled = self.report.supervision.deaths.len();
+        self.bundle("worker-death", detail);
+    }
+
+    /// Cut a post-mortem bundle: `trigger`'s `detail`, the batches indexed
+    /// so far (each has its Fig 11 row), and the supervision ledger and
+    /// quarantined files as they stand.
+    fn bundle(&mut self, trigger: &str, detail: String) {
+        let r = &self.report;
+        let batches = r.per_file.len();
+        self.postmortem.write(trigger, detail, batches, &r.supervision, &r.faults.quarantined);
+    }
+
+    /// After a batch: feed the governor the deterministic resident figures
+    /// and walk the degradation ladder. Rung 1 (backpressure) lives in the
+    /// parsers' credit gate; rungs 2-4 fire here, keyed only on
+    /// content-derived byte counts so the same budget schedule degrades
+    /// identically on every run.
+    fn after_batch(&mut self) -> Result<(), PipelineError> {
+        self.batches_in_run += 1;
+        self.note_resident();
+        let resident = self.governor.resident();
+        let [budget, dict, postings, device, high_water] = &self.governor_gauges;
+        budget.set(self.governor.effective_budget() as i64);
+        dict.set(resident.dict as i64);
+        postings.set(resident.postings as i64);
+        device.set(resident.device as i64);
+        high_water.set(self.governor.high_water() as i64);
         // Rung 2: flush the run early when pending postings push the pools
         // past the watermark (the paper's flush-when-full rule). Run
         // boundaries move; the merged postings do not.
-        let early_flush = batches_in_run < cfg.batches_per_run && governor.should_flush_early();
-        if early_flush {
-            governor.record_early_flush();
+        let early =
+            self.batches_in_run < self.cfg.batches_per_run && self.governor.should_flush_early();
+        if early {
+            self.governor.record_early_flush();
         }
-        if batches_in_run >= cfg.batches_per_run || early_flush {
-            let mut span = post_stage.span();
-            let tspan = driver_sink.span(TraceKind::Flush);
-            for run in pool.flush_run() {
-                span.add_bytes(run.payload.len() as u64);
-                run_sets.entry(run.indexer_id).or_default().push(run);
-            }
-            drop(tspan);
-            drop(span);
-            batches_in_run = 0;
-            runs_since_checkpoint += 1;
-            if let Some(opts) = durable {
-                // No checkpoint once the last container file is in: the
-                // final commit would supersede it before anyone could
-                // resume from it.
-                if opts.checkpoint_every_runs > 0
-                    && runs_since_checkpoint >= opts.checkpoint_every_runs
-                    && files_done < collection.num_files()
-                {
-                    let (_, dict_bytes) =
-                        combine_and_write(&pool.shards(), &registry, &driver_sink);
-                    let ckpt = BuildCheckpoint {
-                        files_done: files_done as u64,
-                        next_doc: pool.next_doc(),
-                        docs_indexed: pool.docs_indexed(),
-                        runs_flushed: pool.runs_flushed(),
-                        collection: collection_fingerprint(collection),
-                        config: config_fingerprint(cfg),
-                        retries: report.faults.retries,
-                        recovered_files: report.faults.recovered_files,
-                        quarantined: report
-                            .faults
-                            .quarantined
-                            .iter()
-                            .map(QuarantinedFile::from_fault)
-                            .collect(),
-                    };
-                    let _ckpt_span = driver_sink.span(TraceKind::Checkpoint);
-                    commit_generation(
-                        opts,
-                        &registry,
-                        &cfg.fault_policy,
-                        &run_sets,
-                        &mut sealed,
-                        &doc_map,
-                        &dict_bytes,
-                        Some(&ckpt),
-                        &mut supervisor.report.commit_retries,
-                    )?;
-                    runs_since_checkpoint = 0;
-                }
-            }
-            let (dict, postings, device) = pool.resident_bytes();
-            governor.note_resident(PoolBytes { dict, postings, device });
+        if early || self.batches_in_run >= self.cfg.batches_per_run {
+            self.flush();
+            self.checkpoint()?;
+            self.note_resident();
         }
         // Rung 3: park GPU shards onto the CPU salvage path, heaviest
-        // sampled load first. A shed is deliberate degradation, not a
-        // worker death — it lands in `governor.gpu_sheds`, never in the
-        // supervision ledger.
-        while governor.should_shed() {
-            let Some((_gpu, _moves)) = pool.shed_gpu() else { break };
-            governor.record_shed();
-            let (dict, postings, device) = pool.resident_bytes();
-            governor.note_resident(PoolBytes { dict, postings, device });
+        // sampled load first. A shed is deliberate degradation, not a worker
+        // death — it lands in `governor.gpu_sheds`, never in the ledger.
+        while self.governor.should_shed() {
+            let Some(_) = self.pool.as_mut().expect(LIVE).shed_gpu() else { break };
+            self.governor.record_shed();
+            self.note_resident();
         }
         // Rung 4: even with postings flushed and every GPU shed, the
         // dictionaries alone no longer fit — a typed refusal beats an OOM
         // kill.
-        if let Some((budget, needed)) = governor.budget_exceeded() {
-            postmortem.write(
-                &PostmortemContext {
-                    trigger: "memory-budget",
-                    detail: format!(
-                        "budget {budget} B, resident needs {needed} B after full degradation"
-                    ),
-                    batch_ordinal,
-                    supervision: &supervisor.report,
-                    quarantined: &report.faults.quarantined,
-                },
-                &recorder,
-                &tracer,
-            );
-            return Err(PipelineError::MemoryBudgetExceeded { budget, needed });
+        match self.governor.budget_exceeded() {
+            Some((budget, needed)) => Err(PipelineError::MemoryBudgetExceeded { budget, needed }),
+            None => Ok(()),
         }
     }
-    if batches_in_run > 0 {
-        let mut span = post_stage.span();
-        let tspan = driver_sink.span(TraceKind::Flush);
-        for run in pool.flush_run() {
+
+    /// The pool's resident bytes — dictionary arenas, pending postings, live
+    /// GPU device state — to the governor.
+    fn note_resident(&self) {
+        let (dict, postings, device) = self.pool.as_ref().expect(LIVE).resident_bytes();
+        self.governor.note_resident(PoolBytes { dict, postings, device });
+    }
+
+    /// Flush the run: every shard's pending postings become its next run.
+    fn flush(&mut self) {
+        let mut span = self.post_stage.span();
+        let _tspan = self.driver_sink.span(TraceKind::Flush);
+        for run in self.pool.as_mut().expect(LIVE).flush_run() {
             span.add_bytes(run.payload.len() as u64);
-            run_sets.entry(run.indexer_id).or_default().push(run);
+            self.run_sets.entry(run.indexer_id).or_default().push(run);
         }
-        drop(tspan);
-        drop(span);
-    }
-    // Fold the consumer-side supervision ledger: parser deaths the
-    // watchdog declared, and the files the driver re-ingested inline.
-    for d in parsing.deaths() {
-        supervisor.declare_dead(d.class, d.index, d.cause.clone());
-    }
-    supervisor.report.inline_parsed_files += parsing.inline_parsed_files();
-    registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
-    // Parser deaths surface from the consumer ledger at end of streaming;
-    // bundle any the per-batch watermark has not seen yet.
-    if supervisor.report.deaths.len() > deaths_bundled {
-        let detail = supervisor.report.deaths[deaths_bundled..]
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        postmortem.write(
-            &PostmortemContext {
-                trigger: "worker-death",
-                detail,
-                batch_ordinal,
-                supervision: &supervisor.report,
-                quarantined: &report.faults.quarantined,
-            },
-            &recorder,
-            &tracer,
-        );
-    }
-    parsing.join();
-    // Nobody parses again: the husks go before the combine and the commit.
-    recycler.clear();
-
-    report.docs = pool.docs_indexed();
-    let (cpu_stats, gpu_stats) = pool.workload_split();
-    report.cpu_stats = cpu_stats;
-    report.gpu_stats = gpu_stats;
-
-    // Deep counters: exported from each component's native tallies into
-    // the build registry before `finish` consumes the pool.
-    registry.counter("pipeline.docs").add(pool.docs_indexed() as u64);
-    registry.counter("pipeline.retries").add(report.faults.retries as u64);
-    registry
-        .counter("pipeline.files.quarantined")
-        .add(report.faults.quarantined.len() as u64);
-    for c in &pool.cpus {
-        registry.counter("dict.cache_hits").add(c.dict.store.cache_hits);
-        registry.counter("dict.cache_misses").add(c.dict.store.cache_misses);
-        registry.counter("dict.node_splits").add(c.dict.store.node_splits);
-        registry.counter("dict.head_tie_breaks").add(c.dict.store.head_tie_breaks);
-    }
-    // Shards salvaged off dead GPUs continue on the CPU dictionary path;
-    // their tallies belong in the same counters.
-    for a in pool.adopted_shards() {
-        registry.counter("dict.cache_hits").add(a.dict.store.cache_hits);
-        registry.counter("dict.cache_misses").add(a.dict.store.cache_misses);
-        registry.counter("dict.node_splits").add(a.dict.store.node_splits);
-        registry.counter("dict.head_tie_breaks").add(a.dict.store.head_tie_breaks);
-    }
-    for g in &pool.gpus {
-        let m = &g.kernel_metrics;
-        registry.counter("gpu.warp_comparisons").add(m.warp_comparisons);
-        registry.counter("gpu.global_transactions").add(m.global_transactions);
-        registry.counter("gpu.global_bytes").add(m.global_bytes);
-        registry.counter("gpu.shared_accesses").add(m.shared_accesses);
-        registry.counter("gpu.bank_conflict_cycles").add(m.bank_conflict_cycles);
-        registry.counter("gpu.instructions").add(m.instructions);
-        registry.counter("gpu.divergent_branches").add(m.divergent_branches);
-        let t = g.transfer_metrics();
-        registry.counter("gpu.h2d_bytes").add(t.h2d_bytes);
-        registry.counter("gpu.d2h_bytes").add(t.d2h_bytes);
+        self.batches_in_run = 0;
+        self.runs_since_checkpoint += 1;
     }
 
-    // `finish` frees the pool — posting logs, simulated devices — before the
-    // dictionary is built, and the shards go before the commit.
-    let (dictionary, dict_bytes) =
-        combine_and_write(&pool.finish(), &registry, &driver_sink);
-    registry.counter("pipeline.terms").add(dictionary.len() as u64);
+    /// Commit a checkpoint — the index of the files consumed so far plus
+    /// `checkpoint.json` — every `checkpoint_every_runs` runs. None once
+    /// the last container file is in: the final commit would supersede it
+    /// before anyone could resume from it.
+    fn checkpoint(&mut self) -> Result<(), PipelineError> {
+        let Some(opts) = self.durable else { return Ok(()) };
+        let every = opts.checkpoint_every_runs;
+        if every == 0
+            || self.runs_since_checkpoint < every
+            || self.files_done >= self.collection.num_files()
+        {
+            return Ok(());
+        }
+        let pool = self.pool.as_mut().expect(LIVE);
+        let (_, dict_bytes) = combine_and_write(&pool.shards(), &self.registry, &self.driver_sink);
+        let faults = &self.report.faults;
+        let ckpt = BuildCheckpoint {
+            files_done: self.files_done as u64,
+            next_doc: pool.next_doc(),
+            docs_indexed: pool.docs_indexed(),
+            runs_flushed: pool.runs_flushed(),
+            collection: collection_fingerprint(self.collection),
+            config: config_fingerprint(self.cfg),
+            retries: faults.retries,
+            recovered_files: faults.recovered_files,
+            quarantined: faults.quarantined.iter().map(QuarantinedFile::from_fault).collect(),
+        };
+        let sink = self.driver_sink.clone();
+        let _span = sink.span(TraceKind::Checkpoint);
+        self.commit(&dict_bytes, Some(&ckpt))?;
+        self.runs_since_checkpoint = 0;
+        Ok(())
+    }
 
-    if let Some(opts) = durable {
-        let committed = commit_generation(
-            opts,
-            &registry,
-            &cfg.fault_policy,
-            &run_sets,
-            &mut sealed,
-            &doc_map,
-            &dict_bytes,
-            None,
-            &mut supervisor.report.commit_retries,
-        );
-        if let Err(e) = committed {
-            postmortem.write(
-                &PostmortemContext {
-                    trigger: "commit-failure",
-                    detail: e.to_string(),
-                    batch_ordinal,
-                    supervision: &supervisor.report,
-                    quarantined: &report.faults.quarantined,
-                },
-                &recorder,
-                &tracer,
-            );
-            return Err(e.into());
+    /// End of streaming: flush the last partial run, fold in the parser
+    /// deaths the consumer declared — they surface only now, and are
+    /// bundled now — and the files it re-ingested inline, and let the
+    /// parser threads go. Nobody parses again: the recycled husks go before
+    /// the combine and the commit.
+    fn end_streaming(&mut self, parsing: ParserPool) {
+        if self.batches_in_run > 0 {
+            self.flush();
+        }
+        for death in parsing.deaths() {
+            self.declare_dead(death.clone(), &[]);
+        }
+        self.report.supervision.inline_parsed_files += parsing.inline_parsed_files();
+        self.registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
+        self.bundle_deaths();
+        parsing.join();
+        self.recycler.clear();
+    }
+
+    /// Finish, first: the report's workload figures, and each component's
+    /// native tallies as registry counters, before the combine frees the
+    /// pool.
+    fn export(&mut self) {
+        let pool = self.pool.as_ref().expect(LIVE);
+        self.report.docs = pool.docs_indexed();
+        (self.report.cpu_stats, self.report.gpu_stats) = pool.workload_split();
+        let r = &self.registry;
+        r.counter("pipeline.docs").add(pool.docs_indexed() as u64);
+        r.counter("pipeline.retries").add(self.report.faults.retries as u64);
+        r.counter("pipeline.files.quarantined").add(self.report.faults.quarantined.len() as u64);
+        // Shards salvaged off dead GPUs continue on the CPU dictionary path;
+        // their tallies belong in the same counters.
+        for shard in pool.cpus.iter().chain(pool.adopted_shards()) {
+            let store = &shard.dict.store;
+            r.counter("dict.cache_hits").add(store.cache_hits);
+            r.counter("dict.cache_misses").add(store.cache_misses);
+            r.counter("dict.node_splits").add(store.node_splits);
+            r.counter("dict.head_tie_breaks").add(store.head_tie_breaks);
+        }
+        for g in &pool.gpus {
+            let m = &g.kernel_metrics;
+            r.counter("gpu.warp_comparisons").add(m.warp_comparisons);
+            r.counter("gpu.global_transactions").add(m.global_transactions);
+            r.counter("gpu.global_bytes").add(m.global_bytes);
+            r.counter("gpu.shared_accesses").add(m.shared_accesses);
+            r.counter("gpu.bank_conflict_cycles").add(m.bank_conflict_cycles);
+            r.counter("gpu.instructions").add(m.instructions);
+            r.counter("gpu.divergent_branches").add(m.divergent_branches);
+            let t = g.transfer_metrics();
+            r.counter("gpu.h2d_bytes").add(t.h2d_bytes);
+            r.counter("gpu.d2h_bytes").add(t.d2h_bytes);
         }
     }
 
-    // The supervisor's ledger, as registry counters (surfaced by
-    // `ii build --stats` and the JSON snapshot) and on the report.
-    let sup = &supervisor.report;
-    registry.counter("supervisor.worker_deaths").add(sup.deaths.len() as u64);
-    registry.counter("supervisor.reassignments").add(u64::from(sup.reassignments));
-    registry.counter("supervisor.gpu_takeovers").add(u64::from(sup.gpu_takeovers));
-    registry.counter("supervisor.inline_parsed_files").add(u64::from(sup.inline_parsed_files));
-    registry.counter("supervisor.commit_retries").add(u64::from(sup.commit_retries));
-    registry.counter("supervisor.lossy_incidents").add(sup.lossy_incidents.len() as u64);
-    if postmortem.bundles_written() > 0 {
-        registry.counter("postmortem.bundles").add(u64::from(postmortem.bundles_written()));
+    /// Finish, then: combine and write the dictionary. `finish` frees the
+    /// pool — posting logs, simulated devices — first, and the shards go
+    /// before the commit.
+    fn combine(&mut self) -> (GlobalDictionary, Vec<u8>) {
+        let shards = self.pool.take().expect(LIVE).finish();
+        let (dictionary, dict_bytes) =
+            combine_and_write(&shards, &self.registry, &self.driver_sink);
+        self.registry.counter("pipeline.terms").add(dictionary.len() as u64);
+        (dictionary, dict_bytes)
     }
 
-    // The governor's ledger: budget, per-pool resident gauges, high-water,
-    // credit-gate waits, and each rung's trigger count.
-    governor.export(&registry);
+    /// Commit one generation of the index directory (nothing for an
+    /// in-memory build): the sealed runs and the doc map, `dictionary.bin`,
+    /// and — while container files remain — the `checkpoint.json` that
+    /// makes it a resumable [`ManifestKind::Checkpoint`]; without one it is
+    /// the finished [`ManifestKind::Index`], and the commit's garbage
+    /// collection removes the descriptor the index no longer references. A
+    /// retriable storage failure (disk full) retries the whole transaction
+    /// — each attempt rebuilds it from scratch, the commit protocol is
+    /// all-or-nothing — with jittered backoff, counted in `commit_retries`;
+    /// anything else is the typed error.
+    fn commit(
+        &mut self,
+        dict_bytes: &[u8],
+        checkpoint: Option<&BuildCheckpoint>,
+    ) -> Result<(), StoreError> {
+        let Some(opts) = self.durable else { return Ok(()) };
+        let policy = self.cfg.fault_policy;
+        let mut attempt = 0u32;
+        loop {
+            let committed = (|| -> Result<(), StoreError> {
+                let mut txn =
+                    Txn::begin(&opts.dir, opts.vfs)?.with_registry(Arc::clone(&self.registry));
+                stage_runs_and_docmap(&mut txn, &self.run_sets, &self.doc_map, &mut self.sealed)?;
+                txn.put(DICTIONARY_ARTIFACT, dict_bytes)?;
+                if let Some(ckpt) = checkpoint {
+                    let bytes = serde_json::to_vec_pretty(ckpt)
+                        .expect("checkpoint serialization is infallible");
+                    txn.put(CHECKPOINT_ARTIFACT, &bytes)?;
+                }
+                txn.commit(match checkpoint {
+                    Some(_) => ManifestKind::Checkpoint,
+                    None => ManifestKind::Index,
+                })?;
+                Ok(())
+            })();
+            match committed {
+                Err(e) if e.is_retriable() && attempt < policy.max_retries => {
+                    attempt += 1;
+                    self.report.supervision.commit_retries += 1;
+                    std::thread::sleep(policy.jittered_backoff(attempt, 0xD15C_F0FF));
+                }
+                done => return done,
+            }
+        }
+    }
 
-    report.supervision = supervisor.report;
-    report.total_seconds = t_total.elapsed().as_secs_f64();
-    report.stages = registry.snapshot();
-    report.trace = tracer.finish();
-    report.postmortem_bundles = postmortem.paths().to_vec();
-    Ok(IndexOutput { dictionary, run_sets, dict_bytes, doc_map, report })
+    /// Finish, last: the supervision and governor ledgers as registry
+    /// counters (surfaced by `ii build --stats` and the JSON snapshot), and
+    /// the report with the registry's final snapshot.
+    fn output(mut self, dictionary: GlobalDictionary, dict_bytes: Vec<u8>) -> IndexOutput {
+        let r = &self.registry;
+        let sup = &self.report.supervision;
+        r.counter("supervisor.worker_deaths").add(sup.deaths.len() as u64);
+        r.counter("supervisor.reassignments").add(u64::from(sup.reassignments));
+        r.counter("supervisor.gpu_takeovers").add(u64::from(sup.gpu_takeovers));
+        r.counter("supervisor.inline_parsed_files").add(u64::from(sup.inline_parsed_files));
+        r.counter("supervisor.commit_retries").add(u64::from(sup.commit_retries));
+        r.counter("supervisor.lossy_incidents").add(sup.lossy_incidents.len() as u64);
+        if !self.postmortem.paths().is_empty() {
+            r.counter("postmortem.bundles").add(self.postmortem.paths().len() as u64);
+        }
+        // Budget, per-pool resident gauges, high-water, credit-gate waits,
+        // and each rung's trigger count.
+        self.governor.export(r);
+        self.report.total_seconds = self.t_total.elapsed().as_secs_f64();
+        self.report.stages = self.registry.snapshot();
+        self.report.trace = self.tracer.finish();
+        self.report.postmortem_bundles = self.postmortem.paths().to_vec();
+        IndexOutput {
+            dictionary,
+            run_sets: take(&mut self.run_sets),
+            dict_bytes,
+            doc_map: take(&mut self.doc_map),
+            report: take(&mut self.report),
+        }
+    }
+
+    /// The one error exit of a started build: a file fault under fail-fast,
+    /// the memory budget, or a failed commit — a checkpoint's or the final
+    /// one — cuts its bundle here.
+    fn fail(&mut self, e: PipelineError) -> PipelineError {
+        let (trigger, detail) = match &e {
+            PipelineError::File(fault) => ("file-fault", fault.to_string()),
+            PipelineError::MemoryBudgetExceeded { budget, needed } => (
+                "memory-budget",
+                format!("budget {budget} B, resident needs {needed} B after full degradation"),
+            ),
+            PipelineError::Store(err) => ("commit-failure", err.to_string()),
+            // Raised only while starting, before there is a build to bundle.
+            PipelineError::Io(_) | PipelineError::Resume(_) => return e,
+        };
+        self.bundle(trigger, detail);
+        e
+    }
+}
+
+/// The pipelined build of Fig 9, one step at a time: start (resume,
+/// sample, pool), then per message observe and consume it (quarantine the
+/// file or index the batch; after a batch flush, checkpoint and walk the
+/// governor's rungs), then finish (export, combine, commit).
+fn build_inner(
+    collection: &Arc<StoredCollection>,
+    cfg: &PipelineConfig,
+    durable: Option<&DurableOptions<'_>>,
+) -> Result<IndexOutput, PipelineError> {
+    let mut build = Build::start(collection, cfg, durable)?;
+    let mut parsing = build.spawn_parsers();
+    let built = (|| -> Result<_, PipelineError> {
+        while let Some(msg) = parsing.next() {
+            build.observe(&msg, parsing.queued());
+            build.consume(msg)?;
+        }
+        build.end_streaming(parsing);
+        build.export();
+        let (dictionary, dict_bytes) = build.combine();
+        build.commit(&dict_bytes, None)?;
+        Ok((dictionary, dict_bytes))
+    })();
+    match built {
+        Ok((dictionary, dict_bytes)) => Ok(build.output(dictionary, dict_bytes)),
+        Err(e) => Err(build.fail(e)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ii_corpus::{CollectionSpec, FaultKind, FaultPlan};
+    use ii_indexer::{ExecutorDeath, Host};
     use ii_store::{CrashMode, CrashVfs};
     use std::path::{Path, PathBuf};
 
@@ -1983,16 +1982,77 @@ mod tests {
         let (coll, dir) = stored("disk-full-hard", spec);
         let cfg = PipelineConfig::small(1, 1, 0);
         // A volume that never frees space: the build must surface the
-        // typed, retriable error — not a torn index, not a panic.
-        let full = CrashVfs::disk_full(0, u64::MAX);
-        let opts = DurableOptions::new(dir.join("index")).with_vfs(&full);
-        match build_index_durable(&coll, &cfg, &opts) {
-            Err(PipelineError::Store(e)) => {
-                assert!(e.is_retriable(), "must classify as retriable: {e}");
-                assert!(matches!(e, StoreError::DiskFull { .. }), "{e:?}");
+        // typed, retriable error — not a torn index, not a panic — and cut
+        // one commit-failure bundle, whether the commit that exhausts its
+        // retries is a checkpoint's or the final one.
+        for checkpoint_every in [0, 1] {
+            let full = CrashVfs::disk_full(0, u64::MAX);
+            let idx_dir = dir.join(format!("index-{checkpoint_every}"));
+            let opts =
+                DurableOptions::new(&idx_dir).checkpoint_every(checkpoint_every).with_vfs(&full);
+            match build_index_durable(&coll, &cfg, &opts) {
+                Err(PipelineError::Store(e)) => {
+                    assert!(e.is_retriable(), "must classify as retriable: {e}");
+                    assert!(matches!(e, StoreError::DiskFull { .. }), "{e:?}");
+                }
+                other => panic!("expected typed disk-full, got {:?}", other.map(|_| "index")),
             }
-            other => panic!("expected typed disk-full, got {:?}", other.map(|_| "index")),
+            let bundles = crate::telemetry::list_bundles(&idx_dir.join(POSTMORTEM_DIR)).unwrap();
+            let names: Vec<_> = bundles.iter().filter_map(|b| b.file_name()).collect();
+            assert_eq!(names, ["bundle_000_commit-failure.json"], "every {checkpoint_every}");
         }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The driver's in-batch death path, on a batch report with one CPU and
+    /// one GPU executor dead: each is declared with its own panic, each
+    /// panic is a lossy incident, the reassignments are counted, one bundle
+    /// is cut, and a second report of the same executors declares nothing
+    /// twice.
+    #[test]
+    fn batch_deaths_are_declared_once_with_their_own_panics() {
+        let mut spec = CollectionSpec::tiny(59);
+        spec.num_files = 2;
+        let (coll, dir) = stored("batch-deaths", spec);
+        let mut cfg = PipelineConfig::small(1, 1, 1);
+        cfg.telemetry.postmortem_dir = Some(dir.join(POSTMORTEM_DIR));
+        let mut build = Build::start(&coll, &cfg, None).expect("start");
+        let moved = |shard, gpu_takeover| Takeover { shard, host: Host::Driver, gpu_takeover };
+        let death = |executor, panic: &str, takeovers| ExecutorDeath {
+            executor,
+            panic: panic.to_string(),
+            takeovers,
+        };
+        let timing = BatchTiming {
+            panics: vec![(0, "cpu shard bad".into()), (1, "gpu shard bad".into())],
+            deaths: vec![
+                death(Executor::Cpu(0), "cpu shard bad", vec![moved(0, false)]),
+                death(Executor::Gpu(0), "gpu shard bad", vec![moved(1, true)]),
+            ],
+            ..BatchTiming::default()
+        };
+        build.record_deaths(&timing);
+        let sup = &build.report.supervision;
+        let deaths: Vec<_> = sup.deaths.iter().map(|d| d.to_string()).collect();
+        assert_eq!(
+            deaths,
+            [
+                "cpu-indexer 0 died (panic: cpu shard bad)",
+                "gpu-indexer 0 died (panic: gpu shard bad)"
+            ]
+        );
+        assert_eq!(sup.lossy_incidents.len(), 2, "one lossy incident per panic");
+        assert_eq!((sup.reassignments, sup.gpu_takeovers), (2, 1));
+        assert!(sup.summary().contains("2 worker deaths (0 parser, 1 cpu, 1 gpu)"));
+        let bundles = build.postmortem.paths();
+        assert!(bundles.len() == 1 && bundles[0].ends_with("bundle_000_worker-death.json"));
+
+        build.record_deaths(&timing);
+        let sup = &build.report.supervision;
+        assert_eq!(sup.deaths.len(), 2, "the first declaration of a death wins");
+        assert_eq!((sup.reassignments, sup.gpu_takeovers), (2, 1));
+        assert_eq!(build.postmortem.paths().len(), 1, "no new death, no bundle");
+        drop(build);
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -16,11 +16,12 @@
 //! `DurableOptions::resume` continues an interrupted build byte-identically
 //! from its last committed checkpoint.
 //!
-//! And it survives its own workers: a [`Supervisor`] watches per-worker
-//! heartbeats fed from trace spans, declares panicked/stalled/disconnected
-//! workers dead, reassigns their trie-partition shards to survivors (GPU
-//! shards degrade gracefully to the CPU path, byte-identically), and the
-//! [`SupervisionReport`] in every build report says exactly what degraded.
+//! And it survives its own workers: per-worker heartbeats fed from trace
+//! spans let the consumer declare stalled or disconnected parsers dead, the
+//! indexer pool reports the executors a panic killed, their trie-partition
+//! shards are reassigned to survivors (GPU shards degrade gracefully to the
+//! CPU path, byte-identically), and the [`SupervisionReport`] in every
+//! build report says exactly what degraded.
 //!
 //! Finally, it runs to a hard memory budget: a [`MemoryGovernor`] accounts
 //! live bytes across every stage against `--mem-budget` and degrades
@@ -58,10 +59,8 @@ pub use fault::{
 };
 pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
 pub use parsers::{BatchRecycler, ParsedFile, ParserObs};
-pub use supervisor::{
-    DeathCause, SupervisionReport, Supervisor, SupervisorPolicy, WorkerDeath,
-};
+pub use supervisor::{DeathCause, SupervisionReport, SupervisorPolicy, WorkerDeath};
 pub use telemetry::{
-    list_bundles, render_bundle_report, PostmortemContext, PostmortemWriter, TelemetryConfig,
-    BUNDLE_SCHEMA_VERSION, POSTMORTEM_DIR,
+    list_bundles, render_bundle_report, PostmortemWriter, TelemetryConfig, BUNDLE_SCHEMA_VERSION,
+    POSTMORTEM_DIR,
 };

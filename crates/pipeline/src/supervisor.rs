@@ -1,22 +1,20 @@
-//! The pipeline supervisor: per-worker heartbeats, a watchdog, and the
-//! degradation ledger.
+//! Supervision's vocabulary: why a worker died, the stall-timeout policy,
+//! and the degradation ledger.
 //!
 //! Every pipeline worker — parser threads, CPU indexer executors, GPU
-//! indexers — registers a liveness beacon ([`ii_obs::Heartbeat`]) that is
-//! bumped by the worker's existing trace spans, so liveness needs no new
-//! instrumentation. The watchdog side (the driver thread) declares a
-//! worker dead when it panics, disconnects, or stays silent past the
-//! configured stall timeout; the dead worker's trie-partition shards are
-//! reassigned to survivors ([`ii_indexer::IndexerPool::kill_cpu`] /
-//! [`ii_indexer::IndexerPool::kill_gpu`]; a dead parser's claimed file is
+//! indexers — has a liveness beacon ([`ii_obs::Heartbeat`]) that the driver
+//! creates and the worker's existing trace spans bump, so liveness needs no
+//! new instrumentation. A worker is declared dead when it panics,
+//! disconnects, or stays silent past the configured stall timeout: the
+//! consumer watches the parsers, and the indexer pool reports the
+//! executors it killed inside a batch. The dead worker's trie-partition
+//! shards are reassigned to survivors ([`ii_indexer::IndexerPool::kill_cpu`]
+//! / [`ii_indexer::IndexerPool::kill_gpu`]; a dead parser's claimed file is
 //! re-ingested inline on the driver), and the build continues. Everything
-//! that happened is recorded in a [`SupervisionReport`] the operator sees
-//! in the build report and `ii build --stats`.
+//! that happened is recorded in the driver's [`SupervisionReport`], which
+//! the operator sees in the build report and `ii build --stats`.
 
 use crate::fault::WorkerClass;
-use ii_obs::Heartbeat;
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Why the watchdog declared a worker dead.
@@ -109,7 +107,8 @@ pub struct SupervisionReport {
     /// Wall seconds of shard work hosted on the driver thread because no
     /// CPU executor survived.
     pub fallback_seconds: f64,
-    /// Final-commit retries after retriable storage errors (disk full).
+    /// Commit retries — a checkpoint's or the final one's — after
+    /// retriable storage errors (disk full).
     pub commit_retries: u32,
     /// Incidents where exact work could not be preserved (a genuine
     /// mid-batch panic with unknown progress). A build with lossy
@@ -158,101 +157,9 @@ impl SupervisionReport {
     }
 }
 
-/// The watchdog's registry: one heartbeat per supervised worker plus the
-/// accumulated [`SupervisionReport`]. Owned by the driver thread; the
-/// heartbeats it hands out are bumped concurrently by the workers.
-#[derive(Debug, Default)]
-pub struct Supervisor {
-    beats: HashMap<(WorkerClass, usize), Arc<Heartbeat>>,
-    dead: HashMap<(WorkerClass, usize), ()>,
-    /// The accumulated degradation ledger.
-    pub report: SupervisionReport,
-}
-
-impl Supervisor {
-    /// Empty supervisor.
-    pub fn new() -> Self {
-        Supervisor::default()
-    }
-
-    /// Register (or fetch) the heartbeat of worker (`class`, `index`).
-    /// Hand the returned beacon to the worker's trace sink
-    /// ([`ii_obs::TraceSink::with_heartbeat`]).
-    pub fn register(&mut self, class: WorkerClass, index: usize) -> Arc<Heartbeat> {
-        Arc::clone(self.beats.entry((class, index)).or_insert_with(|| Arc::new(Heartbeat::new())))
-    }
-
-    /// The heartbeat of (`class`, `index`), if registered.
-    pub fn heartbeat(&self, class: WorkerClass, index: usize) -> Option<&Arc<Heartbeat>> {
-        self.beats.get(&(class, index))
-    }
-
-    /// How long worker (`class`, `index`) has been silent (zero if never
-    /// registered).
-    pub fn idle(&self, class: WorkerClass, index: usize) -> Duration {
-        self.beats.get(&(class, index)).map(|h| h.idle()).unwrap_or(Duration::ZERO)
-    }
-
-    /// Whether the watchdog already declared this worker dead.
-    pub fn is_dead(&self, class: WorkerClass, index: usize) -> bool {
-        self.dead.contains_key(&(class, index))
-    }
-
-    /// Declare a worker dead. Idempotent: the first declaration records a
-    /// [`WorkerDeath`] and returns true, later ones are no-ops.
-    pub fn declare_dead(&mut self, class: WorkerClass, index: usize, cause: DeathCause) -> bool {
-        if self.dead.insert((class, index), ()).is_none() {
-            self.report.deaths.push(WorkerDeath { class, index, cause });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Record `n` shard reassignments, `gpu` of which were GPU→CPU
-    /// takeovers.
-    pub fn record_reassignments(&mut self, n: u32, gpu: u32) {
-        self.report.reassignments += n;
-        self.report.gpu_takeovers += gpu;
-    }
-
-    /// Record a lossy incident (work that could not be preserved exactly).
-    pub fn record_lossy(&mut self, detail: String) {
-        self.report.lossy_incidents.push(detail);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deaths_are_idempotent_and_reported() {
-        let mut s = Supervisor::new();
-        assert!(!s.is_dead(WorkerClass::Parser, 0));
-        assert!(s.declare_dead(WorkerClass::Parser, 0, DeathCause::Disconnect));
-        assert!(!s.declare_dead(WorkerClass::Parser, 0, DeathCause::Injected), "idempotent");
-        assert!(s.is_dead(WorkerClass::Parser, 0));
-        s.declare_dead(WorkerClass::GpuIndexer, 1, DeathCause::Panic("boom".into()));
-        assert_eq!(s.report.deaths.len(), 2);
-        assert_eq!(s.report.deaths_of(WorkerClass::Parser), 1);
-        assert_eq!(s.report.deaths_of(WorkerClass::GpuIndexer), 1);
-        assert!(!s.report.is_clean());
-        let sum = s.report.summary();
-        assert!(sum.contains("2 worker deaths"), "{sum}");
-        assert!(sum.contains("1 parser"), "{sum}");
-    }
-
-    #[test]
-    fn heartbeats_register_once_and_measure_silence() {
-        let mut s = Supervisor::new();
-        let hb = s.register(WorkerClass::CpuIndexer, 0);
-        let again = s.register(WorkerClass::CpuIndexer, 0);
-        assert!(Arc::ptr_eq(&hb, &again), "one beacon per worker");
-        hb.beat();
-        assert!(s.idle(WorkerClass::CpuIndexer, 0) < Duration::from_secs(1));
-        assert_eq!(s.idle(WorkerClass::Parser, 9), Duration::ZERO, "unregistered = never idle");
-    }
 
     #[test]
     fn report_summary_flags_lossy_incidents() {

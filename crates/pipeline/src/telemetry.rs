@@ -64,47 +64,24 @@ pub struct TelemetryConfig {
     pub metrics_addr: Option<String>,
 }
 
-/// The deterministic half of a bundle: what happened, and the supervision
-/// state at that moment.
-#[derive(Debug)]
-pub struct PostmortemContext<'a> {
-    /// Event class: `worker-death`, `quarantine`, `file-fault`,
-    /// `memory-budget`, `commit-failure`.
-    pub trigger: &'a str,
-    /// Human-readable cause (a [`crate::WorkerDeath`] display, a fault
-    /// message, the budget figures).
-    pub detail: String,
-    /// Batches fully indexed when the event fired.
-    pub batch_ordinal: usize,
-    /// The supervisor's ledger at the moment of the event.
-    pub supervision: &'a SupervisionReport,
-    /// Files quarantined so far.
-    pub quarantined: &'a [FileFault],
-}
-
-/// Cuts bundles into a directory; inert when constructed with `None`.
-#[derive(Debug, Default)]
+/// Cuts bundles into a directory from the build's flight recorder and
+/// tracer, which it keeps; inert when constructed with no directory.
 pub struct PostmortemWriter {
     dir: Option<PathBuf>,
+    recorder: FlightRecorder,
+    tracer: Tracer,
     written: Vec<PathBuf>,
-    failed: u32,
 }
 
 impl PostmortemWriter {
     /// A writer targeting `dir` (`None` = write nothing).
-    pub fn new(dir: Option<PathBuf>) -> PostmortemWriter {
-        PostmortemWriter { dir, written: Vec::new(), failed: 0 }
+    pub fn new(dir: Option<PathBuf>, recorder: FlightRecorder, tracer: Tracer) -> Self {
+        PostmortemWriter { dir, recorder, tracer, written: Vec::new() }
     }
 
-    /// Bundles successfully written so far.
-    pub fn bundles_written(&self) -> u32 {
-        self.written.len() as u32
-    }
-
-    /// Bundle writes that themselves failed (best-effort; counted, never
-    /// raised).
-    pub fn failures(&self) -> u32 {
-        self.failed
+    /// The flight recorder bundles dump.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// Paths of the bundles written, in order.
@@ -112,30 +89,30 @@ impl PostmortemWriter {
         &self.written
     }
 
-    /// Force a last flight-recorder sample and durably write one bundle.
+    /// Force a last flight-recorder sample and durably write one bundle:
+    /// the event `trigger` (`worker-death`, `quarantine`, `file-fault`,
+    /// `memory-budget`, `commit-failure`) with its human-readable `detail`,
+    /// fired after `batch_ordinal` batches were indexed, and the
+    /// supervision ledger and quarantined files at that moment.
     /// Returns the bundle path, or `None` when disabled or the write
     /// failed — a post-mortem never turns one failure into two.
     pub fn write(
         &mut self,
-        ctx: &PostmortemContext<'_>,
-        recorder: &FlightRecorder,
-        tracer: &Tracer,
+        trigger: &str,
+        detail: String,
+        batch_ordinal: usize,
+        supervision: &SupervisionReport,
+        quarantined: &[FileFault],
     ) -> Option<PathBuf> {
         let dir = self.dir.clone()?;
-        recorder.force_sample();
-        let bundle = render_bundle(ctx, recorder, tracer);
+        self.recorder.force_sample();
+        let event = EventSection::new(trigger, detail, batch_ordinal, supervision, quarantined);
+        let bundle = render_bundle(event, &self.recorder, &self.tracer);
         let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("bundle_{:03}_{}.json", self.written.len(), ctx.trigger));
-        match ii_store::write_file_durable(&RealVfs, &path, bundle.as_bytes()) {
-            Ok(()) => {
-                self.written.push(path.clone());
-                Some(path)
-            }
-            Err(_) => {
-                self.failed += 1;
-                None
-            }
-        }
+        let path = dir.join(format!("bundle_{:03}_{trigger}.json", self.written.len()));
+        ii_store::write_file_durable(&RealVfs, &path, bundle.as_bytes()).ok()?;
+        self.written.push(path.clone());
+        Some(path)
     }
 }
 
@@ -163,12 +140,17 @@ struct DeathEntry {
 }
 
 impl EventSection {
-    fn new(ctx: &PostmortemContext<'_>) -> EventSection {
-        let s = ctx.supervision;
+    fn new(
+        trigger: &str,
+        detail: String,
+        batch_ordinal: usize,
+        s: &SupervisionReport,
+        quarantined: &[FileFault],
+    ) -> EventSection {
         EventSection {
-            trigger: ctx.trigger.to_string(),
-            detail: ctx.detail.clone(),
-            batch_ordinal: ctx.batch_ordinal,
+            trigger: trigger.to_string(),
+            detail,
+            batch_ordinal,
             deaths: s
                 .deaths
                 .iter()
@@ -183,7 +165,7 @@ impl EventSection {
             inline_parsed_files: s.inline_parsed_files,
             commit_retries: s.commit_retries,
             lossy_incidents: s.lossy_incidents.clone(),
-            quarantined_files: ctx.quarantined.iter().map(|f| f.file_idx).collect(),
+            quarantined_files: quarantined.iter().map(|f| f.file_idx).collect(),
         }
     }
 }
@@ -225,20 +207,16 @@ fn trace_tail(full: &Trace) -> Trace {
     }
 }
 
-/// Assemble the full bundle from the recorder's ring, its registry and the
-/// tail of the trace.
-fn render_bundle(
-    ctx: &PostmortemContext<'_>,
-    recorder: &FlightRecorder,
-    tracer: &Tracer,
-) -> String {
+/// Assemble the full bundle from the event, the recorder's ring, its
+/// registry and the tail of the trace.
+fn render_bundle(event: EventSection, recorder: &FlightRecorder, tracer: &Tracer) -> String {
     let trace_tail = tracer
         .finish()
         .filter(|trace| !trace.workers.is_empty())
         .map(|trace| trace_tail(&trace).to_chrome_value());
     let bundle = Bundle {
         schema_version: BUNDLE_SCHEMA_VERSION,
-        event: EventSection::new(ctx),
+        event,
         telemetry: TelemetrySection {
             flight_recorder: recorder.dump().to_json_value(),
             snapshot: recorder.registry().snapshot().to_json_value(),
@@ -444,29 +422,24 @@ mod tests {
         }
     }
 
-    fn harness() -> (FlightRecorder, Tracer) {
+    fn recorder() -> FlightRecorder {
         let registry = Arc::new(Registry::new());
         let recorder = FlightRecorder::new(Arc::clone(&registry));
         let c = registry.counter("pipeline.docs");
         c.add(42);
         recorder.maybe_sample();
         c.add(8);
-        (recorder, Tracer::disabled())
+        recorder
     }
 
     #[test]
     fn bundle_renders_and_report_attributes_cause() {
-        let (recorder, tracer) = harness();
+        let recorder = recorder();
         let ledger = sample_ledger();
-        let ctx = PostmortemContext {
-            trigger: "worker-death",
-            detail: "gpu-indexer 0 died (injected kill)".into(),
-            batch_ordinal: 3,
-            supervision: &ledger,
-            quarantined: &[],
-        };
+        let detail = "gpu-indexer 0 died (injected kill)".to_string();
+        let event = EventSection::new("worker-death", detail, 3, &ledger, &[]);
         recorder.force_sample();
-        let bundle = render_bundle(&ctx, &recorder, &tracer);
+        let bundle = render_bundle(event, &recorder, &Tracer::disabled());
         serde_json::from_str::<Value>(&bundle).expect("bundle must be valid JSON");
         let report = render_bundle_report(&bundle).expect("report");
         assert!(report.contains("trigger: worker-death"), "{report}");
@@ -483,41 +456,28 @@ mod tests {
     fn event_section_is_deterministic() {
         let ledger = sample_ledger();
         let make = || {
-            let ctx = PostmortemContext {
-                trigger: "memory-budget",
-                detail: "budget 1024 B, needed 4096 B".into(),
-                batch_ordinal: 7,
-                supervision: &ledger,
-                quarantined: &[],
-            };
-            serde_json::to_string_pretty(&EventSection::new(&ctx)).unwrap()
+            let detail = "budget 1024 B, needed 4096 B".to_string();
+            let event = EventSection::new("memory-budget", detail, 7, &ledger, &[]);
+            serde_json::to_string_pretty(&event).unwrap()
         };
         assert_eq!(make(), make());
     }
 
     #[test]
     fn writer_is_inert_without_a_dir_and_writes_bundles_with_one() {
-        let (recorder, tracer) = harness();
         let ledger = SupervisionReport::default();
-        let ctx = PostmortemContext {
-            trigger: "quarantine",
-            detail: "file 3: permanent fault".into(),
-            batch_ordinal: 1,
-            supervision: &ledger,
-            quarantined: &[],
-        };
-        let mut inert = PostmortemWriter::new(None);
-        assert!(inert.write(&ctx, &recorder, &tracer).is_none());
-        assert_eq!(inert.bundles_written(), 0);
+        let detail = || "file 3: permanent fault".to_string();
+        let mut inert = PostmortemWriter::new(None, recorder(), Tracer::disabled());
+        assert!(inert.write("quarantine", detail(), 1, &ledger, &[]).is_none());
+        assert!(inert.paths().is_empty());
 
         let dir = std::env::temp_dir()
             .join(format!("ii-postmortem-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let mut writer = PostmortemWriter::new(Some(dir.clone()));
-        let p1 = writer.write(&ctx, &recorder, &tracer).expect("bundle 1");
-        let p2 = writer.write(&ctx, &recorder, &tracer).expect("bundle 2");
-        assert_eq!(writer.bundles_written(), 2);
-        assert_eq!(writer.failures(), 0);
+        let mut writer = PostmortemWriter::new(Some(dir.clone()), recorder(), Tracer::disabled());
+        let p1 = writer.write("quarantine", detail(), 1, &ledger, &[]).expect("bundle 1");
+        let p2 = writer.write("quarantine", detail(), 1, &ledger, &[]).expect("bundle 2");
+        assert_eq!(writer.paths().len(), 2);
         assert!(p1.file_name().unwrap().to_string_lossy().starts_with("bundle_000_"));
         assert!(p2.file_name().unwrap().to_string_lossy().starts_with("bundle_001_"));
         let listed = list_bundles(&dir).unwrap();
