@@ -788,7 +788,7 @@ fn render_top_frame(points: &[MetricPoint], prev: Option<&TopState>) -> (String,
         .filter(|p| p.name == "ii_gauge")
         .filter_map(|p| {
             let n = p.label("name")?;
-            if !(n.starts_with("queue.") || n.starts_with("recycler.")) {
+            if !n.starts_with("queue.") {
                 return None;
             }
             let short = n.trim_start_matches("queue.").trim_end_matches(".depth");

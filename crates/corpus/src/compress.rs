@@ -198,6 +198,14 @@ impl<'a> Decompressor<'a> {
                 flags = input[i];
                 i += 1;
                 bits_left = 8;
+                // Eight literals under one flag byte, all of them wanted
+                // and present: one copy.
+                if flags == 0 && out.len() + 8 <= target && i + 8 <= input.len() {
+                    out.extend_from_slice(&input[i..i + 8]);
+                    i += 8;
+                    bits_left = 0;
+                    continue;
+                }
             }
             let is_match = flags & 1 == 1;
             flags >>= 1;
@@ -214,10 +222,15 @@ impl<'a> Decompressor<'a> {
                     return Err(DecompressError::BadDistance);
                 }
                 let start = out.len() - dist;
-                // Byte-by-byte to support overlapping matches (RLE-style).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping (RLE-style): each byte may be one this
+                    // match just wrote.
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
                 }
             } else {
                 if i >= input.len() {

@@ -12,7 +12,7 @@
 //! and the matching CRC32 does not parse, so neither a cut inside the
 //! footer nor a damaged tag can switch the check off.
 
-use crate::doc::RawDocument;
+use crate::doc::{DocRef, RawDocument};
 
 /// Four-byte magic at the start of every (uncompressed) container.
 pub const MAGIC: &[u8; 4] = b"IIC1";
@@ -201,15 +201,21 @@ pub fn write_container(docs: &[RawDocument]) -> Vec<u8> {
     out
 }
 
-/// Parse an uncompressed container buffer back into documents.
+/// Parse an uncompressed container buffer back into owned documents: an
+/// owned copy of [`records`].
+pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
+    Ok(records(buf)?.into_iter().map(DocRef::to_owned_doc).collect())
+}
+
+/// The documents of an uncompressed container buffer, borrowed from it.
 ///
 /// The buffer must end in the checksum footer, and the CRC is verified
-/// *before* record parsing, so silent corruption — of the records, the tag
+/// *before* the record walk, so silent corruption — of the records, the tag
 /// or the stored CRC alike — surfaces as
 /// [`ContainerError::ChecksumMismatch`]. A buffer too short to hold the
 /// 8-byte header and the 8-byte footer is [`ContainerError::Truncated`]
 /// ([`ContainerError::BadMagic`] if not even the header is a container's).
-pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
+pub fn records(buf: &[u8]) -> Result<Vec<DocRef<'_>>, ContainerError> {
     if buf.len() < 16 {
         let header = buf.len() >= 8 && &buf[..4] == MAGIC;
         return Err(if header { ContainerError::Truncated } else { ContainerError::BadMagic });
@@ -219,29 +225,38 @@ pub fn parse_container(buf: &[u8]) -> Result<Vec<RawDocument>, ContainerError> {
     if &footer[..4] != FOOTER_MAGIC || crc32(body) != stored {
         return Err(ContainerError::ChecksumMismatch);
     }
-    match parse_container_prefix(body, usize::MAX)? {
+    match records_prefix(body, usize::MAX)? {
         Prefix::Docs(docs) => Ok(docs),
         Prefix::NeedBytes(_) => Err(ContainerError::Truncated),
     }
 }
 
-/// What [`parse_container_prefix`] made of the bytes it was given.
+/// What a container walk made of the bytes it was given.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Prefix {
+pub enum Prefix<D = RawDocument> {
     /// The requested records (fewer if the container holds fewer).
-    Docs(Vec<RawDocument>),
+    Docs(Vec<D>),
     /// The records run past the buffer: at least this many bytes of the
     /// container are needed to get further.
     NeedBytes(usize),
 }
 
-/// Parse the first `limit` records from the first bytes of an uncompressed
-/// container (magic, count, records) — a reader that wants a file's leading
-/// documents need not produce the rest — or say how many bytes the walk
-/// needs to continue. Sees only what it walks: the header and those
-/// records. The checksum footer covers the whole container and is not
-/// checked here; [`parse_container`] on the whole buffer checks it.
+/// [`records_prefix`] with the records copied out of the buffer.
 pub fn parse_container_prefix(buf: &[u8], limit: usize) -> Result<Prefix, ContainerError> {
+    Ok(match records_prefix(buf, limit)? {
+        Prefix::Docs(docs) => Prefix::Docs(docs.into_iter().map(DocRef::to_owned_doc).collect()),
+        Prefix::NeedBytes(n) => Prefix::NeedBytes(n),
+    })
+}
+
+/// The container record walk: borrow the first `limit` records from the
+/// first bytes of an uncompressed container (magic, count, records) — a
+/// reader that wants a file's leading documents need not produce the rest
+/// — or say how many bytes the walk needs to continue. Sees only what it
+/// walks: the header and those records. The checksum footer covers the
+/// whole container and is not checked here; [`records`] on the whole
+/// buffer checks it.
+pub fn records_prefix(buf: &[u8], limit: usize) -> Result<Prefix<DocRef<'_>>, ContainerError> {
     if buf.len() < 8 {
         return Ok(Prefix::NeedBytes(8));
     }
@@ -264,15 +279,11 @@ pub fn parse_container_prefix(buf: &[u8], limit: usize) -> Result<Prefix, Contai
         if i + ulen + blen > buf.len() {
             return Ok(Prefix::NeedBytes(i + ulen + blen));
         }
-        let url = std::str::from_utf8(&buf[i..i + ulen])
-            .map_err(|_| ContainerError::BadUtf8)?
-            .to_string();
-        i += ulen;
-        let body = std::str::from_utf8(&buf[i..i + blen])
-            .map_err(|_| ContainerError::BadUtf8)?
-            .to_string();
-        i += blen;
-        docs.push(RawDocument { url, body });
+        let text = |at: usize, len: usize| {
+            std::str::from_utf8(&buf[at..at + len]).map_err(|_| ContainerError::BadUtf8)
+        };
+        docs.push(DocRef { url: text(i, ulen)?, body: text(i + ulen, blen)? });
+        i += ulen + blen;
     }
     Ok(Prefix::Docs(docs))
 }

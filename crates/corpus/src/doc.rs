@@ -34,6 +34,28 @@ impl RawDocument {
     pub fn stored_len(&self) -> usize {
         self.url.len() + self.body.len()
     }
+
+    /// The document as borrowed slices of its own strings.
+    pub fn as_doc_ref(&self) -> DocRef<'_> {
+        DocRef { url: &self.url, body: &self.body }
+    }
+}
+
+/// A raw document borrowed from the buffer that holds it — a decompressed
+/// container, or a [`RawDocument`] — so parsing copies none of its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DocRef<'a> {
+    /// Source URL (or synthetic identifier).
+    pub url: &'a str,
+    /// Uninterpreted body text (HTML or plain text).
+    pub body: &'a str,
+}
+
+impl DocRef<'_> {
+    /// An owned copy of the document.
+    pub fn to_owned_doc(self) -> RawDocument {
+        RawDocument { url: self.url.to_owned(), body: self.body.to_owned() }
+    }
 }
 
 #[cfg(test)]

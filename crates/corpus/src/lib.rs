@@ -23,7 +23,7 @@ pub mod vocab;
 pub mod zipf;
 
 pub use analysis::{fit_heaps, fit_zipf, vocabulary_growth, GrowthPoint};
-pub use doc::{DocId, RawDocument};
+pub use doc::{DocId, DocRef, RawDocument};
 pub use fault::{FaultKind, FaultPlan, IngestError};
 pub use store::{Manifest, StoredCollection};
 pub use synth::{CollectionGenerator, CollectionSpec, CollectionStats, DistributionShift};

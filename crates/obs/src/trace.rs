@@ -555,7 +555,7 @@ impl WorkerTrace {
 /// One sampled gauge series in a merged trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GaugeTrack {
-    /// Series name (`queue.parsed`, `recycler.pool`, …).
+    /// Series name (`queue.parsed`, …).
     pub name: String,
     /// `(t_ns, value)` samples in record order.
     pub samples: Vec<(u64, i64)>,

@@ -27,9 +27,7 @@ use crate::fault::{
     WorkerClass, WorkerFaultKind, WorkerFaultPlan,
 };
 use crate::governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
-use crate::parsers::{
-    panic_message, BatchRecycler, ParsedFile, ParserObs, ParserPool, SpawnOptions,
-};
+use crate::parsers::{panic_message, ParsedFile, ParserObs, ParserPool, SpawnOptions};
 use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
 use crate::telemetry::{PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
 use ii_corpus::StoredCollection;
@@ -692,9 +690,10 @@ pub fn stage_runs_and_docmap(
 /// shards — borrowed for a checkpoint ([`IndexerPool::shards`]), moved out
 /// at the end ([`IndexerPool::finish`]) — and serialised: the "Dictionary
 /// Combine" and "Dictionary Write" rows of Table VI, which a checkpointing
-/// build pays once per commit.
+/// build pays once per commit. The shards are dropped once combined, so the
+/// serialised bytes never share memory with them.
 fn combine_and_write<P: Borrow<PartialDictionary>>(
-    shards: &[P],
+    shards: Vec<P>,
     registry: &Registry,
     driver_sink: &TraceSink,
 ) -> (GlobalDictionary, Vec<u8>) {
@@ -702,8 +701,9 @@ fn combine_and_write<P: Borrow<PartialDictionary>>(
     let dictionary = {
         let _span = combine_stage.span();
         let _tspan = driver_sink.span(TraceKind::DictCombine);
-        GlobalDictionary::combine(shards)
+        GlobalDictionary::combine(&shards)
     };
+    drop(shards);
     let mut dict_bytes = Vec::new();
     {
         let mut span = write_stage.span();
@@ -735,8 +735,6 @@ struct Build<'a> {
     run_sets: HashMap<u32, RunSet>,
     sealed: SealedRuns,
     doc_map: DocMap,
-    /// Consumed batch buffers flow back to the parser threads through it.
-    recycler: BatchRecycler,
     /// The report being filled in; its `supervision` is the death ledger.
     report: PipelineReport,
     /// One registry per build: concurrent builds never interleave metrics.
@@ -744,9 +742,13 @@ struct Build<'a> {
     index_stage: Arc<Stage>,
     post_stage: Arc<Stage>,
     files_done_gauge: Arc<Gauge>,
-    /// The parsed files waiting for their turn and the recycler's return
-    /// pool: last depth in the registry, time series in the trace.
-    queue_gauges: [(Arc<Gauge>, GaugeSeries); 2],
+    /// The parsed files waiting for their turn: last depth in the
+    /// registry, time series in the trace.
+    queue_gauge: (Arc<Gauge>, GaugeSeries),
+    /// With tracing on, the process's resident set and its high-water mark
+    /// in kB, per message and after the combine: all the memory there is,
+    /// beside the part the governor counts.
+    memory_series: Option<[GaugeSeries; 2]>,
     /// Each worker's heartbeat and `worker.*.idle_ms` gauge: parsers, CPU
     /// executors, GPUs.
     beats: Vec<(Arc<Gauge>, Arc<Heartbeat>)>,
@@ -874,16 +876,14 @@ impl<'a> Build<'a> {
             run_sets,
             sealed,
             doc_map,
-            // One slot per buffered batch per parser, plus the one indexed.
-            recycler: BatchRecycler::new(cfg.num_parsers * cfg.buffer_depth + 1),
             report,
             index_stage: registry.stage("index"),
             post_stage: registry.stage("post_process"),
             files_done_gauge: registry.gauge("pipeline.files_done"),
-            queue_gauges: [
-                (registry.gauge("queue.parsed.depth"), tracer.gauge("queue.parsed")),
-                (registry.gauge("recycler.pool.depth"), tracer.gauge("recycler.pool")),
-            ],
+            queue_gauge: (registry.gauge("queue.parsed.depth"), tracer.gauge("queue.parsed")),
+            memory_series: tracer
+                .is_enabled()
+                .then(|| [tracer.gauge("process.rss_kb"), tracer.gauge("process.hwm_kb")]),
             beats,
             governor_gauges: [
                 "governor.effective_budget_bytes",
@@ -916,7 +916,6 @@ impl<'a> Build<'a> {
         let heartbeats = self.beats[..cfg.num_parsers].iter().map(|(_, hb)| Arc::clone(hb));
         let options = SpawnOptions {
             start_file: self.files_done,
-            recycler: Some(self.recycler.clone()),
             tracer: self.tracer.clone(),
             heartbeats: heartbeats.collect(),
             worker_faults: cfg.worker_faults.clone(),
@@ -941,15 +940,27 @@ impl<'a> Build<'a> {
     fn observe(&mut self, msg: &ParsedFile, queued: usize) {
         self.files_done = msg.file_idx() + 1;
         self.files_done_gauge.set(self.files_done as i64);
-        let depths = [queued, self.recycler.depth()];
-        for ((gauge, series), depth) in self.queue_gauges.iter().zip(depths) {
-            gauge.set(depth as i64);
-            series.sample(depth as i64);
-        }
+        let (gauge, series) = &self.queue_gauge;
+        gauge.set(queued as i64);
+        series.sample(queued as i64);
         for (gauge, hb) in &self.beats {
             gauge.set(hb.idle().as_millis() as i64);
         }
+        self.sample_memory();
         self.postmortem.recorder().maybe_sample();
+    }
+
+    /// Sample `VmRSS` and `VmHWM` from `/proc/self/status` into the trace
+    /// (nothing without tracing, or without that file).
+    fn sample_memory(&self) {
+        let Some(series) = &self.memory_series else { return };
+        let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return };
+        for (series, field) in series.iter().zip(["VmRSS:", "VmHWM:"]) {
+            let kb = status.lines().find_map(|l| l.strip_prefix(field)?.split_whitespace().next());
+            if let Some(kb) = kb.and_then(|kb| kb.parse().ok()) {
+                series.sample(kb);
+            }
+        }
     }
 
     /// Per message, then: quarantine the file a fault stands for (or, under
@@ -971,10 +982,10 @@ impl<'a> Build<'a> {
             self.report.faults.recovered_files += 1;
         }
         self.index(&batch, msg.queue_wait_seconds);
-        // The batch is consumed: its buffers go back to the parsers, and its
-        // credit to whoever acquired it — the parser that sent it or, for a
-        // file the consumer ingested while it waited, the consumer's ledger.
-        self.recycler.reclaim(batch);
+        // The batch is consumed: its memory goes, and its credit to whoever
+        // acquired it — the parser that sent it or, for a file the consumer
+        // ingested while it waited, the consumer's ledger.
+        drop(batch);
         self.governor.release(msg.parser, msg.credit);
         self.after_batch()
     }
@@ -1220,7 +1231,7 @@ impl<'a> Build<'a> {
             return Ok(());
         }
         let pool = self.pool.as_mut().expect(LIVE);
-        let (_, dict_bytes) = combine_and_write(&pool.shards(), &self.registry, &self.driver_sink);
+        let (_, dict_bytes) = combine_and_write(pool.shards(), &self.registry, &self.driver_sink);
         let faults = &self.report.faults;
         let ckpt = BuildCheckpoint {
             files_done: self.files_done as u64,
@@ -1243,8 +1254,7 @@ impl<'a> Build<'a> {
     /// End of streaming: flush the last partial run, fold in the parser
     /// deaths the consumer declared — they surface only now, and are
     /// bundled now — and the files it re-ingested inline, and let the
-    /// parser threads go. Nobody parses again: the recycled husks go before
-    /// the combine and the commit.
+    /// parser threads go.
     fn end_streaming(&mut self, parsing: ParserPool) {
         if self.batches_in_run > 0 {
             self.flush();
@@ -1256,7 +1266,6 @@ impl<'a> Build<'a> {
         self.registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
         self.bundle_deaths();
         parsing.join();
-        self.recycler.clear();
     }
 
     /// Finish, first: the report's workload figures, and each component's
@@ -1296,12 +1305,13 @@ impl<'a> Build<'a> {
 
     /// Finish, then: combine and write the dictionary. `finish` frees the
     /// pool — posting logs, simulated devices — first, and the shards go
-    /// before the commit.
+    /// before the dictionary is serialised.
     fn combine(&mut self) -> (GlobalDictionary, Vec<u8>) {
         let shards = self.pool.take().expect(LIVE).finish();
         let (dictionary, dict_bytes) =
-            combine_and_write(&shards, &self.registry, &self.driver_sink);
+            combine_and_write(shards, &self.registry, &self.driver_sink);
         self.registry.counter("pipeline.terms").add(dictionary.len() as u64);
+        self.sample_memory();
         (dictionary, dict_bytes)
     }
 

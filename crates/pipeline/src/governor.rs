@@ -5,7 +5,7 @@
 //! partial runs are flushed when memory fills and merged hierarchically.
 //! This module makes that budget explicit. A [`MemoryGovernor`] tracks
 //! live bytes across every stage of the pipeline — in-flight parsed
-//! batches (parser scratch, recycler pool, and bounded queues), per-shard
+//! batches (in the hand-off and parked for their turn), per-shard
 //! dictionary arenas, pending postings, and simulated-GPU device state —
 //! against a hard budget (`--mem-budget`; 0 = unlimited), and degrades
 //! gracefully and *deterministically* under pressure:
@@ -359,8 +359,8 @@ impl MemoryGovernor {
         true
     }
 
-    /// Return `bytes` of `holder`'s credit (driver side, when a batch's
-    /// memory is recycled): `Some(p)` is the parser that acquired them,
+    /// Return `bytes` of `holder`'s credit (driver side, when a batch is
+    /// consumed): `Some(p)` is the parser that acquired them,
     /// `None` the consumer's own ledger. The holder travels with the batch
     /// ([`ParsedFile::parser`]) because it cannot be worked out from the
     /// file index: a live parser whose file the consumer ingested holds

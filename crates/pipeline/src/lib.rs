@@ -58,7 +58,7 @@ pub use fault::{
     PipelineError, WorkerClass, WorkerFault, WorkerFaultKind, WorkerFaultPlan,
 };
 pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
-pub use parsers::{BatchRecycler, ParsedFile, ParserObs};
+pub use parsers::{ParsedFile, ParserObs};
 pub use supervisor::{DeathCause, SupervisionReport, SupervisorPolicy, WorkerDeath};
 pub use telemetry::{
     list_bundles, render_bundle_report, PostmortemWriter, TelemetryConfig, BUNDLE_SCHEMA_VERSION,

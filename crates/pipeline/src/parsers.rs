@@ -35,7 +35,7 @@ use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
 use crossbeam::channel::{bounded, Receiver};
 use ii_corpus::{compress, container, StoredCollection};
 use ii_obs::{Heartbeat, Registry, Stage, TraceKind, TraceSink, Tracer};
-use ii_text::{parse_documents_into, ParseScratch, ParsedBatch};
+use ii_text::{parse_records_into, ParseScratch, ParsedBatch};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
@@ -70,62 +70,6 @@ impl ParserObs {
     }
 }
 
-/// Returns consumed [`ParsedBatch`] buffers from the in-order consumer
-/// to the parser threads, so output allocations circulate instead of being
-/// made fresh per container file.
-///
-/// A bounded mutex-guarded pool carries the husks; both ends use
-/// non-blocking `try_lock`, so contention — or a full pool — simply drops
-/// the batch (the allocator takes over) and an empty pool means parsers
-/// allocate normally. Correctness never depends on recycling.
-#[derive(Clone)]
-pub struct BatchRecycler {
-    pool: Arc<Mutex<Vec<ParsedBatch>>>,
-    capacity: usize,
-}
-
-impl BatchRecycler {
-    /// Pool holding at most `capacity` drained batches.
-    pub fn new(capacity: usize) -> BatchRecycler {
-        let capacity = capacity.max(1);
-        BatchRecycler {
-            pool: Arc::new(Mutex::new(Vec::with_capacity(capacity))),
-            capacity,
-        }
-    }
-
-    /// Consumer side: hand back a batch whose contents have been indexed.
-    /// Never blocks; the batch is dropped if the pool is full or busy.
-    pub fn reclaim(&self, batch: ParsedBatch) {
-        if let Some(mut pool) = self.pool.try_lock() {
-            if pool.len() < self.capacity {
-                pool.push(batch);
-            }
-        }
-    }
-
-    /// Parser side: move one available husk's buffers into `scratch`.
-    /// (One per file keeps the pool spread across parser threads.)
-    fn refill(&self, scratch: &mut ParseScratch) {
-        let husk = self.pool.try_lock().and_then(|mut pool| pool.pop());
-        if let Some(husk) = husk {
-            scratch.recycle(husk);
-        }
-    }
-
-    /// Free every pooled husk (end of streaming: nobody will parse again,
-    /// and the combine and commit that follow should not carry them).
-    pub fn clear(&self) {
-        *self.pool.lock() = Vec::new();
-    }
-
-    /// Number of husks currently pooled (0 when the pool is busy) — a
-    /// gauge-sampling probe, approximate by design.
-    pub fn depth(&self) -> usize {
-        self.pool.try_lock().map_or(0, |pool| pool.len())
-    }
-}
-
 /// What [`ParserPool::spawn`] can be told beyond the collection, the parser
 /// count and the fault policy; the default is an untraced pool under the
 /// default watchdog that starts at file 0.
@@ -133,8 +77,6 @@ impl BatchRecycler {
 pub(crate) struct SpawnOptions {
     /// First container file to ingest (resume path).
     pub start_file: usize,
-    /// Buffer pool fed by the consumer via [`BatchRecycler::reclaim`].
-    pub recycler: Option<BatchRecycler>,
     /// Event tracer; each parser registers a `parser-{p}` timeline. The
     /// default (disabled) tracer records nothing.
     pub tracer: Tracer,
@@ -238,7 +180,6 @@ struct Shared {
     collection: Arc<StoredCollection>,
     policy: FaultPolicy,
     obs: ParserObs,
-    recycler: Option<BatchRecycler>,
     /// The disk scheduler: one read at a time, the consumer's included.
     disk: Mutex<()>,
 }
@@ -419,7 +360,6 @@ impl ParserPool {
             collection,
             policy,
             obs,
-            recycler: options.recycler.clone(),
             disk: Mutex::new(()),
         });
         // The window bounds the live messages in the hand-off, and a buried
@@ -459,7 +399,7 @@ impl ParserPool {
                         // handed over until the governor's byte-credit gate
                         // admits its footprint (fault messages carry no
                         // payload and pass free). The driver returns the
-                        // credit when the batch's memory is recycled.
+                        // credit when the batch is consumed.
                         let credit = msg.result.as_ref().map_or(0, |b| b.mem_bytes());
                         options.governor.acquire(p, credit, &sink);
                         msg.parser = Some(p);
@@ -552,8 +492,7 @@ impl ParserPool {
     /// scratch kept for the next file. `helping`, the caller's one `help`
     /// span covers the file, and this thread must not become a second
     /// steady-state parser in memory: the grown builders go back to the
-    /// allocator (the batch itself is built on a recycled husk either way,
-    /// and returns to the pool when consumed).
+    /// allocator.
     fn ingest_inline(&mut self, file_idx: usize, helping: bool) -> ParsedFile {
         let untraced = TraceSink::disabled();
         let sink = if helping { &untraced } else { &self.trace };
@@ -803,11 +742,14 @@ impl Shared {
             }
         };
         // Step 1b: in-memory decompression (outside the lock — the
-        // separate-step scheme of §IV.A).
+        // separate-step scheme of §IV.A). The compressed bytes go as soon
+        // as they are decoded.
         let mut span = self.obs.decompress.span();
         let mut tspan = sink.span(TraceKind::Decompress);
         tspan.set_batch(file_idx as u32);
-        let bytes = match compress::decompress(&raw) {
+        let decoded = compress::decompress(&raw);
+        drop(raw);
+        let bytes = match decoded {
             Ok(b) => b,
             Err(e) => {
                 drop(span);
@@ -818,11 +760,12 @@ impl Shared {
         tspan.add_bytes(bytes.len() as u64);
         drop(span);
         drop(tspan);
-        // Steps 1c-5: container parse + tokenize/stem/stop/regroup.
+        // Steps 1c-5: container walk + tokenize/stem/stop/regroup, over
+        // documents borrowed from the decompressed buffer.
         let mut span = self.obs.parse.span();
         let mut tspan = sink.span(TraceKind::Parse);
         tspan.set_batch(file_idx as u32);
-        let docs = match container::parse_container(&bytes) {
+        let docs = match container::records(&bytes) {
             Ok(d) => d,
             Err(e) => {
                 drop(span);
@@ -832,13 +775,8 @@ impl Shared {
                 );
             }
         };
-        // Pull consumed batch buffers back from the consumer before parsing so
-        // their capacity is reused for this file's output.
-        if let Some(recycler) = &self.recycler {
-            recycler.refill(scratch);
-        }
         let html = self.collection.manifest.spec.html;
-        let batch = parse_documents_into(scratch, &docs, html, file_idx);
+        let batch = parse_records_into(scratch, &docs, html, file_idx);
         span.add_bytes(bytes.len() as u64);
         tspan.add_bytes(bytes.len() as u64);
         drop(span);

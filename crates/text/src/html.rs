@@ -98,10 +98,12 @@ pub fn strip_tags_into(input: &str, out: &mut String) {
                 i += 1;
             }
         } else {
-            // Copy one UTF-8 scalar.
-            let c = input[i..].chars().next().unwrap();
-            out.push(c);
-            i += c.len_utf8();
+            // Copy the text up to the next markup byte in one piece (both
+            // are ASCII, so the run ends on a char boundary).
+            let run = bytes[i..].iter().position(|&b| b == b'<' || b == b'&');
+            let end = run.map_or(bytes.len(), |n| i + n);
+            out.push_str(&input[i..end]);
+            i = end;
         }
     }
 }

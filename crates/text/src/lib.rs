@@ -15,8 +15,8 @@ pub mod stopwords;
 pub mod tokenize;
 
 pub use parse::{
-    parse_documents, parse_documents_flat, parse_documents_into, DocSpan, ParseScratch,
-    ParseStats, ParsedBatch, TermBytesIter, TrieGroup, MAX_TERM_BYTES,
+    parse_documents, parse_documents_flat, parse_documents_into, parse_records_into, DocSpan,
+    ParseScratch, ParseStats, ParsedBatch, TermBytesIter, TrieGroup, MAX_TERM_BYTES,
 };
 pub use porter::{stem, stem_into, StemBuf};
 pub use stopwords::is_stop_word;

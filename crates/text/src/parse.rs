@@ -15,17 +15,19 @@
 //! The hot path runs through a per-thread [`ParseScratch`]: regrouping uses
 //! a flat direct-indexed table over the [`TRIE_ENTRIES`] slots (plus a
 //! touched-slot list for sparse drain) instead of a per-batch `HashMap`,
-//! and all buffers — group builders, stem scratch, the HTML text buffer,
-//! the output `Vec`s of recycled batches — are reused across container
-//! files so steady-state parsing performs no growth reallocation. Output is
-//! byte-identical to the pre-optimization parser, which the integration
-//! test crate keeps frozen as its differential oracle.
+//! and the working buffers — group builders, stem scratch, the HTML text
+//! buffer — are reused across container files, so steady-state parsing
+//! performs no growth reallocation. Documents come in borrowed
+//! ([`DocRef`]: slices of the decompressed container), and each batch
+//! leaves with exact-size buffers of its own: what a batch holds is what it
+//! carries. Output is byte-identical to the pre-optimization parser, which
+//! the integration test crate keeps frozen as its differential oracle.
 
 use crate::html::{strip_tags, strip_tags_into};
 use crate::porter::{stem_into, StemBuf};
 use crate::stopwords::is_stop_word;
 use crate::tokenize::tokens;
-use ii_corpus::doc::{DocId, RawDocument};
+use ii_corpus::doc::{DocId, DocRef, RawDocument};
 use ii_dict::trie::{classify, TrieIndex, TRIE_ENTRIES};
 
 /// Longest stored term suffix; the paper assumes one length byte suffices.
@@ -183,13 +185,6 @@ impl GroupBuilder {
 /// Sentinel in the slot table: trie index has no builder this batch.
 const NO_BUILDER: u32 = u32::MAX;
 
-/// Cap on recycled `TrieGroup` husks kept for reuse; bounds the capacity a
-/// long-lived parser thread can pin.
-const MAX_SPARE_GROUPS: usize = 32_768;
-
-/// Cap on recycled whole-batch containers (`groups` lists / doc tables).
-const MAX_SPARE_BATCHES: usize = 4;
-
 /// Reusable parser working memory, owned by one parser thread and carried
 /// across container files.
 ///
@@ -197,9 +192,8 @@ const MAX_SPARE_BATCHES: usize = 4;
 /// [`TRIE_ENTRIES`] trie indices to a live [`GroupBuilder`], with the
 /// `touched` list recording which slots are in use so the drain after each
 /// batch is sparse (proportional to distinct groups, not table size).
-/// Builders are recycled behind an `active` watermark, and [`Self::recycle`]
-/// harvests the `Vec`s of already-consumed [`ParsedBatch`]es so output
-/// capacity circulates back instead of being reallocated per file.
+/// Builders are recycled behind an `active` watermark and keep their
+/// capacity; a drained batch gets exact-size copies of their contents.
 pub struct ParseScratch {
     /// trie index -> index into `builders`, or [`NO_BUILDER`].
     slot: Box<[u32]>,
@@ -213,12 +207,6 @@ pub struct ParseScratch {
     stem_buf: StemBuf,
     /// HTML tag-stripping output buffer.
     text_buf: String,
-    /// Recycled per-group buffers from consumed batches.
-    spare_groups: Vec<TrieGroup>,
-    /// Recycled `ParsedBatch::groups` containers.
-    spare_group_lists: Vec<Vec<TrieGroup>>,
-    /// Recycled `ParsedBatch::doc_table` containers.
-    spare_doc_tables: Vec<Vec<(DocId, String)>>,
 }
 
 impl Default for ParseScratch {
@@ -230,9 +218,6 @@ impl Default for ParseScratch {
             active: 0,
             stem_buf: StemBuf::new(),
             text_buf: String::new(),
-            spare_groups: Vec::new(),
-            spare_group_lists: Vec::new(),
-            spare_doc_tables: Vec::new(),
         }
     }
 }
@@ -243,28 +228,10 @@ impl ParseScratch {
         Self::default()
     }
 
-    /// Return a consumed batch's buffers to the scratch so the next parse
-    /// reuses their capacity. Contents are discarded; only allocations are
-    /// kept (bounded by [`MAX_SPARE_GROUPS`] / [`MAX_SPARE_BATCHES`]).
-    pub fn recycle(&mut self, batch: ParsedBatch) {
-        let ParsedBatch { mut doc_table, mut groups, .. } = batch;
-        if self.spare_doc_tables.len() < MAX_SPARE_BATCHES {
-            doc_table.clear();
-            self.spare_doc_tables.push(doc_table);
-        }
-        for mut g in groups.drain(..) {
-            if self.spare_groups.len() >= MAX_SPARE_GROUPS {
-                break;
-            }
-            g.docs.clear();
-            g.term_bytes.clear();
-            self.spare_groups.push(g);
-        }
-        if self.spare_group_lists.len() < MAX_SPARE_BATCHES {
-            groups.clear();
-            self.spare_group_lists.push(groups);
-        }
-    }
+    /// Take back a consumed batch: it is dropped. Its buffers are
+    /// exact-size and its own, so there is no capacity to keep; the
+    /// builders' never left the scratch.
+    pub fn recycle(&mut self, _consumed: ParsedBatch) {}
 
     /// Recover from a previous parse that unwound mid-batch (the pipeline
     /// contains parser panics with `catch_unwind`, after which the thread's
@@ -279,23 +246,23 @@ impl ParseScratch {
         self.active = 0;
     }
 
-    /// Move the regrouped terms out of the builders into a sorted
-    /// `groups` list, resetting the slot table sparsely.
+    /// Copy the regrouped terms out of the builders into a sorted
+    /// `groups` list of exact-size buffers, resetting the slot table
+    /// sparsely. The builders keep their capacity for the next batch.
     fn drain_groups(&mut self) -> Vec<TrieGroup> {
         self.touched.sort_unstable();
-        let mut groups = self.spare_group_lists.pop().unwrap_or_default();
-        groups.reserve(self.touched.len());
+        let mut groups = Vec::with_capacity(self.touched.len());
         for &ti in &self.touched {
             let bi = self.slot[ti as usize];
             self.slot[ti as usize] = NO_BUILDER;
             let b = &mut self.builders[bi as usize];
-            // Swap the filled buffers out against a recycled husk so the
-            // builder keeps (recycled) capacity for the next batch.
-            let mut g = self.spare_groups.pop().unwrap_or_default();
-            g.trie_index = ti;
-            std::mem::swap(&mut g.docs, &mut b.docs);
-            std::mem::swap(&mut g.term_bytes, &mut b.term_bytes);
-            groups.push(g);
+            groups.push(TrieGroup {
+                trie_index: ti,
+                docs: b.docs.to_vec(),
+                term_bytes: b.term_bytes.to_vec(),
+            });
+            b.docs.clear();
+            b.term_bytes.clear();
         }
         self.touched.clear();
         self.active = 0;
@@ -303,15 +270,16 @@ impl ParseScratch {
     }
 }
 
-/// Run parser Steps 2-5 over one batch of documents, reusing `scratch`.
+/// Run parser Steps 2-5 over one batch of borrowed documents, reusing
+/// `scratch`.
 ///
 /// `html` selects tag stripping (web-crawl collections). Local doc IDs are
 /// assigned in input order starting at 0, matching Step 1's doc table.
-/// Steady state allocates only when the batch outgrows every previously
-/// recycled buffer.
-pub fn parse_documents_into(
+/// Steady state grows no working buffer unless the batch outgrows every
+/// earlier one; the batch's own buffers are allocated once, at their size.
+pub fn parse_records_into(
     scratch: &mut ParseScratch,
-    docs: &[RawDocument],
+    docs: &[DocRef<'_>],
     html: bool,
     file_idx: usize,
 ) -> ParsedBatch {
@@ -319,19 +287,17 @@ pub fn parse_documents_into(
         scratch.reset_stale();
     }
     let mut stats = ParseStats::default();
-    let mut doc_table = scratch.spare_doc_tables.pop().unwrap_or_default();
-    doc_table.reserve(docs.len());
+    let mut doc_table = Vec::with_capacity(docs.len());
     {
-        let ParseScratch { slot, touched, builders, active, stem_buf, text_buf, .. } =
-            scratch;
+        let ParseScratch { slot, touched, builders, active, stem_buf, text_buf } = scratch;
         for (local, d) in docs.iter().enumerate() {
             let doc_id = DocId(local as u32);
-            doc_table.push((doc_id, d.url.clone()));
+            doc_table.push((doc_id, d.url.to_owned()));
             let text: &str = if html {
-                strip_tags_into(&d.body, text_buf);
+                strip_tags_into(d.body, text_buf);
                 text_buf
             } else {
-                &d.body
+                d.body
             };
             let mut it = tokens(text);
             while let Some(tok) = it.next_token() {
@@ -366,6 +332,17 @@ pub fn parse_documents_into(
     }
     let groups = scratch.drain_groups();
     ParsedBatch { file_idx, num_docs: docs.len() as u32, doc_table, groups, stats }
+}
+
+/// [`parse_records_into`] over owned documents.
+pub fn parse_documents_into(
+    scratch: &mut ParseScratch,
+    docs: &[RawDocument],
+    html: bool,
+    file_idx: usize,
+) -> ParsedBatch {
+    let docs: Vec<DocRef<'_>> = docs.iter().map(RawDocument::as_doc_ref).collect();
+    parse_records_into(scratch, &docs, html, file_idx)
 }
 
 /// Run parser Steps 2-5 over one batch of documents.
@@ -555,10 +532,19 @@ mod tests {
             let fresh = parse_documents(docs, *html, i);
             let reused = parse_documents_into(&mut scratch, docs, *html, i);
             assert_eq!(fresh, reused, "batch {i} differs under scratch reuse");
-            // Feed buffers back as the pipeline consumer does.
+            // Every buffer the batch carries is exactly as large as its
+            // contents: nothing of the builders' headroom leaves with it.
+            for g in &reused.groups {
+                assert_eq!(g.docs.capacity(), g.docs.len(), "batch {i} group {}", g.trie_index);
+                assert_eq!(g.term_bytes.capacity(), g.term_bytes.len(), "batch {i}");
+            }
+            assert_eq!(reused.groups.capacity(), reused.groups.len(), "batch {i}");
+            assert_eq!(reused.doc_table.capacity(), reused.doc_table.len(), "batch {i}");
             scratch.recycle(reused);
         }
-        assert!(!scratch.spare_groups.is_empty(), "recycle must harvest group buffers");
+        // The builders keep theirs for the next batch.
+        assert!(scratch.builders.iter().any(|b| b.term_bytes.capacity() > 0));
+        assert!(scratch.builders.iter().all(|b| b.docs.is_empty() && b.term_bytes.is_empty()));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The frozen parser: what `ii_text::parse_documents_into` was before its
 //! hot-path rewrite — per-batch `HashMap` regrouping over the naive
 //! tokenizer ([`crate::tokenize`]), allocating stemmer ([`crate::porter`]),
-//! full-table stop lookup ([`crate::stopwords`]) and char-counting
-//! classifier ([`crate::trie`]), every piece the rewrite touched. The
+//! full-table stop lookup ([`crate::stopwords`]), char-counting
+//! classifier ([`crate::trie`]) and `char`-wise HTML stripper
+//! ([`crate::html`]), every piece a rewrite touched. The
 //! product parser must return byte-identical [`ParsedBatch`]es.
 
 use ii_core::corpus::{DocId, RawDocument};
-use ii_core::text::html::strip_tags;
+use crate::html::strip_tags_reference;
 use ii_core::text::{DocSpan, ParseStats, ParsedBatch, TrieGroup, MAX_TERM_BYTES};
 use std::collections::HashMap;
 
@@ -48,7 +49,7 @@ pub fn parse_documents_reference(
         let doc_id = DocId(local as u32);
         doc_table.push((doc_id, d.url.clone()));
         let text: std::borrow::Cow<'_, str> =
-            if html { strip_tags(&d.body).into() } else { (&d.body).into() };
+            if html { strip_tags_reference(&d.body).into() } else { (&d.body).into() };
         let mut it = crate::tokenize::tokens_reference(&text);
         while let Some(tok) = it.next_token() {
             stats.tokens += 1;

@@ -11,7 +11,9 @@
 use ii_core::corpus::RawDocument;
 use ii_core::text::porter::{self, StemBuf};
 use ii_core::text::tokenize::tokens;
+use ii_core::text::html::{strip_tags, strip_tags_into};
 use ii_core::text::{parse_documents_into, stopwords::STOP_WORDS, ParseScratch};
+use ii_integration_tests::html::strip_tags_reference;
 use ii_integration_tests::parse::parse_documents_reference;
 use ii_integration_tests::porter as reference;
 use ii_integration_tests::tokenize::tokens_reference;
@@ -41,8 +43,48 @@ fn docs_strategy() -> impl Strategy<Value = Vec<RawDocument>> {
     )
 }
 
+/// HTML-like text: words and multi-byte characters between tags, known,
+/// unknown and cut entities, `<script>`/`<style>` elements in any case,
+/// closed or not, and stray `<`, `>` and `&`.
+fn html_strategy() -> impl Strategy<Value = String> {
+    let piece = (any::<u8>(), "[a-zA-Z0-9 ]{0,10}", ".{0,4}");
+    proptest::collection::vec(piece, 0..16).prop_map(|pieces| {
+        let mut out = String::new();
+        for (sel, word, unicode) in pieces {
+            let entities = ["&amp;", "&lt;", "&gt;", "&quot;", "&#39;", "&nbsp;", "&bogus;", "&amp"];
+            match sel % 10 {
+                0 => out.push_str(&word),
+                1 => out.push_str(&unicode),
+                2 => out.push_str(&format!("<p class=\"{word}\">{unicode}</p>")),
+                3 => out.push_str(entities[usize::from(sel / 10) % entities.len()]),
+                4 => out.push_str(&format!("<script>{word}<b>{unicode}</script>")),
+                5 => out.push_str(&format!("<STYLE type=x>{word}&amp;</sTyLe >")),
+                6 => out.push_str(&format!("<script>{word}")), // never closed
+                7 => out.push_str(&format!("<{word}")), // tag cut short
+                8 => out.push_str(&format!("{unicode}&{word}>{unicode}")),
+                _ => out.push_str(&format!("< {word} >{unicode}")),
+            }
+        }
+        out
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The product stripper, which copies text runs whole, gives the frozen
+    /// `char`-at-a-time stripper's text exactly — through one reused buffer
+    /// and through the allocating wrapper.
+    #[test]
+    fn stripper_matches_reference(pages in proptest::collection::vec(html_strategy(), 1..4)) {
+        let mut buf = String::from("stale");
+        for page in &pages {
+            let expect = strip_tags_reference(page);
+            strip_tags_into(page, &mut buf);
+            prop_assert_eq!(&buf, &expect);
+            prop_assert_eq!(strip_tags(page), expect);
+        }
+    }
 
     /// The optimized parser's ParsedBatch — groups, term_bytes, doc spans,
     /// doc table, stats — is byte-identical to the naive reference, with

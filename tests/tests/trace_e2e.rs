@@ -12,6 +12,7 @@ use std::sync::Arc;
 const PARSERS: usize = 2;
 const CPUS: usize = 1;
 const GPUS: usize = 1;
+const FILES: usize = 6;
 
 fn traced_build() -> (Trace, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ii-trace-e2e-{}", std::process::id()));
@@ -19,7 +20,7 @@ fn traced_build() -> (Trace, std::path::PathBuf) {
     // The congress preset at a scale small enough for a test: keep the
     // document shape (long congressional records, HTML), shrink the counts.
     let mut spec = CollectionSpec::congress_like(0.5);
-    spec.num_files = 6;
+    spec.num_files = FILES;
     spec.docs_per_file = 20;
     let coll = Arc::new(StoredCollection::generate(spec, &dir).unwrap());
     let mut cfg = PipelineConfig::small(PARSERS, CPUS, GPUS);
@@ -96,6 +97,20 @@ fn congress_trace_covers_every_worker_and_round_trips() {
         trace.gauges.iter().any(|g| g.name == "queue.parsed"),
         "queue gauge for the parsed files missing"
     );
+    // So was the process's memory, where `/proc/self/status` exists: one
+    // sample per file and one after the combine, the high-water mark never
+    // below the resident set and never falling.
+    if std::path::Path::new("/proc/self/status").exists() {
+        let series = |name: &str| {
+            let g = trace.gauges.iter().find(|g| g.name == name);
+            g.unwrap_or_else(|| panic!("{name} missing")).samples.clone()
+        };
+        let (rss, hwm) = (series("process.rss_kb"), series("process.hwm_kb"));
+        assert_eq!(rss.len(), FILES + 1, "one memory sample per file, one after the combine");
+        assert_eq!(hwm.len(), rss.len());
+        assert!(rss.iter().zip(&hwm).all(|(r, h)| r.1 > 0 && h.1 >= r.1), "{rss:?} {hwm:?}");
+        assert!(hwm.windows(2).all(|w| w[0].1 <= w[1].1), "high water fell: {hwm:?}");
+    }
 
     // The exported Chrome JSON parses back to an identical trace.
     let json = trace.to_chrome_json();
