@@ -40,11 +40,11 @@ fn verify_reports_a_run_in_a_retired_codec() {
     assert!(ii(&["build", c, i, "--parsers", "1", "--cpu", "1", "--gpus", "0"]).status.success());
     assert!(ii(&["verify", i]).status.success(), "the honest index verifies");
 
-    // Run 1 of indexer 0 rewritten as one two-posting list under handle 0:
+    // Run 0 of indexer 0 rewritten as one two-posting list under handle 0:
     // its table is one row, which ends in the codec tag.
-    let name = run_artifact_name(0, 1);
+    let name = run_artifact_name(0, 0);
     let list: PostingsList = [1, 4].map(|d| Posting { doc: DocId(d), tf: 1 }).into_iter().collect();
-    let honest = RunFile::build(1, 0, &mut [(0u32, &list)].into_iter(), Codec::VarByte).to_bytes();
+    let honest = RunFile::build(0, 0, &mut [(0u32, &list)].into_iter(), Codec::VarByte).to_bytes();
     let table_len = u64::from_le_bytes(honest[25..33].try_into().unwrap()) as usize;
     let row_tag_at = 41 + table_len - 1;
     let write = |bytes: &[u8]| {

@@ -21,13 +21,13 @@ fn query_refuses_a_run_listed_twice() {
     assert!(query().status.success(), "the honest index answers");
 
     let honest = Manifest::load(&idx).unwrap();
-    let record = honest.artifacts.iter().find(|a| a.name == "run_000_00001.iirf").unwrap().clone();
+    let record = honest.artifacts.iter().find(|a| a.name == "run_000_00000.iirf").unwrap().clone();
     let mut appended = honest.clone();
     appended.artifacts.push(record.clone());
     let mut aliased = honest.clone();
-    aliased.artifacts.push(ArtifactMeta { name: "run_0_1.iirf".into(), ..record });
+    aliased.artifacts.push(ArtifactMeta { name: "run_0_0.iirf".into(), ..record });
     aliased.artifacts.sort_by(|a, b| a.name.cmp(&b.name));
-    for (manifest, named) in [(appended, MANIFEST_NAME), (aliased, "run_0_1.iirf")] {
+    for (manifest, named) in [(appended, MANIFEST_NAME), (aliased, "run_0_0.iirf")] {
         std::fs::write(idx.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
         let out = query();
         let stderr = String::from_utf8_lossy(&out.stderr);

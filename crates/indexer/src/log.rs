@@ -1,28 +1,32 @@
-//! The pending postings of one run, as one log instead of one list per term.
+//! The pending postings of one run, as one threaded log instead of one
+//! list per term.
 //!
 //! Every indexer — the CPU thread here, the GPU kernel on its device —
-//! accumulates a run's postings as `(handle, doc, tf)` records in arrival
-//! order: one contiguous vector per run, not a heap vector per term. A
-//! per-handle index of each term's latest record is all the CPU path needs
-//! to bump a term frequency. At the end of the run [`PostingLog::flush_run`]
-//! groups the records by handle with one stable counting sort and hands each
-//! group to the run writer; within a handle the records keep their arrival
-//! order, which is document order (§III.F).
+//! accumulates a run's postings as records in arrival order: one contiguous
+//! vector per run, not a heap vector per term. Each record holds its
+//! posting and the index of its term's previous record, and a per-handle
+//! index of each term's latest record heads the chain; that is all the CPU
+//! path needs to bump a term frequency. At the end of the run
+//! [`PostingLog::flush_run`] walks each handle's chain from its latest
+//! record back, reverses it into document order (§III.F) and hands it to
+//! the run writer: no sort and no copy of the log.
 
 use ii_corpus::DocId;
 use ii_postings::{Codec, Posting, RunBuilder, RunFile};
 
-/// "No record this run" in [`PostingLog::last`].
+/// "No record": the end of a chain, or a handle with none this run.
 const NONE: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct Record {
-    handle: u32,
+    /// The index in `records` of the same term's previous record, or
+    /// [`NONE`] for its first this run.
+    prev: u32,
     posting: Posting,
 }
 
-/// One run's pending postings. Handles index a dense array, as the
-/// dictionary allots them (0, 1, 2, …).
+/// One run's pending postings: 12 bytes per record plus 4 per handle.
+/// Handles index a dense array, as the dictionary allots them (0, 1, 2, …).
 #[derive(Clone, Debug, Default)]
 pub struct PostingLog {
     records: Vec<Record>,
@@ -70,8 +74,10 @@ impl PostingLog {
                 latest
             );
         }
-        self.last[slot] = u32::try_from(self.records.len()).expect("a run's records fit a u32");
-        self.records.push(Record { handle, posting });
+        let at = u32::try_from(self.records.len()).ok().filter(|&at| at != NONE);
+        let at = at.expect("a run's records fit below u32::MAX");
+        let prev = std::mem::replace(&mut self.last[slot], at);
+        self.records.push(Record { prev, posting });
     }
 
     /// Postings pending (one per record).
@@ -93,42 +99,37 @@ impl PostingLog {
         (self.records.len() * std::mem::size_of::<Posting>()) as u64
     }
 
-    /// The pending postings of `handle`, in document order. A scan of the
-    /// whole log: for tests, not for the indexing path.
+    /// The pending postings of `handle`, in document order.
     pub fn postings_of(&self, handle: u32) -> Vec<Posting> {
-        self.records.iter().filter(|r| r.handle == handle).map(|r| r.posting).collect()
+        let mut list = Vec::new();
+        self.chain_into(self.last.get(handle as usize).copied().unwrap_or(NONE), &mut list);
+        list
+    }
+
+    /// Replace `list` with the chain that ends at record `at`, in document
+    /// order: the walk goes from the latest record back, so it reverses.
+    fn chain_into(&self, mut at: u32, list: &mut Vec<Posting>) {
+        list.clear();
+        while at != NONE {
+            let r = self.records[at as usize];
+            list.push(r.posting);
+            at = r.prev;
+        }
+        list.reverse();
     }
 
     /// End-of-run flush: encode every handle's postings into a run file and
     /// empty the log (handles remain valid; later runs append new partial
-    /// lists under the same handles).
+    /// lists under the same handles). Walks the handles in ascending order
+    /// and each one's chain into one reused list: O(postings + handles).
     pub fn flush_run(&mut self, run_id: u32, indexer_id: u32, codec: Codec) -> RunFile {
-        // Stable counting sort on handle. `slot[h]` starts as the first slot
-        // of handle h's group and ends one past its last.
-        let mut slot = vec![0u32; self.last.len()];
-        for r in &self.records {
-            slot[r.handle as usize] += 1;
-        }
-        let (mut lists, mut next) = (0usize, 0u32);
-        for s in &mut slot {
-            let n = *s;
-            *s = next;
-            next += n;
-            lists += usize::from(n > 0);
-        }
-        let mut sorted = vec![Posting { doc: DocId(0), tf: 0 }; self.records.len()];
-        for r in &self.records {
-            let s = &mut slot[r.handle as usize];
-            sorted[*s as usize] = r.posting;
-            *s += 1;
-        }
+        let lists = self.last.iter().filter(|&&at| at != NONE).count();
         let mut run = RunBuilder::new(run_id, indexer_id, codec, lists);
-        let mut start = 0usize;
-        for (handle, &end) in slot.iter().enumerate() {
-            let end = end as usize;
-            if end > start {
-                run.push_list(handle as u32, &sorted[start..end]);
-                start = end;
+        let mut list = Vec::new();
+        for (handle, &at) in self.last.iter().enumerate() {
+            if at != NONE {
+                self.chain_into(at, &mut list);
+                run.push_list(handle as u32, &list);
             }
         }
         self.records.clear();

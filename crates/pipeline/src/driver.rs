@@ -77,7 +77,8 @@ pub struct PipelineConfig {
     /// one being consumed, and the consumer parks at most this many files
     /// it ingested itself.
     pub buffer_depth: usize,
-    /// Batches per run (1 = one run per container file).
+    /// Batches per run: an indexer flushes one run per this many container
+    /// files (1 = one run per file).
     pub batches_per_run: usize,
     /// Retry and quarantine behaviour for faulty container files.
     pub fault_policy: FaultPolicy,
@@ -122,7 +123,7 @@ impl Default for PipelineConfig {
             sample_docs_per_file: 2,
             sample_file_stride: 1,
             buffer_depth: 2,
-            batches_per_run: 1,
+            batches_per_run: 4,
             fault_policy: FaultPolicy::default(),
             trace: TraceConfig::default(),
             supervision: SupervisorPolicy::default(),
@@ -749,6 +750,9 @@ struct Build<'a> {
     /// in kB, per message and after the combine: all the memory there is,
     /// beside the part the governor counts.
     memory_series: Option<[GaugeSeries; 2]>,
+    /// The largest `VmHWM` read so far, in kB: what the high-water series
+    /// records, since successive reads of the kernel's mark can fall.
+    hwm_kb: i64,
     /// Each worker's heartbeat and `worker.*.idle_ms` gauge: parsers, CPU
     /// executors, GPUs.
     beats: Vec<(Arc<Gauge>, Arc<Heartbeat>)>,
@@ -884,6 +888,7 @@ impl<'a> Build<'a> {
             memory_series: tracer
                 .is_enabled()
                 .then(|| [tracer.gauge("process.rss_kb"), tracer.gauge("process.hwm_kb")]),
+            hwm_kb: 0,
             beats,
             governor_gauges: [
                 "governor.effective_budget_bytes",
@@ -951,15 +956,23 @@ impl<'a> Build<'a> {
     }
 
     /// Sample `VmRSS` and `VmHWM` from `/proc/self/status` into the trace
-    /// (nothing without tracing, or without that file).
-    fn sample_memory(&self) {
-        let Some(series) = &self.memory_series else { return };
+    /// (nothing without tracing, or without that file). `VmRSS` goes in as
+    /// read; the high-water series takes the running maximum of the `VmHWM`
+    /// reads, because the kernel may report that mark from an approximate
+    /// per-CPU sum, and two reads of it need not be monotone.
+    fn sample_memory(&mut self) {
+        let Some([rss, hwm]) = &self.memory_series else { return };
         let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return };
-        for (series, field) in series.iter().zip(["VmRSS:", "VmHWM:"]) {
+        let read = |field: &str| -> Option<i64> {
             let kb = status.lines().find_map(|l| l.strip_prefix(field)?.split_whitespace().next());
-            if let Some(kb) = kb.and_then(|kb| kb.parse().ok()) {
-                series.sample(kb);
-            }
+            kb?.parse().ok()
+        };
+        if let Some(kb) = read("VmRSS:") {
+            rss.sample(kb);
+        }
+        if let Some(kb) = read("VmHWM:") {
+            self.hwm_kb = self.hwm_kb.max(kb);
+            hwm.sample(self.hwm_kb);
         }
     }
 
@@ -1675,7 +1688,7 @@ mod tests {
         spec.num_files = 6;
         spec.docs_per_file = 8;
         let (coll, dir) = stored("resume", spec);
-        let cfg = PipelineConfig::small(2, 1, 1);
+        let cfg = PipelineConfig { batches_per_run: 1, ..PipelineConfig::small(2, 1, 1) };
         let baseline = build_index(&coll, &cfg).expect("baseline");
 
         // Probe a full durable run to count its storage ops, then kill a

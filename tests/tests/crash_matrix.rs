@@ -234,7 +234,7 @@ fn generation_answers(store: &Store) -> BTreeMap<String, Vec<(u32, u32)>> {
 fn killed_build_resumes_to_byte_identical_index() {
     let coll_dir = scratch("resume-coll");
     let coll = Arc::new(StoredCollection::generate(spec(104, 6), &coll_dir).unwrap());
-    let cfg = durable_cfg();
+    let cfg = PipelineConfig { batches_per_run: 1, ..durable_cfg() };
 
     let base_dir = scratch("resume-base");
     let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
@@ -298,6 +298,64 @@ fn killed_build_resumes_to_byte_identical_index() {
     // One run per file and a checkpoint after every run but the last.
     checkpoints_checked.sort_unstable();
     assert_eq!(checkpoints_checked, [1, 2, 3, 4, 5], "every checkpoint generation was read");
+    std::fs::remove_dir_all(&coll_dir).unwrap();
+}
+
+/// The same kill-and-resume at the default of four files per run, CPU-only
+/// and with a GPU: ten files make runs of 4, 4 and 2 files, so most kills
+/// land with a run part-indexed, and every resume must still commit the
+/// uninterrupted build's bytes.
+#[test]
+fn killed_build_at_four_files_per_run_resumes_byte_identical() {
+    let coll_dir = scratch("four-coll");
+    let coll = Arc::new(StoredCollection::generate(spec(106, 10), &coll_dir).unwrap());
+    for gpus in [0, 1] {
+        let cfg = PipelineConfig::small(2, 1, gpus);
+        assert_eq!(cfg.batches_per_run, 4, "the default");
+        let base_dir = scratch(&format!("four-base-{gpus}"));
+        let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
+        build_index_durable(&coll, &cfg, &opts).expect("uninterrupted durable build");
+        let want = store_fingerprint(&base_dir);
+
+        let probe_dir = scratch(&format!("four-probe-{gpus}"));
+        let probe = CrashVfs::probe();
+        let opts = DurableOptions::new(&probe_dir).checkpoint_every(1).with_vfs(&probe);
+        build_index_durable(&coll, &cfg, &opts).expect("probe build");
+        let total = probe.ops();
+        std::fs::remove_dir_all(&probe_dir).unwrap();
+
+        let mut generations = Vec::new();
+        let mut k = 0;
+        while k < total {
+            let dir = scratch(&format!("four-hit-{gpus}"));
+            let crash = CrashVfs::new(k, CrashMode::PowerLoss, 0xF00D ^ k);
+            let opts = DurableOptions::new(&dir).checkpoint_every(1).with_vfs(&crash);
+            assert!(build_index_durable(&coll, &cfg, &opts).is_err(), "gpus {gpus}, op {k}");
+            let checkpoint =
+                Store::open(&dir).ok().filter(|s| s.manifest().kind == ManifestKind::Checkpoint);
+            if let Some(store) = checkpoint {
+                let ckpt: BuildCheckpoint =
+                    serde_json::from_slice(&store.read(CHECKPOINT_ARTIFACT).unwrap()).unwrap();
+                generations.push(ckpt.files_done);
+            }
+            let opts = DurableOptions::new(&dir).checkpoint_every(1).resume(true);
+            match build_index_durable(&coll, &cfg, &opts) {
+                Ok(_) => {}
+                Err(PipelineError::Resume(why)) => {
+                    assert!(why.contains("completed"), "gpus {gpus}, op {k}/{total}: {why}")
+                }
+                Err(e) => panic!("gpus {gpus}, op {k}/{total}: resume failed: {e}"),
+            }
+            assert_eq!(store_fingerprint(&dir), want, "gpus {gpus}, op {k}/{total}");
+            std::fs::remove_dir_all(&dir).unwrap();
+            k += (total / 16).max(1);
+        }
+        // A checkpoint after every run but the last, each of four files.
+        generations.sort_unstable();
+        generations.dedup();
+        assert_eq!(generations, [4, 8], "gpus {gpus}: every checkpoint generation was hit");
+        std::fs::remove_dir_all(&base_dir).unwrap();
+    }
     std::fs::remove_dir_all(&coll_dir).unwrap();
 }
 

@@ -592,7 +592,7 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     let coll_dir = scratch("ckpt-coll");
     let spec = CollectionSpec { num_files: 5, ..CollectionSpec::tiny(29) };
     let coll = Arc::new(StoredCollection::generate(spec, &coll_dir).unwrap());
-    let cfg = PipelineConfig::small(2, 1, 1);
+    let cfg = PipelineConfig { batches_per_run: 1, ..PipelineConfig::small(2, 1, 1) };
     // Kill a build halfway through its storage ops: some checkpoint is in.
     let probe = CrashVfs::probe();
     let opts = DurableOptions::new(scratch("ckpt-probe")).checkpoint_every(1).with_vfs(&probe);

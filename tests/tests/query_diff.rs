@@ -227,8 +227,9 @@ fn xorshift(state: &mut u64) -> u64 {
 /// A collection of `files` container files of `docs_per_file` short
 /// documents, words drawn from [`DOC_WORDS`] skewed to its front (the first
 /// word's list runs to several blocks in the larger cases), built with one
-/// CPU and one GPU indexer: one run per file in each run set.
-fn build(seed: u64, files: usize, docs_per_file: usize) -> Index {
+/// CPU and one GPU indexer flushing a run every `batches_per_run` files
+/// (`None`: the default).
+fn build(seed: u64, files: usize, docs_per_file: usize, batches_per_run: Option<usize>) -> Index {
     static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("ii-query-diff-{seq}-{}", std::process::id()));
@@ -278,7 +279,9 @@ fn build(seed: u64, files: usize, docs_per_file: usize) -> Index {
     };
     std::fs::write(dir.join("manifest.json"), serde_json::to_vec(&manifest).unwrap()).unwrap();
     let coll = Arc::new(StoredCollection::open(&dir).unwrap());
-    let out = build_index(&coll, &PipelineConfig::small(2, 1, 1)).expect("build");
+    let mut cfg = PipelineConfig::small(2, 1, 1);
+    cfg.batches_per_run = batches_per_run.unwrap_or(cfg.batches_per_run);
+    let out = build_index(&coll, &cfg).expect("build");
     std::fs::remove_dir_all(&dir).unwrap();
     Index::from_output(out)
 }
@@ -304,7 +307,7 @@ proptest! {
             12,
         ),
     ) {
-        let idx = build(seed, files, docs_per_file);
+        let idx = build(seed, files, docs_per_file, Some(1));
         let runs = idx.run_sets.values().map(|set| set.runs().len()).max().unwrap_or(0);
         prop_assert!(runs >= 3, "{} runs", runs);
         for words in &queries {
@@ -337,7 +340,7 @@ proptest! {
 /// stem, stop words only, absent words in every position, one term.
 #[test]
 fn evaluator_matches_on_the_awkward_queries() {
-    let idx = build(7, 4, 400);
+    let idx = build(7, 4, 400, None);
     let (_, apple) = idx.explain("apple", QueryMode::Or);
     assert!(apple[0].blocks.1 > apple[0].parts.1, "some run holds a multi-block list: {apple:?}");
     for text in [
@@ -387,8 +390,8 @@ fn without_holders(mut idx: Index) -> Index {
 /// frozen loops on the same index without the column.
 #[test]
 fn holders_and_row_postings_change_no_answer() {
-    let tracked = build(21, 5, 150);
-    let plain = without_holders(build(21, 5, 150));
+    let tracked = build(21, 5, 150, Some(1));
+    let plain = without_holders(build(21, 5, 150, Some(1)));
     let (mut row_parts, mut partial_holders) = (0usize, 0usize);
     for e in tracked.dictionary.entries() {
         let term = e.full_term();

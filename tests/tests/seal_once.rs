@@ -46,7 +46,7 @@ fn collection(tag: &str) -> (Arc<StoredCollection>, PathBuf) {
 /// single dictionary shard changes with every batch, so nothing but a
 /// sealed run is ever staged unchanged.
 fn cfg() -> PipelineConfig {
-    PipelineConfig::small(1, 1, 0)
+    PipelineConfig { batches_per_run: 1, ..PipelineConfig::small(1, 1, 0) }
 }
 
 /// The real filesystem, remembering `(artifact file name, bytes)` of every
