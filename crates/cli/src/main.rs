@@ -84,8 +84,8 @@ fn usage() {
          picks per list length: varbyte short, PForDelta medium, BP128 long\n        \
          [--max-retries N] [--on-fault fail|skip]      fail aborts on a corrupt file (default);\n        \
          skip quarantines it and indexes the rest\n        \
-         [--checkpoint-every N] commits a resumable checkpoint every N runs (default 2;\n        \
-         a run is 4 container files)\n        \
+         [--checkpoint-every N] commits a resumable checkpoint every N runs (default 1;\n        \
+         a run is 16 container files)\n        \
          [--resume] continues an interrupted build from its last checkpoint\n        \
          [--mem-budget BYTES] hard memory budget; under pressure the build degrades\n        \
          deterministically (backpressure, early flushes, GPU shedding); 0 = unlimited\n        \
@@ -264,9 +264,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         Some("skip") => FaultAction::SkipFile,
         Some(other) => usage_error(&format!("--on-fault expects 'fail' or 'skip', got '{other}'")),
     };
-    // Two runs of four container files each: a checkpoint every 8 files,
-    // the cadence of 8 runs when a run was one file.
-    let checkpoint_every = flag_usize(args, "--checkpoint-every", 2)?;
+    // A checkpoint at every run boundary: every 16 container files, so a
+    // kill redoes at most that many.
+    let checkpoint_every = flag_usize(args, "--checkpoint-every", 1)?;
     // Absent: the library's sane default budget. Present: the given hard
     // budget, with 0 meaning explicitly unlimited.
     let mem_budget: Option<u64> = match flag(args, "--mem-budget") {

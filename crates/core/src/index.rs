@@ -378,7 +378,7 @@ mod tests {
         // of its last payload byte set: the list's final varbyte never ends.
         let mut runs = RunSet::new();
         let first_runs = idx.run_sets[&e.indexer].runs();
-        first_runs.iter().for_each(|run| runs.push(run.clone()));
+        first_runs.iter().for_each(|run| runs.push(run.clone()).unwrap());
         let more: PostingsList =
             [10, 11].into_iter().map(|d| Posting { doc: DocId(d), tf: 1 }).collect();
         let next_id = first_runs.last().unwrap().run_id + 1;
@@ -389,7 +389,7 @@ mod tests {
             ii_postings::Codec::VarByte,
         );
         *bad.payload.last_mut().unwrap() ^= 0x80;
-        runs.push(bad);
+        runs.push(bad).unwrap();
         idx.run_sets.insert(e.indexer, runs);
 
         // The parent answered all three from the first run alone.

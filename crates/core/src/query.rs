@@ -394,7 +394,7 @@ mod tests {
             if let Some(row) = run.entry(e.postings) {
                 run.payload[(row.offset + u64::from(row.len)) as usize - 1] ^= 0x80;
             }
-            corrupt.push(run);
+            corrupt.push(run).unwrap();
         }
         idx.run_sets.insert(e.indexer, corrupt);
         let errors = idx.obs.counter("query.decode_errors");

@@ -219,29 +219,61 @@ impl GlobalDictionary {
     /// by reference (a checkpoint combines the live pool's without cloning
     /// them).
     pub fn combine<P: Borrow<PartialDictionary>>(parts: &[P]) -> GlobalDictionary {
-        const UNOWNED: usize = usize::MAX;
-        let mut part_of = vec![UNOWNED; TRIE_ENTRIES];
-        for (i, p) in parts.iter().enumerate() {
-            for ti in p.borrow().trie_indices() {
-                let slot = &mut part_of[ti as usize];
-                assert!(*slot == UNOWNED, "trie collection {ti} is in two shards");
-                *slot = i;
-            }
-        }
         let mut dict = GlobalDictionary::default();
         let terms: usize = parts.iter().map(|p| p.borrow().term_count() as usize).sum();
         dict.offsets.reserve_exact(terms);
         dict.handles.reserve_exact(terms);
-        for (ti, &i) in part_of.iter().enumerate() {
-            if i != UNOWNED {
-                let p = parts[i].borrow();
-                let tree = p.tree(ti as u32).expect("listed index has a tree");
-                p.store.for_each_term(&tree, &mut |head, rest, postings| {
-                    dict.push(ti as u32, &[head, rest], p.indexer_id, postings)
-                });
-            }
-        }
+        for_each_combined_term(parts, |ti, suffix, indexer, postings| {
+            dict.push(ti, suffix, indexer, postings)
+        });
         dict.finish()
+    }
+
+    /// Serialise the dictionary [`Self::combine`] builds from `parts`
+    /// straight from the shards into `out` (cleared first): byte for byte
+    /// what `combine` and then [`Self::write_to`] write, without a second
+    /// copy of every term beside the shards. One walk of every tree sizes
+    /// the columns and the suffix arena; a second fills them in place.
+    /// Returns the bytes written. A checkpoint serialises this way while
+    /// the pool's shards stay live.
+    pub fn write_combined<P: Borrow<PartialDictionary>>(parts: &[P], out: &mut Vec<u8>) -> u64 {
+        let mut counts = vec![0u32; TRIE_ENTRIES];
+        let (mut terms, mut arena_len) = (0usize, 0usize);
+        for_each_combined_term(parts, |ti, suffix, _, _| {
+            counts[ti as usize] += 1;
+            terms += 1;
+            arena_len += suffix.iter().map(|piece| piece.len()).sum::<usize>();
+        });
+        let arena_len = u32::try_from(arena_len).expect("dictionary suffixes exceed 4 GiB");
+        let columns = 4 * (2 * TRIE_ENTRIES + 1 + 2 * terms + 1);
+        out.clear();
+        out.resize(DICT_HEADER_BYTES + columns + arena_len as usize, 0);
+        out[..4].copy_from_slice(DICT_MAGIC);
+        out[4..8].copy_from_slice(&(terms as u32).to_le_bytes());
+        out[8..12].copy_from_slice(&arena_len.to_le_bytes());
+        let put = |out: &mut [u8], at: usize, v: u32| out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        let (dir_at, owners_at) = (DICT_HEADER_BYTES, DICT_HEADER_BYTES + 4 * (TRIE_ENTRIES + 1));
+        let offsets_at = owners_at + 4 * TRIE_ENTRIES;
+        let (handles_at, arena_at) = (offsets_at + 4 * (terms + 1), offsets_at + 4 * (2 * terms + 1));
+        let mut ordinal = 0;
+        for (t, &n) in counts.iter().enumerate() {
+            ordinal += n;
+            put(out, dir_at + 4 * (t + 1), ordinal);
+        }
+        let (mut i, mut end) = (0, 0usize);
+        for_each_combined_term(parts, |ti, suffix, indexer, postings| {
+            put(out, owners_at + 4 * ti as usize, indexer);
+            let start = end;
+            for piece in suffix {
+                out[arena_at + end..arena_at + end + piece.len()].copy_from_slice(piece);
+                end += piece.len();
+            }
+            assert!(end - start <= MAX_SUFFIX_BYTES, "term longer than 255 bytes");
+            put(out, offsets_at + 4 * (i + 1), end as u32);
+            put(out, handles_at + 4 * i, postings);
+            i += 1;
+        });
+        out.len() as u64
     }
 
     /// The inverse of [`Self::combine`]: the shards of indexers
@@ -479,6 +511,33 @@ impl GlobalDictionary {
             }
         }
         Ok(dict)
+    }
+}
+
+/// Every term of the shards, in `(trie_index, suffix)` order: `f(trie
+/// index, suffix in pieces, owning indexer, postings handle)`. The shards'
+/// trie collections are disjoint by construction; each is walked in order.
+fn for_each_combined_term<P: Borrow<PartialDictionary>>(
+    parts: &[P],
+    mut f: impl FnMut(u32, &[&[u8]; 2], u32, u32),
+) {
+    const UNOWNED: usize = usize::MAX;
+    let mut part_of = vec![UNOWNED; TRIE_ENTRIES];
+    for (i, p) in parts.iter().enumerate() {
+        for ti in p.borrow().trie_indices() {
+            let slot = &mut part_of[ti as usize];
+            assert!(*slot == UNOWNED, "trie collection {ti} is in two shards");
+            *slot = i;
+        }
+    }
+    for (ti, &i) in part_of.iter().enumerate() {
+        if i != UNOWNED {
+            let p = parts[i].borrow();
+            let tree = p.tree(ti as u32).expect("listed index has a tree");
+            p.store.for_each_term(&tree, &mut |head, rest, postings| {
+                f(ti as u32, &[head, rest], p.indexer_id, postings)
+            });
+        }
     }
 }
 
@@ -811,6 +870,31 @@ mod tests {
                 GlobalDictionary::combine(&original),
                 GlobalDictionary::combine(&rebuilt)
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_write_combined_is_combine_then_write_to(
+            stream in proptest::collection::vec((0u8..4, "[a-f]{0,12}"), 0..400),
+            n in 1u32..5,
+            long in proptest::collection::vec(200usize..256, 0..3),
+        ) {
+            let mut stream: Vec<String> = stream.into_iter().map(term).collect();
+            // Suffixes near the 255-byte limit, and shards left empty.
+            stream.extend(long.iter().map(|&len| "q".repeat(len)));
+            stream.retain(|t| !t.is_empty());
+            let parts = sharded(&stream, n);
+            let mut want = Vec::new();
+            GlobalDictionary::combine(&parts).write_to(&mut want).unwrap();
+            let mut got = vec![0xAB; 7];
+            let written = GlobalDictionary::write_combined(&parts, &mut got);
+            proptest::prop_assert_eq!(written as usize, got.len());
+            proptest::prop_assert!(got == want, "{} bytes against {}", got.len(), want.len());
+            let borrowed: Vec<&PartialDictionary> = parts.iter().collect();
+            GlobalDictionary::write_combined(&borrowed, &mut got);
+            proptest::prop_assert!(got == want, "borrowed shards");
         }
     }
 

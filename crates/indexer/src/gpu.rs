@@ -46,6 +46,8 @@ const CHUNK: usize = 512;
 const EMPTY_DOC: u32 = u32::MAX;
 /// Longest term the Fig 6 layout can hold: its length prefix is one byte.
 const MAX_TERM_BYTES: usize = u8::MAX as usize;
+/// Most bytes one device-to-host copy of the host drain reads.
+const DRAIN_BYTES: usize = 48 << 10;
 
 /// Sizing and architecture of one simulated GPU indexer.
 #[derive(Clone, Copy, Debug)]
@@ -128,6 +130,9 @@ pub struct GpuIndexer {
     log_area: DevPtr,
     input_area: DevPtr,
     input_top: usize,
+    /// This run's retired postings already moved off the device log, when
+    /// a batch could have overflowed it (see [`Self::index_batch`]).
+    drained: PostingLog,
     /// Trie collections this GPU has seen (for dictionary download).
     seen: std::collections::BTreeSet<u32>,
     /// Lifetime workload counters.
@@ -179,6 +184,7 @@ impl GpuIndexer {
             log_area,
             input_area,
             input_top: 0,
+            drained: PostingLog::new(),
             seen: Default::default(),
             stats: WorkloadStats::default(),
             device_seconds_total: 0.0,
@@ -215,8 +221,17 @@ impl GpuIndexer {
 
     /// Pre-processing: upload this batch's groups; indexing: launch the
     /// grid over them. Returns the batch timing. `groups` must all be owned
-    /// by this GPU per the balance plan.
+    /// by this GPU per the balance plan. Each token retires at most one
+    /// posting, so when the device log lacks room for one per token, the
+    /// host drains it first (into the same slices a flush fills) and the
+    /// run goes on.
     pub fn index_batch(&mut self, groups: &[&TrieGroup], doc_offset: u32) -> GpuBatchReport {
+        let tokens: u64 = groups.iter().map(|g| g.total_terms()).sum();
+        let logged = u64::from(self.read_ctr(self.ctr_log));
+        if logged + tokens > self.config.log_capacity as u64 {
+            self.drain_log();
+            self.memset(self.ctr_log.0 as usize, &[0, 0, 0, 0]);
+        }
         self.input_top = 0;
         let mut items = Vec::with_capacity(groups.len());
         let mut uploaded = 0u64;
@@ -359,31 +374,60 @@ impl GpuIndexer {
         log.flush_run(run_id, self.id, codec)
     }
 
-    /// Read the device postings log + current-posting table into a host
-    /// [`PostingLog`] *without* clearing any device state: the retired
-    /// records in device-log order, then each term's current posting. What
-    /// [`Self::flush_run`] encodes, and the failure-domain salvage when
-    /// this GPU is declared dead mid-run: together with
-    /// [`Self::into_partial_dictionary`] it gives a CPU successor the exact
-    /// pending state (each term's records in the doc order the CPU path
-    /// would have appended them), so a takeover at a batch boundary
-    /// continues byte-identically.
+    /// This run's pending postings as a host [`PostingLog`]: those already
+    /// drained to the host (moved out), then the device log's retired
+    /// records in device-log order, then each term's current posting. No
+    /// device state is cleared. What [`Self::flush_run`] encodes, and the
+    /// failure-domain salvage when this GPU is declared dead mid-run:
+    /// together with [`Self::into_partial_dictionary`] it gives a CPU
+    /// successor the exact pending state (each term's postings in the doc
+    /// order the CPU path would have appended them), so a takeover at a
+    /// batch boundary continues byte-identically. Both device tables are
+    /// read [`DRAIN_BYTES`] at a time, so the host never holds a copy of
+    /// either.
     pub fn salvage_pending_log(&mut self) -> PostingLog {
-        let n_log = self.read_ctr(self.ctr_log) as usize;
-        let log_bytes = self.mem.host_read(self.log_area, n_log * 12);
+        self.drain_log();
+        let mut log = std::mem::take(&mut self.drained);
         let n_terms = self.term_count() as usize;
-        let table_bytes = self.mem.host_read(self.table, n_terms * 8);
-        let word = |rec: &[u8], at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().unwrap());
-        let mut log = PostingLog::with_capacity(n_log + n_terms, n_terms);
-        for rec in log_bytes.chunks_exact(12) {
-            log.push(word(rec, 0), Posting { doc: DocId(word(rec, 4)), tf: word(rec, 8) });
-        }
-        for (handle, rec) in table_bytes.chunks_exact(8).enumerate() {
+        self.drain(self.table, n_terms * 8, 8, |handle, rec| {
             if word(rec, 0) != EMPTY_DOC {
-                log.push(handle as u32, Posting { doc: DocId(word(rec, 0)), tf: word(rec, 4) });
+                log.push(handle, Posting { doc: DocId(word(rec, 0)), tf: word(rec, 4) });
+            }
+        });
+        log
+    }
+
+    /// Append the device log's retired records, in device-log order, to
+    /// the host log of this run's drained postings, leaving the device log
+    /// as it is.
+    fn drain_log(&mut self) {
+        let mut log = std::mem::take(&mut self.drained);
+        let n_log = self.read_ctr(self.ctr_log) as usize;
+        self.drain(self.log_area, n_log * 12, 12, |_, rec| {
+            log.push(word(rec, 0), Posting { doc: DocId(word(rec, 4)), tf: word(rec, 8) });
+        });
+        self.drained = log;
+    }
+
+    /// Bytes of this run's postings drained to the host so far
+    /// ([`PostingLog::heap_bytes`]).
+    pub fn host_log_bytes(&self) -> u64 {
+        self.drained.heap_bytes()
+    }
+
+    /// Read the `len` bytes at `from` as records of `size` bytes, at most
+    /// [`DRAIN_BYTES`] per device-to-host copy, handing each to `f` with
+    /// its index.
+    fn drain(&mut self, from: DevPtr, len: usize, size: usize, mut f: impl FnMut(u32, &[u8])) {
+        let step = DRAIN_BYTES / size * size;
+        let mut index = 0;
+        for at in (0..len).step_by(step) {
+            let chunk = self.mem.host_read(DevPtr(from.0 + at as u32), step.min(len - at));
+            for rec in chunk.chunks_exact(size) {
+                f(index, rec);
+                index += 1;
             }
         }
-        log
     }
 
     /// End of program: download the device arenas into a host dictionary
@@ -471,9 +515,10 @@ impl GpuIndexer {
     }
 
     /// What the memory governor counts for this device: string remainders,
-    /// the current-posting table, the postings log and the current batch's
-    /// input staging as they are, and [`ii_dict::tree_nodes`] nodes for its
-    /// terms and collections — the host shards' rule, for the same reason:
+    /// the current-posting table, the postings log (12 bytes a record, those
+    /// drained to the host included, so that a drain moves no budget
+    /// decision) and the current batch's input staging as they are, and
+    /// [`ii_dict::tree_nodes`] nodes for its terms and collections — the host shards' rule, for the same reason:
     /// the figure is a function of the documents indexed, not of how the
     /// device's trees split, so a device restored from a checkpoint reports
     /// what the uninterrupted one would. (Arena capacity is
@@ -484,9 +529,14 @@ impl GpuIndexer {
         ii_dict::tree_nodes(terms, self.seen.len() as u64) * NODE_BYTES as u64
             + self.read_ctr(self.ctr_strings) as u64
             + terms * 8
-            + self.read_ctr(self.ctr_log) as u64 * 12
+            + (u64::from(self.read_ctr(self.ctr_log)) + self.drained.len() as u64) * 12
             + self.input_top as u64
     }
+}
+
+/// The little-endian word at byte `at` of a device record.
+fn word(rec: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(rec[at..at + 4].try_into().expect("a record holds the word"))
 }
 
 /// Device pointers threaded through the kernel (the CUDA kernel's
@@ -1123,6 +1173,44 @@ mod tests {
         }
         assert_eq!(successor.flush_run(0, Codec::Auto).to_bytes(), want);
         assert_eq!(successor.pending_postings_bytes(), 0);
+    }
+
+    #[test]
+    fn a_device_log_too_small_for_the_run_drains_to_the_host_and_writes_the_same_bytes() {
+        // Eight tokens a batch against a log of ten records: every batch
+        // after the first drains the device log first, mid-run.
+        let batches: Vec<_> = (0..6)
+            .map(|i| parse(&["zebra quilt zebra", ["quilt xylophone", "banana zebra"][i % 2], "quilt"]))
+            .collect();
+        let index = |g: &mut GpuIndexer, upto: usize| {
+            for (i, batch) in batches[..upto].iter().enumerate() {
+                let groups: Vec<&TrieGroup> = batch.groups.iter().collect();
+                g.index_batch(&groups, 3 * i as u32);
+            }
+        };
+        let mut roomy = gpu();
+        index(&mut roomy, 6);
+        let resident = roomy.resident_bytes();
+        let want = roomy.flush_run(0, Codec::Auto).to_bytes();
+        let tight = || GpuIndexer::new(0, GpuIndexerConfig { log_capacity: 10, ..GpuIndexerConfig::small() });
+        let mut g = tight();
+        index(&mut g, 6);
+        assert!(g.host_log_bytes() > 0, "the host holds the drained postings");
+        assert_eq!(g.resident_bytes(), resident, "a drain moves no budget figure");
+        assert_eq!(g.flush_run(0, Codec::Auto).to_bytes(), want);
+        assert_eq!(g.host_log_bytes(), 0);
+        let d2h = |g: &GpuIndexer| g.transfer_metrics().d2h_bytes;
+        assert_eq!(d2h(&g), d2h(&roomy), "every record crosses once, drained or not");
+        // A salvage after a drain carries both halves to a CPU successor.
+        let mut dying = tight();
+        index(&mut dying, 4);
+        let mut successor = CpuIndexer::adopt(dying.into_partial_dictionary(), dying.salvage_pending_log());
+        for (i, batch) in batches.iter().enumerate().skip(4) {
+            for grp in &batch.groups {
+                successor.index_group(grp, 3 * i as u32);
+            }
+        }
+        assert_eq!(successor.flush_run(0, Codec::Auto).to_bytes(), want);
     }
 
     #[test]

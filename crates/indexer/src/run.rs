@@ -338,6 +338,15 @@ impl IndexerPool {
         (dict, postings, device)
     }
 
+    /// Bytes the host posting logs hold ([`PostingLog::heap_bytes`]): the
+    /// CPU shards', the adopted continuations of dead GPUs' and what GPUs
+    /// drained to the host mid-run. The rest of a GPU's pending postings
+    /// are in its device log, which [`GpuIndexer::resident_bytes`] counts.
+    pub fn log_bytes(&self) -> u64 {
+        let cpu = self.cpus.iter().chain(self.adopted_shards()).map(|c| c.log().heap_bytes());
+        cpu.chain(self.gpus.iter().map(GpuIndexer::host_log_bytes)).sum()
+    }
+
     /// Memory-governor shed: park the alive GPU whose shard holds the
     /// most sampled load (see [`BalancePlan::shed_order`]) onto the CPU
     /// salvage path, freeing its device state. Returns the GPU index and
@@ -648,7 +657,7 @@ mod tests {
         // Build run sets per indexer id.
         let mut sets: HashMap<u32, RunSet> = HashMap::new();
         for r in runs {
-            sets.entry(r.indexer_id).or_default().push(r);
+            sets.entry(r.indexer_id).or_default().push(r).unwrap();
         }
         let parts = p.finish();
         let dict = GlobalDictionary::combine(&parts);
@@ -674,7 +683,7 @@ mod tests {
             let runs = p.flush_run();
             let mut sets: HashMap<u32, RunSet> = HashMap::new();
             for r in runs {
-                sets.entry(r.indexer_id).or_default().push(r);
+                sets.entry(r.indexer_id).or_default().push(r).unwrap();
             }
             let dict = GlobalDictionary::combine(&p.finish());
             let mut terms: Vec<(String, Vec<(u32, u32)>)> = dict
@@ -702,8 +711,8 @@ mod tests {
         p.index_batch(&parse(&["omega omega"], 1));
         let r1 = p.flush_run();
         let mut set = RunSet::new();
-        set.push(r0.into_iter().next().unwrap());
-        set.push(r1.into_iter().next().unwrap());
+        set.push(r0.into_iter().next().unwrap()).unwrap();
+        set.push(r1.into_iter().next().unwrap()).unwrap();
         let dict = GlobalDictionary::combine(&p.finish());
         let e = dict.lookup("omega").unwrap();
         let l = set.fetch(e.postings).unwrap();

@@ -123,7 +123,7 @@ impl Default for PipelineConfig {
             sample_docs_per_file: 2,
             sample_file_stride: 1,
             buffer_depth: 2,
-            batches_per_run: 4,
+            batches_per_run: 16,
             fault_policy: FaultPolicy::default(),
             trace: TraceConfig::default(),
             supervision: SupervisorPolicy::default(),
@@ -687,14 +687,12 @@ pub fn stage_runs_and_docmap(
     Ok(())
 }
 
-/// The dictionary of everything indexed so far, combined from the pool's
-/// shards — borrowed for a checkpoint ([`IndexerPool::shards`]), moved out
-/// at the end ([`IndexerPool::finish`]) — and serialised: the "Dictionary
-/// Combine" and "Dictionary Write" rows of Table VI, which a checkpointing
-/// build pays once per commit. The shards are dropped once combined, so the
-/// serialised bytes never share memory with them.
-fn combine_and_write<P: Borrow<PartialDictionary>>(
-    shards: Vec<P>,
+/// The dictionary of the whole collection, combined from the shards
+/// [`IndexerPool::finish`] moved out, and serialised: the "Dictionary
+/// Combine" and "Dictionary Write" rows of Table VI. The shards are dropped
+/// once combined, so the serialised bytes never share memory with them.
+fn combine_and_write(
+    shards: Vec<PartialDictionary>,
     registry: &Registry,
     driver_sink: &TraceSink,
 ) -> (GlobalDictionary, Vec<u8>) {
@@ -714,6 +712,25 @@ fn combine_and_write<P: Borrow<PartialDictionary>>(
         tspan.add_bytes(dict_bytes.len() as u64);
     }
     (dictionary, dict_bytes)
+}
+
+/// The dictionary of everything indexed so far, serialised straight from
+/// the live pool's shards ([`GlobalDictionary::write_combined`]): what a
+/// checkpoint commits, with no combined copy beside the shards. Timed as
+/// the "Dictionary Write" row.
+fn write_live_dictionary<P: Borrow<PartialDictionary>>(
+    shards: &[P],
+    registry: &Registry,
+    driver_sink: &TraceSink,
+) -> Vec<u8> {
+    let write_stage = registry.stage("dict_write");
+    let mut span = write_stage.span();
+    let mut tspan = driver_sink.span(TraceKind::DictWrite);
+    let mut dict_bytes = Vec::new();
+    let written = GlobalDictionary::write_combined(shards, &mut dict_bytes);
+    span.add_bytes(written);
+    tspan.add_bytes(written);
+    dict_bytes
 }
 
 /// What a started build holds on the consumer (driver) thread, with one
@@ -759,6 +776,9 @@ struct Build<'a> {
     /// The governor's effective budget, resident pools (dictionary,
     /// postings, device) and high-water, published per batch.
     governor_gauges: [Arc<Gauge>; 5],
+    /// The host posting logs' bytes at the last batch boundary, and their
+    /// highest: `indexer.log_bytes` and `indexer.log_high_water_bytes`.
+    log_gauges: [Arc<Gauge>; 2],
     /// Cuts the bundles; it keeps the flight recorder sampling the registry.
     postmortem: PostmortemWriter,
     /// The live OpenMetrics endpoint (`ii build --metrics-addr`).
@@ -890,6 +910,8 @@ impl<'a> Build<'a> {
                 .then(|| [tracer.gauge("process.rss_kb"), tracer.gauge("process.hwm_kb")]),
             hwm_kb: 0,
             beats,
+            log_gauges: ["indexer.log_bytes", "indexer.log_high_water_bytes"]
+                .map(|name| registry.gauge(name)),
             governor_gauges: [
                 "governor.effective_budget_bytes",
                 "governor.dict_bytes",
@@ -1181,6 +1203,10 @@ impl<'a> Build<'a> {
         postings.set(resident.postings as i64);
         device.set(resident.device as i64);
         high_water.set(self.governor.high_water() as i64);
+        let [log_bytes, log_high_water] = &self.log_gauges;
+        let log = self.pool.as_ref().expect(LIVE).log_bytes() as i64;
+        log_bytes.set(log);
+        log_high_water.set(log_high_water.get().max(log));
         // Rung 2: flush the run early when pending postings push the pools
         // past the watermark (the paper's flush-when-full rule). Run
         // boundaries move; the merged postings do not.
@@ -1190,7 +1216,7 @@ impl<'a> Build<'a> {
             self.governor.record_early_flush();
         }
         if early || self.batches_in_run >= self.cfg.batches_per_run {
-            self.flush();
+            self.flush()?;
             self.checkpoint()?;
             self.note_resident();
         }
@@ -1219,15 +1245,20 @@ impl<'a> Build<'a> {
     }
 
     /// Flush the run: every shard's pending postings become its next run.
-    fn flush(&mut self) {
+    /// A run that does not follow its indexer's runs — restored state whose
+    /// run count disagrees with its run files — is the typed error.
+    fn flush(&mut self) -> Result<(), PipelineError> {
         let mut span = self.post_stage.span();
         let _tspan = self.driver_sink.span(TraceKind::Flush);
         for run in self.pool.as_mut().expect(LIVE).flush_run() {
             span.add_bytes(run.payload.len() as u64);
-            self.run_sets.entry(run.indexer_id).or_default().push(run);
+            let (indexer, run_id) = (run.indexer_id, run.run_id);
+            let set = self.run_sets.entry(indexer).or_default();
+            set.push(run).map_err(|_| PipelineError::RunOrder { indexer, run: run_id })?;
         }
         self.batches_in_run = 0;
         self.runs_since_checkpoint += 1;
+        Ok(())
     }
 
     /// Commit a checkpoint — the index of the files consumed so far plus
@@ -1244,7 +1275,7 @@ impl<'a> Build<'a> {
             return Ok(());
         }
         let pool = self.pool.as_mut().expect(LIVE);
-        let (_, dict_bytes) = combine_and_write(pool.shards(), &self.registry, &self.driver_sink);
+        let dict_bytes = write_live_dictionary(&pool.shards(), &self.registry, &self.driver_sink);
         let faults = &self.report.faults;
         let ckpt = BuildCheckpoint {
             files_done: self.files_done as u64,
@@ -1268,10 +1299,8 @@ impl<'a> Build<'a> {
     /// deaths the consumer declared — they surface only now, and are
     /// bundled now — and the files it re-ingested inline, and let the
     /// parser threads go.
-    fn end_streaming(&mut self, parsing: ParserPool) {
-        if self.batches_in_run > 0 {
-            self.flush();
-        }
+    fn end_streaming(&mut self, parsing: ParserPool) -> Result<(), PipelineError> {
+        let flushed = if self.batches_in_run > 0 { self.flush() } else { Ok(()) };
         for death in parsing.deaths() {
             self.declare_dead(death.clone(), &[]);
         }
@@ -1279,6 +1308,7 @@ impl<'a> Build<'a> {
         self.registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
         self.bundle_deaths();
         parsing.join();
+        flushed
     }
 
     /// Finish, first: the report's workload figures, and each component's
@@ -1416,6 +1446,7 @@ impl<'a> Build<'a> {
                 format!("budget {budget} B, resident needs {needed} B after full degradation"),
             ),
             PipelineError::Store(err) => ("commit-failure", err.to_string()),
+            PipelineError::RunOrder { .. } => ("run-order", e.to_string()),
             // Raised only while starting, before there is a build to bundle.
             PipelineError::Io(_) | PipelineError::Resume(_) => return e,
         };
@@ -1440,7 +1471,7 @@ fn build_inner(
             build.observe(&msg, parsing.queued());
             build.consume(msg)?;
         }
-        build.end_streaming(parsing);
+        build.end_streaming(parsing)?;
         build.export();
         let (dictionary, dict_bytes) = build.combine();
         build.commit(&dict_bytes, None)?;

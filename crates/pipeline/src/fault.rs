@@ -442,6 +442,14 @@ pub enum PipelineError {
         /// Resident bytes the minimal configuration still needs.
         needed: u64,
     },
+    /// A flushed run does not come after its indexer's runs: the state a
+    /// build resumed from counts fewer runs than it holds run files.
+    RunOrder {
+        /// The indexer that flushed the run.
+        indexer: u32,
+        /// The run it flushed.
+        run: u32,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -457,6 +465,11 @@ impl std::fmt::Display for PipelineError {
                  flushes and GPU sheds, over the resident share of {} of the budget \
                  of {budget} (raise --mem-budget or pass 0 for unlimited)",
                 crate::governor::resident_share(*budget)
+            ),
+            PipelineError::RunOrder { indexer, run } => write!(
+                f,
+                "run {run} of indexer {indexer} does not follow the runs it already holds \
+                 (does the checkpoint's run count match its run files?)"
             ),
         }
     }

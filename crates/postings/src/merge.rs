@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn merge_concatenates_per_handle() {
         let mut rs = RunSet::new();
-        rs.push(run_with(0, 4, &[1, 2]));
-        rs.push(run_with(1, 4, &[10, 11]));
-        rs.push(run_with(2, 8, &[5]));
+        rs.push(run_with(0, 4, &[1, 2])).unwrap();
+        rs.push(run_with(1, 4, &[10, 11])).unwrap();
+        rs.push(run_with(2, 8, &[5])).unwrap();
         let merged = merge_runs(&rs, Codec::VarByte, &Registry::new());
         assert_eq!(merged.run_id, 3);
         let l4: Vec<u32> = merged.get(4).unwrap().iter().map(|p| p.doc.0).collect();
@@ -128,7 +128,7 @@ mod tests {
     fn merged_file_equals_runset_fetch() {
         let mut rs = RunSet::new();
         for r in 0..4 {
-            rs.push(run_with(r, 1, &[r * 10, r * 10 + 3]));
+            rs.push(run_with(r, 1, &[r * 10, r * 10 + 3])).unwrap();
         }
         let merged = merge_runs(&rs, Codec::VarByte, &Registry::new());
         assert_eq!(merged.get(1).unwrap(), rs.fetch(1).unwrap().postings().to_vec());
@@ -139,9 +139,9 @@ mod tests {
         for codec in [Codec::VarByte, Codec::Bp128, Codec::PFor, Codec::Auto] {
             // Handle 4 once in each run, handle 8 once in all.
             let mut rs = RunSet::new();
-            rs.push(run_with(0, 4, &[3]));
-            rs.push(run_with(1, 4, &[12]));
-            rs.push(run_with(2, 8, &[20]));
+            rs.push(run_with(0, 4, &[3])).unwrap();
+            rs.push(run_with(1, 4, &[12])).unwrap();
+            rs.push(run_with(2, 8, &[20])).unwrap();
             assert!(rs.runs().iter().all(|r| r.payload.is_empty()), "rows only");
             let merged = merge_runs(&rs, codec, &Registry::new());
             let lists: Vec<(u32, PostingsList)> =
@@ -164,8 +164,8 @@ mod tests {
     fn merge_records_global_stage_metrics() {
         let registry = Registry::new();
         let mut rs = RunSet::new();
-        rs.push(run_with(0, 1, &[1, 2, 3]));
-        rs.push(run_with(1, 1, &[7, 8]));
+        rs.push(run_with(0, 1, &[1, 2, 3])).unwrap();
+        rs.push(run_with(1, 1, &[7, 8])).unwrap();
         let payload: u64 = rs.runs().iter().map(|r| r.payload.len() as u64).sum();
         assert!(payload > 0);
         merge_runs(&rs, Codec::VarByte, &registry);
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn merge_can_recode() {
         let mut rs = RunSet::new();
-        rs.push(run_with(0, 2, &[1, 5, 9]));
+        rs.push(run_with(0, 2, &[1, 5, 9])).unwrap();
         let merged = merge_runs(&rs, Codec::Bp128, &Registry::new());
         assert_eq!(merged.codec, Codec::Bp128);
         assert_eq!(merged.entry(2).unwrap().codec, Codec::Bp128);
@@ -207,7 +207,7 @@ mod tests {
             let n = 4096u32; // long class: Auto resolves to BP128
             let mut rs = RunSet::new();
             for r in 0..3u32 {
-                rs.push(big_run(r, 9, r * 100_000, n, codec));
+                rs.push(big_run(r, 9, r * 100_000, n, codec)).unwrap();
             }
             let registry = Registry::new();
             let merged = merge_runs(&rs, codec, &registry);
@@ -228,9 +228,9 @@ mod tests {
         // Part sizes not multiples of 128: tail blocks force recoding, but
         // the result must still equal the from-scratch build.
         let mut rs = RunSet::new();
-        rs.push(big_run(0, 9, 0, 300, Codec::PFor));
-        rs.push(big_run(1, 9, 1_000_000, 129, Codec::PFor));
-        rs.push(big_run(2, 9, 2_000_000, 127, Codec::PFor));
+        rs.push(big_run(0, 9, 0, 300, Codec::PFor)).unwrap();
+        rs.push(big_run(1, 9, 1_000_000, 129, Codec::PFor)).unwrap();
+        rs.push(big_run(2, 9, 2_000_000, 127, Codec::PFor)).unwrap();
         let merged = merge_runs(&rs, Codec::PFor, &Registry::new());
         let full: PostingsList = rs.fetch(9).unwrap().postings().iter().copied().collect();
         let pairs = [(9u32, full)];

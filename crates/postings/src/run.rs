@@ -479,15 +479,18 @@ impl RunSet {
         Self::default()
     }
 
-    /// Append the next run (must be in run order).
-    pub fn push(&mut self, run: RunFile) {
-        if let Some(last) = self.runs.last() {
-            assert!(run.run_id > last.run_id, "runs must be appended in order");
+    /// Append the next run. One whose run does not come after the last
+    /// one is refused ([`RunFileError::Malformed`], as [`Self::push_bytes`]
+    /// refuses it) and not appended.
+    pub fn push(&mut self, run: RunFile) -> Result<(), RunFileError> {
+        if self.runs.last().is_some_and(|last| run.run_id <= last.run_id) {
+            return Err(RunFileError::Malformed);
         }
         if let Some(holders) = &mut self.holders {
             mark_holders(holders, self.runs.len(), &run);
         }
         self.runs.push(run);
+        Ok(())
     }
 
     /// Read the run file `bytes` and append it: the one walk that checks its
@@ -853,9 +856,9 @@ mod tests {
     #[test]
     fn runset_concatenates_runs() {
         let mut rs = RunSet::new();
-        rs.push(sample_run(0));
-        rs.push(sample_run(1));
-        rs.push(sample_run(2));
+        rs.push(sample_run(0)).unwrap();
+        rs.push(sample_run(1)).unwrap();
+        rs.push(sample_run(2)).unwrap();
         let full = rs.fetch(7).unwrap();
         let docs: Vec<u32> = full.postings().iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, vec![0, 5, 100, 105, 200, 205]);
@@ -867,7 +870,7 @@ mod tests {
     fn runset_cursor_matches_fetch() {
         let mut rs = RunSet::new();
         for r in 0..3 {
-            rs.push(sample_run(r));
+            rs.push(sample_run(r)).unwrap();
         }
         let mut c = rs.cursor(7).unwrap().unwrap();
         assert_eq!(c.df(), 6);
@@ -886,7 +889,7 @@ mod tests {
     fn range_fetch_skips_nonoverlapping_runs() {
         let mut rs = RunSet::new();
         for r in 0..5 {
-            rs.push(sample_run(r));
+            rs.push(sample_run(r)).unwrap();
         }
         let (hits, decoded) = rs.fetch_range(7, DocId(100), DocId(205)).unwrap();
         assert_eq!(decoded, 2, "only runs 1 and 2 overlap");
@@ -921,7 +924,7 @@ mod tests {
             if r == 66 {
                 lists.push((40, list(&[(r * 10 + 3, 1)])));
             }
-            plain.push(RunFile::build(r, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto));
+            plain.push(RunFile::build(r, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto)).unwrap();
         }
         let mut tracked = plain.clone();
         tracked.track_holders(41);
@@ -929,7 +932,7 @@ mod tests {
         // handle the column was not sized for is searched for everywhere.
         for set in [&mut plain, &mut tracked] {
             let lists = [(3u32, list(&[(900, 1)])), (77, list(&[(901, 5)]))];
-            set.push(RunFile::build(70, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto));
+            set.push(RunFile::build(70, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto)).unwrap();
         }
         for handle in [0, 1, 2, 3, 4, 9, 40, 41, 77, 78, u32::MAX] {
             assert_eq!(walked(&tracked, handle), walked(&plain, handle), "handle {handle}");
@@ -947,10 +950,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "in order")]
     fn out_of_order_runs_rejected() {
         let mut rs = RunSet::new();
-        rs.push(sample_run(1));
-        rs.push(sample_run(0));
+        rs.push(sample_run(1)).unwrap();
+        assert!(matches!(rs.push(sample_run(0)), Err(RunFileError::Malformed)));
+        assert!(matches!(rs.push(sample_run(1)), Err(RunFileError::Malformed)), "a repeat too");
+        assert_eq!(rs.runs().len(), 1, "a refused run is not appended");
     }
 }

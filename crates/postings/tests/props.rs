@@ -111,7 +111,7 @@ proptest! {
 
         let mut whole = RunSet::new();
         for f in &files {
-            whole.push(f.clone());
+            whole.push(f.clone()).unwrap();
         }
         let registry = Registry::new();
         let one_shot = merge_runs(&whole, codec, &registry);
@@ -121,16 +121,16 @@ proptest! {
         if split > 0 {
             let mut prefix = RunSet::new();
             for f in &files[..split] {
-                prefix.push(f.clone());
+                prefix.push(f.clone()).unwrap();
             }
-            staged.push(merge_runs(&prefix, codec, &registry));
+            staged.push(merge_runs(&prefix, codec, &registry)).unwrap();
         }
         for f in &files[split..] {
             // The intermediate file takes run_id `split`; renumber the
             // remaining runs past it to keep RunSet's in-order contract.
             let mut f = f.clone();
             f.run_id += 1;
-            staged.push(f);
+            staged.push(f).unwrap();
         }
         let two_stage = merge_runs(&staged, codec, &registry);
 

@@ -172,7 +172,8 @@ fn help_at_the_first_middle_and_last_file_is_byte_identical() {
 #[test]
 fn help_across_kill_and_resume_is_byte_identical() {
     let (coll, coll_dir) = stored("resume");
-    let cfg = PipelineConfig::small(1, 1, 0);
+    // Four files per run: a checkpoint after file 4 to resume from.
+    let cfg = PipelineConfig { batches_per_run: 4, ..PipelineConfig::small(1, 1, 0) };
     let base_dir = scratch("resume-base");
     build_index_durable(
         &coll,

@@ -214,7 +214,7 @@ fn generation_answers(store: &Store) -> BTreeMap<String, Vec<(u32, u32)>> {
     let mut sets: HashMap<u32, RunSet> = HashMap::new();
     for (indexer, _, name) in runs {
         let run = RunFile::from_bytes(&store.read(name).unwrap()).expect("run file");
-        sets.entry(indexer).or_default().push(run);
+        sets.entry(indexer).or_default().push(run).unwrap();
     }
     dictionary
         .entries()
@@ -301,17 +301,16 @@ fn killed_build_resumes_to_byte_identical_index() {
     std::fs::remove_dir_all(&coll_dir).unwrap();
 }
 
-/// The same kill-and-resume at the default of four files per run, CPU-only
-/// and with a GPU: ten files make runs of 4, 4 and 2 files, so most kills
-/// land with a run part-indexed, and every resume must still commit the
-/// uninterrupted build's bytes.
+/// The same kill-and-resume at four files per run, CPU-only and with a
+/// GPU: ten files make runs of 4, 4 and 2 files, so most kills land with a
+/// run part-indexed, and every resume must still commit the uninterrupted
+/// build's bytes.
 #[test]
 fn killed_build_at_four_files_per_run_resumes_byte_identical() {
     let coll_dir = scratch("four-coll");
     let coll = Arc::new(StoredCollection::generate(spec(106, 10), &coll_dir).unwrap());
     for gpus in [0, 1] {
-        let cfg = PipelineConfig::small(2, 1, gpus);
-        assert_eq!(cfg.batches_per_run, 4, "the default");
+        let cfg = PipelineConfig { batches_per_run: 4, ..PipelineConfig::small(2, 1, gpus) };
         let base_dir = scratch(&format!("four-base-{gpus}"));
         let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
         build_index_durable(&coll, &cfg, &opts).expect("uninterrupted durable build");
@@ -359,6 +358,61 @@ fn killed_build_at_four_files_per_run_resumes_byte_identical() {
     std::fs::remove_dir_all(&coll_dir).unwrap();
 }
 
+/// At the default of sixteen files per run, CPU-only and with a GPU:
+/// seventeen files make a run of 16 and one of 1, with the one checkpoint
+/// between them. A kill at every storage op of the build, each resumed,
+/// must commit the uninterrupted build's bytes.
+#[test]
+fn killed_build_at_sixteen_files_per_run_resumes_byte_identical_from_every_kill() {
+    let coll_dir = scratch("sixteen-coll");
+    let coll = Arc::new(StoredCollection::generate(spec(107, 17), &coll_dir).unwrap());
+    for gpus in [0, 1] {
+        let cfg = PipelineConfig::small(2, 1, gpus);
+        assert_eq!(cfg.batches_per_run, 16, "the default");
+        let base_dir = scratch(&format!("sixteen-base-{gpus}"));
+        let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
+        build_index_durable(&coll, &cfg, &opts).expect("uninterrupted durable build");
+        let want = store_fingerprint(&base_dir);
+
+        let probe_dir = scratch(&format!("sixteen-probe-{gpus}"));
+        let probe = CrashVfs::probe();
+        let opts = DurableOptions::new(&probe_dir).checkpoint_every(1).with_vfs(&probe);
+        build_index_durable(&coll, &cfg, &opts).expect("probe build");
+        let total = probe.ops();
+        std::fs::remove_dir_all(&probe_dir).unwrap();
+
+        let mut generations = Vec::new();
+        for k in 0..total {
+            let dir = scratch(&format!("sixteen-hit-{gpus}"));
+            let crash = CrashVfs::new(k, CrashMode::PowerLoss, 0x5EED ^ k);
+            let opts = DurableOptions::new(&dir).checkpoint_every(1).with_vfs(&crash);
+            assert!(build_index_durable(&coll, &cfg, &opts).is_err(), "gpus {gpus}, op {k}");
+            let checkpoint =
+                Store::open(&dir).ok().filter(|s| s.manifest().kind == ManifestKind::Checkpoint);
+            if let Some(store) = checkpoint {
+                let ckpt: BuildCheckpoint =
+                    serde_json::from_slice(&store.read(CHECKPOINT_ARTIFACT).unwrap()).unwrap();
+                generations.push(ckpt.files_done);
+            }
+            let opts = DurableOptions::new(&dir).checkpoint_every(1).resume(true);
+            match build_index_durable(&coll, &cfg, &opts) {
+                Ok(_) => {}
+                Err(PipelineError::Resume(why)) => {
+                    assert!(why.contains("completed"), "gpus {gpus}, op {k}/{total}: {why}")
+                }
+                Err(e) => panic!("gpus {gpus}, op {k}/{total}: resume failed: {e}"),
+            }
+            assert_eq!(store_fingerprint(&dir), want, "gpus {gpus}, op {k}/{total}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        generations.sort_unstable();
+        generations.dedup();
+        assert_eq!(generations, [16], "gpus {gpus}: the checkpoint after the first run was hit");
+        std::fs::remove_dir_all(&base_dir).unwrap();
+    }
+    std::fs::remove_dir_all(&coll_dir).unwrap();
+}
+
 /// The volume fills while the build's first checkpoint — a mid-build commit
 /// — is writing its artifacts, and frees again: the commit is retried like
 /// the final one, the retries are reported, and no byte of the index moves.
@@ -366,7 +420,8 @@ fn killed_build_at_four_files_per_run_resumes_byte_identical() {
 fn disk_full_over_a_checkpoint_commit_is_retried() {
     let coll_dir = scratch("ckpt-full-coll");
     let coll = Arc::new(StoredCollection::generate(spec(105, 4), &coll_dir).unwrap());
-    let cfg = durable_cfg();
+    // One file per run: checkpoints after files 1, 2 and 3.
+    let cfg = PipelineConfig { batches_per_run: 1, ..durable_cfg() };
     let base_dir = scratch("ckpt-full-base");
     let opts = DurableOptions::new(&base_dir).checkpoint_every(1);
     build_index_durable(&coll, &cfg, &opts).expect("uninterrupted durable build");

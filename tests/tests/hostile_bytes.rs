@@ -34,8 +34,8 @@ use ii_core::dict::{GlobalDictionary, TRIE_ENTRIES};
 use ii_core::obs::trace::{GaugeTrack, NO_ID};
 use ii_core::obs::{GpuSpanArgs, Trace, TraceEvent, TraceKind, WorkerTrace};
 use ii_core::pipeline::{
-    build_index, build_index_durable, render_bundle_report, DurableOptions, PipelineConfig,
-    PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
+    build_index, build_index_durable, render_bundle_report, BuildCheckpoint, DurableOptions,
+    PipelineConfig, PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
 };
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{
@@ -584,9 +584,10 @@ fn deep_json() -> String {
 
 /// A checkpoint is read by the reader an index is, and then turned back
 /// into shards: a dictionary no `combine` wrote, a run naming a handle its
-/// shard has not issued, a descriptor nested 200 000 deep and a checkpoint
-/// of the generation before this one (per-indexer shard files, no
-/// `dictionary.bin`) each end a resumed build in a typed error.
+/// shard has not issued, a descriptor counting fewer runs than it holds, a
+/// descriptor nested 200 000 deep and a checkpoint of the generation before
+/// this one (per-indexer shard files, no `dictionary.bin`) each end a
+/// resumed build in a typed error.
 #[test]
 fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     let coll_dir = scratch("ckpt-coll");
@@ -655,6 +656,18 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
         assert_eq!(corrupt("a run listed twice"), refusal);
     }
     std::fs::write(dir.join(MANIFEST_NAME), &manifest).unwrap();
+
+    // A descriptor counting fewer runs than its run files: the first run
+    // the resumed build flushes does not follow the runs it holds.
+    let mut undercount: BuildCheckpoint = serde_json::from_slice(&descriptor).unwrap();
+    assert!(undercount.runs_flushed > 0, "the checkpoint holds a run");
+    undercount.runs_flushed = 0;
+    overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, &serde_json::to_vec(&undercount).unwrap());
+    match resume() {
+        Err(PipelineError::RunOrder { indexer: 0, run: 0 }) => {}
+        Err(e) => panic!("a descriptor short of its runs: unexpected error {e}"),
+        Ok(()) => panic!("a descriptor short of its runs resumed"),
+    }
 
     overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, deep_json().as_bytes());
     match resume() {

@@ -79,7 +79,7 @@ proptest! {
                 cpu.index_group(g, offset);
             }
             offset += batch.num_docs;
-            set.push(cpu.flush_run(i as u32, Codec::VarByte));
+            set.push(cpu.flush_run(i as u32, Codec::VarByte)).unwrap();
         }
         for handle in 0..cpu.dict.term_count() {
             let list = set.fetch(handle).unwrap();

@@ -377,7 +377,7 @@ fn evaluator_matches_on_the_awkward_queries() {
 fn without_holders(mut idx: Index) -> Index {
     for set in idx.run_sets.values_mut() {
         let mut plain = ii_core::postings::RunSet::new();
-        set.runs().iter().for_each(|run| plain.push(run.clone()));
+        set.runs().iter().for_each(|run| plain.push(run.clone()).unwrap());
         *set = plain;
     }
     idx

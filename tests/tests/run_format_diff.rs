@@ -508,7 +508,7 @@ fn gpu_shaped_log(lists: &[List]) -> PostingLog {
         .flat_map(|(h, l)| l[..l.len() - 1].iter().map(move |p| (p.doc, *h, *p)))
         .collect();
     retired.sort_unstable_by_key(|&(doc, handle, _)| (doc, handle));
-    let mut log = PostingLog::with_capacity(retired.len() + lists.len(), 0);
+    let mut log = PostingLog::new();
     for (_, handle, posting) in retired {
         log.push(handle, posting);
     }
