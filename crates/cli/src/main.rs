@@ -635,11 +635,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         println!("  row sample:    {sampled} rows, one in {SAMPLE_EVERY} (what a look-up searches)");
         println!("  postings: {postings}");
         println!("  payload bytes: {payload}");
-        let (run_bytes, index_bytes) = on_disk_shape(path)?;
+        let (run_bytes, dict_bytes, index_bytes) = on_disk_shape(path)?;
         println!("  table bytes:   {}", run_bytes.saturating_sub(payload));
         if postings > 0 {
             println!("  run bytes per posting: {:.2}", run_bytes as f64 / postings as f64);
         }
+        let per_term = dict_bytes as f64 / index.num_terms().max(1) as f64;
+        println!("  dictionary bytes: {dict_bytes} ({per_term:.2} per term)");
         println!("  index bytes:   {index_bytes}");
     } else {
         return Err(format!("{dir} is neither a collection nor an index"));
@@ -648,17 +650,19 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// What the manifest of an index directory says of its files: bytes in run
-/// artifacts and bytes in all artifacts.
-fn on_disk_shape(dir: &Path) -> Result<(u64, u64), String> {
+/// artifacts, in the dictionary and in all artifacts.
+fn on_disk_shape(dir: &Path) -> Result<(u64, u64, u64), String> {
     let store = ii_core::store::Store::open(dir).map_err(|e| e.to_string())?;
-    let (mut run_bytes, mut index_bytes) = (0u64, 0u64);
+    let (mut run_bytes, mut dict_bytes, mut index_bytes) = (0u64, 0u64, 0u64);
     for a in &store.manifest().artifacts {
         index_bytes += a.len;
         if ii_core::postings::parse_run_artifact_name(&a.name).is_some() {
             run_bytes += a.len;
+        } else if a.name == ii_core::pipeline::DICTIONARY_ARTIFACT {
+            dict_bytes = a.len;
         }
     }
-    Ok((run_bytes, index_bytes))
+    Ok((run_bytes, dict_bytes, index_bytes))
 }
 
 /// Crash-safe file write — ii-store's write-temp → fsync → atomic-rename,

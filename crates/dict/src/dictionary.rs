@@ -19,6 +19,7 @@
 use crate::node::NULL;
 use crate::slotted::{BTree, InsertOutcome, SlottedStore};
 use crate::trie::{trie_index, TrieIndex, TRIE_ENTRIES};
+use ii_postings::bits::{bits_needed, packed_len, unpack_bits_into, BitPacker};
 use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 
@@ -193,12 +194,114 @@ pub struct GlobalDictionary {
     arena: Vec<u8>,
 }
 
-const DICT_MAGIC: &[u8; 4] = b"IIDT";
-/// Magic, term count, arena length.
-const DICT_HEADER_BYTES: usize = 12;
+const DICT_MAGIC: &[u8; 4] = b"IIDP";
+/// Magic, term count, arena length, the count, owner and handle widths in
+/// bits, one reserved zero byte.
+const DICT_HEADER_BYTES: usize = 16;
 /// Longest suffix a dictionary holds: terms are at most 255 bytes
-/// (`ii_text::MAX_TERM_BYTES`).
+/// (`ii_text::MAX_TERM_BYTES`), so a suffix's length is one byte.
 const MAX_SUFFIX_BYTES: usize = 255;
+
+/// Byte lengths of the sections after a dictionary file's header, in file
+/// order: per-collection term counts and owners, each packed at its width;
+/// a length byte per suffix; the postings handles, packed at theirs; the
+/// suffix arena.
+fn section_lens(n: usize, arena_len: usize, [count_w, owner_w, handle_w]: [u32; 3]) -> [usize; 5] {
+    [
+        packed_len(TRIE_ENTRIES, count_w),
+        packed_len(TRIE_ENTRIES, owner_w),
+        n,
+        packed_len(n, handle_w),
+        arena_len,
+    ]
+}
+
+/// Bits needed by the largest of `vals` (0 when there is none).
+fn width_of(vals: &[u32]) -> u32 {
+    bits_needed(vals.iter().copied().max().unwrap_or(0))
+}
+
+/// Write one dictionary file into `out` (cleared first) — the one writer
+/// behind [`GlobalDictionary::write_to`] and
+/// [`GlobalDictionary::write_combined`]: `counts` terms in each collection,
+/// owned by `owners`, `arena_len` suffix bytes and handles up to
+/// `max_handle`; `terms` hands every term to the [`TermColumns`] it is
+/// given, in `(trie_index, suffix)` order. Returns the bytes written.
+fn write_layout(
+    out: &mut Vec<u8>,
+    counts: &[u32],
+    owners: &[u32],
+    arena_len: usize,
+    max_handle: u32,
+    terms: impl FnOnce(&mut TermColumns),
+) -> u64 {
+    let n: usize = counts.iter().map(|&c| c as usize).sum();
+    let arena_len32 = u32::try_from(arena_len).expect("dictionary suffixes exceed 4 GiB");
+    let widths = [width_of(counts), width_of(owners), bits_needed(max_handle)];
+    let lens = section_lens(n, arena_len, widths);
+    out.clear();
+    out.resize(DICT_HEADER_BYTES + lens.iter().sum::<usize>(), 0);
+    let (head, rest) = out.split_at_mut(DICT_HEADER_BYTES);
+    head[..4].copy_from_slice(DICT_MAGIC);
+    head[4..8].copy_from_slice(&(n as u32).to_le_bytes());
+    head[8..12].copy_from_slice(&arena_len32.to_le_bytes());
+    for (at, w) in widths.into_iter().enumerate() {
+        head[12 + at] = w as u8;
+    }
+    let (count_col, rest) = rest.split_at_mut(lens[0]);
+    let (owner_col, rest) = rest.split_at_mut(lens[1]);
+    let (len_col, rest) = rest.split_at_mut(lens[2]);
+    let (handle_col, arena) = rest.split_at_mut(lens[3]);
+    for (col, vals, w) in [(count_col, counts, widths[0]), (owner_col, owners, widths[1])] {
+        let mut packer = BitPacker::new(col, w);
+        vals.iter().for_each(|&v| packer.put(v));
+        packer.finish();
+    }
+    let mut cols =
+        TermColumns { lens: len_col, handles: BitPacker::new(handle_col, widths[2]), arena, i: 0, end: 0 };
+    terms(&mut cols);
+    assert!(cols.i == n && cols.end == arena_len, "the terms walked are not the terms counted");
+    cols.handles.finish();
+    out.len() as u64
+}
+
+/// The per-term columns of a dictionary file being written: a length byte,
+/// a packed handle and the suffix bytes of each term, in order.
+struct TermColumns<'a> {
+    lens: &'a mut [u8],
+    handles: BitPacker<'a>,
+    arena: &'a mut [u8],
+    /// Terms written.
+    i: usize,
+    /// Arena bytes written.
+    end: usize,
+}
+
+impl TermColumns<'_> {
+    /// Write the next term: its suffix, in pieces, and its handle.
+    #[inline]
+    fn put(&mut self, suffix: &[&[u8]], handle: u32) {
+        let start = self.end;
+        for piece in suffix {
+            self.arena[self.end..self.end + piece.len()].copy_from_slice(piece);
+            self.end += piece.len();
+        }
+        self.lens[self.i] = u8::try_from(self.end - start).expect("term longer than 255 bytes");
+        self.handles.put(handle);
+        self.i += 1;
+    }
+
+    /// Write every term at once from a dictionary's own columns: suffix
+    /// `i` is `arena[offsets[i]..offsets[i + 1]]`, its handle `handles[i]`.
+    fn put_all(&mut self, offsets: &[u32], arena: &[u8], handles: &[u32]) {
+        for (len, ends) in self.lens.iter_mut().zip(offsets.windows(2)) {
+            *len = u8::try_from(ends[1] - ends[0]).expect("term longer than 255 bytes");
+        }
+        self.arena.copy_from_slice(arena);
+        handles.iter().for_each(|&h| self.handles.put(h));
+        (self.i, self.end) = (handles.len(), arena.len());
+    }
+}
 
 impl Default for GlobalDictionary {
     fn default() -> Self {
@@ -232,48 +335,25 @@ impl GlobalDictionary {
     /// Serialise the dictionary [`Self::combine`] builds from `parts`
     /// straight from the shards into `out` (cleared first): byte for byte
     /// what `combine` and then [`Self::write_to`] write, without a second
-    /// copy of every term beside the shards. One walk of every tree sizes
-    /// the columns and the suffix arena; a second fills them in place.
+    /// copy of every term beside the shards. One walk of every tree counts
+    /// the collections, their owners, the suffix bytes and the widest
+    /// handle; a second fills the length, handle and arena columns in
+    /// place, packing each handle as it reaches it.
     /// Returns the bytes written. A checkpoint serialises this way while
     /// the pool's shards stay live.
     pub fn write_combined<P: Borrow<PartialDictionary>>(parts: &[P], out: &mut Vec<u8>) -> u64 {
         let mut counts = vec![0u32; TRIE_ENTRIES];
-        let (mut terms, mut arena_len) = (0usize, 0usize);
-        for_each_combined_term(parts, |ti, suffix, _, _| {
-            counts[ti as usize] += 1;
-            terms += 1;
-            arena_len += suffix.iter().map(|piece| piece.len()).sum::<usize>();
-        });
-        let arena_len = u32::try_from(arena_len).expect("dictionary suffixes exceed 4 GiB");
-        let columns = 4 * (2 * TRIE_ENTRIES + 1 + 2 * terms + 1);
-        out.clear();
-        out.resize(DICT_HEADER_BYTES + columns + arena_len as usize, 0);
-        out[..4].copy_from_slice(DICT_MAGIC);
-        out[4..8].copy_from_slice(&(terms as u32).to_le_bytes());
-        out[8..12].copy_from_slice(&arena_len.to_le_bytes());
-        let put = |out: &mut [u8], at: usize, v: u32| out[at..at + 4].copy_from_slice(&v.to_le_bytes());
-        let (dir_at, owners_at) = (DICT_HEADER_BYTES, DICT_HEADER_BYTES + 4 * (TRIE_ENTRIES + 1));
-        let offsets_at = owners_at + 4 * TRIE_ENTRIES;
-        let (handles_at, arena_at) = (offsets_at + 4 * (terms + 1), offsets_at + 4 * (2 * terms + 1));
-        let mut ordinal = 0;
-        for (t, &n) in counts.iter().enumerate() {
-            ordinal += n;
-            put(out, dir_at + 4 * (t + 1), ordinal);
-        }
-        let (mut i, mut end) = (0, 0usize);
+        let mut owners = vec![0u32; TRIE_ENTRIES];
+        let (mut arena_len, mut max_handle) = (0usize, 0u32);
         for_each_combined_term(parts, |ti, suffix, indexer, postings| {
-            put(out, owners_at + 4 * ti as usize, indexer);
-            let start = end;
-            for piece in suffix {
-                out[arena_at + end..arena_at + end + piece.len()].copy_from_slice(piece);
-                end += piece.len();
-            }
-            assert!(end - start <= MAX_SUFFIX_BYTES, "term longer than 255 bytes");
-            put(out, offsets_at + 4 * (i + 1), end as u32);
-            put(out, handles_at + 4 * i, postings);
-            i += 1;
+            counts[ti as usize] += 1;
+            owners[ti as usize] = indexer;
+            arena_len += suffix.iter().map(|piece| piece.len()).sum::<usize>();
+            max_handle = max_handle.max(postings);
         });
-        out.len() as u64
+        write_layout(out, &counts, &owners, arena_len, max_handle, |cols| {
+            for_each_combined_term(parts, |_, suffix, _, postings| cols.put(suffix, postings))
+        })
     }
 
     /// The inverse of [`Self::combine`]: the shards of indexers
@@ -414,22 +494,17 @@ impl GlobalDictionary {
     }
 
     /// Serialize to `w`; returns bytes written (the "Dictionary Write"
-    /// cost). The file is the structure itself: header, then the directory,
-    /// owner, offset and handle columns as little-endian `u32`s, then the
-    /// suffix arena.
+    /// cost). The file is the structure itself, each column at the width
+    /// its values need (DESIGN.md §8): the header, then the term count of
+    /// every collection and its owner, bit-packed; a length byte per
+    /// suffix; the postings handles, bit-packed; the suffix arena.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
-        let mut out = Vec::with_capacity(
-            DICT_HEADER_BYTES
-                + 4 * (self.dir.len() + self.owners.len() + self.offsets.len() + self.handles.len())
-                + self.arena.len(),
-        );
-        out.extend_from_slice(DICT_MAGIC);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.arena.len() as u32).to_le_bytes());
-        for column in [&self.dir, &self.owners, &self.offsets, &self.handles] {
-            column.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
-        }
-        out.extend_from_slice(&self.arena);
+        let counts: Vec<u32> = self.dir.windows(2).map(|d| d[1] - d[0]).collect();
+        let max_handle = self.handles.iter().copied().max().unwrap_or(0);
+        let mut out = Vec::new();
+        write_layout(&mut out, &counts, &self.owners, self.arena.len(), max_handle, |cols| {
+            cols.put_all(&self.offsets, &self.arena, &self.handles)
+        });
         w.write_all(&out)?;
         Ok(out.len() as u64)
     }
@@ -443,11 +518,13 @@ impl GlobalDictionary {
     }
 
     /// Parse the bytes [`Self::write_to`] wrote, checking in one pass
-    /// everything [`Self::lookup`] and [`Self::entries`] rely on: the
-    /// directory ascends from 0 to the term count, the offsets ascend from
-    /// 0 to the arena length in steps of at most 255, and suffixes ascend
-    /// strictly inside each collection. Nothing is allocated on the word of
-    /// a count: the columns are cut from the bytes given.
+    /// everything [`Self::lookup`] and [`Self::entries`] rely on: widths of
+    /// at most 32 bits and a zero reserved byte, collection counts that sum
+    /// to the term count, suffix lengths that sum to the arena length, and
+    /// suffixes that ascend strictly inside each collection. The directory
+    /// and the offsets are those sums. A file shorter than its header says
+    /// is `UnexpectedEof`, one longer `InvalidData`; nothing is allocated
+    /// before the length is checked, so every count is backed by bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<GlobalDictionary> {
         let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
         let Some((head, body)) = bytes.split_at_checked(DICT_HEADER_BYTES) else {
@@ -458,37 +535,61 @@ impl GlobalDictionary {
         }
         let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap()) as usize;
         let (n, arena_len) = (word(4), word(8));
-        // u32 counts: the sum fits a u64 with room to spare.
-        let columns = 4 * (2 * TRIE_ENTRIES as u64 + 1 + 2 * n as u64 + 1);
-        match (columns + arena_len as u64).cmp(&(body.len() as u64)) {
+        let widths = [head[12], head[13], head[14]].map(u32::from);
+        if widths.iter().any(|&w| w > 32) {
+            return Err(bad("a dictionary column wider than 32 bits"));
+        }
+        if head[15] != 0 {
+            return Err(bad("reserved dictionary header byte is not zero"));
+        }
+        let lens = section_lens(n, arena_len, widths);
+        match lens.iter().map(|&l| l as u64).sum::<u64>().cmp(&(body.len() as u64)) {
             std::cmp::Ordering::Greater => return Err(io::ErrorKind::UnexpectedEof.into()),
             std::cmp::Ordering::Less => return Err(bad("bytes after the dictionary")),
             std::cmp::Ordering::Equal => {}
         }
         let mut rest = body;
-        let mut column = |len: usize| -> Vec<u32> {
-            let (bytes, tail) = rest.split_at(4 * len);
+        let mut cut = |len: usize| {
+            let (col, tail) = rest.split_at(len);
             rest = tail;
-            bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect()
+            col
         };
-        let dict = GlobalDictionary {
-            dir: column(TRIE_ENTRIES + 1),
-            owners: column(TRIE_ENTRIES),
-            offsets: column(n + 1),
-            handles: column(n),
-            arena: rest.to_vec(),
+        let (count_col, owner_col, len_col, handle_col, arena) =
+            (cut(lens[0]), cut(lens[1]), cut(lens[2]), cut(lens[3]), cut(lens[4]));
+        let unpack = |col: &[u8], out: &mut [u32], w: u32| {
+            unpack_bits_into(col, out, w).expect("columns are cut at their packed length");
         };
-        let ascends = |col: &[u32], end: usize, step: usize| {
-            col[0] == 0
-                && col[col.len() - 1] as usize == end
-                && col.windows(2).all(|w| w[0] <= w[1] && (w[1] - w[0]) as usize <= step)
-        };
-        if !ascends(&dict.dir, n, n) {
-            return Err(bad("trie directory does not ascend from 0 to the term count"));
+        let mut dir = vec![0u32; TRIE_ENTRIES + 1];
+        unpack(count_col, &mut dir[1..], widths[0]);
+        let mut ordinal = 0u64;
+        for d in &mut dir[1..] {
+            ordinal += u64::from(*d);
+            if ordinal > n as u64 {
+                break;
+            }
+            *d = ordinal as u32;
         }
-        if !ascends(&dict.offsets, arena_len, MAX_SUFFIX_BYTES) {
-            return Err(bad("suffix offsets do not ascend to the arena length in steps of at most 255"));
+        if ordinal != n as u64 {
+            return Err(bad("collection term counts do not sum to the term count"));
         }
+        let mut owners = vec![0u32; TRIE_ENTRIES];
+        unpack(owner_col, &mut owners, widths[1]);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut end = 0usize;
+        offsets.push(0);
+        for &len in len_col {
+            end += usize::from(len);
+            if end > arena_len {
+                break;
+            }
+            offsets.push(end as u32);
+        }
+        if end != arena_len {
+            return Err(bad("suffix lengths do not sum to the arena length"));
+        }
+        let mut handles = vec![0u32; n];
+        unpack(handle_col, &mut handles, widths[2]);
+        let dict = GlobalDictionary { dir, owners, offsets, handles, arena: arena.to_vec() };
         // A suffix's first 8 bytes as a zero-padded big-endian word: a
         // smaller word means a smaller suffix, which settles nearly every
         // neighbouring pair without a slice comparison. (0 for the last few
@@ -644,23 +745,26 @@ mod tests {
         assert_eq!(n as usize, buf.len());
         let g2 = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(g, g2);
-        // An empty dictionary is a directory of zeros.
+        // An empty dictionary is its header: every column is 0 bits wide.
         let mut buf = Vec::new();
         GlobalDictionary::default().write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), DICT_HEADER_BYTES + 4 * (2 * TRIE_ENTRIES + 2));
+        assert_eq!(buf.len(), DICT_HEADER_BYTES);
         let empty = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(empty, GlobalDictionary::default());
         assert!(empty.lookup("apple").is_none() && empty.entries().next().is_none());
     }
 
     #[test]
-    fn a_term_costs_its_suffix_and_two_words() {
+    fn a_term_costs_its_suffix_a_length_byte_and_a_packed_handle() {
         let g = sample();
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
         let suffixes: usize = g.entries().map(|e| e.suffix.len()).sum();
-        let fixed = DICT_HEADER_BYTES + 4 * (2 * TRIE_ENTRIES + 2);
-        assert_eq!(buf.len(), fixed + 8 * g.len() + suffixes);
+        // Nine terms, four of them in "app"'s collection; one owner,
+        // indexer 3; handles 0..9.
+        assert_eq!(buf[12..16], [3, 2, 4, 0], "count, owner and handle widths");
+        let fixed = DICT_HEADER_BYTES + packed_len(TRIE_ENTRIES, 3) + packed_len(TRIE_ENTRIES, 2);
+        assert_eq!(buf.len(), fixed + g.len() + packed_len(g.len(), 4) + suffixes);
     }
 
     #[test]
@@ -709,25 +813,49 @@ mod tests {
         GlobalDictionary::read_from(&mut buf.as_slice())
     }
 
+    /// `sample()` serialized with the byte at `at` replaced.
+    fn with_byte(at: usize, byte: u8) -> io::Result<GlobalDictionary> {
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        buf[at] = byte;
+        GlobalDictionary::read_from(&mut buf.as_slice())
+    }
+
     #[test]
     fn every_column_is_validated() {
-        let n = sample().len();
-        let dir_at = DICT_HEADER_BYTES;
-        let offsets_at = dir_at + 4 * (2 * TRIE_ENTRIES + 1);
+        let g = sample();
         let invalid = |r: io::Result<GlobalDictionary>, what: &str| {
             assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData, "{what}");
         };
-        invalid(with_word(dir_at, 1), "directory not starting at 0");
-        invalid(with_word(dir_at + 4 * TRIE_ENTRIES, n as u32 + 1), "directory past the count");
-        invalid(with_word(dir_at + 4 * 20, u32::MAX), "directory descending");
-        invalid(with_word(offsets_at, 1), "offsets not starting at 0");
-        invalid(with_word(offsets_at + 4, u32::MAX), "offset past the arena");
-        invalid(with_word(offsets_at + 4 * n, 0), "offsets not ending at the arena length");
-        // "apple" and "applesauce" share a collection: push the second
-        // suffix below the first through the arena.
-        let g = sample();
+        invalid(with_byte(12, 33), "a count width of 33");
+        invalid(with_byte(14, 255), "a handle width of 255");
+        invalid(with_byte(15, 1), "a reserved byte that is not zero");
+        // Counts at 3 bits: one more or one fewer term in the collection of
+        // "zebra" misses the term count.
+        let counts_at = DICT_HEADER_BYTES;
+        let t = g.lookup("zebra").unwrap().trie_index as usize;
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
+        assert_eq!(buf[12], 3);
+        let count = g.collection(t).len() as u32;
+        for lie in [count + 1, count - 1] {
+            let mut counts: Vec<u32> = g.dir.windows(2).map(|d| d[1] - d[0]).collect();
+            counts[t] = lie;
+            let mut bad = buf.clone();
+            let col = &mut bad[counts_at..counts_at + packed_len(TRIE_ENTRIES, 3)];
+            col.fill(0);
+            let mut packer = BitPacker::new(col, 3);
+            counts.iter().for_each(|&c| packer.put(c));
+            packer.finish();
+            invalid(GlobalDictionary::from_bytes(&bad), "counts not summing to n");
+        }
+        // Suffix lengths that miss the arena's end, either way.
+        let lens_at = counts_at + packed_len(TRIE_ENTRIES, 3) + packed_len(TRIE_ENTRIES, 2);
+        for len in [buf[lens_at] + 1, buf[lens_at] - 1] {
+            invalid(with_byte(lens_at, len), "lengths not summing to the arena");
+        }
+        // "apple" and "applesauce" share a collection: push the second
+        // suffix below the first through the arena.
         let arena_at = buf.len() - g.arena.len();
         let at = g.lookup("applesauce").unwrap().suffix.as_ptr() as usize - g.arena.as_ptr() as usize;
         buf[arena_at + at] = b'a'; // "lesauce" -> "aesauce", now below "le"
@@ -743,11 +871,13 @@ mod tests {
 
     #[test]
     fn hostile_entry_count_is_a_failed_read_not_an_allocation() {
-        // A header claiming u32::MAX terms and arena bytes, then nothing:
-        // the reader must run out of bytes, not of memory.
+        // A header claiming u32::MAX terms and arena bytes at 32-bit
+        // widths, then nothing: the reader must run out of bytes, not of
+        // memory.
         let mut buf = DICT_MAGIC.to_vec();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[32, 32, 32, 0]);
         let err = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let err = with_word(4, u32::MAX).unwrap_err();

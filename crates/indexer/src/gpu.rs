@@ -15,7 +15,7 @@
 //!   with coalesced writes;
 //! * postings are aggregated on-device in a per-handle current-posting
 //!   table; completed postings are appended to a device log that the host
-//!   drains at the end of each run.
+//!   drains before the next batch and at the end of each run.
 //!
 //! Node bytes in device memory use the Table II 512-byte layout
 //! (`ii_dict::node`), which converts losslessly to the host's slotted
@@ -130,8 +130,8 @@ pub struct GpuIndexer {
     log_area: DevPtr,
     input_area: DevPtr,
     input_top: usize,
-    /// This run's retired postings already moved off the device log, when
-    /// a batch could have overflowed it (see [`Self::index_batch`]).
+    /// This run's retired postings already moved off the device log: all
+    /// but the last batch's (see [`Self::index_batch`]).
     drained: PostingLog,
     /// Trie collections this GPU has seen (for dictionary download).
     seen: std::collections::BTreeSet<u32>,
@@ -221,14 +221,12 @@ impl GpuIndexer {
 
     /// Pre-processing: upload this batch's groups; indexing: launch the
     /// grid over them. Returns the batch timing. `groups` must all be owned
-    /// by this GPU per the balance plan. Each token retires at most one
-    /// posting, so when the device log lacks room for one per token, the
-    /// host drains it first (into the same slices a flush fills) and the
-    /// run goes on.
+    /// by this GPU per the balance plan. The host first drains the records
+    /// the last batch retired into the same compressed slices a flush
+    /// fills, so the device log holds one batch's records at most, 12 bytes
+    /// each, never a run's (each token retires at most one posting).
     pub fn index_batch(&mut self, groups: &[&TrieGroup], doc_offset: u32) -> GpuBatchReport {
-        let tokens: u64 = groups.iter().map(|g| g.total_terms()).sum();
-        let logged = u64::from(self.read_ctr(self.ctr_log));
-        if logged + tokens > self.config.log_capacity as u64 {
+        if self.read_ctr(self.ctr_log) > 0 {
             self.drain_log();
             self.memset(self.ctr_log.0 as usize, &[0, 0, 0, 0]);
         }
@@ -1177,8 +1175,8 @@ mod tests {
 
     #[test]
     fn a_device_log_too_small_for_the_run_drains_to_the_host_and_writes_the_same_bytes() {
-        // Eight tokens a batch against a log of ten records: every batch
-        // after the first drains the device log first, mid-run.
+        // Eight tokens a batch against a log of ten records: the log
+        // holds one batch, never two.
         let batches: Vec<_> = (0..6)
             .map(|i| parse(&["zebra quilt zebra", ["quilt xylophone", "banana zebra"][i % 2], "quilt"]))
             .collect();
@@ -1211,6 +1209,26 @@ mod tests {
             }
         }
         assert_eq!(successor.flush_run(0, Codec::Auto).to_bytes(), want);
+    }
+
+    #[test]
+    fn the_device_log_holds_one_batch_at_most() {
+        let batches: Vec<_> = (0..5)
+            .map(|i| parse(&["zebra quilt zebra", ["quilt xylophone zebra", "banana"][i % 2], "quilt zebra"]))
+            .collect();
+        let mut g = gpu();
+        let mut drained_before = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            let groups: Vec<&TrieGroup> = batch.groups.iter().collect();
+            let tokens: u64 = groups.iter().map(|g| g.total_terms()).sum();
+            g.index_batch(&groups, 3 * i as u32);
+            let logged = u64::from(g.read_ctr(g.ctr_log));
+            assert!(logged <= tokens, "batch {i}: {logged} records for {tokens} tokens");
+            // Every batch after the first retires records ("zebra" and
+            // "quilt" recur), and the one before it has left the device.
+            assert!(i == 0 || g.drained.len() > drained_before, "batch {i} drained nothing");
+            drained_before = g.drained.len();
+        }
     }
 
     #[test]

@@ -100,7 +100,9 @@ impl DocMap {
     }
 
     /// Deserialize what [`Self::write_to`] wrote: exactly `n` records and
-    /// the trailer, every record inside the doc-ID space the trailer ends.
+    /// the trailer, every record inside the doc-ID space the trailer ends
+    /// and starting at or past the end of the one before it — the ascending,
+    /// disjoint ranges [`Self::file_of`]'s binary search assumes.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<DocMap> {
         let bad = |m: &'static str| io::Error::new(io::ErrorKind::InvalidData, m);
         let mut head = [0u8; 8];
@@ -136,6 +138,9 @@ impl DocMap {
         };
         if !entries.iter().all(inside) {
             return Err(bad("docmap entry outside the doc-ID space"));
+        }
+        if entries.windows(2).any(|w| w[1].first_doc < w[0].first_doc + w[0].n_docs) {
+            return Err(bad("docmap entries overlap or out of doc order"));
         }
         Ok(DocMap { entries, next_first })
     }
@@ -230,6 +235,28 @@ mod tests {
             bad[n_docs_at..n_docs_at + 4].copy_from_slice(&n_docs.to_le_bytes());
             assert_eq!(kind_of(&bad), io::ErrorKind::InvalidData, "n_docs {n_docs}");
         }
+    }
+
+    #[test]
+    fn records_out_of_doc_order_are_refused() {
+        let mut buf = Vec::new();
+        map(&[3, 2, 4]).write_to(&mut buf).unwrap();
+        let record = |i: usize| 8 + 12 * i..8 + 12 * (i + 1);
+        // Records 0 and 1 swapped: each inside the doc-ID space, the pair
+        // descending.
+        let mut swapped = buf.clone();
+        swapped[record(0)].copy_from_slice(&buf[record(1)]);
+        swapped[record(1)].copy_from_slice(&buf[record(0)]);
+        assert_eq!(kind_of(&swapped), io::ErrorKind::InvalidData, "swapped");
+        // Record 1 starting one document early, inside record 0.
+        let mut overlapping = buf.clone();
+        overlapping[record(1).start + 4..record(1).start + 8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(kind_of(&overlapping), io::ErrorKind::InvalidData, "overlapping");
+        // A gap between records is a quarantined file's: accepted.
+        let mut gap = buf.clone();
+        gap[record(1).start + 4..record(1).start + 8].copy_from_slice(&4u32.to_le_bytes());
+        gap[record(1).start + 8..record(1).end].copy_from_slice(&1u32.to_le_bytes());
+        assert!(DocMap::read_from(&mut gap.as_slice()).is_ok());
     }
 
     #[test]

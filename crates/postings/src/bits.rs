@@ -1,5 +1,5 @@
 //! Word-level bit packing: the shared core of the BP128 and PForDelta
-//! block codecs.
+//! block codecs and of the dictionary's packed columns (`ii-dict`).
 
 /// Number of bits needed to represent `v` (0 for `v == 0`).
 #[inline]
@@ -16,28 +16,61 @@ pub fn packed_len(n: usize, width: u32) -> usize {
 /// Append `vals` packed at `width` bits each (LSB-first within bytes) to
 /// `out`. Every value must fit in `width` bits; `width == 0` writes
 /// nothing. This is the word-level fast path the block codecs build on —
-/// one shift/or per value plus one push per output byte, no per-bit
+/// one shift/or per value plus one store per output byte, no per-bit
 /// branching.
 pub fn pack_bits(vals: &[u32], width: u32, out: &mut Vec<u8>) {
-    debug_assert!(width <= 32);
-    if width == 0 {
-        return;
+    let start = out.len();
+    out.resize(start + packed_len(vals.len(), width), 0);
+    let mut packer = BitPacker::new(&mut out[start..], width);
+    vals.iter().for_each(|&v| packer.put(v));
+    packer.finish();
+}
+
+/// Packs values one at a time at a fixed `width` into a byte slice of at
+/// least [`packed_len`] bytes for the values put, LSB-first within bytes:
+/// the bytes [`pack_bits`] writes, for a writer that reaches its values
+/// one by one rather than as a slice.
+pub struct BitPacker<'a> {
+    out: &'a mut [u8],
+    pos: usize,
+    acc: u64,
+    nbits: u32,
+    width: u32,
+}
+
+impl<'a> BitPacker<'a> {
+    /// A packer writing from the start of `out`.
+    pub fn new(out: &'a mut [u8], width: u32) -> Self {
+        debug_assert!(width <= 32);
+        BitPacker { out, pos: 0, acc: 0, nbits: 0, width }
     }
-    out.reserve(packed_len(vals.len(), width));
-    let mut acc: u64 = 0;
-    let mut nbits: u32 = 0;
-    for &v in vals {
+
+    /// Append `v`, which must fit in the packer's width.
+    #[inline]
+    pub fn put(&mut self, v: u32) {
+        let width = self.width;
         debug_assert!(width == 32 || u64::from(v) < (1u64 << width), "{v} overflows {width} bits");
-        acc |= u64::from(v) << nbits;
-        nbits += width;
-        while nbits >= 8 {
-            out.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            nbits -= 8;
+        // Fewer than 32 bits wait in `acc`, so it never holds more than 63;
+        // they leave 32 at a time, as bytes every value has filled.
+        self.acc |= u64::from(v) << self.nbits;
+        self.nbits += width;
+        if self.nbits >= 32 {
+            self.out[self.pos..self.pos + 4].copy_from_slice(&(self.acc as u32).to_le_bytes());
+            self.pos += 4;
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
-    if nbits > 0 {
-        out.push((acc & 0xFF) as u8);
+
+    /// Write the last partial bytes; returns the bytes written.
+    pub fn finish(mut self) -> usize {
+        while self.nbits > 0 {
+            self.out[self.pos] = self.acc as u8;
+            self.pos += 1;
+            self.acc >>= 8;
+            self.nbits = self.nbits.saturating_sub(8);
+        }
+        self.pos
     }
 }
 

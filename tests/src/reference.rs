@@ -6,8 +6,11 @@
 //! `[u8; 4]` caches, per-visit node clones, eager string fallback) plus a
 //! `HashMap` from trie index to tree root. [`combine_reference`] gathers
 //! tree by tree, sorts globally and writes the `dictionary.bin` bytes by
-//! hand, so the product's combine, writer and reader are all held to it.
-//! Do not optimize it — its value is that it stays the old code. The
+//! hand through [`DictColumns`], packing one bit at a time, so the
+//! product's combine, writer (and its bit packer) and reader are all held
+//! to it. [`read_retired_iidt`] is the reader of the layout before, kept
+//! for the retired fixture. Do not optimize them — their value is that
+//! they stay the old code. The
 //! differential suite in `tests/dict_diff.rs` drives arbitrary term streams
 //! through both paths and requires identical outcomes, handles, and
 //! combined output.
@@ -62,12 +65,101 @@ impl ReferenceDictionary {
     }
 }
 
+/// One dictionary term as the reference handles it: trie index, suffix,
+/// owning indexer, postings handle.
+pub type RefEntry = (u32, Vec<u8>, u32, u32);
+
+/// The columns of a `dictionary.bin`, as plain values: what the file says,
+/// true or not. [`Self::to_bytes`] lays them out, each packed column at the
+/// width its largest value needs; hostile-bytes tests build lies with it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DictColumns {
+    /// Terms of each of the `TRIE_ENTRIES` collections.
+    pub counts: Vec<u32>,
+    /// Owning indexer of each collection (0 for an empty one).
+    pub owners: Vec<u32>,
+    /// Length of each suffix.
+    pub lens: Vec<u8>,
+    /// Postings handle of each term.
+    pub handles: Vec<u32>,
+    /// Every suffix, back to back.
+    pub arena: Vec<u8>,
+}
+
+/// Bits needed by the largest of `vals`.
+fn width(vals: &[u32]) -> u32 {
+    32 - vals.iter().copied().max().unwrap_or(0).leading_zeros()
+}
+
+/// Append `vals` at `width` bits each, least significant bit first, one bit
+/// at a time.
+fn pack(vals: &[u32], width: u32, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + (vals.len() * width as usize).div_ceil(8), 0);
+    let mut bit = 0;
+    for &v in vals {
+        for b in 0..width {
+            if v >> b & 1 == 1 {
+                out[start + bit / 8] |= 1 << (bit % 8);
+            }
+            bit += 1;
+        }
+    }
+}
+
+impl DictColumns {
+    /// The columns of `entries`, which must be in `(trie_index, suffix)`
+    /// order.
+    pub fn of(entries: &[RefEntry]) -> DictColumns {
+        let mut cols = DictColumns {
+            counts: vec![0; TRIE_ENTRIES],
+            owners: vec![0; TRIE_ENTRIES],
+            lens: Vec::new(),
+            handles: Vec::new(),
+            arena: Vec::new(),
+        };
+        for (ti, suffix, indexer, postings) in entries {
+            cols.counts[*ti as usize] += 1;
+            cols.owners[*ti as usize] = *indexer;
+            cols.lens.push(suffix.len() as u8);
+            cols.handles.push(*postings);
+            cols.arena.extend_from_slice(suffix);
+        }
+        cols
+    }
+
+    /// The columns of a dictionary, read through its entries.
+    pub fn of_dictionary(d: &GlobalDictionary) -> DictColumns {
+        let entries: Vec<RefEntry> =
+            d.entries().map(|e| (e.trie_index, e.suffix.to_vec(), e.indexer, e.postings)).collect();
+        Self::of(&entries)
+    }
+
+    /// The `dictionary.bin` layout: magic `IIDP`, term count (the handles'),
+    /// arena length, the count, owner and handle widths and a zero byte;
+    /// counts and owners packed; a length byte per suffix; handles packed;
+    /// the arena.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let widths = [width(&self.counts), width(&self.owners), width(&self.handles)];
+        let mut bytes = b"IIDP".to_vec();
+        bytes.extend_from_slice(&(self.handles.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(self.arena.len() as u32).to_le_bytes());
+        bytes.extend(widths.iter().map(|&w| w as u8));
+        bytes.push(0);
+        pack(&self.counts, widths[0], &mut bytes);
+        pack(&self.owners, widths[1], &mut bytes);
+        bytes.extend_from_slice(&self.lens);
+        pack(&self.handles, widths[2], &mut bytes);
+        bytes.extend_from_slice(&self.arena);
+        bytes
+    }
+}
+
 /// Combine reference shards into a [`GlobalDictionary`] — the frozen
-/// combine (gather tree by tree, then global sort), serialised in the
-/// `IIDT` layout (magic, term count, arena length; directory, owner, offset
-/// and handle columns; suffix arena) and read back.
+/// combine (gather tree by tree, then global sort), serialised by
+/// [`DictColumns::to_bytes`] and read back.
 pub fn combine_reference(parts: &[ReferenceDictionary]) -> GlobalDictionary {
-    let mut entries: Vec<(u32, Vec<u8>, u32, u32)> = Vec::new();
+    let mut entries: Vec<RefEntry> = Vec::new();
     for p in parts {
         let mut idxs: Vec<u32> = p.trie_indices().collect();
         idxs.sort_unstable();
@@ -79,27 +171,34 @@ pub fn combine_reference(parts: &[ReferenceDictionary]) -> GlobalDictionary {
         }
     }
     entries.sort_by(|a, b| (a.0, a.1.as_slice()).cmp(&(b.0, b.1.as_slice())));
-    let mut dir = vec![0u32; TRIE_ENTRIES + 1];
-    let mut owners = vec![0u32; TRIE_ENTRIES];
-    let (mut offsets, mut handles, mut arena) = (vec![0u32], Vec::new(), Vec::new());
-    for (ti, suffix, indexer, postings) in &entries {
-        dir[*ti as usize + 1] += 1;
-        owners[*ti as usize] = *indexer;
-        arena.extend_from_slice(suffix);
-        offsets.push(arena.len() as u32);
-        handles.push(*postings);
-    }
+    GlobalDictionary::from_bytes(&DictColumns::of(&entries).to_bytes())
+        .expect("the reference writes a valid dictionary")
+}
+
+/// The entries of a `dictionary.bin` in the retired `IIDT` layout: magic,
+/// term count, arena length; little-endian `u32` columns — trie directory
+/// (`TRIE_ENTRIES + 1` ordinals), owners (`TRIE_ENTRIES`), suffix offsets
+/// (`n + 1`), handles (`n`); the suffix arena. Only for a file that layout
+/// wrote: it panics on anything else.
+pub fn read_retired_iidt(bytes: &[u8]) -> Vec<RefEntry> {
+    assert_eq!(&bytes[..4], b"IIDT", "not a retired dictionary");
+    let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap()) as usize;
+    let n = word(4);
+    let dir_at = 12;
+    let owners_at = dir_at + 4 * (TRIE_ENTRIES + 1);
+    let offsets_at = owners_at + 4 * TRIE_ENTRIES;
+    let handles_at = offsets_at + 4 * (n + 1);
+    let arena_at = handles_at + 4 * n;
+    assert_eq!(bytes.len(), arena_at + word(8), "a retired dictionary's length");
+    let mut entries = Vec::with_capacity(n);
     for t in 0..TRIE_ENTRIES {
-        dir[t + 1] += dir[t];
+        for i in word(dir_at + 4 * t)..word(dir_at + 4 * (t + 1)) {
+            let (start, end) = (word(offsets_at + 4 * i), word(offsets_at + 4 * (i + 1)));
+            let suffix = bytes[arena_at + start..arena_at + end].to_vec();
+            entries.push((t as u32, suffix, word(owners_at + 4 * t) as u32, word(handles_at + 4 * i) as u32));
+        }
     }
-    let mut bytes = b"IIDT".to_vec();
-    bytes.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&(arena.len() as u32).to_le_bytes());
-    for column in [&dir, &owners, &offsets, &handles] {
-        column.iter().for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
-    }
-    bytes.extend_from_slice(&arena);
-    GlobalDictionary::from_bytes(&bytes).expect("the reference writes a valid dictionary")
+    entries
 }
 
 /// Insert a *surface* term (classified internally) into a reference shard.
@@ -155,5 +254,17 @@ mod tests {
         g_ref.write_to(&mut a).unwrap();
         g_new.write_to(&mut b).unwrap();
         assert_eq!(a, b, "serialized dictionaries must be byte-identical");
+        assert_eq!(DictColumns::of_dictionary(&g_new).to_bytes(), b);
+    }
+
+    #[test]
+    fn the_bit_at_a_time_packer_is_lsb_first() {
+        let mut out = vec![0xAA];
+        pack(&[1, 2, 3, 0, 7], 3, &mut out);
+        // 001 010 011 000 111, least significant bit first: 0b11_010_001,
+        // 0b0_111_000_0 (bit 15 unused).
+        assert_eq!(out, [0xAA, 0b1101_0001, 0b0111_0000]);
+        pack(&[5], 0, &mut out);
+        assert_eq!(out.len(), 3);
     }
 }

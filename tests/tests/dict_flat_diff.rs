@@ -225,3 +225,44 @@ fn shard_order_does_not_matter() {
     assert!(GlobalDictionary::combine(&parts) == forward);
     assert_flat_matches_frozen(&parts, "tiny, shards reversed");
 }
+
+/// What the compact layout saves, as a count of bytes: on the congress
+/// preset built by one and by two indexers, `dictionary.bin` is exactly
+/// its layout's length — a 16-byte header, the 17 613 collection counts and
+/// owners each packed at the width of its largest value, a length byte per
+/// suffix, the handles packed at theirs, the suffixes — and at most 0.6 of
+/// what the retired fixed-width `IIDT` layout took for the same terms: 12
+/// header bytes, a `u32` per directory ordinal, owner, offset and handle,
+/// the suffixes.
+#[test]
+fn the_compact_dictionary_is_its_layout_formula_and_six_tenths_of_the_retired_one() {
+    let spec = CollectionSpec::congress_like(0.2);
+    let bits = |v: u32| 32 - v.leading_zeros() as usize;
+    let packed = |len: usize, w: usize| (len * w).div_ceil(8);
+    for n_cpu in [1, 2] {
+        let d = GlobalDictionary::combine(&shards(&spec, n_cpu, 0));
+        let mut bytes = Vec::new();
+        d.write_to(&mut bytes).unwrap();
+        let n = d.len();
+        let arena: usize = d.entries().map(|e| e.suffix.len()).sum();
+        let mut counts = vec![0u32; TRIE_ENTRIES];
+        d.entries().for_each(|e| counts[e.trie_index as usize] += 1);
+        let w_count = bits(counts.iter().copied().max().unwrap());
+        let w_owner = bits(d.entries().map(|e| e.indexer).max().unwrap());
+        let w_handle = bits(d.entries().map(|e| e.postings).max().unwrap());
+        assert_eq!(w_owner, n_cpu - 1, "{n_cpu} indexers");
+        let formula = 16
+            + packed(TRIE_ENTRIES, w_count)
+            + packed(TRIE_ENTRIES, w_owner)
+            + n
+            + packed(n, w_handle)
+            + arena;
+        assert_eq!(bytes.len(), formula, "{n_cpu} indexers: {n} terms, widths {w_count}/{w_owner}/{w_handle}");
+        let retired = 12 + 4 * (2 * TRIE_ENTRIES + 1) + 8 * n + 4 + arena;
+        assert!(
+            bytes.len() * 10 <= retired * 6,
+            "{n_cpu} indexers: {} bytes against {retired} retired",
+            bytes.len()
+        );
+    }
+}

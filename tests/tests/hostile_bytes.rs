@@ -8,8 +8,9 @@
 //! typed error or yields a value that is safe to query: every walk and
 //! look-up terminates without a panic and the value survives its own
 //! serialization. Neither reader sizes an allocation by a count it has not
-//! checked against the bytes it holds: the dictionary's columns are cut
-//! from the input, a run's row count and row sample are bounded by its
+//! checked against the bytes it holds: the dictionary's length must be what
+//! its header's counts and widths call for before any column is unpacked,
+//! a run's row count and row sample are bounded by its
 //! table length, and the index's holders column by the dictionary it
 //! already validated. (`run_format_diff.rs` mutates every header and table
 //! byte of whole run files against the frozen reader; the run cases here
@@ -18,6 +19,11 @@
 //! `Index::open` and answered handle by handle.) A codec tag the index no
 //! longer writes, in a run's header or in a row, and a reserved header byte
 //! that is not zero are refused there too.
+//!
+//! `DocMap::read_from` (`docmap.bin`) refuses every truncation, and
+//! records that overlap or run out of doc order; whatever map a flipped
+//! byte leaves it accepting answers `file_of` as a linear scan of its
+//! records does.
 //!
 //! A manifest that lists one run twice — the same record again, or a
 //! second name for the same run — is a typed error at `Index::open` and on
@@ -34,8 +40,8 @@ use ii_core::dict::{GlobalDictionary, TRIE_ENTRIES};
 use ii_core::obs::trace::{GaugeTrack, NO_ID};
 use ii_core::obs::{GpuSpanArgs, Trace, TraceEvent, TraceKind, WorkerTrace};
 use ii_core::pipeline::{
-    build_index, build_index_durable, render_bundle_report, BuildCheckpoint, DurableOptions,
-    PipelineConfig, PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
+    build_index, build_index_durable, render_bundle_report, BuildCheckpoint, DocMap,
+    DurableOptions, PipelineConfig, PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
 };
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{
@@ -47,17 +53,37 @@ use ii_core::store::{
     MANIFEST_NAME,
 };
 use ii_core::Index;
+use ii_integration_tests::reference::DictColumns;
 use ii_integration_tests::run_table::MaterialisedRun;
 use std::io::ErrorKind;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Header of `dictionary.bin`: magic, term count, arena length.
-const DICT_HEADER: usize = 12;
-const DIR_AT: usize = DICT_HEADER;
-const OWNERS_AT: usize = DIR_AT + 4 * (TRIE_ENTRIES + 1);
-const OFFSETS_AT: usize = OWNERS_AT + 4 * TRIE_ENTRIES;
+/// Header of `dictionary.bin`: magic, term count, arena length, the count,
+/// owner and handle widths, a reserved zero byte.
+const DICT_HEADER: usize = 16;
+
+/// Where each section of a `dictionary.bin` starts, from its header: the
+/// collection counts, the owners, the suffix lengths, the handles, the
+/// arena.
+struct Sections {
+    counts: usize,
+    owners: usize,
+    lens: usize,
+    handles: usize,
+    arena: usize,
+}
+
+fn sections(bytes: &[u8]) -> Sections {
+    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+    let packed = |len: usize, w: u8| (len * w as usize).div_ceil(8);
+    let counts = DICT_HEADER;
+    let owners = counts + packed(TRIE_ENTRIES, bytes[12]);
+    let lens = owners + packed(TRIE_ENTRIES, bytes[13]);
+    let handles = lens + n;
+    Sections { counts, owners, lens, handles, arena: handles + packed(n, bytes[14]) }
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ii-hostile-{tag}-{}", std::process::id()));
@@ -115,11 +141,14 @@ fn exercise_dictionary(d: &GlobalDictionary, terms: &[String]) {
 #[test]
 fn truncated_dictionaries_are_refused() {
     let (dict, bytes) = dictionary_bytes();
-    // Every cut through the header and the first words of each column,
+    let at = sections(&bytes);
+    // Every cut through the header and the first bytes of each column,
     // then a stride through the rest, then the last bytes.
     let cuts = (0..DICT_HEADER + 64)
-        .chain(OWNERS_AT - 8..OWNERS_AT + 8)
-        .chain(OFFSETS_AT - 8..OFFSETS_AT + 8)
+        .chain(at.owners - 8..at.owners + 8)
+        .chain(at.lens - 8..at.lens + 8)
+        .chain(at.handles - 8..at.handles + 8)
+        .chain(at.arena - 8..at.arena + 8)
         .chain((0..bytes.len()).step_by(997))
         .chain(bytes.len() - 64..bytes.len());
     for cut in cuts {
@@ -135,19 +164,17 @@ fn truncated_dictionaries_are_refused() {
 fn mutated_dictionary_bytes_never_panic() {
     let (dict, bytes) = dictionary_bytes();
     let terms: Vec<String> = dict.entries().map(|e| e.full_term()).collect();
-    let n = dict.len();
-    let handles_at = OFFSETS_AT + 4 * (n + 1);
-    let arena_at = handles_at + 4 * n;
-    // The header, the directory around its first occupied collections, the
+    let at = sections(&bytes);
+    // The header, the counts around the first occupied collection, the
     // first and last 64 bytes of every column and of the arena.
-    let first_term_dir = DIR_AT + 4 * dict.entries().next().unwrap().trie_index as usize;
+    let first_count = at.counts + dict.entries().next().unwrap().trie_index as usize * bytes[12] as usize / 8;
     let spans = [
         0..DICT_HEADER + 64,
-        first_term_dir.saturating_sub(16)..first_term_dir + 64,
-        OWNERS_AT - 64..OWNERS_AT + 64,
-        OFFSETS_AT - 64..OFFSETS_AT + 64,
-        handles_at - 64..handles_at + 64,
-        arena_at - 64..arena_at + 64,
+        first_count.saturating_sub(16)..first_count + 64,
+        at.owners - 64..at.owners + 64,
+        at.lens - 64..at.lens + 64,
+        at.handles - 64..at.handles + 64,
+        at.arena - 64..at.arena + 64,
         bytes.len() - 64..bytes.len(),
     ];
     let (mut refused, mut parsed) = (0usize, 0usize);
@@ -171,7 +198,8 @@ fn mutated_dictionary_bytes_never_panic() {
         }
         hostile[at] = bytes[at];
     }
-    // Header and offset damage is refused; an owner or a handle is any u32.
+    // Header, count and length damage is refused; an owner or a handle is
+    // any value of its width.
     assert!(refused > 300 && parsed > 300, "{refused} refused, {parsed} parsed");
 }
 
@@ -182,6 +210,14 @@ fn with_word(bytes: &[u8], at: usize, word: u32) -> Vec<u8> {
     out
 }
 
+/// The dictionary `bytes` hold, its columns changed by `lie` and laid out
+/// again, each at the width its values need.
+fn with_columns(bytes: &[u8], lie: impl FnOnce(&mut DictColumns)) -> Vec<u8> {
+    let mut cols = DictColumns::of_dictionary(&GlobalDictionary::from_bytes(bytes).unwrap());
+    lie(&mut cols);
+    cols.to_bytes()
+}
+
 #[test]
 fn dictionary_columns_that_lie_are_refused() {
     let (dict, bytes) = dictionary_bytes();
@@ -190,6 +226,7 @@ fn dictionary_columns_that_lie_are_refused() {
         let err = GlobalDictionary::from_bytes(&hostile).expect_err(what);
         assert_eq!(err.kind(), kind, "{what}: {err}");
     };
+    assert_eq!(with_columns(&bytes, |_| {}), bytes, "the reference lays out the product's bytes");
     // Counts the bytes cannot back: the reader runs out of input, not memory.
     refused(with_word(&bytes, 4, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX terms");
     refused(with_word(&bytes, 8, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX arena bytes");
@@ -198,22 +235,33 @@ fn dictionary_columns_that_lie_are_refused() {
     let mut header_only = bytes[..DICT_HEADER].to_vec();
     header_only[4..12].fill(0xFF);
     refused(header_only, ErrorKind::UnexpectedEof, "a header and nothing else");
-    // A directory that overshoots the term count, wraps around it, or steps
-    // back.
-    let last_dir = DIR_AT + 4 * TRIE_ENTRIES;
-    refused(with_word(&bytes, last_dir, n + 1), ErrorKind::InvalidData, "directory ends past n");
-    refused(with_word(&bytes, last_dir, n - 1), ErrorKind::InvalidData, "directory ends short of n");
-    refused(with_word(&bytes, DIR_AT, 1), ErrorKind::InvalidData, "directory starts at 1");
-    refused(with_word(&bytes, DIR_AT + 4 * 100, u32::MAX), ErrorKind::InvalidData, "count overflows");
-    refused(with_word(&bytes, last_dir - 4, n + 7), ErrorKind::InvalidData, "ordinal past n");
-    // Offsets that step back, jump more than 255 bytes, or miss the arena's end.
-    let second = u32::from_le_bytes(bytes[OFFSETS_AT + 8..OFFSETS_AT + 12].try_into().unwrap());
-    refused(with_word(&bytes, OFFSETS_AT + 4, second + 1), ErrorKind::InvalidData, "offset steps back");
-    refused(with_word(&bytes, OFFSETS_AT, 1), ErrorKind::InvalidData, "offsets start at 1");
-    let end_at = OFFSETS_AT + 4 * n as usize;
-    let end = u32::from_le_bytes(bytes[end_at..end_at + 4].try_into().unwrap());
-    refused(with_word(&bytes, end_at, end - 1), ErrorKind::InvalidData, "offsets end early");
-    refused(with_word(&bytes, end_at, end + 300), ErrorKind::InvalidData, "a 300-byte suffix");
+    // Widths past 32 bits and a reserved byte that is not zero.
+    for (at, what) in [(12, "count"), (13, "owner"), (14, "handle")] {
+        let mut wide = bytes.clone();
+        wide[at] = 33;
+        refused(wide, ErrorKind::InvalidData, &format!("a {what} width of 33"));
+    }
+    let mut reserved = bytes.clone();
+    reserved[15] = 1;
+    refused(reserved, ErrorKind::InvalidData, "a reserved byte of 1");
+    // The handle column a byte short, everything after it in place.
+    let at = sections(&bytes);
+    let short = [&bytes[..at.arena - 1], &bytes[at.arena..]].concat();
+    refused(short, ErrorKind::UnexpectedEof, "a handle column cut short");
+    // Collection counts that overshoot the term count, fall short of it,
+    // start in collection 0, or overflow a word.
+    let last = dict.entries().last().unwrap().trie_index as usize;
+    let lie = |f: fn(&mut DictColumns, usize)| with_columns(&bytes, |c| f(c, last));
+    refused(lie(|c, t| c.counts[t] += 1), ErrorKind::InvalidData, "counts end past n");
+    refused(lie(|c, t| c.counts[t] -= 1), ErrorKind::InvalidData, "counts end short of n");
+    refused(lie(|c, _| c.counts[0] += 1), ErrorKind::InvalidData, "collection 0 holds a term");
+    refused(lie(|c, _| c.counts[100] = u32::MAX), ErrorKind::InvalidData, "count overflows");
+    refused(lie(|c, t| c.counts[t] += 7), ErrorKind::InvalidData, "ordinal past n");
+    // Suffix lengths that miss the arena's end, either way, and an arena a
+    // byte longer than the lengths.
+    refused(lie(|c, _| c.lens[0] += 1), ErrorKind::InvalidData, "a length one too long");
+    refused(lie(|c, _| *c.lens.last_mut().unwrap() -= 1), ErrorKind::InvalidData, "lengths end early");
+    refused(lie(|c, _| c.arena.push(b'z')), ErrorKind::InvalidData, "an arena past the lengths");
     // Two neighbours of one collection swapped: each is a fine suffix, the
     // pair is out of order.
     let entries: Vec<_> = dict.entries().collect();
@@ -221,8 +269,7 @@ fn dictionary_columns_that_lie_are_refused() {
         .windows(2)
         .position(|w| w[0].trie_index == w[1].trie_index && w[0].suffix.len() == w[1].suffix.len())
         .expect("some collection holds two suffixes of one length");
-    let arena_at = bytes.len() - entries.iter().map(|e| e.suffix.len()).sum::<usize>();
-    let at = arena_at + entries[..pair].iter().map(|e| e.suffix.len()).sum::<usize>();
+    let at = at.arena + entries[..pair].iter().map(|e| e.suffix.len()).sum::<usize>();
     let len = entries[pair].suffix.len();
     let mut swapped = bytes.clone();
     swapped[at..at + len].copy_from_slice(entries[pair + 1].suffix);
@@ -231,6 +278,70 @@ fn dictionary_columns_that_lie_are_refused() {
     let mut duplicate = bytes.clone();
     duplicate[at..at + len].copy_from_slice(entries[pair + 1].suffix);
     refused(duplicate, ErrorKind::InvalidData, "the same suffix twice");
+}
+
+/// The source file of `doc` by a walk over every record: what `file_of`'s
+/// binary search must agree with.
+fn scanned_file_of(map: &DocMap, doc: u32) -> Option<u32> {
+    let e = map.entries().iter().find(|e| e.first_doc <= doc && doc - e.first_doc < e.n_docs)?;
+    Some(e.file_idx)
+}
+
+#[test]
+fn docmaps_that_lie_are_refused_or_answer_as_a_scan() {
+    let mut map = DocMap::new();
+    for (file, n_docs) in [(0, 5), (1, 3), (2, 0), (3, 7)] {
+        map.push_file(file, n_docs);
+    }
+    map.push_quarantined(4, 2);
+    map.push_file(5, 4);
+    let mut bytes = Vec::new();
+    map.write_to(&mut bytes).unwrap();
+    let read = |b: &[u8]| DocMap::read_from(&mut &b[..]);
+    assert_eq!(read(&bytes).unwrap(), map);
+    for cut in 0..bytes.len() {
+        assert_eq!(read(&bytes[..cut]).unwrap_err().kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
+    }
+    // Magic, count; then 12-byte records of file, first doc, doc count;
+    // then the end of the doc-ID space.
+    let record = |i: usize| 8 + 12 * i..8 + 12 * (i + 1);
+    let mut swapped = bytes.clone();
+    swapped[record(0)].copy_from_slice(&bytes[record(1)]);
+    swapped[record(1)].copy_from_slice(&bytes[record(0)]);
+    assert_eq!(read(&swapped).unwrap_err().kind(), ErrorKind::InvalidData, "records swapped");
+    let mut overlapping = bytes.clone();
+    let first_doc = record(3).start + 4;
+    overlapping[first_doc..first_doc + 4].copy_from_slice(&6u32.to_le_bytes());
+    assert_eq!(read(&overlapping).unwrap_err().kind(), ErrorKind::InvalidData, "records overlap");
+
+    // Every bit pattern a flip of each byte can leave: refused, or a map
+    // whose binary search agrees with the scan on every document it could
+    // hold and on each record's edges.
+    let (mut refused, mut parsed) = (0usize, 0usize);
+    let mut hostile = bytes.clone();
+    for at in 0..bytes.len() {
+        for flip in [0x01u8, 0x02, 0x10, 0x80, 0xFF] {
+            hostile[at] = bytes[at] ^ flip;
+            match read(&hostile) {
+                Err(e) => {
+                    refused += 1;
+                    assert!(matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof), "byte {at}: {e}");
+                }
+                Ok(m) => {
+                    parsed += 1;
+                    let edges = m.entries().iter().flat_map(|e| {
+                        let end = e.first_doc + e.n_docs;
+                        [e.first_doc.saturating_sub(1), e.first_doc, end.saturating_sub(1), end]
+                    });
+                    for doc in (0..=map.total_docs() + 1).chain(edges).chain([m.total_docs()]) {
+                        assert_eq!(m.file_of(DocId(doc)), scanned_file_of(&m, doc), "byte {at} ^ {flip:#x}, doc {doc}");
+                    }
+                }
+            }
+        }
+        hostile[at] = bytes[at];
+    }
+    assert!(refused > 50 && parsed > 50, "{refused} refused, {parsed} parsed");
 }
 
 /// One `IIR3` file from a hand-written table over `payload`.
@@ -376,15 +487,15 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     std::fs::write(dir.join(MANIFEST_NAME), &manifest).unwrap();
     Index::open(&dir).expect("restored");
 
-    // The dictionary: cut short, a directory past the term count, and the
-    // old front-coded magic.
+    // The dictionary: cut short, counts past the term count, and the
+    // retired magics (front-coded, then fixed-width columns).
     let mut dict_bytes = Vec::new();
     idx.dictionary.write_to(&mut dict_bytes).unwrap();
-    let n = idx.num_terms() as u32;
     for hostile in [
         dict_bytes[..dict_bytes.len() - 3].to_vec(),
-        with_word(&dict_bytes, DIR_AT + 4 * TRIE_ENTRIES, n + 1),
+        with_columns(&dict_bytes, |c| c.counts[TRIE_ENTRIES - 1] += 1),
         with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDC")),
+        with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDT")),
     ] {
         overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &hostile);
         assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT);
@@ -621,20 +732,19 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     };
 
     // Two terms of one indexer claim one handle; a handle past the shard.
-    let n = dict.len();
-    let handles_at = OFFSETS_AT + 4 * (n + 1);
     let first = dict.entries().next().unwrap();
     let twin = dict.entries().position(|e| e.indexer == first.indexer && e.postings != first.postings);
     let twin = twin.expect("the first term's indexer owns a second term");
-    for (what, word) in [("a handle held twice", first.postings), ("a handle past the shard", u32::MAX)] {
-        overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &with_word(&dict_bytes, handles_at + 4 * twin, word));
+    for (what, handle) in [("a handle held twice", first.postings), ("a handle past the shard", u32::MAX)] {
+        let hostile = with_columns(&dict_bytes, |c| c.handles[twin] = handle);
+        overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &hostile);
         assert_eq!(corrupt(what), DICTIONARY_ARTIFACT, "{what}");
     }
     // A collection owned by an indexer the pool does not have. (Its terms
     // leave their old owner's count, so that owner's runs may be refused
     // first: either way the build does not resume.)
-    let owner_at = OWNERS_AT + 4 * first.trie_index as usize;
-    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &with_word(&dict_bytes, owner_at, 2));
+    let stray_owner = with_columns(&dict_bytes, |c| c.owners[first.trie_index as usize] = 2);
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &stray_owner);
     corrupt("an owner past the pool");
     overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
 

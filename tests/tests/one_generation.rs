@@ -2,9 +2,10 @@
 //! writer emits today, and nothing else is.
 //!
 //! The retired forms are refused with the error the reader already had —
-//! run files under the `IIRF` and `IIR2` magics, manifests of any other
-//! version, a directory whose manifest is gone — and `Index::repair` is the
-//! one way back from the last. `fixtures/golden/index` then pins the bytes:
+//! run files under the `IIRF` and `IIR2` magics, a dictionary of
+//! fixed-width `IIDT` columns, manifests of any other version, a directory
+//! whose manifest is gone — and `Index::repair` is the one way back from
+//! the last. `fixtures/golden/index` then pins the bytes:
 //! with no compatibility reader left, rebuilding the fixture collection and
 //! comparing every artifact is the only test that notices a format change
 //! nobody meant. After a deliberate one, regenerate it:
@@ -14,11 +15,13 @@
 //! ```
 
 use ii_core::corpus::{DocId, StoredCollection};
-use ii_core::pipeline::{build_index, PipelineConfig};
+use ii_core::dict::GlobalDictionary;
+use ii_core::pipeline::{build_index, PipelineConfig, DICTIONARY_ARTIFACT};
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{PostingsList, RunFile};
-use ii_core::store::{Manifest, Store, StoreError, FORMAT_VERSION, MANIFEST_NAME};
+use ii_core::store::{crc32, Manifest, Store, StoreError, FORMAT_VERSION, MANIFEST_NAME};
 use ii_core::Index;
+use ii_integration_tests::reference::{read_retired_iidt, RefEntry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -86,6 +89,41 @@ fn run_files_of_the_retired_magics_are_malformed() {
     for bytes in [iirf, iir2] {
         assert_eq!(RunFile::from_bytes(&bytes), Err(RunFileError::Malformed));
     }
+}
+
+/// The golden index's `dictionary.bin` as the fixed-width `IIDT` layout
+/// wrote it (the fixture is that file, kept when the layout was retired):
+/// the product refuses it, as bytes and under a manifest that vouches for
+/// it, and the frozen reader finds in it the entries of today's golden
+/// dictionary, term for term.
+#[test]
+fn the_retired_iidt_dictionary_is_refused_and_holds_the_golden_entries() {
+    let retired = std::fs::read(fixture("written_by_0da7cc7/dictionary.bin")).unwrap();
+    let err = GlobalDictionary::from_bytes(&retired).expect_err("a retired dictionary parsed");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+    let dir = scratch("retired-dictionary");
+    build_golden().save(&dir).unwrap();
+    let mut manifest = Manifest::load(&dir).unwrap();
+    let record = manifest.artifacts.iter_mut().find(|a| a.name == DICTIONARY_ARTIFACT).unwrap();
+    std::fs::write(dir.join(&record.file), &retired).unwrap();
+    (record.len, record.crc32) = (retired.len() as u64, crc32(&retired));
+    std::fs::write(dir.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
+    match Index::open(&dir) {
+        Err(StoreError::Corrupt { name, .. }) => assert_eq!(name, DICTIONARY_ARTIFACT),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("an index with a retired dictionary opened"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let golden = Index::open(&fixture("golden/index")).expect("the golden index opens");
+    let entries: Vec<RefEntry> = golden
+        .dictionary
+        .entries()
+        .map(|e| (e.trie_index, e.suffix.to_vec(), e.indexer, e.postings))
+        .collect();
+    assert!(entries.len() > 100);
+    assert!(read_retired_iidt(&retired) == entries, "the retired file holds other entries");
 }
 
 #[test]

@@ -246,8 +246,8 @@ fn parsed_batches(seed: u64) -> Vec<(ParsedBatch, u32)> {
 fn salvaged_device_log_adopted_by_the_cpu_flushes_the_uninterrupted_bytes() {
     for (seed, tight) in [(11, false), (12, true)] {
         let batches = parsed_batches(seed);
-        // Tight: room for the largest file's tokens only, so the device log
-        // also drains to the host mid-run.
+        // The device log drains to the host before every batch; tight, it
+        // has room for the largest file's tokens only.
         let tokens = |b: &ParsedBatch| b.groups.iter().map(|g| g.total_terms()).sum::<u64>();
         let most = batches.iter().map(|(b, _)| tokens(b)).max().unwrap() as usize;
         let log_capacity = if tight { most } else { 1 << 20 };
@@ -259,7 +259,7 @@ fn salvaged_device_log_adopted_by_the_cpu_flushes_the_uninterrupted_bytes() {
         };
         let mut whole = GpuIndexer::new(1, config);
         on_gpu(&mut whole, &batches);
-        assert_eq!(whole.host_log_bytes() > 0, tight, "drained mid-run");
+        assert!(whole.host_log_bytes() > 0, "drained mid-run");
         let want = whole.flush_run(0, Codec::Auto).to_bytes();
         for kill in 0..=batches.len() {
             let mut dying = GpuIndexer::new(1, config);
