@@ -4,7 +4,7 @@ use crate::index::Index;
 use ii_corpus::StoredCollection;
 use ii_indexer::GpuIndexerConfig;
 use ii_pipeline::{
-    build_index, build_index_durable, DurableOptions, FaultAction, FaultPolicy, GovernorPolicy,
+    build_index, build_index_durable, DurableOptions, FaultAction, FaultPolicy,
     PipelineConfig, PipelineError, SupervisorPolicy, TelemetryConfig, WorkerFaultPlan,
 };
 use ii_postings::Codec;
@@ -147,17 +147,7 @@ impl IndexBuilder {
     /// minimal configuration cannot fit. The logical index is identical at
     /// every budget.
     pub fn mem_budget(mut self, bytes: u64) -> Self {
-        self.config.governor = if bytes == 0 {
-            GovernorPolicy::unlimited()
-        } else {
-            GovernorPolicy::default().with_budget(bytes)
-        };
-        self
-    }
-
-    /// Replace the whole governor policy (budget + watermarks) at once.
-    pub fn governor(mut self, policy: GovernorPolicy) -> Self {
-        self.config.governor = policy;
+        self.config.mem_budget = bytes;
         self
     }
 
@@ -259,9 +249,9 @@ mod tests {
         );
         assert!(!b.pipeline_config().worker_faults.is_empty());
         let b = b.mem_budget(64 << 20);
-        assert_eq!(b.pipeline_config().governor.budget_bytes, 64 << 20);
+        assert_eq!(b.pipeline_config().mem_budget, 64 << 20);
         let b = b.mem_budget(0);
-        assert_eq!(b.pipeline_config().governor.budget_bytes, 0, "0 = unlimited");
+        assert_eq!(b.pipeline_config().mem_budget, 0, "0 = unlimited");
     }
 
     #[test]

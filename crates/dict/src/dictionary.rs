@@ -126,11 +126,19 @@ impl PartialDictionary {
     /// by [`GlobalDictionary::shards`] reports what the original did and a
     /// resumed build flushes where the uninterrupted one would have.
     pub fn mem_bytes(&self) -> u64 {
-        let nodes = tree_nodes(u64::from(self.term_count()), self.trie_indices().count() as u64);
-        nodes * std::mem::size_of::<crate::slotted::SlottedNode>() as u64
-            + self.store.strings.len_bytes() as u64
-            + (self.roots.len() * std::mem::size_of::<u32>()) as u64
+        let strings = self.store.strings.len_bytes() as u64;
+        shard_mem_bytes(u64::from(self.term_count()), self.trie_indices().count() as u64, strings)
     }
+}
+
+/// [`PartialDictionary::mem_bytes`] of a shard of `terms` distinct terms
+/// in `collections` trees holding `string_bytes` of suffix remainders: its
+/// [`tree_nodes`] nodes, the string arena and the trie-root table. What a
+/// shard still on a device will be charged once it is on the host.
+pub fn shard_mem_bytes(terms: u64, collections: u64, string_bytes: u64) -> u64 {
+    tree_nodes(terms, collections) * std::mem::size_of::<crate::slotted::SlottedNode>() as u64
+        + string_bytes
+        + (TRIE_ENTRIES * std::mem::size_of::<u32>()) as u64
 }
 
 /// B-tree nodes the memory governor charges for `terms` distinct terms
@@ -499,14 +507,27 @@ impl GlobalDictionary {
     /// every collection and its owner, bit-packed; a length byte per
     /// suffix; the postings handles, bit-packed; the suffix arena.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
+        let out = self.to_bytes();
+        w.write_all(&out)?;
+        Ok(out.len() as u64)
+    }
+
+    /// The bytes [`Self::write_to`] writes, laid out once in the buffer
+    /// returned.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let counts: Vec<u32> = self.dir.windows(2).map(|d| d[1] - d[0]).collect();
         let max_handle = self.handles.iter().copied().max().unwrap_or(0);
         let mut out = Vec::new();
         write_layout(&mut out, &counts, &self.owners, self.arena.len(), max_handle, |cols| {
             cols.put_all(&self.offsets, &self.arena, &self.handles)
         });
-        w.write_all(&out)?;
-        Ok(out.len() as u64)
+        out
+    }
+
+    /// Whether `bytes` begin as a dictionary of this layout does: a file
+    /// that does not was written by another layout, not damaged.
+    pub fn is_this_layout(bytes: &[u8]) -> bool {
+        bytes.starts_with(DICT_MAGIC)
     }
 
     /// Deserialize a dictionary written by [`Self::write_to`]: everything

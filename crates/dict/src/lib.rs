@@ -24,7 +24,8 @@ pub mod trie;
 pub mod verify;
 
 pub use dictionary::{
-    insert_surface, lookup_surface, tree_nodes, DictEntry, GlobalDictionary, PartialDictionary,
+    insert_surface, lookup_surface, shard_mem_bytes, tree_nodes, DictEntry, GlobalDictionary,
+    PartialDictionary,
 };
 pub use node::{BTreeNode, DEGREE, MAX_KEYS, MIN_KEYS, NODE_BYTES, NULL};
 pub use slotted::{term_head, BTree, InsertOutcome, SlottedNode, SlottedStore, HEAD_SENTINEL};

@@ -513,9 +513,8 @@ impl GpuIndexer {
     }
 
     /// What the memory governor counts for this device: string remainders,
-    /// the current-posting table, the postings log (12 bytes a record, those
-    /// drained to the host included, so that a drain moves no budget
-    /// decision) and the current batch's input staging as they are, and
+    /// the current-posting table, the postings log ([`Self::log_charge`])
+    /// and the current batch's input staging as they are, and
     /// [`ii_dict::tree_nodes`] nodes for its terms and collections — the host shards' rule, for the same reason:
     /// the figure is a function of the documents indexed, not of how the
     /// device's trees split, so a device restored from a checkpoint reports
@@ -527,8 +526,31 @@ impl GpuIndexer {
         ii_dict::tree_nodes(terms, self.seen.len() as u64) * NODE_BYTES as u64
             + self.read_ctr(self.ctr_strings) as u64
             + terms * 8
-            + (u64::from(self.read_ctr(self.ctr_log)) + self.drained.len() as u64) * 12
+            + self.log_charge()
             + self.input_top as u64
+    }
+
+    /// The part of [`Self::resident_bytes`] a flush frees: the postings log
+    /// at 12 bytes a record, those drained to the host included, so that a
+    /// drain moves no budget decision.
+    pub fn log_charge(&self) -> u64 {
+        (u64::from(self.read_ctr(self.ctr_log)) + self.drained.len() as u64) * 12
+    }
+
+    /// What this device's shard would be charged on a CPU host, worked out
+    /// from the device's content without salvaging it: the dictionary
+    /// [`Self::into_partial_dictionary`] would download
+    /// ([`ii_dict::shard_mem_bytes`], trie-root table included) and the
+    /// postings [`Self::salvage_pending_log`] would hand over, one
+    /// [`Posting`] each ([`PostingLog::mem_bytes`]).
+    pub fn host_charge(&self) -> u64 {
+        let terms = self.term_count() as usize;
+        let table = self.mem.debug_read(self.table, terms * 8);
+        let current = table.chunks_exact(8).filter(|rec| word(rec, 0) != EMPTY_DOC).count();
+        let pending = self.drained.len() + self.read_ctr(self.ctr_log) as usize + current;
+        let strings = u64::from(self.read_ctr(self.ctr_strings));
+        ii_dict::shard_mem_bytes(terms as u64, self.seen.len() as u64, strings)
+            + (pending * std::mem::size_of::<Posting>()) as u64
     }
 }
 

@@ -131,10 +131,10 @@ impl PostingLog {
 
     /// Resident bytes the memory governor charges for the pending postings:
     /// one [`Posting`] each. The formula predates the slices and is kept —
-    /// not the log's own size, [`Self::heap_bytes`] — so that every budget
-    /// decision, early flush and high-water figure of a build is what it
-    /// was. Deterministic: a function of the documents indexed since the
-    /// last flush.
+    /// not the log's own size, [`Self::heap_bytes`] — because where a budget
+    /// binds is a function of it: a new figure would move the early flushes
+    /// of every budgeted build. Deterministic: a function of the documents
+    /// indexed since the last flush, never of how the slices were cut.
     pub fn mem_bytes(&self) -> u64 {
         (self.len * std::mem::size_of::<Posting>()) as u64
     }

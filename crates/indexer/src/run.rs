@@ -312,29 +312,25 @@ impl IndexerPool {
     /// Resident bytes per pool, probed at batch boundaries by the memory
     /// governor: `(dictionary arenas, pending postings, device state)`.
     /// Dictionary and postings figures cover CPU shards *and* adopted
-    /// continuations of dead/shed GPUs; the device figure covers live
-    /// GPUs' content (a salvaged GPU's state is already counted on the
-    /// CPU side). Every term is a function of the documents indexed and the
-    /// handles their terms got — never of tree shape — so budget decisions
-    /// keyed on these replay identically, across a resume too.
+    /// continuations of dead/shed GPUs, the postings figure also live GPUs'
+    /// logs ([`GpuIndexer::log_charge`]); the device figure covers the rest
+    /// of live GPUs' content (a salvaged GPU's state is already counted on
+    /// the CPU side). Every term is a function of the documents indexed and
+    /// the handles their terms got — never of tree shape — so budget
+    /// decisions keyed on these replay identically, across a resume too.
     pub fn resident_bytes(&self) -> (u64, u64, u64) {
         let mut dict = 0u64;
         let mut postings = 0u64;
-        for c in &self.cpus {
+        for c in self.cpus.iter().chain(self.adopted_shards()) {
             dict += c.dict.mem_bytes();
             postings += c.pending_postings_bytes();
         }
-        for a in self.adopted_shards() {
-            dict += a.dict.mem_bytes();
-            postings += a.pending_postings_bytes();
+        let mut device = 0u64;
+        for (gpu, _) in self.gpus.iter().zip(&self.gpu_alive).filter(|(_, &alive)| alive) {
+            let log = gpu.log_charge();
+            postings += log;
+            device += gpu.resident_bytes() - log;
         }
-        let device = self
-            .gpus
-            .iter()
-            .enumerate()
-            .filter(|(g, _)| self.gpu_alive[*g])
-            .map(|(_, gpu)| gpu.resident_bytes())
-            .sum();
         (dict, postings, device)
     }
 
@@ -357,6 +353,18 @@ impl IndexerPool {
         let g = self.plan.shed_order(&self.gpu_alive).into_iter().next()?;
         let moves = self.kill_gpu(g);
         Some((g, moves))
+    }
+
+    /// The sum of [`Self::resident_bytes`] after [`Self::shed_gpu`], worked
+    /// out before it: the shed GPU's device figure leaves and its shard's
+    /// host charge ([`GpuIndexer::host_charge`]) comes in. `None` when no
+    /// GPU is left to shed or the shed would not lower the sum — the
+    /// adopted shard pays the trie-root table the device never did.
+    pub fn resident_after_shed(&self) -> Option<u64> {
+        let g = self.plan.shed_order(&self.gpu_alive).into_iter().next()?;
+        let (dict, postings, device) = self.resident_bytes();
+        let (freed, charged) = (self.gpus[g].resident_bytes(), self.gpus[g].host_charge());
+        (charged < freed).then(|| dict + postings + device - freed + charged)
     }
 
     /// Rebuild a pool from a checkpoint's dictionary shards plus the scalar
@@ -1009,14 +1017,22 @@ mod tests {
         // The device keeps its dictionary arenas and per-term table across
         // runs; only the postings log drains, so the figure never grows.
         assert!(dev2 <= dev1, "flush never grows device residency");
-        // Shed: device footprint moves onto the CPU ledger.
+        // Shed: device footprint moves onto the CPU ledger, at the host
+        // charge worked out before the salvage. A shard this small costs
+        // the host more than the device (the trie-root table).
         p.index_batch(&b1);
+        let (d, po, dev) = p.resident_bytes();
+        let (freed, charged) = (p.gpus[0].resident_bytes(), p.gpus[0].host_charge());
+        assert!(charged > freed);
+        assert_eq!(p.resident_after_shed(), None, "a shed that would raise the charge");
         let (shed_gpu, moves) = p.shed_gpu().expect("one GPU to shed");
         assert_eq!(shed_gpu, 0);
         assert!(moves[0].gpu_takeover);
-        let (d3, _, dev3) = p.resident_bytes();
+        let (d3, po3, dev3) = p.resident_bytes();
         assert_eq!(dev3, 0, "no live GPU, no device bytes");
         assert!(d3 >= d2, "adopted shard's dictionary now counts on the CPU side");
+        assert_eq!(d3 + po3, d + po + dev - freed + charged, "the charge was predicted exactly");
+        assert_eq!(p.resident_after_shed(), None, "no GPU left");
         assert!(p.shed_gpu().is_none(), "nothing left to shed");
         // The pool still finishes.
         p.index_batch(&parse(&["quilt zebra"], 2));

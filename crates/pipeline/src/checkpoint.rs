@@ -116,14 +116,14 @@ pub fn collection_fingerprint(c: &ii_corpus::StoredCollection) -> String {
 /// Deliberately excludes `num_parsers`, `buffer_depth`, and the fault
 /// policy: those change scheduling and recovery, not output (the
 /// file-order consumption rule makes output parser-count-independent).
-/// The memory-governor knobs ARE included: a different budget or watermark
-/// moves early-flush and shed points, which moves run boundaries — the
-/// logical index is identical, but a resume would splice physically
-/// incompatible run files, so the mismatch is refused instead.
+/// The memory budget IS included: a different budget moves early-flush
+/// and shed points, which moves run boundaries — the logical index is
+/// identical, but a resume would splice physically incompatible run files,
+/// so the mismatch is refused instead.
 pub fn config_fingerprint(cfg: &crate::driver::PipelineConfig) -> String {
     format!(
         "cpus={}|gpus={}|popular={}|batches_per_run={}|codec={:?}|sample={}x{}\
-         |mem_budget={}|flush_wm={}|shed_wm={}",
+         |mem_budget={}",
         cfg.num_cpu_indexers,
         cfg.num_gpus,
         cfg.popular_count,
@@ -131,9 +131,7 @@ pub fn config_fingerprint(cfg: &crate::driver::PipelineConfig) -> String {
         cfg.codec,
         cfg.sample_docs_per_file,
         cfg.sample_file_stride,
-        cfg.governor.budget_bytes,
-        cfg.governor.flush_watermark,
-        cfg.governor.shed_watermark,
+        cfg.mem_budget,
     )
 }
 

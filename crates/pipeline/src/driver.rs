@@ -26,7 +26,7 @@ use crate::fault::{
     FaultAction, FaultClass, FaultPolicy, FaultReport, FaultStage, FileFault, PipelineError,
     WorkerClass, WorkerFaultKind, WorkerFaultPlan,
 };
-use crate::governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
+use crate::governor::{ladder, MemoryGovernor, PoolBytes, Rung};
 use crate::parsers::{panic_message, ParsedFile, ParserObs, ParserPool, SpawnOptions};
 use crate::supervisor::{DeathCause, SupervisorPolicy, WorkerDeath};
 use crate::telemetry::{PostmortemWriter, TelemetryConfig, POSTMORTEM_DIR};
@@ -95,12 +95,12 @@ pub struct PipelineConfig {
     /// default). Also fingerprint-excluded: a degraded build's output is
     /// byte-identical to a healthy one.
     pub worker_faults: WorkerFaultPlan,
-    /// Memory budget and degradation watermarks. The budget knobs ARE
+    /// Memory budget in bytes for the whole build (0 = unlimited). It IS
     /// fingerprinted: early run flushes move run boundaries, so a resume
     /// under a different budget would splice incompatible run sets. (The
     /// *logical* index — dictionary, postings, doc map — stays identical
     /// across budgets; the checkpoint guard protects the physical runs.)
-    pub governor: GovernorPolicy,
+    pub mem_budget: u64,
     /// Live telemetry: where automatic post-mortem bundles land, and the
     /// optional OpenMetrics endpoint. Excluded from the checkpoint config
     /// fingerprint like `trace` and `supervision`: telemetry observes a
@@ -128,7 +128,7 @@ impl Default for PipelineConfig {
             trace: TraceConfig::default(),
             supervision: SupervisorPolicy::default(),
             worker_faults: WorkerFaultPlan::none(),
-            governor: GovernorPolicy::default(),
+            mem_budget: 512 << 20,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -457,7 +457,9 @@ struct ResumeState {
 /// Load and validate the resumable state of `opts.dir`. `Ok(None)` means a
 /// fresh directory (start from scratch); a completed index or a checkpoint
 /// for a different collection/config is a typed refusal, and so is one an
-/// older build wrote (there is no reader for its per-indexer shard files).
+/// older build wrote: per-indexer shard files, a dictionary of another
+/// layout, or a config fingerprint with the flush and shed watermarks one
+/// budget replaced (there is no reader for any of them).
 fn load_resume_state(
     collection: &StoredCollection,
     cfg: &PipelineConfig,
@@ -476,6 +478,15 @@ fn load_resume_state(
     }
     let ckpt: BuildCheckpoint = serde_json::from_slice(&store.read(CHECKPOINT_ARTIFACT)?)
         .map_err(|e| PipelineError::Resume(format!("checkpoint descriptor unreadable: {e:?}")))?;
+    let older = |what: &str| {
+        PipelineError::Resume(format!(
+            "the checkpoint in {} {what}: an older build wrote it, build again without --resume",
+            opts.dir.display()
+        ))
+    };
+    if ckpt.config.contains("|flush_wm=") {
+        return Err(older("records flush and shed watermarks"));
+    }
     let want_coll = collection_fingerprint(collection);
     if ckpt.collection != want_coll {
         return Err(StoreError::CheckpointMismatch {
@@ -495,13 +506,18 @@ fn load_resume_state(
         .into());
     }
     if store.manifest().artifact(DICTIONARY_ARTIFACT).is_none() {
-        return Err(PipelineError::Resume(format!(
-            "the checkpoint in {} holds no {DICTIONARY_ARTIFACT}: an older build wrote it, \
-             build again without --resume",
-            opts.dir.display()
-        )));
+        return Err(older(&format!("holds no {DICTIONARY_ARTIFACT}")));
     }
-    let Generation { dictionary, run_sets, doc_map, sealed } = read_generation(&store)?;
+    let other_layout = || {
+        store.read(DICTIONARY_ARTIFACT).is_ok_and(|b| !GlobalDictionary::is_this_layout(&b))
+    };
+    let generation = read_generation(&store).map_err(|e| match e {
+        StoreError::Corrupt { name, .. } if name == DICTIONARY_ARTIFACT && other_layout() => {
+            older(&format!("holds a {DICTIONARY_ARTIFACT} of another layout"))
+        }
+        e => e.into(),
+    })?;
+    let Generation { dictionary, run_sets, doc_map, sealed } = generation;
     // The checkpoint's dictionary is every indexer's handle assignment so
     // far; the shards continue it.
     let parts = dictionary.shards(cfg.num_cpu_indexers + cfg.num_gpus).map_err(|e| {
@@ -703,14 +719,14 @@ fn combine_and_write(
         GlobalDictionary::combine(&shards)
     };
     drop(shards);
-    let mut dict_bytes = Vec::new();
-    {
+    let dict_bytes = {
         let mut span = write_stage.span();
         let mut tspan = driver_sink.span(TraceKind::DictWrite);
-        dictionary.write_to(&mut dict_bytes).expect("vec write is infallible");
-        span.add_bytes(dict_bytes.len() as u64);
-        tspan.add_bytes(dict_bytes.len() as u64);
-    }
+        let bytes = dictionary.to_bytes();
+        span.add_bytes(bytes.len() as u64);
+        tspan.add_bytes(bytes.len() as u64);
+        bytes
+    };
     (dictionary, dict_bytes)
 }
 
@@ -887,7 +903,7 @@ impl<'a> Build<'a> {
         let recorder = FlightRecorder::new(Arc::clone(&registry));
         let postmortem = PostmortemWriter::new(dir, recorder, tracer.clone());
         registry.gauge("pipeline.files_total").set(collection.num_files() as i64);
-        registry.gauge("governor.budget_bytes").set(cfg.governor.budget_bytes as i64);
+        registry.gauge("governor.budget_bytes").set(cfg.mem_budget as i64);
         let mut build = Build {
             collection,
             cfg,
@@ -895,7 +911,7 @@ impl<'a> Build<'a> {
             t_total,
             tracer: tracer.clone(),
             driver_sink,
-            governor: MemoryGovernor::new(cfg.governor),
+            governor: MemoryGovernor::new(cfg.mem_budget),
             pool: Some(pool),
             run_sets,
             sealed,
@@ -1188,11 +1204,12 @@ impl<'a> Build<'a> {
         self.postmortem.write(trigger, detail, batches, &r.supervision, &r.faults.quarantined);
     }
 
-    /// After a batch: feed the governor the deterministic resident figures
-    /// and walk the degradation ladder. Rung 1 (backpressure) lives in the
-    /// parsers' credit gate; rungs 2-4 fire here, keyed only on
-    /// content-derived byte counts so the same budget schedule degrades
-    /// identically on every run.
+    /// After a batch: feed the governor the deterministic resident figures,
+    /// flush the run when it is full, and walk the degradation ladder
+    /// ([`ladder`]) until the pools fit the budget. Backpressure lives in
+    /// the parsers' credit gate; the ladder keys only on content-derived
+    /// byte counts, so the same budget schedule degrades identically on
+    /// every run.
     fn after_batch(&mut self) -> Result<(), PipelineError> {
         self.batches_in_run += 1;
         self.note_resident();
@@ -1207,33 +1224,38 @@ impl<'a> Build<'a> {
         let log = self.pool.as_ref().expect(LIVE).log_bytes() as i64;
         log_bytes.set(log);
         log_high_water.set(log_high_water.get().max(log));
-        // Rung 2: flush the run early when pending postings push the pools
-        // past the watermark (the paper's flush-when-full rule). Run
-        // boundaries move; the merged postings do not.
-        let early =
-            self.batches_in_run < self.cfg.batches_per_run && self.governor.should_flush_early();
-        if early {
-            self.governor.record_early_flush();
-        }
-        if early || self.batches_in_run >= self.cfg.batches_per_run {
+        if self.batches_in_run >= self.cfg.batches_per_run {
             self.flush()?;
             self.checkpoint()?;
             self.note_resident();
         }
-        // Rung 3: park GPU shards onto the CPU salvage path, heaviest
-        // sampled load first. A shed is deliberate degradation, not a worker
-        // death — it lands in `governor.gpu_sheds`, never in the ledger.
-        while self.governor.should_shed() {
-            let Some(_) = self.pool.as_mut().expect(LIVE).shed_gpu() else { break };
-            self.governor.record_shed();
+        loop {
+            let pools = self.governor.resident();
+            let pool = self.pool.as_mut().expect(LIVE);
+            match ladder(pools, self.governor.effective_budget(), || pool.resident_after_shed()) {
+                Rung::Fits => return Ok(()),
+                // The paper's flush-when-full: run boundaries move, the
+                // merged postings do not.
+                Rung::Flush => {
+                    self.governor.record_early_flush();
+                    self.flush()?;
+                    self.checkpoint()?;
+                }
+                // Park a GPU shard onto the CPU salvage path. A shed is
+                // deliberate degradation, not a worker death — it lands in
+                // `governor.gpu_sheds`, never in the ledger.
+                Rung::Shed => {
+                    pool.shed_gpu().expect("the ladder sheds only a GPU that is left");
+                    self.governor.record_shed();
+                }
+                // Postings flushed and no shed lowers the charge: a typed
+                // refusal beats an OOM kill.
+                Rung::Refuse => {
+                    let (budget, needed) = (self.governor.effective_budget(), pools.total());
+                    return Err(PipelineError::MemoryBudgetExceeded { budget, needed });
+                }
+            }
             self.note_resident();
-        }
-        // Rung 4: even with postings flushed and every GPU shed, the
-        // dictionaries alone no longer fit — a typed refusal beats an OOM
-        // kill.
-        match self.governor.budget_exceeded() {
-            Some((budget, needed)) => Err(PipelineError::MemoryBudgetExceeded { budget, needed }),
-            None => Ok(()),
         }
     }
 
@@ -1762,7 +1784,7 @@ mod tests {
         // points move run boundaries, so resuming would splice
         // incompatible physical runs.
         let mut budget_cfg = cfg.clone();
-        budget_cfg.governor = GovernorPolicy::default().with_budget(64 << 20);
+        budget_cfg.mem_budget = 64 << 20;
         match build_index_durable(&coll, &budget_cfg, &opts) {
             Err(PipelineError::Store(StoreError::CheckpointMismatch { what, found, .. })) => {
                 assert_eq!(what, "config");
@@ -1876,10 +1898,11 @@ mod tests {
         let mut spec = CollectionSpec::tiny(55);
         spec.num_files = 6;
         spec.docs_per_file = 10;
+        spec.vocab_size = 60;
         let (coll, dir) = stored("governor-flush", spec);
-        let mut cfg = PipelineConfig::small(2, 1, 1);
+        let mut cfg = PipelineConfig::small(2, 2, 0);
         cfg.batches_per_run = 3;
-        cfg.governor = GovernorPolicy::unlimited();
+        cfg.mem_budget = 0;
         let baseline = build_index(&coll, &cfg).expect("unlimited build");
         assert_eq!(baseline.report.stages.counter("governor.early_flushes"), 0);
         assert_eq!(
@@ -1892,18 +1915,16 @@ mod tests {
             "accounting runs even without a budget"
         );
 
-        // A flush watermark so low every batch crosses it: each batch
-        // seals its own run — more, smaller runs, same merged index.
+        // A budget of the final dictionary alone: a small vocabulary fills
+        // the dictionary early, which grows into the budget and never past
+        // it, so the batches whose pending postings push the pools over seal
+        // their run early — more, smaller runs, same merged index.
         let mut pressured = cfg.clone();
-        pressured.governor = GovernorPolicy {
-            budget_bytes: 512 << 20,
-            flush_watermark: 1e-9,
-            shed_watermark: 0.85,
-        };
+        pressured.mem_budget = governor_gauge(&baseline, "governor.dict_bytes") as u64;
         let out = build_index(&coll, &pressured).expect("pressured build");
         assert!(
             out.report.stages.counter("governor.early_flushes") >= 3,
-            "every mid-run batch should flush early: {}",
+            "mid-run batches should flush early: {}",
             out.report.stages.counter("governor.early_flushes")
         );
         assert!(
@@ -1919,24 +1940,34 @@ mod tests {
 
     #[test]
     fn gpu_shed_under_pressure_is_logically_identical() {
-        let mut spec = CollectionSpec::tiny(56);
-        spec.num_files = 6;
-        spec.docs_per_file = 8;
+        // A vocabulary flat enough that the GPU's shard outgrows the
+        // trie-root table a host shard pays for: shedding it lowers the
+        // charge.
+        let spec = CollectionSpec {
+            name: "shed".into(),
+            num_files: 4,
+            docs_per_file: 12,
+            mean_doc_tokens: 150,
+            vocab_size: 20_000,
+            zipf_s: 0.5,
+            ..CollectionSpec::tiny(56)
+        };
         let (coll, dir) = stored("governor-shed", spec);
         let mut cfg = PipelineConfig::small(2, 1, 1);
-        cfg.governor = GovernorPolicy::unlimited();
+        cfg.mem_budget = 0;
         let baseline = build_index(&coll, &cfg).expect("unlimited build");
+        let hw = governor_gauge(&baseline, "governor.high_water_bytes") as u64;
 
-        // A shed watermark so low any device residency crosses it: the
-        // GPU's shards are parked onto the CPU salvage path at the first
-        // batch boundary, and the rest of the build runs CPU-only.
-        let mut pressured = cfg.clone();
-        pressured.governor = GovernorPolicy {
-            budget_bytes: 512 << 20,
-            flush_watermark: 0.5,
-            shed_watermark: 1e-9,
-        };
-        let out = build_index(&coll, &pressured).expect("shed build");
+        // Budgets falling from the high water: the first one the pools do
+        // not fit even with their postings flushed parks the GPU's shard on
+        // the CPU salvage path, and the rest of the build runs CPU-only.
+        let shed = (50..100).rev().step_by(5).find_map(|percent| {
+            let mut pressured = cfg.clone();
+            pressured.mem_budget = hw * percent / 100;
+            let out = build_index(&coll, &pressured).ok();
+            out.filter(|o| o.report.stages.counter("governor.gpu_sheds") > 0)
+        });
+        let out = shed.expect("a budget that sheds the GPU");
         assert_eq!(out.report.stages.counter("governor.gpu_sheds"), 1, "one GPU to shed");
         assert_eq!(logical_fingerprint(&out), logical_fingerprint(&baseline));
         // A shed is deliberate degradation, not a worker death: the
@@ -1952,7 +1983,7 @@ mod tests {
         spec.docs_per_file = 8;
         let (coll, dir) = stored("governor-squeeze", spec);
         let mut cfg = PipelineConfig::small(2, 1, 1);
-        cfg.governor = GovernorPolicy::unlimited();
+        cfg.mem_budget = 0;
         let baseline = build_index(&coll, &cfg).expect("unlimited build");
         let high_water = governor_gauge(&baseline, "governor.high_water_bytes") as u64;
         assert!(high_water > 0);
@@ -1961,7 +1992,7 @@ mod tests {
         // batch ordinals on the deterministic resident figures, so two
         // identical runs degrade identically.
         let mut squeezed = cfg.clone();
-        squeezed.governor = GovernorPolicy::default().with_budget(high_water * 4);
+        squeezed.mem_budget = high_water * 4;
         squeezed.worker_faults =
             WorkerFaultPlan::none().squeeze(2, high_water * 3).squeeze(5, high_water * 2);
         let out = build_index(&coll, &squeezed).expect("squeezed build");
@@ -1981,20 +2012,19 @@ mod tests {
         spec.num_files = 4;
         let (coll, dir) = stored("governor-abort", spec);
         let mut cfg = PipelineConfig::small(1, 1, 0);
-        // 80 KB total → 60 KB resident share: below even one empty
-        // dictionary shard's fixed trie-roots table, so no amount of
-        // flushing or shedding can fit. The build must refuse with the
-        // typed error naming both figures — never an OOM kill.
-        cfg.governor = GovernorPolicy::default().with_budget(80_000);
+        // 60 KB: below even one empty dictionary shard's fixed trie-roots
+        // table, so no amount of flushing or shedding can fit. The build
+        // must refuse with the typed error naming both figures — never an
+        // OOM kill.
+        cfg.mem_budget = 60_000;
         match build_index(&coll, &cfg) {
             Err(e @ PipelineError::MemoryBudgetExceeded { budget, needed }) => {
-                assert_eq!(budget, 80_000);
-                assert!(needed > 60_000, "needed={needed}");
-                // The message names the share `needed` was held against,
-                // beside the budget it is a share of.
+                assert_eq!(budget, 60_000);
+                assert!(needed > 70_000, "needed={needed}");
+                // One pool: `needed` is held against the whole budget.
                 let msg = e.to_string();
-                assert!(msg.contains("resident share of 60000"), "{msg}");
-                assert!(msg.contains("budget of 80000"), "{msg}");
+                assert!(msg.contains("over the budget of 60000"), "{msg}");
+                assert!(!msg.contains("resident share"), "{msg}");
             }
             other => panic!("expected budget refusal, got {:?}", other.map(|_| "index")),
         }

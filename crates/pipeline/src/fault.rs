@@ -431,11 +431,11 @@ pub enum PipelineError {
     /// checkpoint (config mismatch, different collection, or no resumable
     /// state).
     Resume(String),
-    /// The memory governor exhausted its degradation ladder — runs were
-    /// flushed early and every GPU shard was shed — and the resident state
-    /// (dictionary arenas and minimum working set) still does not fit the
-    /// budget. Raised only when no feasible configuration remains; a
-    /// larger `--mem-budget` (or 0 = unlimited) is the fix.
+    /// The memory governor exhausted its degradation ladder — pending
+    /// postings were flushed and no GPU shed lowers the charge — and the
+    /// resident state (dictionary arenas and device state) still does not
+    /// fit the budget. Raised only when no rung is left; a larger
+    /// `--mem-budget` (or 0 = unlimited) is the fix.
     MemoryBudgetExceeded {
         /// The effective budget at the moment of the abort, bytes.
         budget: u64,
@@ -462,9 +462,8 @@ impl std::fmt::Display for PipelineError {
             PipelineError::MemoryBudgetExceeded { budget, needed } => write!(
                 f,
                 "memory budget exceeded: {needed} resident bytes needed after early \
-                 flushes and GPU sheds, over the resident share of {} of the budget \
-                 of {budget} (raise --mem-budget or pass 0 for unlimited)",
-                crate::governor::resident_share(*budget)
+                 flushes and GPU sheds, over the budget of {budget} (raise --mem-budget \
+                 or pass 0 for unlimited)"
             ),
             PipelineError::RunOrder { indexer, run } => write!(
                 f,

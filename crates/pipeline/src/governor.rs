@@ -7,34 +7,32 @@
 //! live bytes across every stage of the pipeline — in-flight parsed
 //! batches (in the hand-off and parked for their turn), per-shard
 //! dictionary arenas, pending postings, and simulated-GPU device state —
-//! against a hard budget (`--mem-budget`; 0 = unlimited), and degrades
-//! gracefully and *deterministically* under pressure:
+//! against one budget (`--mem-budget`; 0 = unlimited), and degrades
+//! gracefully and *deterministically* when it fills:
 //!
-//! 1. **Backpressure** — parsers must acquire byte credits from a bounded
-//!    gate before a batch enters the in-flight queues; blocked time is
+//! 1. **Backpressure** — parsers must acquire byte credits before a batch
+//!    enters the in-flight queues; a parser is admitted while resident
+//!    bytes, in-flight credit and its batch fit the budget. Blocked time is
 //!    attributed to [`TraceKind::MemoryWait`], distinct from queue-wait.
-//! 2. **Adaptive run sizing** — the driver flushes runs early when
-//!    resident postings cross the budget's flush watermark. Run
-//!    boundaries land in the checkpoint/manifest and merges are
-//!    associative, so the output stays byte-identical (dictionary) and
-//!    logically identical (postings) to any other budget.
-//! 3. **Shed** — under sustained pressure the pool parks GPU shards onto
-//!    the CPU salvage path and continues CPU-only.
-//! 4. **Typed abort** — [`PipelineError::MemoryBudgetExceeded`] fires
-//!    only when even the minimal configuration cannot fit.
+//! 2. **The ladder** ([`ladder`]) — at each batch boundary, once resident
+//!    bytes alone exceed the budget: flush the run early, then shed a GPU
+//!    shard onto the CPU salvage path if that lowers the charge, then
+//!    refuse with [`PipelineError::MemoryBudgetExceeded`]. Run boundaries
+//!    land in the checkpoint/manifest and merges are associative, so the
+//!    output stays byte-identical (dictionary) and logically identical
+//!    (postings) to any other budget.
 //!
-//! The budget splits statically: the credit gate admits at most ¼ of the
-//! effective budget of in-flight batch bytes, leaving ¾ for resident
-//! state. The gate is accounted per parser and always admits a parser
-//! with nothing outstanding. The parser the in-order consumer waits on is
-//! one: it claimed the awaited file, and every file it claimed before lies
-//! below that one, so it has been consumed and its credit released. So
+//! There is one pool: credits take what resident state does not hold. The
+//! gate is accounted per parser and always admits a parser with nothing
+//! outstanding. The parser the in-order consumer waits on is one: it
+//! claimed the awaited file, and every file it claimed before lies below
+//! that one, so it has been consumed and its credit released. So
 //! backpressure can never deadlock the pipeline; each parser may overshoot
-//! the gate by at most one batch. The consumer, which claims files itself
+//! the budget by at most one batch. The consumer, which claims files itself
 //! while it would otherwise wait (DESIGN.md §5), has a ledger of its own
 //! and only ever *tries* the gate: it is the thread that returns credits
-//! and must never wait for one. Every pressure decision
-//! keys on *deterministic* quantities (arena sizes and pending-posting counts at
+//! and must never wait for one. Every ladder decision keys on
+//! *deterministic* quantities (arena sizes and pending-posting counts at
 //! batch boundaries — never wall-clock or queue timing), so a given
 //! `(budget, squeeze schedule)` replays exactly.
 //!
@@ -48,62 +46,17 @@ use std::time::{Duration, Instant};
 /// Sentinel for "no budget" in the effective-budget atomic.
 const UNLIMITED: u64 = u64::MAX;
 
-/// The governor's knobs, carried on the pipeline configuration. All of
-/// them change *run boundaries* (not logical output), so they are part of
-/// the checkpoint config fingerprint: resuming under different governor
-/// knobs is refused rather than risking a byte-divergent resume.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GovernorPolicy {
-    /// Hard memory budget in bytes; 0 disables the governor's limits
-    /// (accounting still runs, so high-water marks are always measured).
-    pub budget_bytes: u64,
-    /// Fraction of the resident share at which runs are flushed early
-    /// (the flush-when-full watermark).
-    pub flush_watermark: f64,
-    /// Fraction of the resident share at which, when an early flush was
-    /// not enough, GPU shards are shed onto the CPU salvage path.
-    pub shed_watermark: f64,
-}
-
-impl Default for GovernorPolicy {
-    fn default() -> Self {
-        GovernorPolicy {
-            budget_bytes: 512 << 20,
-            flush_watermark: 0.5,
-            shed_watermark: 0.85,
-        }
-    }
-}
-
-impl GovernorPolicy {
-    /// No budget: accounting only.
-    pub fn unlimited() -> Self {
-        GovernorPolicy { budget_bytes: 0, ..GovernorPolicy::default() }
-    }
-
-    /// A policy with the given hard budget (0 = unlimited).
-    pub fn with_budget(mut self, bytes: u64) -> Self {
-        self.budget_bytes = bytes;
-        self
-    }
-}
-
-/// The resident share of a `budget`: what is left of it after the credit
-/// gate's quarter.
-pub(crate) fn resident_share(budget: u64) -> u64 {
-    budget - (budget / 4).max(1).min(budget)
-}
-
 /// Live byte accounting per pool, as last probed by the driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolBytes {
     /// Dictionary arenas (slotted nodes + string remainders + trie roots)
     /// across CPU shards and adopted continuations.
     pub dict: u64,
-    /// Pending (un-flushed) postings across CPU shards and adopted
-    /// continuations.
+    /// Pending (un-flushed) postings: those of CPU shards and adopted
+    /// continuations, and the device logs of live GPUs.
     pub postings: u64,
-    /// Simulated-GPU device memory in use across live GPUs.
+    /// The rest of live GPUs' device state: dictionaries, current-posting
+    /// tables, input staging.
     pub device: u64,
 }
 
@@ -111,6 +64,39 @@ impl PoolBytes {
     /// Total resident bytes.
     pub fn total(&self) -> u64 {
         self.dict + self.postings + self.device
+    }
+}
+
+/// What the driver does at a batch boundary, by [`ladder`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rung {
+    /// Resident bytes fit the budget: index the next batch.
+    Fits,
+    /// Seal the run now: pending postings leave memory.
+    Flush,
+    /// Park a GPU shard onto the CPU salvage path.
+    Shed,
+    /// Nothing left lowers the charge: the typed refusal.
+    Refuse,
+}
+
+/// The degradation ladder: what to do with `pools` resident against
+/// `budget` (0 = unlimited). The rungs fire only when resident bytes alone
+/// exceed the budget — the paper's flush-when-full — in order: flush when
+/// postings are pending, then shed when `shed` (the resident bytes a GPU
+/// shed would leave, `None` when no GPU is left to shed) is lower, then
+/// refuse. The driver applies the answer, probes again and asks again
+/// until it fits or is refused; `shed` is only evaluated on the shed rung.
+pub fn ladder(pools: PoolBytes, budget: u64, shed: impl FnOnce() -> Option<u64>) -> Rung {
+    let resident = pools.total();
+    if budget == 0 || resident <= budget {
+        Rung::Fits
+    } else if pools.postings > 0 {
+        Rung::Flush
+    } else if shed().is_some_and(|after| after < resident) {
+        Rung::Shed
+    } else {
+        Rung::Refuse
     }
 }
 
@@ -122,9 +108,10 @@ impl PoolBytes {
 /// unconditionally (even over a full gate) means the consumer's next
 /// batch always arrives, the gate drains, and the pipeline cannot wedge
 /// with credit parked on queued batches the driver will not take yet.
-/// Each parser can overshoot the gate by at most one batch, so the
-/// in-flight bound is `capacity + num_parsers × max_batch` — still O(1)
-/// per worker, and the accounting (not the cap) feeds the high-water mark.
+/// Each parser can overshoot the gate by at most one batch, so in-flight
+/// bytes stay within `budget − resident + num_parsers × max_batch` — still
+/// O(1) per worker, and the accounting (not the cap) feeds the high-water
+/// mark.
 #[derive(Default)]
 struct GateState {
     /// Total bytes out on credit across all holders.
@@ -154,9 +141,10 @@ fn slot_of(holder: Option<usize>) -> usize {
 }
 
 struct GovernorShared {
-    policy: GovernorPolicy,
-    /// Effective budget: starts at `policy.budget_bytes` (or
-    /// [`UNLIMITED`]) and only ever shrinks (squeezes).
+    /// The configured budget (0 = unlimited).
+    budget: u64,
+    /// Effective budget: starts at `budget` (or [`UNLIMITED`]) and only
+    /// ever shrinks (squeezes).
     effective: AtomicU64,
     /// Bytes currently out on credit (in-flight parsed batches), guarded
     /// by the gate mutex so waiters can sleep on the condvar.
@@ -187,7 +175,7 @@ pub struct MemoryGovernor {
 impl std::fmt::Debug for MemoryGovernor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryGovernor")
-            .field("policy", &self.inner.policy)
+            .field("budget", &self.inner.budget)
             .field("effective", &self.effective_budget())
             .field("resident", &self.resident().total())
             .field("inflight", &self.inflight_bytes())
@@ -198,18 +186,19 @@ impl std::fmt::Debug for MemoryGovernor {
 
 impl Default for MemoryGovernor {
     fn default() -> Self {
-        MemoryGovernor::new(GovernorPolicy::unlimited())
+        MemoryGovernor::unlimited()
     }
 }
 
 impl MemoryGovernor {
-    /// A governor enforcing `policy`.
-    pub fn new(policy: GovernorPolicy) -> Self {
-        let effective =
-            if policy.budget_bytes == 0 { UNLIMITED } else { policy.budget_bytes };
+    /// A governor enforcing a budget of `budget` bytes; 0 disables the
+    /// limits (accounting still runs, so high-water marks are always
+    /// measured).
+    pub fn new(budget: u64) -> Self {
+        let effective = if budget == 0 { UNLIMITED } else { budget };
         MemoryGovernor {
             inner: Arc::new(GovernorShared {
-                policy,
+                budget,
                 effective: AtomicU64::new(effective),
                 gate: Mutex::new(GateState::default()),
                 cv: Condvar::new(),
@@ -230,12 +219,7 @@ impl MemoryGovernor {
 
     /// A governor with no budget (accounting only).
     pub fn unlimited() -> Self {
-        MemoryGovernor::new(GovernorPolicy::unlimited())
-    }
-
-    /// The policy this governor was built with.
-    pub fn policy(&self) -> &GovernorPolicy {
-        &self.inner.policy
+        MemoryGovernor::new(0)
     }
 
     /// Whether a hard budget is currently in force.
@@ -252,20 +236,12 @@ impl MemoryGovernor {
         }
     }
 
-    /// In-flight credit-gate capacity: ¼ of the effective budget.
-    fn gate_capacity(&self) -> u64 {
+    /// Room for in-flight credit: what the effective budget leaves beside
+    /// the last probed resident bytes.
+    fn gate_room(&self) -> u64 {
         match self.inner.effective.load(Relaxed) {
             UNLIMITED => UNLIMITED,
-            b => (b / 4).max(1),
-        }
-    }
-
-    /// The share of the budget resident state (dictionaries, pending
-    /// postings, device memory) may use: budget minus the credit gate.
-    pub fn resident_budget(&self) -> u64 {
-        match self.inner.effective.load(Relaxed) {
-            UNLIMITED => UNLIMITED,
-            b => resident_share(b),
+            b => b.saturating_sub(self.resident().total()),
         }
     }
 
@@ -281,8 +257,8 @@ impl MemoryGovernor {
             match self.inner.effective.compare_exchange(cur, bytes, Relaxed, Relaxed) {
                 Ok(_) => {
                     self.inner.squeezes.fetch_add(1, Relaxed);
-                    // Capacity shrank: wake waiters so they re-evaluate
-                    // (they will simply keep waiting under the new limit).
+                    // Room shrank: wake waiters so they re-evaluate (they
+                    // will simply keep waiting under the new limit).
                     self.inner.cv.notify_all();
                     return;
                 }
@@ -292,15 +268,15 @@ impl MemoryGovernor {
     }
 
     /// Blocking byte-credit acquire (`parser`'s thread, before sending a
-    /// batch downstream). Returns once the gate admits `bytes` of
-    /// in-flight payload. A parser with **no outstanding credit** is
+    /// batch downstream). Returns once resident bytes, the credit out and
+    /// `bytes` fit the budget. A parser with **no outstanding credit** is
     /// admitted unconditionally: the driver consumes batches in file
     /// order and parsers claim in rising file order, so the claimer of the
     /// file it is waiting on has, by construction, nothing in flight —
     /// blocking it while other parsers' queued batches hold
     /// the gate's credit would deadlock the pipeline until the watchdog
     /// shot an innocent thread. (This also admits a batch larger than the
-    /// whole gate, degrading to serial operation.) Blocked time is
+    /// whole budget, degrading to serial operation.) Blocked time is
     /// recorded as a [`TraceKind::MemoryWait`] span on `sink` and in the
     /// `governor.credit_waits` / `credit_wait_ns` counters; the wait loop
     /// keeps beating `sink`'s heartbeat so backpressure is never mistaken
@@ -315,14 +291,14 @@ impl MemoryGovernor {
         let inner = &*self.inner;
         let slot = slot_of(Some(parser));
         let mut gate = inner.gate.lock().unwrap();
-        if gate.held(slot) > 0 && gate.total.saturating_add(bytes) > self.gate_capacity() {
+        let full = |gate: &GateState| {
+            gate.held(slot) > 0 && gate.total.saturating_add(bytes) > self.gate_room()
+        };
+        if full(&gate) {
             inner.credit_waits.fetch_add(1, Relaxed);
             let span = sink.span(TraceKind::MemoryWait);
             let t0 = Instant::now();
-            while !inner.closed.load(Relaxed)
-                && gate.held(slot) > 0
-                && gate.total.saturating_add(bytes) > self.gate_capacity()
-            {
+            while !inner.closed.load(Relaxed) && full(&gate) {
                 // Timed wait: a driver that tears down without draining
                 // (error paths) closes the gate, and the timeout bounds
                 // the window in which a waiter could miss that signal.
@@ -337,25 +313,25 @@ impl MemoryGovernor {
         let now_out = gate.total;
         drop(gate);
         inner.inflight_bytes.store(now_out, Relaxed);
-        self.bump_high_water(now_out);
+        self.bump_high_water();
     }
 
     /// Non-blocking acquire for the consumer thread, before it ingests a
     /// file itself: takes `bytes` on the consumer's ledger and returns
-    /// true only if the gate has that much room *now*. No unconditional
+    /// true only if the budget has that much room *now*. No unconditional
     /// admission and no wait — every credit comes back through this very
     /// thread, so waiting here could never end; a refusal just means the
     /// consumer waits for the file's claimer as it always did.
     pub fn try_acquire(&self, bytes: u64) -> bool {
         let mut gate = self.inner.gate.lock().unwrap();
-        if gate.total.saturating_add(bytes) > self.gate_capacity() {
+        if gate.total.saturating_add(bytes) > self.gate_room() {
             return false;
         }
         gate.take(slot_of(None), bytes);
         let now_out = gate.total;
         drop(gate);
         self.inner.inflight_bytes.store(now_out, Relaxed);
-        self.bump_high_water(now_out);
+        self.bump_high_water();
         true
     }
 
@@ -391,20 +367,19 @@ impl MemoryGovernor {
     }
 
     /// Record a driver-side probe of the resident pools (taken at batch
-    /// boundaries, where the figures are deterministic).
+    /// boundaries, where the figures are deterministic). Resident bytes
+    /// that fell leave room for credit, so waiters re-evaluate.
     pub fn note_resident(&self, pools: PoolBytes) {
         self.inner.dict_bytes.store(pools.dict, Relaxed);
         self.inner.postings_bytes.store(pools.postings, Relaxed);
         self.inner.device_bytes.store(pools.device, Relaxed);
-        let total = pools.total() + self.inner.inflight_bytes.load(Relaxed);
-        self.bump_high_water(total);
+        self.bump_high_water();
+        self.inner.cv.notify_all();
     }
 
-    fn bump_high_water(&self, candidate: u64) {
-        let resident = self.resident().total();
-        let inflight = self.inner.inflight_bytes.load(Relaxed);
-        let v = candidate.max(resident + inflight);
-        self.inner.high_water.fetch_max(v, Relaxed);
+    fn bump_high_water(&self) {
+        let live = self.resident().total() + self.inflight_bytes();
+        self.inner.high_water.fetch_max(live, Relaxed);
     }
 
     /// The last probed per-pool resident bytes.
@@ -426,39 +401,7 @@ impl MemoryGovernor {
         self.inner.high_water.load(Relaxed)
     }
 
-    /// Rung 2 of the ladder: should the driver flush the current run
-    /// early? True when resident state crossed the flush watermark and
-    /// there are pending postings to flush.
-    pub fn should_flush_early(&self) -> bool {
-        if !self.is_limited() {
-            return false;
-        }
-        let r = self.resident();
-        r.postings > 0
-            && r.total() as f64
-                > self.inner.policy.flush_watermark * self.resident_budget() as f64
-    }
-
-    /// Rung 3: should the pool shed a GPU shard? True when, *after*
-    /// flushing, resident state still sits above the shed watermark.
-    pub fn should_shed(&self) -> bool {
-        self.is_limited()
-            && self.resident().total() as f64
-                > self.inner.policy.shed_watermark * self.resident_budget() as f64
-    }
-
-    /// Rung 4: the ladder is exhausted — resident state alone no longer
-    /// fits the resident share of the budget. Returns `(budget, needed)`
-    /// for the typed abort.
-    pub fn budget_exceeded(&self) -> Option<(u64, u64)> {
-        if !self.is_limited() {
-            return None;
-        }
-        let needed = self.resident().total();
-        (needed > self.resident_budget()).then(|| (self.effective_budget(), needed))
-    }
-
-    /// Count one early (watermark-triggered) run flush.
+    /// Count one early (budget-triggered) run flush.
     pub fn record_early_flush(&self) {
         self.inner.early_flushes.fetch_add(1, Relaxed);
     }
@@ -478,7 +421,7 @@ impl MemoryGovernor {
         self.inner.credit_wait_ns.load(Relaxed)
     }
 
-    /// Early flushes triggered by the watermark.
+    /// Early flushes the ladder fired.
     pub fn early_flushes(&self) -> u64 {
         self.inner.early_flushes.load(Relaxed)
     }
@@ -497,7 +440,7 @@ impl MemoryGovernor {
     /// and counters (the `--stats` / `--stats-json` surface).
     pub fn export(&self, registry: &ii_obs::Registry) {
         let r = self.resident();
-        registry.gauge("governor.budget_bytes").set(self.inner.policy.budget_bytes as i64);
+        registry.gauge("governor.budget_bytes").set(self.inner.budget as i64);
         registry.gauge("governor.effective_budget_bytes").set(self.effective_budget() as i64);
         registry.gauge("governor.dict_bytes").set(r.dict as i64);
         registry.gauge("governor.postings_bytes").set(r.postings as i64);
@@ -527,12 +470,11 @@ mod tests {
         g.acquire(0, 10 << 20, &sink);
         g.acquire(1, 10 << 20, &sink);
         assert_eq!(g.inflight_bytes(), 20 << 20);
-        g.note_resident(PoolBytes { dict: 1 << 20, postings: 2 << 20, device: 3 << 20 });
+        let pools = PoolBytes { dict: 1 << 20, postings: 2 << 20, device: 3 << 20 };
+        g.note_resident(pools);
         assert_eq!(g.resident().total(), 6 << 20);
         assert_eq!(g.high_water(), 26 << 20);
-        assert!(!g.should_flush_early());
-        assert!(!g.should_shed());
-        assert!(g.budget_exceeded().is_none());
+        assert_eq!(ladder(pools, g.effective_budget(), || None), Rung::Fits);
         assert_eq!(g.credit_waits(), 0);
         g.release(Some(0), 10 << 20);
         g.release(Some(1), 10 << 20);
@@ -542,9 +484,10 @@ mod tests {
 
     #[test]
     fn credit_gate_blocks_until_release_and_counts_waits() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
-        // Gate capacity = 100 bytes. Parser 0's first 60 passes; its
-        // second 60 must wait (it already has a batch in flight).
+        let g = MemoryGovernor::new(400);
+        // 300 bytes resident leave 100 for credit. Parser 0's first 60
+        // passes; its second 60 must wait (it already has a batch in flight).
+        g.note_resident(PoolBytes { dict: 300, ..PoolBytes::default() });
         let sink = TraceSink::disabled();
         g.acquire(0, 60, &sink);
         let g2 = g.clone();
@@ -555,7 +498,7 @@ mod tests {
         });
         assert!(
             rx.recv_timeout(Duration::from_millis(50)).is_err(),
-            "second acquire must block while the gate is over capacity"
+            "second acquire must block while the budget is full"
         );
         g.release(Some(0), 60);
         rx.recv_timeout(Duration::from_secs(5)).expect("release unblocks the waiter");
@@ -566,14 +509,34 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_that_fall_make_room_for_credit() {
+        // One pool: what the dictionaries and postings do not hold, credit
+        // may. A flush that empties the postings unblocks a waiting parser.
+        let g = MemoryGovernor::new(400);
+        g.note_resident(PoolBytes { dict: 100, postings: 250, device: 0 });
+        g.acquire(0, 40, &TraceSink::disabled());
+        let g2 = g.clone();
+        let (tx, rx) = mpsc::channel();
+        let t = thread::spawn(move || {
+            g2.acquire(0, 40, &TraceSink::disabled());
+            tx.send(()).unwrap();
+        });
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "350 + 40 + 40 > 400");
+        g.note_resident(PoolBytes { dict: 100, postings: 0, device: 0 });
+        rx.recv_timeout(Duration::from_secs(5)).expect("the flush made room");
+        t.join().unwrap();
+        assert_eq!(g.inflight_bytes(), 80);
+    }
+
+    #[test]
     fn parser_with_no_outstanding_credit_is_always_admitted() {
         // Regression: the driver consumes in file order. Parser 1's queued
-        // batch holds the whole gate while the driver waits on parser 0 —
+        // batch holds the whole budget while the driver waits on parser 0 —
         // blocking parser 0 here deadlocked the pipeline until the
         // watchdog declared it stalled (a ~30s wall per build).
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(100);
         let sink = TraceSink::disabled();
-        g.acquire(1, 95, &sink); // parser 1 fills the 100-byte gate
+        g.acquire(1, 95, &sink); // parser 1 fills the 100-byte budget
         g.acquire(0, 80, &sink); // parser 0 holds nothing: must not block
         assert_eq!(g.inflight_bytes(), 175);
         assert_eq!(g.credit_waits(), 0, "the laggard parser never waits");
@@ -592,9 +555,9 @@ mod tests {
         // claims file 1 and ingests it itself. Releasing the consumer's
         // batch to the lone parser would, through the clamp, hand back the
         // credit of the batch still waiting.
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(100);
         g.acquire(0, 60, &TraceSink::disabled());
-        assert!(g.try_acquire(30), "60 + 30 fits the 100-byte gate");
+        assert!(g.try_acquire(30), "60 + 30 fits the 100-byte budget");
         assert_eq!(g.inflight_bytes(), 90);
         g.release(None, 30);
         assert_eq!(g.inflight_bytes(), 60, "parser 0 still holds its queued batch");
@@ -608,12 +571,13 @@ mod tests {
 
     #[test]
     fn try_acquire_never_waits_and_never_overshoots() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(400);
+        g.note_resident(PoolBytes { dict: 300, ..PoolBytes::default() });
         let sink = TraceSink::disabled();
-        // Unlike a parser, the consumer is not admitted over a full gate
+        // Unlike a parser, the consumer is not admitted over a full budget
         // just because it holds nothing: it is never the thread the
         // pipeline is waiting on.
-        assert!(!g.try_acquire(101), "larger than the whole gate");
+        assert!(!g.try_acquire(101), "larger than the room resident state leaves");
         g.acquire(0, 80, &sink);
         assert!(!g.try_acquire(21));
         assert!(g.try_acquire(20));
@@ -629,7 +593,7 @@ mod tests {
 
     #[test]
     fn blocked_acquire_keeps_beating_the_heartbeat() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(100);
         g.acquire(0, 90, &TraceSink::disabled());
         let hb = Arc::new(ii_obs::Heartbeat::new());
         let sink = TraceSink::disabled().with_heartbeat(Arc::clone(&hb));
@@ -647,9 +611,9 @@ mod tests {
 
     #[test]
     fn oversize_batch_is_admitted_alone() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(100);
         let sink = TraceSink::disabled();
-        // 250 > the 100-byte gate, but this parser holds nothing: admit it
+        // 250 > the whole budget, but this parser holds nothing: admit it
         // rather than deadlock.
         g.acquire(0, 250, &sink);
         assert_eq!(g.inflight_bytes(), 250);
@@ -659,7 +623,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_waiters() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(400));
+        let g = MemoryGovernor::new(100);
         g.acquire(0, 90, &TraceSink::disabled());
         let g2 = g.clone();
         let t = thread::spawn(move || g2.acquire(0, 90, &TraceSink::disabled()));
@@ -670,29 +634,32 @@ mod tests {
 
     #[test]
     fn ladder_rungs_trigger_in_order() {
-        let g = MemoryGovernor::new(GovernorPolicy {
-            budget_bytes: 1000,
-            flush_watermark: 0.5,
-            shed_watermark: 0.85,
-        });
-        // Resident share = 1000 - 250 = 750.
-        assert_eq!(g.resident_budget(), 750);
-        g.note_resident(PoolBytes { dict: 100, postings: 100, device: 0 });
-        assert!(!g.should_flush_early());
-        g.note_resident(PoolBytes { dict: 200, postings: 300, device: 0 });
-        assert!(g.should_flush_early(), "500 > 0.5 * 750 is false; 500 > 375");
-        assert!(!g.should_shed());
-        g.note_resident(PoolBytes { dict: 200, postings: 0, device: 480 });
-        assert!(!g.should_flush_early(), "nothing pending to flush");
-        assert!(g.should_shed(), "680 > 0.85 * 750 = 637.5");
-        assert!(g.budget_exceeded().is_none());
-        g.note_resident(PoolBytes { dict: 800, postings: 0, device: 0 });
-        assert_eq!(g.budget_exceeded(), Some((1000, 800)));
+        let pools = |dict, postings, device| PoolBytes { dict, postings, device };
+        let no_shed = || None;
+        // Up to the budget itself nothing fires, whatever is pending.
+        assert_eq!(ladder(pools(400, 500, 100), 1000, no_shed), Rung::Fits);
+        assert_eq!(ladder(pools(400, 500, 101), 0, no_shed), Rung::Fits, "0 = unlimited");
+        // Over it: flush while postings are pending ...
+        assert_eq!(ladder(pools(400, 500, 101), 1000, no_shed), Rung::Flush);
+        // ... then shed, only when the shed leaves less than it replaces ...
+        let over = pools(800, 0, 300);
+        assert_eq!(ladder(over, 1000, || Some(900)), Rung::Shed);
+        assert_eq!(ladder(over, 1000, || Some(1100)), Rung::Refuse, "equal is no lower");
+        assert_eq!(ladder(over, 1000, || Some(1200)), Rung::Refuse, "a shed that raises");
+        assert_eq!(ladder(over, 1000, no_shed), Rung::Refuse, "no GPU left");
+        // ... and the shed figure is only asked for on the shed rung.
+        let asked = std::cell::Cell::new(false);
+        let shed = || {
+            asked.set(true);
+            Some(0)
+        };
+        assert_eq!(ladder(pools(400, 500, 101), 1000, shed), Rung::Flush);
+        assert!(!asked.get());
     }
 
     #[test]
     fn squeeze_only_shrinks_and_is_counted() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(1000));
+        let g = MemoryGovernor::new(1000);
         g.squeeze_to(2000);
         assert_eq!(g.effective_budget(), 1000, "squeeze never raises");
         assert_eq!(g.squeezes(), 0);
@@ -711,7 +678,7 @@ mod tests {
 
     #[test]
     fn export_writes_governor_metrics() {
-        let g = MemoryGovernor::new(GovernorPolicy::default().with_budget(4096));
+        let g = MemoryGovernor::new(4096);
         g.acquire(0, 100, &TraceSink::disabled());
         g.note_resident(PoolBytes { dict: 10, postings: 20, device: 30 });
         g.record_early_flush();

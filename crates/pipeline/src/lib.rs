@@ -57,7 +57,7 @@ pub use fault::{
     BudgetSqueeze, FaultAction, FaultClass, FaultPolicy, FaultReport, FaultStage, FileFault,
     PipelineError, WorkerClass, WorkerFault, WorkerFaultKind, WorkerFaultPlan,
 };
-pub use governor::{GovernorPolicy, MemoryGovernor, PoolBytes};
+pub use governor::{ladder, MemoryGovernor, PoolBytes, Rung};
 pub use parsers::{ParsedFile, ParserObs};
 pub use supervisor::{DeathCause, SupervisionReport, SupervisorPolicy, WorkerDeath};
 pub use telemetry::{

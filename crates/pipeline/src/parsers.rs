@@ -812,7 +812,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::GovernorPolicy;
     use ii_corpus::{CollectionSpec, FaultKind, FaultPlan};
     use std::path::{Path, PathBuf};
 
@@ -966,10 +965,11 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// A governor whose gate never has room for a file: `try_acquire` always
-    /// refuses, so the consumer never helps and takeover counts are exact.
+    /// A governor whose one-byte budget never has room for a file:
+    /// `try_acquire` always refuses, so the consumer never helps and
+    /// takeover counts are exact.
     fn full_gate() -> MemoryGovernor {
-        MemoryGovernor::new(GovernorPolicy::default().with_budget(1))
+        MemoryGovernor::new(1)
     }
 
     /// Options for `parsers` watched parser threads over a full gate, under
@@ -1151,7 +1151,7 @@ mod tests {
         let mut spec = CollectionSpec::tiny(40);
         spec.num_files = 7;
         let (coll, dir) = stored("help", spec);
-        let governor = MemoryGovernor::new(GovernorPolicy::default().with_budget(1 << 30));
+        let governor = MemoryGovernor::new(1 << 30);
         let (msgs, pool) = napping_parser_stream(&coll, 1, governor.clone());
         // Every file exactly once, in file order, and the batch is what a
         // lone parse of that file gives — whoever parsed it.

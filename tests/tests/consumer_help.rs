@@ -14,7 +14,7 @@
 use ii_core::corpus::{CollectionSpec, FaultKind, FaultPlan, StoredCollection};
 use ii_core::obs::TraceKind;
 use ii_core::pipeline::{
-    build_index, build_index_durable, DurableOptions, FaultPolicy, GovernorPolicy, IndexOutput,
+    build_index, build_index_durable, DurableOptions, FaultPolicy, IndexOutput,
     PipelineConfig, PipelineError, WorkerClass,
 };
 use ii_core::store::{crc32, CrashMode, CrashVfs, Store};
@@ -221,15 +221,15 @@ fn help_across_kill_and_resume_is_byte_identical() {
 fn help_under_a_binding_budget_neither_deadlocks_nor_moves_a_byte() {
     let (coll, dir) = stored("budget");
     let mut cfg = PipelineConfig::small(1, 1, 0);
-    cfg.governor = GovernorPolicy::unlimited();
+    cfg.mem_budget = 0;
     let free = build_index(&coll, &unhelped(cfg.clone())).expect("unlimited build");
     let high_water = free.report.stages.gauge("governor.high_water_bytes") as u64;
-    // From roomy down to a quarter of what the build wants: the gate (a
-    // quarter of the budget) goes from several files to less than one, so
+    // From roomy down to a quarter of what the build wants: the room the
+    // resident pools leave for credit goes from several files to none, so
     // the helper is admitted, then refused; early flushes move run
     // boundaries with the budget, never with who parsed.
     for budget in [high_water * 2, high_water, high_water / 2, high_water / 4] {
-        cfg.governor = GovernorPolicy::default().with_budget(budget);
+        cfg.mem_budget = budget;
         let base = build_index(&coll, &unhelped(cfg.clone()));
         let out = build_index(&coll, &helped_at(cfg.clone(), FILES / 2));
         match (base, out) {

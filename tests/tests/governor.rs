@@ -12,7 +12,7 @@
 
 use ii_core::corpus::{CollectionSpec, StoredCollection};
 use ii_core::pipeline::{
-    build_index, build_index_durable, DurableOptions, GovernorPolicy, IndexOutput,
+    build_index, build_index_durable, DurableOptions, IndexOutput,
     PipelineConfig, PipelineError, WorkerClass, WorkerFaultPlan,
 };
 use ii_core::store::{CrashVfs, Store, StoreError};
@@ -45,7 +45,7 @@ fn stored(tag: &str, seed: u64) -> (Arc<StoredCollection>, PathBuf) {
 fn base_cfg() -> PipelineConfig {
     let mut cfg = PipelineConfig::small(2, 1, 1);
     cfg.batches_per_run = 2;
-    cfg.governor = GovernorPolicy::unlimited();
+    cfg.mem_budget = 0;
     cfg
 }
 
@@ -86,6 +86,20 @@ fn high_water(out: &IndexOutput) -> u64 {
     out.report.stages.gauge("governor.high_water_bytes") as u64
 }
 
+/// Twenty budgets from the unconstrained build's high water down towards
+/// what its pools hold at the end with nothing pending (the final
+/// dictionary and device figures): the range in which a budget binds.
+fn binding_budgets(unconstrained: &IndexOutput) -> impl Iterator<Item = u64> {
+    let gauge = |name: &str| unconstrained.report.stages.gauge(name) as u64;
+    let top = high_water(unconstrained);
+    let floor = gauge("governor.dict_bytes") + gauge("governor.device_bytes");
+    (0..20).map(move |step| top - (top - floor) * step / 20)
+}
+
+fn early_flushes(out: &IndexOutput) -> u64 {
+    out.report.stages.counter("governor.early_flushes")
+}
+
 /// Budgets × squeeze schedules × a GPU kill, every cell against the
 /// unconstrained baseline.
 #[test]
@@ -101,7 +115,7 @@ fn budget_matrix_yields_identical_index_or_typed_refusal() {
     for budget in [hw * 4, hw * 2, hw, hw * 3 / 4] {
         for chaos in 0..3usize {
             let mut cell = cfg.clone();
-            cell.governor = GovernorPolicy::default().with_budget(budget);
+            cell.mem_budget = budget;
             cell.worker_faults = match chaos {
                 0 => WorkerFaultPlan::none(),
                 // Two mid-build squeezes, tightest wins.
@@ -160,25 +174,24 @@ fn budget_matrix_yields_identical_index_or_typed_refusal() {
 #[test]
 fn same_budget_reruns_are_physically_identical() {
     let (coll, dir) = stored("rerun", 902);
-    let cfg = base_cfg();
+    // One run per indexer unless the budget binds: the pending postings
+    // of the whole collection are what an early flush frees.
+    let cfg = PipelineConfig { batches_per_run: 16, ..base_cfg() };
     let unconstrained = build_index(&coll, &cfg).expect("unlimited build");
 
-    let mut tight = cfg.clone();
-    // Force the early-flush rung on every batch without risking the abort
-    // rung: a huge budget with a microscopic flush watermark.
-    tight.governor =
-        GovernorPolicy { budget_bytes: 512 << 20, flush_watermark: 1e-9, shed_watermark: 0.85 };
-    let a = build_index(&coll, &tight).expect("pressured build");
-    let b = build_index(&coll, &tight).expect("pressured rerun");
-    assert!(
-        a.report.stages.counter("governor.early_flushes") > 0,
-        "watermark must actually trigger"
-    );
-    assert_eq!(physical_fingerprint(&a), physical_fingerprint(&b));
-    // And the physical layout genuinely differs from the unconstrained
-    // build (more, smaller runs) while the logical index does not.
+    // The highest budget whose early flushes genuinely change the physical
+    // layout (more, smaller runs; a flush at the last batch only replaces
+    // the final one), while the logical index does not change.
     let runs = |o: &IndexOutput| o.run_sets.values().map(|rs| rs.runs().len()).sum::<usize>();
-    assert!(runs(&a) > runs(&unconstrained));
+    let mut tight = cfg.clone();
+    let a = binding_budgets(&unconstrained).find_map(|budget| {
+        tight.mem_budget = budget;
+        build_index(&coll, &tight).ok().filter(|out| runs(out) > runs(&unconstrained))
+    });
+    let a = a.expect("a budget between the final pools and the high water must bind");
+    assert!(early_flushes(&a) > 0);
+    let b = build_index(&coll, &tight).expect("pressured rerun");
+    assert_eq!(physical_fingerprint(&a), physical_fingerprint(&b));
     assert_eq!(fingerprint(&a), fingerprint(&unconstrained));
     std::fs::remove_dir_all(dir).unwrap();
 }
@@ -322,32 +335,26 @@ fn resume_under_a_binding_budget_is_byte_identical() {
     let coll = splitting_collection(&dir.join("coll"));
     let mut cfg = PipelineConfig::small(2, 1, 1);
     cfg.batches_per_run = 3;
-    cfg.governor = GovernorPolicy::unlimited();
+    cfg.mem_budget = 0;
     let unlimited = build_index(&coll, &cfg).expect("unlimited build");
     assert!(unlimited.report.stages.counter("dict.node_splits") > 0, "trees must split");
     let counted = |out: &IndexOutput| {
         let gauge = |name: &str| out.report.stages.gauge(name);
         (gauge("governor.dict_bytes"), gauge("governor.device_bytes"))
     };
-    // Resident bytes end near `total`. Of a budget of four times that, the
-    // highest flush watermark that binds at all: the late batches flush
-    // their run early, the early ones do not. Nothing sheds.
-    let total = (counted(&unlimited).0 + counted(&unlimited).1) as u64;
-    let early = |out: &IndexOutput| out.report.stages.counter("governor.early_flushes");
-    let binds = (60..100).rev().step_by(3).find(|percent| {
-        cfg.governor = GovernorPolicy {
-            budget_bytes: total * 4,
-            flush_watermark: f64::from(*percent) / 300.0,
-            shed_watermark: 0.95,
-        };
-        early(&build_index(&coll, &cfg).expect("budgeted build")) > 0
+    // The highest budget that binds at all: the late batches flush their
+    // run early, the early ones do not.
+    let binds = binding_budgets(&unlimited).find(|&budget| {
+        cfg.mem_budget = budget;
+        build_index(&coll, &cfg).is_ok_and(|out| early_flushes(&out) > 0)
     });
-    assert!(binds.is_some(), "no watermark down to 0.6 of the final resident bytes binds");
+    cfg.mem_budget = binds.expect("no budget between the final pools and the high water binds");
 
     let whole_dir = dir.join("whole");
     let opts = DurableOptions::new(&whole_dir).checkpoint_every(1);
     let whole = build_index_durable(&coll, &cfg, &opts).expect("uninterrupted build");
-    assert!(early(&whole) > 0 && early(&whole) < 5, "binds late: {} early flushes", early(&whole));
+    let early = early_flushes(&whole);
+    assert!(early > 0 && early < 5, "binds late: {early} early flushes");
     let want = store_fingerprint(&whole_dir);
 
     let probe = CrashVfs::probe();
@@ -451,4 +458,70 @@ fn content_derived_dictionary_bytes_track_the_arenas_on_the_ledger_shapes() {
     assert_within_a_quarter(shape("web", 12, 200, 650, 150_000, 1.0, true));
     assert_within_a_quarter(shape("tail", 8, 800, 120, 300_000, 0.6, false));
     assert_within_a_quarter(shape("congress", 8, 150, 580, 50_000, 1.05, true));
+}
+
+/// The ladder's contract, swept over budgets from below the final
+/// dictionary to 1.5 × the unconstrained high water, CPU-only and with a
+/// GPU: a budget at or over the high water changes nothing (no rung fires,
+/// every artifact is the unconstrained build's), success is monotone in the
+/// budget, every success is the same logical index, and every refusal is
+/// deterministic and names more bytes than the budget.
+#[test]
+fn the_ladder_never_refuses_a_budget_the_build_fits_in() {
+    let dir = std::env::temp_dir().join(format!("ii-governor-ladder-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tiny = CollectionSpec { num_files: 8, ..CollectionSpec::tiny(7) };
+    let congress = CollectionSpec { docs_per_file: 4, ..CollectionSpec::congress_like(0.9) };
+    for spec in [tiny, congress] {
+        let name = spec.name.clone();
+        let coll = Arc::new(StoredCollection::generate(spec, &dir.join(&name)).unwrap());
+        for gpus in [0, 1] {
+            let cfg = PipelineConfig { mem_budget: 0, ..PipelineConfig::small(2, 1, gpus) };
+            let free = build_index(&coll, &cfg).expect("unconstrained build");
+            let hw = high_water(&free);
+            let dict = free.report.stages.gauge("governor.dict_bytes") as u64;
+            let mut budgets = vec![dict / 2, dict, hw * 3 / 2, hw];
+            budgets.extend([30, 50, 70, 80, 90, 95].map(|percent| hw * percent / 100));
+            budgets.sort_unstable();
+            let (mut succeeded, mut refused) = (false, None);
+            for budget in budgets {
+                let ctx = format!("{name}, {gpus} GPU, budget {budget} of high water {hw}");
+                let budgeted = PipelineConfig { mem_budget: budget, ..cfg.clone() };
+                match build_index(&coll, &budgeted) {
+                    Ok(out) => {
+                        succeeded = true;
+                        assert_eq!(out.dict_bytes, free.dict_bytes, "{ctx}: dictionary");
+                        assert_eq!(fingerprint(&out), fingerprint(&free), "{ctx}: postings");
+                        assert_eq!(docmap_bytes(&out), docmap_bytes(&free), "{ctx}: doc map");
+                        if budget >= hw {
+                            let counter = |n: &str| out.report.stages.counter(n);
+                            assert_eq!(counter("governor.early_flushes"), 0, "{ctx}");
+                            assert_eq!(counter("governor.gpu_sheds"), 0, "{ctx}");
+                            let physical = physical_fingerprint(&out);
+                            assert!(physical == physical_fingerprint(&free), "{ctx}");
+                        }
+                    }
+                    Err(PipelineError::MemoryBudgetExceeded { budget: b, needed }) => {
+                        assert!(!succeeded, "{ctx}: refused above a budget that succeeded");
+                        assert!(budget < hw, "{ctx}: refused a budget the build fits in");
+                        assert_eq!(b, budget, "{ctx}");
+                        assert!(needed > budget, "{ctx}: refused needing {needed}");
+                        refused = Some((ctx, budgeted, needed));
+                    }
+                    Err(other) => panic!("{ctx}: unexpected error {other}"),
+                }
+            }
+            // The tightest call — the highest budget refused — refuses again
+            // with the same figures.
+            let refused = refused.expect("the dictionary alone overflows half itself");
+            let (ctx, budgeted, needed) = refused;
+            match build_index(&coll, &budgeted) {
+                Err(PipelineError::MemoryBudgetExceeded { budget, needed: again }) => {
+                    assert_eq!((budget, again), (budgeted.mem_budget, needed), "{ctx}: rerun")
+                }
+                other => panic!("{ctx}: rerun diverged: {:?}", other.map(|_| "index")),
+            }
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
 }

@@ -696,9 +696,10 @@ fn deep_json() -> String {
 /// A checkpoint is read by the reader an index is, and then turned back
 /// into shards: a dictionary no `combine` wrote, a run naming a handle its
 /// shard has not issued, a descriptor counting fewer runs than it holds, a
-/// descriptor nested 200 000 deep and a checkpoint of the generation before
-/// this one (per-indexer shard files, no `dictionary.bin`) each end a
-/// resumed build in a typed error.
+/// descriptor nested 200 000 deep and checkpoints older builds wrote (a
+/// dictionary of the retired layout, a descriptor with watermarks,
+/// per-indexer shard files and no `dictionary.bin`) each end a resumed
+/// build in a typed error.
 #[test]
 fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     let coll_dir = scratch("ckpt-coll");
@@ -786,7 +787,30 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
         Ok(()) => panic!("a 200 000-deep descriptor resumed"),
     }
 
-    // The generation before this one: a shard file per indexer, their ids
+    // What older builds wrote, vouched for by the manifest, is refused as
+    // old, not as corrupt: the fixed-width dictionary layout before this
+    // one, and a descriptor whose config fingerprint names the flush and
+    // shed watermarks that one budget replaced.
+    overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, &descriptor);
+    let older = |what: &str| match resume() {
+        Err(PipelineError::Resume(why)) => {
+            let old = why.contains("an older build wrote it, build again without --resume");
+            assert!(old, "{what}: {why}")
+        }
+        Err(e) => panic!("{what}: unexpected error {e}"),
+        Ok(()) => panic!("{what}: resumed"),
+    };
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let retired = std::fs::read(fixtures.join("written_by_0da7cc7/dictionary.bin")).unwrap();
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &retired);
+    older("a dictionary of the retired layout");
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
+    let mut watermarked: BuildCheckpoint = serde_json::from_slice(&descriptor).unwrap();
+    watermarked.config.push_str("|flush_wm=0.5|shed_wm=0.85");
+    overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, &serde_json::to_vec(&watermarked).unwrap());
+    older("a descriptor with watermarks");
+
+    // The generation before those: a shard file per indexer, their ids
     // listed in the descriptor, and no combined dictionary.
     let mut old = Manifest::load(&dir).unwrap();
     old.artifacts.retain(|a| a.name != DICTIONARY_ARTIFACT);
