@@ -91,12 +91,13 @@ fn usage() {
          deterministically (backpressure, early flushes, GPU shedding); 0 = unlimited\n        \
          [--stats] prints the per-stage breakdown; [--stats-json] the raw snapshot\n        \
          [--stats-out F] writes the JSON snapshot to F (atomic temp+fsync+rename)\n        \
-         [--strict] exits non-zero if any document was quarantined or any worker died\n        \
+         [--strict] exits non-zero if any document was quarantined, any worker died\n        \
+         or any shard panicked (a lossy incident)\n        \
          [--trace trace.json] records per-worker event timelines\n        \
          (Chrome/Perfetto format; inspect with 'ii trace report')\n        \
          [--metrics-addr H:P] serves a live OpenMetrics endpoint for the whole build\n        \
          (watch with 'ii top H:P'); [--metrics-out F] writes the final exposition to F\n        \
-         [--chaos-kill CLASS:INDEX:BATCH] seeded worker kill (parser|cpu|gpu) for\n        \
+         [--chaos-kill CLASS:INDEX:BATCH] seeded worker kill (parser|gpu) for\n        \
          forensics drills — the build survives and cuts a post-mortem bundle;\n        \
          for parser, BATCH is a file and INDEX is ignored (whoever claims it dies)\n  \
          top <host:port | metrics.prom> [--iters N] [--interval-ms MS] [--check]\n        \
@@ -398,17 +399,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     }
     println!("index written to {index_dir}");
     // Strict builds refuse degradation: the index above is complete and
-    // committed, but any quarantined document or dead worker means it was
-    // produced in a degraded mode — exit non-zero so CI notices.
+    // committed, but it was produced in a degraded mode — exit non-zero so
+    // CI notices.
     if bool_flag(args, "--strict") {
-        let deaths = r.supervision.deaths.len();
-        let quarantined = r.faults.quarantined.len();
-        if deaths > 0 || quarantined > 0 {
-            return Err(format!(
-                "--strict: build degraded ({deaths} worker deaths, \
-                 {quarantined} quarantined files) — {}",
-                r.supervision.summary()
-            ));
+        if let Some(why) = r.strict_refusal() {
+            return Err(format!("--strict: {why}"));
         }
     }
     Ok(())
@@ -673,7 +668,7 @@ fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// `--chaos-kill parser|cpu|gpu:INDEX:BATCH` — a seeded worker kill. For
+/// `--chaos-kill parser|gpu:INDEX:BATCH` — a seeded worker kill. For
 /// `parser`, BATCH is the file index and INDEX is ignored: the kill fires
 /// on whichever parser thread claims that file.
 fn parse_chaos_kill(spec: &str) -> Result<(WorkerClass, usize, usize), String> {
@@ -684,11 +679,8 @@ fn parse_chaos_kill(spec: &str) -> Result<(WorkerClass, usize, usize), String> {
     };
     let class = match *class {
         "parser" => WorkerClass::Parser,
-        "cpu" => WorkerClass::CpuIndexer,
         "gpu" => WorkerClass::GpuIndexer,
-        other => {
-            return Err(format!("--chaos-kill class must be parser|cpu|gpu, got '{other}'"))
-        }
+        other => usage_error(&format!("--chaos-kill class must be parser|gpu, got '{other}'")),
     };
     Ok((class, idx.parse().map_err(|_| bad())?, at.parse().map_err(|_| bad())?))
 }

@@ -4,12 +4,12 @@ use crate::index::Index;
 use ii_corpus::StoredCollection;
 use ii_indexer::GpuIndexerConfig;
 use ii_pipeline::{
-    build_index, build_index_durable, DurableOptions, FaultAction, FaultPolicy,
-    PipelineConfig, PipelineError, SupervisorPolicy, TelemetryConfig, WorkerFaultPlan,
+    build_index, build_index_durable, DurableOptions, FaultAction, PipelineConfig,
+    PipelineError, WorkerFaultPlan,
 };
 use ii_postings::Codec;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Configures and runs the pipelined heterogeneous indexing system.
@@ -105,28 +105,17 @@ impl IndexBuilder {
         self
     }
 
-    /// Replace the whole fault policy at once.
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.config.fault_policy = policy;
-        self
-    }
-
-    /// Heartbeat silence after which the watchdog declares a worker dead
-    /// and reassigns its partitions (default 30s).
+    /// Heartbeat silence after which the watchdog declares a parser dead
+    /// and re-ingests its file on the driver (default 30s). A GPU stall
+    /// injected past it is a death too.
     pub fn stall_timeout(mut self, d: std::time::Duration) -> Self {
         self.config.supervision = self.config.supervision.with_stall_timeout(d);
         self
     }
 
-    /// Replace the whole supervision policy at once.
-    pub fn supervision(mut self, policy: SupervisorPolicy) -> Self {
-        self.config.supervision = policy;
-        self
-    }
-
     /// Inject a seeded worker-fault schedule (chaos testing): kills and
-    /// stalls at chosen pipeline points — an indexer at a batch ordinal, or
-    /// whichever parser thread claims a given file.
+    /// stalls at chosen pipeline points — a GPU indexer at a batch ordinal,
+    /// or whichever parser thread claims a given file.
     pub fn worker_faults(mut self, plan: WorkerFaultPlan) -> Self {
         self.config.worker_faults = plan;
         self
@@ -156,21 +145,6 @@ impl IndexBuilder {
     /// surface, consumed by `ii top` and Prometheus scrapes.
     pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
         self.config.telemetry.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Where automatic post-mortem bundles are written. Default: a
-    /// `postmortem/` directory inside the durable index dir (in-memory
-    /// builds then write none).
-    pub fn postmortem_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.telemetry.postmortem_dir = Some(dir.into());
-        self
-    }
-
-    /// Replace the whole telemetry configuration (post-mortem directory,
-    /// metrics endpoint) at once.
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.config.telemetry = cfg;
         self
     }
 

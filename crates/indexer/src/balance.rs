@@ -20,12 +20,9 @@ pub enum Owner {
     Gpu(usize),
 }
 
-/// The lifetime-fixed assignment of trie collections to indexers.
-///
-/// The *shard* assignment (trie collection → indexer slot) never changes;
-/// what may change mid-build is which executor *hosts* a slot after its
-/// original worker dies. [`BalancePlan::takeover_host`] picks the new host
-/// from the same sampled loads the plan was built from.
+/// The lifetime-fixed assignment of trie collections to indexers: a
+/// collection's shard never changes, whatever happens to the GPU it started
+/// on.
 #[derive(Clone, Debug)]
 pub struct BalancePlan {
     owners: HashMap<u32, Owner>,
@@ -33,8 +30,6 @@ pub struct BalancePlan {
     pub popular: Vec<u32>,
     n_cpu: usize,
     n_gpu: usize,
-    /// Sampled token load per CPU set (same order as `Owner::Cpu(i)`).
-    cpu_load: Vec<u64>,
     /// Sampled token load per GPU (same order as `Owner::Gpu(i)`).
     gpu_load: Vec<u64>,
 }
@@ -48,29 +43,6 @@ impl BalancePlan {
     /// Number of GPU indexers planned for.
     pub fn n_gpu(&self) -> usize {
         self.n_gpu
-    }
-
-    /// Sampled token load assigned to `owner` when the plan was built.
-    pub fn sampled_load(&self, owner: Owner) -> u64 {
-        match owner {
-            Owner::Cpu(i) => self.cpu_load.get(i).copied().unwrap_or(0),
-            Owner::Gpu(i) => self.gpu_load.get(i).copied().unwrap_or(0),
-        }
-    }
-
-    /// Pick the CPU executor that should absorb a dead worker's shard: the
-    /// alive survivor carrying the least load, counting both its sampled
-    /// plan load and any load already adopted from earlier deaths
-    /// (`adopted_load`, indexed like `alive`). Ties break toward the lower
-    /// executor index for determinism. `None` when no CPU executor is
-    /// alive (the caller degrades to its own thread).
-    pub fn takeover_host(&self, alive: &[bool], adopted_load: &[u64]) -> Option<usize> {
-        (0..self.n_cpu)
-            .filter(|&i| alive.get(i).copied().unwrap_or(false))
-            .min_by_key(|&i| {
-                self.cpu_load.get(i).copied().unwrap_or(0)
-                    + adopted_load.get(i).copied().unwrap_or(0)
-            })
     }
 
     /// Order in which GPU shards should be parked when the memory
@@ -178,7 +150,7 @@ pub fn make_plan(
         debug_assert!(rest.is_empty());
     }
 
-    BalancePlan { owners, popular, n_cpu, n_gpu, cpu_load, gpu_load }
+    BalancePlan { owners, popular, n_cpu, n_gpu, gpu_load }
 }
 
 #[cfg(test)]
@@ -260,41 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn sampled_loads_match_the_assignment() {
-        let c = counts(&[(10, 1000), (20, 900), (30, 800), (40, 10), (50, 5)]);
-        let plan = make_plan(&c, 2, 1, 3);
-        // Greedy: 1000→cpu0, 900→cpu1, 800→cpu1.
-        assert_eq!(plan.sampled_load(Owner::Cpu(0)), 1000);
-        assert_eq!(plan.sampled_load(Owner::Cpu(1)), 1700);
-        assert_eq!(plan.sampled_load(Owner::Gpu(0)), 15);
-        assert_eq!(plan.sampled_load(Owner::Cpu(9)), 0, "out-of-range owner carries nothing");
-    }
-
-    #[test]
-    fn takeover_prefers_lightest_alive_survivor() {
-        let c = counts(&[(10, 1000), (20, 900), (30, 800), (40, 10)]);
-        let plan = make_plan(&c, 3, 1, 3);
-        // Loads: cpu0 = 1000, cpu1 = 900, cpu2 = 800.
-        assert_eq!(plan.takeover_host(&[true, true, true], &[0, 0, 0]), Some(2));
-        // Adopted load counts against a survivor: cpu2 already absorbed 500.
-        assert_eq!(plan.takeover_host(&[true, true, true], &[0, 0, 500]), Some(1));
-        // Dead executors are never hosts.
-        assert_eq!(plan.takeover_host(&[true, false, false], &[0, 0, 0]), Some(0));
-        assert_eq!(plan.takeover_host(&[false, false, false], &[0, 0, 0]), None);
-        // Ties break toward the lower index.
-        let even = make_plan(&counts(&[(1, 10), (2, 10)]), 2, 0, 2);
-        assert_eq!(even.takeover_host(&[true, true], &[0, 0]), Some(0));
-    }
-
-    #[test]
     fn shed_order_prefers_heaviest_alive_gpu() {
         // Unpopular collections 1..6 over 2 GPUs: sorted trie order is
         // 1,2,3,4,5,6 → GPU0 gets {1,3,5} (100+80+60), GPU1 gets {2,4,6}
         // (90+70+50).
         let c = counts(&[(1, 100), (2, 90), (3, 80), (4, 70), (5, 60), (6, 50)]);
         let plan = make_plan(&c, 0, 2, 0);
-        assert_eq!(plan.sampled_load(Owner::Gpu(0)), 240);
-        assert_eq!(plan.sampled_load(Owner::Gpu(1)), 210);
         assert_eq!(plan.shed_order(&[true, true]), vec![0, 1], "heaviest first");
         assert_eq!(plan.shed_order(&[false, true]), vec![1], "dead GPUs excluded");
         assert_eq!(plan.shed_order(&[false, false]), Vec::<usize>::new());

@@ -22,90 +22,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where a dictionary shard's work executes after a supervision
-/// reassignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Host {
-    /// CPU indexer executor `n` (0-based).
-    Cpu(usize),
-    /// The driver thread itself — the last-resort degraded mode when no
-    /// CPU executor survives.
-    Driver,
-}
-
-impl std::fmt::Display for Host {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Host::Cpu(i) => write!(f, "cpu-{i}"),
-            Host::Driver => write!(f, "driver"),
-        }
-    }
-}
-
-impl Host {
-    /// The executor a shard hosted here runs on (none on the driver).
-    fn executor(self) -> Option<Executor> {
-        match self {
-            Host::Cpu(h) => Some(Executor::Cpu(h)),
-            Host::Driver => None,
-        }
-    }
-}
-
-/// An indexer executor that can die: CPU executor `n` or GPU `g`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Executor {
-    /// CPU indexer executor `n` (0-based).
-    Cpu(usize),
-    /// GPU indexer `g` (0-based).
-    Gpu(usize),
-}
-
-/// An executor the pool declared dead inside a batch.
-#[derive(Clone, Debug)]
-pub struct ExecutorDeath {
-    /// The executor that died.
-    pub executor: Executor,
-    /// The message of the shard panic that killed it.
-    pub panic: String,
-    /// The shards that moved off it.
-    pub takeovers: Vec<Takeover>,
-}
-
-/// Record of one dictionary shard moving to a new host after a worker
-/// death.
-#[derive(Clone, Debug)]
-pub struct Takeover {
-    /// Dictionary shard (indexer id) that moved.
-    pub shard: u32,
-    /// Where the shard's work continues.
-    pub host: Host,
-    /// True when the shard was salvaged off a dead GPU onto the CPU path
-    /// (graceful degradation); false for CPU-executor rehosting.
-    pub gpu_takeover: bool,
-}
-
 /// Timing of one batch through the pool.
 #[derive(Clone, Debug, Default)]
 pub struct BatchTiming {
-    /// Measured wall seconds of each CPU executor's work on this batch
-    /// (its own shard plus any shards it adopted).
+    /// Measured wall seconds of each CPU shard's work on this batch.
     pub cpu_seconds: Vec<f64>,
     /// Simulated timing of each GPU indexer on this batch (zeroed entries
-    /// for GPUs that died — their shards' CPU time lands in
-    /// `cpu_seconds`/`fallback_seconds`).
+    /// for GPUs that died — their adopted shards' time is in
+    /// `fallback_seconds`).
     pub gpu: Vec<GpuBatchReport>,
-    /// Wall seconds of shard work hosted on the driver thread because no
-    /// CPU executor survived.
+    /// Wall seconds of the adopted shards' work: the CPU continuations of
+    /// dead GPUs, which run on the driver thread.
     pub fallback_seconds: f64,
     /// Shards whose work panicked during this batch: `(shard id, panic
-    /// message)`. The shard's host was declared dead and its shards were
-    /// reassigned; the batch continued on the survivors.
+    /// message)`. A CPU or adopted shard carries on where it ran; a live
+    /// GPU's shard is salvaged (see `gpu_deaths`).
     pub panics: Vec<(u32, String)>,
-    /// The executors those panics killed, in the order they died, each
-    /// with its own panic and the shards that moved off it. A shard that
-    /// panics on the driver thread kills nobody.
-    pub deaths: Vec<ExecutorDeath>,
+    /// The GPUs those panics killed, in the order they died: `(GPU index,
+    /// its own panic message)`. Each one's shard is adopted.
+    pub gpu_deaths: Vec<(usize, String)>,
 }
 
 impl BatchTiming {
@@ -123,30 +58,33 @@ impl BatchTiming {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "indexer panicked (non-string payload)".to_string()
-    }
+/// Run one shard's work with its panic contained: `Err` holds the panic's
+/// message.
+fn contained<T>(work: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "indexer panicked (non-string payload)".to_string()
+        }
+    })
 }
 
 /// All indexers of the system plus the routing plan.
 ///
-/// Failure-domain model: the *shard* assignment (trie collection →
-/// indexer id, fixed by the [`BalancePlan`]) never changes — what changes
-/// when a worker dies is which executor *hosts* each shard. CPU shards
-/// live in host memory and survive their executor, so rehosting them is
-/// state-free; a dead GPU's shard is salvaged (dictionary download +
-/// pending-postings drain) into an adopted [`CpuIndexer`] that continues
-/// the shard on the CPU path. Because run files and dictionary entries
-/// are keyed by shard id — not by host — a takeover at a batch boundary
-/// keeps the final index byte-identical to a healthy build.
+/// Failure-domain model: the *shard* (trie collection → indexer id, fixed
+/// by the [`BalancePlan`]) is the only indexer failure domain. Every shard
+/// runs on the calling thread, so a CPU shard has nothing to lose but its
+/// own batch; the one state that can die is a GPU's device memory. A dead
+/// GPU's shard is salvaged (dictionary download + pending-postings drain)
+/// into an adopted [`CpuIndexer`] that continues the shard on the CPU path.
+/// Because run files and dictionary entries are keyed by shard id, a
+/// salvage at a batch boundary keeps the final index byte-identical to a
+/// healthy build.
 pub struct IndexerPool {
-    /// CPU indexers (ids `0..n_cpu`). Shard structs stay in place even
-    /// when their executor dies; `cpu_host` says who runs them.
+    /// CPU indexers (ids `0..n_cpu`).
     pub cpus: Vec<CpuIndexer>,
     /// GPU indexers (ids `n_cpu..n_cpu+n_gpu`). A dead GPU's struct is
     /// retained for its pre-death workload/transfer stats; its live state
@@ -159,22 +97,15 @@ pub struct IndexerPool {
     next_doc: u32,
     docs_indexed: u32,
     next_run: u32,
-    /// Per-CPU-indexer trace timelines (disabled unless
-    /// [`Self::attach_tracer`] ran). `cpu-N`/`gpu-N` are *logical* workers:
-    /// the pool executes them serially on the calling thread, so their
-    /// spans never overlap within a batch by construction.
+    /// Per-indexer trace timelines (disabled unless [`Self::attach_tracer`]
+    /// ran). `cpu-N`/`gpu-N` are *logical* workers: the pool executes them
+    /// serially on the calling thread, so their spans never overlap within
+    /// a batch by construction.
     cpu_sinks: Vec<TraceSink>,
     gpu_sinks: Vec<TraceSink>,
-    /// Executor liveness (indexed like `cpus` / `gpus`).
-    cpu_alive: Vec<bool>,
-    gpu_alive: Vec<bool>,
-    /// Host executor of each CPU shard (initially `Cpu(i)` for shard i).
-    cpu_host: Vec<Host>,
-    /// CPU-side continuation of each dead GPU's shard, plus its host.
-    adopted: Vec<Option<(CpuIndexer, Host)>>,
-    /// Sampled load each CPU executor absorbed through takeovers (feeds
-    /// [`BalancePlan::takeover_host`] so successive deaths spread out).
-    adopted_load: Vec<u64>,
+    /// The CPU continuation of each dead GPU's shard (`None` while the GPU
+    /// lives).
+    adopted: Vec<Option<CpuIndexer>>,
 }
 
 impl IndexerPool {
@@ -186,8 +117,7 @@ impl IndexerPool {
             .collect();
         let cpu_sinks = vec![TraceSink::disabled(); cpus.len()];
         let gpu_sinks = vec![TraceSink::disabled(); gpus.len()];
-        let n_cpu = cpus.len();
-        let n_gpu = gpus.len();
+        let adopted = (0..gpus.len()).map(|_| None).collect();
         IndexerPool {
             cpus,
             gpus,
@@ -198,11 +128,7 @@ impl IndexerPool {
             next_run: 0,
             cpu_sinks,
             gpu_sinks,
-            cpu_alive: vec![true; n_cpu],
-            gpu_alive: vec![true; n_gpu],
-            cpu_host: (0..n_cpu).map(Host::Cpu).collect(),
-            adopted: (0..n_gpu).map(|_| None).collect(),
-            adopted_load: vec![0; n_cpu],
+            adopted,
         }
     }
 
@@ -231,82 +157,21 @@ impl IndexerPool {
 
     /// Shards salvaged off dead GPUs and continued on the CPU path.
     pub fn adopted_shards(&self) -> impl Iterator<Item = &CpuIndexer> {
-        self.adopted.iter().flatten().map(|(c, _)| c)
-    }
-
-    /// Declare CPU executor `i` dead and rehost every shard it was
-    /// running onto the lightest surviving CPU executor (or the driver
-    /// thread when none survive). Idempotent; returns the reassignments.
-    pub fn kill_cpu(&mut self, i: usize) -> Vec<Takeover> {
-        if i >= self.cpus.len() || !self.cpu_alive[i] {
-            return Vec::new();
-        }
-        self.cpu_alive[i] = false;
-        self.rehost_orphans()
+        self.adopted.iter().flatten()
     }
 
     /// Declare GPU `g` dead: salvage its dictionary shard and pending
-    /// postings into an adopted [`CpuIndexer`] hosted by the lightest
-    /// surviving CPU executor (or the driver thread), degrading the shard
-    /// to the CPU path for the rest of the build. Idempotent; returns the
-    /// reassignment.
-    pub fn kill_gpu(&mut self, g: usize) -> Vec<Takeover> {
-        if g >= self.gpus.len() || !self.gpu_alive[g] {
-            return Vec::new();
+    /// postings into an adopted [`CpuIndexer`], which continues the shard on
+    /// the driver thread for the rest of the build. Idempotent: true only
+    /// when the GPU was alive until now.
+    pub fn kill_gpu(&mut self, g: usize) -> bool {
+        if !matches!(self.adopted.get(g), Some(None)) {
+            return false;
         }
-        self.gpu_alive[g] = false;
         let dict = self.gpus[g].into_partial_dictionary();
         let log = self.gpus[g].salvage_pending_log();
-        let host = self.new_host(Owner::Gpu(g));
-        self.adopted[g] = Some((CpuIndexer::adopt(dict, log), host));
-        vec![Takeover { shard: (self.plan.n_cpu() + g) as u32, host, gpu_takeover: true }]
-    }
-
-    /// Rehost every shard whose host executor is dead. Called after an
-    /// executor death; also re-levels adopted GPU shards stranded on a
-    /// newly-dead host.
-    fn rehost_orphans(&mut self) -> Vec<Takeover> {
-        let mut moves = Vec::new();
-        for s in 0..self.cpus.len() {
-            if let Host::Cpu(h) = self.cpu_host[s] {
-                if !self.cpu_alive[h] {
-                    let host = self.new_host(Owner::Cpu(s));
-                    self.cpu_host[s] = host;
-                    moves.push(Takeover { shard: s as u32, host, gpu_takeover: false });
-                }
-            }
-        }
-        for g in 0..self.adopted.len() {
-            let stranded = matches!(
-                &self.adopted[g],
-                Some((_, Host::Cpu(h))) if !self.cpu_alive[*h]
-            );
-            if stranded {
-                let host = self.new_host(Owner::Gpu(g));
-                if let Some((_, h)) = &mut self.adopted[g] {
-                    *h = host;
-                }
-                moves.push(Takeover {
-                    shard: (self.plan.n_cpu() + g) as u32,
-                    host,
-                    gpu_takeover: true,
-                });
-            }
-        }
-        moves
-    }
-
-    /// Where a shard of `owner` moves after its host died: the lightest
-    /// surviving CPU executor, which takes on its sampled load, or the
-    /// driver thread when none survives.
-    fn new_host(&mut self, owner: Owner) -> Host {
-        match self.plan.takeover_host(&self.cpu_alive, &self.adopted_load) {
-            Some(e) => {
-                self.adopted_load[e] += self.plan.sampled_load(owner);
-                Host::Cpu(e)
-            }
-            None => Host::Driver,
-        }
+        self.adopted[g] = Some(CpuIndexer::adopt(dict, log));
+        true
     }
 
     /// Resident bytes per pool, probed at batch boundaries by the memory
@@ -326,7 +191,7 @@ impl IndexerPool {
             postings += c.pending_postings_bytes();
         }
         let mut device = 0u64;
-        for (gpu, _) in self.gpus.iter().zip(&self.gpu_alive).filter(|(_, &alive)| alive) {
+        for (gpu, _) in self.gpus.iter().zip(&self.adopted).filter(|(_, a)| a.is_none()) {
             let log = gpu.log_charge();
             postings += log;
             device += gpu.resident_bytes() - log;
@@ -343,16 +208,22 @@ impl IndexerPool {
         cpu.chain(self.gpus.iter().map(GpuIndexer::host_log_bytes)).sum()
     }
 
+    /// The GPU a shed parks next: the first of [`BalancePlan::shed_order`]
+    /// over the live GPUs, or `None` when none is left.
+    fn next_shed(&self) -> Option<usize> {
+        let alive: Vec<bool> = self.adopted.iter().map(Option::is_none).collect();
+        self.plan.shed_order(&alive).into_iter().next()
+    }
+
     /// Memory-governor shed: park the alive GPU whose shard holds the
-    /// most sampled load (see [`BalancePlan::shed_order`]) onto the CPU
-    /// salvage path, freeing its device state. Returns the GPU index and
-    /// the reassignments, or `None` when no GPU is left to shed. This is
-    /// a *governor* event, not a worker death — the shard continues
-    /// loss-lessly on a CPU host, exactly like [`Self::kill_gpu`].
-    pub fn shed_gpu(&mut self) -> Option<(usize, Vec<Takeover>)> {
-        let g = self.plan.shed_order(&self.gpu_alive).into_iter().next()?;
-        let moves = self.kill_gpu(g);
-        Some((g, moves))
+    /// most sampled load onto the CPU salvage path, freeing its device
+    /// state. Returns the GPU index, or `None` when no GPU is left to shed.
+    /// This is a *governor* event, not a worker death — the shard continues
+    /// loss-lessly on the driver thread, exactly like [`Self::kill_gpu`].
+    pub fn shed_gpu(&mut self) -> Option<usize> {
+        let g = self.next_shed()?;
+        self.kill_gpu(g);
+        Some(g)
     }
 
     /// The sum of [`Self::resident_bytes`] after [`Self::shed_gpu`], worked
@@ -361,7 +232,7 @@ impl IndexerPool {
     /// GPU is left to shed or the shed would not lower the sum — the
     /// adopted shard pays the trie-root table the device never did.
     pub fn resident_after_shed(&self) -> Option<u64> {
-        let g = self.plan.shed_order(&self.gpu_alive).into_iter().next()?;
+        let g = self.next_shed()?;
         let (dict, postings, device) = self.resident_bytes();
         let (freed, charged) = (self.gpus[g].resident_bytes(), self.gpus[g].host_charge());
         (charged < freed).then(|| dict + postings + device - freed + charged)
@@ -430,14 +301,12 @@ impl IndexerPool {
     }
 
     /// Index one parsed batch: routes each trie group to its owner shard
-    /// (running wherever that shard is currently hosted) and advances the
-    /// global document-ID offset.
+    /// and advances the global document-ID offset.
     ///
-    /// Every shard's work runs under `catch_unwind`: a panic no longer
-    /// kills the build — the panicking shard's host executor is declared
-    /// dead, its shards are reassigned to survivors, and the batch
-    /// continues. The panics and the dead executors, each with its own
-    /// panic and reassignments, are reported in the returned
+    /// Every shard's work runs under `catch_unwind`, and a panic does not
+    /// kill the build: a CPU or adopted shard carries on where it ran, and
+    /// a live GPU's shard is salvaged as by [`Self::kill_gpu`]. The panics
+    /// and the GPUs they killed are reported in the returned
     /// [`BatchTiming`] (a mid-group panic may have lost that shard's partial
     /// work for this batch — the caller records it as a lossy incident).
     pub fn index_batch(&mut self, batch: &ParsedBatch) -> BatchTiming {
@@ -458,101 +327,55 @@ impl IndexerPool {
         }
 
         let batch_id = batch.file_idx as u32;
-        let mut timing = BatchTiming {
-            cpu_seconds: vec![0.0; self.cpus.len()],
-            ..BatchTiming::default()
-        };
+        let mut timing = BatchTiming::default();
         for (i, groups) in cpu_groups.iter().enumerate() {
+            let (shard, sink) = (&mut self.cpus[i], &self.cpu_sinks[i]);
             let t0 = Instant::now();
-            let outcome = {
-                let shard = &mut self.cpus[i];
-                let sink = &self.cpu_sinks[i];
-                catch_unwind(AssertUnwindSafe(|| {
-                    shard.index_groups(groups, offset, sink, batch_id)
-                }))
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            self.attribute(self.cpu_host[i], dt, &mut timing);
-            if let Err(payload) = outcome {
-                let on = self.cpu_host[i].executor();
-                self.contain(&mut timing, i as u32, on, payload.as_ref());
+            let outcome = contained(|| shard.index_groups(groups, offset, sink, batch_id));
+            timing.cpu_seconds.push(t0.elapsed().as_secs_f64());
+            if let Err(panic) = outcome {
+                timing.panics.push((i as u32, panic));
             }
         }
         for (g, groups) in gpu_groups.iter().enumerate() {
-            if self.gpu_alive[g] {
-                let outcome = {
-                    let gpu = &mut self.gpus[g];
-                    let sink = &self.gpu_sinks[g];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        gpu.index_batch_traced(groups, offset, sink, batch_id)
-                    }))
-                };
-                match outcome {
-                    Ok(report) => timing.gpu.push(report),
-                    Err(payload) => {
-                        // A mid-launch GPU panic leaves unknown device
-                        // progress: salvage what the device holds and
-                        // degrade the shard to the CPU path (lossy — the
-                        // caller flags it).
-                        let shard = (self.plan.n_cpu() + g) as u32;
-                        let on = Some(Executor::Gpu(g));
-                        self.contain(&mut timing, shard, on, payload.as_ref());
-                        timing.gpu.push(GpuBatchReport::default());
-                    }
-                }
-            } else {
-                let (host, outcome, dt) = {
-                    let (shard, host) =
-                        self.adopted[g].as_mut().expect("dead GPU has an adopted shard");
-                    let sink = &self.gpu_sinks[g];
+            let shard_id = (self.cpus.len() + g) as u32;
+            let sink = &self.gpu_sinks[g];
+            let outcome = match &mut self.adopted[g] {
+                Some(shard) => {
                     let t0 = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        shard.index_groups(groups, offset, sink, batch_id)
-                    }));
-                    (*host, outcome, t0.elapsed().as_secs_f64())
-                };
-                self.attribute(host, dt, &mut timing);
-                if let Err(payload) = outcome {
-                    let shard = (self.plan.n_cpu() + g) as u32;
-                    self.contain(&mut timing, shard, host.executor(), payload.as_ref());
+                    let outcome = contained(|| shard.index_groups(groups, offset, sink, batch_id));
+                    timing.fallback_seconds += t0.elapsed().as_secs_f64();
+                    outcome.map(|()| GpuBatchReport::default())
                 }
-                timing.gpu.push(GpuBatchReport::default());
+                None => {
+                    let gpu = &mut self.gpus[g];
+                    let outcome =
+                        contained(|| gpu.index_batch_traced(groups, offset, sink, batch_id));
+                    // A mid-launch GPU panic leaves unknown device progress:
+                    // salvage what the device holds and degrade the shard to
+                    // the CPU path.
+                    if let Err(panic) = &outcome {
+                        self.kill_gpu(g);
+                        timing.gpu_deaths.push((g, panic.clone()));
+                    }
+                    outcome
+                }
+            };
+            match outcome {
+                Ok(report) => timing.gpu.push(report),
+                Err(panic) => {
+                    timing.panics.push((shard_id, panic));
+                    timing.gpu.push(GpuBatchReport::default());
+                }
             }
         }
         timing
     }
 
-    /// Record `shard`'s panic and kill the executor it ran on, if any, with
-    /// that panic as its cause.
-    fn contain(
-        &mut self,
-        timing: &mut BatchTiming,
-        shard: u32,
-        on: Option<Executor>,
-        payload: &(dyn std::any::Any + Send),
-    ) {
-        let panic = panic_text(payload);
-        timing.panics.push((shard, panic.clone()));
-        let Some(executor) = on else { return };
-        let takeovers = match executor {
-            Executor::Cpu(h) => self.kill_cpu(h),
-            Executor::Gpu(g) => self.kill_gpu(g),
-        };
-        timing.deaths.push(ExecutorDeath { executor, panic, takeovers });
-    }
-
-    /// Credit `dt` seconds of shard work to its host executor.
-    fn attribute(&self, host: Host, dt: f64, timing: &mut BatchTiming) {
-        match host {
-            Host::Cpu(h) => timing.cpu_seconds[h] += dt,
-            Host::Driver => timing.fallback_seconds += dt,
-        }
-    }
-
     /// End a run: every shard flushes its postings into a run file, in
-    /// shard-id order regardless of which executor hosts it (dead GPUs'
-    /// shards flush from their adopted CPU continuation) — so the run-file
-    /// sequence is identical to a healthy build's.
+    /// shard-id order (dead GPUs' shards flush from their adopted CPU
+    /// continuation) — so the run-file sequence is identical to a healthy
+    /// build's.
     pub fn flush_run(&mut self) -> Vec<RunFile> {
         let run_id = self.next_run;
         self.next_run += 1;
@@ -563,14 +386,12 @@ impl IndexerPool {
             span.add_bytes(run.payload.len() as u64);
             out.push(run);
         }
-        let IndexerPool { gpus, gpu_alive, adopted, gpu_sinks, codec, .. } = self;
-        for (g, (gpu, sink)) in gpus.iter_mut().zip(gpu_sinks.iter()).enumerate() {
+        let IndexerPool { gpus, adopted, gpu_sinks, codec, .. } = self;
+        for ((gpu, adopted), sink) in gpus.iter_mut().zip(adopted).zip(gpu_sinks.iter()) {
             let mut span = sink.span(TraceKind::Flush);
-            let run = if gpu_alive[g] {
-                gpu.flush_run(run_id, *codec)
-            } else {
-                let (shard, _) = adopted[g].as_mut().expect("dead GPU has an adopted shard");
-                shard.flush_run(run_id, *codec)
+            let run = match adopted {
+                Some(shard) => shard.flush_run(run_id, *codec),
+                None => gpu.flush_run(run_id, *codec),
             };
             span.add_bytes(run.payload.len() as u64);
             out.push(run);
@@ -605,7 +426,7 @@ impl IndexerPool {
             self.cpus.iter().map(|c| Cow::Borrowed(&c.dict)).collect();
         for (gpu, adopted) in self.gpus.iter_mut().zip(&self.adopted) {
             parts.push(match adopted {
-                Some((shard, _)) => Cow::Borrowed(&shard.dict),
+                Some(shard) => Cow::Borrowed(&shard.dict),
                 None => Cow::Owned(gpu.into_partial_dictionary()),
             });
         }
@@ -619,7 +440,7 @@ impl IndexerPool {
         let mut parts: Vec<PartialDictionary> = self.cpus.into_iter().map(|c| c.dict).collect();
         for (mut gpu, adopted) in self.gpus.into_iter().zip(self.adopted) {
             parts.push(match adopted {
-                Some((shard, _)) => shard.dict,
+                Some(shard) => shard.dict,
                 None => gpu.into_partial_dictionary(),
             });
         }
@@ -855,11 +676,8 @@ mod tests {
                     runs.extend(p.flush_run()); // mid-build run boundary
                 }
                 if Some(i) == kill_after {
-                    let moves = p.kill_gpu(0);
-                    assert_eq!(moves.len(), 1);
-                    assert_eq!(moves[0].shard, 1);
-                    assert!(moves[0].gpu_takeover);
-                    assert_eq!(moves[0].host, Host::Cpu(0));
+                    assert!(p.kill_gpu(0), "the GPU dies once");
+                    assert!(!p.kill_gpu(0), "and only once");
                 }
             }
             runs.extend(p.flush_run());
@@ -878,119 +696,64 @@ mod tests {
         }
     }
 
-    /// CPU shards live in host memory, so rehosting them after an executor
-    /// death is state-free: output stays byte-identical and the work is
-    /// re-attributed to the surviving host.
-    #[test]
-    fn cpu_executor_death_rehosts_shard_byte_identically() {
-        let batches = [
-            parse(&["zebra quilt xylophone", "the banana zebra"], 0),
-            parse(&["quilt again and again"], 1),
-            parse(&["xylophone zebra 954 zebra"], 2),
-        ];
-        let build = |kill: bool| {
-            let mut p = pool(2, 1, &batches[0]);
-            p.index_batch(&batches[0]);
-            if kill {
-                let moves = p.kill_cpu(0);
-                assert_eq!(moves.len(), 1, "only shard 0 was hosted by executor 0");
-                assert_eq!(moves[0].shard, 0);
-                assert_eq!(moves[0].host, Host::Cpu(1));
-                assert!(!moves[0].gpu_takeover);
-            }
-            let t = p.index_batch(&batches[1]);
-            if kill {
-                assert_eq!(t.cpu_seconds[0], 0.0, "dead executor does no work");
-            }
-            p.index_batch(&batches[2]);
-            let runs: Vec<Vec<u8>> = p.flush_run().iter().map(|r| r.to_bytes()).collect();
-            let mut dict = Vec::new();
-            GlobalDictionary::combine(&p.finish()).write_to(&mut dict).unwrap();
-            (runs, dict)
-        };
-        assert_eq!(build(false), build(true));
-    }
-
-    /// With every CPU executor dead, shards degrade to the driver thread
-    /// (`Host::Driver`) and the build still completes identically.
-    #[test]
-    fn all_executors_dead_degrades_to_driver_host() {
-        let batches =
-            [parse(&["zebra quilt xylophone banana"], 0), parse(&["quilt zebra zebra"], 1)];
-        let build = |kill: bool| {
-            let mut p = pool(1, 1, &batches[0]);
-            p.index_batch(&batches[0]);
-            if kill {
-                let moves = p.kill_cpu(0);
-                assert_eq!(moves[0].host, Host::Driver);
-                let gpu_moves = p.kill_gpu(0);
-                assert_eq!(gpu_moves[0].host, Host::Driver, "no CPU survivor to adopt");
-            }
-            let t = p.index_batch(&batches[1]);
-            if kill {
-                assert!(t.fallback_seconds > 0.0, "work lands on the driver bucket");
-            }
-            let runs: Vec<Vec<u8>> = p.flush_run().iter().map(|r| r.to_bytes()).collect();
-            let mut dict = Vec::new();
-            GlobalDictionary::combine(&p.finish()).write_to(&mut dict).unwrap();
-            (runs, dict)
-        };
-        assert_eq!(build(false).0, build(true).0);
-        assert_eq!(build(false).1, build(true).1);
-    }
-
-    /// A panic inside a shard's indexing work is contained: the executor it
-    /// ran on dies with that panic as its cause, the survivors absorb its
-    /// shards, and the pool keeps accepting batches.
+    /// A panic inside a CPU shard is contained and recorded, one entry per
+    /// shard, and kills nobody: the shard stays on the driver thread, so
+    /// its next batch indexes there as before.
     #[test]
     fn shard_panic_is_contained_and_reassigned() {
-        let b0 = parse(&["zebra quilt xylophone", "banana zebra"], 0);
+        let b0 = parse(&["zebra quilt xylophone banana", "banana zebra"], 0);
+        let mut p = pool(2, 1, &b0);
+        p.index_batch(&b0);
+
         // Each group's first document claims one term byte more than its
         // group holds, so every CPU shard panics slicing its first group.
-        let mut poisoned = parse(&["quilt banana xylophone", "zebra"], 1);
+        let mut poisoned = parse(&["quilt banana xylophone", "zebra banana"], 1);
         for g in &mut poisoned.groups {
-            g.docs[0].byte_len = g.term_bytes.len() as u32 + 1;
+            if matches!(p.plan.owner(g.trie_index), Owner::Cpu(_)) {
+                g.docs[0].byte_len = g.term_bytes.len() as u32 + 1;
+            }
         }
-        // Per pool shape, each dead executor and where its shards went: with
-        // two CPUs the survivor of the first death dies next and both shards
-        // end on the driver; with one CPU its shard goes there at once.
-        let two_cpus = vec![
-            (Executor::Cpu(0), vec![Host::Cpu(1)]),
-            (Executor::Cpu(1), vec![Host::Driver; 2]),
-        ];
-        let shapes = [(2, 0, two_cpus), (1, 1, vec![(Executor::Cpu(0), vec![Host::Driver])])];
-        for (n_cpu, n_gpu, expected) in shapes {
-            let mut p = pool(n_cpu, n_gpu, &b0);
-            p.index_batch(&b0);
-            let t = p.index_batch(&poisoned);
-            assert_eq!(t.panics.len(), expected.len(), "cfg ({n_cpu},{n_gpu}): {:?}", t.panics);
-            assert_eq!(t.deaths.len(), expected.len());
-            for ((death, (shard, panic)), (executor, hosts)) in
-                t.deaths.iter().zip(&t.panics).zip(&expected)
-            {
-                assert_eq!(death.executor, *executor, "shard {shard}");
-                assert_eq!(&death.panic, panic, "each death carries its own panic");
-                assert!(panic.contains("out of range for slice of length"), "{panic}");
-                let moved: Vec<Host> = death.takeovers.iter().map(|t| t.host).collect();
-                assert_eq!(&moved, hosts, "{executor:?}");
-            }
-            if let [first, second] = &t.deaths[..] {
-                assert_ne!(first.panic, second.panic, "two shards, two messages");
-            }
-            // Killing is idempotent: a dead executor dies once.
-            for h in 0..n_cpu {
-                assert!(p.kill_cpu(h).is_empty(), "cfg ({n_cpu},{n_gpu}): cpu {h} idempotent");
-            }
-            if n_gpu == 1 {
-                let moved = p.kill_gpu(0);
-                assert_eq!(moved.len(), 1, "the GPU's shard rehosts once");
-                assert_eq!(moved[0].host, Host::Driver, "no CPU survives to take it");
-                assert!(p.kill_gpu(0).is_empty(), "gpu 0 idempotent");
-            }
-            let after = p.index_batch(&parse(&["quilt banana"], 2));
-            assert!(after.panics.is_empty() && after.deaths.is_empty());
-            assert_eq!(p.flush_run().len(), n_cpu + n_gpu);
+        let t = p.index_batch(&poisoned);
+        let shards: Vec<u32> = t.panics.iter().map(|(shard, _)| *shard).collect();
+        assert_eq!(shards, vec![0, 1], "one panic per CPU shard: {:?}", t.panics);
+        for (_, panic) in &t.panics {
+            assert!(panic.contains("out of range for slice of length"), "{panic}");
         }
+        assert!(t.gpu_deaths.is_empty(), "a CPU shard's panic kills nobody");
+
+        // The pool keeps going on the same shards.
+        let t = p.index_batch(&parse(&["zebra quilt xylophone banana"], 2));
+        assert!(t.panics.is_empty() && t.gpu_deaths.is_empty());
+        assert_eq!(t.cpu_seconds.len(), 2);
+        assert!(t.cpu_seconds.iter().all(|&s| s > 0.0), "{:?}", t.cpu_seconds);
+        assert_eq!(p.flush_run().len(), 3);
+    }
+
+    /// Every shard runs on the driver thread, so timing lands where the
+    /// shard runs: each CPU shard's in its own slot, and a salvaged GPU
+    /// shard's in `fallback_seconds`. With every GPU executor dead, the
+    /// driver hosts all of their shards and the build goes on.
+    #[test]
+    fn all_executors_dead_degrades_to_driver_host() {
+        let b0 = parse(&["zebra quilt xylophone banana", "banana zebra"], 0);
+        let mut p = pool(1, 2, &b0);
+        let t = p.index_batch(&b0);
+        assert_eq!(t.cpu_seconds.len(), 1);
+        assert!(t.cpu_seconds.iter().all(|&s| s > 0.0), "{:?}", t.cpu_seconds);
+        assert_eq!(t.fallback_seconds, 0.0, "nothing runs adopted while the GPUs live");
+
+        // Both GPUs die: their shards are adopted and their time is the driver's.
+        assert!(p.kill_gpu(0));
+        assert!(p.kill_gpu(1));
+        let t = p.index_batch(&parse(&["zebra quilt xylophone banana"], 1));
+        assert!(t.panics.is_empty() && t.gpu_deaths.is_empty());
+        assert_eq!(t.cpu_seconds.len(), 1);
+        assert!(t.cpu_seconds.iter().all(|&s| s > 0.0), "{:?}", t.cpu_seconds);
+        assert!(t.fallback_seconds > 0.0, "the adopted shards run on the driver");
+        for g in &t.gpu {
+            assert_eq!(g.device_seconds, 0.0, "a dead GPU models no device time");
+        }
+        assert_eq!(p.flush_run().len(), 3);
     }
 
     /// The governor's probe: postings bytes fall to zero at a flush, and a
@@ -1025,9 +788,7 @@ mod tests {
         let (freed, charged) = (p.gpus[0].resident_bytes(), p.gpus[0].host_charge());
         assert!(charged > freed);
         assert_eq!(p.resident_after_shed(), None, "a shed that would raise the charge");
-        let (shed_gpu, moves) = p.shed_gpu().expect("one GPU to shed");
-        assert_eq!(shed_gpu, 0);
-        assert!(moves[0].gpu_takeover);
+        assert_eq!(p.shed_gpu(), Some(0), "one GPU to shed");
         let (d3, po3, dev3) = p.resident_bytes();
         assert_eq!(dev3, 0, "no live GPU, no device bytes");
         assert!(d3 >= d2, "adopted shard's dictionary now counts on the CPU side");

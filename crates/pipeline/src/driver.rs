@@ -37,8 +37,8 @@ use ii_obs::{
 };
 use ii_dict::{GlobalDictionary, PartialDictionary};
 use ii_indexer::{
-    make_plan, sample_counts, BalancePlan, BatchTiming, Executor, GpuIndexerConfig, IndexerPool,
-    Takeover, WorkloadStats,
+    make_plan, sample_counts, BalancePlan, BatchTiming, GpuIndexerConfig, IndexerPool,
+    WorkloadStats,
 };
 use ii_postings::{parse_run_artifact_name, run_artifact_name, Codec, RunFile, RunSet};
 use ii_store::{
@@ -248,6 +248,23 @@ impl PipelineReport {
     /// Dictionary write seconds (Table VI), every generation's included.
     pub fn dict_write_seconds(&self) -> f64 {
         self.stage_seconds(&["dict_write"])
+    }
+
+    /// Why a strict build (`ii build --strict`) refuses this one, if it
+    /// does: a quarantined file, a worker death or a lossy incident means
+    /// the index was produced in a degraded mode. Healthy-run events — a
+    /// retried read, a file the consumer helped with — are not refused.
+    pub fn strict_refusal(&self) -> Option<String> {
+        let deaths = self.supervision.deaths.len();
+        let quarantined = self.faults.quarantined.len();
+        let lossy = self.supervision.lossy_incidents.len();
+        (deaths + quarantined + lossy > 0).then(|| {
+            format!(
+                "build degraded ({deaths} worker deaths, {quarantined} quarantined files, \
+                 {lossy} lossy incidents) — {}",
+                self.supervision.summary()
+            )
+        })
     }
 }
 
@@ -787,7 +804,7 @@ struct Build<'a> {
     /// records, since successive reads of the kernel's mark can fall.
     hwm_kb: i64,
     /// Each worker's heartbeat and `worker.*.idle_ms` gauge: parsers, CPU
-    /// executors, GPUs.
+    /// indexers, GPUs.
     beats: Vec<(Arc<Gauge>, Arc<Heartbeat>)>,
     /// The governor's effective budget, resident pools (dictionary,
     /// postings, device) and high-water, published per batch.
@@ -1071,9 +1088,9 @@ impl<'a> Build<'a> {
         self.collection.manifest.file_uncompressed_bytes.get(file_idx).copied().unwrap_or(0)
     }
 
-    /// Index one batch on the pool — after the chaos schedule's indexer
-    /// faults for this batch fired — then add the file's Fig 11 row and
-    /// record whom its panics killed.
+    /// Index one batch on the pool — after the chaos schedule's faults for
+    /// this batch fired — then add the file's Fig 11 row and record its
+    /// panics and the GPUs they killed.
     fn index(&mut self, batch: &ParsedBatch, queue_wait_seconds: f64) {
         self.doc_map.push_file(batch.file_idx as u32, batch.num_docs);
         let file_bytes = self.file_bytes(batch.file_idx);
@@ -1108,80 +1125,67 @@ impl<'a> Build<'a> {
         self.record_deaths(&timing);
     }
 
-    /// Fire the indexer kills, stalls and budget squeezes scheduled for this
-    /// batch, at the batch boundary — a clean point where every shard's
-    /// state is whole. A kill marks the executor dead and reassigns its
-    /// shards to the lightest survivors; a stall sleeps on the spot
-    /// (indexer executors run on the driver thread) and is a death only
-    /// when the silence would exceed the watchdog timeout; a squeeze only
-    /// ever shrinks the effective budget, so the ladder reacts on this very
-    /// batch.
+    /// Fire the GPU kills and stalls, the driver sleep and the budget
+    /// squeeze scheduled for this batch, at the batch boundary — a clean
+    /// point where every shard's state is whole. A GPU kill salvages its
+    /// shard onto the driver thread; a GPU stall sleeps on the spot (the
+    /// GPU is driven from this thread) and is a death only when the silence
+    /// would exceed the watchdog timeout; a driver sleep is a slow CPU
+    /// indexer and never a death; a squeeze only ever shrinks the effective
+    /// budget, so the ladder reacts on this very batch.
     fn inject_faults(&mut self) {
         let cfg = self.cfg;
         let ordinal = self.report.per_file.len();
-        for (class, count) in [
-            (WorkerClass::CpuIndexer, cfg.num_cpu_indexers),
-            (WorkerClass::GpuIndexer, cfg.num_gpus),
-        ] {
-            for idx in 0..count {
-                let cause = match cfg.worker_faults.fault_at(class, idx, ordinal) {
-                    None => continue,
-                    Some(WorkerFaultKind::Kill) => DeathCause::Injected,
-                    Some(WorkerFaultKind::Stall(d)) if d < cfg.supervision.stall_timeout => {
-                        // A hiccup the watchdog tolerates: the executor
-                        // pauses and resumes; nothing is reassigned.
-                        std::thread::sleep(d);
-                        continue;
-                    }
-                    Some(WorkerFaultKind::Stall(d)) => DeathCause::Stall(d),
-                };
-                let pool = self.pool.as_mut().expect(LIVE);
-                let takeovers = match class {
-                    WorkerClass::CpuIndexer => pool.kill_cpu(idx),
-                    WorkerClass::GpuIndexer => pool.kill_gpu(idx),
-                    WorkerClass::Parser => unreachable!("parser faults fire in the parser threads"),
-                };
-                self.declare_dead(WorkerDeath { class, index: idx, cause }, &takeovers);
-            }
+        std::thread::sleep(cfg.worker_faults.driver_sleep_at(ordinal));
+        let class = WorkerClass::GpuIndexer;
+        for g in 0..cfg.num_gpus {
+            let cause = match cfg.worker_faults.fault_at(class, g, ordinal) {
+                None => continue,
+                Some(WorkerFaultKind::Kill) => DeathCause::Injected,
+                Some(WorkerFaultKind::Stall(d)) if d < cfg.supervision.stall_timeout => {
+                    // A hiccup the watchdog tolerates: the GPU pauses and
+                    // resumes; nothing is salvaged.
+                    std::thread::sleep(d);
+                    continue;
+                }
+                Some(WorkerFaultKind::Stall(d)) => DeathCause::Stall(d),
+            };
+            let salvaged = self.pool.as_mut().expect(LIVE).kill_gpu(g);
+            self.declare_dead(WorkerDeath { class, index: g, cause }, salvaged);
         }
         if let Some(bytes) = cfg.worker_faults.squeeze_at(ordinal) {
             self.governor.squeeze_to(bytes);
         }
     }
 
-    /// Record a batch's panics and the executors the pool says they killed.
-    /// A genuine mid-batch panic is contained and the shard reassigned, but
-    /// the shard's partial work for this batch has unknown extent: each
-    /// panic is a lossy incident (the build completes without the
-    /// byte-identity guarantee), and each death carries its own panic. Any
-    /// death new this batch — an injected kill too — cuts a bundle now,
-    /// while the flight-recorder ring still holds the samples around it.
+    /// Record a batch's panics and the GPUs the pool says they killed. A
+    /// genuine mid-batch panic is contained, but the shard's partial work
+    /// for this batch has unknown extent: each panic is a lossy incident
+    /// (the build completes without the byte-identity guarantee), and each
+    /// GPU death carries its own panic. Any death new this batch — an
+    /// injected kill too — cuts a bundle now, while the flight-recorder
+    /// ring still holds the samples around it.
     fn record_deaths(&mut self, timing: &BatchTiming) {
         for (shard, msg) in &timing.panics {
             let incident = format!("shard {shard} panicked mid-batch: {msg}");
             self.report.supervision.lossy_incidents.push(incident);
         }
-        for death in &timing.deaths {
-            let (class, index) = match death.executor {
-                Executor::Cpu(i) => (WorkerClass::CpuIndexer, i),
-                Executor::Gpu(g) => (WorkerClass::GpuIndexer, g),
-            };
-            let cause = DeathCause::Panic(death.panic.clone());
-            self.declare_dead(WorkerDeath { class, index, cause }, &death.takeovers);
+        for (g, panic) in &timing.gpu_deaths {
+            let (class, cause) = (WorkerClass::GpuIndexer, DeathCause::Panic(panic.clone()));
+            self.declare_dead(WorkerDeath { class, index: *g, cause }, true);
         }
         self.bundle_deaths();
     }
 
-    /// Enter a worker's death, and the shards that moved off it, in the
-    /// supervision ledger. The first declaration of a death wins.
-    fn declare_dead(&mut self, death: WorkerDeath, takeovers: &[Takeover]) {
+    /// Enter a worker's death in the supervision ledger, with the GPU shard
+    /// `salvaged` off it, if one was. The first declaration of a death wins.
+    fn declare_dead(&mut self, death: WorkerDeath, salvaged: bool) {
         let ledger = &mut self.report.supervision;
         if ledger.deaths.iter().any(|d| (d.class, d.index) == (death.class, death.index)) {
             return;
         }
         ledger.deaths.push(death);
-        ledger.reassignments += takeovers.len() as u32;
-        ledger.gpu_takeovers += takeovers.iter().filter(|t| t.gpu_takeover).count() as u32;
+        ledger.reassignments += u32::from(salvaged);
     }
 
     /// Cut one `worker-death` bundle for the deaths not bundled yet.
@@ -1324,7 +1328,7 @@ impl<'a> Build<'a> {
     fn end_streaming(&mut self, parsing: ParserPool) -> Result<(), PipelineError> {
         let flushed = if self.batches_in_run > 0 { self.flush() } else { Ok(()) };
         for death in parsing.deaths() {
-            self.declare_dead(death.clone(), &[]);
+            self.declare_dead(death.clone(), false);
         }
         self.report.supervision.inline_parsed_files += parsing.inline_parsed_files();
         self.registry.counter("pipeline.helped_files").add(u64::from(parsing.helped_files()));
@@ -1434,7 +1438,6 @@ impl<'a> Build<'a> {
         let sup = &self.report.supervision;
         r.counter("supervisor.worker_deaths").add(sup.deaths.len() as u64);
         r.counter("supervisor.reassignments").add(u64::from(sup.reassignments));
-        r.counter("supervisor.gpu_takeovers").add(u64::from(sup.gpu_takeovers));
         r.counter("supervisor.inline_parsed_files").add(u64::from(sup.inline_parsed_files));
         r.counter("supervisor.commit_retries").add(u64::from(sup.commit_retries));
         r.counter("supervisor.lossy_incidents").add(sup.lossy_incidents.len() as u64);
@@ -1509,7 +1512,6 @@ fn build_inner(
 mod tests {
     use super::*;
     use ii_corpus::{CollectionSpec, FaultKind, FaultPlan};
-    use ii_indexer::{ExecutorDeath, Host};
     use ii_store::{CrashMode, CrashVfs};
     use std::path::{Path, PathBuf};
 
@@ -1817,17 +1819,17 @@ mod tests {
         let baseline = build_index(&coll, &cfg).expect("healthy build");
         assert!(baseline.report.supervision.is_clean());
 
-        // Kill the GPU indexer after the second batch: its shards must be
-        // salvaged onto the CPU path and the final index must not differ
-        // from the healthy build by a single byte.
+        // Kill the GPU indexer after the second batch: its shard must be
+        // salvaged onto the driver thread and the final index must not
+        // differ from the healthy build by a single byte.
         let mut chaos = cfg.clone();
         chaos.worker_faults = WorkerFaultPlan::none().kill(WorkerClass::GpuIndexer, 0, 2);
         let out = build_index(&coll, &chaos).expect("GPU death must degrade, not abort");
         assert_eq!(index_fingerprint(&out), index_fingerprint(&baseline));
         let sup = &out.report.supervision;
         assert_eq!(sup.deaths_of(WorkerClass::GpuIndexer), 1, "{}", sup.summary());
-        assert!(sup.gpu_takeovers >= 1, "{}", sup.summary());
-        assert!(sup.reassignments >= sup.gpu_takeovers);
+        assert_eq!(sup.reassignments, 1, "{}", sup.summary());
+        assert!(sup.fallback_seconds > 0.0, "the adopted shard runs on the driver");
         assert!(sup.lossy_incidents.is_empty(), "clean-boundary kill is lossless");
         assert!(!sup.is_clean());
         std::fs::remove_dir_all(dir).unwrap();
@@ -1842,23 +1844,23 @@ mod tests {
         let cfg = PipelineConfig::small(2, 2, 1);
         let baseline = build_index(&coll, &cfg).expect("healthy build");
 
-        // One CPU indexer killed mid-run (shards rehosted to the
-        // survivor), the parser thread claiming file 3 killed (that file
-        // re-ingested inline on the driver), the one claiming file 6
-        // stalled past the watchdog timeout (same recovery path as a kill).
+        // The GPU killed mid-run (its shard salvaged onto the driver), the
+        // parser thread claiming file 3 killed (that file re-ingested
+        // inline on the driver), the one claiming file 6 stalled past the
+        // watchdog timeout (same recovery path as a kill).
         let mut chaos = cfg.clone();
         chaos.supervision = SupervisorPolicy::default()
             .with_stall_timeout(std::time::Duration::from_millis(200));
         chaos.worker_faults = WorkerFaultPlan::none()
-            .kill(WorkerClass::CpuIndexer, 0, 3)
+            .kill(WorkerClass::GpuIndexer, 0, 3)
             .kill(WorkerClass::Parser, 1, 3)
             .stall(WorkerClass::Parser, 0, 6, std::time::Duration::from_secs(1));
         let out = build_index(&coll, &chaos).expect("multi-class chaos must degrade");
         assert_eq!(index_fingerprint(&out), index_fingerprint(&baseline));
         let sup = &out.report.supervision;
-        assert_eq!(sup.deaths_of(WorkerClass::CpuIndexer), 1, "{}", sup.summary());
+        assert_eq!(sup.deaths_of(WorkerClass::GpuIndexer), 1, "{}", sup.summary());
         assert_eq!(sup.deaths_of(WorkerClass::Parser), 2, "{}", sup.summary());
-        assert!(sup.reassignments >= 1, "{}", sup.summary());
+        assert_eq!(sup.reassignments, 1, "{}", sup.summary());
         assert!(sup.inline_parsed_files >= 1, "{}", sup.summary());
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -2088,11 +2090,11 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// The driver's in-batch death path, on a batch report with one CPU and
-    /// one GPU executor dead: each is declared with its own panic, each
-    /// panic is a lossy incident, the reassignments are counted, one bundle
-    /// is cut, and a second report of the same executors declares nothing
-    /// twice.
+    /// The driver's in-batch death path, on a batch report where a CPU
+    /// shard and the GPU panicked: each panic is a lossy incident, only the
+    /// GPU dies — with its own panic, and its shard's salvage counted — one
+    /// bundle is cut, and a second report of the same GPU death declares
+    /// nothing twice.
     #[test]
     fn batch_deaths_are_declared_once_with_their_own_panics() {
         let mut spec = CollectionSpec::tiny(59);
@@ -2101,42 +2103,39 @@ mod tests {
         let mut cfg = PipelineConfig::small(1, 1, 1);
         cfg.telemetry.postmortem_dir = Some(dir.join(POSTMORTEM_DIR));
         let mut build = Build::start(&coll, &cfg, None).expect("start");
-        let moved = |shard, gpu_takeover| Takeover { shard, host: Host::Driver, gpu_takeover };
-        let death = |executor, panic: &str, takeovers| ExecutorDeath {
-            executor,
-            panic: panic.to_string(),
-            takeovers,
-        };
         let timing = BatchTiming {
             panics: vec![(0, "cpu shard bad".into()), (1, "gpu shard bad".into())],
-            deaths: vec![
-                death(Executor::Cpu(0), "cpu shard bad", vec![moved(0, false)]),
-                death(Executor::Gpu(0), "gpu shard bad", vec![moved(1, true)]),
-            ],
+            gpu_deaths: vec![(0, "gpu shard bad".into())],
             ..BatchTiming::default()
         };
         build.record_deaths(&timing);
         let sup = &build.report.supervision;
         let deaths: Vec<_> = sup.deaths.iter().map(|d| d.to_string()).collect();
-        assert_eq!(
-            deaths,
-            [
-                "cpu-indexer 0 died (panic: cpu shard bad)",
-                "gpu-indexer 0 died (panic: gpu shard bad)"
-            ]
-        );
+        assert_eq!(deaths, ["gpu-indexer 0 died (panic: gpu shard bad)"]);
         assert_eq!(sup.lossy_incidents.len(), 2, "one lossy incident per panic");
-        assert_eq!((sup.reassignments, sup.gpu_takeovers), (2, 1));
-        assert!(sup.summary().contains("2 worker deaths (0 parser, 1 cpu, 1 gpu)"));
+        assert_eq!(sup.reassignments, 1);
+        assert!(sup.summary().contains("1 worker deaths (0 parser, 1 gpu)"), "{}", sup.summary());
         let bundles = build.postmortem.paths();
         assert!(bundles.len() == 1 && bundles[0].ends_with("bundle_000_worker-death.json"));
 
         build.record_deaths(&timing);
         let sup = &build.report.supervision;
-        assert_eq!(sup.deaths.len(), 2, "the first declaration of a death wins");
-        assert_eq!((sup.reassignments, sup.gpu_takeovers), (2, 1));
+        assert_eq!(sup.deaths.len(), 1, "the first declaration of a death wins");
+        assert_eq!(sup.reassignments, 1);
         assert_eq!(build.postmortem.paths().len(), 1, "no new death, no bundle");
         drop(build);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A CPU shard's panic leaves a lossy incident and no death: a strict
+    /// build refuses it all the same, since the index lost byte identity.
+    #[test]
+    fn strict_refuses_a_lone_lossy_incident() {
+        let mut report = PipelineReport::default();
+        assert_eq!(report.strict_refusal(), None, "a healthy build passes");
+        report.supervision.lossy_incidents.push("shard 0 panicked mid-batch: bad".into());
+        let refusal = report.strict_refusal().expect("a lossy build is refused");
+        assert!(refusal.contains("0 worker deaths, 0 quarantined files, 1 lossy incidents"));
+        assert!(refusal.contains("1 LOSSY"), "{refusal}");
     }
 }

@@ -164,13 +164,13 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which worker class a seeded worker fault targets.
+/// Which worker class a seeded worker fault targets: the two kinds of
+/// worker that have state of their own to lose. CPU indexer shards run on
+/// the driver thread and have none (see [`WorkerFaultPlan::sleep_driver`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorkerClass {
     /// A parser thread.
     Parser,
-    /// A CPU indexer executor.
-    CpuIndexer,
     /// A GPU indexer.
     GpuIndexer,
 }
@@ -179,7 +179,6 @@ impl std::fmt::Display for WorkerClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkerClass::Parser => write!(f, "parser"),
-            WorkerClass::CpuIndexer => write!(f, "cpu-indexer"),
             WorkerClass::GpuIndexer => write!(f, "gpu-indexer"),
         }
     }
@@ -188,7 +187,8 @@ impl std::fmt::Display for WorkerClass {
 /// What an injected worker fault does at its trigger point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFaultKind {
-    /// The worker dies on the spot (thread exits / executor marked dead).
+    /// The worker dies on the spot (the parser thread exits / the GPU's
+    /// shard is salvaged).
     Kill,
     /// The worker goes silent for the given duration without making
     /// progress — long enough and the watchdog declares it dead.
@@ -197,7 +197,7 @@ pub enum WorkerFaultKind {
 
 /// One scheduled worker fault: `class`/`index` pick the worker, `at` the
 /// progress point where it fires — the *batch ordinal* (0-based count of
-/// batches consumed) an indexer is about to process, or the *file index* a
+/// batches consumed) a GPU is about to process, or the *file index* a
 /// parser has just claimed. Parsers own no files, so a parser fault is
 /// keyed by file alone: it fires on whichever parser thread claims file
 /// `at`, and its `index` is ignored. Faults fire at these clean boundaries
@@ -209,7 +209,7 @@ pub struct WorkerFault {
     pub class: WorkerClass,
     /// Worker index within its class (ignored for parsers).
     pub index: usize,
-    /// File index (parsers) or batch ordinal (indexers) at which to fire.
+    /// File index (parsers) or batch ordinal (GPUs) at which to fire.
     pub at: usize,
     /// Kill or stall.
     pub kind: WorkerFaultKind,
@@ -231,8 +231,8 @@ pub struct BudgetSqueeze {
 }
 
 /// A seeded schedule of worker kills and stalls (the chaos harness for
-/// the failure-domain supervisor), plus allocation-pressure squeezes for
-/// the memory governor. Deliberately *excluded* from the checkpoint
+/// the failure-domain supervisor), driver sleeps, and allocation-pressure
+/// squeezes for the memory governor. Deliberately *excluded* from the checkpoint
 /// config fingerprint, like the rest of the fault policy: the schedule
 /// changes how the build executes, never what it produces.
 #[derive(Clone, Debug, Default)]
@@ -241,6 +241,8 @@ pub struct WorkerFaultPlan {
     pub faults: Vec<WorkerFault>,
     /// Scheduled budget squeezes, in no particular order.
     pub squeezes: Vec<BudgetSqueeze>,
+    /// Scheduled driver sleeps: `(batch ordinal, how long)`.
+    pub sleeps: Vec<(usize, Duration)>,
 }
 
 impl WorkerFaultPlan {
@@ -249,9 +251,9 @@ impl WorkerFaultPlan {
         WorkerFaultPlan::default()
     }
 
-    /// True when the schedule holds no faults and no squeezes.
+    /// True when the schedule holds no faults, squeezes or sleeps.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.squeezes.is_empty()
+        self.faults.is_empty() && self.squeezes.is_empty() && self.sleeps.is_empty()
     }
 
     /// Add a kill of `class` worker `index` at progress point `at`. For a
@@ -270,7 +272,7 @@ impl WorkerFaultPlan {
         self
     }
 
-    /// The indexer fault scheduled for (`class`, `index`, `at`), if any.
+    /// The GPU fault scheduled for (`class`, `index`, `at`), if any.
     pub fn fault_at(&self, class: WorkerClass, index: usize, at: usize) -> Option<WorkerFaultKind> {
         self.faults
             .iter()
@@ -284,6 +286,20 @@ impl WorkerFaultPlan {
             .iter()
             .find(|f| f.class == WorkerClass::Parser && f.at == at)
             .map(|f| f.kind)
+    }
+
+    /// Put the driver thread to sleep for `d` before it indexes batch
+    /// ordinal `at`: every CPU indexer shard runs there, so this is a slow
+    /// indexer. Never a death, whatever `d` is.
+    pub fn sleep_driver(mut self, at: usize, d: Duration) -> Self {
+        self.sleeps.push((at, d));
+        self
+    }
+
+    /// How long the driver sleeps before batch ordinal `at` (all sleeps
+    /// scheduled there, added up).
+    pub fn driver_sleep_at(&self, at: usize) -> Duration {
+        self.sleeps.iter().filter(|&&(when, _)| when == at).map(|&(_, d)| d).sum()
     }
 
     /// Add a budget squeeze at batch ordinal `at`.
@@ -326,12 +342,11 @@ impl WorkerFaultPlan {
 
     /// Deterministic seeded schedule over a worker topology: up to
     /// `max_faults` kills/stalls spread over parsers (file boundaries in
-    /// `0..num_files`) and indexers (batch ordinals in `0..num_files`).
+    /// `0..num_files`) and GPUs (batch ordinals in `0..num_files`).
     /// The same seed always yields the same schedule.
     pub fn seeded(
         seed: u64,
         num_parsers: usize,
-        n_cpu: usize,
         n_gpu: usize,
         num_files: usize,
         max_faults: usize,
@@ -345,7 +360,6 @@ impl WorkerFaultPlan {
             let r = splitmix64(seed ^ (k as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F));
             let classes: Vec<WorkerClass> = [
                 (num_parsers > 0).then_some(WorkerClass::Parser),
-                (n_cpu > 0).then_some(WorkerClass::CpuIndexer),
                 (n_gpu > 0).then_some(WorkerClass::GpuIndexer),
             ]
             .into_iter()
@@ -357,7 +371,6 @@ impl WorkerFaultPlan {
             let class = classes[(r as usize) % classes.len()];
             let index = match class {
                 WorkerClass::Parser => (r >> 8) as usize % num_parsers,
-                WorkerClass::CpuIndexer => (r >> 8) as usize % n_cpu,
                 WorkerClass::GpuIndexer => (r >> 8) as usize % n_gpu,
             };
             let at = (r >> 24) as usize % num_files;
@@ -548,15 +561,20 @@ mod tests {
         );
         assert_eq!(plan.parser_fault_at(3), None, "file 3 holds the GPU's kill");
         // Seeded generation is deterministic and respects the topology.
-        let a = WorkerFaultPlan::seeded(99, 2, 1, 1, 10, 3);
-        let b = WorkerFaultPlan::seeded(99, 2, 1, 1, 10, 3);
+        let a = WorkerFaultPlan::seeded(99, 2, 1, 10, 3);
+        let b = WorkerFaultPlan::seeded(99, 2, 1, 10, 3);
         assert_eq!(a.faults.len(), b.faults.len());
         for (x, y) in a.faults.iter().zip(&b.faults) {
             assert_eq!((x.class, x.index, x.at, x.kind), (y.class, y.index, y.at, y.kind));
         }
-        let no_gpus = WorkerFaultPlan::seeded(7, 2, 2, 0, 10, 8);
+        let no_gpus = WorkerFaultPlan::seeded(7, 2, 0, 10, 8);
         assert!(no_gpus.faults.iter().all(|f| f.class != WorkerClass::GpuIndexer));
-        assert!(WorkerFaultPlan::seeded(1, 2, 1, 1, 0, 3).is_empty(), "no files, no faults");
+        assert!(WorkerFaultPlan::seeded(1, 2, 1, 0, 3).is_empty(), "no files, no faults");
+        // A driver sleep is a fault-plan entry of its own, keyed by batch.
+        let nap = WorkerFaultPlan::none().sleep_driver(2, Duration::from_millis(5));
+        assert!(!nap.is_empty(), "a sleep-only plan is not empty");
+        assert_eq!(nap.driver_sleep_at(2), Duration::from_millis(5));
+        assert_eq!(nap.driver_sleep_at(3), Duration::ZERO);
     }
 
     #[test]

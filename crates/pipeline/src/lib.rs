@@ -17,11 +17,11 @@
 //! from its last committed checkpoint.
 //!
 //! And it survives its own workers: per-worker heartbeats fed from trace
-//! spans let the consumer declare stalled or disconnected parsers dead, the
-//! indexer pool reports the executors a panic killed, their trie-partition
-//! shards are reassigned to survivors (GPU shards degrade gracefully to the
-//! CPU path, byte-identically), and the [`SupervisionReport`] in every
-//! build report says exactly what degraded.
+//! spans let the consumer declare stalled or disconnected parsers dead and
+//! re-ingest their files on the driver, a dead GPU's shard degrades to the
+//! CPU path on the driver thread byte-identically, a panic inside a shard
+//! is contained, and the [`SupervisionReport`] in every build report says
+//! exactly what degraded.
 //!
 //! Finally, it runs to a hard memory budget: a [`MemoryGovernor`] accounts
 //! live bytes across every stage against `--mem-budget` and degrades

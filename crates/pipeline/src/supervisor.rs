@@ -1,18 +1,19 @@
 //! Supervision's vocabulary: why a worker died, the stall-timeout policy,
 //! and the degradation ledger.
 //!
-//! Every pipeline worker — parser threads, CPU indexer executors, GPU
-//! indexers — has a liveness beacon ([`ii_obs::Heartbeat`]) that the driver
-//! creates and the worker's existing trace spans bump, so liveness needs no
-//! new instrumentation. A worker is declared dead when it panics,
-//! disconnects, or stays silent past the configured stall timeout: the
-//! consumer watches the parsers, and the indexer pool reports the
-//! executors it killed inside a batch. The dead worker's trie-partition
-//! shards are reassigned to survivors ([`ii_indexer::IndexerPool::kill_cpu`]
-//! / [`ii_indexer::IndexerPool::kill_gpu`]; a dead parser's claimed file is
-//! re-ingested inline on the driver), and the build continues. Everything
-//! that happened is recorded in the driver's [`SupervisionReport`], which
-//! the operator sees in the build report and `ii build --stats`.
+//! Two kinds of worker can die: parser threads, which are real threads, and
+//! GPU indexers, whose device state is real. Everything else — every CPU
+//! indexer shard, and the shard of a dead GPU — runs on the driver thread.
+//! Every worker has a liveness beacon ([`ii_obs::Heartbeat`]) that the
+//! driver creates and the worker's existing trace spans bump, so liveness
+//! needs no new instrumentation. A parser is declared dead when it panics,
+//! disconnects, or stays silent past the configured stall timeout, and the
+//! file it claimed is re-ingested inline on the driver; a GPU dies when its
+//! shard panics or a seeded kill fires, and its shard is salvaged onto the
+//! driver ([`ii_indexer::IndexerPool::kill_gpu`]). A panic inside a CPU
+//! shard kills nobody: it is a lossy incident. Everything that happened is
+//! recorded in the driver's [`SupervisionReport`], which the operator sees
+//! in the build report and `ii build --stats`.
 
 use crate::fault::WorkerClass;
 use std::time::Duration;
@@ -97,21 +98,20 @@ impl SupervisorPolicy {
 pub struct SupervisionReport {
     /// Workers declared dead, in declaration order.
     pub deaths: Vec<WorkerDeath>,
-    /// Shard reassignments performed (a death may move several shards).
+    /// Shards salvaged off dead GPUs onto the driver thread: one per GPU
+    /// death.
     pub reassignments: u32,
-    /// Shards salvaged off dead GPUs onto the CPU path.
-    pub gpu_takeovers: u32,
     /// Files the driver ingested inline for a dead claimer, or with no
     /// parser left.
     pub inline_parsed_files: u32,
-    /// Wall seconds of shard work hosted on the driver thread because no
-    /// CPU executor survived.
+    /// Wall seconds the adopted shards of dead GPUs spent indexing on the
+    /// driver thread.
     pub fallback_seconds: f64,
     /// Commit retries — a checkpoint's or the final one's — after
     /// retriable storage errors (disk full).
     pub commit_retries: u32,
-    /// Incidents where exact work could not be preserved (a genuine
-    /// mid-batch panic with unknown progress). A build with lossy
+    /// Incidents where exact work could not be preserved: a shard that
+    /// panicked mid-batch, with unknown progress. A build with lossy
     /// incidents completed, but without the byte-identity guarantee.
     pub lossy_incidents: Vec<String>,
 }
@@ -138,14 +138,12 @@ impl SupervisionReport {
             "all workers healthy".to_string()
         } else {
             let mut s = format!(
-                "{} worker deaths ({} parser, {} cpu, {} gpu), {} shards reassigned, \
-                 {} gpu→cpu takeovers, {} files re-parsed inline, {} commit retries",
+                "{} worker deaths ({} parser, {} gpu), {} shards reassigned, \
+                 {} files re-parsed inline, {} commit retries",
                 self.deaths.len(),
                 self.deaths_of(WorkerClass::Parser),
-                self.deaths_of(WorkerClass::CpuIndexer),
                 self.deaths_of(WorkerClass::GpuIndexer),
                 self.reassignments,
-                self.gpu_takeovers,
                 self.inline_parsed_files,
                 self.commit_retries,
             );

@@ -125,7 +125,6 @@ struct EventSection {
     batch_ordinal: usize,
     deaths: Vec<DeathEntry>,
     reassignments: u32,
-    gpu_takeovers: u32,
     inline_parsed_files: u32,
     commit_retries: u32,
     lossy_incidents: Vec<String>,
@@ -161,7 +160,6 @@ impl EventSection {
                 })
                 .collect(),
             reassignments: s.reassignments,
-            gpu_takeovers: s.gpu_takeovers,
             inline_parsed_files: s.inline_parsed_files,
             commit_retries: s.commit_retries,
             lossy_incidents: s.lossy_incidents.clone(),
@@ -363,9 +361,8 @@ pub fn render_bundle_report(text: &str) -> Result<String, String> {
         }
     }
     o.push_str(&format!(
-        "reassignments: {} (gpu takeovers: {}), inline parsed files: {}, commit retries: {}\n",
+        "reassignments: {}, inline parsed files: {}, commit retries: {}\n",
         nv("reassignments"),
-        nv("gpu_takeovers"),
         nv("inline_parsed_files"),
         nv("commit_retries")
     ));
@@ -413,8 +410,7 @@ mod tests {
                 index: 0,
                 cause: DeathCause::Injected,
             }],
-            reassignments: 2,
-            gpu_takeovers: 2,
+            reassignments: 1,
             inline_parsed_files: 0,
             fallback_seconds: 0.0,
             commit_retries: 0,
@@ -446,10 +442,25 @@ mod tests {
         assert!(report.contains("cause: gpu-indexer 0 died (injected kill)"), "{report}");
         assert!(report.contains("- gpu-indexer 0 died (injected kill)"), "{report}");
         assert!(report.contains("batch ordinal: 3"), "{report}");
-        assert!(report.contains("reassignments: 2 (gpu takeovers: 2)"), "{report}");
+        assert!(report.contains("reassignments: 1, inline parsed files: 0"), "{report}");
         assert!(report.contains("Δ pipeline.docs"), "{report}");
         // The event section precedes the telemetry section.
         assert!(bundle.find("\"event\"").unwrap() < bundle.find("\"telemetry\"").unwrap());
+    }
+
+    /// Bundles written before every reassignment was a GPU salvage carry a
+    /// `gpu_takeovers` count as well: they still render, the count unread.
+    #[test]
+    fn an_older_bundle_with_gpu_takeovers_still_renders() {
+        let old = r#"{"schema_version": 1, "event": {"trigger": "worker-death",
+            "detail": "cpu-indexer 0 died (injected kill)", "batch_ordinal": 2,
+            "deaths": [{"class": "cpu-indexer", "index": 0, "cause": "injected kill"}],
+            "reassignments": 1, "gpu_takeovers": 0, "inline_parsed_files": 0,
+            "commit_retries": 0, "lossy_incidents": [], "quarantined_files": []},
+            "telemetry": {"flight_recorder": null, "snapshot": null, "trace_tail": null}}"#;
+        let report = render_bundle_report(old).expect("an older bundle renders");
+        assert!(report.contains("- cpu-indexer 0 died (injected kill)"), "{report}");
+        assert!(report.contains("reassignments: 1, inline parsed files: 0"), "{report}");
     }
 
     #[test]

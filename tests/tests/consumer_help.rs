@@ -50,17 +50,12 @@ fn stored(tag: &str) -> (Arc<StoredCollection>, PathBuf) {
     (Arc::new(StoredCollection::generate(spec, &dir).unwrap()), dir)
 }
 
-/// A build whose consumer is never idle: the one CPU indexer naps on every
-/// batch, so the parsers stay ahead and the queue is never empty once the
-/// first batch is in.
+/// A build whose consumer is never idle: the driver, which runs the CPU
+/// indexer, naps before every batch, so the parsers stay ahead and the
+/// queue is never empty once the first batch is in.
 fn unhelped(mut cfg: PipelineConfig) -> PipelineConfig {
     for batch in 0..FILES {
-        cfg.worker_faults = cfg.worker_faults.stall(
-            WorkerClass::CpuIndexer,
-            0,
-            batch,
-            Duration::from_millis(5),
-        );
+        cfg.worker_faults = cfg.worker_faults.sleep_driver(batch, Duration::from_millis(5));
     }
     cfg
 }

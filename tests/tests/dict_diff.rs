@@ -390,11 +390,7 @@ fn congress_matrix_byte_identity() {
     // the kill matrix below must reproduce the baseline mix exactly.
     assert!(!cpu_only.dict_bytes.is_empty());
 
-    for (class, idx) in [
-        (WorkerClass::Parser, 0usize),
-        (WorkerClass::CpuIndexer, 1),
-        (WorkerClass::GpuIndexer, 0),
-    ] {
+    for (class, idx) in [(WorkerClass::Parser, 0usize), (WorkerClass::GpuIndexer, 0)] {
         let mut c = PipelineConfig::small(2, 2, 1);
         c.supervision =
             SupervisorPolicy::default().with_stall_timeout(Duration::from_millis(300));
