@@ -46,10 +46,12 @@ pub(crate) struct QueryObs {
 }
 
 impl Index {
-    /// Wrap a pipeline output. Every run set is told to remember which runs
-    /// hold each handle (handles are dense below the term count).
+    /// Wrap a pipeline output. Every run set of more than one run is told
+    /// to remember which runs hold each handle (handles are dense below the
+    /// term count), as `Index::open` does.
     pub fn from_output(mut out: IndexOutput) -> Index {
-        out.run_sets.values_mut().for_each(|set| set.track_holders(out.dictionary.len()));
+        let multi_run = out.run_sets.values_mut().filter(|set| set.runs().len() > 1);
+        multi_run.for_each(|set| set.track_holders(out.dictionary.len()));
         Self::assemble(out.dictionary, out.run_sets, out.doc_map, out.report)
     }
 

@@ -202,25 +202,28 @@ pub struct GlobalDictionary {
     arena: Vec<u8>,
 }
 
-const DICT_MAGIC: &[u8; 4] = b"IIDP";
-/// Magic, term count, arena length, the count, owner and handle widths in
-/// bits, one reserved zero byte.
-const DICT_HEADER_BYTES: usize = 16;
+const DICT_MAGIC: &[u8; 4] = b"IIDF";
+/// Magic, term count, suffix bytes, rest bytes, escape bytes, the count,
+/// owner and handle widths in bits, one reserved zero byte.
+const DICT_HEADER_BYTES: usize = 24;
 /// Longest suffix a dictionary holds: terms are at most 255 bytes
-/// (`ii_text::MAX_TERM_BYTES`), so a suffix's length is one byte.
+/// (`ii_text::MAX_TERM_BYTES`).
 const MAX_SUFFIX_BYTES: usize = 255;
+/// A length nibble of this value escapes: the length is this plus the
+/// byte that follows.
+const ESCAPE: usize = 15;
 
 /// Byte lengths of the sections after a dictionary file's header, in file
 /// order: per-collection term counts and owners, each packed at its width;
-/// a length byte per suffix; the postings handles, packed at theirs; the
-/// suffix arena.
-fn section_lens(n: usize, arena_len: usize, [count_w, owner_w, handle_w]: [u32; 3]) -> [usize; 5] {
+/// a length byte per suffix and its escape bytes; the postings handles,
+/// packed at theirs; the rest bytes.
+fn section_lens(n: usize, escapes: usize, rest: usize, [count_w, owner_w, handle_w]: [u32; 3]) -> [usize; 5] {
     [
         packed_len(TRIE_ENTRIES, count_w),
         packed_len(TRIE_ENTRIES, owner_w),
-        n,
+        n + escapes,
         packed_len(n, handle_w),
-        arena_len,
+        rest,
     ]
 }
 
@@ -229,85 +232,186 @@ fn width_of(vals: &[u32]) -> u32 {
     bits_needed(vals.iter().copied().max().unwrap_or(0))
 }
 
+/// Front coding: each suffix of a collection as the bytes it shares with
+/// the suffix before it and the rest. The first suffix of a collection
+/// shares nothing.
+struct FrontCoder {
+    /// Collection of the previous suffix.
+    trie: Option<u32>,
+    /// The previous suffix and the next one, each with the slack a word
+    /// read past its last byte needs.
+    bufs: [[u8; MAX_SUFFIX_BYTES + 8]; 2],
+    lens: [usize; 2],
+    /// Which of `bufs` holds the previous suffix.
+    prev: usize,
+}
+
+impl FrontCoder {
+    fn new() -> FrontCoder {
+        FrontCoder { trie: None, bufs: [[0; MAX_SUFFIX_BYTES + 8]; 2], lens: [0; 2], prev: 0 }
+    }
+
+    /// The next suffix, `suffix` in pieces, of collection `ti`: its length
+    /// and how many of its bytes it shares with the previous one, compared
+    /// eight at a time. It is remembered as the previous one.
+    #[inline]
+    fn next(&mut self, ti: u32, suffix: &[&[u8]]) -> (usize, usize) {
+        let (prev, cur) = (self.prev, 1 - self.prev);
+        let mut len = 0;
+        for piece in suffix {
+            assert!(len + piece.len() <= MAX_SUFFIX_BYTES, "term longer than 255 bytes");
+            self.bufs[cur][len..len + piece.len()].copy_from_slice(piece);
+            len += piece.len();
+        }
+        let limit = if self.trie == Some(ti) { len.min(self.lens[prev]) } else { 0 };
+        let mut shared = 0;
+        while shared < limit {
+            let word = |buf: &[u8]| u64::from_le_bytes(buf[shared..shared + 8].try_into().unwrap());
+            let differ = word(&self.bufs[prev]) ^ word(&self.bufs[cur]);
+            if differ != 0 {
+                shared += differ.trailing_zeros() as usize / 8;
+                break;
+            }
+            shared += 8;
+        }
+        (self.trie, self.lens[cur], self.prev) = (Some(ti), len, cur);
+        (len, shared.min(limit))
+    }
+}
+
+/// What a dictionary file's header and sizes are made of, counted over its
+/// terms in `(trie_index, suffix)` order, and each term's shared length.
+struct Tally {
+    counts: Vec<u32>,
+    owners: Vec<u32>,
+    /// Per term, the bytes its suffix shares with the one before it.
+    shared: Vec<u8>,
+    suffix_bytes: usize,
+    rest_bytes: usize,
+    escapes: usize,
+    max_handle: u32,
+    coder: FrontCoder,
+}
+
+impl Tally {
+    /// A tally of no terms yet, the collections owned by `owners`.
+    fn new(owners: Vec<u32>) -> Tally {
+        Tally {
+            counts: vec![0; TRIE_ENTRIES],
+            owners,
+            shared: Vec::new(),
+            suffix_bytes: 0,
+            rest_bytes: 0,
+            escapes: 0,
+            max_handle: 0,
+            coder: FrontCoder::new(),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, ti: u32, suffix: &[&[u8]], owner: u32, handle: u32) {
+        let (len, shared) = self.coder.next(ti, suffix);
+        let rest = len - shared;
+        self.counts[ti as usize] += 1;
+        self.owners[ti as usize] = owner;
+        self.shared.push(shared as u8);
+        self.suffix_bytes += len;
+        self.rest_bytes += rest;
+        self.escapes += usize::from(shared >= ESCAPE) + usize::from(rest >= ESCAPE);
+        self.max_handle = self.max_handle.max(handle);
+    }
+}
+
 /// Write one dictionary file into `out` (cleared first) — the one writer
 /// behind [`GlobalDictionary::write_to`] and
-/// [`GlobalDictionary::write_combined`]: `counts` terms in each collection,
-/// owned by `owners`, `arena_len` suffix bytes and handles up to
-/// `max_handle`; `terms` hands every term to the [`TermColumns`] it is
-/// given, in `(trie_index, suffix)` order. Returns the bytes written.
-fn write_layout(
-    out: &mut Vec<u8>,
-    counts: &[u32],
-    owners: &[u32],
-    arena_len: usize,
-    max_handle: u32,
-    terms: impl FnOnce(&mut TermColumns),
-) -> u64 {
-    let n: usize = counts.iter().map(|&c| c as usize).sum();
-    let arena_len32 = u32::try_from(arena_len).expect("dictionary suffixes exceed 4 GiB");
-    let widths = [width_of(counts), width_of(owners), bits_needed(max_handle)];
-    let lens = section_lens(n, arena_len, widths);
+/// [`GlobalDictionary::write_combined`]: the terms `tally` counted, which
+/// `terms` hands to the [`TermColumns`] it is given, in the same order.
+/// Returns the bytes written.
+fn write_layout(out: &mut Vec<u8>, tally: &Tally, terms: impl FnOnce(&mut TermColumns)) -> u64 {
+    let n: usize = tally.counts.iter().map(|&c| c as usize).sum();
+    let word = |v: usize| u32::try_from(v).expect("dictionary suffixes exceed 4 GiB").to_le_bytes();
+    let widths = [width_of(&tally.counts), width_of(&tally.owners), bits_needed(tally.max_handle)];
+    let lens = section_lens(n, tally.escapes, tally.rest_bytes, widths);
     out.clear();
     out.resize(DICT_HEADER_BYTES + lens.iter().sum::<usize>(), 0);
     let (head, rest) = out.split_at_mut(DICT_HEADER_BYTES);
     head[..4].copy_from_slice(DICT_MAGIC);
-    head[4..8].copy_from_slice(&(n as u32).to_le_bytes());
-    head[8..12].copy_from_slice(&arena_len32.to_le_bytes());
+    for (at, v) in [n, tally.suffix_bytes, tally.rest_bytes, tally.escapes].into_iter().enumerate() {
+        head[4 + 4 * at..8 + 4 * at].copy_from_slice(&word(v));
+    }
     for (at, w) in widths.into_iter().enumerate() {
-        head[12 + at] = w as u8;
+        head[20 + at] = w as u8;
     }
     let (count_col, rest) = rest.split_at_mut(lens[0]);
     let (owner_col, rest) = rest.split_at_mut(lens[1]);
     let (len_col, rest) = rest.split_at_mut(lens[2]);
     let (handle_col, arena) = rest.split_at_mut(lens[3]);
-    for (col, vals, w) in [(count_col, counts, widths[0]), (owner_col, owners, widths[1])] {
+    for (col, vals, w) in [(count_col, &tally.counts, widths[0]), (owner_col, &tally.owners, widths[1])] {
         let mut packer = BitPacker::new(col, w);
         vals.iter().for_each(|&v| packer.put(v));
         packer.finish();
     }
-    let mut cols =
-        TermColumns { lens: len_col, handles: BitPacker::new(handle_col, widths[2]), arena, i: 0, end: 0 };
+    let mut cols = TermColumns {
+        shared: &tally.shared,
+        lens: len_col,
+        handles: BitPacker::new(handle_col, widths[2]),
+        arena,
+        at: 0,
+        end: 0,
+        i: 0,
+    };
     terms(&mut cols);
-    assert!(cols.i == n && cols.end == arena_len, "the terms walked are not the terms counted");
+    assert!(
+        cols.i == n && cols.at == lens[2] && cols.end == tally.rest_bytes,
+        "the terms walked are not the terms counted"
+    );
     cols.handles.finish();
     out.len() as u64
 }
 
-/// The per-term columns of a dictionary file being written: a length byte,
-/// a packed handle and the suffix bytes of each term, in order.
+/// The per-term columns of a dictionary file being written: the length
+/// byte and escapes, a packed handle and the rest bytes of each term, in
+/// order, each term's shared length as the [`Tally`] counted it.
 struct TermColumns<'a> {
+    shared: &'a [u8],
     lens: &'a mut [u8],
     handles: BitPacker<'a>,
     arena: &'a mut [u8],
+    /// Length-column bytes written.
+    at: usize,
+    /// Rest bytes written.
+    end: usize,
     /// Terms written.
     i: usize,
-    /// Arena bytes written.
-    end: usize,
 }
 
 impl TermColumns<'_> {
-    /// Write the next term: its suffix, in pieces, and its handle.
+    /// Write the next term: its suffix, in pieces, and its handle. Its
+    /// length byte holds the shared length in the high nibble and the
+    /// rest's length in the low one, each escaped at [`ESCAPE`] to a byte
+    /// that follows, the shared length's first.
     #[inline]
     fn put(&mut self, suffix: &[&[u8]], handle: u32) {
-        let start = self.end;
-        for piece in suffix {
-            self.arena[self.end..self.end + piece.len()].copy_from_slice(piece);
-            self.end += piece.len();
+        let shared = usize::from(self.shared[self.i]);
+        let rest = suffix.iter().map(|piece| piece.len()).sum::<usize>() - shared;
+        let nibble = |len: usize| len.min(ESCAPE) as u8;
+        self.lens[self.at] = nibble(shared) << 4 | nibble(rest);
+        self.at += 1;
+        for len in [shared, rest] {
+            if len >= ESCAPE {
+                self.lens[self.at] = (len - ESCAPE) as u8;
+                self.at += 1;
+            }
         }
-        self.lens[self.i] = u8::try_from(self.end - start).expect("term longer than 255 bytes");
+        let mut skip = shared;
+        for piece in suffix {
+            let tail = piece.get(skip..).unwrap_or_default();
+            self.arena[self.end..self.end + tail.len()].copy_from_slice(tail);
+            self.end += tail.len();
+            skip = skip.saturating_sub(piece.len());
+        }
         self.handles.put(handle);
         self.i += 1;
-    }
-
-    /// Write every term at once from a dictionary's own columns: suffix
-    /// `i` is `arena[offsets[i]..offsets[i + 1]]`, its handle `handles[i]`.
-    fn put_all(&mut self, offsets: &[u32], arena: &[u8], handles: &[u32]) {
-        for (len, ends) in self.lens.iter_mut().zip(offsets.windows(2)) {
-            *len = u8::try_from(ends[1] - ends[0]).expect("term longer than 255 bytes");
-        }
-        self.arena.copy_from_slice(arena);
-        handles.iter().for_each(|&h| self.handles.put(h));
-        (self.i, self.end) = (handles.len(), arena.len());
     }
 }
 
@@ -343,23 +447,19 @@ impl GlobalDictionary {
     /// Serialise the dictionary [`Self::combine`] builds from `parts`
     /// straight from the shards into `out` (cleared first): byte for byte
     /// what `combine` and then [`Self::write_to`] write, without a second
-    /// copy of every term beside the shards. One walk of every tree counts
-    /// the collections, their owners, the suffix bytes and the widest
-    /// handle; a second fills the length, handle and arena columns in
-    /// place, packing each handle as it reaches it.
+    /// copy of every term beside the shards (only its shared length, a byte
+    /// a term). One walk of every tree counts the collections, their
+    /// owners, the suffix, rest and escape bytes and the widest handle and
+    /// front-codes each suffix; a second fills the length, handle and
+    /// arena columns in place, packing each handle as it reaches it.
     /// Returns the bytes written. A checkpoint serialises this way while
     /// the pool's shards stay live.
     pub fn write_combined<P: Borrow<PartialDictionary>>(parts: &[P], out: &mut Vec<u8>) -> u64 {
-        let mut counts = vec![0u32; TRIE_ENTRIES];
-        let mut owners = vec![0u32; TRIE_ENTRIES];
-        let (mut arena_len, mut max_handle) = (0usize, 0u32);
+        let mut tally = Tally::new(vec![0; TRIE_ENTRIES]);
         for_each_combined_term(parts, |ti, suffix, indexer, postings| {
-            counts[ti as usize] += 1;
-            owners[ti as usize] = indexer;
-            arena_len += suffix.iter().map(|piece| piece.len()).sum::<usize>();
-            max_handle = max_handle.max(postings);
+            tally.add(ti, suffix, indexer, postings)
         });
-        write_layout(out, &counts, &owners, arena_len, max_handle, |cols| {
+        write_layout(out, &tally, |cols| {
             for_each_combined_term(parts, |_, suffix, _, postings| cols.put(suffix, postings))
         })
     }
@@ -505,7 +605,8 @@ impl GlobalDictionary {
     /// cost). The file is the structure itself, each column at the width
     /// its values need (DESIGN.md §8): the header, then the term count of
     /// every collection and its owner, bit-packed; a length byte per
-    /// suffix; the postings handles, bit-packed; the suffix arena.
+    /// suffix, front-coded, and its escapes; the postings handles,
+    /// bit-packed; the rest bytes of every suffix.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
         let out = self.to_bytes();
         w.write_all(&out)?;
@@ -515,13 +616,22 @@ impl GlobalDictionary {
     /// The bytes [`Self::write_to`] writes, laid out once in the buffer
     /// returned.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let counts: Vec<u32> = self.dir.windows(2).map(|d| d[1] - d[0]).collect();
-        let max_handle = self.handles.iter().copied().max().unwrap_or(0);
+        let mut tally = Tally::new(self.owners.clone());
+        self.for_each_term(|ti, suffix, handle| tally.add(ti, suffix, self.owners[ti as usize], handle));
         let mut out = Vec::new();
-        write_layout(&mut out, &counts, &self.owners, self.arena.len(), max_handle, |cols| {
-            cols.put_all(&self.offsets, &self.arena, &self.handles)
+        write_layout(&mut out, &tally, |cols| {
+            self.for_each_term(|_, suffix, handle| cols.put(suffix, handle))
         });
         out
+    }
+
+    /// `f(trie index, suffix, handle)` of every term, in order.
+    fn for_each_term(&self, mut f: impl FnMut(u32, &[&[u8]], u32)) {
+        for t in 0..TRIE_ENTRIES {
+            for i in self.collection(t) {
+                f(t as u32, &[self.suffix(i)], self.handles[i]);
+            }
+        }
     }
 
     /// Whether `bytes` begin as a dictionary of this layout does: a file
@@ -538,36 +648,36 @@ impl GlobalDictionary {
         Self::from_bytes(&bytes)
     }
 
+    /// The term count of the dictionary `bytes` hold, once its header is
+    /// of this layout and the file is exactly as long as the header calls
+    /// for — every term backed by at least a byte — and before any column
+    /// is read. What [`Self::from_bytes`] checks first; `None` where it
+    /// fails there.
+    pub fn term_count_of(bytes: &[u8]) -> Option<usize> {
+        Header::parse(bytes).ok().map(|(head, _)| head.n)
+    }
+
     /// Parse the bytes [`Self::write_to`] wrote, checking in one pass
     /// everything [`Self::lookup`] and [`Self::entries`] rely on: widths of
     /// at most 32 bits and a zero reserved byte, collection counts that sum
-    /// to the term count, suffix lengths that sum to the arena length, and
-    /// suffixes that ascend strictly inside each collection. The directory
-    /// and the offsets are those sums. A file shorter than its header says
-    /// is `UnexpectedEof`, one longer `InvalidData`; nothing is allocated
-    /// before the length is checked, so every count is backed by bytes.
+    /// to the term count, and per suffix a length code inside the length
+    /// column, a shared length of 0 for a collection's first suffix and at
+    /// most the previous suffix's length after it, rest bytes inside the
+    /// arena, and a suffix above the one before it — its first rest byte
+    /// above the previous suffix's byte there, or the previous suffix a
+    /// proper prefix of it — so each is decoded as it is checked, in O(1)
+    /// beside its bytes. The columns must end where the header says. A
+    /// file shorter than its header says is `UnexpectedEof`, one longer
+    /// `InvalidData`; nothing is allocated before the length is checked,
+    /// so every count is backed by bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<GlobalDictionary> {
         let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        let Some((head, body)) = bytes.split_at_checked(DICT_HEADER_BYTES) else {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        };
-        if &head[..4] != DICT_MAGIC {
-            return Err(bad("bad dictionary magic"));
-        }
-        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap()) as usize;
-        let (n, arena_len) = (word(4), word(8));
-        let widths = [head[12], head[13], head[14]].map(u32::from);
-        if widths.iter().any(|&w| w > 32) {
-            return Err(bad("a dictionary column wider than 32 bits"));
-        }
-        if head[15] != 0 {
-            return Err(bad("reserved dictionary header byte is not zero"));
-        }
-        let lens = section_lens(n, arena_len, widths);
-        match lens.iter().map(|&l| l as u64).sum::<u64>().cmp(&(body.len() as u64)) {
-            std::cmp::Ordering::Greater => return Err(io::ErrorKind::UnexpectedEof.into()),
-            std::cmp::Ordering::Less => return Err(bad("bytes after the dictionary")),
-            std::cmp::Ordering::Equal => {}
+        let (head, body) = Header::parse(bytes)?;
+        let n = head.n;
+        // A suffix is its shared bytes and its rest: the decoded arena
+        // holds at most 255 bytes a term more than the rest bytes.
+        if head.suffix_bytes as u64 > head.lens[4] as u64 + n as u64 * MAX_SUFFIX_BYTES as u64 {
+            return Err(bad("more suffix bytes than the terms can share"));
         }
         let mut rest = body;
         let mut cut = |len: usize| {
@@ -575,13 +685,14 @@ impl GlobalDictionary {
             rest = tail;
             col
         };
-        let (count_col, owner_col, len_col, handle_col, arena) =
+        let lens = head.lens;
+        let (count_col, owner_col, len_col, handle_col, rest_col) =
             (cut(lens[0]), cut(lens[1]), cut(lens[2]), cut(lens[3]), cut(lens[4]));
         let unpack = |col: &[u8], out: &mut [u32], w: u32| {
             unpack_bits_into(col, out, w).expect("columns are cut at their packed length");
         };
         let mut dir = vec![0u32; TRIE_ENTRIES + 1];
-        unpack(count_col, &mut dir[1..], widths[0]);
+        unpack(count_col, &mut dir[1..], head.widths[0]);
         let mut ordinal = 0u64;
         for d in &mut dir[1..] {
             ordinal += u64::from(*d);
@@ -594,45 +705,144 @@ impl GlobalDictionary {
             return Err(bad("collection term counts do not sum to the term count"));
         }
         let mut owners = vec![0u32; TRIE_ENTRIES];
-        unpack(owner_col, &mut owners, widths[1]);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut end = 0usize;
-        offsets.push(0);
-        for &len in len_col {
-            end += usize::from(len);
-            if end > arena_len {
-                break;
-            }
-            offsets.push(end as u32);
-        }
-        if end != arena_len {
-            return Err(bad("suffix lengths do not sum to the arena length"));
-        }
+        unpack(owner_col, &mut owners, head.widths[1]);
         let mut handles = vec![0u32; n];
-        unpack(handle_col, &mut handles, widths[2]);
-        let dict = GlobalDictionary { dir, owners, offsets, handles, arena: arena.to_vec() };
-        // A suffix's first 8 bytes as a zero-padded big-endian word: a
-        // smaller word means a smaller suffix, which settles nearly every
-        // neighbouring pair without a slice comparison. (0 for the last few
-        // suffixes of the arena, which the slice comparison then settles.)
-        let key = |i: usize| {
-            let (start, end) = (dict.offsets[i] as usize, dict.offsets[i + 1] as usize);
-            let Some(bytes) = dict.arena.get(start..start + 8) else { return 0 };
-            let keep = (end - start).min(8) as u32;
-            let word = u64::from_be_bytes(bytes.try_into().unwrap());
-            word & u64::MAX.checked_shl(64 - 8 * keep).unwrap_or(0)
+        unpack(handle_col, &mut handles, head.widths[2]);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        // Sized for every suffix plus the slack a whole-chunk store of the
+        // last one writes past its end.
+        let mut arena = vec![0u8; head.suffix_bytes + CHUNK];
+        let (mut at, mut end, mut filled) = (0usize, 0usize, 0usize);
+        let escaped = |len: u8, at: &mut usize| -> io::Result<usize> {
+            let len = usize::from(len);
+            if len < ESCAPE {
+                return Ok(len);
+            }
+            let byte = len_col.get(*at).ok_or_else(|| bad("an escape past the length column"))?;
+            *at += 1;
+            Ok(ESCAPE + usize::from(*byte))
         };
         for t in 0..TRIE_ENTRIES {
-            let mut prev = None;
-            for i in dict.collection(t) {
-                let cur = key(i);
-                if prev.is_some_and(|p| p >= cur && dict.suffix(i - 1) >= dict.suffix(i)) {
-                    return Err(bad("suffixes out of order inside a trie collection"));
+            let terms = dir[t + 1] - dir[t];
+            // The previous suffix: where it starts, its length, and its
+            // first chunk, kept in a register rather than read back from
+            // the arena just written.
+            let (mut prev_start, mut prev_len, mut prev) = (filled, 0usize, 0u128);
+            for i in 0..terms {
+                let code = *len_col.get(at).ok_or_else(|| bad("lengths past the length column"))?;
+                at += 1;
+                let (shared, rest_len) = match code >> 4 == 0xF || code & 0xF == 0xF {
+                    false => (usize::from(code >> 4), usize::from(code & 0xF)),
+                    true => (escaped(code >> 4, &mut at)?, escaped(code & 0xF, &mut at)?),
+                };
+                let rest = chunk_at(rest_col, end);
+                // The previous suffix's byte where this one's rest begins.
+                let before = match shared < CHUNK {
+                    true => (prev >> (8 * shared)) as u8,
+                    false => arena.get(prev_start + shared).copied().unwrap_or(0),
+                };
+                let len = shared + rest_len;
+                // Every check at once, so that the loop has one branch that
+                // is never taken; which one failed is worked out after.
+                let first = i == 0;
+                let ascends = first
+                    | (shared == prev_len) & (rest_len > 0)
+                    | (shared < prev_len) & (rest_len > 0) & (rest as u8 > before);
+                if !ascends
+                    | first & (shared != 0)
+                    | (end + rest_len > rest_col.len())
+                    | (len > MAX_SUFFIX_BYTES)
+                    | (filled + len > head.suffix_bytes)
+                {
+                    return Err(bad(match () {
+                        _ if end + rest_len > rest_col.len() => "rest bytes past the arena",
+                        _ if first & (shared != 0) => "a collection's first suffix shares bytes",
+                        _ if shared > prev_len => "a suffix shares more than the suffix before it",
+                        _ if !ascends => "suffixes out of order inside a trie collection",
+                        _ => "suffixes longer than their lengths say",
+                    }));
                 }
-                prev = Some(cur);
+                // The first chunk: the previous suffix's up to `shared`, then
+                // the rest (and, past `len`, bytes the next suffix writes over).
+                let cur = match shared < CHUNK {
+                    true => prev & !(u128::MAX << (8 * shared)) | rest << (8 * shared),
+                    false => prev,
+                };
+                arena[filled..filled + CHUNK].copy_from_slice(&cur.to_le_bytes());
+                if len > CHUNK {
+                    arena.copy_within(prev_start..prev_start + shared, filled);
+                    arena[filled + shared..filled + len].copy_from_slice(&rest_col[end..end + rest_len]);
+                }
+                end += rest_len;
+                (prev_start, prev_len, prev) = (filled, len, cur);
+                filled += len;
+                offsets.push(filled as u32);
             }
         }
-        Ok(dict)
+        if at != len_col.len() || end != rest_col.len() || filled != head.suffix_bytes {
+            return Err(bad("suffix lengths do not sum to the columns' lengths"));
+        }
+        arena.truncate(filled);
+        Ok(GlobalDictionary { dir, owners, offsets, handles, arena })
+    }
+}
+
+/// Bytes of a suffix the decoder builds in a register: a suffix's first
+/// chunk is the previous one's up to the shared length, then its rest.
+const CHUNK: usize = 16;
+
+/// `bytes[at..at + CHUNK]` as a little-endian word, zeros past the end of
+/// `bytes`.
+#[inline(always)]
+fn chunk_at(bytes: &[u8], at: usize) -> u128 {
+    match bytes.get(at..at + CHUNK) {
+        Some(chunk) => u128::from_le_bytes(chunk.try_into().unwrap()),
+        None => {
+            let mut chunk = [0u8; CHUNK];
+            let tail = &bytes[at.min(bytes.len())..];
+            chunk[..tail.len()].copy_from_slice(tail);
+            u128::from_le_bytes(chunk)
+        }
+    }
+}
+
+/// A dictionary file's header, checked against the file's length.
+struct Header {
+    n: usize,
+    suffix_bytes: usize,
+    widths: [u32; 3],
+    /// [`section_lens`] of the file.
+    lens: [usize; 5],
+}
+
+impl Header {
+    /// The header of `bytes` and the body after it, once the magic, the
+    /// widths and the reserved byte are this layout's and the body is
+    /// exactly as long as the header calls for.
+    fn parse(bytes: &[u8]) -> io::Result<(Header, &[u8])> {
+        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
+        let Some((head, body)) = bytes.split_at_checked(DICT_HEADER_BYTES) else {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        };
+        if &head[..4] != DICT_MAGIC {
+            return Err(bad("bad dictionary magic"));
+        }
+        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().unwrap()) as usize;
+        let (n, suffix_bytes, rest_bytes, escapes) = (word(4), word(8), word(12), word(16));
+        let widths = [head[20], head[21], head[22]].map(u32::from);
+        if widths.iter().any(|&w| w > 32) {
+            return Err(bad("a dictionary column wider than 32 bits"));
+        }
+        if head[23] != 0 {
+            return Err(bad("reserved dictionary header byte is not zero"));
+        }
+        let lens = section_lens(n, escapes, rest_bytes, widths);
+        match lens.iter().map(|&l| l as u64).sum::<u64>().cmp(&(body.len() as u64)) {
+            std::cmp::Ordering::Greater => Err(io::ErrorKind::UnexpectedEof.into()),
+            std::cmp::Ordering::Less => Err(bad("bytes after the dictionary")),
+            std::cmp::Ordering::Equal => Ok((Header { n, suffix_bytes, widths, lens }, body)),
+        }
     }
 }
 
@@ -780,12 +990,43 @@ mod tests {
         let g = sample();
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
+        // Nine terms, four of them in "app"'s collection: "le", "lesauce"
+        // (shares 2), "lication" (shares 1), "lied" (shares 2). One owner,
+        // indexer 3; handles 0..9; no length reaches an escape.
         let suffixes: usize = g.entries().map(|e| e.suffix.len()).sum();
-        // Nine terms, four of them in "app"'s collection; one owner,
-        // indexer 3; handles 0..9.
-        assert_eq!(buf[12..16], [3, 2, 4, 0], "count, owner and handle widths");
+        assert_eq!(buf[20..24], [3, 2, 4, 0], "count, owner and handle widths");
+        assert_eq!(buf[8..20], [suffixes as u32, suffixes as u32 - 5, 0].map(u32::to_le_bytes).concat());
         let fixed = DICT_HEADER_BYTES + packed_len(TRIE_ENTRIES, 3) + packed_len(TRIE_ENTRIES, 2);
-        assert_eq!(buf.len(), fixed + g.len() + packed_len(g.len(), 4) + suffixes);
+        assert_eq!(buf.len(), fixed + g.len() + packed_len(g.len(), 4) + suffixes - 5);
+        // High nibble shared, low nibble rest.
+        let lens_at = fixed;
+        let app = g.lookup("apple").unwrap().trie_index as usize;
+        let first = g.collection(app).start;
+        assert_eq!(buf[lens_at + first..lens_at + first + 4], [0x02, 0x25, 0x17, 0x22]);
+    }
+
+    #[test]
+    fn long_lengths_escape_to_a_byte() {
+        // Suffixes of 14, 29, 30 and 255 bytes in one collection.
+        let suffixes = [
+            "b".repeat(14),
+            "b".repeat(14) + &"c".repeat(15),
+            "b".repeat(14) + &"c".repeat(16),
+            "b".repeat(14) + &"c".repeat(16) + &"d".repeat(225),
+        ];
+        let mut d = GlobalDictionary::default();
+        for (h, suffix) in suffixes.iter().enumerate() {
+            d.push(40, &[suffix.as_bytes()], 0, h as u32);
+        }
+        let d = d.finish();
+        let buf = d.to_bytes();
+        let lens_at = DICT_HEADER_BYTES + packed_len(TRIE_ENTRIES, 3);
+        // (shared, rest): (0, 14); (14, 15 + 0); (15 + 14, 1); (15 + 15,
+        // 15 + 210).
+        let want = [0x0E, 0xEF, 0, 0xF1, 14, 0xFF, 15, 210];
+        assert_eq!(buf[lens_at..lens_at + want.len()], want);
+        assert_eq!(buf[16..20], 4u32.to_le_bytes(), "four escape bytes");
+        assert_eq!(GlobalDictionary::from_bytes(&buf).unwrap(), d);
     }
 
     #[test]
@@ -815,7 +1056,7 @@ mod tests {
 
     #[test]
     fn corrupt_dictionary_rejected() {
-        assert!(GlobalDictionary::read_from(&mut &b"XXXX\0\0\0\0\0\0\0\0"[..]).is_err());
+        assert!(GlobalDictionary::read_from(&mut &[b'X'; DICT_HEADER_BYTES][..]).is_err());
         let mut buf = Vec::new();
         sample().write_to(&mut buf).unwrap();
         let cut = &buf[..buf.len() - 1];
@@ -848,16 +1089,16 @@ mod tests {
         let invalid = |r: io::Result<GlobalDictionary>, what: &str| {
             assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidData, "{what}");
         };
-        invalid(with_byte(12, 33), "a count width of 33");
-        invalid(with_byte(14, 255), "a handle width of 255");
-        invalid(with_byte(15, 1), "a reserved byte that is not zero");
+        invalid(with_byte(20, 33), "a count width of 33");
+        invalid(with_byte(22, 255), "a handle width of 255");
+        invalid(with_byte(23, 1), "a reserved byte that is not zero");
         // Counts at 3 bits: one more or one fewer term in the collection of
         // "zebra" misses the term count.
         let counts_at = DICT_HEADER_BYTES;
         let t = g.lookup("zebra").unwrap().trie_index as usize;
         let mut buf = Vec::new();
         g.write_to(&mut buf).unwrap();
-        assert_eq!(buf[12], 3);
+        assert_eq!(buf[20], 3);
         let count = g.collection(t).len() as u32;
         for lie in [count + 1, count - 1] {
             let mut counts: Vec<u32> = g.dir.windows(2).map(|d| d[1] - d[0]).collect();
@@ -870,17 +1111,24 @@ mod tests {
             packer.finish();
             invalid(GlobalDictionary::from_bytes(&bad), "counts not summing to n");
         }
-        // Suffix lengths that miss the arena's end, either way.
+        // Rest lengths that miss the arena's end, either way, and suffix
+        // bytes the header does not count.
         let lens_at = counts_at + packed_len(TRIE_ENTRIES, 3) + packed_len(TRIE_ENTRIES, 2);
         for len in [buf[lens_at] + 1, buf[lens_at] - 1] {
             invalid(with_byte(lens_at, len), "lengths not summing to the arena");
         }
-        // "apple" and "applesauce" share a collection: push the second
-        // suffix below the first through the arena.
-        let arena_at = buf.len() - g.arena.len();
-        let at = g.lookup("applesauce").unwrap().suffix.as_ptr() as usize - g.arena.as_ptr() as usize;
-        buf[arena_at + at] = b'a'; // "lesauce" -> "aesauce", now below "le"
-        invalid(GlobalDictionary::read_from(&mut buf.as_slice()), "suffix out of order");
+        let suffix_bytes = g.arena.len() as u32;
+        invalid(with_word(8, suffix_bytes + 1), "one suffix byte more than the terms hold");
+        invalid(with_word(8, suffix_bytes - 1), "one suffix byte fewer");
+        // "lesauce" shares "le" with "le"; "lication" shares "l" with it:
+        // its first rest byte pushed below the "e" there, and to it.
+        let rest_at = buf.len() - (g.arena.len() - 5);
+        let at = rest_at + buf[rest_at..].windows(7).position(|w| w == b"ication").unwrap();
+        for below in [b'a', b'e'] {
+            let mut bad = buf.clone();
+            bad[at] = below;
+            invalid(GlobalDictionary::from_bytes(&bad), "suffix out of order");
+        }
         // An equal neighbour is out of order too: the order is strict.
         let mut dup = GlobalDictionary::default();
         dup.push(40, &[b"x"], 0, 0);
@@ -892,17 +1140,22 @@ mod tests {
 
     #[test]
     fn hostile_entry_count_is_a_failed_read_not_an_allocation() {
-        // A header claiming u32::MAX terms and arena bytes at 32-bit
-        // widths, then nothing: the reader must run out of bytes, not of
-        // memory.
+        // A header claiming u32::MAX terms, suffix, rest and escape bytes at
+        // 32-bit widths, then nothing: the reader must run out of bytes,
+        // not of memory.
         let mut buf = DICT_MAGIC.to_vec();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        (0..4).for_each(|_| buf.extend_from_slice(&u32::MAX.to_le_bytes()));
         buf.extend_from_slice(&[32, 32, 32, 0]);
+        assert_eq!(buf.len(), DICT_HEADER_BYTES);
         let err = GlobalDictionary::read_from(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(GlobalDictionary::term_count_of(&buf), None);
         let err = with_word(4, u32::MAX).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // Suffix bytes no sharing can reach, the rest of the file intact.
+        let err = with_word(8, u32::MAX).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(GlobalDictionary::term_count_of(&sample().to_bytes()), Some(9));
     }
 
     #[test]

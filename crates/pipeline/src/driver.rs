@@ -46,6 +46,7 @@ use ii_store::{
 };
 use ii_text::{parse_documents_into, ParseScratch, ParsedBatch};
 use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::mem::take;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -567,8 +568,8 @@ fn load_resume_state(
 pub struct Generation {
     /// The combined dictionary of the files the generation covers.
     pub dictionary: GlobalDictionary,
-    /// The sealed runs by indexer, in run order, each set tracking which of
-    /// its runs hold which handle.
+    /// The sealed runs by indexer, in run order, each set of more than one
+    /// run tracking which of its runs hold which handle.
     pub run_sets: HashMap<u32, RunSet>,
     /// The doc map (empty when a repair lost it).
     pub doc_map: DocMap,
@@ -586,60 +587,116 @@ pub struct Generation {
 /// `Corrupt`), each run's table is checked in the walk that marks which
 /// handles it holds, and a run may only name handles the dictionary has
 /// terms for.
+///
+/// The runs are read and walked on a second thread while this one reads
+/// and decodes the dictionary and the doc map. Only an indexer of more than
+/// one run tracks its holders (with one, an untracked look-up searches that
+/// one run), and that walk waits for nothing but the dictionary's term
+/// count, handed over once the checksummed file's header vouches for it.
+/// What fails is still reported in the order a sequential read meets it:
+/// the dictionary, the doc map, then the runs in run order.
 pub fn read_generation(store: &Store) -> Result<Generation, StoreError> {
     let corrupt = |name: &str, detail: String| StoreError::Corrupt { name: name.into(), detail };
     let named = run_artifacts(store.manifest());
-    // A run's walk needs the dictionary's term count, its reading and
-    // checksum nothing: the run files are read beside the dictionary. What
-    // fails is still reported in the order a sequential read meets it.
-    let (dictionary, runs) = std::thread::scope(|scope| {
-        let runs = scope.spawn(|| match &named {
-            Ok(named) => named.iter().map(|&(_, _, record)| store.read(&record.name)).collect(),
-            Err(_) => Vec::new(),
-        });
-        let dictionary = store.read(DICTIONARY_ARTIFACT).and_then(|bytes| {
+    let (term_count_tx, term_count_rx) = std::sync::mpsc::channel();
+    let (dictionary, doc_map, walked) = std::thread::scope(|scope| {
+        let named = named.as_deref().unwrap_or_default();
+        let walker = scope.spawn(|| walk_runs(store, named, term_count_rx));
+        let bytes = store.read(DICTIONARY_ARTIFACT);
+        if let Some(n) = bytes.as_deref().ok().and_then(GlobalDictionary::term_count_of) {
+            let _ = term_count_tx.send(n);
+        }
+        drop(term_count_tx);
+        let dictionary = bytes.and_then(|bytes| {
             GlobalDictionary::from_bytes(&bytes)
                 .map_err(|e| corrupt(DICTIONARY_ARTIFACT, e.to_string()))
         });
-        (dictionary, runs.join().expect("reading a file does not panic"))
+        let doc_map = match store.manifest().artifact(DOCMAP_ARTIFACT) {
+            _ if dictionary.is_err() => Ok(DocMap::new()),
+            Some(_) => store.read(DOCMAP_ARTIFACT).and_then(|bytes| {
+                DocMap::read_from(&mut bytes.as_slice())
+                    .map_err(|e| corrupt(DOCMAP_ARTIFACT, e.to_string()))
+            }),
+            None => Ok(DocMap::new()),
+        };
+        (dictionary, doc_map, walker.join().expect("walking a run does not panic"))
     });
-    let dictionary = dictionary?;
-    let doc_map = match store.manifest().artifact(DOCMAP_ARTIFACT) {
-        Some(_) => DocMap::read_from(&mut store.read(DOCMAP_ARTIFACT)?.as_slice())
-            .map_err(|e| corrupt(DOCMAP_ARTIFACT, e.to_string()))?,
-        None => DocMap::new(),
-    };
-    let mut run_sets: HashMap<u32, RunSet> = HashMap::new();
-    let mut sealed = SealedRuns::new();
-    for ((indexer, run_id, record), bytes) in named?.into_iter().zip(runs) {
-        let name = record.name.as_str();
-        // Holders are marked in the walk that checks the run's table.
-        let set = run_sets.entry(indexer).or_insert_with(|| {
-            let mut set = RunSet::new();
-            set.track_holders(dictionary.len());
-            set
-        });
-        let run = set.push_bytes(bytes?).map_err(|e| corrupt(name, e.to_string()))?;
-        if (run.indexer_id, run.run_id) != (indexer, run_id) {
-            return Err(corrupt(
-                name,
-                format!("holds run {} of indexer {}", run.run_id, run.indexer_id),
-            ));
+    let (dictionary, doc_map) = (dictionary?, doc_map?);
+    named?;
+    // An indexer's handles are dense from 0 and each is a term, so none
+    // reaches the term count. Checked here because the holders column is
+    // sized by the dictionary, not by what a run claims.
+    for (name, last) in walked.last_handles {
+        if let Some(handle) = last.filter(|&h| h as usize >= dictionary.len()) {
+            let detail = format!("handle {handle} in a dictionary of {} terms", dictionary.len());
+            return Err(corrupt(name, detail));
         }
-        // An indexer's handles are dense from 0 and each is a term, so
-        // none reaches the term count. Checked here because the holders
-        // column is sized by the dictionary, not by what a run claims.
-        if let Some(last) = run.entries.last().filter(|e| e.handle as usize >= dictionary.len()) {
-            return Err(corrupt(
-                name,
-                format!("handle {} in a dictionary of {} terms", last.handle, dictionary.len()),
-            ));
-        }
-        // `read` just verified the bytes against this record, so the record
-        // seals the run for every later generation.
-        sealed.insert(record.name.clone(), record.clone());
     }
-    Ok(Generation { dictionary, run_sets, doc_map, sealed })
+    if let Some(e) = walked.failure {
+        return Err(e);
+    }
+    Ok(Generation { dictionary, run_sets: walked.run_sets, doc_map, sealed: walked.sealed })
+}
+
+/// The runs of a generation as [`walk_runs`] left them.
+struct WalkedRuns<'a> {
+    run_sets: HashMap<u32, RunSet>,
+    sealed: SealedRuns,
+    /// Name and last handle of every run pushed, in run order.
+    last_handles: Vec<(&'a str, Option<u32>)>,
+    /// What stopped the walk: the run it names comes after every run pushed.
+    failure: Option<StoreError>,
+}
+
+/// Read every run `named` lists and push it onto its indexer's set, in run
+/// order, until one fails to read, parse or be the run its name says. A set
+/// of more than one run tracks its holders, sized by the term count
+/// `term_count` delivers; without one (the dictionary is unreadable) the
+/// walk stops.
+fn walk_runs<'a>(
+    store: &Store,
+    named: &[(u32, u32, &'a ArtifactMeta)],
+    term_count: std::sync::mpsc::Receiver<usize>,
+) -> WalkedRuns<'a> {
+    let corrupt = |name: &str, detail: String| StoreError::Corrupt { name: name.into(), detail };
+    let mut runs_of: HashMap<u32, usize> = HashMap::new();
+    named.iter().for_each(|&(indexer, _, _)| *runs_of.entry(indexer).or_default() += 1);
+    let mut walked = WalkedRuns {
+        run_sets: HashMap::new(),
+        sealed: SealedRuns::new(),
+        last_handles: Vec::with_capacity(named.len()),
+        failure: None,
+    };
+    let mut n = None;
+    let mut walk = || -> Result<(), StoreError> {
+        for &(indexer, run_id, record) in named {
+            let name = record.name.as_str();
+            let set = match walked.run_sets.entry(indexer) {
+                Entry::Occupied(set) => set.into_mut(),
+                Entry::Vacant(slot) => {
+                    let mut set = RunSet::new();
+                    if runs_of[&indexer] > 1 {
+                        n = n.or_else(|| term_count.recv().ok());
+                        let terms = n.ok_or_else(|| corrupt(DICTIONARY_ARTIFACT, "unreadable".into()))?;
+                        set.track_holders(terms);
+                    }
+                    slot.insert(set)
+                }
+            };
+            let run = set.push_bytes(store.read(name)?).map_err(|e| corrupt(name, e.to_string()))?;
+            if (run.indexer_id, run.run_id) != (indexer, run_id) {
+                let detail = format!("holds run {} of indexer {}", run.run_id, run.indexer_id);
+                return Err(corrupt(name, detail));
+            }
+            walked.last_handles.push((name, run.entries.last().map(|e| e.handle)));
+            // `read` just verified the bytes against this record, so the
+            // record seals the run for every later generation.
+            walked.sealed.insert(record.name.clone(), record.clone());
+        }
+        Ok(())
+    };
+    walked.failure = walk().err();
+    walked
 }
 
 /// The run artifacts `manifest` lists, as `(indexer, run, record)` in run

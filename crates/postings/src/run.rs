@@ -527,6 +527,11 @@ impl RunSet {
         self.holders = Some(holders);
     }
 
+    /// Whether [`Self::track_holders`] was called.
+    pub fn tracks_holders(&self) -> bool {
+        self.holders.is_some()
+    }
+
     /// The runs to search for `handle`, as a mask over `position % 64`.
     fn holders_of(&self, handle: u32) -> u64 {
         let tracked = self.holders.as_ref().and_then(|h| h.get(handle as usize));
@@ -947,6 +952,35 @@ mod tests {
         assert_eq!(walked(&tracked, 40).unwrap().1, 1);
         assert_eq!(walked(&tracked, 3).unwrap().1, 15);
         assert!(walked(&tracked, 41).is_none() && walked(&tracked, 78).is_none());
+    }
+
+    #[test]
+    fn a_one_run_set_answers_alike_with_and_without_holders() {
+        // Handles 0..40 with lists of one to three blocks' worth, some
+        // handles missing; pushed as bytes, the way an index is opened.
+        let lists: Vec<(u32, PostingsList)> = (0..40u32)
+            .filter(|h| h % 3 != 1)
+            .map(|h| (h, (0..1 + h * 9).map(|d| Posting { doc: DocId(d * 3 + h), tf: 1 + d % 4 }).collect()))
+            .collect();
+        let run = RunFile::build(0, 0, &mut lists.iter().map(|(h, l)| (*h, l)), Codec::Auto);
+        let mut plain = RunSet::new();
+        plain.push_bytes(run.to_bytes()).unwrap();
+        let mut tracked = RunSet::new();
+        tracked.track_holders(40);
+        tracked.push_bytes(run.to_bytes()).unwrap();
+        assert!(tracked.tracks_holders() && !plain.tracks_holders());
+        for handle in (0..45).chain([u32::MAX]) {
+            assert_eq!(walked(&tracked, handle), walked(&plain, handle), "handle {handle}");
+            assert_eq!(tracked.fetch(handle).unwrap(), plain.fetch(handle).unwrap(), "handle {handle}");
+            let (lo, hi) = (DocId(20), DocId(200));
+            assert_eq!(
+                tracked.fetch_range(handle, lo, hi).unwrap(),
+                plain.fetch_range(handle, lo, hi).unwrap(),
+                "handle {handle} in range"
+            );
+        }
+        assert!(walked(&plain, 1).is_none() && walked(&plain, 40).is_none());
+        assert_eq!(walked(&plain, 39).unwrap().1, 1);
     }
 
     #[test]

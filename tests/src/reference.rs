@@ -6,12 +6,13 @@
 //! `[u8; 4]` caches, per-visit node clones, eager string fallback) plus a
 //! `HashMap` from trie index to tree root. [`combine_reference`] gathers
 //! tree by tree, sorts globally and writes the `dictionary.bin` bytes by
-//! hand through [`DictColumns`], packing one bit at a time, so the
-//! product's combine, writer (and its bit packer) and reader are all held
-//! to it. [`read_retired_iidt`] is the reader of the layout before, kept
-//! for the retired fixture. Do not optimize them — their value is that
-//! they stay the old code. The
-//! differential suite in `tests/dict_diff.rs` drives arbitrary term streams
+//! hand through [`DictColumns`], packing one bit at a time and front-coding
+//! each suffix against the one before it, so the product's combine, writer
+//! (and its bit packer) and reader are all held to it.
+//! [`read_retired_iidt`] and [`read_retired_iidp`] are the readers of the
+//! two layouts before, kept for the retired fixtures. Do not optimize
+//! them — their value is that they stay the old code. The differential
+//! suite in `tests/dict_diff.rs` drives arbitrary term streams
 //! through both paths and requires identical outcomes, handles, and
 //! combined output.
 
@@ -71,19 +72,26 @@ pub type RefEntry = (u32, Vec<u8>, u32, u32);
 
 /// The columns of a `dictionary.bin`, as plain values: what the file says,
 /// true or not. [`Self::to_bytes`] lays them out, each packed column at the
-/// width its largest value needs; hostile-bytes tests build lies with it.
+/// width its largest value needs and every length at its nibble or escape;
+/// hostile-bytes tests build lies with it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DictColumns {
     /// Terms of each of the `TRIE_ENTRIES` collections.
     pub counts: Vec<u32>,
     /// Owning indexer of each collection (0 for an empty one).
     pub owners: Vec<u32>,
-    /// Length of each suffix.
-    pub lens: Vec<u8>,
+    /// Bytes each suffix shares with the suffix before it in its collection
+    /// (0 for a collection's first).
+    pub shared: Vec<u8>,
+    /// Length of the rest of each suffix.
+    pub rest: Vec<u8>,
     /// Postings handle of each term.
     pub handles: Vec<u32>,
-    /// Every suffix, back to back.
+    /// The rest of every suffix, back to back.
     pub arena: Vec<u8>,
+    /// Bytes of every suffix, whole: the header's count, which the shared
+    /// and rest lengths sum to.
+    pub suffix_bytes: u32,
 }
 
 /// Bits needed by the largest of `vals`.
@@ -107,6 +115,20 @@ fn pack(vals: &[u32], width: u32, out: &mut Vec<u8>) {
     }
 }
 
+/// `count` values of `width` bits each from `bytes` at `at`, least
+/// significant bit first, one bit at a time; the bytes they took.
+fn unpack(bytes: &[u8], at: usize, count: usize, width: usize) -> (Vec<u32>, usize) {
+    let vals = (0..count)
+        .map(|i| {
+            (0..width).fold(0u32, |v, b| {
+                let bit = i * width + b;
+                v | u32::from(bytes[at + bit / 8] >> (bit % 8) & 1) << b
+            })
+        })
+        .collect();
+    (vals, (count * width).div_ceil(8))
+}
+
 impl DictColumns {
     /// The columns of `entries`, which must be in `(trie_index, suffix)`
     /// order.
@@ -114,16 +136,24 @@ impl DictColumns {
         let mut cols = DictColumns {
             counts: vec![0; TRIE_ENTRIES],
             owners: vec![0; TRIE_ENTRIES],
-            lens: Vec::new(),
+            shared: Vec::new(),
+            rest: Vec::new(),
             handles: Vec::new(),
             arena: Vec::new(),
+            suffix_bytes: 0,
         };
-        for (ti, suffix, indexer, postings) in entries {
+        let mut prev: Option<&RefEntry> = None;
+        for entry @ (ti, suffix, indexer, postings) in entries {
+            let before = prev.filter(|p| p.0 == *ti).map_or(&[][..], |p| p.1.as_slice());
+            let shared = before.iter().zip(suffix).take_while(|(a, b)| a == b).count();
             cols.counts[*ti as usize] += 1;
             cols.owners[*ti as usize] = *indexer;
-            cols.lens.push(suffix.len() as u8);
+            cols.shared.push(shared as u8);
+            cols.rest.push((suffix.len() - shared) as u8);
             cols.handles.push(*postings);
-            cols.arena.extend_from_slice(suffix);
+            cols.arena.extend_from_slice(&suffix[shared..]);
+            cols.suffix_bytes += suffix.len() as u32;
+            prev = Some(entry);
         }
         cols
     }
@@ -135,20 +165,29 @@ impl DictColumns {
         Self::of(&entries)
     }
 
-    /// The `dictionary.bin` layout: magic `IIDP`, term count (the handles'),
-    /// arena length, the count, owner and handle widths and a zero byte;
-    /// counts and owners packed; a length byte per suffix; handles packed;
-    /// the arena.
+    /// The `dictionary.bin` layout: magic `IIDF`, term count (the
+    /// handles'), suffix bytes, rest bytes (the arena's), escape bytes, the
+    /// count, owner and handle widths and a zero byte; counts and owners
+    /// packed; per suffix a byte of two nibbles, shared length high, rest
+    /// length low, a nibble of 15 followed by a byte of the length less 15
+    /// (the shared length's first); handles packed; the arena.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut lens = Vec::new();
+        for (&shared, &rest) in self.shared.iter().zip(&self.rest) {
+            lens.push(shared.min(15) << 4 | rest.min(15));
+            lens.extend([shared, rest].iter().filter(|&&l| l >= 15).map(|&l| l - 15));
+        }
+        let escapes = (lens.len() - self.shared.len()) as u32;
         let widths = [width(&self.counts), width(&self.owners), width(&self.handles)];
-        let mut bytes = b"IIDP".to_vec();
-        bytes.extend_from_slice(&(self.handles.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(self.arena.len() as u32).to_le_bytes());
+        let mut bytes = b"IIDF".to_vec();
+        for word in [self.handles.len() as u32, self.suffix_bytes, self.arena.len() as u32, escapes] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
         bytes.extend(widths.iter().map(|&w| w as u8));
         bytes.push(0);
         pack(&self.counts, widths[0], &mut bytes);
         pack(&self.owners, widths[1], &mut bytes);
-        bytes.extend_from_slice(&self.lens);
+        bytes.extend_from_slice(&lens);
         pack(&self.handles, widths[2], &mut bytes);
         bytes.extend_from_slice(&self.arena);
         bytes
@@ -196,6 +235,39 @@ pub fn read_retired_iidt(bytes: &[u8]) -> Vec<RefEntry> {
             let (start, end) = (word(offsets_at + 4 * i), word(offsets_at + 4 * (i + 1)));
             let suffix = bytes[arena_at + start..arena_at + end].to_vec();
             entries.push((t as u32, suffix, word(owners_at + 4 * t) as u32, word(handles_at + 4 * i) as u32));
+        }
+    }
+    entries
+}
+
+/// The entries of a `dictionary.bin` in the retired `IIDP` layout: magic,
+/// term count, arena length, the count, owner and handle widths, a zero
+/// byte; the collection counts and owners packed at their widths (least
+/// significant bit first); a length byte per suffix; the handles packed;
+/// the suffix arena, every suffix whole. Only for a file that layout wrote:
+/// it panics on anything else.
+pub fn read_retired_iidp(bytes: &[u8]) -> Vec<RefEntry> {
+    assert_eq!(&bytes[..4], b"IIDP", "not a retired dictionary");
+    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+    let [count_w, owner_w, handle_w] = [bytes[12], bytes[13], bytes[14]].map(usize::from);
+    let mut at = 16;
+    let (counts, len) = unpack(bytes, at, TRIE_ENTRIES, count_w);
+    at += len;
+    let (owners, len) = unpack(bytes, at, TRIE_ENTRIES, owner_w);
+    at += len;
+    let lens = &bytes[at..at + n];
+    at += n;
+    let (handles, len) = unpack(bytes, at, n, handle_w);
+    at += len;
+    let arena_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    assert_eq!(bytes.len(), at + arena_len, "a retired dictionary's length");
+    let mut entries = Vec::with_capacity(n);
+    for (t, &count) in counts.iter().enumerate() {
+        for _ in 0..count {
+            let i = entries.len();
+            let len = usize::from(lens[i]);
+            entries.push((t as u32, bytes[at..at + len].to_vec(), owners[t], handles[i]));
+            at += len;
         }
     }
     entries
@@ -266,5 +338,6 @@ mod tests {
         assert_eq!(out, [0xAA, 0b1101_0001, 0b0111_0000]);
         pack(&[5], 0, &mut out);
         assert_eq!(out.len(), 3);
+        assert_eq!(unpack(&out, 1, 5, 3), (vec![1, 2, 3, 0, 7], 2));
     }
 }

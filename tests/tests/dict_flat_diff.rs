@@ -228,12 +228,15 @@ fn shard_order_does_not_matter() {
 
 /// What the compact layout saves, as a count of bytes: on the congress
 /// preset built by one and by two indexers, `dictionary.bin` is exactly
-/// its layout's length — a 16-byte header, the 17 613 collection counts and
-/// owners each packed at the width of its largest value, a length byte per
-/// suffix, the handles packed at theirs, the suffixes — and at most 0.6 of
-/// what the retired fixed-width `IIDT` layout took for the same terms: 12
-/// header bytes, a `u32` per directory ordinal, owner, offset and handle,
-/// the suffixes.
+/// its layout's length — a 24-byte header, the 17 613 collection counts
+/// and owners each packed at the width of its largest value, a length byte
+/// per suffix plus an escape byte per shared or rest length of 15 or more,
+/// the handles packed at theirs, the bytes of each suffix past those it
+/// shares with the suffix before it in its collection — below what the
+/// retired `IIDP` layout took for the same terms (a 16-byte header, the
+/// same packed columns, a length byte per suffix, every suffix whole), and
+/// at most 0.6 of what the fixed-width `IIDT` layout took: 12 header bytes,
+/// a `u32` per directory ordinal, owner, offset and handle, the suffixes.
 #[test]
 fn the_compact_dictionary_is_its_layout_formula_and_six_tenths_of_the_retired_one() {
     let spec = CollectionSpec::congress_like(0.2);
@@ -244,20 +247,34 @@ fn the_compact_dictionary_is_its_layout_formula_and_six_tenths_of_the_retired_on
         let mut bytes = Vec::new();
         d.write_to(&mut bytes).unwrap();
         let n = d.len();
-        let arena: usize = d.entries().map(|e| e.suffix.len()).sum();
+        let entries: Vec<_> = d.entries().collect();
+        let arena: usize = entries.iter().map(|e| e.suffix.len()).sum();
+        let (mut rest, mut escapes) = (0usize, 0usize);
+        for (i, e) in entries.iter().enumerate() {
+            let before = match i {
+                0 => &[][..],
+                _ if entries[i - 1].trie_index != e.trie_index => &[][..],
+                _ => entries[i - 1].suffix,
+            };
+            let shared = before.iter().zip(e.suffix).take_while(|(a, b)| a == b).count();
+            rest += e.suffix.len() - shared;
+            escapes += usize::from(shared >= 15) + usize::from(e.suffix.len() - shared >= 15);
+        }
         let mut counts = vec![0u32; TRIE_ENTRIES];
-        d.entries().for_each(|e| counts[e.trie_index as usize] += 1);
+        entries.iter().for_each(|e| counts[e.trie_index as usize] += 1);
         let w_count = bits(counts.iter().copied().max().unwrap());
-        let w_owner = bits(d.entries().map(|e| e.indexer).max().unwrap());
-        let w_handle = bits(d.entries().map(|e| e.postings).max().unwrap());
+        let w_owner = bits(entries.iter().map(|e| e.indexer).max().unwrap());
+        let w_handle = bits(entries.iter().map(|e| e.postings).max().unwrap());
         assert_eq!(w_owner, n_cpu - 1, "{n_cpu} indexers");
-        let formula = 16
-            + packed(TRIE_ENTRIES, w_count)
-            + packed(TRIE_ENTRIES, w_owner)
-            + n
-            + packed(n, w_handle)
-            + arena;
-        assert_eq!(bytes.len(), formula, "{n_cpu} indexers: {n} terms, widths {w_count}/{w_owner}/{w_handle}");
+        let columns = packed(TRIE_ENTRIES, w_count) + packed(TRIE_ENTRIES, w_owner) + packed(n, w_handle);
+        let formula = 24 + columns + n + escapes + rest;
+        assert_eq!(
+            bytes.len(),
+            formula,
+            "{n_cpu} indexers: {n} terms, {escapes} escapes, widths {w_count}/{w_owner}/{w_handle}"
+        );
+        let iidp = 16 + columns + n + arena;
+        assert!(bytes.len() < iidp, "{n_cpu} indexers: {} bytes against {iidp} in IIDP", bytes.len());
         let retired = 12 + 4 * (2 * TRIE_ENTRIES + 1) + 8 * n + 4 + arena;
         assert!(
             bytes.len() * 10 <= retired * 6,

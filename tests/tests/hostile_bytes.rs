@@ -4,15 +4,18 @@
 //! build with the manifest's length and CRC rewritten to vouch for the
 //! damage — the state a buggy writer, not a flipped bit, leaves behind.
 //!
-//! Truncated files are always refused. A mutated file is refused with a
-//! typed error or yields a value that is safe to query: every walk and
-//! look-up terminates without a panic and the value survives its own
-//! serialization. Neither reader sizes an allocation by a count it has not
+//! Truncated files are always refused, and so is a dictionary whose front
+//! coding lies: a suffix sharing more than the suffix before it, a
+//! collection's first suffix sharing at all, a length escape cut off at
+//! the end of its column, a pair that does not ascend. A mutated file is
+//! refused with a typed error or yields a value that is safe to query:
+//! every walk and look-up terminates without a panic and the value
+//! survives its own serialization. Neither reader sizes an allocation by a count it has not
 //! checked against the bytes it holds: the dictionary's length must be what
 //! its header's counts and widths call for before any column is unpacked,
 //! a run's row count and row sample are bounded by its
-//! table length, and the index's holders column by the dictionary it
-//! already validated. (`run_format_diff.rs` mutates every header and table
+//! table length, and the index's holders column by the term count of a
+//! dictionary header whose file is exactly as long as it says. (`run_format_diff.rs` mutates every header and table
 //! byte of whole run files against the frozen reader; the run cases here
 //! are the ones the one-posting row adds, and rows flipped, cut and spliced
 //! where the row sample's groups begin and end, opened through
@@ -42,6 +45,7 @@ use ii_core::obs::{GpuSpanArgs, Trace, TraceEvent, TraceKind, WorkerTrace};
 use ii_core::pipeline::{
     build_index, build_index_durable, render_bundle_report, BuildCheckpoint, DocMap,
     DurableOptions, PipelineConfig, PipelineError, CHECKPOINT_ARTIFACT, DICTIONARY_ARTIFACT,
+    DOCMAP_ARTIFACT,
 };
 use ii_core::postings::run::RunFileError;
 use ii_core::postings::{
@@ -53,20 +57,21 @@ use ii_core::store::{
     MANIFEST_NAME,
 };
 use ii_core::Index;
-use ii_integration_tests::reference::DictColumns;
+use ii_integration_tests::reference::{DictColumns, RefEntry};
 use ii_integration_tests::run_table::MaterialisedRun;
 use std::io::ErrorKind;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Header of `dictionary.bin`: magic, term count, arena length, the count,
-/// owner and handle widths, a reserved zero byte.
-const DICT_HEADER: usize = 16;
+/// Header of `dictionary.bin`: magic, term count, suffix bytes, rest
+/// bytes, escape bytes, the count, owner and handle widths, a reserved zero
+/// byte.
+const DICT_HEADER: usize = 24;
 
 /// Where each section of a `dictionary.bin` starts, from its header: the
-/// collection counts, the owners, the suffix lengths, the handles, the
-/// arena.
+/// collection counts, the owners, the front-coded lengths and their
+/// escapes, the handles, the rest bytes.
 struct Sections {
     counts: usize,
     owners: usize,
@@ -76,13 +81,14 @@ struct Sections {
 }
 
 fn sections(bytes: &[u8]) -> Sections {
-    let n = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let (n, escapes) = (word(4), word(16));
     let packed = |len: usize, w: u8| (len * w as usize).div_ceil(8);
     let counts = DICT_HEADER;
-    let owners = counts + packed(TRIE_ENTRIES, bytes[12]);
-    let lens = owners + packed(TRIE_ENTRIES, bytes[13]);
-    let handles = lens + n;
-    Sections { counts, owners, lens, handles, arena: handles + packed(n, bytes[14]) }
+    let owners = counts + packed(TRIE_ENTRIES, bytes[20]);
+    let lens = owners + packed(TRIE_ENTRIES, bytes[21]);
+    let handles = lens + n + escapes;
+    Sections { counts, owners, lens, handles, arena: handles + packed(n, bytes[22]) }
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -167,7 +173,7 @@ fn mutated_dictionary_bytes_never_panic() {
     let at = sections(&bytes);
     // The header, the counts around the first occupied collection, the
     // first and last 64 bytes of every column and of the arena.
-    let first_count = at.counts + dict.entries().next().unwrap().trie_index as usize * bytes[12] as usize / 8;
+    let first_count = at.counts + dict.entries().next().unwrap().trie_index as usize * bytes[20] as usize / 8;
     let spans = [
         0..DICT_HEADER + 64,
         first_count.saturating_sub(16)..first_count + 64,
@@ -229,20 +235,24 @@ fn dictionary_columns_that_lie_are_refused() {
     assert_eq!(with_columns(&bytes, |_| {}), bytes, "the reference lays out the product's bytes");
     // Counts the bytes cannot back: the reader runs out of input, not memory.
     refused(with_word(&bytes, 4, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX terms");
-    refused(with_word(&bytes, 8, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX arena bytes");
+    refused(with_word(&bytes, 12, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX rest bytes");
+    refused(with_word(&bytes, 16, u32::MAX), ErrorKind::UnexpectedEof, "u32::MAX escapes");
     refused(with_word(&bytes, 4, n + 1), ErrorKind::UnexpectedEof, "one term too many");
     refused(with_word(&bytes, 4, n - 1), ErrorKind::InvalidData, "one term too few");
+    // More suffix bytes than n terms can share: refused before the arena
+    // is allocated.
+    refused(with_word(&bytes, 8, u32::MAX), ErrorKind::InvalidData, "u32::MAX suffix bytes");
     let mut header_only = bytes[..DICT_HEADER].to_vec();
-    header_only[4..12].fill(0xFF);
+    header_only[4..20].fill(0xFF);
     refused(header_only, ErrorKind::UnexpectedEof, "a header and nothing else");
     // Widths past 32 bits and a reserved byte that is not zero.
-    for (at, what) in [(12, "count"), (13, "owner"), (14, "handle")] {
+    for (at, what) in [(20, "count"), (21, "owner"), (22, "handle")] {
         let mut wide = bytes.clone();
         wide[at] = 33;
         refused(wide, ErrorKind::InvalidData, &format!("a {what} width of 33"));
     }
     let mut reserved = bytes.clone();
-    reserved[15] = 1;
+    reserved[23] = 1;
     refused(reserved, ErrorKind::InvalidData, "a reserved byte of 1");
     // The handle column a byte short, everything after it in place.
     let at = sections(&bytes);
@@ -257,27 +267,74 @@ fn dictionary_columns_that_lie_are_refused() {
     refused(lie(|c, _| c.counts[0] += 1), ErrorKind::InvalidData, "collection 0 holds a term");
     refused(lie(|c, _| c.counts[100] = u32::MAX), ErrorKind::InvalidData, "count overflows");
     refused(lie(|c, t| c.counts[t] += 7), ErrorKind::InvalidData, "ordinal past n");
-    // Suffix lengths that miss the arena's end, either way, and an arena a
-    // byte longer than the lengths.
-    refused(lie(|c, _| c.lens[0] += 1), ErrorKind::InvalidData, "a length one too long");
-    refused(lie(|c, _| *c.lens.last_mut().unwrap() -= 1), ErrorKind::InvalidData, "lengths end early");
+    // Rest lengths that miss the arena's end, either way, an arena a byte
+    // longer than the lengths, and suffix bytes the lengths do not sum to.
+    refused(lie(|c, _| c.rest[0] += 1), ErrorKind::InvalidData, "a length one too long");
+    refused(lie(|c, _| *c.rest.last_mut().unwrap() -= 1), ErrorKind::InvalidData, "lengths end early");
     refused(lie(|c, _| c.arena.push(b'z')), ErrorKind::InvalidData, "an arena past the lengths");
-    // Two neighbours of one collection swapped: each is a fine suffix, the
-    // pair is out of order.
+    refused(lie(|c, _| c.suffix_bytes += 1), ErrorKind::InvalidData, "a suffix byte too many");
+    refused(lie(|c, _| c.suffix_bytes -= 1), ErrorKind::InvalidData, "a suffix byte too few");
+
+    // Front coding. Each lie below keeps the header's suffix bytes equal
+    // to what the lengths sum to, so the length is the only thing wrong.
     let entries: Vec<_> = dict.entries().collect();
-    let pair = entries
-        .windows(2)
-        .position(|w| w[0].trie_index == w[1].trie_index && w[0].suffix.len() == w[1].suffix.len())
-        .expect("some collection holds two suffixes of one length");
-    let at = at.arena + entries[..pair].iter().map(|e| e.suffix.len()).sum::<usize>();
-    let len = entries[pair].suffix.len();
-    let mut swapped = bytes.clone();
-    swapped[at..at + len].copy_from_slice(entries[pair + 1].suffix);
-    swapped[at + len..at + 2 * len].copy_from_slice(entries[pair].suffix);
-    refused(swapped, ErrorKind::InvalidData, "suffixes out of order");
-    let mut duplicate = bytes.clone();
-    duplicate[at..at + len].copy_from_slice(entries[pair + 1].suffix);
-    refused(duplicate, ErrorKind::InvalidData, "the same suffix twice");
+    let cols = DictColumns::of_dictionary(&dict);
+    let firsts: Vec<bool> =
+        (0..entries.len()).map(|i| i == 0 || entries[i - 1].trie_index != entries[i].trie_index).collect();
+    let rest_at = |i: usize| cols.rest[..i].iter().map(|&r| usize::from(r)).sum::<usize>();
+    // A suffix sharing one byte more than the whole suffix before it.
+    let i = (1..entries.len()).find(|&i| !firsts[i]).expect("a collection of two suffixes");
+    refused(
+        with_columns(&bytes, |c| {
+            c.shared[i] = entries[i - 1].suffix.len() as u8 + 1;
+            c.suffix_bytes += u32::from(c.shared[i]) - u32::from(cols.shared[i]);
+        }),
+        ErrorKind::InvalidData,
+        "a shared length longer than the previous suffix",
+    );
+    // A collection's first suffix that shares a byte with the collection
+    // before it.
+    let i = (1..entries.len()).find(|&i| firsts[i]).expect("two collections");
+    refused(
+        with_columns(&bytes, |c| {
+            c.shared[i] = 1;
+            c.suffix_bytes += 1;
+        }),
+        ErrorKind::InvalidData,
+        "a collection's first suffix that shares",
+    );
+    // The last length byte escapes its rest length to a byte past the
+    // length column.
+    let last_term = entries.len() - 1;
+    assert!(cols.shared[last_term] < 15 && cols.rest[last_term] < 15, "the last length has no escape");
+    let mut cut_escape = bytes.clone();
+    cut_escape[at.handles - 1] |= 0x0F;
+    refused(cut_escape, ErrorKind::InvalidData, "an escape cut off at the end of the length column");
+    // Shorter than the previous suffix, and a first rest byte equal to,
+    // then below, the previous suffix's byte there: not ascending.
+    let i = (1..entries.len())
+        .find(|&i| !firsts[i] && usize::from(cols.shared[i]) < entries[i - 1].suffix.len())
+        .expect("a suffix sharing less than the whole of the one before");
+    let before = entries[i - 1].suffix[usize::from(cols.shared[i])];
+    for first_rest in [before, before - 1] {
+        refused(
+            with_columns(&bytes, |c| c.arena[rest_at(i)] = first_rest),
+            ErrorKind::InvalidData,
+            &format!("a first rest byte of {first_rest} against {before}"),
+        );
+    }
+    // Two neighbours of one collection swapped, front-coded as they now
+    // stand: each is a fine suffix, the pair is out of order. The same
+    // suffix twice is out of order too: the order is strict.
+    let pair = (1..entries.len()).find(|&i| !firsts[i]).unwrap() - 1;
+    let mut listed: Vec<RefEntry> =
+        entries.iter().map(|e| (e.trie_index, e.suffix.to_vec(), e.indexer, e.postings)).collect();
+    listed.swap(pair, pair + 1);
+    (listed[pair].3, listed[pair + 1].3) = (listed[pair + 1].3, listed[pair].3);
+    refused(DictColumns::of(&listed).to_bytes(), ErrorKind::InvalidData, "suffixes out of order");
+    listed.swap(pair, pair + 1);
+    listed[pair].1 = listed[pair + 1].1.clone();
+    refused(DictColumns::of(&listed).to_bytes(), ErrorKind::InvalidData, "the same suffix twice");
 }
 
 /// The source file of `doc` by a walk over every record: what `file_of`'s
@@ -488,7 +545,8 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
     Index::open(&dir).expect("restored");
 
     // The dictionary: cut short, counts past the term count, and the
-    // retired magics (front-coded, then fixed-width columns).
+    // retired magics (an earlier front coding, fixed-width columns, then
+    // packed columns of whole suffixes).
     let mut dict_bytes = Vec::new();
     idx.dictionary.write_to(&mut dict_bytes).unwrap();
     for hostile in [
@@ -496,6 +554,7 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
         with_columns(&dict_bytes, |c| c.counts[TRIE_ENTRIES - 1] += 1),
         with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDC")),
         with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDT")),
+        with_word(&dict_bytes, 0, u32::from_le_bytes(*b"IIDP")),
     ] {
         overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &hostile);
         assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT);
@@ -516,6 +575,40 @@ fn index_open_refuses_what_the_manifest_wrongly_vouches_for() {
         }
     }
     std::fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+    Index::open(&dir).expect("restored");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Open reads the runs on a second thread while it decodes the dictionary
+/// and the doc map, and still reports what it meets in the order a
+/// sequential read would: a damaged dictionary before a damaged run, a
+/// damaged doc map before a damaged run, each under a manifest that vouches
+/// for the damage.
+#[test]
+fn index_open_reports_the_dictionary_then_the_docmap_then_the_runs() {
+    let (idx, dir) = saved_index("open-order");
+    let (&indexer, set) = idx.run_sets.iter().next().unwrap();
+    let run = run_artifact_name(indexer, set.runs()[0].run_id);
+    let honest_run = set.runs()[0].to_bytes();
+    let mut dict_bytes = Vec::new();
+    idx.dictionary.write_to(&mut dict_bytes).unwrap();
+    let mut docmap = Vec::new();
+    idx.doc_map.write_to(&mut docmap).unwrap();
+
+    overwrite_artifact(&dir, &run, &honest_run[..honest_run.len() - 1]);
+    assert_eq!(corrupt_artifact(Index::open(&dir)), run, "the run alone");
+    overwrite_artifact(&dir, DOCMAP_ARTIFACT, &docmap[..docmap.len() - 1]);
+    assert_eq!(corrupt_artifact(Index::open(&dir)), DOCMAP_ARTIFACT, "the doc map and a run");
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes[..dict_bytes.len() - 1]);
+    assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT, "all three");
+    overwrite_artifact(&dir, DOCMAP_ARTIFACT, &docmap);
+    assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT, "the dictionary and a run");
+    // A dictionary whose header is damaged, so no term count reaches the
+    // run walk: the dictionary is still what is reported.
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &with_word(&dict_bytes, 4, u32::MAX));
+    assert_eq!(corrupt_artifact(Index::open(&dir)), DICTIONARY_ARTIFACT, "a damaged header");
+    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
+    overwrite_artifact(&dir, &run, &honest_run);
     Index::open(&dir).expect("restored");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -788,9 +881,10 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
     }
 
     // What older builds wrote, vouched for by the manifest, is refused as
-    // old, not as corrupt: the fixed-width dictionary layout before this
-    // one, and a descriptor whose config fingerprint names the flush and
-    // shed watermarks that one budget replaced.
+    // old, not as corrupt: the two dictionary layouts before this one
+    // (fixed-width columns; packed columns of whole suffixes), and a
+    // descriptor whose config fingerprint names the flush and shed
+    // watermarks that one budget replaced.
     overwrite_artifact(&dir, CHECKPOINT_ARTIFACT, &descriptor);
     let older = |what: &str| match resume() {
         Err(PipelineError::Resume(why)) => {
@@ -801,9 +895,11 @@ fn resume_refuses_what_the_manifest_wrongly_vouches_for() {
         Ok(()) => panic!("{what}: resumed"),
     };
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let retired = std::fs::read(fixtures.join("written_by_0da7cc7/dictionary.bin")).unwrap();
-    overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &retired);
-    older("a dictionary of the retired layout");
+    for layout in ["written_by_0da7cc7", "written_by_51f554f"] {
+        let retired = std::fs::read(fixtures.join(layout).join("dictionary.bin")).unwrap();
+        overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &retired);
+        older(&format!("a dictionary of the layout {layout} wrote"));
+    }
     overwrite_artifact(&dir, DICTIONARY_ARTIFACT, &dict_bytes);
     let mut watermarked: BuildCheckpoint = serde_json::from_slice(&descriptor).unwrap();
     watermarked.config.push_str("|flush_wm=0.5|shed_wm=0.85");

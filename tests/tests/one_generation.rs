@@ -3,7 +3,8 @@
 //!
 //! The retired forms are refused with the error the reader already had —
 //! run files under the `IIRF` and `IIR2` magics, a dictionary of
-//! fixed-width `IIDT` columns, manifests of any other version, a directory
+//! fixed-width `IIDT` columns or of the `IIDP` columns with whole suffixes
+//! that front coding replaced, manifests of any other version, a directory
 //! whose manifest is gone — and `Index::repair` is the one way back from
 //! the last. `fixtures/golden/index` then pins the bytes:
 //! with no compatibility reader left, rebuilding the fixture collection and
@@ -21,7 +22,7 @@ use ii_core::postings::run::RunFileError;
 use ii_core::postings::{PostingsList, RunFile};
 use ii_core::store::{crc32, Manifest, Store, StoreError, FORMAT_VERSION, MANIFEST_NAME};
 use ii_core::Index;
-use ii_integration_tests::reference::{read_retired_iidt, RefEntry};
+use ii_integration_tests::reference::{read_retired_iidp, read_retired_iidt, RefEntry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -91,18 +92,18 @@ fn run_files_of_the_retired_magics_are_malformed() {
     }
 }
 
-/// The golden index's `dictionary.bin` as the fixed-width `IIDT` layout
-/// wrote it (the fixture is that file, kept when the layout was retired):
-/// the product refuses it, as bytes and under a manifest that vouches for
-/// it, and the frozen reader finds in it the entries of today's golden
-/// dictionary, term for term.
-#[test]
-fn the_retired_iidt_dictionary_is_refused_and_holds_the_golden_entries() {
-    let retired = std::fs::read(fixture("written_by_0da7cc7/dictionary.bin")).unwrap();
+/// The golden index's `dictionary.bin` as a retired layout wrote it (the
+/// fixture `file` is that file, kept when the layout was retired): the
+/// product refuses it, as bytes and under a manifest that vouches for it,
+/// and `read_retired` — the frozen reader of that layout — finds in it the
+/// entries of today's golden dictionary, term for term.
+fn assert_retired_dictionary(file: &str, read_retired: fn(&[u8]) -> Vec<RefEntry>) {
+    let retired = std::fs::read(fixture(file)).unwrap();
+    assert!(!GlobalDictionary::is_this_layout(&retired), "{file}");
     let err = GlobalDictionary::from_bytes(&retired).expect_err("a retired dictionary parsed");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{file}: {err}");
 
-    let dir = scratch("retired-dictionary");
+    let dir = scratch(&file.replace('/', "-"));
     build_golden().save(&dir).unwrap();
     let mut manifest = Manifest::load(&dir).unwrap();
     let record = manifest.artifacts.iter_mut().find(|a| a.name == DICTIONARY_ARTIFACT).unwrap();
@@ -111,8 +112,8 @@ fn the_retired_iidt_dictionary_is_refused_and_holds_the_golden_entries() {
     std::fs::write(dir.join(MANIFEST_NAME), manifest.to_bytes()).unwrap();
     match Index::open(&dir) {
         Err(StoreError::Corrupt { name, .. }) => assert_eq!(name, DICTIONARY_ARTIFACT),
-        Err(other) => panic!("expected Corrupt, got {other}"),
-        Ok(_) => panic!("an index with a retired dictionary opened"),
+        Err(other) => panic!("{file}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{file}: an index with a retired dictionary opened"),
     }
     std::fs::remove_dir_all(&dir).unwrap();
 
@@ -123,7 +124,34 @@ fn the_retired_iidt_dictionary_is_refused_and_holds_the_golden_entries() {
         .map(|e| (e.trie_index, e.suffix.to_vec(), e.indexer, e.postings))
         .collect();
     assert!(entries.len() > 100);
-    assert!(read_retired_iidt(&retired) == entries, "the retired file holds other entries");
+    assert!(read_retired(&retired) == entries, "{file} holds other entries");
+}
+
+/// The fixed-width `IIDT` columns: `u32` directory, owners, offsets and
+/// handles.
+#[test]
+fn the_retired_iidt_dictionary_is_refused_and_holds_the_golden_entries() {
+    assert_retired_dictionary("written_by_0da7cc7/dictionary.bin", read_retired_iidt);
+}
+
+/// The `IIDP` columns front coding replaced: bit-packed counts, owners and
+/// handles, a length byte per suffix, every suffix whole.
+#[test]
+fn the_retired_iidp_dictionary_is_refused_and_holds_the_golden_entries() {
+    assert_retired_dictionary("written_by_51f554f/dictionary.bin", read_retired_iidp);
+}
+
+/// Each indexer of the golden index wrote two runs, so each of its run sets
+/// remembers which runs hold each handle; a set of one run would not.
+#[test]
+fn the_golden_index_tracks_the_holders_of_its_multi_run_sets() {
+    let golden = Index::open(&fixture("golden/index")).expect("the golden index opens");
+    assert_eq!(golden.run_sets.len(), 2);
+    for (indexer, set) in &golden.run_sets {
+        assert_eq!(set.runs().len(), 2, "indexer {indexer}");
+        assert!(set.tracks_holders(), "indexer {indexer}");
+    }
+    assert!(build_golden().run_sets.values().all(|set| set.tracks_holders()));
 }
 
 #[test]
